@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test verify check golden ci bench-emulator bench-emulator-json bench bench-host bench-hotkey bench-cluster bench-swarm bench-reshard figures trace-demo
+.PHONY: test verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-host bench-hotkey bench-cluster bench-swarm bench-reshard figures trace-demo
 
 test:
 	go build ./... && go test ./...
@@ -26,6 +26,13 @@ golden:
 # ci: what .github/workflows/ci.yml runs — tier-1, verify, the short
 # correctness + crash-recovery suites, and the golden-figures guard.
 ci: test verify check golden
+
+# benchmark: the repository's one repeatable benchmark (BENCHMARK.json):
+# five workloads, end-to-end metrics and the per-layer ladder. bench/ is a
+# module of its own; run.sh builds it into .bench_build/. Pass flags with
+# ARGS, e.g. make benchmark ARGS="--workload scan-mix --trace 0".
+benchmark:
+	bash bench/run.sh $(ARGS)
 
 # bench-emulator: host-speed micro-benchmarks of the HTM emulator's
 # Load/Store/commit paths, 5 repetitions for benchstat-able output.

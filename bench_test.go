@@ -303,3 +303,56 @@ func BenchmarkHostParallel(b *testing.B) {
 		}
 	}
 }
+
+// scanBenchKeys is the preload of the Scan16 benchmarks: every other key
+// of [0, 2*scanBenchKeys), so leaves are part-filled the way a served
+// store's are.
+const scanBenchKeys = 100_000
+
+// BenchmarkTreeScan16 is core.Tree.Scan(from, 16) on the host backend with
+// nothing above it: the per-leaf cost of the scan path (collect, sort,
+// staging accounting). Run with -benchmem; steady state allocates nothing.
+func BenchmarkTreeScan16(b *testing.B) {
+	db, err := Open(Options{ArenaWords: 1 << 24, Backend: Host})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	th := db.NewThread()
+	for k := uint64(0); k < scanBenchKeys; k++ {
+		th.Put(2*k, k)
+	}
+	visit := func(_, _ uint64) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := uint64(i) * 2654435761 % (2 * scanBenchKeys)
+		db.euno.Scan(th.th, from, 16, visit)
+	}
+}
+
+// BenchmarkSessionScan16 is Session.Scan(from, 16) on a 4-shard hash
+// cluster, host backend, health on: the merge-scan the scan-mix workload
+// spends its time in.
+func BenchmarkSessionScan16(b *testing.B) {
+	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 22, Backend: Host}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	sess := c.NewSession()
+	for k := uint64(0); k < scanBenchKeys; k++ {
+		if err := sess.Put(2*k, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	visit := func(_, _ uint64) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := uint64(i) * 2654435761 % (2 * scanBenchKeys)
+		if _, err := sess.Scan(from, 16, visit); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

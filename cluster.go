@@ -339,6 +339,10 @@ type Session struct {
 	// closing the window where a delayed write could land on a
 	// de-authorized source after its interval was copied and cut over.
 	guard sync.RWMutex
+
+	// cursors are the merge-scan's per-shard cursors and page buffers, kept
+	// across calls so a Scan allocates nothing (see merge).
+	cursors []*shardCursor
 }
 
 // NewSession creates a worker handle spanning every shard. Threads are
@@ -657,88 +661,121 @@ func (s *Session) RangePartial(from, to uint64, stat *RangeStat) iter.Seq2[uint6
 // kvPair is one buffered key/value pair in a shard cursor page.
 type kvPair struct{ k, v uint64 }
 
-// shardCursor pages one shard's slice of [from, to] through Thread.Scan,
-// capturing the error when the shard dies mid-scan — the k-way merge's
-// goroutine-free replacement for iter.Pull2 heads, which had no way to
-// surface a failure. Every cursor filters its shard's keys through the
-// scan's frozen routing view: mid-migration a key can physically exist
-// on both the source and the destination (copied but not yet purged),
-// and accepting it only from the shard the frozen view names keeps the
-// merged stream exactly-once no matter how many cutovers land while the
-// scan runs.
-type shardCursor struct {
-	s         *Session
-	shard     int
-	view      *shard.View
-	from, to  uint64
-	buf       []kvPair
-	pos       int
-	exhausted bool
-	err       error
-	k, v      uint64
-	ok        bool
-}
-
+// clusterRangeBatch caps a page: no single Thread.Scan the cluster issues
+// asks a shard for more raw keys than this.
 const clusterRangeBatch = 256
 
-// next advances to the following pair, reporting availability. On
-// false, cur.err distinguishes shard failure from normal exhaustion.
-func (cur *shardCursor) next() bool {
-	for {
-		if cur.pos < len(cur.buf) {
-			p := cur.buf[cur.pos]
-			cur.pos++
-			cur.k, cur.v, cur.ok = p.k, p.v, true
-			return true
-		}
-		if cur.exhausted || cur.err != nil {
-			cur.ok = false
+// clusterRangeFirst is the first page of a merged range that carries no
+// limit (Range, RangePartial): most callers break out early, and the ones
+// that do not reach full pages after four doublings.
+const clusterRangeFirst = 16
+
+// scanPager reads the keys of [from, to] off one shard through Thread.Scan,
+// a page of raw keys at a time, re-anchoring each page one past the last
+// raw key of the one before. It is the one place that decides how large
+// the next page is (double the last, up to clusterRangeBatch) and when the
+// interval is exhausted (the shard returned fewer raw keys than the page
+// asked for, a key past to, or to itself). Raw means every key the shard
+// holds, whatever the caller's visit makes of it: a reader that filters —
+// a merge cursor dropping stale copies it does not own — must not mistake
+// a page it discarded for the end of the shard.
+type scanPager struct {
+	from, to uint64
+	size     int  // raw keys the next page asks for
+	done     bool // the interval is exhausted
+
+	// One page's bookkeeping, and the Thread.Scan callback that fills it —
+	// bound once at construction, so reading a page allocates nothing.
+	raw   int
+	past  bool
+	last  uint64
+	onKey func(k, v uint64) bool
+}
+
+// init binds the pager to the function that receives every raw key of a
+// page; reset starts an interval.
+func (p *scanPager) init(visit func(k, v uint64)) {
+	p.onKey = func(k, v uint64) bool {
+		if k > p.to {
+			p.past = true
 			return false
 		}
-		cur.fill()
+		p.raw++
+		p.last = k
+		visit(k, v)
+		return true
 	}
 }
 
-// fill loads the next page. Health is re-checked per page, so a shard
-// tripped by concurrent writers is caught at the next page boundary.
-// Pagination advances by the raw keys the shard returned, not the keys
-// the view filter kept — a page of foreign-owned keys (stale copies
-// awaiting purge) must not read as exhaustion.
-func (cur *shardCursor) fill() {
-	cur.buf, cur.pos = cur.buf[:0], 0
-	th, err := cur.s.shardThread(cur.shard)
-	if err != nil {
-		cur.err = err
-		return
+// reset points the pager at [from, to] with a first page of first raw
+// keys (clamped to [1, clusterRangeBatch]).
+func (p *scanPager) reset(from, to uint64, first int) {
+	p.from, p.to, p.done = from, to, false
+	p.size = min(max(first, 1), clusterRangeBatch)
+}
+
+// next reads one page from th, handing every raw key in the interval to
+// visit. A Thread.Scan error is returned as is, with the pager unmoved.
+func (p *scanPager) next(th *Thread) error {
+	p.raw, p.past = 0, false
+	if _, err := th.Scan(p.from, p.size, p.onKey); err != nil {
+		return err
 	}
-	past := false
-	raw := 0
-	var lastRaw uint64
-	if _, err := th.Scan(cur.from, clusterRangeBatch, func(k, v uint64) bool {
-		if k > cur.to {
-			past = true
-			return false
-		}
-		raw++
-		lastRaw = k
+	if p.raw < p.size || p.past || p.last >= p.to {
+		p.done = true
+		return nil
+	}
+	p.from = p.last + 1
+	p.size = min(2*p.size, clusterRangeBatch)
+	return nil
+}
+
+// shardCursor is one shard's input to the k-way merge: a scanPager plus
+// the page it last read, holding the error when the shard dies mid-scan.
+// Every cursor filters its shard's keys through the scan's frozen routing
+// view: mid-migration a key can physically exist on both the source and
+// the destination (copied but not yet purged), and accepting it only from
+// the shard the frozen view names keeps the merged stream exactly-once no
+// matter how many cutovers land while the scan runs.
+type shardCursor struct {
+	s     *Session
+	shard int
+	view  *shard.View
+	pager scanPager
+	buf   []kvPair // owned keys of the current page; buf[pos] is the head
+	pos   int
+	err   error
+}
+
+func newShardCursor(s *Session, i int) *shardCursor {
+	cur := &shardCursor{s: s, shard: i}
+	cur.pager.init(func(k, v uint64) {
 		if cur.view.Route(k) == cur.shard {
 			cur.buf = append(cur.buf, kvPair{k, v})
 		}
-		return true
-	}); err != nil {
-		cur.err = cur.s.scanFailed(cur.shard, err)
-		return
-	}
-	if raw == 0 || past || raw < clusterRangeBatch {
-		cur.exhausted = true
-	}
-	if raw > 0 {
-		if lastRaw == ^uint64(0) || lastRaw >= cur.to {
-			cur.exhausted = true
-		} else {
-			cur.from = lastRaw + 1
+	})
+	return cur
+}
+
+// head makes the cursor's next pair available as buf[pos], reading pages
+// until one holds a key this shard owns, and reports whether there is one.
+// On false, cur.err distinguishes shard failure from normal exhaustion.
+// Health is re-checked per page, so a shard tripped by concurrent writers
+// is caught at the next page boundary.
+func (cur *shardCursor) head() bool {
+	for cur.pos == len(cur.buf) {
+		if cur.pager.done || cur.err != nil {
+			return false
+		}
+		cur.buf, cur.pos = cur.buf[:0], 0
+		th, err := cur.s.shardThread(cur.shard)
+		if err != nil {
+			cur.err = err
+		} else if err := cur.pager.next(th); err != nil {
+			cur.err = cur.s.scanFailed(cur.shard, err)
 		}
 	}
+	return true
 }
 
 // scanFailed scores a mid-scan shard failure and wraps it.
@@ -758,82 +795,93 @@ func (s *Session) scanFailed(i int, err error) error {
 	return &ShardError{Shard: i, State: ShardState(sh.health.State()), Cause: cause}
 }
 
-// mergedRange is the k-way merge behind Range (strict) and RangePartial.
-// The whole merge routes against one frozen routing view, registered
-// with the cluster's live-scan registry (scanFreeze registers before the
-// view is trusted, so a concurrent cutover+purge can never slip through
-// the registration gap): the migration engine will not purge a cut-over
-// interval's source copies — nor retire a merged-away slot — while a
-// scan that still routes reads there is running.
+// mergedRange is Range and RangePartial's iterator over merge.
 func (s *Session) mergedRange(from, to uint64, stat *RangeStat, strict bool) iter.Seq2[uint64, uint64] {
 	return func(yield func(uint64, uint64) bool) {
-		v := s.c.scanFreeze()
-		defer s.c.scanExit(v.Gen)
-		var errs []error
-		record := func(i int, err error, midScan bool) {
-			if stat != nil {
-				stat.Partial = true
-				if midScan {
-					stat.Failed = append(stat.Failed, i)
-				} else {
-					stat.Skipped = append(stat.Skipped, i)
-				}
-			}
-			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d range: %w", i, err))
-		}
-		defer func() {
-			if stat != nil {
-				stat.Err = errors.Join(errs...)
-			}
-		}()
-		curs := make([]*shardCursor, 0, v.Shards())
-		for i := 0; i < v.Shards(); i++ {
-			cur := &shardCursor{s: s, shard: i, view: v, from: from, to: to}
-			if cur.next() {
-				curs = append(curs, cur)
-				continue
-			}
-			if cur.err != nil {
-				record(i, cur.err, false)
-				if strict {
-					return
-				}
+		s.merge(from, to, clusterRangeFirst, stat, strict, yield)
+	}
+}
+
+// merge is the k-way merge behind Range (strict), RangePartial and Scan;
+// first is each cursor's first page, the caller's hint of how many keys it
+// means to take. The whole merge routes against one frozen routing view,
+// registered with the cluster's live-scan registry (scanFreeze registers
+// before the view is trusted, so a concurrent cutover+purge can never slip
+// through the registration gap): the migration engine will not purge a
+// cut-over interval's source copies — nor retire a merged-away slot —
+// while a scan that still routes reads there is running.
+//
+// Shards are read only as far as the consumer asks: a cursor is moved past
+// the pair it delivered after yield has said it wants another, so a
+// consumer that stops causes no further shard read, and cannot be handed
+// a failure for keys it never asked for.
+func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool, yield func(uint64, uint64) bool) {
+	v := s.c.scanFreeze()
+	defer s.c.scanExit(v.Gen)
+	var errs []error
+	record := func(i int, err error, midScan bool) {
+		if stat != nil {
+			stat.Partial = true
+			if midScan {
+				stat.Failed = append(stat.Failed, i)
+			} else {
+				stat.Skipped = append(stat.Skipped, i)
 			}
 		}
-		last, have := uint64(0), false
-		for {
-			best := -1
-			for i, cur := range curs {
-				if cur.ok && (best < 0 || cur.k < curs[best].k) {
-					best = i
-				}
-			}
-			if best < 0 {
+		errs = append(errs, fmt.Errorf("eunomia: cluster shard %d range: %w", i, err))
+	}
+	defer func() {
+		if stat != nil {
+			stat.Err = errors.Join(errs...)
+		}
+	}()
+	// The cursors and their page buffers are the Session's, borrowed for
+	// the merge: a scan started from inside yield finds none and builds
+	// its own.
+	all := s.cursors
+	s.cursors = nil
+	defer func() { s.cursors = all }()
+	for len(all) < v.Shards() {
+		all = append(all, newShardCursor(s, len(all)))
+	}
+	curs := all[:v.Shards()]
+	for i, cur := range curs {
+		cur.view, cur.buf, cur.pos, cur.err = v, cur.buf[:0], 0, nil
+		cur.pager.reset(from, to, first)
+		if !cur.head() && cur.err != nil {
+			record(i, cur.err, false)
+			if strict {
 				return
 			}
-			cur := curs[best]
-			k, v := cur.k, cur.v
-			failed := false
-			if !cur.next() && cur.err != nil {
-				record(cur.shard, cur.err, true)
-				failed = true
+		}
+	}
+	last, have := uint64(0), false
+	for {
+		var cur *shardCursor
+		for _, o := range curs {
+			if o.pos < len(o.buf) && (cur == nil || o.buf[o.pos].k < cur.buf[cur.pos].k) {
+				cur = o
 			}
-			if have && k == last {
-				// Shards own disjoint keys, so a duplicate can only mean a
-				// mis-routed write; the merge still guarantees strictly
-				// increasing output and keeps the lowest-shard copy.
-				if failed && strict {
-					return
-				}
-				continue
-			}
-			last, have = k, true
-			if !yield(k, v) {
+		}
+		if cur == nil {
+			return
+		}
+		p := cur.buf[cur.pos]
+		cur.pos++
+		// Shards own disjoint keys, so a duplicate can only mean a
+		// mis-routed write; the merge still guarantees strictly increasing
+		// output and keeps the lowest-shard copy.
+		if !have || p.k != last {
+			last, have = p.k, true
+			if !yield(p.k, p.v) {
 				return
 			}
-			if failed && strict {
-				// The pair in hand was valid; everything after the failure
-				// point would have a hole, so stop here.
+		}
+		if !cur.head() && cur.err != nil {
+			record(cur.shard, cur.err, true)
+			if strict {
+				// Everything after the failure point would have a hole,
+				// so stop here.
 				return
 			}
 		}
@@ -844,22 +892,21 @@ func (s *Session) mergedRange(from, to uint64, stat *RangeStat, strict bool) ite
 // shards, stopping early if fn returns false, and returns the number
 // visited — the callback form of Range. Unlike Range's silent stop, a
 // shard failing mid-scan surfaces as an error (wrapping
-// ErrShardUnavailable) alongside however many keys were visited first.
+// ErrShardUnavailable) alongside however many keys were visited first;
+// a shard that fails after the last visited key was read does not.
 func (s *Session) Scan(from uint64, max int, fn func(key, val uint64) bool) (int, error) {
 	if s.c.closed.Load() {
 		return 0, ErrClosed
 	}
+	if max <= 0 {
+		return 0, nil
+	}
 	var stat RangeStat
 	n := 0
-	for k, v := range s.RangePartial(from, ^uint64(0), &stat) {
-		if n == max {
-			break
-		}
+	s.merge(from, ^uint64(0), max, &stat, false, func(k, v uint64) bool {
 		n++
-		if !fn(k, v) {
-			break
-		}
-	}
+		return fn(k, v) && n < max
+	})
 	return n, stat.Err
 }
 

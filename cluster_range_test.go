@@ -149,8 +149,9 @@ func TestClusterRangeEmptyShards(t *testing.T) {
 }
 
 // TestClusterRangeEarlyBreakReleasesIterators: breaking out of a merged
-// Range must stop every per-shard pull iterator — iter.Pull coroutines are
-// goroutines, so an unstopped head is a leak this test counts.
+// Range leaves nothing running. The per-shard cursors are plain buffers,
+// not iter.Pull coroutines; the goroutine count guards against a merge
+// that goes back to something that needs stopping.
 func TestClusterRangeEarlyBreakReleasesIterators(t *testing.T) {
 	c := testCluster(t, 4, HashPartition)
 	sess := c.NewSession()
@@ -169,7 +170,7 @@ func TestClusterRangeEarlyBreakReleasesIterators(t *testing.T) {
 			}
 		}
 	}
-	// Stopped pull iterators unwind promptly; allow the scheduler a moment.
+	// Allow the scheduler a moment before calling a stray goroutine a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -432,86 +432,49 @@ func (c *Cluster) tryCopyMove(m *migration, mi int, scrub bool) error {
 	return nil
 }
 
-// copyInterval pages move mv's keys from source to destination.
+// copyInterval pages move mv's keys from source to destination, scoring
+// a failed read against the source and a failed write against the
+// destination.
 func (c *Cluster) copyInterval(sth, dth *Thread, mv shard.Move, inMove func(uint64) bool) error {
-	src, dst := c.shard(mv.Src), c.shard(mv.Dst)
-	from := mv.Lo
-	for {
-		if c.closed.Load() {
-			return ErrClosed
+	var putErr error
+	err := c.scanInterval(sth, mv.Lo, mv.Hi, func(k, val uint64) error {
+		if inMove(k) {
+			putErr = dth.Put(k, val)
 		}
-		var page []kvPair
-		err := c.scanPage(sth, &from, mv.Hi, func(k, val uint64) {
-			if inMove(k) {
-				page = append(page, kvPair{k, val})
-			}
-		})
-		if err != nil && err != errScanDone {
-			return c.scoreMaintErr(src, err)
-		}
-		for _, p := range page {
-			if perr := dth.Put(p.k, p.v); perr != nil {
-				return c.scoreMaintErr(dst, perr)
-			}
-		}
-		if err == errScanDone {
-			return nil
-		}
-	}
-}
-
-// errScanDone is scanPage's "interval exhausted" signal.
-var errScanDone = errors.New("scan done")
-
-// scanPage reads one page of [*from, hi] from th, advancing *from past
-// the raw keys seen. Returns errScanDone when the interval is exhausted
-// after delivering the page's keys.
-func (c *Cluster) scanPage(th *Thread, from *uint64, hi uint64, fn func(k, v uint64)) error {
-	raw, past := 0, false
-	var lastRaw uint64
-	if _, err := th.Scan(*from, clusterRangeBatch, func(k, v uint64) bool {
-		if k > hi {
-			past = true
-			return false
-		}
-		raw++
-		lastRaw = k
-		fn(k, v)
-		return true
-	}); err != nil {
+		return putErr
+	})
+	switch {
+	case err == nil || c.closed.Load():
 		return err
+	case putErr != nil:
+		return c.scoreMaintErr(c.shard(mv.Dst), putErr)
 	}
-	if raw == 0 || past || raw < clusterRangeBatch || lastRaw >= hi || lastRaw == ^uint64(0) {
-		return errScanDone
-	}
-	*from = lastRaw + 1
-	return nil
+	return c.scoreMaintErr(c.shard(mv.Src), err)
 }
 
-// scanInterval visits every key in [lo, hi] on th, applying fn (which may
-// mutate th's shard — pages re-anchor by key, not position).
+// scanInterval visits every key in [lo, hi] on th in full-size pages,
+// applying fn after each page is read (fn may mutate th's shard — pages
+// re-anchor by key, not position).
 func (c *Cluster) scanInterval(th *Thread, lo, hi uint64, fn func(k, v uint64) error) error {
-	from := lo
-	for {
+	var page []kvPair
+	var pg scanPager
+	pg.init(func(k, v uint64) { page = append(page, kvPair{k, v}) })
+	pg.reset(lo, hi, clusterRangeBatch)
+	for !pg.done {
 		if c.closed.Load() {
 			return ErrClosed
 		}
-		var page []kvPair
-		err := c.scanPage(th, &from, hi, func(k, v uint64) {
-			page = append(page, kvPair{k, v})
-		})
-		if err != nil && err != errScanDone {
+		page = page[:0]
+		if err := pg.next(th); err != nil {
 			return err
 		}
 		for _, p := range page {
-			if ferr := fn(p.k, p.v); ferr != nil {
-				return ferr
+			if err := fn(p.k, p.v); err != nil {
+				return err
 			}
 		}
-		if err == errScanDone {
-			return nil
-		}
 	}
+	return nil
 }
 
 // drainDirty takes the current dirty set and re-applies each key's

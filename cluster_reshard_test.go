@@ -3,6 +3,7 @@ package eunomia
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -398,6 +399,59 @@ func TestReshardScanExactlyOnceMidMigration(t *testing.T) {
 			if seen[k] != 1 {
 				t.Fatalf("mid-scan cutover: key %d seen %d times", k, seen[k])
 			}
+		}
+	}
+	// A page of nothing but stale copies is not the end of a shard. Finish
+	// move 1 the way the engine would (the stage above cut it over in the
+	// table only): copy its keys to the destination and leave the source
+	// unpurged. Then delete the interval's last key at its new owner. The
+	// source now holds a stale copy of that key and, right behind it, the
+	// keys of move 2 — which it still owns.
+	if len(v.Moves()) > 2 {
+		mv1 := v.Moves()[1]
+		s1, d1 := c.DB(mv1.Src).NewThread(), c.DB(mv1.Dst).NewThread()
+		var moved, rest []uint64
+		for _, k := range keys {
+			switch {
+			case k >= mv1.Lo && k <= mv1.Hi:
+				val, _, _ := s1.Get(k)
+				if err := d1.Put(k, val); err != nil {
+					t.Fatal(err)
+				}
+				moved = append(moved, k)
+			case k > mv1.Hi:
+				rest = append(rest, k)
+			}
+		}
+		if len(moved) < 2*clusterRangeFirst || len(rest) == 0 {
+			t.Fatalf("move 1 carries %d keys with %d behind it: too few for the case", len(moved), len(rest))
+		}
+		gone := moved[len(moved)-1]
+		if ok, err := sess.Delete(gone); !ok || err != nil {
+			t.Fatalf("delete of moved key %d = %v, %v", gone, ok, err)
+		}
+		moved = moved[:len(moved)-1]
+		// Scan(gone, 1) asks the source for one raw key and gets the stale
+		// copy; the key it wants is the source's next one.
+		var got []uint64
+		n, err := sess.Scan(gone, 1, func(k, val uint64) bool {
+			got = append(got, k)
+			return val == k^5
+		})
+		if n != 1 || err != nil || got[0] != rest[0] {
+			t.Fatalf("Scan(%d,1) past a stale first page = %d, %v visiting %v; want key %d", gone, n, err, got, rest[0])
+		}
+		// From the interval's start the source's first pages — 16, 32 raw
+		// keys — are stale throughout, and its own keys come after them.
+		got = got[:0]
+		for k, val := range sess.Range(moved[0], ^uint64(0)) {
+			if val != k^5 {
+				t.Fatalf("stale pages: key %d carries %d", k, val)
+			}
+			got = append(got, k)
+		}
+		if want := append(moved, rest...); !slices.Equal(got, want) {
+			t.Fatalf("range over stale pages yields %d keys, want %d (%d moved, %d behind them)", len(got), len(want), len(moved), len(rest))
 		}
 	}
 	// Leave the staged migration in place; Close tolerates it (no engine

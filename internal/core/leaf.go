@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"eunomia/internal/htm"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
@@ -373,7 +371,7 @@ func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 		if len(recs) > t.cfg.StableCap {
 			return
 		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].k < recs[b].k })
+		sortPairs(recs)
 		stagingWords = 2*len(recs) + 1
 		staging = tx.AllocAligned(stagingWords, simmem.TagReserved)
 		t.writeStable(tx, leaf, recs)
@@ -392,7 +390,7 @@ type pair struct{ k, v uint64 }
 // collectLive gathers every live record of the leaf (segment copies win
 // over stable copies; tombstones dropped) into buf, unsorted.
 func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
-	inSeg := make(map[uint64]struct{}, t.cfg.Segments*t.cfg.SegCap)
+	base := len(buf)
 	for j := 0; j < t.cfg.Segments; j++ {
 		seg := t.segBase(leaf, j)
 		count := int(tx.Load(seg))
@@ -400,9 +398,9 @@ func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
 			k := tx.Load(seg + simmem.Addr(1+2*i))
 			v := tx.Load(seg + simmem.Addr(2+2*i))
 			buf = append(buf, pair{k, v})
-			inSeg[k] = struct{}{}
 		}
 	}
+	segs := buf[base:] // at most Segments*SegCap entries: probed, not hashed
 	stCount := int(tx.Load(leaf + offStableCount))
 	for i := 0; i < stCount; i++ {
 		k := tx.Load(t.stableK(leaf, i))
@@ -410,12 +408,21 @@ func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
 		if v == tree.Tombstone {
 			continue
 		}
-		if _, shadowed := inSeg[k]; shadowed {
-			continue
+		if !hasKey(segs, k) {
+			buf = append(buf, pair{k, v})
 		}
-		buf = append(buf, pair{k, v})
 	}
 	return buf
+}
+
+// hasKey reports whether recs holds key.
+func hasKey(recs []pair, key uint64) bool {
+	for _, r := range recs {
+		if r.k == key {
+			return true
+		}
+	}
+	return false
 }
 
 // writeStable rewrites the leaf's stable region with the given sorted
@@ -481,7 +488,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, 
 	if !wasLive {
 		recs = append(recs, pair{key, val})
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].k < recs[b].k })
+	sortPairs(recs)
 
 	// Model the reserved-keys allocation for the reorganize.
 	*stagingWords = 2 * len(recs)

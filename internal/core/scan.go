@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"eunomia/internal/htm"
 	"eunomia/internal/simmem"
 )
@@ -17,6 +15,11 @@ import (
 //     a transient reserved-keys buffer, the Section 5.7 footprint — and
 //     emits them to fn outside the region, so retries never re-deliver.
 //
+// The reserved-keys buffer is the thread's own scratch (htm.Thread.Scratch),
+// borrowed for the length of the call; the arena only accounts for it and
+// charges its modelled cost (Arena.Reserve), so a scan allocates nothing
+// and touches no arena line it does not read.
+//
 // The hop to the next leaf reuses the (address, seqno) pair sampled inside
 // the current leaf's region as the connection point; if validation of the
 // next leaf fails, the scan re-traverses from the root at the first
@@ -29,7 +32,15 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	cur := from
 	chainLeaf := simmem.NilAddr
 	var chainSeq uint64
-	buf := make([]pair, 0, t.leafCap())
+	// Borrowed, not shared: a Scan re-entered from fn on this thread finds
+	// no scratch and makes its own.
+	sc, _ := th.Scratch.(*scanScratch)
+	th.Scratch = nil
+	if sc == nil || cap(sc.buf) < t.leafCap() {
+		sc = &scanScratch{buf: make([]pair, 0, t.leafCap())}
+	}
+	defer func() { th.Scratch = sc }()
+	buf := sc.buf
 
 	for {
 		var leaf simmem.Addr
@@ -63,12 +74,9 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 			chainLeaf = simmem.NilAddr
 			continue
 		}
-		sort.Slice(buf, func(a, b int) bool { return buf[a].k < buf[b].k })
+		sortPairs(buf)
 		// Transient reserved-keys staging, accounted under TagReserved.
-		var staging simmem.Addr
-		if len(buf) > 0 {
-			staging = t.a.AllocAligned(th.P, 2*len(buf), simmem.TagReserved)
-		}
+		t.a.Reserve(th.P, 2*len(buf), simmem.TagReserved)
 		stop := false
 		for _, r := range buf {
 			if r.k < cur {
@@ -85,12 +93,28 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 				break
 			}
 		}
-		if staging != simmem.NilAddr {
-			t.a.Free(th.P, staging, 2*len(buf), simmem.TagReserved)
-		}
+		t.a.Release(th.P, 2*len(buf), simmem.TagReserved)
 		if stop || next == simmem.NilAddr {
 			return visited
 		}
 		chainLeaf, chainSeq = next, nextSeq
+	}
+}
+
+// scanScratch is the per-thread leaf-snapshot buffer Scan keeps on its
+// htm.Thread between calls.
+type scanScratch struct{ buf []pair }
+
+// sortPairs sorts a leaf's worth of records by key: an insertion sort,
+// which on the few already-sorted runs collectLive produces does little
+// more than merge them.
+func sortPairs(recs []pair) {
+	for i := 1; i < len(recs); i++ {
+		r := recs[i]
+		j := i
+		for ; j > 0 && recs[j-1].k > r.k; j-- {
+			recs[j] = recs[j-1]
+		}
+		recs[j] = r
 	}
 }

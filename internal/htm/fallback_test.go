@@ -2,6 +2,7 @@ package htm
 
 import (
 	"testing"
+	"time"
 
 	"eunomia/internal/simmem"
 	"eunomia/internal/vclock"
@@ -238,5 +239,46 @@ func TestSerializabilityRandomRegisterFileSim(t *testing.T) {
 	}
 	if total != 1_000_000 {
 		t.Fatalf("conservation violated: total = %d", total)
+	}
+}
+
+// TestFallbackLoadWaitsForWriteBack: a commit that validated just before
+// the fallback lock was taken still holds its write lines locked while it
+// applies its stores. On real goroutines a fallback-path load of such a
+// line must wait for the unlock and see the commit whole, not read around
+// the line lock. The commit in flight is played by hand: lock the line,
+// start the fallback body, finish the write-back.
+func TestFallbackLoadWaitsForWriteBack(t *testing.T) {
+	for name, mk := range map[string]func(a *simmem.Arena) *Thread{
+		"wall": func(a *simmem.Arena) *Thread {
+			return New(a, DefaultConfig).NewThread(vclock.NewWallProc(1, 0), 1)
+		},
+		"host": func(a *simmem.Arena) *Thread {
+			cfg := DefaultConfig
+			cfg.Backend = BackendHost
+			return New(a, cfg).NewHostThread(1, 1)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := simmem.NewArena(1 << 12)
+			th := mk(a)
+			x := a.AllocAligned(th.P, 8, simmem.TagKeys)
+			a.SetWordRaw(x, 1)
+			if _, ok := a.TryLockLine(x.Line()); !ok {
+				t.Fatal("fresh line already locked")
+			}
+			got := make(chan uint64, 1)
+			go th.RunFallback(func(tx *Tx) { got <- tx.Load(x) })
+			select {
+			case v := <-got:
+				t.Fatalf("fallback load returned %d from a line a commit is still writing back", v)
+			case <-time.After(20 * time.Millisecond):
+			}
+			a.SetWordRaw(x, 2)
+			a.UnlockLine(x.Line(), a.AdvanceClock())
+			if v := <-got; v != 2 {
+				t.Fatalf("fallback load saw %d, want the committed 2", v)
+			}
+		})
 	}
 }

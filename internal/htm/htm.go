@@ -219,6 +219,9 @@ type Tx struct {
 	st     *Stats
 	rv     uint64
 	direct bool
+	// lockstep is set for a thread of the lockstep simulator (a
+	// vclock.SimProc), which runs one goroutine at a time.
+	lockstep bool
 
 	rs     []readEntry
 	ws     []writeEntry
@@ -311,6 +314,9 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	tx.st.TxLoads++
 	a := tx.h.arena
 	if tx.direct {
+		if !tx.lockstep {
+			tx.awaitWriteBack(addr.Line())
+		}
 		return a.LoadWord(tx.p, addr)
 	}
 	// Read-your-writes: a buffered store to this address wins (a
@@ -352,6 +358,26 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	// re-load of the state word.
 	a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(s1), false)
 	return v
+}
+
+// awaitWriteBack holds a fallback-path load until no commit is writing the
+// line back. Taking the fallback lock stops transactions that have yet to
+// validate (they subscribe to the lock word), but one that validated just
+// before still holds its write lines locked while it applies its stores; a
+// direct load that ignored the line lock would read that commit half
+// applied, and the fallback body would then place its own stores by what it
+// read — a lost insert or a value under the wrong key. Direct stores
+// already wait, through the line lock they take.
+//
+// Only threads on real goroutines wait. The lockstep simulator keeps the
+// unsynchronised load: its figures are pinned bit for bit with that
+// behaviour in them (scripts/golden.sh), and waiting there is a change to
+// those numbers that has to be made, and re-baselined, on its own.
+func (tx *Tx) awaitWriteBack(line uint64) {
+	a := tx.h.arena
+	if simmem.StateLocked(a.LineState(line)) {
+		hostWait(func() bool { return !simmem.StateLocked(a.LineState(line)) })
+	}
 }
 
 // Store performs a transactional (buffered) write of one word.

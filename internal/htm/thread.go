@@ -189,6 +189,11 @@ type Thread struct {
 	// skipped by the host backend's batched flushing.
 	devFlushed Stats
 	sinceFlush int
+
+	// Scratch belongs to the tree running on this thread: storage it keeps
+	// between operations (a reusable buffer, say) so that a hot path need
+	// not allocate. The htm package never reads it.
+	Scratch any
 }
 
 // NewThread creates a worker handle executing on proc p.
@@ -196,6 +201,7 @@ func (h *HTM) NewThread(p vclock.Proc, seed uint64) *Thread {
 	t := &Thread{H: h, P: p, Rand: vclock.NewRand(seed)}
 	t.tx.h = h
 	t.tx.p = p
+	_, t.tx.lockstep = p.(*vclock.SimProc)
 	t.tx.st = &t.Stats
 	t.tx.maxRead = h.cfg.MaxReadLines
 	t.tx.maxWrite = h.cfg.MaxWriteLines
