@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-host bench-hotkey bench-cluster bench-swarm bench-reshard figures trace-demo
+.PHONY: test verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-host bench-hostops bench-hotkey bench-cluster bench-swarm bench-reshard figures trace-demo
 
 test:
 	go build ./... && go test ./...
@@ -55,6 +55,12 @@ bench:
 # GOMAXPROCS/NumCPU so runs stay comparable.
 bench-host:
 	go run ./cmd/eunobench -benchjson BENCH_hostperf.json -benchlabel $(LABEL) hostperf
+
+# bench-hostops: one get and one put on a 100k-key Euno-B+Tree at host
+# speed, 5 repetitions — the price of an operation's TL2 bookkeeping plus
+# tree logic, the number EXPERIMENTS.md quotes for the read path.
+bench-hostops:
+	go test -run=NONE -bench 'HostOps/Euno' -count=5 .
 
 # bench-hotkey: the CCM v2 hot-key comparison (Options.Combine on vs off)
 # under a single-key hammer and a theta=0.99 celebrity-key Zipfian, on the

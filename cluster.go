@@ -890,7 +890,8 @@ func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool
 
 // Scan visits up to max keys >= from in ascending order across all
 // shards, stopping early if fn returns false, and returns the number
-// visited — the callback form of Range. Unlike Range's silent stop, a
+// visited (as on a Thread, the key fn stopped on is not one of them) —
+// the callback form of Range. Unlike Range's silent stop, a
 // shard failing mid-scan surfaces as an error (wrapping
 // ErrShardUnavailable) alongside however many keys were visited first;
 // a shard that fails after the last visited key was read does not.
@@ -904,8 +905,11 @@ func (s *Session) Scan(from uint64, max int, fn func(key, val uint64) bool) (int
 	var stat RangeStat
 	n := 0
 	s.merge(from, ^uint64(0), max, &stat, false, func(k, v uint64) bool {
+		if !fn(k, v) {
+			return false
+		}
 		n++
-		return fn(k, v) && n < max
+		return n < max
 	})
 	return n, stat.Err
 }

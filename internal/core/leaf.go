@@ -362,12 +362,13 @@ func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 	t.lockLeaf(th.P, ccm)
 	var staging simmem.Addr
 	var stagingWords int
+	sc := t.borrowScratch(th)
 	th.Execute(t.lowerPol, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
 		if tx.Load(leaf+offSeqno) != s0 {
 			return
 		}
-		recs := t.collectLive(tx, leaf, make([]pair, 0, t.leafCap()))
+		recs := t.collectLive(tx, leaf, sc.buf[:0])
 		if len(recs) > t.cfg.StableCap {
 			return
 		}
@@ -376,6 +377,7 @@ func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 		staging = tx.AllocAligned(stagingWords, simmem.TagReserved)
 		t.writeStable(tx, leaf, recs)
 	})
+	th.Scratch = sc
 	if staging != simmem.NilAddr {
 		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
 		t.compactions.Add(1)
@@ -453,17 +455,19 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 	var out outcome
 	var staging simmem.Addr
 	var stagingWords int
+	sc := t.borrowScratch(th)
 	th.Execute(t.lowerPol, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
-		out = t.leafMaintBody(tx, leaf, s0, key, val, &staging, &stagingWords)
+		out = t.leafMaintBody(tx, sc, leaf, s0, key, val, &staging, &stagingWords)
 	})
+	th.Scratch = sc
 	if staging != simmem.NilAddr {
 		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
 	}
 	return out
 }
 
-func (t *Tree) leafMaintBody(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, staging *simmem.Addr, stagingWords *int) outcome {
+func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val uint64, staging *simmem.Addr, stagingWords *int) outcome {
 	if tx.Load(leaf+offSeqno) != s0 {
 		return oMismatch
 	}
@@ -476,7 +480,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, 
 			return oUpdated
 		}
 	}
-	recs := t.collectLive(tx, leaf, make([]pair, 0, t.leafCap()+1))
+	recs := t.collectLive(tx, leaf, sc.buf[:0])
 	wasLive := false
 	for i := range recs {
 		if recs[i].k == key {
@@ -511,8 +515,8 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, 
 	}
 	// Split (Figure 7): re-traverse from the root *inside this
 	// transaction* so the parent path is consistent with the split.
-	var path []simmem.Addr
-	found := t.descend(tx, key, &path)
+	sc.path = sc.path[:0]
+	found := t.descend(tx, key, &sc.path)
 	if found != leaf {
 		return oMismatch
 	}
@@ -530,7 +534,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, 
 		t.initMarks(tx, right, recs[half:])
 	}
 	sep := recs[half].k
-	t.insertUp(tx, path, sep, right)
+	t.insertUp(tx, sc.path, sep, right)
 	t.splits.Add(1)
 	return result()
 }

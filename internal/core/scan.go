@@ -15,7 +15,7 @@ import (
 //     a transient reserved-keys buffer, the Section 5.7 footprint — and
 //     emits them to fn outside the region, so retries never re-deliver.
 //
-// The reserved-keys buffer is the thread's own scratch (htm.Thread.Scratch),
+// The reserved-keys buffer is the thread's own scratch (borrowScratch),
 // borrowed for the length of the call; the arena only accounts for it and
 // charges its modelled cost (Arena.Reserve), so a scan allocates nothing
 // and touches no arena line it does not read.
@@ -32,13 +32,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	cur := from
 	chainLeaf := simmem.NilAddr
 	var chainSeq uint64
-	// Borrowed, not shared: a Scan re-entered from fn on this thread finds
-	// no scratch and makes its own.
-	sc, _ := th.Scratch.(*scanScratch)
-	th.Scratch = nil
-	if sc == nil || cap(sc.buf) < t.leafCap() {
-		sc = &scanScratch{buf: make([]pair, 0, t.leafCap())}
-	}
+	sc := t.borrowScratch(th)
 	defer func() { th.Scratch = sc }()
 	buf := sc.buf
 
@@ -101,9 +95,26 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	}
 }
 
-// scanScratch is the per-thread leaf-snapshot buffer Scan keeps on its
-// htm.Thread between calls.
-type scanScratch struct{ buf []pair }
+// threadScratch is what a tree keeps on its htm.Thread between operations
+// so that the ones which stage a leaf — Scan, compaction, the split — need
+// not allocate, least of all inside a transaction body that retries.
+type threadScratch struct {
+	buf  []pair        // a leaf's live records, plus the one being put
+	path []simmem.Addr // the root-to-parent path of a split
+}
+
+// borrowScratch takes the thread's scratch for the length of an operation;
+// the caller hands it back with th.Scratch = sc. Borrowed, not shared: an
+// operation issued from a Scan callback on this thread finds none and makes
+// its own.
+func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
+	sc, _ := th.Scratch.(*threadScratch)
+	th.Scratch = nil
+	if sc == nil || cap(sc.buf) <= t.leafCap() {
+		sc = &threadScratch{buf: make([]pair, 0, t.leafCap()+1)}
+	}
+	return sc
+}
 
 // sortPairs sorts a leaf's worth of records by key: an insertion sort,
 // which on the few already-sorted runs collectLive produces does little

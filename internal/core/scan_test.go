@@ -72,8 +72,72 @@ func TestScanReentrant(t *testing.T) {
 			t.Fatalf("outer[%d] = %d, want %d: the nested scan clobbered the outer buffer", i, k, 2*i)
 		}
 	}
-	if _, ok := th.Scratch.(*scanScratch); !ok {
+	if _, ok := th.Scratch.(*threadScratch); !ok {
 		t.Fatal("scratch not returned to the thread")
+	}
+}
+
+// TestScanCallbackPutBuildsOwnScratch: a Put issued from a scan callback
+// that runs the leaf's maintenance (a split stages the leaf's records) finds
+// the scratch lent out and builds its own, so the records the scan has yet
+// to deliver survive it.
+func TestScanCallbackPutBuildsOwnScratch(t *testing.T) {
+	tr, th := scanTree(t, true, 2000)
+	splits := tr.Splits()
+	var got []uint64
+	next := uint64(1)
+	tr.Scan(th, 0, 400, func(k, _ uint64) bool {
+		got = append(got, k)
+		// Odd keys well past the scan's position, dense enough to split.
+		for i := 0; i < 8; i++ {
+			tr.Put(th, 3001+2*next, next)
+			next++
+		}
+		return true
+	})
+	if tr.Splits() == splits {
+		t.Fatal("the nested puts split no leaf; the test exercises nothing")
+	}
+	if len(got) != 400 {
+		t.Fatalf("scan visited %d keys, want 400", len(got))
+	}
+	for i, k := range got {
+		if k != 2*uint64(i) {
+			t.Fatalf("scan[%d] = %d, want %d: a nested put clobbered the scan's buffer", i, k, 2*i)
+		}
+	}
+}
+
+// TestPutMaintenanceAllocationFree: compactions and splits stage a leaf's
+// records and the split's path in the thread's scratch, not in buffers made
+// inside a transaction body that retries, so a warmed-up thread's puts and
+// deletes allocate nothing at all.
+func TestPutMaintenanceAllocationFree(t *testing.T) {
+	tr, th := scanTree(t, true, 4000)
+	next := uint64(0)
+	churn := func() {
+		for i := 0; i < 20000; i++ {
+			k := 8000 + next
+			tr.Put(th, k, k)
+			if next%2 == 1 {
+				tr.Delete(th, k-1)
+			}
+			next++
+		}
+	}
+	// Warm up what grows to a high-water mark and then stays: the Tx's own
+	// buffers and tables, the arena's per-size free lists, the split path.
+	churn()
+	splits, compactions := tr.Splits(), tr.Compactions()
+	// One run measured (after AllocsPerRun's own warm-up run): the integer
+	// average over a single run hides no allocation.
+	allocs := testing.AllocsPerRun(1, churn)
+	if tr.Splits() == splits || tr.Compactions() == compactions {
+		t.Fatalf("churn caused %d splits and %d compactions; the test needs both",
+			tr.Splits()-splits, tr.Compactions()-compactions)
+	}
+	if allocs != 0 {
+		t.Errorf("20000 puts and 10000 deletes allocate %.0f times, want 0", allocs)
 	}
 }
 

@@ -46,6 +46,7 @@ func Cases() []Case {
 		n := n
 		cs = append(cs,
 			Case{fmt.Sprintf("Load/rs=%d", n), func(b *testing.B) { benchLoad(b, n) }},
+			Case{fmt.Sprintf("Load/sameLine/rs=%d", n), func(b *testing.B) { benchLoadSameLine(b, n) }},
 			Case{fmt.Sprintf("LoadMerge/rs=%d", n), func(b *testing.B) { benchLoadMerge(b, n) }},
 			Case{fmt.Sprintf("StoreCommit/ws=%d", n), func(b *testing.B) { benchStoreCommit(b, n) }},
 			Case{fmt.Sprintf("ReadYourWrites/ws=%d", n), func(b *testing.B) { benchReadYourWrites(b, n) }},
@@ -84,7 +85,7 @@ func mustCommit(b *testing.B, th *htm.Thread, body func(*htm.Tx)) {
 }
 
 // benchLoad: one read-only transaction reading n distinct lines. Each Load
-// must consult the store buffer (empty) and merge into the read set; the
+// must consult the store buffer (empty) and append to the read log; the
 // read-only commit is O(1).
 func benchLoad(b *testing.B, n int) {
 	th, addrs := setup(n)
@@ -100,8 +101,29 @@ func benchLoad(b *testing.B, n int) {
 	reportPerAccess(b, n)
 }
 
-// benchLoadMerge: every line is loaded twice (different words), so half the
-// Loads take the merge-with-existing-read-set-entry path.
+// benchLoadSameLine: all eight words of each of n lines, line by line — the
+// way a tree reads a node. Seven loads in eight hit the line just read and
+// take the same-line revalidation; the read log gets one entry per line.
+func benchLoadSameLine(b *testing.B, n int) {
+	th, addrs := setup(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustCommit(b, th, func(tx *htm.Tx) {
+			for _, a := range addrs {
+				for w := simmem.Addr(0); w < simmem.WordsPerLine; w++ {
+					tx.Load(a + w)
+				}
+			}
+		})
+	}
+	reportPerAccess(b, n*simmem.WordsPerLine)
+}
+
+// benchLoadMerge: every line is loaded twice (different words) with the
+// other lines in between, so the second pass revisits lines that are not the
+// one just read: it doubles the read log and, at rs=512, reaches the
+// fold-at-capacity point on its last load.
 func benchLoadMerge(b *testing.B, n int) {
 	th, addrs := setup(n)
 	b.ReportAllocs()

@@ -15,9 +15,9 @@
 //     global version clock (rv) at begin; every Load validates that the
 //     line is unlocked and no newer than rv (providing opacity — a running
 //     transaction never observes an inconsistent snapshot, which is what
-//     RTM's eager conflict detection guarantees); Stores are buffered;
-//     commit locks the write lines, validates the read set, applies, and
-//     releases at a new clock value.
+//     RTM's eager conflict detection guarantees) and logs the line; Stores
+//     are buffered; commit locks the write lines, validates the read log,
+//     applies, and releases at a new clock value.
 //
 //   - Conflicts are detected per 64-byte line, so consecutive key layout
 //     produces the false conflicts the paper measures.
@@ -213,6 +213,15 @@ type held struct {
 // thread executes and commits transactions without heap allocation, and
 // every Load/Store is O(1) regardless of read/write-set size (see
 // txindex.go).
+//
+// The read set is a log: Load appends {line, word} and probes no table,
+// because nothing that reads tx.rs needs it de-duplicated. A read-only
+// commit never looks at it; a writing commit validates every entry, and a
+// duplicate re-checks a state word it just checked; accessMask runs only on
+// the way to an abort and ORs the matching entries. Only the capacity bound
+// counts distinct lines, and the log cannot hold more than MaxReadLines of
+// those before it has MaxReadLines entries — at which point foldReadLog
+// de-duplicates it into tx.lines, once, and the attempt goes on indexed.
 type Tx struct {
 	h      *HTM
 	p      vclock.Proc
@@ -223,13 +232,24 @@ type Tx struct {
 	// vclock.SimProc), which runs one goroutine at a time.
 	lockstep bool
 
-	rs     []readEntry
+	rs     []readEntry // read log; one entry per line once rsFolded
 	ws     []writeEntry
 	wls    []writeLine
 	allocs []allocRec
 
-	lines lineTab // line → rs/wls index (+ owned flag during commit)
-	wsIdx addrTab // buffered-store address → ws index
+	// lines maps a line to its wls index (+ owned flag during commit) and,
+	// once rsFolded, to its rs index.
+	lines    lineTab
+	wsIdx    addrTab // buffered-store address → ws index
+	rsFolded bool
+
+	// last{Line,State,Rs} are the most recently read line, the state word
+	// its read validated, and its rs entry: the next Load of that line
+	// revalidates by comparing one state load against lastState. lastLine
+	// is noLine when the attempt has read nothing.
+	lastLine  uint64
+	lastState uint64
+	lastRs    int32
 
 	// lastStore{Addr,Idx} short-circuit the common store→load/store-again
 	// pattern on the most recently written address without a table probe.
@@ -241,9 +261,10 @@ type Tx struct {
 	locked []held // commit scratch: lines locked so far this attempt
 
 	maxRead, maxWrite int // cfg limits, cached off the pointer chase
-
-	startCycles uint64
 }
+
+// noLine is a line number no address maps to (Addr.Line drops three bits).
+const noLine = ^uint64(0)
 
 // txAbort is the panic payload used to unwind an aborted attempt.
 type txAbort struct {
@@ -290,7 +311,53 @@ func (tx *Tx) accessMask(line uint64, extra uint8) uint8 {
 			m |= tx.wls[s.wls].mask
 		}
 	}
+	if !tx.rsFolded {
+		for _, re := range tx.rs {
+			if re.line == line {
+				m |= re.mask
+			}
+		}
+	}
 	return m
+}
+
+// recordReadIndexed records a validated read once the log has MaxReadLines
+// entries: it folds the log on the first such read of the attempt, then
+// merges into the line's entry or appends one, aborting where the read set
+// would exceed MaxReadLines distinct lines.
+func (tx *Tx) recordReadIndexed(line uint64, bit uint8) {
+	if !tx.rsFolded {
+		tx.foldReadLog()
+	}
+	ls := tx.lines.put(line)
+	if ls.rs == noIdx {
+		if len(tx.rs) >= tx.maxRead {
+			tx.abort(AbortCapacity, line, 0)
+		}
+		ls.rs = int32(len(tx.rs))
+		tx.rs = append(tx.rs, readEntry{line: line})
+	}
+	tx.rs[ls.rs].mask |= bit
+	tx.lastRs = ls.rs
+}
+
+// foldReadLog de-duplicates the read log in place — masks merged, first
+// occurrences kept in order — and indexes it in tx.lines, so that the rest
+// of the attempt can tell a new line from a re-read.
+func (tx *Tx) foldReadLog() {
+	n := int32(0)
+	for _, re := range tx.rs {
+		ls := tx.lines.put(re.line)
+		if ls.rs != noIdx {
+			tx.rs[ls.rs].mask |= re.mask
+			continue
+		}
+		ls.rs = n
+		tx.rs[n] = re
+		n++
+	}
+	tx.rs = tx.rs[:n]
+	tx.rsFolded = true
 }
 
 // classifyConflict maps a conflicting line to the paper's abort taxonomy.
@@ -334,6 +401,18 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	}
 	line := addr.Line()
 	bit := uint8(1) << addr.WordInLine()
+	if line == tx.lastLine {
+		// Same line as the previous read: its state was unlocked and no
+		// newer than rv then, so "still that value" after reading the word
+		// implies both checks below.
+		v := a.WordRaw(addr)
+		if a.LineState(line) != tx.lastState {
+			tx.abort(tx.classifyConflict(line, tx.accessMask(line, bit)), line, 0)
+		}
+		tx.rs[tx.lastRs].mask |= bit
+		a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(tx.lastState), false)
+		return v
+	}
 	s1 := a.LineState(line)
 	if simmem.StateLocked(s1) || simmem.StateVersion(s1) > tx.rv {
 		tx.abort(tx.classifyConflict(line, tx.accessMask(line, bit)), line, 0)
@@ -342,17 +421,15 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	if a.LineState(line) != s1 {
 		tx.abort(tx.classifyConflict(line, tx.accessMask(line, bit)), line, 0)
 	}
-	// Record in the read set, merging with an existing entry for the line.
-	ls := tx.lines.put(line)
-	if ls.rs != noIdx {
-		tx.rs[ls.rs].mask |= bit
+	// Record in the read set: append to the log while it cannot be over
+	// capacity, merge through the index after that.
+	if tx.rsFolded || len(tx.rs) >= tx.maxRead {
+		tx.recordReadIndexed(line, bit)
 	} else {
-		if len(tx.rs) >= tx.maxRead {
-			tx.abort(AbortCapacity, line, 0)
-		}
-		ls.rs = int32(len(tx.rs))
+		tx.lastRs = int32(len(tx.rs))
 		tx.rs = append(tx.rs, readEntry{line: line, mask: bit})
 	}
+	tx.lastLine, tx.lastState = line, s1
 	// The recheck above pinned the line's state to s1, so its version is
 	// StateVersion(s1); passing it down saves ChargeAccess an atomic
 	// re-load of the state word.
@@ -454,10 +531,10 @@ func (tx *Tx) releaseLocked() {
 // releases the lines at a fresh clock value. On any failure it unwinds via
 // abort after releasing what it locked.
 //
-// Complexity: O(write lines + read lines) — locking marks each owned line
-// in the tx.lines index, so read-set validation checks ownership with one
-// lookup instead of scanning the locked list. The locked list itself lives
-// in Tx scratch state, so a warmed-up writing commit allocates nothing.
+// Complexity: O(write lines + read-log entries) — locking marks each owned
+// line in the tx.lines index, so read-set validation checks ownership with
+// one lookup instead of scanning the locked list. The locked list itself
+// lives in Tx scratch state, so a warmed-up writing commit allocates nothing.
 func (tx *Tx) commit() {
 	a := tx.h.arena
 	costs := a.Costs()
@@ -525,8 +602,9 @@ func (tx *Tx) reset(direct bool) {
 	tx.locked = tx.locked[:0]
 	tx.lines.reset()
 	tx.wsIdx.reset()
+	tx.rsFolded = false
+	tx.lastLine = noLine
 	tx.lastStoreAddr = simmem.NilAddr
 	tx.lastStoreIdx = noIdx
 	tx.direct = direct
-	tx.startCycles = tx.p.Now()
 }

@@ -16,7 +16,13 @@ type Stats struct {
 	Fallbacks uint64 // executions that took the global-lock path
 	Aborts    [NumAbortReasons]uint64
 	// WastedCycles is virtual time spent inside attempts that aborted —
-	// the paper's ">94% of CPU cycles wasted at theta=0.9" metric.
+	// the paper's ">94% of CPU cycles wasted at theta=0.9" metric. It is
+	// exact on the emulated backend, under Thread.Run, and whenever an
+	// observer is attached. On the host backend without one, Execute reads
+	// the wall clock for the first attempt of only 1 in hostClockSample
+	// executions and counts that attempt hostClockSample times over, so the
+	// sum is an unbiased estimate of the same quantity (in nanoseconds);
+	// retries are always timed exactly.
 	WastedCycles uint64
 	// TxLoads and TxStores count transactional memory accesses, the proxy
 	// for the paper's executed-instruction comparisons.
@@ -89,10 +95,10 @@ func (s *Stats) String() string {
 // paper reuses ("we set different thresholds for different types of
 // aborts").
 //
-// Execute normalizes the policy before use: a zero threshold means "use
-// the DefaultPolicy value for this reason" (the zero value of the whole
-// struct is therefore DefaultPolicy, not fall-back-on-first-abort), and
-// the NoRetry sentinel requests explicitly zero retries.
+// Execute normalizes the policy before it consults it: a zero threshold
+// means "use the DefaultPolicy value for this reason" (the zero value of the
+// whole struct is therefore DefaultPolicy, not fall-back-on-first-abort),
+// and the NoRetry sentinel requests explicitly zero retries.
 type RetryPolicy struct {
 	Conflict int // retries allowed for conflict aborts
 	Capacity int // retries allowed for capacity aborts
@@ -189,6 +195,9 @@ type Thread struct {
 	// skipped by the host backend's batched flushing.
 	devFlushed Stats
 	sinceFlush int
+	// execs counts Executes for the host backend's clock sampling (see
+	// hostClockSample).
+	execs uint32
 
 	// Scratch belongs to the tree running on this thread: storage it keeps
 	// between operations (a reusable buffer, say) so that a hot path need
@@ -208,13 +217,33 @@ func (h *HTM) NewThread(p vclock.Proc, seed uint64) *Thread {
 	return t
 }
 
+// hostClockSample is the host backend's clock-sampling period. An attempt's
+// start time has two readers, the abort accounting (Stats.WastedCycles) and
+// observer events; a committed attempt with no observer needs neither, and
+// on a HostProc the read is a real time.Since. So with no observer attached
+// a host Execute times its first attempt 1 time in hostClockSample, at
+// hostClockSample times the weight. Emulated mode reads its (free, virtual)
+// clock every time, which keeps WastedCycles exact there.
+const hostClockSample = 16
+
 // Run executes body as a single transaction attempt and reports whether it
 // committed, and if not, why it aborted. The body may be re-invoked by
 // callers; it must be written to tolerate re-execution from the top (all
 // effects inside the attempt are rolled back on abort).
 func (t *Thread) Run(body func(*Tx)) (committed bool, reason AbortReason) {
+	return t.attempt(body, 1)
+}
+
+// attempt is Run with the attempt's weight in Stats.WastedCycles: 1 times
+// it exactly, 0 leaves it untimed (no clock read; only legal with no
+// observer attached), hostClockSample is a sampled first attempt.
+func (t *Thread) attempt(body func(*Tx), weight uint64) (committed bool, reason AbortReason) {
 	tx := &t.tx
 	tx.reset(false)
+	var start uint64
+	if weight != 0 {
+		start = t.P.Now()
+	}
 	tx.rv = t.H.arena.Clock()
 	t.Stats.Attempts++
 	t.P.Tick(t.H.arena.Costs().TxBegin)
@@ -222,7 +251,7 @@ func (t *Thread) Run(body func(*Tx)) (committed bool, reason AbortReason) {
 		o.Event(obs.Event{
 			Kind: obs.EvTxBegin,
 			Proc: int32(t.P.ID()),
-			TS:   tx.startCycles,
+			TS:   start,
 			Node: t.obsNode,
 		})
 	}
@@ -262,14 +291,16 @@ func (t *Thread) Run(body func(*Tx)) (committed bool, reason AbortReason) {
 				Kind: obs.EvTxCommit,
 				Proc: int32(t.P.ID()),
 				TS:   now,
-				Dur:  now - tx.startCycles,
+				Dur:  now - start,
 				Node: t.obsNode,
 			})
 		}
 		return true, AbortNone
 	}
 	t.Stats.Aborts[reason]++
-	t.Stats.WastedCycles += t.P.Now() - tx.startCycles
+	if weight != 0 {
+		t.Stats.WastedCycles += weight * (t.P.Now() - start)
+	}
 	for _, al := range tx.allocs {
 		t.H.arena.Free(t.P, al.addr, al.words, al.tag)
 	}
@@ -286,7 +317,7 @@ func (t *Thread) Run(body func(*Tx)) (committed bool, reason AbortReason) {
 			Tag:    tag,
 			Proc:   int32(t.P.ID()),
 			TS:     now,
-			Dur:    now - tx.startCycles,
+			Dur:    now - start,
 			Line:   abortLine,
 			Node:   t.obsNode,
 		})
@@ -299,8 +330,9 @@ func (t *Thread) Run(body func(*Tx)) (committed bool, reason AbortReason) {
 // identical semantics on both paths (in fallback mode its Tx routes
 // operations directly to memory under the lock).
 //
-// The policy is normalized first (zero thresholds take DefaultPolicy
-// values, NoRetry means zero retries). When the device's abort-storm
+// The policy is normalized (zero thresholds take DefaultPolicy values,
+// NoRetry means zero retries) after the first abort, which is the first
+// point that reads a threshold. When the device's abort-storm
 // detector is engaged, the execution serializes through the fallback path
 // immediately (graceful degradation); when the policy sets AttemptBudget,
 // the total attempt count is bounded before the guaranteed fallback.
@@ -317,7 +349,6 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 			t.pendingAbort = true
 		}
 	}
-	pol = pol.normalized()
 	if s := t.H.storm; s != nil && s.degraded.Load() {
 		// Graceful degradation: a device-wide abort storm is in progress.
 		// Serializing through the (queued) fallback adds no fuel, and the
@@ -328,14 +359,25 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 		t.RunFallback(body)
 		return
 	}
+	weight := uint64(1)
+	if t.H.host && t.H.obs == nil {
+		weight = 0
+		if t.execs++; t.execs%hostClockSample == 0 {
+			weight = hostClockSample
+		}
+	}
 	conflicts, caps, expl, busy, attempts := 0, 0, 0, 0, 0
 	for {
-		ok, reason := t.Run(body)
+		ok, reason := t.attempt(body, weight)
 		if s := t.H.storm; s != nil {
 			s.note(!ok)
 		}
 		if ok {
 			return
+		}
+		if attempts == 0 {
+			pol = pol.normalized()
+			weight = 1
 		}
 		attempts++
 		if pol.AttemptBudget > 0 && attempts >= pol.AttemptBudget {

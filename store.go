@@ -43,7 +43,8 @@ type Handle interface {
 	// Delete removes key, reporting whether it was present.
 	Delete(key uint64) (bool, error)
 	// Scan visits up to max keys >= from in ascending order, stopping
-	// early if fn returns false, and returns the number visited.
+	// early if fn returns false, and returns the number visited: the keys
+	// fn returned true for.
 	Scan(from uint64, max int, fn func(key, val uint64) bool) (int, error)
 	// Range iterates the pairs in [from, to] ascending (range-over-func).
 	Range(from, to uint64) iter.Seq2[uint64, uint64]

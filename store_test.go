@@ -53,16 +53,14 @@ func TestStoreHandleConformance(t *testing.T) {
 			if n != 4 || err != nil || !slices.Equal(got, []uint64{5, 6, 8, 9}) {
 				t.Fatalf("Scan(5,4) = %d, %v visiting %v", n, err, got)
 			}
-			// Whether the key fn stops on counts as visited is where the two
-			// handles still differ (a Thread leaves it out, a Session counts
-			// it); only the calls fn sees are common ground.
+			// The key fn stops on is seen but not counted, on both handles.
 			got = got[:0]
-			h.Scan(5, 10, func(k, _ uint64) bool {
+			n, err = h.Scan(5, 10, func(k, _ uint64) bool {
 				got = append(got, k)
 				return k < 8
 			})
-			if !slices.Equal(got, []uint64{5, 6, 8}) {
-				t.Fatalf("Scan stopped by fn visited %v, want [5 6 8]", got)
+			if n != 2 || err != nil || !slices.Equal(got, []uint64{5, 6, 8}) {
+				t.Fatalf("Scan stopped by fn = %d, %v visiting %v, want 2 visiting [5 6 8]", n, err, got)
 			}
 			if n, err := h.Scan(101, 10, func(_, _ uint64) bool { return true }); n != 0 || err != nil {
 				t.Fatalf("Scan past the last key = %d, %v", n, err)
