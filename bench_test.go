@@ -333,7 +333,8 @@ func BenchmarkTreeScan16(b *testing.B) {
 
 // BenchmarkSessionScan16 is Session.Scan(from, 16) on a 4-shard hash
 // cluster, host backend, health on: the merge-scan the scan-mix workload
-// spends its time in.
+// spends its time in. refills/scan is the cursor pages read beyond each
+// shard's first, the price of asking a shard for only its share.
 func BenchmarkSessionScan16(b *testing.B) {
 	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 22, Backend: Host}})
 	if err != nil {
@@ -349,10 +350,12 @@ func BenchmarkSessionScan16(b *testing.B) {
 	visit := func(_, _ uint64) bool { return true }
 	b.ReportAllocs()
 	b.ResetTimer()
+	pages := sess.pages
 	for i := 0; i < b.N; i++ {
 		from := uint64(i) * 2654435761 % (2 * scanBenchKeys)
 		if _, err := sess.Scan(from, 16, visit); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(sess.pages-pages)/float64(b.N)-float64(c.Shards()), "refills/scan")
 }

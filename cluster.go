@@ -341,8 +341,10 @@ type Session struct {
 	guard sync.RWMutex
 
 	// cursors are the merge-scan's per-shard cursors and page buffers, kept
-	// across calls so a Scan allocates nothing (see merge).
+	// across calls so a Scan allocates nothing (see merge). pages counts
+	// the pages they have read; the tests take the refill rate from it.
 	cursors []*shardCursor
+	pages   uint64
 }
 
 // NewSession creates a worker handle spanning every shard. Threads are
@@ -670,6 +672,27 @@ const clusterRangeBatch = 256
 // that do not reach full pages after four doublings.
 const clusterRangeFirst = 16
 
+// clusterShareSlack is what a hash shard's first page holds beyond its even
+// share of the keys a merge means to take. A shard's part of the next n
+// keys is binomial around n/shards, and a cursor that runs dry before the
+// merge is done costs one more Thread.Scan; the slack keeps that to about
+// one Scan(from,16) in fifteen on four shards (EXPERIMENTS.md has the
+// measured rate).
+const clusterShareSlack = 4
+
+// firstPage is each cursor's first page in a merge that means to take first
+// keys under view v. A range-partitioned cluster keeps keys in order on one
+// shard at a time, so the shard the interval starts on may have to supply
+// them all. Hash partitioning deals consecutive keys out evenly, so a shard
+// is asked for its share plus clusterShareSlack; a cursor that needs more
+// refills through the pager's doubling.
+func firstPage(v *shard.View, first int) int {
+	if n := v.Shards(); v.Target().Partition() == shard.Hash {
+		return min(first, (first+n-1)/n+clusterShareSlack)
+	}
+	return first
+}
+
 // scanPager reads the keys of [from, to] off one shard through Thread.Scan,
 // a page of raw keys at a time, re-anchoring each page one past the last
 // raw key of the one before. It is the one place that decides how large
@@ -774,6 +797,7 @@ func (cur *shardCursor) head() bool {
 		} else if err := cur.pager.next(th); err != nil {
 			cur.err = cur.s.scanFailed(cur.shard, err)
 		}
+		cur.s.pages++
 	}
 	return true
 }
@@ -803,13 +827,13 @@ func (s *Session) mergedRange(from, to uint64, stat *RangeStat, strict bool) ite
 }
 
 // merge is the k-way merge behind Range (strict), RangePartial and Scan;
-// first is each cursor's first page, the caller's hint of how many keys it
-// means to take. The whole merge routes against one frozen routing view,
-// registered with the cluster's live-scan registry (scanFreeze registers
-// before the view is trusted, so a concurrent cutover+purge can never slip
-// through the registration gap): the migration engine will not purge a
-// cut-over interval's source copies — nor retire a merged-away slot —
-// while a scan that still routes reads there is running.
+// first is the caller's hint of how many keys it means to take, from which
+// firstPage sizes each cursor's first page. The whole merge routes against
+// one frozen routing view, registered with the cluster's live-scan registry
+// (scanFreeze registers before the view is trusted, so a concurrent
+// cutover+purge can never slip through the registration gap): the migration
+// engine will not purge a cut-over interval's source copies — nor retire a
+// merged-away slot — while a scan that still routes reads there is running.
 //
 // Shards are read only as far as the consumer asks: a cursor is moved past
 // the pair it delivered after yield has said it wants another, so a
@@ -845,9 +869,10 @@ func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool
 		all = append(all, newShardCursor(s, len(all)))
 	}
 	curs := all[:v.Shards()]
+	page := firstPage(v, first)
 	for i, cur := range curs {
 		cur.view, cur.buf, cur.pos, cur.err = v, cur.buf[:0], 0, nil
-		cur.pager.reset(from, to, first)
+		cur.pager.reset(from, to, page)
 		if !cur.head() && cur.err != nil {
 			record(i, cur.err, false)
 			if strict {

@@ -289,6 +289,63 @@ func TestBarrierV1V2BackCompat(t *testing.T) {
 	}
 }
 
+// stageSplit installs a migration of c to n shards the way Reshard does —
+// destination shards opened, migration registered, routing view begun — but
+// starts no engine: the test decides which moves are copied (stageCopy) and
+// cut over (stageCut), and must clear c.mig before Close.
+func stageSplit(t *testing.T, c *Cluster, n int) (*migration, *shard.View) {
+	t.Helper()
+	from := c.table.View().Target()
+	to := shard.New(n, from.Partition())
+	list := c.shardList()
+	grown := make([]*clusterShard, len(list), n)
+	copy(grown, list)
+	for i := len(list); i < n; i++ {
+		db, err := Open(c.opts.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := &clusterShard{idx: i, opts: c.opts.Shard, health: shard.NewHealth(c.healthCfg)}
+		sh.db.Store(db)
+		grown = append(grown, sh)
+	}
+	c.shards.Store(&grown)
+	m := newMigration(from, to, 0, 0)
+	c.mig.Store(m)
+	return m, c.table.BeginReshard(to, 0)
+}
+
+// stageCopy copies move mi's keys to its destination and leaves the
+// source's copies in place, returning how many keys the move carried.
+func stageCopy(t *testing.T, c *Cluster, v *shard.View, mi int, keys []uint64) int {
+	t.Helper()
+	mv := v.Moves()[mi]
+	sth, dth := c.DB(mv.Src).NewThread(), c.DB(mv.Dst).NewThread()
+	copied := 0
+	for _, k := range keys {
+		if i, ok := v.MoveOf(k); !ok || i != mi {
+			continue
+		}
+		val, ok, err := sth.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("move %d key %d unreadable on src: %v %v", mi, k, ok, err)
+		}
+		if err := dth.Put(k, val); err != nil {
+			t.Fatal(err)
+		}
+		copied++
+	}
+	return copied
+}
+
+// stageCut flips move mi's authority to its destination, purging nothing.
+func stageCut(c *Cluster, m *migration, mi int) {
+	m.fence.Lock()
+	c.table.CutOver(mi)
+	m.cut = mi + 1
+	m.fence.Unlock()
+}
+
 // TestReshardScanExactlyOnceMidMigration is the white-box straddling-scan
 // test: with an interval physically present on BOTH its source and its
 // destination (copied, cut over, not yet purged — and separately, copied
@@ -306,49 +363,16 @@ func TestReshardScanExactlyOnceMidMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Manually stage a 2→4 migration the way Reshard does, so the test
-	// controls exactly which state the scan observes.
-	from := shard.New(2, shard.Range)
-	to := shard.New(4, shard.Range)
-	list := c.shardList()
-	grown := make([]*clusterShard, len(list), 4)
-	copy(grown, list)
-	for i := 2; i < 4; i++ {
-		db, err := Open(c.opts.Shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := &clusterShard{idx: i, opts: c.opts.Shard, health: shard.NewHealth(c.healthCfg)}
-		sh.db.Store(db)
-		grown = append(grown, sh)
-	}
-	c.shards.Store(&grown)
-	m := newMigration(from, to, 0, 0)
-	c.mig.Store(m)
-	v := c.table.BeginReshard(to, 0)
+	// Stage a 2→4 migration by hand, so the test controls exactly which
+	// state the scan observes.
+	m, v := stageSplit(t, c, 4)
 	if len(v.Moves()) == 0 {
 		t.Fatal("no moves for 2->4 range split")
 	}
-	mv := v.Moves()[0]
 
 	// Physically copy move 0 to its destination WITHOUT cutting over:
 	// both copies exist; the scan must take the source's.
-	sth := c.DB(mv.Src).NewThread()
-	dth := c.DB(mv.Dst).NewThread()
-	copied := 0
-	for _, k := range keys {
-		if mi, ok := v.MoveOf(k); ok && mi == 0 {
-			val, ok2, err := sth.Get(k)
-			if err != nil || !ok2 {
-				t.Fatalf("move key %d unreadable on src: %v %v", k, ok2, err)
-			}
-			if err := dth.Put(k, val); err != nil {
-				t.Fatal(err)
-			}
-			copied++
-		}
-	}
-	if copied == 0 {
+	if stageCopy(t, c, v, 0, keys) == 0 {
 		t.Fatal("move 0 carried no test keys")
 	}
 	checkExactlyOnce := func(stage string) {
@@ -372,10 +396,7 @@ func TestReshardScanExactlyOnceMidMigration(t *testing.T) {
 
 	// Cut move 0 over (authority flips to Dst) but do NOT purge: the
 	// stale source copies are still physically present.
-	m.fence.Lock()
-	c.table.CutOver(0)
-	m.cut = 1
-	m.fence.Unlock()
+	stageCut(c, m, 0)
 	checkExactlyOnce("cut-not-purged")
 
 	// A scan frozen before a cutover keeps its own routing for the whole
@@ -388,10 +409,7 @@ func TestReshardScanExactlyOnceMidMigration(t *testing.T) {
 		for k := range sess.Range(0, ^uint64(0)) {
 			seen[k]++
 			if i == n/3 {
-				m.fence.Lock()
-				c.table.CutOver(1)
-				m.cut = 2
-				m.fence.Unlock()
+				stageCut(c, m, 1)
 			}
 			i++
 		}

@@ -5,11 +5,15 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"eunomia/internal/shard"
 )
 
 // scanLayouts are the key placements the merge-scan tests run over: dense
-// on every shard, a handful of keys leaving most hash shards empty, and a
-// range partition whose odd shards own nothing.
+// on every shard, a handful of keys leaving most hash shards empty, keys
+// that all hash to one shard of four (its cursor starts at a quarter share
+// and has to refill, doubling, all the way up), and a range partition whose
+// odd shards own nothing.
 var scanLayouts = []struct {
 	name   string
 	shards int
@@ -26,6 +30,16 @@ var scanLayouts = []struct {
 	{"hash-sparse", 8, HashPartition, func(rng *rand.Rand) []uint64 {
 		return []uint64{3, 1 << 20, 1<<20 + 1, 1 << 40, ^uint64(0)}
 	}},
+	{"hash-one-shard", 4, HashPartition, func(rng *rand.Rand) []uint64 {
+		r := shard.New(4, shard.Hash)
+		keys := make([]uint64, 0, 1500)
+		for len(keys) < cap(keys) {
+			if k := rng.Uint64() >> 44; r.Route(k) == 2 {
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}},
 	{"range-empty-shards", 4, RangePartition, func(rng *rand.Rand) []uint64 {
 		width := ^uint64(0)/4 + 1
 		keys := make([]uint64, 3000)
@@ -36,53 +50,81 @@ var scanLayouts = []struct {
 	}},
 }
 
+// scanLimits lie on both sides of every page boundary a merge can produce:
+// the share-sized first page (firstPage) and its doublings on a hash
+// cluster, the caller's limit and its doublings on a range cluster, and the
+// clusterRangeBatch cap.
+var scanLimits = []int{1, 2, 3, 5, 15, 16, 17, 64, 255, 256, 257, 1000}
+
+// checkScansMatch fails the test unless sess.Scan(from, max) visits exactly
+// what the single DB behind ref visits, for every from and every scanLimit.
+func checkScansMatch(t *testing.T, sess *Session, ref *Thread, froms []uint64) {
+	t.Helper()
+	collect := func(dst *[]kvPair) func(k, v uint64) bool {
+		*dst = (*dst)[:0]
+		return func(k, v uint64) bool {
+			*dst = append(*dst, kvPair{k, v})
+			return true
+		}
+	}
+	var got, want []kvPair
+	for _, max := range scanLimits {
+		for _, from := range froms {
+			wn, _ := ref.Scan(from, max, collect(&want))
+			gn, err := sess.Scan(from, max, collect(&got))
+			if err != nil {
+				t.Fatalf("Scan(%d,%d): %v", from, max, err)
+			}
+			if gn != wn || !slices.Equal(got, want) {
+				t.Fatalf("Scan(%d,%d) = %d keys %v, single DB gives %d keys %v", from, max, gn, got, wn, want)
+			}
+		}
+	}
+}
+
+// scanReference puts keys (value k^9) into the cluster through sess and into
+// a single DB, and returns a thread on that DB to compare scans against.
+func scanReference(t *testing.T, sess *Session, keys []uint64) *Thread {
+	t.Helper()
+	ref, err := Open(Options{ArenaWords: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	rth := ref.NewThread()
+	for _, k := range keys {
+		if err := sess.Put(k, k^9); err != nil {
+			t.Fatal(err)
+		}
+		rth.Put(k, k^9)
+	}
+	return rth
+}
+
+// scanFroms are scan starts around keys: both ends of the key space, the
+// first key and its successor, and a few keys and near misses below them.
+func scanFroms(rng *rand.Rand, keys []uint64) []uint64 {
+	froms := []uint64{0, keys[0], keys[0] + 1, ^uint64(0)}
+	for i := 0; i < 6; i++ {
+		froms = append(froms, keys[rng.Intn(len(keys))]-uint64(rng.Intn(3)))
+	}
+	return froms
+}
+
 // TestClusterScanMatchesSingleDB: whatever the page sizes, the merged scan
 // of a cluster is the scan of one DB holding the same keys — same keys,
-// same values, same count — for limits on both sides of every page
-// boundary the ramp (max, 2·max, … 256) can produce.
+// same values, same count.
 func TestClusterScanMatchesSingleDB(t *testing.T) {
 	for _, lay := range scanLayouts {
 		t.Run(lay.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			c := testCluster(t, lay.shards, lay.part)
 			sess := c.NewSession()
-			ref, err := Open(Options{ArenaWords: 1 << 20})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			rth := ref.NewThread()
 			keys := lay.keys(rng)
-			for _, k := range keys {
-				if err := sess.Put(k, k^9); err != nil {
-					t.Fatal(err)
-				}
-				rth.Put(k, k^9)
-			}
-			froms := []uint64{0, keys[0], keys[0] + 1, ^uint64(0)}
-			for i := 0; i < 6; i++ {
-				froms = append(froms, keys[rng.Intn(len(keys))]-uint64(rng.Intn(3)))
-			}
-			collect := func(dst *[]kvPair) func(k, v uint64) bool {
-				*dst = (*dst)[:0]
-				return func(k, v uint64) bool {
-					*dst = append(*dst, kvPair{k, v})
-					return true
-				}
-			}
+			rth := scanReference(t, sess, keys)
+			froms := scanFroms(rng, keys)
+			checkScansMatch(t, sess, rth, froms)
 			var got, want []kvPair
-			for _, max := range []int{1, 2, 15, 16, 17, 255, 256, 257, 1000} {
-				for _, from := range froms {
-					wn, _ := rth.Scan(from, max, collect(&want))
-					gn, err := sess.Scan(from, max, collect(&got))
-					if err != nil {
-						t.Fatalf("Scan(%d,%d): %v", from, max, err)
-					}
-					if gn != wn || !slices.Equal(got, want) {
-						t.Fatalf("Scan(%d,%d) = %d keys %v, single DB gives %d keys %v", from, max, gn, got, wn, want)
-					}
-				}
-			}
 			for i, from := range froms {
 				to := from + uint64(rng.Intn(1<<18))<<uint(rng.Intn(40))
 				if i == 0 || to < from {
@@ -101,6 +143,51 @@ func TestClusterScanMatchesSingleDB(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterScanMatchesSingleDBMidCutover: share-sized pages under the
+// frozen view's ownership filter. A 2→3 hash split is staged with one move
+// cut over but not purged (the source's pages are part stale), one copied
+// but not cut (the destination's pages are all foreign), and the rest
+// pending (a destination with nothing of its own yet); every limit must
+// still read exactly what one DB reads — also when the next move is cut
+// over under a running scan, which keeps the view it froze.
+func TestClusterScanMatchesSingleDBMidCutover(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	c := testCluster(t, 2, HashPartition)
+	sess := c.NewSession()
+	keys := make([]uint64, 2000)
+	for i := range keys {
+		keys[i] = rng.Uint64() >> 44
+	}
+	rth := scanReference(t, sess, keys)
+	m, v := stageSplit(t, c, 3)
+	defer c.mig.Store(nil) // no engine was started; Close must not wait for one
+	for mi := 0; mi < 2; mi++ {
+		if stageCopy(t, c, v, mi, keys) < 2*clusterRangeFirst {
+			t.Fatalf("move %d carries too few keys to fill a page", mi)
+		}
+	}
+	stageCut(c, m, 0)
+	froms := scanFroms(rng, keys)
+	checkScansMatch(t, sess, rth, froms)
+
+	var want, got []kvPair
+	rth.Scan(0, 1000, func(k, val uint64) bool {
+		want = append(want, kvPair{k, val})
+		return true
+	})
+	n, err := sess.Scan(0, 1000, func(k, val uint64) bool {
+		if len(got) == 3 {
+			stageCut(c, m, 1)
+		}
+		got = append(got, kvPair{k, val})
+		return true
+	})
+	if err != nil || n != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("Scan(0,1000) with a cutover after its third key = %d keys, %v; single DB gives %d", n, err, len(want))
+	}
+	checkScansMatch(t, sess, rth, froms)
 }
 
 // TestClusterScanCompleteBeforeFailure: the merge reads a shard only when
@@ -162,41 +249,80 @@ func hostScanCluster(t *testing.T) (*Cluster, *Session) {
 	return c, sess
 }
 
-// TestClusterScanWorkBound: Scan(from,16) on a 4-shard cluster costs what
-// four Scan(from,16) calls on the shards cost — one traversal plus the
-// leaves covering 16 keys each — and not a transaction more. One goroutine
-// on the host backend, so every attempt commits and the count is exact.
+// scanWork is the transactional work a scan costs: attempts and Tx loads.
+type scanWork struct{ attempts, loads uint64 }
+
+func (w scanWork) plus(o scanWork) scanWork {
+	return scanWork{w.attempts + o.attempts, w.loads + o.loads}
+}
+
+// TestClusterScanWorkBound: on a 4-shard hash cluster a Scan(from,16) asks
+// each shard for its share (firstPage), so it costs what four share-sized
+// shard scans cost plus at most one refill — share + slack is half of 16, so
+// a second cursor cannot run dry before the 16th key is out — and over any
+// run of scans strictly less than asking every shard for all 16. One
+// goroutine on the host backend, so every attempt commits and the counts
+// are exact.
 func TestClusterScanWorkBound(t *testing.T) {
 	c, sess := hostScanCluster(t)
-	attempts := func() uint64 {
+	total := func() (w scanWork) {
 		for _, th := range sess.threads {
-			th.th.FlushStats() // host threads fold their counters in batches
+			w = w.plus(scanWork{th.th.Stats.Attempts, th.th.Stats.TxLoads})
 		}
-		return c.Metrics().Tx.Attempts
+		return w
+	}
+	measure := func(fn func()) scanWork {
+		before := total()
+		fn()
+		after := total()
+		return scanWork{after.attempts - before.attempts, after.loads - before.loads}
 	}
 	visit := func(_, _ uint64) bool { return true }
-	// A preloaded leaf holds at least 8 records (a split halves 17), so 16
-	// keys lie on at most 3 leaves.
-	const perShard = 3 + 1
+	share := firstPage(c.table.View(), 16)
+	if share != 16/4+clusterShareSlack || 2*share < 16 {
+		t.Fatalf("firstPage(16) on 4 hash shards = %d; the one-refill bound below needs 16/4+slack >= 8", share)
+	}
+	type row struct {
+		from        uint64
+		used, asked scanWork
+	}
+	var rows []row
+	var usedSum, fullSum, refill scanWork
+	pages := sess.pages
 	for i := uint64(0); i < 200; i++ {
 		from := i * 2654435761 % 40_000
-		before := attempts()
-		if n, err := sess.Scan(from, 16, visit); n != 16 || err != nil {
-			t.Fatalf("Scan(%d,16) = %d, %v", from, n, err)
-		}
-		used := attempts() - before
-		var direct uint64
+		r := row{from: from}
+		r.used = measure(func() {
+			if n, err := sess.Scan(from, 16, visit); n != 16 || err != nil {
+				t.Fatalf("Scan(%d,16) = %d, %v", from, n, err)
+			}
+		})
 		for s := 0; s < c.Shards(); s++ {
 			th := sess.threads[s]
-			was := th.th.Stats.Attempts
-			th.Scan(from, 16, visit)
-			direct += th.th.Stats.Attempts - was
+			r.asked = r.asked.plus(measure(func() { th.Scan(from, share, visit) }))
+			// A refill is one Thread.Scan of 2*share = 16 keys: the dearest
+			// such scan seen on any shard bounds what one costs.
+			full := measure(func() { th.Scan(from, 16, visit) })
+			fullSum = fullSum.plus(full)
+			refill.attempts = max(refill.attempts, full.attempts)
+			refill.loads = max(refill.loads, full.loads)
 		}
-		if used > direct || used > uint64(c.Shards())*perShard {
-			t.Fatalf("Scan(%d,16) made %d transaction attempts; the four shard scans make %d, bound %d",
-				from, used, direct, c.Shards()*perShard)
+		usedSum = usedSum.plus(r.used)
+		rows = append(rows, r)
+	}
+	for _, r := range rows {
+		if bound := r.asked.plus(refill); r.used.attempts > bound.attempts || r.used.loads > bound.loads {
+			t.Fatalf("Scan(%d,16) cost %+v; four Scan(from,%d) on the shards cost %+v and one refill at most %+v",
+				r.from, r.used, share, r.asked, refill)
 		}
 	}
+	if usedSum.attempts >= fullSum.attempts || usedSum.loads >= fullSum.loads {
+		t.Fatalf("200 Scan(from,16) cost %+v; asking every shard for all 16 costs %+v: want strictly less", usedSum, fullSum)
+	}
+	if refills := sess.pages - pages - 200*uint64(c.Shards()); refills > 200*15/100 {
+		t.Fatalf("%d of 200 scans refilled a cursor; clusterShareSlack is sized to keep that under 15%%", refills)
+	}
+	t.Logf("200 scans: %+v against %+v for four full-limit shard scans each", usedSum, fullSum)
 }
 
 // TestClusterScanAllocs: a warm Session scans without allocating — the

@@ -248,7 +248,7 @@ func (l *coopRWLock) rlock(th *htm.Thread) {
 		if s := l.state.Load(); s >= 0 && l.state.CompareAndSwap(s, s+1) {
 			return
 		}
-		th.P.Tick(migSpinCost)
+		th.P.Spin(migSpinCost)
 	}
 }
 
@@ -259,7 +259,7 @@ func (l *coopRWLock) lock(th *htm.Thread) {
 		if l.state.CompareAndSwap(0, -1) {
 			return
 		}
-		th.P.Tick(migSpinCost)
+		th.P.Spin(migSpinCost)
 	}
 }
 

@@ -42,7 +42,7 @@ func (t *Tree) lockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 		if cur&bit == 0 && t.a.CASWordDirect(p, addr, cur, cur|bit) {
 			return
 		}
-		p.Tick(t.a.Costs().SpinIter)
+		p.Spin(t.a.Costs().SpinIter)
 	}
 }
 
@@ -55,7 +55,7 @@ func (t *Tree) unlockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 		if t.a.CASWordDirect(p, addr, cur, cur&^bit) {
 			return
 		}
-		p.Tick(t.a.Costs().SpinIter)
+		p.Spin(t.a.Costs().SpinIter)
 	}
 }
 
@@ -90,7 +90,7 @@ func (t *Tree) markAdd(p vclock.Proc, ccm simmem.Addr, slot uint, delta int) uin
 		if t.a.CASWordDirect(p, addr, cur, next) {
 			return n
 		}
-		p.Tick(t.a.Costs().SpinIter)
+		p.Spin(t.a.Costs().SpinIter)
 	}
 }
 
@@ -99,7 +99,7 @@ func (t *Tree) markAdd(p vclock.Proc, ccm simmem.Addr, slot uint, delta int) uin
 func (t *Tree) lockLeaf(p vclock.Proc, ccm simmem.Addr) {
 	for !t.a.CASWordDirect(p, ccm+ccmSplitLock, 0, 1) {
 		for t.a.LoadWord(p, ccm+ccmSplitLock) != 0 {
-			p.Tick(t.a.Costs().SpinIter)
+			p.Spin(t.a.Costs().SpinIter)
 		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 // The layer sits entirely outside the HTM regions, like the CCM line: slots
 // live on the Go heap and are coordinated with Go atomics (deterministic
 // under the lockstep simulator, which runs one goroutine at a time; polite
-// under the host backend, where Proc.Tick yields). The gate is the same
+// under the host backend, where the waiters' Proc.Spin yields). The gate is the same
 // adaptive hotness signal the CCM uses, so cold leaves never pay a thing.
 
 // GroupOp is one applied operation inside a durable group commit.
@@ -183,7 +183,7 @@ func (t *Tree) tryCombine(th *htm.Thread, key, val uint64, del bool) (handled, f
 			st.lock.Store(0)
 			continue
 		}
-		th.P.Tick(t.a.Costs().SpinIter)
+		th.P.Spin(t.a.Costs().SpinIter)
 	}
 }
 

@@ -77,7 +77,8 @@ func appendFrame(buf []byte, f frame) []byte {
 		plen = payloadPut
 	}
 	start := len(buf)
-	buf = append(buf, make([]byte, frameHeaderSize+plen)...)
+	var zero [maxFrameSize]byte
+	buf = append(buf, zero[:frameHeaderSize+plen]...)
 	p := buf[start+frameHeaderSize:]
 	p[0] = f.op
 	binary.LittleEndian.PutUint64(p[1:], f.seq)

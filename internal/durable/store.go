@@ -312,7 +312,13 @@ func (st *Store) LogPut(key, val uint64, apply func()) error {
 }
 
 // LogDelete is LogPut for deletions. apply reports whether the key was
-// present; an absent-key delete mutates nothing and is not logged.
+// present; an absent-key delete mutates nothing and is not logged. Its
+// answer is still an observation: the key may be absent only because a
+// delete of it is applied and appended but not yet flushed, and a crash
+// would bring the key back behind an acknowledged "was not there". So the
+// negative answer is released only once every write it can have observed —
+// everything appended to the key's shard — is durable; with nothing pending
+// that is one comparison.
 func (st *Store) LogDelete(key uint64, apply func() bool) (bool, error) {
 	if st.closed.Load() {
 		return false, ErrStoreClosed
@@ -322,8 +328,12 @@ func (st *Store) LogDelete(key uint64, apply func() bool) (bool, error) {
 	before := len(s.pending)
 	ok := apply()
 	if !ok {
+		var err error
+		if !st.cfg.AckBeforeFlush {
+			err = st.wal.flushLocked(s, s.lastSeq, st.wal.interval == 0)
+		}
 		s.unlock()
-		return false, nil // read-only: nothing to make durable
+		return false, err
 	}
 	seq := st.seq.Add(1)
 	s.appendLocked(frame{op: opDel, seq: seq, key: key})

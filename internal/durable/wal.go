@@ -26,6 +26,7 @@ type shard struct {
 	f        File
 	gen      int
 	pending  []byte // encoded frames not yet written+synced
+	spare    []byte // the buffer flushed last, empty: the next pending
 	nFrames  int    // frames in pending
 	lastSeq  uint64 // seq of the newest appended frame
 	flushed  uint64 // seq watermark: everything <= flushed is durable
@@ -81,8 +82,14 @@ func (w *wal) flushLocked(s *shard, upto uint64, immediate bool) error {
 	return nil
 }
 
+// maxSpareBytes bounds the flushed buffer a shard keeps for reuse, so one
+// huge batch does not pin its memory for the life of the log.
+const maxSpareBytes = 64 << 10
+
 // leaderFlush takes the pending buffer and makes it durable. Caller holds
-// mu; the file IO happens with mu released.
+// mu; the file IO happens with mu released. The buffer flushed last time
+// becomes the pending one and this one is kept for the next flush, so the
+// steady state appends into two buffers in turn and allocates nothing.
 func (w *wal) leaderFlush(s *shard) {
 	if s.nFrames == 0 {
 		s.flushed = s.lastSeq
@@ -93,7 +100,7 @@ func (w *wal) leaderFlush(s *shard) {
 	buf := s.pending
 	frames := s.nFrames
 	target := s.lastSeq
-	s.pending = nil
+	s.pending, s.spare = s.spare, nil
 	s.nFrames = 0
 	f := s.f
 	s.mu.Unlock()
@@ -119,6 +126,9 @@ func (w *wal) leaderFlush(s *shard) {
 
 	s.mu.Lock()
 	s.flushing = false
+	if cap(buf) <= maxSpareBytes {
+		s.spare = buf[:0]
+	}
 	if err != nil {
 		s.err = err
 	} else {
@@ -283,7 +293,7 @@ func (w *wal) rotate() (sealed []string, err error) {
 				err = s.f.Sync()
 				if err == nil {
 					s.flushed = s.lastSeq
-					s.pending = nil
+					s.pending = s.pending[:0]
 					s.nFrames = 0
 				} else {
 					s.err = err

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -368,5 +369,110 @@ func TestCrashLosesOnlyUnacked(t *testing.T) {
 				t.Fatalf("crashAt=%d: impossible recovered entry %d=%d", crashAt, k, v)
 			}
 		}
+	}
+}
+
+// gateFS is a MemFS whose WAL segments, once armed, hold every Sync until
+// the test lets it through.
+type gateFS struct {
+	*MemFS
+	armed   atomic.Bool
+	entered chan struct{} // a Sync is waiting at the gate
+	release chan struct{} // one receive lets one Sync through
+}
+
+func (g *gateFS) OpenAppend(name string) (File, error) {
+	f, err := g.MemFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &gateFile{File: f, fs: g}, nil
+}
+
+type gateFile struct {
+	File
+	fs *gateFS
+}
+
+func (f *gateFile) Sync() error {
+	if f.fs.armed.Load() {
+		f.fs.entered <- struct{}{}
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestNegativeDeleteWaitsForObservedWrites: a delete that finds its key
+// absent has observed whatever removed it. If that was a delete still on
+// its way to disk, "was not there" may not be acknowledged before it: a
+// crash in between would lose the first delete's record and bring the key
+// back behind the second delete's answer.
+func TestNegativeDeleteWaitsForObservedWrites(t *testing.T) {
+	fs := &gateFS{MemFS: NewMemFS(FaultPlan{}), entered: make(chan struct{}), release: make(chan struct{})}
+	state := newMapState()
+	st, err := Open(Config{FS: fs, Dir: "db", Shards: 1}, state.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogPut(3, 30, state.put(3, 30)); err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		ok  bool
+		err error
+	}
+	del := func() chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			ok, err := st.LogDelete(3, state.del(3))
+			ch <- answer{ok, err}
+		}()
+		return ch
+	}
+	fs.armed.Store(true)
+	first := del()
+	<-fs.entered // the first delete is applied, appended, and stuck in fsync
+	second := del()
+	select {
+	case a := <-second:
+		t.Fatalf("second delete answered %v, %v while the delete it observed was still unflushed", a.ok, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	fs.armed.Store(false)
+	fs.release <- struct{}{}
+	if a := <-first; !a.ok || a.err != nil {
+		t.Fatalf("first delete = %v, %v; want true, nil", a.ok, a.err)
+	}
+	if a := <-second; a.ok || a.err != nil {
+		t.Fatalf("second delete = %v, %v; want false, nil", a.ok, a.err)
+	}
+	// With nothing pending a negative delete has nothing to wait for.
+	if ok, err := st.LogDelete(3, state.del(3)); ok || err != nil {
+		t.Fatalf("third delete = %v, %v; want false, nil", ok, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLogPutAllocationFree: with immediate commit every write is its own
+// flush, and the frame buffer it flushed is the one the next write appends
+// into.
+func TestLogPutAllocationFree(t *testing.T) {
+	st, err := Open(Config{FS: NewMemFS(FaultPlan{}), Dir: "db"}, func(Op) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	apply := func() {}
+	key := uint64(0)
+	allocs := testing.AllocsPerRun(2000, func() {
+		key++
+		if err := st.LogPut(key, key, apply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("LogPut allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -265,7 +265,7 @@ func (tx *Tx) Fault(p FaultPoint) {
 	}
 	switch fi.spec.Action {
 	case ActYield:
-		tx.p.Tick(yieldCost)
+		tx.p.Spin(yieldCost)
 	case ActAbort:
 		if !tx.direct {
 			tx.abort(AbortExplicit, 0, faultAbortCode)
@@ -285,7 +285,7 @@ func (t *Thread) Fault(p FaultPoint) {
 	}
 	switch fi.spec.Action {
 	case ActYield:
-		t.P.Tick(yieldCost)
+		t.P.Spin(yieldCost)
 	case ActAbort:
 		t.pendingAbort = true
 	}
@@ -301,7 +301,7 @@ func (h *HTM) FaultProc(p vclock.Proc, pt FaultPoint) {
 		return
 	}
 	if fi.spec.Action == ActYield {
-		p.Tick(yieldCost)
+		p.Spin(yieldCost)
 	}
 }
 

@@ -344,7 +344,7 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 			t.RunFallback(body)
 			return
 		case ActYield:
-			t.P.Tick(yieldCost)
+			t.P.Spin(yieldCost)
 		case ActAbort:
 			t.pendingAbort = true
 		}
@@ -404,11 +404,11 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 					hostWait(func() bool { return a.LoadWord(t.P, t.H.fallback) == 0 })
 				} else {
 					for a.LoadWord(t.P, t.H.fallback) != 0 {
-						t.P.Tick(a.Costs().SpinIter)
+						t.P.Spin(a.Costs().SpinIter)
 					}
 				}
 			} else {
-				t.P.Tick(t.H.arena.Costs().SpinIter)
+				t.P.Spin(t.H.arena.Costs().SpinIter)
 			}
 		case reason.IsConflict():
 			conflicts++
@@ -423,7 +423,7 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 				// zero-length livelock in virtual time. (No exponential
 				// backoff — its absence is part of why contended HTM trees
 				// convoy and collapse, which is the behavior under study.)
-				t.P.Tick(t.H.arena.Costs().SpinIter)
+				t.P.Spin(t.H.arena.Costs().SpinIter)
 			}
 		case reason == AbortCapacity:
 			caps++
@@ -491,7 +491,7 @@ func (t *Thread) RunFallback(body func(*Tx)) {
 			hostWait(func() bool { return a.LoadWord(t.P, t.H.qserving) == my })
 		} else {
 			for a.LoadWord(t.P, t.H.qserving) != my {
-				t.P.Tick(a.Costs().SpinIter)
+				t.P.Spin(a.Costs().SpinIter)
 			}
 		}
 		// Exclusive by ticket order; publish the held flag transactions
@@ -503,7 +503,7 @@ func (t *Thread) RunFallback(body func(*Tx)) {
 				hostWait(func() bool { return a.LoadWord(t.P, t.H.fallback) == 0 })
 			} else {
 				for a.LoadWord(t.P, t.H.fallback) != 0 {
-					t.P.Tick(a.Costs().SpinIter)
+					t.P.Spin(a.Costs().SpinIter)
 				}
 			}
 		}

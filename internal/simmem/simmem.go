@@ -375,7 +375,7 @@ func (a *Arena) lockLineSpin(p vclock.Proc, line uint64) (prev uint64) {
 			p.Tick(a.costs.CAS)
 			return s
 		}
-		p.Tick(a.costs.SpinIter)
+		p.Spin(a.costs.SpinIter)
 	}
 }
 

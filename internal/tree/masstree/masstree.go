@@ -172,7 +172,7 @@ func (m mem) stableVersion(node simmem.Addr) uint64 {
 		}
 		// In tx mode a locked version is impossible (lock words are never
 		// written transactionally), so this loop only spins in direct mode.
-		m.p.Tick(m.t.a.Costs().SpinIter)
+		m.p.Spin(m.t.a.Costs().SpinIter)
 	}
 }
 
@@ -291,7 +291,7 @@ func (m mem) descend(key uint64, nodes *[]simmem.Addr, vers *[]uint64) (leaf sim
 		if m.load(m.t.meta+metaRootDepth) == w {
 			break
 		}
-		m.p.Tick(m.t.a.Costs().SpinIter)
+		m.p.Spin(m.t.a.Costs().SpinIter)
 	}
 	for d := depth; ; d-- {
 		// Chase right-siblings while the node's range ends at or below key.
@@ -416,7 +416,7 @@ func (m mem) acquireSMO() bool {
 	}
 	for !m.t.a.CASWordDirect(m.p, addr, 0, 1) {
 		for m.t.a.LoadWord(m.p, addr) != 0 {
-			m.p.Tick(m.t.a.Costs().SpinIter)
+			m.p.Spin(m.t.a.Costs().SpinIter)
 		}
 	}
 	return true

@@ -10,14 +10,15 @@ import (
 // small. time.Since uses the monotonic clock, so Now never goes backwards.
 var hostEpoch = time.Now()
 
-// hostYieldCycles is how many charged cycles a HostProc accumulates before
-// cooperatively yielding the OS thread. Cost charging is mostly disabled on
-// the host backend (the arena's cache model is off), so the remaining Tick
-// calls come from transaction bookkeeping and — critically — from spin
-// loops (the fallback-lock waits, the CCM advisory-lock loops, line-lock
-// spins). Folding the yield into Tick gives every such loop a scheduling
-// point without host-specific branches at each site, which is what keeps
-// spinners from starving a lock holder when goroutines outnumber cores.
+// hostYieldCycles is the spin-yield bound: how many charged cycles of
+// failed waiting a HostProc accumulates in Spin before it yields the OS
+// thread — about a thousand iterations at the cost model's SpinIter. A
+// waiter's condition flips only when another goroutine gets to run, so with
+// more goroutines than cores every wait loop needs a scheduling point or the
+// spinners starve the lock holder; the loops that wait (line-lock spins, the
+// CCM advisory locks, the combining stripe, the fallback-lock waits) all
+// charge their failed iterations through Spin, which gives them that point
+// without a host-specific branch at any site.
 const hostYieldCycles = 1 << 14
 
 // HostProc is a Proc for native-speed execution on the host backend: Tick
@@ -25,8 +26,9 @@ const hostYieldCycles = 1 << 14
 // nanoseconds. With a HostProc, "cycles" in Stats (WastedCycles, latency
 // histograms) are nanoseconds.
 type HostProc struct {
-	id  int
-	acc uint64
+	id     int
+	acc    uint64 // cycles spun since the last yield
+	yields uint64 // scheduler entries, for the package's tests
 }
 
 // NewHostProc creates a native-speed proc. IDs only label threads (they are
@@ -40,13 +42,17 @@ func (p *HostProc) ID() int { return p.id }
 // Now implements Proc: nanoseconds of wall-clock time since process start.
 func (p *HostProc) Now() uint64 { return uint64(time.Since(hostEpoch)) }
 
-// Tick implements Proc. It costs nothing in time accounting but yields the
-// OS thread every hostYieldCycles charged cycles, which turns every
-// cost-charging spin loop in the substrate into a polite waiter.
-func (p *HostProc) Tick(cycles uint64) {
+// Tick implements Proc. Work that is waiting for nobody costs nothing and
+// never enters the scheduler.
+func (p *HostProc) Tick(cycles uint64) {}
+
+// Spin implements Proc: it yields the OS thread once per hostYieldCycles
+// cycles of waiting, so a charge of at least that much is a yield outright.
+func (p *HostProc) Spin(cycles uint64) {
 	p.acc += cycles
 	if p.acc >= hostYieldCycles {
 		p.acc = 0
+		p.yields++
 		runtime.Gosched()
 	}
 }

@@ -108,6 +108,9 @@ func (p *SimProc) Tick(cycles uint64) {
 	<-p.wake
 }
 
+// Spin implements Proc: waiting costs what it is charged, like any work.
+func (p *SimProc) Spin(cycles uint64) { p.Tick(cycles) }
+
 // finish retires the proc: it wakes the next parked core or, if it was the
 // last one, signals Run to return.
 func (p *SimProc) finish() {

@@ -25,13 +25,18 @@ package vclock
 // Proc is one virtual thread of execution. Every operation that would cost
 // CPU cycles on real hardware must be charged through Tick; in simulated
 // mode Tick is also the only scheduling point, so any spin loop that fails
-// to Tick would deadlock the simulation.
+// to charge its iterations (through Spin) would deadlock the simulation.
 type Proc interface {
 	// ID returns the virtual core number, in [0, nprocs).
 	ID() int
 	// Tick charges the given number of cycles to this proc's local clock
 	// and may transfer control to another proc.
 	Tick(cycles uint64)
+	// Spin charges one failed iteration of a loop that waits on another
+	// proc (a held lock, an unpublished result). In virtual time it is
+	// Tick; at native speed, where Tick is free, it is the one place a
+	// proc yields the OS thread.
+	Spin(cycles uint64)
 	// Now returns the proc's local cycle clock.
 	Now() uint64
 }

@@ -38,3 +38,6 @@ func (p *WallProc) Tick(cycles uint64) {
 		runtime.Gosched()
 	}
 }
+
+// Spin implements Proc: waiting is charged, and yields, like any work.
+func (p *WallProc) Spin(cycles uint64) { p.Tick(cycles) }
