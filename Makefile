@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test tier1-stress verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-host bench-hostops bench-hotkey bench-cluster bench-swarm bench-reshard figures trace-demo
+.PHONY: test tier1-stress verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-hostops bench-hotkey bench-swarm bench-reshard figures trace-demo loc
 
 test:
 	go build ./... && go test ./...
@@ -63,13 +63,6 @@ bench-emulator-json:
 bench:
 	go test -run=NONE -bench=Fig -benchtime=1x .
 
-# bench-host: the host-backend wall-clock sweep (real goroutines, cost
-# model off) across thread counts and YCSB mixes, recorded into the
-# checked-in artifact. Numbers are machine-dependent; the artifact records
-# GOMAXPROCS/NumCPU so runs stay comparable.
-bench-host:
-	go run ./cmd/eunobench -benchjson BENCH_hostperf.json -benchlabel $(LABEL) hostperf
-
 # bench-hostops: one get and one put on a 100k-key Euno-B+Tree at host
 # speed, 5 repetitions — the price of an operation's TL2 bookkeeping plus
 # tree logic, the number EXPERIMENTS.md quotes for the read path.
@@ -83,18 +76,6 @@ bench-hostops:
 bench-hotkey:
 	go run ./cmd/eunobench -benchjson BENCH_hotkey.json -benchlabel $(LABEL) hotkey
 
-# bench-cluster: the sharded-Cluster sweep (host backend) across shard
-# counts and Zipfian skew, recorded into the checked-in artifact. On a
-# single-core runner sharding only trims abort/retry work — the artifact
-# records GOMAXPROCS/NumCPU so curves stay comparable.
-bench-cluster:
-	go run ./cmd/eunobench -benchjson BENCH_cluster.json -benchlabel $(LABEL) cluster
-
-# bench-durability: wall-clock group-commit and recovery benchmarks,
-# recorded into the durability perf-trajectory artifact.
-bench-durability:
-	go run ./cmd/eunobench -benchjson BENCH_durability.json -benchlabel $(LABEL) recover
-
 # bench-swarm: the open-loop serving benchmark (Poisson arrivals at a
 # calibrated offered rate against the durable 4-shard cluster) plus its
 # chaos variant (one shard disk killed and revived mid-run; the artifact
@@ -105,10 +86,11 @@ bench-swarm:
 	go run ./cmd/eunobench -benchjson BENCH_swarm.json -benchlabel $(LABEL) swarmchaos
 
 # bench-reshard: open-loop load with a deliberately hot range shard
-# through a live 4->8 reshard. The artifact records the goodput/p99
-# timeline through bulk copy, fenced cutovers, and purge; the two ratios
-# under study are migration goodput vs the pre-trigger baseline (target
-# >= 0.9) and post-split p99 vs baseline (target < 1).
+# through a live 4->8 reshard. The artifact (BENCH_reshard.json, a local
+# file: none is checked in, and .gitignore lists it) records the
+# goodput/p99 timeline through bulk copy, fenced cutovers, and purge; the
+# two ratios under study are migration goodput vs the pre-trigger baseline
+# (target >= 0.9) and post-split p99 vs baseline (target < 1).
 bench-reshard:
 	go run ./cmd/eunobench -benchjson BENCH_reshard.json -benchlabel $(LABEL) reshardchaos
 
@@ -121,3 +103,10 @@ figures:
 # chrome://tracing or ui.perfetto.dev.
 trace-demo:
 	go run ./cmd/eunobench -trace trace_storm.json storm
+
+# loc: non-test Go lines in the four places ROADMAP tracks, so "wc -l went
+# down" is one command.
+loc:
+	@for d in . internal/harness cmd/eunobench bench; do \
+		printf '%-18s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done

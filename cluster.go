@@ -361,13 +361,19 @@ func (c *Cluster) NewSession() *Session {
 	return s
 }
 
-// Close unregisters the Session from the cluster. The Session must not
-// be used afterwards: an unregistered Session's operations are invisible
-// to the resharding engine's quiesce barrier, so using one concurrently
-// with a Reshard can lose writes. Close is optional for Sessions that
-// live as long as the Cluster. The error is always nil (the signature
-// satisfies eunomia.Handle).
+// Close closes the Session's per-shard Threads (folding their batched
+// statistics into Metrics) and unregisters the Session from the cluster.
+// The Session must not be used afterwards: an unregistered Session's
+// operations are invisible to the resharding engine's quiesce barrier, so
+// using one concurrently with a Reshard can lose writes. Close is optional
+// for Sessions that live as long as the Cluster. The error is always nil
+// (the signature satisfies eunomia.Handle).
 func (s *Session) Close() error {
+	for _, th := range s.threads {
+		if th != nil {
+			th.Close()
+		}
+	}
 	s.c.sessMu.Lock()
 	delete(s.c.sessions, s)
 	s.c.sessMu.Unlock()

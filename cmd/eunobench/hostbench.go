@@ -13,14 +13,12 @@ package main
 // before/after speedups of emulator changes stay comparable across PRs.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"testing"
-	"time"
 
 	"eunomia/internal/harness"
 	"eunomia/internal/htm/hostbench"
@@ -29,8 +27,6 @@ import (
 var (
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 	memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to `file`")
-	benchjson  = flag.String("benchjson", "", "hostbench: append results to the JSON artifact at `file`")
-	benchlabel = flag.String("benchlabel", "current", "hostbench: run label recorded in the JSON artifact")
 )
 
 // benchResult is one benchmark's outcome in the JSON artifact.
@@ -44,36 +40,18 @@ type benchResult struct {
 
 // benchRun is one labeled invocation of the suite.
 type benchRun struct {
-	Label     string        `json:"label"`
-	Date      string        `json:"date"`
-	GoVersion string        `json:"go_version"`
-	Results   []benchResult `json:"results"`
-}
-
-// benchFile is the artifact schema.
-type benchFile struct {
-	Suite string     `json:"suite"`
-	Note  string     `json:"note"`
-	Runs  []benchRun `json:"runs"`
+	runStamp
+	Results []benchResult `json:"results"`
 }
 
 // hostbenchCmd runs the HostEmulator suite and prints/records results.
 func hostbenchCmd() {
-	// Parse the artifact up front so a corrupt file fails before the
-	// minute-long benchmark run, not after.
-	var bf *benchFile
-	if *benchjson != "" {
-		var err error
-		if bf, err = loadBenchFile(*benchjson); err != nil {
-			fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	run := benchRun{
-		Label:     *benchlabel,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-	}
+	art := openArtifact("HostEmulator",
+		"Host-speed (wall clock) micro-benchmarks of the HTM emulator's "+
+			"Load/Store/commit paths; regenerate with `eunobench -benchjson "+
+			"BENCH_emulator.json -benchlabel <label> hostbench`. Virtual-time "+
+			"figure metrics are tracked separately in EXPERIMENTS.md.")
+	run := benchRun{runStamp: newStamp(*benchlabel)}
 	tbl := harness.Table{
 		Title:  "HostEmulator micro-benchmarks (host ns/op, not virtual time)",
 		Header: []string{"case", "iters", "ns/op", "B/op", "allocs/op"},
@@ -92,51 +70,7 @@ func hostbenchCmd() {
 			fmt.Sprint(br.BytesPerOp), fmt.Sprint(br.AllocsPerOp))
 	}
 	emit(&tbl)
-	if bf == nil {
-		return
-	}
-	if err := appendBenchRun(*benchjson, bf, run); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (label %q)\n", *benchjson, run.Label)
-}
-
-// loadBenchFile parses the artifact at path, or returns a fresh one if the
-// file does not exist yet.
-func loadBenchFile(path string) (*benchFile, error) {
-	bf := &benchFile{
-		Suite: "HostEmulator",
-		Note: "Host-speed (wall clock) micro-benchmarks of the HTM emulator's " +
-			"Load/Store/commit paths; regenerate with `eunobench -benchjson " +
-			"BENCH_emulator.json -benchlabel <label> hostbench`. Virtual-time " +
-			"figure metrics are tracked separately in EXPERIMENTS.md.",
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, bf); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return bf, nil
-}
-
-// appendBenchRun merges run into the artifact, replacing any existing run
-// with the same label so re-measurements stay deduplicated.
-func appendBenchRun(path string, bf *benchFile, run benchRun) error {
-	kept := bf.Runs[:0]
-	for _, r := range bf.Runs {
-		if r.Label != run.Label {
-			kept = append(kept, r)
-		}
-	}
-	bf.Runs = append(kept, run)
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	art.save(run.Label, run)
 }
 
 // startCPUProfile begins CPU profiling if -cpuprofile is set; the returned
@@ -147,12 +81,10 @@ func startCPUProfile() func() {
 	}
 	f, err := os.Create(*cpuprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 	return func() {
 		pprof.StopCPUProfile()
@@ -167,13 +99,11 @@ func writeMemProfile() {
 	}
 	f, err := os.Create(*memprofile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 	defer f.Close()
 	runtime.GC()
 	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 }

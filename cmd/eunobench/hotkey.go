@@ -8,19 +8,15 @@ package main
 // on, at the same thread counts, so the table and the BENCH_hotkey.json
 // artifact directly show the on/off throughput and aborts-per-op ratios.
 //
-// Like the figure suite (and unlike hostperf), hotkey runs on the emulated
-// backend: contention is modeled per the paper's cost model on virtual
-// cores, so the comparison is deterministic and works on a single-core CI
-// runner — which could never produce real 16-thread cache-line contention.
+// Like the figure suite, hotkey runs on the emulated backend: contention
+// is modeled per the paper's cost model on virtual cores, so the
+// comparison is deterministic and works on a single-core CI runner — which
+// could never produce real 16-thread cache-line contention.
 // Results go to -benchjson (conventionally BENCH_hotkey.json) with the
-// same label-dedup behavior as hostbench/hostperf.
+// same label-dedup behavior as hostbench.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"eunomia/internal/core"
 	"eunomia/internal/harness"
@@ -53,19 +49,10 @@ type hotkeyResult struct {
 
 // hotkeyRun is one labeled invocation of the sweep.
 type hotkeyRun struct {
-	Label     string         `json:"label"`
-	Date      string         `json:"date"`
-	GoVersion string         `json:"go_version"`
-	Keys      uint64         `json:"keys"`
-	Ops       int            `json:"ops_per_thread"`
-	Results   []hotkeyResult `json:"results"`
-}
-
-// hotkeyFile is the artifact schema.
-type hotkeyFile struct {
-	Suite string      `json:"suite"`
-	Note  string      `json:"note"`
-	Runs  []hotkeyRun `json:"runs"`
+	runStamp
+	Keys    uint64         `json:"keys"`
+	Ops     int            `json:"ops_per_thread"`
+	Results []hotkeyResult `json:"results"`
 }
 
 // hotkeyScenario is one contention shape of the sweep.
@@ -114,21 +101,14 @@ func hotkeyThreads() []int {
 
 // hotkeyCmd runs the combine on/off comparison and prints/records it.
 func hotkeyCmd() {
-	var hf *hotkeyFile
-	if *benchjson != "" {
-		var err error
-		if hf, err = loadHotkeyFile(*benchjson); err != nil {
-			fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	run := hotkeyRun{
-		Label:     *benchlabel,
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		Keys:      *keys,
-		Ops:       *ops,
-	}
+	art := openArtifact("HotKey",
+		"CCM v2 (Options.Combine) on/off comparison on the emulated "+
+			"backend under a single-key hammer and a theta=0.99 celebrity-key "+
+			"Zipfian; regenerate with `make bench-hotkey` or `eunobench "+
+			"-benchjson BENCH_hotkey.json -benchlabel <label> hotkey`. "+
+			"Numbers are virtual-time (deterministic for a given seed and "+
+			"geometry), so runs are comparable across machines.")
+	run := hotkeyRun{runStamp: newStamp(*benchlabel), Keys: *keys, Ops: *ops}
 	tbl := harness.Table{
 		Title: "Hot-key elimination & flat combining (CCM v2): emulated backend, " +
 			fmt.Sprint(*ops) + " ops/thread",
@@ -192,14 +172,7 @@ func hotkeyCmd() {
 		}
 	}
 	emit(&tbl)
-	if hf == nil {
-		return
-	}
-	if err := appendHotkeyRun(*benchjson, hf, run); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (label %q)\n", *benchjson, run.Label)
+	art.save(run.Label, run)
 }
 
 func onOff(b bool) string {
@@ -207,43 +180,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-// loadHotkeyFile parses the artifact at path, or returns a fresh one if
-// the file does not exist yet.
-func loadHotkeyFile(path string) (*hotkeyFile, error) {
-	hf := &hotkeyFile{
-		Suite: "HotKey",
-		Note: "CCM v2 (Options.Combine) on/off comparison on the emulated " +
-			"backend under a single-key hammer and a theta=0.99 celebrity-key " +
-			"Zipfian; regenerate with `make bench-hotkey` or `eunobench " +
-			"-benchjson BENCH_hotkey.json -benchlabel <label> hotkey`. " +
-			"Numbers are virtual-time (deterministic for a given seed and " +
-			"geometry), so runs are comparable across machines.",
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, hf); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return hf, nil
-}
-
-// appendHotkeyRun merges run into the artifact, replacing any existing run
-// with the same label.
-func appendHotkeyRun(path string, hf *hotkeyFile, run hotkeyRun) error {
-	kept := hf.Runs[:0]
-	for _, r := range hf.Runs {
-		if r.Label != run.Label {
-			kept = append(kept, r)
-		}
-	}
-	hf.Runs = append(kept, run)
-	data, err := json.MarshalIndent(hf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

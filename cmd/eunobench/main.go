@@ -1,15 +1,13 @@
 // Command eunobench regenerates every table and figure of the paper's
 // evaluation (Section 5) on the emulated-HTM substrate. Each subcommand
-// prints the rows/series of one figure; `all` runs the whole suite.
-//
-// Usage:
-//
-//	eunobench [flags] <fig1|fig2|fig8|fig9|fig10|fig11|fig12|fig13|mem|all>
+// prints the rows/series of one figure; `all` runs the paper's figure
+// suite. The subcommand table below is the list; `eunobench -h` prints it.
 //
 // Absolute numbers are not expected to match the paper (the substrate is a
 // simulator, not a 20-core Haswell); the shapes — who wins, by what rough
 // factor, where the collapse happens — are the reproduction target. See
-// EXPERIMENTS.md for the paper-vs-measured comparison.
+// EXPERIMENTS.md for the paper-vs-measured comparison. The repository's
+// regression benchmark is `make benchmark` (bench/), not this command.
 package main
 
 import (
@@ -40,9 +38,49 @@ var (
 	resilience = flag.Bool("resilience", false, "enable the abort-storm resilience layer for all runs")
 )
 
+// subcommands is the one list of what eunobench runs: dispatch, the usage
+// line and `all` (the entries marked inAll, the paper's own figures) are
+// all read from it.
+var subcommands = []struct {
+	name  string
+	run   func()
+	inAll bool
+}{
+	{"fig1", fig1, true},
+	{"fig2", fig2, true},
+	{"fig8", fig8, true},
+	{"fig9", fig9, true},
+	{"fig10", fig10, true},
+	{"fig11", fig11, true},
+	{"fig12", fig12, true},
+	{"fig13", fig13, true},
+	{"mem", mem, true},
+	{"scan", scanCost, false},
+	{"latency", latency, false},
+	{"adjacency", adjacency, false},
+	{"validate", validateCmd, false},
+	{"hostbench", hostbenchCmd, false},
+	{"hotkey", hotkeyCmd, false},
+	{"storm", stormCmd, false},
+	{"abortmix", abortmixCmd, false},
+	{"heatmap", heatmapCmd, false},
+	{"swarm", func() { swarmCmd(false) }, false},
+	{"swarmchaos", func() { swarmCmd(true) }, false},
+	{"reshardchaos", reshardChaosCmd, false},
+}
+
+// usageLine is the first line of `eunobench -h`.
+func usageLine() string {
+	names := make([]string, 0, len(subcommands)+1)
+	for _, sc := range subcommands {
+		names = append(names, sc.name)
+	}
+	return "usage: eunobench [flags] <" + strings.Join(append(names, "all"), "|") + ">"
+}
+
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: eunobench [flags] <fig1|fig2|fig8|fig9|fig10|fig11|fig12|fig13|mem|scan|latency|adjacency|validate|hostbench|hostperf|hotkey|cluster|storm|recover|abortmix|heatmap|swarm|swarmchaos|reshardchaos|all>\n")
+		fmt.Fprintln(os.Stderr, usageLine())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -50,57 +88,29 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	figs := map[string]func(){
-		"fig1":       fig1,
-		"fig2":       fig2,
-		"fig8":       fig8,
-		"fig9":       fig9,
-		"fig10":      fig10,
-		"fig11":      fig11,
-		"fig12":      fig12,
-		"fig13":      fig13,
-		"mem":        mem,
-		"scan":       scanCost,
-		"latency":    latency,
-		"adjacency":  adjacency,
-		"validate":   validateCmd,
-		"hostbench":  hostbenchCmd,
-		"hostperf":   hostperfCmd,
-		"hotkey":     hotkeyCmd,
-		"cluster":    clusterCmd,
-		"storm":      stormCmd,
-		"recover":    recoverCmd,
-		"abortmix":   abortmixCmd,
-		"heatmap":    heatmapCmd,
-		"swarm":        func() { swarmCmd(false) },
-		"swarmchaos":   func() { swarmCmd(true) },
-		"reshardchaos": reshardChaosCmd,
-	}
 	name := strings.ToLower(flag.Arg(0))
 	stopCPU := startCPUProfile()
 	defer writeMemProfile()
 	defer stopCPU()
 	defer flushTrace()
-	if name == "all" {
-		for _, n := range []string{"fig1", "fig2", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "mem"} {
-			figs[n]()
+	ran := false
+	for _, sc := range subcommands {
+		if sc.name == name || name == "all" && sc.inAll {
+			sc.run()
+			ran = true
 		}
-		return
 	}
-	fn, ok := figs[name]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "eunobench: unknown figure %q\n", name)
 		os.Exit(2)
 	}
-	fn()
 }
 
 func emit(t *harness.Table) {
 	if *csv {
 		fmt.Printf("# %s\n", t.Title)
 		if err := t.CSV(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-			os.Exit(1)
+			die(err)
 		}
 		fmt.Println()
 		return

@@ -1,47 +1,36 @@
 package main
 
 // The `reshardchaos` subcommand measures serving behavior through a live
-// topology change: an open-loop Poisson load with a deliberately hot
-// range-partitioned shard, a mid-run Reshard that doubles the shard
-// count, and a per-bucket goodput + p99 timeline through bulk copy,
-// fenced cutovers, and purge. Two numbers are the contract (and the
+// topology change: an open-loop Poisson load (openloop.go) with a
+// deliberately hot range-partitioned shard, a mid-run Reshard that doubles
+// the shard count, and a per-bucket goodput + p99 timeline through bulk
+// copy, fenced cutovers, and purge. Two numbers are the contract (and the
 // reason to reshard at all): goodput during the migration should hold
 // >= ~90% of the pre-migration baseline (the copy runs behind the
 // serving path; only the fenced final drains stall writers, briefly and
 // per-interval), and post-split p99 should improve on the baseline (the
 // hot shard's interval now spans two shards, halving its queueing).
 //
-// Results append to a JSON artifact (-benchjson, conventionally
-// BENCH_reshard.json) with the same label-dedup behavior as the other
-// artifacts. Numbers are machine-dependent; the two ratios are the
-// shape under study.
+// Results append to a JSON artifact when -benchjson names one (none is
+// checked in; `make bench-reshard` writes BENCH_reshard.json locally)
+// with the same label-dedup behavior as the other artifacts. Numbers are
+// machine-dependent; the two ratios are the shape under study.
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"eunomia"
-	"eunomia/internal/durable"
 	"eunomia/internal/harness"
 	"eunomia/internal/metrics"
 	"eunomia/internal/vclock"
 	"eunomia/internal/workload"
 )
 
-var reshardDur = flag.Duration("resharddur", 0,
-	"reshardchaos: run duration (0 = 4s, 1500ms with -quick)")
-
 const (
 	reshardShards = 4 // serving topology before the split
 	reshardTarget = 8 // topology after: the hot interval spans two shards
-	// reshardTickBucket is the timeline resolution.
-	reshardTickBucket = 100 * time.Millisecond
 	// reshardHotPct of arrivals target the hottest shard's interval.
 	reshardHotPct = 80
 )
@@ -63,14 +52,14 @@ type reshardResult struct {
 
 	// Windowed metrics: baseline (pre-trigger), migration (trigger →
 	// completion), post (completion → end).
-	BaselineGoodput      float64 `json:"baseline_goodput_ops_per_sec"`
-	MigrationGoodput     float64 `json:"migration_goodput_ops_per_sec"`
-	PostGoodput          float64 `json:"post_goodput_ops_per_sec"`
+	BaselineGoodput       float64 `json:"baseline_goodput_ops_per_sec"`
+	MigrationGoodput      float64 `json:"migration_goodput_ops_per_sec"`
+	PostGoodput           float64 `json:"post_goodput_ops_per_sec"`
 	MigrationGoodputRatio float64 `json:"migration_goodput_ratio"` // target >= 0.9
-	BaselineP99Ns        uint64  `json:"baseline_p99_ns"`
-	MigrationP99Ns       uint64  `json:"migration_p99_ns"`
-	PostP99Ns            uint64  `json:"post_p99_ns"`
-	PostP99Ratio         float64 `json:"post_p99_ratio"` // post/baseline, target < 1
+	BaselineP99Ns         uint64  `json:"baseline_p99_ns"`
+	MigrationP99Ns        uint64  `json:"migration_p99_ns"`
+	PostP99Ns             uint64  `json:"post_p99_ns"`
+	PostP99Ratio          float64 `json:"post_p99_ratio"` // post/baseline, target < 1
 
 	// Routing-layer counters from ClusterMetrics.Topology at run end.
 	RoutingEpochBumps uint64 `json:"routing_epoch_bumps"`
@@ -85,150 +74,64 @@ type reshardResult struct {
 	TimelineP99Us    []uint64 `json:"timeline_p99_us"` // sojourn p99 per bucket
 }
 
-// reshardRun is one labeled invocation.
-type reshardRun struct {
-	Label      string          `json:"label"`
-	Date       string          `json:"date"`
-	GoVersion  string          `json:"go_version"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Keys       uint64          `json:"keys"`
-	DurationMS int64           `json:"duration_ms"`
-	Results    []reshardResult `json:"results"`
-}
-
-// reshardBenchFile is the artifact schema.
-type reshardBenchFile struct {
-	Suite string       `json:"suite"`
-	Note  string       `json:"note"`
-	Runs  []reshardRun `json:"runs"`
-}
-
 // reshardSpread maps a logical key in [1, keys] onto the full uint64 key
 // line, so Range partitioning cuts the logical space into real intervals.
 func reshardSpread(keys, k uint64) uint64 {
 	return k * (^uint64(0) / keys)
 }
 
-// openReshardCluster builds the durable range-partitioned cluster on
-// per-shard in-memory disks, host backend, preloaded across the spread
-// key line so the migration has real data to move.
-func openReshardCluster(keys uint64) (*eunomia.Cluster, error) {
-	fses := make([]*durable.MemFS, reshardTarget)
-	for i := range fses {
-		fses[i] = durable.NewMemFS(durable.FaultPlan{})
-	}
-	c, err := eunomia.OpenCluster(eunomia.ClusterOptions{
-		Shards:    reshardShards,
-		Partition: eunomia.RangePartition,
-		Shard: eunomia.Options{
-			ArenaWords: 1 << 21,
-			Backend:    eunomia.Host,
-			YieldEvery: 128,
-			Durability: eunomia.Durability{Dir: "reshard", FS: durable.NewMemFS(durable.FaultPlan{})},
-		},
-		PerShard: func(i int, o *eunomia.Options) { o.Durability.FS = fses[i] },
-		Health:   eunomia.HealthOptions{Window: 16, TripFailures: 4},
-	})
-	if err != nil {
-		return nil, err
-	}
-	sess := c.NewSession()
-	defer sess.Close()
-	for k := uint64(1); k <= keys; k++ {
-		if err := sess.Put(reshardSpread(keys, k), k*7+1); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("preload key %d: %w", k, err)
+// reshardOps is the scenario's op source: 80/20 get/put with the
+// hot-shard skew — most arrivals land in the hottest shard's quarter of
+// the logical space. Scans and deletes are left out on purpose: a merged
+// cross-shard Range flattens the per-shard timeline this scenario exists
+// to chart.
+func reshardOps(keys uint64) opSource {
+	return func(rng *vclock.Rand) workload.Op {
+		span := keys
+		if rng.Uint64()%100 < reshardHotPct {
+			span = keys / reshardShards
 		}
+		op := workload.Op{Kind: workload.OpGet, Key: reshardSpread(keys, rng.Uint64()%span+1)}
+		if rng.Uint64()%100 >= 80 {
+			op.Kind = workload.OpPut
+		}
+		return op
 	}
-	return c, nil
-}
-
-// reshardNextKey draws one logical key with the hot-shard skew: most
-// arrivals land in the hottest shard's quarter of the logical space.
-func reshardNextKey(rng *vclock.Rand, keys uint64) uint64 {
-	if rng.Uint64()%100 < reshardHotPct {
-		return rng.Uint64()%(keys/reshardShards) + 1
-	}
-	return rng.Uint64()%keys + 1
-}
-
-// reshardCalibrate measures closed-loop capacity under the skewed load.
-func reshardCalibrate(c *eunomia.Cluster, keys uint64) float64 {
-	const window = 150 * time.Millisecond
-	nw := swarmWorkers()
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	stop := time.Now().Add(window)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := c.NewSession()
-			defer sess.Close()
-			rng := vclock.NewRand(*seed + 2000 + uint64(w))
-			n := uint64(0)
-			for time.Now().Before(stop) {
-				k := reshardSpread(keys, reshardNextKey(rng, keys))
-				var err error
-				if rng.Uint64()%100 < 80 {
-					_, _, err = sess.Get(k)
-				} else {
-					err = sess.Put(k, rng.Uint64()|1)
-				}
-				if err == nil {
-					n++
-				}
-			}
-			total.Add(n)
-		}(w)
-	}
-	wg.Wait()
-	return float64(total.Load()) / window.Seconds()
 }
 
 // reshardChaosCmd runs the scenario and records it.
 func reshardChaosCmd() {
-	var rf *reshardBenchFile
-	if *benchjson != "" {
-		var err error
-		if rf, err = loadReshardFile(*benchjson); err != nil {
-			fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	dur := *reshardDur
-	if dur == 0 {
-		dur = 4 * time.Second
-		if *quick {
-			dur = 1500 * time.Millisecond
-		}
-	}
-	keys := *keys
-	if *quick && keys > 20_000 {
-		keys = 20_000
-	}
+	art := openArtifact("Reshard",
+		"Open-loop load with a deliberately hot range shard through a "+
+			"live 4->8 reshard; regenerate with `make bench-reshard`. The two "+
+			"ratios are the contract: migration_goodput_ratio compares goodput "+
+			"while the migration runs against the pre-trigger baseline (target "+
+			">= 0.9 — the copy runs behind the serving path), and post_p99_ratio "+
+			"compares post-split p99 against baseline (target < 1 — the hot "+
+			"interval now spans two shards). Numbers are machine-dependent: "+
+			"check gomaxprocs/num_cpu; the offered rate is calibrated per "+
+			"machine unless -swarmrate pins it.")
+	keys, dur := loopScale(4*time.Second, 1500*time.Millisecond)
 
-	c, err := openReshardCluster(keys)
+	// Preloaded across the spread key line so the migration has real data
+	// to move.
+	c, _, err := openLoopCluster(eunomia.ClusterOptions{
+		Shards:    reshardShards,
+		Partition: eunomia.RangePartition,
+	}, reshardTarget, keys, func(k uint64) uint64 { return reshardSpread(keys, k) })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
 	defer c.Close()
 
-	capacity := reshardCalibrate(c, keys)
-	offered := *swarmRate
-	if offered <= 0 {
-		offered = 0.70 * capacity
-	}
-
-	res := runReshardChaos(c, keys, dur, offered)
+	capacity := calibrate(c, *seed+2000, reshardOps(keys))
+	res := runReshardChaos(c, keys, dur, offeredRate(capacity, 0.70))
 	res.CapacityOps = capacity
 
 	tbl := harness.Table{
 		Title: fmt.Sprintf("reshardchaos: open-loop load with a hot shard through a live %d->%d reshard "+
 			"(GOMAXPROCS=%d, NumCPU=%d, %d workers, %v)",
-			reshardShards, reshardTarget, runtime.GOMAXPROCS(0), runtime.NumCPU(), swarmWorkers(), dur),
+			reshardShards, reshardTarget, runtime.GOMAXPROCS(0), runtime.NumCPU(), loopWorkers(), dur),
 		Header: []string{"window", "goodput(ops/s)", "p99(us)"},
 	}
 	tbl.AddRow("baseline", metrics.FormatOps(res.BaselineGoodput), fmt.Sprintf("%.1f", float64(res.BaselineP99Ns)/1e3))
@@ -248,191 +151,69 @@ func reshardChaosCmd() {
 		Series: []harness.ChartSeries{{Name: "completed ok"}},
 	}
 	for i := range res.TimelineOK {
-		ch.X = append(ch.X, float64(i)*reshardTickBucket.Seconds())
+		ch.X = append(ch.X, float64(i)*loopBucket.Seconds())
 		ch.Series[0].Y = append(ch.Series[0].Y, float64(res.TimelineOK[i]))
 	}
 	emitChart(&ch)
 
-	if rf == nil {
-		return
-	}
-	run := reshardRun{
-		Label:      *benchlabel + "-reshardchaos",
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Keys:       keys,
-		DurationMS: dur.Milliseconds(),
-		Results:    []reshardResult{res},
-	}
-	if err := appendReshardRun(*benchjson, rf, run); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (label %q)\n", *benchjson, run.Label)
+	run := newLoopRun("reshardchaos", reshardShards, keys, dur, res)
+	art.save(run.Label, run)
 }
 
 // runReshardChaos drives the open-loop phase with the mid-run split.
 func runReshardChaos(c *eunomia.Cluster, keys uint64, dur time.Duration, offered float64) reshardResult {
-	nb := int(dur/reshardTickBucket) + 2
-	okBucket := make([]uint64, nb)
-	var completed, errs atomic.Uint64
-
-	queue := make(chan swarmArrival, *swarmQueue)
-	start := time.Now()
-	bucketOf := func(t time.Time) int {
-		b := int(t.Sub(start) / reshardTickBucket)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nb {
-			b = nb - 1
-		}
-		return b
-	}
-
-	// Executor pool with per-worker per-bucket histograms (Histogram is
-	// not goroutine-safe; merge at the end).
-	nw := swarmWorkers()
-	hists := make([][]*metrics.Histogram, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		hists[w] = make([]*metrics.Histogram, nb)
-		for b := range hists[w] {
-			hists[w][b] = &metrics.Histogram{}
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := c.NewSession()
-			defer sess.Close()
-			for a := range queue {
-				err := swarmExec(sess, a.op)
-				now := time.Now()
-				hists[w][bucketOf(now)].Observe(uint64(now.Sub(a.t0)))
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				completed.Add(1)
-				atomic.AddUint64(&okBucket[bucketOf(now)], 1)
-			}
-		}(w)
-	}
-
 	// The split fires at 30% of the run and blocks until the migration
 	// completes (bulk copy, catch-up, fenced cutovers, purge).
-	var trigBucket, doneBucket atomic.Int64
-	trigBucket.Store(-1)
-	doneBucket.Store(-1)
-	var reshardMS atomic.Int64
-	var reshardOK atomic.Bool
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() {
-		defer chaosWG.Done()
-		time.Sleep(dur * 30 / 100)
-		trigBucket.Store(int64(bucketOf(time.Now())))
-		t0 := time.Now()
-		err := c.Reshard(reshardTarget)
-		reshardMS.Store(time.Since(t0).Milliseconds())
-		doneBucket.Store(int64(bucketOf(time.Now())))
-		reshardOK.Store(err == nil)
-	}()
+	trig, done := -1, -1
+	var reshardTook time.Duration
+	var reshardErr error
+	l := openLoop{c: c, dur: dur, offered: offered, seed: *seed + 11, next: reshardOps(keys),
+		event: func(bucket func() int) {
+			time.Sleep(dur * 30 / 100)
+			trig = bucket()
+			t0 := time.Now()
+			reshardErr = c.Reshard(reshardTarget)
+			reshardTook = time.Since(t0)
+			done = bucket()
+		}}
+	lr := l.run()
 
-	// Open-loop generator, same 1ms Poisson slots as swarm, but with the
-	// hot-shard key skew.
-	var arrivals, dropped uint64
-	rng := vclock.NewRand(*seed + 11)
-	lambdaTick := offered / 1000
-	next := start
-	for time.Since(start) < dur {
-		n := poisson(rng, lambdaTick)
-		now := time.Now()
-		for j := 0; j < n; j++ {
-			arrivals++
-			k := reshardSpread(keys, reshardNextKey(rng, keys))
-			op := reshardOp(rng, k)
-			select {
-			case queue <- swarmArrival{op: op, t0: now}:
-			default:
-				dropped++
-			}
-		}
-		next = next.Add(time.Millisecond)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	close(queue)
-	wg.Wait()
-	chaosWG.Wait()
-
-	// Merge per-worker histograms into per-bucket and windowed views.
-	bhist := make([]*metrics.Histogram, nb)
-	for b := 0; b < nb; b++ {
-		bhist[b] = &metrics.Histogram{}
-		for w := 0; w < nw; w++ {
-			bhist[b].Merge(hists[w][b])
-		}
-	}
-	trig, done := int(trigBucket.Load()), int(doneBucket.Load())
-	if trig < 1 {
-		trig = 1
-	}
+	nb := len(lr.ok)
+	trig = max(trig, 1)
 	if done < trig || done >= nb {
 		done = nb - 2
 	}
-	window := func(lo, hi int) (float64, uint64) { // [lo, hi)
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > nb {
-			hi = nb
-		}
-		if hi <= lo {
-			return 0, 0
-		}
-		h := &metrics.Histogram{}
-		n := uint64(0)
-		for b := lo; b < hi; b++ {
-			h.Merge(bhist[b])
-			n += atomic.LoadUint64(&okBucket[b])
-		}
-		secs := float64(hi-lo) * reshardTickBucket.Seconds()
-		return float64(n) / secs, h.Snapshot().P99
-	}
 	// Skip the ramp-up bucket in the baseline and the final partial one in
 	// the post window.
-	baseGood, baseP99 := window(1, trig)
-	migGood, migP99 := window(trig, done+1)
-	postGood, postP99 := window(done+1, nb-1)
+	baseGood, baseP99 := lr.window(1, trig)
+	migGood, migP99 := lr.window(trig, done+1)
+	postGood, postP99 := lr.window(done+1, nb-1)
 
 	cm := c.ClusterMetrics()
 	res := reshardResult{
-		OfferedOps:       offered,
-		Arrivals:         arrivals,
-		Completed:        completed.Load(),
-		Errors:           errs.Load(),
-		Dropped:          dropped,
-		ShardsBefore:     reshardShards,
-		ShardsAfter:      cm.Topology.Shards,
-		ReshardMS:        reshardMS.Load(),
-		ReshardOK:        reshardOK.Load(),
-		BaselineGoodput:  baseGood,
-		MigrationGoodput: migGood,
-		PostGoodput:      postGood,
-		BaselineP99Ns:    baseP99,
-		MigrationP99Ns:   migP99,
-		PostP99Ns:        postP99,
+		OfferedOps:        offered,
+		Arrivals:          lr.arrivals,
+		Completed:         lr.completed,
+		Errors:            lr.errors,
+		Dropped:           lr.dropped,
+		ShardsBefore:      reshardShards,
+		ShardsAfter:       cm.Topology.Shards,
+		ReshardMS:         reshardTook.Milliseconds(),
+		ReshardOK:         reshardErr == nil,
+		BaselineGoodput:   baseGood,
+		MigrationGoodput:  migGood,
+		PostGoodput:       postGood,
+		BaselineP99Ns:     baseP99,
+		MigrationP99Ns:    migP99,
+		PostP99Ns:         postP99,
 		RoutingEpochBumps: cm.Topology.Epoch,
 		RoutingGen:        cm.Topology.RoutingGen,
 		MovesDone:         cm.Topology.MovesDone,
 		RedirectedOps:     cm.Topology.Redirects,
 		TriggerBucket:     trig,
 		DoneBucket:        done,
-		TimelineBucketMS:  reshardTickBucket.Milliseconds(),
+		TimelineBucketMS:  loopBucket.Milliseconds(),
+		TimelineOK:        lr.ok,
 	}
 	if baseGood > 0 {
 		res.MigrationGoodputRatio = migGood / baseGood
@@ -440,9 +221,8 @@ func runReshardChaos(c *eunomia.Cluster, keys uint64, dur time.Duration, offered
 	if baseP99 > 0 {
 		res.PostP99Ratio = float64(postP99) / float64(baseP99)
 	}
-	res.TimelineOK = okBucket
-	for b := 0; b < nb; b++ {
-		res.TimelineP99Us = append(res.TimelineP99Us, bhist[b].Snapshot().P99/1000)
+	for b := range lr.sojourn {
+		res.TimelineP99Us = append(res.TimelineP99Us, lr.sojourn[b].Snapshot().P99/1000)
 	}
 	// Readback: sample logical keys across the line; every one was
 	// durably acknowledged at preload (and maybe overwritten since), so
@@ -457,55 +237,4 @@ func runReshardChaos(c *eunomia.Cluster, keys uint64, dur time.Duration, offered
 		}
 	}
 	return res
-}
-
-// reshardOp draws the bench's 80/20 get/put op for key k. Scans and
-// deletes are left out on purpose: a merged cross-shard Range flattens
-// the per-shard timeline this scenario exists to chart.
-func reshardOp(rng *vclock.Rand, k uint64) workload.Op {
-	if rng.Uint64()%100 < 80 {
-		return workload.Op{Kind: workload.OpGet, Key: k}
-	}
-	return workload.Op{Kind: workload.OpPut, Key: k}
-}
-
-// loadReshardFile parses the artifact at path, or returns a fresh one.
-func loadReshardFile(path string) (*reshardBenchFile, error) {
-	rf := &reshardBenchFile{
-		Suite: "Reshard",
-		Note: "Open-loop load with a deliberately hot range shard through a " +
-			"live 4->8 reshard; regenerate with `make bench-reshard`. The two " +
-			"ratios are the contract: migration_goodput_ratio compares goodput " +
-			"while the migration runs against the pre-trigger baseline (target " +
-			">= 0.9 — the copy runs behind the serving path), and post_p99_ratio " +
-			"compares post-split p99 against baseline (target < 1 — the hot " +
-			"interval now spans two shards). Numbers are machine-dependent: " +
-			"check gomaxprocs/num_cpu; the offered rate is calibrated per " +
-			"machine unless -swarmrate pins it.",
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, rf); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return rf, nil
-}
-
-// appendReshardRun merges run into the artifact, replacing any existing
-// run with the same label.
-func appendReshardRun(path string, rf *reshardBenchFile, run reshardRun) error {
-	kept := rf.Runs[:0]
-	for _, r := range rf.Runs {
-		if r.Label != run.Label {
-			kept = append(kept, r)
-		}
-	}
-	rf.Runs = append(kept, run)
-	data, err := json.MarshalIndent(rf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,13 +1,8 @@
 package main
 
-// The `swarm` subcommand is the open-loop serving benchmark: a Poisson
-// arrival process from a large population of logical client sessions
-// offered at a fixed rate against a durable sharded Cluster, regardless
-// of how fast the cluster answers. Closed-loop benchmarks (hostperf,
-// cluster) measure capacity; open-loop measures what users feel when
-// arrivals do not politely wait — queueing delay shows up in the sojourn
-// (arrival→completion) percentiles, and overload shows up as drops at
-// the bounded admission queue instead of unbounded latency.
+// The `swarm` subcommand is the open-loop serving benchmark (openloop.go):
+// Poisson arrivals at a calibrated offered rate against a durable 4-shard
+// cluster.
 //
 // `swarmchaos` is the same run with a fault schedule: one shard's disk
 // is killed mid-run and revived later. The per-shard health breaker must
@@ -24,50 +19,21 @@ package main
 // pins it.
 
 import (
-	"flag"
 	"fmt"
-	"math"
-	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/json"
 
 	"eunomia"
 	"eunomia/internal/durable"
 	"eunomia/internal/harness"
 	"eunomia/internal/metrics"
-	"eunomia/internal/vclock"
 	"eunomia/internal/workload"
-)
-
-var (
-	swarmRate = flag.Float64("swarmrate", 0,
-		"swarm: offered load in ops/s (0 = auto-calibrate to ~75% of measured capacity)")
-	swarmDur = flag.Duration("swarmdur", 0,
-		"swarm: open-loop run duration (0 = 3s, 1s with -quick)")
-	swarmSessions = flag.Int("swarmsessions", 100_000,
-		"swarm: distinct logical client sessions in the arrival population")
-	swarmQueue = flag.Int("swarmqueue", 4096,
-		"swarm: admission queue depth; arrivals beyond it are dropped (load shedding)")
 )
 
 // swarmShards is the cluster width both scenarios run against: 4 fault
 // domains, so killing one leaves a 3-shard healthy majority.
 const swarmShards = 4
-
-// swarmBucket is the goodput timeline resolution.
-const swarmBucket = 100 * time.Millisecond
-
-// swarmArrival is one open-loop request: drawn at the generator, stamped
-// at arrival, executed by whichever worker dequeues it.
-type swarmArrival struct {
-	op  workload.Op
-	sid uint32 // logical session
-	t0  time.Time
-}
 
 // swarmResult is one scenario's record in the artifact.
 type swarmResult struct {
@@ -79,7 +45,6 @@ type swarmResult struct {
 	Completed   uint64  `json:"completed"`
 	Errors      uint64  `json:"errors"`
 	Dropped     uint64  `json:"dropped"` // shed at the admission queue
-	Sessions    int     `json:"sessions"`
 	// Sojourn (arrival → completion, queue wait included) percentiles.
 	P50Ns  uint64 `json:"p50_ns"`
 	P99Ns  uint64 `json:"p99_ns"`
@@ -108,204 +73,46 @@ type swarmResult struct {
 	TimelineKilled      []uint64 `json:"timeline_killed,omitempty"`  // OK ops on the killed shard, per bucket
 }
 
-// swarmRun is one labeled invocation (both scenarios when chaos runs).
-type swarmRun struct {
-	Label      string        `json:"label"`
-	Date       string        `json:"date"`
-	GoVersion  string        `json:"go_version"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	NumCPU     int           `json:"num_cpu"`
-	Shards     int           `json:"shards"`
-	Keys       uint64        `json:"keys"`
-	DurationMS int64         `json:"duration_ms"`
-	Results    []swarmResult `json:"results"`
-}
-
-// swarmFile is the artifact schema.
-type swarmFile struct {
-	Suite string     `json:"suite"`
-	Note  string     `json:"note"`
-	Runs  []swarmRun `json:"runs"`
-}
-
-// swarmCluster is the system under test plus the handles chaos needs.
-type swarmCluster struct {
-	c    *eunomia.Cluster
-	fses []*durable.MemFS
-}
-
-// openSwarmCluster builds the durable 4-shard cluster on per-shard
-// in-memory disks (so chaos can kill and revive one), host backend,
-// breaker on, repair tuned to complete within the run.
-func openSwarmCluster(keys uint64) (*swarmCluster, error) {
-	sc := &swarmCluster{}
-	for i := 0; i < swarmShards; i++ {
-		sc.fses = append(sc.fses, durable.NewMemFS(durable.FaultPlan{}))
-	}
-	c, err := eunomia.OpenCluster(eunomia.ClusterOptions{
-		Shards: swarmShards,
-		Shard: eunomia.Options{
-			ArenaWords: 1 << 21,
-			Backend:    eunomia.Host,
-			YieldEvery: 128,
-			Durability: eunomia.Durability{Dir: "swarm", FS: durable.NewMemFS(durable.FaultPlan{})},
-		},
-		PerShard: func(i int, o *eunomia.Options) { o.Durability.FS = sc.fses[i] },
-		Health:   eunomia.HealthOptions{Window: 16, TripFailures: 4},
-		Repair: eunomia.RepairOptions{Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
-			Probes: 3, ProbeInterval: 2 * time.Millisecond},
-	})
-	if err != nil {
-		return nil, err
-	}
-	sc.c = c
-	// Preload the whole key space so gets hit and the WALs have real
-	// acknowledged state for chaos to endanger.
-	sess := c.NewSession()
-	defer sess.Close()
-	for k := uint64(1); k <= keys; k++ {
-		if err := sess.Put(k, k*7+1); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("preload key %d: %w", k, err)
-		}
-	}
-	return sc, nil
-}
-
-// swarmWorkers is the executor pool size: enough to overlap WAL waits
-// even on one core.
-func swarmWorkers() int {
-	n := runtime.GOMAXPROCS(0) * 2
-	if n < 8 {
-		n = 8
-	}
-	return n
-}
-
-// swarmExec runs one arrival against a worker's Session.
-func swarmExec(sess *eunomia.Session, op workload.Op) error {
-	switch op.Kind {
-	case workload.OpGet:
-		_, _, err := sess.Get(op.Key)
-		return err
-	case workload.OpPut:
-		return sess.Put(op.Key, op.Key*7+1)
-	case workload.OpDelete:
-		_, err := sess.Delete(op.Key)
-		return err
-	default:
-		_, err := sess.Scan(op.Key, op.ScanLen, func(uint64, uint64) bool { return true })
-		return err
-	}
-}
-
-// calibrate measures closed-loop capacity: workers hammering as fast as
-// the cluster answers for a short window.
-func calibrate(sc *swarmCluster, keys uint64) float64 {
-	const window = 150 * time.Millisecond
-	nw := swarmWorkers()
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	stop := time.Now().Add(window)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := sc.c.NewSession()
-			defer sess.Close()
-			rng := vclock.NewRand(*seed + 1000 + uint64(w))
-			stream := workload.NewStream(
-				workload.Spec{Kind: workload.Zipfian, N: keys, Theta: 0.9}, workload.DefaultMix)
-			n := uint64(0)
-			for time.Now().Before(stop) {
-				if swarmExec(sess, stream.Next(rng)) == nil {
-					n++
-				}
-			}
-			total.Add(n)
-		}(w)
-	}
-	wg.Wait()
-	return float64(total.Load()) / window.Seconds()
-}
-
-// poisson draws one Poisson(lambda) variate: Knuth for small lambda, the
-// normal approximation above (exact enough for arrival counts).
-func poisson(rng *vclock.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 64 {
-		l := math.Exp(-lambda)
-		k, p := 0, 1.0
-		for {
-			p *= rng.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Box-Muller gaussian.
-	u1 := rng.Float64()
-	for u1 == 0 {
-		u1 = rng.Float64()
-	}
-	g := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*rng.Float64())
-	n := int(math.Round(lambda + math.Sqrt(lambda)*g))
-	if n < 0 {
-		n = 0
-	}
-	return n
+// swarmOps is both scenarios' op source: the paper's mix over a
+// theta=0.9 Zipfian.
+func swarmOps(keys uint64) opSource {
+	return workload.NewStream(workload.Spec{Kind: workload.Zipfian, N: keys, Theta: 0.9}, workload.DefaultMix).Next
 }
 
 // swarmCmd runs one scenario and records it.
 func swarmCmd(chaos bool) {
-	var sf *swarmFile
-	if *benchjson != "" {
-		var err error
-		if sf, err = loadSwarmFile(*benchjson); err != nil {
-			fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	dur := *swarmDur
-	if dur == 0 {
-		dur = 3 * time.Second
-		if *quick {
-			dur = time.Second
-		}
-	}
-	keys := *keys
-	if *quick && keys > 20_000 {
-		keys = 20_000
-	}
+	art := openArtifact("Swarm",
+		"Open-loop Poisson load (and its chaos variant) against the "+
+			"durable 4-shard cluster with fault domains on; regenerate with "+
+			"`make bench-swarm`. Sojourn percentiles include queue wait — "+
+			"that is the point of open-loop. Numbers are machine-dependent: "+
+			"check gomaxprocs/num_cpu, and note the offered rate is "+
+			"calibrated per machine unless -swarmrate pins it. In the chaos "+
+			"run, healthy_goodput_ratio compares surviving-shard goodput "+
+			"during the outage to its pre-kill baseline (target >= 0.9), and "+
+			"the timeline arrays chart goodput per 100ms bucket through "+
+			"kill, degraded serving, reboot, and repair.")
+	keys, dur := loopScale(3*time.Second, time.Second)
 
-	sc, err := openSwarmCluster(keys)
+	// Repair is tuned to complete within the run.
+	c, fses, err := openLoopCluster(eunomia.ClusterOptions{
+		Shards: swarmShards,
+		Repair: eunomia.RepairOptions{Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+			Probes: 3, ProbeInterval: 2 * time.Millisecond},
+	}, swarmShards, keys, func(k uint64) uint64 { return k })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
+		die(err)
 	}
-	defer sc.c.Close()
+	defer c.Close()
 
-	capacity := calibrate(sc, keys)
-	offered := *swarmRate
-	if offered <= 0 {
-		offered = 0.75 * capacity
-	}
-
-	res := runSwarm(sc, keys, dur, offered, chaos)
+	capacity := calibrate(c, *seed+1000, swarmOps(keys))
+	res := runSwarm(c, fses, keys, dur, offeredRate(capacity, 0.75), chaos)
 	res.CapacityOps = capacity
 
-	scenario := "swarm"
-	if chaos {
-		scenario = "swarmchaos"
-	}
 	tbl := harness.Table{
 		Title: fmt.Sprintf("%s: open-loop Poisson load over a %d-shard durable cluster "+
-			"(GOMAXPROCS=%d, NumCPU=%d, %d workers, %d sessions, %v)",
-			scenario, swarmShards, runtime.GOMAXPROCS(0), runtime.NumCPU(), swarmWorkers(),
-			*swarmSessions, dur),
+			"(GOMAXPROCS=%d, NumCPU=%d, %d workers, %v)",
+			res.Scenario, swarmShards, runtime.GOMAXPROCS(0), runtime.NumCPU(), loopWorkers(), dur),
 		Header: []string{"offered(ops/s)", "goodput(ops/s)", "arrivals", "completed",
 			"errors", "dropped", "p50(us)", "p99(us)", "p999(us)"},
 	}
@@ -329,167 +136,64 @@ func swarmCmd(chaos bool) {
 			Series: []harness.ChartSeries{{Name: "healthy shards"}, {Name: "killed shard"}},
 		}
 		for i := range res.TimelineHealthy {
-			ch.X = append(ch.X, float64(i)*swarmBucket.Seconds())
+			ch.X = append(ch.X, float64(i)*loopBucket.Seconds())
 			ch.Series[0].Y = append(ch.Series[0].Y, float64(res.TimelineHealthy[i]))
 			ch.Series[1].Y = append(ch.Series[1].Y, float64(res.TimelineKilled[i]))
 		}
 		emitChart(&ch)
 	}
-
-	if sf == nil {
-		return
-	}
-	run := swarmRun{
-		Label:      *benchlabel + "-" + scenario,
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Shards:     swarmShards,
-		Keys:       keys,
-		DurationMS: dur.Milliseconds(),
-		Results:    []swarmResult{res},
-	}
-	if err := appendSwarmRun(*benchjson, sf, run); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (label %q)\n", *benchjson, run.Label)
+	run := newLoopRun(res.Scenario, swarmShards, keys, dur, res)
+	art.save(run.Label, run)
 }
 
 // runSwarm drives the open-loop phase against an opened, preloaded
 // cluster and returns the measured result.
-func runSwarm(sc *swarmCluster, keys uint64, dur time.Duration, offered float64, chaos bool) swarmResult {
+func runSwarm(c *eunomia.Cluster, fses []*durable.MemFS, keys uint64, dur time.Duration, offered float64, chaos bool) swarmResult {
 	const killedShard = 1
-	nb := int(dur/swarmBucket) + 2
-	// Per-bucket completed-OK counts, split healthy-vs-killed so the
-	// chaos timeline can chart the fault domain boundary.
-	okHealthy := make([]uint64, nb)
-	okKilled := make([]uint64, nb)
-	var completed, errs atomic.Uint64
-
-	queue := make(chan swarmArrival, *swarmQueue)
-	start := time.Now()
-	bucketOf := func(t time.Time) int {
-		b := int(t.Sub(start) / swarmBucket)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nb {
-			b = nb - 1
-		}
-		return b
-	}
-
-	// Executor pool: each worker owns a Session (retry budgets are
-	// per-session, as they would be per connection in kvserver).
-	nw := swarmWorkers()
-	hists := make([]*metrics.Histogram, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		hists[w] = &metrics.Histogram{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := sc.c.NewSession()
-			defer sess.Close()
-			for a := range queue {
-				err := swarmExec(sess, a.op)
-				now := time.Now()
-				hists[w].Observe(uint64(now.Sub(a.t0)))
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				completed.Add(1)
-				b := bucketOf(now)
-				if sc.c.ShardFor(a.op.Key) == killedShard {
-					atomic.AddUint64(&okKilled[b], 1)
-				} else {
-					atomic.AddUint64(&okHealthy[b], 1)
-				}
-			}
-		}(w)
-	}
-
-	// Fault schedule: kill one disk at 35%, revive it at 60%, then watch
-	// for re-admission.
-	var killBucket, rebootBucket, repairedBucket atomic.Int64
-	killBucket.Store(-1)
-	rebootBucket.Store(-1)
-	repairedBucket.Store(-1)
-	repaired := atomic.Bool{}
-	var chaosWG sync.WaitGroup
+	l := openLoop{c: c, dur: dur, offered: offered, seed: *seed + 7, next: swarmOps(keys)}
+	// Chaos splits the completed-OK timeline at the fault domain boundary
+	// and runs the fault schedule: kill one disk at 35%, revive it at 60%,
+	// then watch for re-admission.
+	okKilled := make([]atomic.Uint64, l.buckets())
+	killB, rebootB, repairedB, repaired := -1, -1, -1, false
 	if chaos {
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
+		l.done = func(op workload.Op, b int) {
+			if c.ShardFor(op.Key) == killedShard {
+				okKilled[b].Add(1)
+			}
+		}
+		l.event = func(bucket func() int) {
 			time.Sleep(dur * 35 / 100)
-			killBucket.Store(int64(bucketOf(time.Now())))
-			sc.fses[killedShard].Kill()
+			killB = bucket()
+			fses[killedShard].Kill()
 			time.Sleep(dur * 25 / 100)
-			rebootBucket.Store(int64(bucketOf(time.Now())))
-			sc.fses[killedShard].Reboot()
-			deadline := time.Now().Add(dur + 5*time.Second)
-			for time.Now().Before(deadline) {
-				if sc.c.ShardState(killedShard) == eunomia.ShardHealthy {
-					repairedBucket.Store(int64(bucketOf(time.Now())))
-					repaired.Store(true)
+			rebootB = bucket()
+			fses[killedShard].Reboot()
+			for deadline := time.Now().Add(dur + 5*time.Second); time.Now().Before(deadline); {
+				if c.ShardState(killedShard) == eunomia.ShardHealthy {
+					repairedB, repaired = bucket(), true
 					return
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-		}()
-	}
-
-	// Open-loop generator: Poisson arrivals in 1ms slots at the offered
-	// rate, dropped (not queued) when the admission queue is full.
-	var arrivals, dropped uint64
-	rng := vclock.NewRand(*seed + 7)
-	stream := workload.NewStream(
-		workload.Spec{Kind: workload.Zipfian, N: keys, Theta: 0.9}, workload.DefaultMix)
-	lambdaTick := offered / 1000
-	next := start
-	for time.Since(start) < dur {
-		n := poisson(rng, lambdaTick)
-		now := time.Now()
-		for j := 0; j < n; j++ {
-			arrivals++
-			a := swarmArrival{
-				op:  stream.Next(rng),
-				sid: uint32(rng.Uint64() % uint64(*swarmSessions)),
-				t0:  now,
-			}
-			select {
-			case queue <- a:
-			default:
-				dropped++
-			}
-		}
-		next = next.Add(time.Millisecond)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
 		}
 	}
-	close(queue)
-	wg.Wait()
-	chaosWG.Wait()
+	lr := l.run()
 
-	hist := &metrics.Histogram{}
-	for _, h := range hists {
-		hist.Merge(h)
+	var all metrics.Histogram
+	for b := range lr.sojourn {
+		all.Merge(&lr.sojourn[b])
 	}
-	ls := hist.Snapshot()
-	cm := sc.c.ClusterMetrics()
+	ls := all.Snapshot()
+	cm := c.ClusterMetrics()
 	res := swarmResult{
 		Scenario:      "swarm",
 		OfferedOps:    offered,
-		GoodputOps:    float64(completed.Load()) / dur.Seconds(),
-		Arrivals:      arrivals,
-		Completed:     completed.Load(),
-		Errors:        errs.Load(),
-		Dropped:       dropped,
-		Sessions:      *swarmSessions,
+		GoodputOps:    float64(lr.completed) / dur.Seconds(),
+		Arrivals:      lr.arrivals,
+		Completed:     lr.completed,
+		Errors:        lr.errors,
+		Dropped:       lr.dropped,
 		P50Ns:         ls.P50,
 		P99Ns:         ls.P99,
 		P999Ns:        ls.P999,
@@ -505,18 +209,23 @@ func runSwarm(sc *swarmCluster, keys uint64, dur time.Duration, offered float64,
 	if !chaos {
 		return res
 	}
+	okHealthy, killed := lr.ok, make([]uint64, len(okKilled))
+	for b := range killed {
+		killed[b] = okKilled[b].Load()
+		okHealthy[b] -= killed[b]
+	}
 	res.Scenario = "swarmchaos"
 	res.KilledShard = killedShard
-	res.Repaired = repaired.Load()
-	res.KillBucket = int(killBucket.Load())
-	res.RebootBucket = int(rebootBucket.Load())
-	res.RepairedBucket = int(repairedBucket.Load())
-	res.TimelineBucketMS = swarmBucket.Milliseconds()
+	res.Repaired = repaired
+	res.KillBucket = killB
+	res.RebootBucket = rebootB
+	res.RepairedBucket = repairedB
+	res.TimelineBucketMS = loopBucket.Milliseconds()
 	res.TimelineHealthy = okHealthy
-	res.TimelineKilled = okKilled
-	res.HealthyGoodputRatio = healthyRatio(okHealthy, res.KillBucket, res.RebootBucket)
-	if res.Repaired {
-		res.ReadbackOK = swarmReadback(sc, keys, killedShard)
+	res.TimelineKilled = killed
+	res.HealthyGoodputRatio = healthyRatio(okHealthy, killB, rebootB)
+	if repaired {
+		res.ReadbackOK = swarmReadback(c, keys, killedShard)
 	}
 	return res
 }
@@ -550,12 +259,12 @@ func mean(v []uint64) float64 {
 // swarmReadback samples keys owned by the re-admitted shard: every key
 // was acknowledged durably during preload, so every one must still be
 // served after WAL replay.
-func swarmReadback(sc *swarmCluster, keys uint64, shard int) bool {
-	sess := sc.c.NewSession()
+func swarmReadback(c *eunomia.Cluster, keys uint64, shard int) bool {
+	sess := c.NewSession()
 	defer sess.Close()
 	checked := 0
 	for k := uint64(1); k <= keys && checked < 200; k++ {
-		if sc.c.ShardFor(k) != shard {
+		if c.ShardFor(k) != shard {
 			continue
 		}
 		checked++
@@ -564,46 +273,4 @@ func swarmReadback(sc *swarmCluster, keys uint64, shard int) bool {
 		}
 	}
 	return checked > 0
-}
-
-// loadSwarmFile parses the artifact at path, or returns a fresh one.
-func loadSwarmFile(path string) (*swarmFile, error) {
-	sf := &swarmFile{
-		Suite: "Swarm",
-		Note: "Open-loop Poisson load (and its chaos variant) against the " +
-			"durable 4-shard cluster with fault domains on; regenerate with " +
-			"`make bench-swarm`. Sojourn percentiles include queue wait — " +
-			"that is the point of open-loop. Numbers are machine-dependent: " +
-			"check gomaxprocs/num_cpu, and note the offered rate is " +
-			"calibrated per machine unless -swarmrate pins it. In the chaos " +
-			"run, healthy_goodput_ratio compares surviving-shard goodput " +
-			"during the outage to its pre-kill baseline (target >= 0.9), and " +
-			"the timeline arrays chart goodput per 100ms bucket through " +
-			"kill, degraded serving, reboot, and repair.",
-	}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, sf); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	return sf, nil
-}
-
-// appendSwarmRun merges run into the artifact, replacing any existing
-// run with the same label.
-func appendSwarmRun(path string, sf *swarmFile, run swarmRun) error {
-	kept := sf.Runs[:0]
-	for _, r := range sf.Runs {
-		if r.Label != run.Label {
-			kept = append(kept, r)
-		}
-	}
-	sf.Runs = append(kept, run)
-	data, err := json.MarshalIndent(sf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

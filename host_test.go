@@ -138,3 +138,39 @@ func TestBackendStrings(t *testing.T) {
 		t.Fatalf("backend strings: %q %q", Emulated, Host)
 	}
 }
+
+// TestHostClosedHandlesReportStats: a host thread folds its statistics
+// into the device only every 64 completions, so a handle that does a few
+// ops and closes must fold the remainder on Close — or Metrics never sees
+// short-lived handles at all.
+func TestHostClosedHandlesReportStats(t *testing.T) {
+	const handles, puts = 20, 10
+	db, err := Open(Options{Backend: Host})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cl, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{Backend: Host}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for name, st := range map[string]Store{"DB": db, "Cluster": cl} {
+		before := st.Metrics().Tx.Commits
+		for h := uint64(0); h < handles; h++ {
+			hd := st.NewHandle()
+			for i := uint64(1); i <= puts; i++ {
+				if err := hd.Put(h*puts+i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := hd.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := st.Metrics().Tx.Commits - before; got < handles*puts {
+			t.Errorf("%s: %d closed handles x %d puts moved Tx.Commits by %d, want >= %d",
+				name, handles, puts, got, handles*puts)
+		}
+	}
+}

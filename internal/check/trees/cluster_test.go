@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"eunomia/internal/check"
+	"eunomia/internal/core"
 	"eunomia/internal/htm"
+	"eunomia/internal/simmem"
+	"eunomia/internal/tree"
+	"eunomia/internal/vclock"
+	"eunomia/internal/workload"
 )
 
 // TestClusterSweep is the cluster-level linearizability acceptance run:
@@ -166,4 +171,53 @@ func TestClusterFaultsReachShards(t *testing.T) {
 		t.Fatalf("stitch fault never fired inside any shard (visits=%d)", fi.Visits(spec.Point))
 	}
 	t.Logf("stitch fired %d times across shard devices", fi.Hits(spec.Point))
+}
+
+// TestClusterShardsSplitContention: under a hot Zipfian mix, hash
+// sharding must decompose the contention domain — the single-shard run
+// concentrates every conflict on one device, so more shards can only hold
+// or reduce the per-op abort rate. Eight virtual cores in lockstep, so the
+// comparison is exact, not statistical.
+func TestClusterShardsSplitContention(t *testing.T) {
+	const (
+		cores, opsPerCore = 8, 400
+		keys              = 512
+	)
+	run := func(shards int) (abortsPerOp float64, cycles uint64) {
+		h := htm.New(simmem.NewArena(1<<12), htm.DefaultConfig)
+		boot := h.NewThread(vclock.NewWallProc(0, 0), 3)
+		c := newClusterKV(h, shards, func(dev *htm.HTM, boot *htm.Thread) tree.KV {
+			return core.New(dev, boot, core.DefaultConfig)
+		}, 0)
+		workload.ForEachPreload(keys, 50, func(key uint64) { c.Put(boot, key, key*31+7) })
+		aborts := func() (n uint64) {
+			for _, dev := range c.devices {
+				st := dev.DeviceStats()
+				n += st.TotalAborts()
+			}
+			return n
+		}
+		before := aborts()
+		sim := vclock.NewSim(cores, 0)
+		sim.Run(func(p *vclock.SimProc) {
+			th := h.NewThread(p, 3+uint64(p.ID())*7919+1)
+			stream := workload.NewStream(
+				workload.Spec{Kind: workload.Zipfian, N: keys, Theta: 0.99},
+				workload.Mix{GetPct: 50, PutPct: 50})
+			for i := 0; i < opsPerCore; i++ {
+				if op := stream.Next(th.Rand); op.Kind == workload.OpGet {
+					c.Get(th, op.Key)
+				} else {
+					c.Put(th, op.Key, op.Key<<8|uint64(i)&0xff)
+				}
+			}
+		})
+		return float64(aborts()-before) / (cores * opsPerCore), sim.MaxClock()
+	}
+	a1, c1 := run(1)
+	a4, c4 := run(4)
+	t.Logf("1 shard: aborts/op=%.3f cycles=%d; 4 shards: aborts/op=%.3f cycles=%d", a1, c1, a4, c4)
+	if a4 > a1 {
+		t.Fatalf("4 shards aborts/op %.3f > 1 shard %.3f: sharding failed to split the contention domain", a4, a1)
+	}
 }

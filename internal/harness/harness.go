@@ -138,7 +138,6 @@ type Result struct {
 	Latency metrics.Histogram // per-op latency in cycles
 
 	LiveBytes     int64 // tree footprint after the run
-	ReservedPeak  int64 // peak transient reserved-keys bytes (approximate)
 	PreloadedKeys uint64
 
 	// StormEvents is how many times the device's abort-storm detector
@@ -196,6 +195,13 @@ func buildTree(cfg Config, h *htm.HTM, boot *htm.Thread) tree.KV {
 // Run executes one experiment and returns its result. Runs are
 // deterministic for a fixed Config.
 func Run(cfg Config) Result {
+	res, _, _ := run(cfg)
+	return res
+}
+
+// run is the one virtual-time runner: it also hands back the tree and the
+// boot thread that built it, for callers that inspect the end state.
+func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Mix.Validate(); err != nil {
 		panic(err)
@@ -211,7 +217,6 @@ func Run(cfg Config) Result {
 		kv.Put(boot, key, key*31+7)
 		preloaded++
 	})
-	loadBytes := arena.LiveBytes()
 
 	// Measured phase: virtual-time lockstep across cfg.Threads cores.
 	sim := vclock.NewSim(cfg.Threads, cfg.Slack)
@@ -253,7 +258,6 @@ func Run(cfg Config) Result {
 		Ops:           totalOps,
 		Cycles:        sim.MaxClock(),
 		LiveBytes:     arena.LiveBytes(),
-		ReservedPeak:  loadBytes, // replaced below; kept for context
 		PreloadedKeys: preloaded,
 	}
 	res.Seconds = float64(res.Cycles) / vclock.CyclesPerSecond
@@ -273,7 +277,6 @@ func Run(cfg Config) Result {
 	if totalThreadCycles > 0 {
 		res.WastedPct = 100 * float64(res.Stats.WastedCycles) / float64(totalThreadCycles)
 	}
-	res.ReservedPeak = arena.BytesByTag(simmem.TagReserved)
 	res.StormEvents = device.StormEvents()
 	if eu, ok := kv.(*core.Tree); ok {
 		res.EliminatedPairs = eu.EliminatedPairs()
@@ -281,7 +284,7 @@ func Run(cfg Config) Result {
 		res.CombinedOps = eu.CombinedOps()
 		res.CombinerHandoffs = eu.CombinerHandoffs()
 	}
-	return res
+	return res, kv, boot
 }
 
 // more is the measured-phase loop condition: op-count mode or the paper's
@@ -320,37 +323,9 @@ func ValidateTree(kv tree.KV, p vclock.Proc) error {
 	return fmt.Errorf("harness: %s has no validator", kv.Name())
 }
 
-// RunAndValidate performs a Run and then re-builds the identical workload
-// to validate the final structure (Run's tree is internal to it, so the
-// deterministic replay is the cheapest way to get at the end state).
+// RunAndValidate performs a Run and then validates the structure the run
+// left behind.
 func RunAndValidate(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	res := Run(cfg)
-	// Replay on a fresh device, keeping the tree this time.
-	arena := simmem.NewArena(cfg.ArenaWords)
-	device := newDevice(cfg, arena)
-	boot := device.NewThread(vclock.NewWallProc(0, 0), cfg.Seed)
-	kv := buildTree(cfg, device, boot)
-	workload.ForEachPreload(cfg.Keys, cfg.PreloadPct, func(key uint64) {
-		kv.Put(boot, key, key*31+7)
-	})
-	sim := vclock.NewSim(cfg.Threads, cfg.Slack)
-	sim.Run(func(p *vclock.SimProc) {
-		th := device.NewThread(p, cfg.Seed+uint64(p.ID())*7919+1)
-		stream := workload.NewStream(cfg.Dist, cfg.Mix)
-		for i := 0; more(cfg, i, p); i++ {
-			op := stream.Next(th.Rand)
-			switch op.Kind {
-			case workload.OpGet:
-				kv.Get(th, op.Key)
-			case workload.OpPut:
-				kv.Put(th, op.Key, op.Key<<8|uint64(i)&0xff)
-			case workload.OpDelete:
-				kv.Delete(th, op.Key)
-			case workload.OpScan:
-				kv.Scan(th, op.Key, op.ScanLen, func(k, v uint64) bool { return true })
-			}
-		}
-	})
+	res, kv, boot := run(cfg)
 	return res, ValidateTree(kv, boot.P)
 }

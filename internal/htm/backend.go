@@ -24,7 +24,7 @@ import (
 //     stores are bare sync/atomic word operations, and the resilience
 //     waits (backoff, lemming-wait, fallback spins) pause in real time
 //     with cooperative yields. This is the engine for real multi-core
-//     throughput numbers (eunobench hostperf).
+//     throughput numbers (`make benchmark`).
 type Backend int
 
 // The two execution engines.

@@ -15,16 +15,18 @@
 #
 # The host execution backend rides these same passes: its htm-level tests
 # (TestHost*) run in the internal/htm line, the per-tree
-# LinearizabilityHost/ConcurrentSharedHost subtests and the harness
-# RunHost tests run in the -short tree/harness line, and the root host API
-# tests run in the final line. CI additionally runs them in a dedicated
-# host-backend-race job.
+# LinearizabilityHost/ConcurrentSharedHost subtests run in the -short tree
+# line, and the root host API tests run in the final line. CI additionally
+# runs them in a dedicated host-backend-race job.
 set -eux
 
 go vet ./...
 go build ./...
 go test -race ./internal/htm/ ./internal/simmem/ ./internal/shard/
 go test -race -short ./internal/core/ ./internal/tree/... ./internal/harness/
+# eunobench's open-loop executor pool (swarm, swarmchaos, reshardchaos):
+# workers, generator and the mid-run event share one timeline.
+go test -race -short ./cmd/eunobench/
 # The kvserver pass now serves a sharded Cluster: real concurrent sockets
 # race the router, per-connection Sessions, the merged cross-shard SCAN,
 # and the aggregated STATS path.

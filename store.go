@@ -48,9 +48,12 @@ type Handle interface {
 	Scan(from uint64, max int, fn func(key, val uint64) bool) (int, error)
 	// Range iterates the pairs in [from, to] ascending (range-over-func).
 	Range(from, to uint64) iter.Seq2[uint64, uint64]
-	// Close releases the handle. A DB Thread's Close is a no-op; a
-	// Cluster Session's Close unregisters it from the resharding engine's
-	// quiesce barrier (mandatory for session-churning workloads).
+	// Close releases the handle. A DB Thread's Close folds the statistics
+	// the thread has batched into the DB's Metrics (a host thread reports
+	// only every 64 operations otherwise); a Cluster Session's Close does
+	// that for its per-shard Threads and unregisters the Session from the
+	// resharding engine's quiesce barrier (mandatory for session-churning
+	// workloads).
 	Close() error
 }
 
@@ -65,9 +68,13 @@ var (
 // NewHandle returns a new worker Thread as a Handle.
 func (db *DB) NewHandle() Handle { return db.NewThread() }
 
-// Close releases the Thread. It is a no-op (Threads hold no resources
-// beyond their DB) and exists to satisfy Handle.
-func (t *Thread) Close() error { return nil }
+// Close releases the Thread: it folds the statistics the thread has
+// batched since its last report into the DB's Metrics, so a short-lived
+// handle is counted. Threads hold no other resources.
+func (t *Thread) Close() error {
+	t.th.FlushStats()
+	return nil
+}
 
 // NewHandle returns a new worker Session as a Handle.
 func (c *Cluster) NewHandle() Handle { return c.NewSession() }
