@@ -7,7 +7,8 @@ test:
 
 # tier1-stress: the three packages whose tests race real goroutines (the
 # crash fuzzer, the tree's wall-clock and host linearizability recordings,
-# the root package's reshard and merge-scan tests), 20 uncached runs of each
+# the root package's reshard, merge-scan, handle-recycling and
+# panic-containment tests), 20 uncached runs of each
 # (-count=1, a fresh process per run), stopping at the first red. Green
 # here at GOMAXPROCS 1, 2 and 4 is what ROADMAP item 1 asks of tier-1; CI
 # runs the same three under that matrix.
@@ -16,10 +17,11 @@ tier1-stress:
 	@for i in $$(seq 1 $(STRESS_RUNS)); do \
 		echo "tier1-stress: run $$i of $(STRESS_RUNS)"; \
 		go test -count=1 ./internal/durable/crashcheck ./internal/core || exit 1; \
-		go test -count=1 -run 'TestReshard|TestClusterScan|TestClusterRange' . || exit 1; \
+		go test -count=1 -run 'TestReshard|TestClusterScan|TestClusterRange|TestHandleIDsRecycled|TestLibraryGoroutinePanicsContained' . || exit 1; \
 	done
 
-# verify: the cheap pre-merge guard — vet, build, the race detector over
+# verify: the cheap pre-merge guard — the -run filter check
+# (scripts/check-run-filters.sh), vet, build, the race detector over
 # the emulator and memory substrate, and a -short race pass over the trees
 # and harness (including the wall-clock linearizability recordings).
 verify:

@@ -126,17 +126,16 @@ type Cluster struct {
 	repair    RepairOptions
 	retryCap  int // per-shard retry tokens a Session may bank
 
-	stop     chan struct{} // closed by Close; repair loops watch it
-	repairMu sync.Mutex    // serializes repair/migration spawn vs Close
-	repairWG sync.WaitGroup
+	stop     chan struct{}  // closed by Close; every library goroutine watches it
+	repairMu sync.Mutex     // serializes spawn vs Close
+	bg       sync.WaitGroup // the repair, migration and auto-split goroutines
 
 	// Online resharding state (cluster_reshard.go): the in-flight
-	// migration, the goroutines it owns, the live-scan registry that
-	// gates purges and slot retirement, and the session registry the
-	// engine's quiesce barrier walks before the first copy.
+	// migration, the live-scan registry that gates purges and slot
+	// retirement, and the session registry the engine's quiesce barrier
+	// walks before the first copy.
 	reshardMu  sync.Mutex
 	mig        atomic.Pointer[migration]
-	migWG      sync.WaitGroup
 	scanMu     sync.Mutex
 	scans      map[uint64]int // routing Gen a live merged scan froze -> count
 	sessMu     sync.Mutex
@@ -218,68 +217,85 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	top, err := c.resolveTopology()
+	top, man, recorded, err := c.resolveTopology()
 	if err != nil {
 		return nil, err
 	}
 	var list []*clusterShard
-	for i := 0; i < top.slots; i++ {
-		o := opts.Shard
-		if o.Durability.Dir != "" {
-			o.Durability.Dir = shardDirName(c.dir, i)
-		}
-		if opts.PerShard != nil {
-			opts.PerShard(i, &o)
-		}
-		db, err := Open(o)
+	slots := top.shards
+	if man != nil {
+		slots = max(man.from, man.to)
+	}
+	for i := 0; i < slots; i++ {
+		sh, err := c.openShard(i, false)
 		if err != nil {
-			err = fmt.Errorf("eunomia: cluster shard %d: %w", i, err)
-			return nil, errors.Join(append([]error{err}, closeAll(list)...)...)
+			return nil, closeAfter(fmt.Errorf("eunomia: cluster shard %d: %w", i, err), list)
 		}
-		sh := &clusterShard{idx: i, opts: o, health: shard.NewHealth(c.healthCfg)}
-		sh.db.Store(db)
 		list = append(list, sh)
 	}
 	c.shards.Store(&list)
-	c.table = shard.NewTableAt(shard.New(top.stable, top.part), top.epoch)
+	c.table = shard.NewTableAt(shard.New(top.shards, top.part), top.epoch)
 	var resume *migration
-	if top.man != nil {
+	if man != nil {
 		// A migration was in flight when the previous incarnation died:
 		// re-install its routing state (already-cut intervals route to
 		// their destinations immediately) and resume the engine below.
-		man := top.man
 		resume = newMigration(shard.New(man.from, top.part), shard.New(man.to, top.part), man.cut, man.purged)
 		resume.cutGen = c.table.BeginReshard(resume.to, man.cut).Gen
 		c.mig.Store(resume)
 	}
 	if c.dir != "" {
 		if err := c.verifyBarrier(); err != nil {
-			return nil, errors.Join(append([]error{err}, closeAll(list)...)...)
+			return nil, closeAfter(err, list)
 		}
-		if !top.recorded {
-			// First durable open (or a pre-resharding store): record the
-			// resolved topology so a later reopen — or a crash before the
-			// first snapshot — never has to guess the count from Options.
-			if err := c.writeTopology(top.epoch, top.stable, top.part); err != nil {
-				err = fmt.Errorf("eunomia: cluster topology record: %w", err)
-				return nil, errors.Join(append([]error{err}, closeAll(list)...)...)
+		if !recorded {
+			// First durable open: record the resolved topology so a later
+			// reopen — or a crash before the first snapshot — never has to
+			// guess the count from Options.
+			if err := c.writeTopology(top.epoch, top.shards, top.part); err != nil {
+				return nil, closeAfter(fmt.Errorf("eunomia: cluster topology record: %w", err), list)
 			}
 		}
 	}
 	if resume != nil {
-		c.migWG.Add(1)
-		go c.runMigration(resume, true)
+		c.spawn(func() error { return c.runMigration(resume, true) }, resume.finish)
 	}
 	if opts.AutoSplit.Enable {
-		c.migWG.Add(1)
-		go c.autoSplitLoop()
+		// A watcher that panics just stops watching.
+		c.spawn(func() error { c.autoSplitLoop(); return nil }, func(error) {})
 	}
 	return c, nil
 }
 
-// closeAll closes every shard's current DB, collecting non-nil errors.
-func closeAll(shards []*clusterShard) []error {
-	var errs []error
+// openShard opens slot i from the shard template: its own directory under
+// the cluster root (emptied first when wipe is set — a split's destination
+// must not inherit a retired slot's debris), then the PerShard hook.
+func (c *Cluster) openShard(i int, wipe bool) (*clusterShard, error) {
+	o := c.opts.Shard
+	if o.Durability.Dir != "" {
+		o.Durability.Dir = shardDirName(c.dir, i)
+		if wipe {
+			if err := c.wipeDir(o.Durability.Dir); err != nil {
+				return nil, fmt.Errorf("wipe: %w", err)
+			}
+		}
+	}
+	if c.opts.PerShard != nil {
+		c.opts.PerShard(i, &o)
+	}
+	db, err := Open(o)
+	if err != nil {
+		return nil, err
+	}
+	sh := &clusterShard{idx: i, opts: o, health: shard.NewHealth(c.healthCfg)}
+	sh.db.Store(db)
+	return sh, nil
+}
+
+// closeAfter closes every shard's current DB and returns err (which may
+// be nil) joined with whatever the closes reported.
+func closeAfter(err error, shards []*clusterShard) error {
+	errs := []error{err}
 	for _, sh := range shards {
 		db := sh.db.Load()
 		if db == nil {
@@ -289,7 +305,7 @@ func closeAll(shards []*clusterShard) []error {
 			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d close: %w", sh.idx, err))
 		}
 	}
-	return errs
+	return errors.Join(errs...)
 }
 
 // Shards returns the serving slot count. During a split it already
@@ -465,10 +481,7 @@ func (s *Session) do(i int, op func(*Thread) error) error {
 			return err
 		}
 		sh := c.shard(i)
-		cause := c.causeOf(err)
-		if sh.health.RecordFailure(cause, false) {
-			c.tripped(sh)
-		}
+		err = c.shardFailed(sh, err)
 		if attempt == 0 && retryable && sh.health.Allow() {
 			if s.spendRetry(i) {
 				c.retries.Add(1)
@@ -476,7 +489,7 @@ func (s *Session) do(i int, op func(*Thread) error) error {
 			}
 			c.retriesDenied.Add(1)
 		}
-		return &ShardError{Shard: i, State: ShardState(sh.health.State()), Cause: cause}
+		return err
 	}
 }
 

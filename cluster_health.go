@@ -3,6 +3,7 @@ package eunomia
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"eunomia/internal/shard"
@@ -200,14 +201,23 @@ func (c *Cluster) unavailable(i int) *ShardError {
 	return &ShardError{Shard: i, State: ShardState(h.State()), Cause: h.Cause()}
 }
 
-// causeOf normalizes an op error into a health cause: a shard DB's
-// ErrClosed while the cluster is open means the store was stopped (by
-// the repair loop or a direct close), not that the cluster shut down.
-func (c *Cluster) causeOf(err error) error {
-	if errors.Is(err, ErrClosed) {
-		return errShardStopped
+// shardFailed scores err against sh's breaker — a trip captures the
+// durable watermark and starts repair — and returns the error to surface:
+// a *ShardError carrying the cause, or err itself with the health layer
+// off. A shard DB's ErrClosed while the cluster is open means the store
+// was stopped (by the repair loop or a direct close), not that the cluster
+// shut down, so it is recorded as errShardStopped.
+func (c *Cluster) shardFailed(sh *clusterShard, err error) error {
+	if !c.healthOn {
+		return err
 	}
-	return err
+	if errors.Is(err, ErrClosed) {
+		err = errShardStopped
+	}
+	if sh.health.RecordFailure(err, false) {
+		c.tripped(sh)
+	}
+	return &ShardError{Shard: sh.idx, State: ShardState(sh.health.State()), Cause: err}
 }
 
 // earnRetry banks success toward a retry token, up to the cap.
@@ -234,7 +244,10 @@ func (s *Session) spendRetry(i int) bool {
 
 // tripped handles a breaker trip: capture the shard's durable watermark
 // (the floor its repaired incarnation must recover past) and start the
-// repair loop.
+// repair goroutine — at most one per shard, never after Close, and never
+// for a shard that cannot be repaired (non-durable, or permanently
+// failed). A panic under the loop (a filesystem blowing up inside Open)
+// parks the shard Failed for good instead of taking the process down.
 func (c *Cluster) tripped(sh *clusterShard) {
 	if db := sh.db.Load(); db != nil {
 		wm := db.durableLSN()
@@ -245,59 +258,35 @@ func (c *Cluster) tripped(sh *clusterShard) {
 			}
 		}
 	}
-	c.startRepair(sh)
-}
-
-// startRepair spawns the repair goroutine for a tripped shard, at most
-// one per shard, never after Close, and never for shards that cannot be
-// repaired (non-durable, or permanently failed).
-func (c *Cluster) startRepair(sh *clusterShard) {
-	if c.repair.Disable || sh.opts.Durability.Dir == "" || sh.health.Permanent() {
+	if c.repair.Disable || sh.opts.Durability.Dir == "" || sh.health.Permanent() ||
+		!sh.repairing.CompareAndSwap(false, true) {
 		return
 	}
-	if !sh.repairing.CompareAndSwap(false, true) {
-		return
-	}
-	c.repairMu.Lock()
-	if c.closed.Load() {
-		c.repairMu.Unlock()
+	done := func(err error) {
+		if err != nil {
+			sh.health.RefuseRecovery(err, true) // from probation
+			sh.health.Trip(err, true)           // from Failed
+		}
 		sh.repairing.Store(false)
-		return
 	}
-	c.repairWG.Add(1)
-	c.repairMu.Unlock()
-	go c.repairLoop(sh)
+	if !c.spawn(func() error { c.repairLoop(sh); return nil }, done) {
+		sh.repairing.Store(false)
+	}
 }
 
 // repairLoop brings a Failed shard back: close the dead store, retry
-// Open (which replays the WAL through the ordinary recovery path) under
-// capped exponential backoff with jitter, then gate re-admission behind
-// the durable-watermark check and a probation window of successful
-// probes. Runs until re-admission, a permanent verdict, or Close.
+// Open (which replays the WAL through the ordinary recovery path) from
+// Repair.Backoff, then gate re-admission behind the durable-watermark
+// check and a probation window of successful probes. Runs until
+// re-admission, a permanent verdict, or Close.
 func (c *Cluster) repairLoop(sh *clusterShard) {
-	defer c.repairWG.Done()
-	defer sh.repairing.Store(false)
 	// Release the dead store first: Close is idempotent, and a poisoned
 	// WAL never re-acknowledges, so nothing durable is lost here.
 	if old := sh.db.Load(); old != nil {
 		old.Close()
 	}
 	r := c.repair
-	backoff := r.Backoff
-	// Deterministic per-shard jitter stream (no global RNG: repair must
-	// not perturb seeded tests' randomness).
-	rng := shard.Mix(uint64(sh.idx)*0x9e3779b97f4a7c15 + 1)
-	for {
-		wait := backoff/2 + time.Duration(rng%uint64(backoff/2+1))
-		rng = shard.Mix(rng)
-		if !c.sleepUnlessClosed(wait) {
-			return
-		}
-		if backoff < r.MaxBackoff {
-			if backoff *= 2; backoff > r.MaxBackoff {
-				backoff = r.MaxBackoff
-			}
-		}
+	c.retry(nil, "", r.Backoff, func() error {
 		opts := sh.opts
 		if r.AdmitBeforeReplay {
 			// DELIBERATELY BROKEN (see RepairOptions): reopen with recovery
@@ -307,74 +296,130 @@ func (c *Cluster) repairLoop(sh *clusterShard) {
 		}
 		db, err := Open(opts)
 		if err != nil {
-			continue // disk still gone; back off and retry
+			return err // disk still gone; back off and retry
 		}
 		if r.AdmitBeforeReplay {
 			sh.health.BeginRecovery()
 			sh.db.Store(db)
 			sh.gen.Add(1)
 			sh.health.Admit()
-			return
+			return nil
 		}
 		if !sh.health.BeginRecovery() {
 			// A permanent verdict raced in; stand down.
 			db.Close()
-			return
+			return nil
 		}
 		if got, want := db.recoveredSeq(), sh.watermark.Load(); got < want {
 			db.Close()
 			sh.health.RefuseRecovery(fmt.Errorf(
 				"eunomia: shard %d recovered to LSN %d but its durable watermark was %d: acknowledged writes are missing",
 				sh.idx, got, want), true)
-			return
+			return nil
 		}
-		if c.probe(sh, db) {
-			sh.db.Store(db)
-			sh.gen.Add(1)
-			sh.health.Admit()
-			return
+		if err := c.probe(db); err != nil {
+			// Transient probation failure: back off and reopen fresh.
+			db.Close()
+			sh.health.RefuseRecovery(err, false)
+			return err
 		}
-		db.Close()
-		if c.closed.Load() || sh.health.Permanent() {
-			return
-		}
-		// Transient probation failure: back off and reopen fresh.
-	}
+		sh.db.Store(db)
+		sh.gen.Add(1)
+		sh.health.Admit()
+		return nil
+	})
 }
 
 // probe runs the probation window against a candidate DB: Probes
-// consecutive successful sync+read rounds spaced ProbeInterval apart.
-// Any failure refuses recovery (transiently) and reports false.
-func (c *Cluster) probe(sh *clusterShard, db *DB) bool {
+// consecutive successful sync+read rounds spaced ProbeInterval apart,
+// returning the first failure.
+func (c *Cluster) probe(db *DB) error {
 	th := db.NewThread()
+	defer th.Close()
 	for p := 0; p < c.repair.Probes; p++ {
 		if p > 0 && !c.sleepUnlessClosed(c.repair.ProbeInterval) {
-			sh.health.RefuseRecovery(ErrClosed, false)
-			return false
+			return ErrClosed
 		}
 		if err := db.Sync(); err != nil {
-			sh.health.RefuseRecovery(err, false)
-			return false
+			return err
 		}
 		if _, _, err := th.Get(0); err != nil {
-			sh.health.RefuseRecovery(err, false)
-			return false
+			return err
 		}
 	}
+	return nil
+}
+
+// reshardStallFactor × Repair.MaxBackoff is how long one step of a
+// migration may fail before Reshard stops waiting (the engine does not).
+const reshardStallFactor = 4
+
+// errShardGone marks a step no retry can complete: its shard is parked.
+var errShardGone = errors.New("eunomia: shard permanently failed")
+
+// retry is the control plane's one retry loop: it calls step until step
+// succeeds (nil), sleeping between attempts with capped, jittered
+// exponential backoff — first (a millisecond for the migration engine,
+// Repair.Backoff for the repair loop), doubling to Repair.MaxBackoff. It
+// gives up with ErrClosed when the cluster closes and with step's error
+// when that wraps errShardGone. A migration's step (m non-nil, what naming
+// it) reports every failure past the stall bound on m.stall.
+func (c *Cluster) retry(m *migration, what string, first time.Duration, step func() error) error {
+	start, backoff := time.Now(), first
+	// A jitter stream of this loop's own (no global RNG: retries must not
+	// perturb seeded tests' randomness), distinct from concurrent loops'.
+	rng := uint64(start.UnixNano())
+	for !c.closed.Load() {
+		err := step()
+		if err == nil || errors.Is(err, errShardGone) {
+			return err
+		}
+		if since := time.Since(start); m != nil && since > reshardStallFactor*c.repair.MaxBackoff {
+			select {
+			case m.stall <- fmt.Errorf("eunomia: reshard: %s has not succeeded in %v; the migration keeps retrying in the background: %w",
+				what, since.Round(time.Millisecond), err):
+			default:
+			}
+		}
+		rng = shard.Mix(rng)
+		if !c.sleepUnlessClosed(backoff/2 + time.Duration(rng%uint64(backoff/2+1))) {
+			break
+		}
+		backoff = min(2*backoff, c.repair.MaxBackoff)
+	}
+	return ErrClosed
+}
+
+// spawn starts fn on a goroutine that Close waits for, or reports false,
+// starting nothing, when the cluster is already closed: Close's Wait either
+// observes this Add or spawn observes closed, never an Add racing a Wait
+// at zero. done receives fn's error when it ends, a panic in fn recovered
+// into it: no goroutine the cluster starts can kill the process.
+func (c *Cluster) spawn(fn func() error, done func(error)) bool {
+	c.repairMu.Lock()
+	if c.closed.Load() {
+		c.repairMu.Unlock()
+		return false
+	}
+	c.bg.Add(1)
+	c.repairMu.Unlock()
+	go func() {
+		defer c.bg.Done()
+		var err error
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("eunomia: cluster goroutine panicked: %v\n%s", r, debug.Stack())
+			}
+			done(err)
+		}()
+		err = fn()
+	}()
 	return true
 }
 
 // sleepUnlessClosed waits d, returning false early if the cluster is
 // closing.
 func (c *Cluster) sleepUnlessClosed(d time.Duration) bool {
-	if d <= 0 {
-		select {
-		case <-c.stop:
-			return false
-		default:
-			return true
-		}
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

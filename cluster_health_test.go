@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -382,7 +383,7 @@ func TestClusterRetryBudget(t *testing.T) {
 
 // TestClusterSnapshotDegradesToHealthySubset: a cluster-wide snapshot
 // with one shard failed still snapshots every healthy shard, records the
-// exclusion in a v2 barrier manifest (carrying the failed shard at its
+// exclusion in the barrier manifest (carrying the failed shard at its
 // last sound floor), names only the failed shard in the error — and the
 // manifest still verifies on reopen once the disk comes back.
 func TestClusterSnapshotDegradesToHealthySubset(t *testing.T) {
@@ -456,7 +457,7 @@ func TestClusterSnapshotDegradesToHealthySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Disk back, cluster reopened: the v2 manifest (exclusion set + floor
+	// Disk back, cluster reopened: the barrier manifest (exclusion set + floor
 	// vector) must parse and verify, and every acknowledged key — shard
 	// 1's included — must be there.
 	fses[1].Reboot()
@@ -545,4 +546,93 @@ func TestClusterRangeMidScanFailure(t *testing.T) {
 	if cnt == 0 || cnt >= n {
 		t.Fatalf("Scan visited %d keys, want only the healthy shard's", cnt)
 	}
+}
+
+// panicOpenFS wraps a durable.FS whose Open panics once armed: a
+// filesystem that blows up under a library goroutine.
+type panicOpenFS struct {
+	durable.FS
+	armed atomic.Bool
+}
+
+func (f *panicOpenFS) Open(name string) (durable.File, error) {
+	if f.armed.Load() {
+		panic("panicOpenFS: injected panic opening " + name)
+	}
+	return f.FS.Open(name)
+}
+
+// TestLibraryGoroutinePanicsContained: a panic on a goroutine the cluster
+// started — the repair loop, the migration engine — ends that piece of
+// work with an error; it never ends the process.
+func TestLibraryGoroutinePanicsContained(t *testing.T) {
+	t.Run("repair", func(t *testing.T) {
+		mem := []*durable.MemFS{durable.NewMemFS(durable.FaultPlan{}), durable.NewMemFS(durable.FaultPlan{})}
+		bad := &panicOpenFS{FS: mem[1]}
+		c, err := OpenCluster(ClusterOptions{
+			Shards: 2,
+			Shard: Options{
+				ArenaWords: 1 << 19,
+				Durability: Durability{Dir: "clusterdb", FS: durable.NewMemFS(durable.FaultPlan{})},
+			},
+			PerShard: func(i int, o *Options) {
+				o.Durability.FS = mem[0]
+				if i == 1 {
+					o.Durability.FS = bad
+				}
+			},
+			Health: HealthOptions{Window: 8, TripFailures: 2},
+			Repair: fastRepair(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := c.NewSession()
+		for k := uint64(0); k < 64; k++ {
+			if err := sess.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Shard 1's disk dies and comes back; the repair loop's reopen then
+		// reads the WAL through an Open that panics.
+		bad.armed.Store(true)
+		mem[1].Kill()
+		tripShard(t, c, sess, 1)
+		mem[1].Reboot()
+		for wait := time.Now().Add(10 * time.Second); !c.ClusterMetrics().Health[1].Permanent; time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				t.Fatalf("shard 1 not parked after its repair panicked: %+v", c.ClusterMetrics().Health[1])
+			}
+		}
+		if h := c.ClusterMetrics().Health[1]; h.State != ShardFailed || !strings.Contains(h.Cause, "panicked") {
+			t.Fatalf("shard 1 after its repair panicked: %+v", h)
+		}
+		for _, k := range shardKeys(c, 0, 0, 16) {
+			if err := sess.Put(k, k+1); err != nil {
+				t.Fatalf("healthy shard stopped serving: %v", err)
+			}
+		}
+		if err := sess.Put(shardKeys(c, 1, 0, 1)[0], 1); !errors.Is(err, ErrShardUnavailable) {
+			t.Fatalf("Put on the parked shard = %v", err)
+		}
+		c.Close() // returns; shard 1's dead store reports its own error
+	})
+	t.Run("engine", func(t *testing.T) {
+		root := durable.NewMemFS(durable.FaultPlan{})
+		c, _, err := splitOverHookedRoot(t, Emulated, root, func() { panic("injected panic creating the cutover journal") })
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("Reshard whose engine panicked = %v", err)
+		}
+		// The fence the engine held when it blew up was released: keys of
+		// the move it was cutting over still serve.
+		sess := c.NewSession()
+		for k := uint64(0); k < 128; k++ {
+			if err := sess.Put(k<<57, k+1); err != nil {
+				t.Fatalf("Put(%d) after the engine panicked: %v", k<<57, err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

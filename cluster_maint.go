@@ -1,10 +1,8 @@
 package eunomia
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // This file is the cluster's maintenance path: Sync, Snapshot and Close,
@@ -18,32 +16,30 @@ func (c *Cluster) Sync() error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	var errs []error
-	for i, sh := range c.shardList() {
-		if c.healthOn && !sh.health.Allow() {
-			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d sync: %w", i, c.unavailable(i)))
-			continue
-		}
-		if err := sh.db.Load().Sync(); err != nil {
-			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d sync: %w", i, c.scoreMaintErr(sh, err)))
-		} else if c.healthOn {
-			sh.health.RecordSuccess()
-		}
-	}
+	_, errs := c.syncShards(c.shardList(), "sync")
 	return errors.Join(errs...)
 }
 
-// scoreMaintErr records a maintenance-path (Sync/Snapshot) failure
-// against the shard's breaker and returns the error to surface.
-func (c *Cluster) scoreMaintErr(sh *clusterShard, err error) error {
-	if !c.healthOn {
-		return err
+// syncShards flushes every healthy shard's WAL, scoring each outcome
+// against the shard's breaker, and returns the set (bit i for shard i) of
+// shards that could not be synced — breaker already open, which op (the
+// caller's name) skips, or the sync failed — with their errors.
+func (c *Cluster) syncShards(shards []*clusterShard, op string) (failed uint64, errs []error) {
+	for i, sh := range shards {
+		var err error
+		if c.healthOn && !sh.health.Allow() {
+			err = fmt.Errorf("eunomia: cluster shard %d %s: %w", i, op, c.unavailable(i))
+		} else if err = sh.db.Load().Sync(); err != nil {
+			err = fmt.Errorf("eunomia: cluster shard %d sync: %w", i, c.shardFailed(sh, err))
+		} else if c.healthOn {
+			sh.health.RecordSuccess()
+		}
+		if err != nil {
+			failed |= 1 << uint(i)
+			errs = append(errs, err)
+		}
 	}
-	cause := c.causeOf(err)
-	if sh.health.RecordFailure(cause, false) {
-		c.tripped(sh)
-	}
-	return &ShardError{Shard: sh.idx, State: ShardState(sh.health.State()), Cause: cause}
+	return failed, errs
 }
 
 // Snapshot takes a consistent cluster-wide snapshot:
@@ -76,24 +72,9 @@ func (c *Cluster) Snapshot() error {
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	shards := c.shardList()
-	var errs []error
-	excluded := uint64(0)
-	for i, sh := range shards {
-		if c.healthOn && !sh.health.Allow() {
-			excluded |= 1 << uint(i)
-			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d snapshot: %w", i, c.unavailable(i)))
-			continue
-		}
-		if err := sh.db.Load().Sync(); err != nil {
-			err = fmt.Errorf("eunomia: cluster shard %d sync: %w", i, c.scoreMaintErr(sh, err))
-			if !c.healthOn {
-				return errors.Join(append(errs, err)...)
-			}
-			excluded |= 1 << uint(i)
-			errs = append(errs, err)
-		} else if c.healthOn {
-			sh.health.RecordSuccess()
-		}
+	excluded, errs := c.syncShards(shards, "snapshot")
+	if excluded != 0 && !c.healthOn {
+		return errors.Join(errs...)
 	}
 	if excluded == uint64(1)<<uint(len(shards))-1 {
 		// Nothing healthy to snapshot; no barrier to write.
@@ -130,7 +111,7 @@ func (c *Cluster) Snapshot() error {
 			continue
 		}
 		if err := sh.db.Load().Snapshot(); err != nil {
-			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d snapshot: %w", i, c.scoreMaintErr(sh, err)))
+			errs = append(errs, fmt.Errorf("eunomia: cluster shard %d snapshot: %w", i, c.shardFailed(sh, err)))
 		}
 	}
 	return errors.Join(errs...)
@@ -145,97 +126,13 @@ func (c *Cluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Barrier: any startRepair in flight has either registered with the
+	// Barrier: any spawn in flight has either registered with the
 	// WaitGroup (Wait covers it) or will observe closed and stand down.
 	c.repairMu.Lock()
 	c.repairMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	close(c.stop)
-	c.repairWG.Wait()
-	c.migWG.Wait()
-	return errors.Join(closeAll(c.shardList())...)
-}
-
-// barrierFile is the manifest's name in the cluster root.
-const barrierFile = "cluster-barrier"
-
-// writeBarrier commits the barrier LSN vector crash-atomically. The v3
-// header carries the topology epoch so a barrier taken before (or during)
-// a reshard is interpretable after it completes; the exclusion set
-// (Failed shards carried at their last known floor) rides in the same
-// header.
-func (c *Cluster) writeBarrier(vec []uint64, excluded uint64) error {
-	id := c.snapID.Add(1)
-	var b strings.Builder
-	fmt.Fprintf(&b, "euno-cluster-barrier v3 id=%d epoch=%d shards=%d excluded=%d\n", id, c.table.Epoch(), len(vec), excluded)
-	for i, lsn := range vec {
-		fmt.Fprintf(&b, "%d %d\n", i, lsn)
-	}
-	return c.commitFile(barrierFile, b.String())
-}
-
-// barrierInfo is a parsed barrier manifest: the durable-LSN floor vector
-// plus the header's topology context.
-type barrierInfo struct {
-	vec      []uint64
-	epoch    uint64 // topology epoch the barrier was taken under (0 for v1/v2)
-	excluded uint64
-}
-
-// readBarrier loads the barrier manifest; a missing manifest returns
-// (nil, nil) — no barrier has ever committed, so there is nothing to
-// verify against. v1 and v2 headers (pre-resharding formats) load as
-// epoch 0; verification decides what a shard-count difference means, not
-// the parser.
-func (c *Cluster) readBarrier() (*barrierInfo, error) {
-	names, err := c.fs.List(c.dir)
-	if err != nil {
-		return nil, err
-	}
-	found := false
-	for _, n := range names {
-		if n == barrierFile {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, nil
-	}
-	f, err := c.fs.Open(c.dir + "/" + barrierFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("eunomia: cluster barrier manifest empty")
-	}
-	var id uint64
-	info := &barrierInfo{}
-	var n int
-	if _, err := fmt.Sscanf(sc.Text(), "euno-cluster-barrier v3 id=%d epoch=%d shards=%d excluded=%d", &id, &info.epoch, &n, &info.excluded); err != nil {
-		if _, err := fmt.Sscanf(sc.Text(), "euno-cluster-barrier v2 id=%d shards=%d excluded=%d", &id, &n, &info.excluded); err != nil {
-			if _, err := fmt.Sscanf(sc.Text(), "euno-cluster-barrier v1 id=%d shards=%d", &id, &n); err != nil {
-				return nil, fmt.Errorf("eunomia: cluster barrier manifest header %q: %v", sc.Text(), err)
-			}
-		}
-	}
-	info.vec = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("eunomia: cluster barrier manifest truncated at shard %d", i)
-		}
-		var idx int
-		var lsn uint64
-		if _, err := fmt.Sscanf(sc.Text(), "%d %d", &idx, &lsn); err != nil || idx != i {
-			return nil, fmt.Errorf("eunomia: cluster barrier manifest line %q", sc.Text())
-		}
-		info.vec[i] = lsn
-	}
-	if id > c.snapID.Load() {
-		c.snapID.Store(id)
-	}
-	return info, sc.Err()
+	c.bg.Wait()
+	return closeAfter(nil, c.shardList())
 }
 
 // verifyBarrier cross-checks recovered shards against the last committed
@@ -259,24 +156,14 @@ func (c *Cluster) verifyBarrier() error {
 	}
 	cur := c.table.Epoch()
 	shards := c.shardList()
-	if info.epoch > cur {
+	if info.epoch > cur || (info.epoch == cur && len(info.vec) != len(shards) && !c.table.Migrating()) {
 		return &TopologyMismatchError{
 			StoredEpoch: info.epoch, CurrentEpoch: cur,
 			StoredShards: len(info.vec), CurrentShards: len(shards),
 		}
-	}
-	if info.epoch == cur && len(info.vec) != len(shards) && !c.table.Migrating() {
-		return &TopologyMismatchError{
-			StoredEpoch: info.epoch, CurrentEpoch: cur,
-			StoredShards: len(info.vec), CurrentShards: len(shards),
-		}
-	}
-	n := len(info.vec)
-	if len(shards) < n {
-		n = len(shards)
 	}
 	var errs []error
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(info.vec), len(shards)); i++ {
 		if got := shards[i].db.Load().recoveredSeq(); got < info.vec[i] {
 			errs = append(errs, fmt.Errorf(
 				"eunomia: cluster shard %d recovered to LSN %d but the snapshot barrier requires >= %d: acknowledged writes were lost",

@@ -1,10 +1,9 @@
 package eunomia
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,8 +144,14 @@ type migration struct {
 	// sources, so purges wait for those scans to drain.
 	cutGen uint64
 
-	done chan struct{}
-	err  error
+	// done closes when the engine goroutine ends, err holding why. stall
+	// carries the error of a step that has gone reshardStallFactor ×
+	// Repair.MaxBackoff without succeeding: Reshard stops waiting on it
+	// while the engine keeps retrying (capacity 1 — only the first report
+	// has a reader).
+	done  chan struct{}
+	err   error
+	stall chan error
 }
 
 func newMigration(from, to shard.Router, cut, purged int) *migration {
@@ -158,7 +163,14 @@ func newMigration(from, to shard.Router, cut, purged int) *migration {
 		cut:    cut,
 		purged: purged,
 		done:   make(chan struct{}),
+		stall:  make(chan error, 1),
 	}
+}
+
+// finish records the engine's outcome and releases whoever waits on done.
+func (m *migration) finish(err error) {
+	m.err = err
+	close(m.done)
 }
 
 // note records a write to the interval currently being copied; the
@@ -183,11 +195,20 @@ func (m *migration) swapDirty() map[uint64]struct{} {
 
 // Reshard changes the cluster to n shards online: sessions keep serving
 // throughout, with each key interval unavailable only for its own brief
-// fenced cutover. Blocks until the migration completes (or fails); at
-// most one topology change runs at a time (ErrReshardInProgress
-// otherwise — including a migration resumed from a crash that is still
-// catching up). Must not be called from inside a Range/Scan loop on the
-// same goroutine: the engine waits for live scans before retiring data.
+// fenced cutover. Blocks until the migration completes or fails; at most
+// one topology change runs at a time (ErrReshardInProgress otherwise —
+// including a migration resumed from a crash that is still catching up).
+// Must not be called from inside a Range/Scan loop on the same goroutine:
+// the engine waits for live scans before retiring data.
+//
+// Every step the engine retries — a copy, a purge, a journal write — it
+// retries with capped backoff for as long as the cluster is open, but
+// Reshard does not wait forever: once one step has gone reshardStallFactor
+// × Repair.MaxBackoff without succeeding it returns an error naming the
+// step and wrapping its cause (ErrShardUnavailable for a shard that stays
+// down, the disk's error for a manifest that cannot be written), and the
+// migration carries on in the background as one resumed by OpenCluster
+// does: Migrating stays true until it lands, and Close stops it.
 //
 // On a durable cluster the migration journals its progress in a manifest
 // next to the barrier, so a crash at any point — including mid-copy,
@@ -216,8 +237,8 @@ func (c *Cluster) Reshard(n int) error {
 	// immediately stall against the breaker, holding the topology in its
 	// least legible state. Let repair win first.
 	for i := 0; i < cur; i++ {
-		if c.healthOn && !c.shard(i).health.Allow() {
-			return fmt.Errorf("eunomia: reshard: %w", c.unavailable(i))
+		if err := c.shardReady(i); err != nil {
+			return fmt.Errorf("eunomia: reshard: %w", err)
 		}
 	}
 	from := v.Target()
@@ -231,28 +252,12 @@ func (c *Cluster) Reshard(n int) error {
 	// serves, and must not leave open DB handles behind for a retry's wipe
 	// to pull the rug from under.
 	var opened []*clusterShard
-	if n > cur {
-		for i := cur; i < n; i++ {
-			o := c.opts.Shard
-			if o.Durability.Dir != "" {
-				o.Durability.Dir = shardDirName(c.dir, i)
-				if err := c.wipeDir(o.Durability.Dir); err != nil {
-					err = fmt.Errorf("eunomia: reshard: wipe shard %d: %w", i, err)
-					return errors.Join(append([]error{err}, closeAll(opened)...)...)
-				}
-			}
-			if c.opts.PerShard != nil {
-				c.opts.PerShard(i, &o)
-			}
-			db, err := Open(o)
-			if err != nil {
-				err = fmt.Errorf("eunomia: reshard: open shard %d: %w", i, err)
-				return errors.Join(append([]error{err}, closeAll(opened)...)...)
-			}
-			sh := &clusterShard{idx: i, opts: o, health: shard.NewHealth(c.healthCfg)}
-			sh.db.Store(db)
-			opened = append(opened, sh)
+	for i := cur; i < n; i++ {
+		sh, err := c.openShard(i, true)
+		if err != nil {
+			return closeAfter(fmt.Errorf("eunomia: reshard: open shard %d: %w", i, err), opened)
 		}
+		opened = append(opened, sh)
 	}
 	m := newMigration(from, to, 0, 0)
 	if c.dir != "" {
@@ -260,42 +265,37 @@ func (c *Cluster) Reshard(n int) error {
 			// Nothing routed or published yet: abandon cleanly, closing the
 			// slots opened above (their wiped-then-empty directories are
 			// harmless debris a later split wipes again).
-			err = fmt.Errorf("eunomia: reshard: manifest: %w", err)
-			return errors.Join(append([]error{err}, closeAll(opened)...)...)
+			return closeAfter(fmt.Errorf("eunomia: reshard: manifest: %w", err), opened)
 		}
 	}
-	// Register the engine goroutine under the same closed re-check barrier
-	// startRepair uses: Close's migWG.Wait either observes this Add, or we
-	// observe closed here and stand down — an Add racing a Wait-at-zero is
-	// documented WaitGroup misuse. A manifest already committed above is
-	// fine on the stand-down path: the next OpenCluster resumes the
-	// migration, exactly as after a Close mid-flight.
-	c.repairMu.Lock()
-	if c.closed.Load() {
-		c.repairMu.Unlock()
-		return errors.Join(append([]error{ErrClosed}, closeAll(opened)...)...)
+	// The engine goroutine publishes the destination slots and installs the
+	// migration view itself: by then Close is bound to wait for it, so a
+	// racing Close closes the new slots with the rest. When spawn refuses
+	// (the cluster closed first) nothing was published, and the manifest
+	// committed above is resumed by the next OpenCluster, as after a Close
+	// mid-flight.
+	if !c.spawn(func() error {
+		if len(opened) > 0 {
+			grown := append(slices.Clip(c.shardList()), opened...)
+			c.shards.Store(&grown)
+		}
+		c.mig.Store(m)
+		m.cutGen = c.table.BeginReshard(to, 0).Gen
+		return c.runMigration(m, false)
+	}, m.finish) {
+		return closeAfter(ErrClosed, opened)
 	}
-	c.migWG.Add(1)
-	c.repairMu.Unlock()
-	if len(opened) > 0 {
-		list := c.shardList()
-		grown := make([]*clusterShard, 0, n)
-		grown = append(grown, list...)
-		grown = append(grown, opened...)
-		c.shards.Store(&grown)
+	select {
+	case <-m.done:
+		return m.err
+	case err := <-m.stall:
+		return err
 	}
-	c.mig.Store(m)
-	m.cutGen = c.table.BeginReshard(to, 0).Gen
-	go c.runMigration(m, false)
-	<-m.done
-	return m.err
 }
 
 // runMigration drives one migration to completion (or to cluster close,
 // leaving the manifest for the next incarnation to resume).
-func (c *Cluster) runMigration(m *migration, resumed bool) {
-	defer c.migWG.Done()
-	defer close(m.done)
+func (c *Cluster) runMigration(m *migration, resumed bool) error {
 	// Grace period: an operation that loaded a stable pre-migration view
 	// took the fenceless fast path, so one delayed between routing and its
 	// tree write could land on a source shard after its interval was
@@ -308,9 +308,8 @@ func (c *Cluster) runMigration(m *migration, resumed bool) {
 	// Purge backlog first: moves already cut over in a previous life may
 	// still hold stale source copies.
 	for mi := m.purged; mi < m.cut; mi++ {
-		if !c.purgeMove(m, mi) {
-			m.err = c.migAborted()
-			return
+		if err := c.purgeMove(m, mi); err != nil {
+			return err
 		}
 	}
 	for mi := m.cut; mi < len(m.moves); mi++ {
@@ -318,75 +317,52 @@ func (c *Cluster) runMigration(m *migration, resumed bool) {
 		// scrub: the dirty set died with the previous process, so a
 		// partially-caught-up destination may hold stale values (or
 		// resurrected deletes) the fresh copy would not overwrite.
-		if !c.copyMove(m, mi, resumed && mi == m.cut) {
-			m.err = c.migAborted()
-			return
+		if err := c.copyMove(m, mi, resumed && mi == m.cut); err != nil {
+			return err
 		}
-		if !c.purgeMove(m, mi) {
-			m.err = c.migAborted()
-			return
+		if err := c.purgeMove(m, mi); err != nil {
+			return err
 		}
 		c.movesDone.Add(1)
 	}
-	m.err = c.finalizeReshard(m)
-}
-
-// migAborted names why the engine stopped without finishing.
-func (c *Cluster) migAborted() error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	return fmt.Errorf("eunomia: reshard: %w", ErrShardUnavailable)
+	return c.finalizeReshard(m)
 }
 
 // copyMove runs move mi's copy + catch-up + fenced cutover, retrying
-// through transient shard failures (each attempt re-waits both breakers
-// and re-threads against the current DBs, since repair swaps them).
-// Returns false when the cluster is closing or a shard is permanently
-// gone.
-func (c *Cluster) copyMove(m *migration, mi int, scrub bool) bool {
-	for attempt := 0; ; attempt++ {
-		if !c.waitShard(m.moves[mi].Src) || !c.waitShard(m.moves[mi].Dst) {
-			return false
+// through transient failures (each attempt re-checks both breakers and
+// re-threads against the current DBs, since repair swaps them).
+func (c *Cluster) copyMove(m *migration, mi int, scrub bool) error {
+	mv := m.moves[mi]
+	return c.retry(m, fmt.Sprintf("copy of move %d", mi), time.Millisecond, func() error {
+		if err := errors.Join(c.shardReady(mv.Src), c.shardReady(mv.Dst)); err != nil {
+			return err
 		}
+		err := c.tryCopyMove(m, mi, scrub)
 		// Any retry re-scrubs: a delete tracked only in the dirty set may
 		// have been lost by the failed attempt, leaving a resurrected key
 		// on the destination that a plain re-copy would never remove.
-		if err := c.tryCopyMove(m, mi, scrub || attempt > 0); err == nil {
-			return true
-		}
-		if !c.sleepUnlessClosed(time.Millisecond) {
-			return false
-		}
-	}
+		scrub = true
+		return err
+	})
 }
 
 // tryCopyMove is one copy attempt for move mi. Shard failures are scored
 // against the owning breaker (tripping it engages repair) and returned.
 func (c *Cluster) tryCopyMove(m *migration, mi int, scrub bool) error {
 	mv := m.moves[mi]
-	src, dst := c.shard(mv.Src), c.shard(mv.Dst)
-	sdb, ddb := src.db.Load(), dst.db.Load()
-	sth, dth := sdb.NewThread(), ddb.NewThread()
+	dst := c.shard(mv.Dst)
+	sth, dth := c.shard(mv.Src).db.Load().NewThread(), dst.db.Load().NewThread()
+	defer sth.Close()
+	defer dth.Close()
 	v := c.table.View()
-	inMove := func(k uint64) bool {
-		ami, ok := v.MoveOf(k)
-		return ok && ami == mi
-	}
 	if scrub {
-		if err := c.scanInterval(dth, mv.Lo, mv.Hi, func(k, _ uint64) error {
-			if !inMove(k) {
-				return nil
-			}
-			_, err := dth.Delete(k)
-			return err
-		}); err != nil {
-			return c.scoreMaintErr(dst, err)
+		if err := c.deleteMove(dth, v, mi); err != nil {
+			return c.shardFailed(dst, err)
 		}
 	}
 	// Bulk copy. Writers race this scan freely; everything they touch is
 	// in the dirty set and re-applied by the drains below.
-	if err := c.copyInterval(sth, dth, mv, inMove); err != nil {
+	if err := c.copyInterval(sth, dth, v, mi); err != nil {
 		return err
 	}
 	if !c.opts.Reshard.CutBeforeCatchup {
@@ -402,12 +378,18 @@ func (c *Cluster) tryCopyMove(m *migration, mi int, scrub bool) error {
 			}
 		}
 	}
+	return c.cutOver(m, mi, sth, dth)
+}
+
+// cutOver is move mi's fenced end: the exact final drain, the journal
+// entry, the routing flip. The fence is released however it ends, a panic
+// in the manifest's filesystem included — writers are parked on it.
+func (c *Cluster) cutOver(m *migration, mi int, sth, dth *Thread) error {
 	m.fence.Lock()
+	defer m.fence.Unlock()
 	if !c.opts.Reshard.CutBeforeCatchup {
-		// Exact final drain: the fence excludes writers, so one pass
-		// empties the set.
-		if _, err := c.drainDirty(m, sth, dth, mv); err != nil {
-			m.fence.Unlock()
+		// The fence excludes writers, so one pass empties the set.
+		if _, err := c.drainDirty(m, sth, dth, m.moves[mi]); err != nil {
 			return err
 		}
 	}
@@ -420,7 +402,6 @@ func (c *Cluster) tryCopyMove(m *migration, mi int, scrub bool) error {
 		// attempt: writers are blocked on the fence, so a dead manifest
 		// disk must fail the attempt, not hold the cluster.
 		if err := c.writeReshardManifest(m, mi+1, m.purged); err != nil {
-			m.fence.Unlock()
 			return err
 		}
 	}
@@ -428,17 +409,17 @@ func (c *Cluster) tryCopyMove(m *migration, mi int, scrub bool) error {
 	nv := c.table.CutOver(mi)
 	m.cut = mi + 1
 	m.cutGen = nv.Gen
-	m.fence.Unlock()
 	return nil
 }
 
-// copyInterval pages move mv's keys from source to destination, scoring
-// a failed read against the source and a failed write against the
-// destination.
-func (c *Cluster) copyInterval(sth, dth *Thread, mv shard.Move, inMove func(uint64) bool) error {
+// copyInterval pages move mi's keys (under view v) from source to
+// destination, scoring a failed read against the source and a failed
+// write against the destination.
+func (c *Cluster) copyInterval(sth, dth *Thread, v *shard.View, mi int) error {
+	mv := v.Moves()[mi]
 	var putErr error
 	err := c.scanInterval(sth, mv.Lo, mv.Hi, func(k, val uint64) error {
-		if inMove(k) {
+		if ami, ok := v.MoveOf(k); ok && ami == mi {
 			putErr = dth.Put(k, val)
 		}
 		return putErr
@@ -447,9 +428,23 @@ func (c *Cluster) copyInterval(sth, dth *Thread, mv shard.Move, inMove func(uint
 	case err == nil || c.closed.Load():
 		return err
 	case putErr != nil:
-		return c.scoreMaintErr(c.shard(mv.Dst), putErr)
+		return c.shardFailed(c.shard(mv.Dst), putErr)
 	}
-	return c.scoreMaintErr(c.shard(mv.Src), err)
+	return c.shardFailed(c.shard(mv.Src), err)
+}
+
+// deleteMove deletes every key of move mi (under view v) from th's shard:
+// the purge of a cut-over move's source, the scrub of a restarted move's
+// destination. Idempotent — a crashed or failed pass just re-runs.
+func (c *Cluster) deleteMove(th *Thread, v *shard.View, mi int) error {
+	mv := v.Moves()[mi]
+	return c.scanInterval(th, mv.Lo, mv.Hi, func(k, _ uint64) error {
+		if ami, ok := v.MoveOf(k); !ok || ami != mi {
+			return nil
+		}
+		_, err := th.Delete(k)
+		return err
+	})
 }
 
 // scanInterval visits every key in [lo, hi] on th in full-size pages,
@@ -485,11 +480,10 @@ func (c *Cluster) scanInterval(th *Thread, lo, hi uint64, fn func(k, v uint64) e
 // re-scrubs, which re-establishes them from the source wholesale.
 func (c *Cluster) drainDirty(m *migration, sth, dth *Thread, mv shard.Move) (int, error) {
 	d := m.swapDirty()
-	src, dst := c.shard(mv.Src), c.shard(mv.Dst)
 	for k := range d {
 		val, ok, err := sth.Get(k)
 		if err != nil {
-			return 0, c.scoreMaintErr(src, err)
+			return 0, c.shardFailed(c.shard(mv.Src), err)
 		}
 		if ok {
 			err = dth.Put(k, val)
@@ -497,61 +491,40 @@ func (c *Cluster) drainDirty(m *migration, sth, dth *Thread, mv shard.Move) (int
 			_, err = dth.Delete(k)
 		}
 		if err != nil {
-			return 0, c.scoreMaintErr(dst, err)
+			return 0, c.shardFailed(c.shard(mv.Dst), err)
 		}
 	}
 	return len(d), nil
 }
 
 // purgeMove deletes move mi's stale source copies once no live scan can
-// still be routing the interval's reads to the source. Retries through
-// transient failures; false means closing or permanently failed.
-func (c *Cluster) purgeMove(m *migration, mi int) bool {
-	if !c.waitScansBefore(m.cutGen) {
-		return false
+// still be routing the interval's reads to the source, then journals the
+// purge watermark.
+func (c *Cluster) purgeMove(m *migration, mi int) error {
+	what := fmt.Sprintf("purge of move %d", mi)
+	if err := c.waitScansBefore(m, m.cutGen); err != nil {
+		return err
 	}
-	for {
-		if !c.waitShard(m.moves[mi].Src) {
-			return false
+	err := c.retry(m, what, time.Millisecond, func() error {
+		if err := c.shardReady(m.moves[mi].Src); err != nil {
+			return err
 		}
-		if err := c.tryPurgeMove(m, mi); err == nil {
-			break
+		src := c.shard(m.moves[mi].Src)
+		sth := src.db.Load().NewThread()
+		defer sth.Close()
+		err := c.deleteMove(sth, c.table.View(), mi)
+		if err != nil && !errors.Is(err, ErrClosed) {
+			return c.shardFailed(src, err)
 		}
-		if !c.sleepUnlessClosed(time.Millisecond) {
-			return false
-		}
-	}
-	if c.dir == "" {
-		m.purged = mi + 1
-		return true
-	}
-	for {
-		if err := c.writeReshardManifest(m, m.cut, mi+1); err == nil {
-			m.purged = mi + 1
-			return true
-		}
-		if !c.sleepUnlessClosed(time.Millisecond) {
-			return false
-		}
-	}
-}
-
-// tryPurgeMove is one purge attempt: delete every move-mi key from the
-// source. Idempotent — a crashed or failed purge just re-runs.
-func (c *Cluster) tryPurgeMove(m *migration, mi int) error {
-	mv := m.moves[mi]
-	src := c.shard(mv.Src)
-	sth := src.db.Load().NewThread()
-	v := c.table.View()
-	err := c.scanInterval(sth, mv.Lo, mv.Hi, func(k, _ uint64) error {
-		if ami, ok := v.MoveOf(k); !ok || ami != mi {
-			return nil
-		}
-		_, derr := sth.Delete(k)
-		return derr
+		return err
 	})
-	if err != nil && !errors.Is(err, ErrClosed) {
-		return c.scoreMaintErr(src, err)
+	if err == nil && c.dir != "" {
+		err = c.retry(m, "journal of the "+what, time.Millisecond, func() error {
+			return c.writeReshardManifest(m, m.cut, mi+1)
+		})
+	}
+	if err == nil {
+		m.purged = mi + 1
 	}
 	return err
 }
@@ -563,29 +536,25 @@ func (c *Cluster) tryPurgeMove(m *migration, mi int) error {
 // the manifest".
 func (c *Cluster) finalizeReshard(m *migration) error {
 	if c.dir != "" {
-		for {
-			if err := c.writeTopology(c.table.Epoch()+1, m.to.Shards(), m.to.Partition()); err == nil {
-				break
-			}
-			if !c.sleepUnlessClosed(time.Millisecond) {
-				return ErrClosed
-			}
+		if err := c.retry(m, "topology commit", time.Millisecond, func() error {
+			return c.writeTopology(c.table.Epoch()+1, m.to.Shards(), m.to.Partition())
+		}); err != nil {
+			return err
 		}
 	}
 	fin := c.table.Finish()
 	// Scans frozen on a migration-era view may still read retiring slots
 	// (and rely on stale copies the view routes them to): let them drain
 	// before anything is closed or wiped.
-	if !c.waitScansBefore(fin.Gen) {
+	if err := c.waitScansBefore(m, fin.Gen); err != nil {
 		// Closing: the topology is committed; only cleanup is skipped,
 		// and the retired slots' debris is wiped by a future split.
 		c.mig.Store(nil)
-		return ErrClosed
+		return err
 	}
 	list := c.shardList()
 	if fin.Shards() < len(list) {
-		kept := make([]*clusterShard, fin.Shards())
-		copy(kept, list[:fin.Shards()])
+		kept := slices.Clone(list[:fin.Shards()])
 		c.shards.Store(&kept)
 		for _, sh := range list[fin.Shards():] {
 			if db := sh.db.Load(); db != nil {
@@ -604,25 +573,19 @@ func (c *Cluster) finalizeReshard(m *migration) error {
 	return nil
 }
 
-// waitShard blocks until shard i's breaker admits traffic. False means
-// the cluster is closing or the shard is permanently gone (its disk
-// rolled back past the durable watermark — no migration can complete).
-func (c *Cluster) waitShard(i int) bool {
-	for {
-		if c.closed.Load() {
-			return false
-		}
-		sh := c.shard(i)
-		if !c.healthOn || sh.health.Allow() {
-			return true
-		}
-		if sh.health.Permanent() {
-			return false
-		}
-		if !c.sleepUnlessClosed(2 * time.Millisecond) {
-			return false
-		}
+// shardReady reports whether shard i's breaker admits the engine: nil,
+// or the fail-fast error — wrapping errShardGone when the shard is
+// permanently failed (its disk rolled back past the durable watermark),
+// which no amount of retrying outlasts.
+func (c *Cluster) shardReady(i int) error {
+	sh := c.shard(i)
+	switch {
+	case !c.healthOn || sh.health.Allow():
+		return nil
+	case sh.health.Permanent():
+		return fmt.Errorf("%w: %w", errShardGone, c.unavailable(i))
 	}
+	return c.unavailable(i)
 }
 
 // quiesceSessions waits, one session at a time, for every operation in
@@ -683,34 +646,27 @@ func (c *Cluster) scanExit(gen uint64) {
 	c.scanMu.Unlock()
 }
 
-// scansBefore reports whether any live scan froze a view older than gen.
-func (c *Cluster) scansBefore(gen uint64) bool {
-	c.scanMu.Lock()
-	defer c.scanMu.Unlock()
-	for g, n := range c.scans {
-		if g < gen && n > 0 {
-			return true
+// waitScansBefore blocks until no live scan froze a view older than gen
+// (ErrClosed on close).
+func (c *Cluster) waitScansBefore(m *migration, gen uint64) error {
+	return c.retry(m, "wait for scans on a pre-cutover view", time.Millisecond, func() error {
+		c.scanMu.Lock()
+		defer c.scanMu.Unlock()
+		for g, n := range c.scans {
+			if g < gen && n > 0 {
+				return errScansLive
+			}
 		}
-	}
-	return false
+		return nil
+	})
 }
 
-// waitScansBefore blocks until no scan older than gen survives (false on
-// close).
-func (c *Cluster) waitScansBefore(gen uint64) bool {
-	for c.scansBefore(gen) {
-		if !c.sleepUnlessClosed(time.Millisecond) {
-			return false
-		}
-	}
-	return !c.closed.Load()
-}
+var errScansLive = errors.New("eunomia: merged scans frozen on an older routing view are still running")
 
 // autoSplitLoop is the hot-shard watcher: every Interval it compares each
 // shard's served-op delta against the others' mean and splits when one
 // runs disproportionately hot.
 func (c *Cluster) autoSplitLoop() {
-	defer c.migWG.Done()
 	o := c.opts.AutoSplit.withDefaults()
 	for {
 		if !c.sleepUnlessClosed(o.Interval) {
@@ -751,165 +707,7 @@ func (c *Cluster) autoSplitLoop() {
 	}
 }
 
-// --- topology resolution & manifest IO ---------------------------------
-
-// reshardFile journals the in-flight migration; topologyFile records the
-// committed topology. Both live in the cluster root next to the barrier.
-const (
-	reshardFile  = "cluster-reshard"
-	topologyFile = "cluster-topology"
-)
-
-// commitFile writes name's content crash-atomically in the cluster root:
-// tmp + fsync + rename + dir-fsync, the discipline every manifest here
-// shares.
-func (c *Cluster) commitFile(name, content string) error {
-	tmp := c.dir + "/" + name + ".tmp"
-	f, err := c.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write([]byte(content))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = c.fs.Rename(tmp, c.dir+"/"+name)
-	}
-	if err != nil {
-		c.fs.Remove(tmp)
-		return err
-	}
-	return c.fs.SyncDir(c.dir)
-}
-
-// reshardManifest is the parsed migration journal.
-type reshardManifest struct {
-	epoch    uint64
-	from, to int
-	part     shard.Partition
-	cut      int
-	purged   int
-}
-
-// writeReshardManifest journals the migration at the given watermarks.
-// The per-move lines are derivable from the header (the watermarks fix
-// every state) but make a half-dead cluster legible from the shell.
-func (c *Cluster) writeReshardManifest(m *migration, cut, purged int) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "euno-cluster-reshard v1 epoch=%d from=%d to=%d part=%d cut=%d purged=%d moves=%d\n",
-		c.table.Epoch(), m.from.Shards(), m.to.Shards(), int(m.from.Partition()), cut, purged, len(m.moves))
-	for i, mv := range m.moves {
-		fmt.Fprintf(&b, "move %d src=%d dst=%d lo=%d hi=%d state=%s\n",
-			i, mv.Src, mv.Dst, mv.Lo, mv.Hi, shard.StateAt(i, cut, purged))
-	}
-	return c.commitFile(reshardFile, b.String())
-}
-
-// readReshardManifest loads the migration journal; (nil, nil) when none
-// exists.
-func (c *Cluster) readReshardManifest() (*reshardManifest, error) {
-	if !c.rootHas(reshardFile) {
-		return nil, nil
-	}
-	f, err := c.fs.Open(c.dir + "/" + reshardFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("eunomia: reshard manifest empty")
-	}
-	man := &reshardManifest{}
-	var part, moves int
-	if _, err := fmt.Sscanf(sc.Text(), "euno-cluster-reshard v1 epoch=%d from=%d to=%d part=%d cut=%d purged=%d moves=%d",
-		&man.epoch, &man.from, &man.to, &part, &man.cut, &man.purged, &moves); err != nil {
-		return nil, fmt.Errorf("eunomia: reshard manifest header %q: %v", sc.Text(), err)
-	}
-	if part != int(shard.Hash) && part != int(shard.Range) {
-		return nil, fmt.Errorf("eunomia: reshard manifest partition %d", part)
-	}
-	man.part = shard.Partition(part)
-	if man.from < 1 || man.from > 64 || man.to < 1 || man.to > 64 ||
-		man.cut < 0 || man.cut > moves || man.purged < 0 || man.purged > man.cut {
-		return nil, fmt.Errorf("eunomia: reshard manifest inconsistent: %+v moves=%d", *man, moves)
-	}
-	for i := 0; i < moves; i++ {
-		if !sc.Scan() {
-			return nil, fmt.Errorf("eunomia: reshard manifest truncated at move %d", i)
-		}
-		var mi, src, dst int
-		var lo, hi uint64
-		var state string
-		if _, err := fmt.Sscanf(sc.Text(), "move %d src=%d dst=%d lo=%d hi=%d state=%s",
-			&mi, &src, &dst, &lo, &hi, &state); err != nil || mi != i {
-			return nil, fmt.Errorf("eunomia: reshard manifest line %q", sc.Text())
-		}
-		if _, err := shard.ParseMoveState(state); err != nil {
-			return nil, fmt.Errorf("eunomia: reshard manifest: %v", err)
-		}
-	}
-	return man, sc.Err()
-}
-
-// writeTopology commits the stable topology record.
-func (c *Cluster) writeTopology(epoch uint64, shards int, part shard.Partition) error {
-	return c.commitFile(topologyFile,
-		fmt.Sprintf("euno-cluster-topology v1 epoch=%d shards=%d part=%d\n", epoch, shards, int(part)))
-}
-
-// topologyRecord is the parsed topology file.
-type topologyRecord struct {
-	epoch  uint64
-	shards int
-	part   shard.Partition
-}
-
-// readTopology loads the topology record; (nil, nil) when none exists
-// (a cluster that never resharded).
-func (c *Cluster) readTopology() (*topologyRecord, error) {
-	if !c.rootHas(topologyFile) {
-		return nil, nil
-	}
-	f, err := c.fs.Open(c.dir + "/" + topologyFile)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("eunomia: topology record empty")
-	}
-	rec := &topologyRecord{}
-	var part int
-	if _, err := fmt.Sscanf(sc.Text(), "euno-cluster-topology v1 epoch=%d shards=%d part=%d",
-		&rec.epoch, &rec.shards, &part); err != nil {
-		return nil, fmt.Errorf("eunomia: topology record header %q: %v", sc.Text(), err)
-	}
-	if rec.shards < 1 || rec.shards > 64 || (part != int(shard.Hash) && part != int(shard.Range)) {
-		return nil, fmt.Errorf("eunomia: topology record inconsistent: %q", sc.Text())
-	}
-	rec.part = shard.Partition(part)
-	return rec, nil
-}
-
-// rootHas reports whether name exists in the cluster root.
-func (c *Cluster) rootHas(name string) bool {
-	names, err := c.fs.List(c.dir)
-	if err != nil {
-		return false
-	}
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
+// --- topology resolution ---------------------------------------------
 
 // wipeDir empties dir (creating it if missing) and fsyncs the entry
 // removals — used before opening a fresh destination slot and after
@@ -930,43 +728,26 @@ func (c *Cluster) wipeDir(dir string) error {
 	return c.fs.SyncDir(dir)
 }
 
-// topology is resolveTopology's answer: how many shard slots to open,
-// the stable (pre-migration) topology for the routing table, and the
-// migration to resume, if any.
-type topology struct {
-	slots  int
-	stable int
-	part   shard.Partition
-	epoch  uint64
-	man    *reshardManifest
-	// recorded reports whether the store itself already records this
-	// topology (record or manifest). When false on a durable cluster,
-	// OpenCluster writes the record eagerly, so the count is never again
-	// guessed from Options after a crash.
-	recorded bool
-}
-
-// resolveTopology decides the cluster's shape from, in precedence order:
-// the migration manifest (a reshard was in flight), the topology record
-// (a reshard completed), the barrier manifest's header (pre-resharding
-// stores), and finally the caller's Options. Options.Shards == 0 adopts
-// whatever the store says; a non-zero count that contradicts the store is
-// a typed ErrTopologyMismatch, never a silent reinterpretation.
-func (c *Cluster) resolveTopology() (topology, error) {
-	part := c.opts.Partition.internal()
+// resolveTopology decides the cluster's shape: the stable (pre-migration)
+// topology for the routing table, the migration to resume (nil when none
+// was in flight), and whether the store itself recorded them — when it did
+// not, OpenCluster writes the record, so the count is never again guessed
+// from Options after a crash. Precedence: the migration manifest (a
+// reshard was in flight), the topology record (written by the first
+// durable open and by every completed reshard), the caller's Options.
+// Options.Shards == 0 adopts whatever the store says; a non-zero count
+// that contradicts the store is a typed ErrTopologyMismatch, never a
+// silent reinterpretation, and likewise an explicit partition scheme.
+func (c *Cluster) resolveTopology() (top topologyRecord, man *reshardManifest, recorded bool, err error) {
 	want := c.opts.Shards
-	top := topology{part: part}
-	var storedN int
-	var storedEpoch uint64
-	haveStored := false
+	top = topologyRecord{shards: want, part: c.opts.Partition.internal()}
+	var rec *topologyRecord
 	if c.dir != "" {
-		rec, err := c.readTopology()
-		if err != nil {
-			return top, err
+		if rec, err = c.readTopology(); err != nil {
+			return top, nil, false, err
 		}
-		man, err := c.readReshardManifest()
-		if err != nil {
-			return top, err
+		if man, err = c.readReshardManifest(); err != nil {
+			return top, nil, false, err
 		}
 		if man != nil && rec != nil && rec.epoch > man.epoch {
 			// The migration committed (topology record written) but the
@@ -976,68 +757,31 @@ func (c *Cluster) resolveTopology() (topology, error) {
 			c.fs.SyncDir(c.dir)
 			man = nil
 		}
-		if rec != nil {
-			top.recorded = true
-			storedN, storedEpoch, haveStored = rec.shards, rec.epoch, true
-			if rec.part != part {
-				if c.opts.Partition != HashPartition {
-					return top, fmt.Errorf("eunomia: store is %v-partitioned, options say %v: %w",
-						rec.part, c.opts.Partition, ErrTopologyMismatch)
-				}
-				part = rec.part
-				top.part = part
-			}
-		} else if man == nil {
-			bar, err := c.readBarrier()
-			if err != nil {
-				return top, err
-			}
-			if bar != nil {
-				storedN, storedEpoch, haveStored = len(bar.vec), bar.epoch, true
-			}
-		}
-		if man != nil {
-			if man.part != part {
-				if c.opts.Partition != HashPartition {
-					return top, fmt.Errorf("eunomia: store is %v-partitioned, options say %v: %w",
-						man.part, c.opts.Partition, ErrTopologyMismatch)
-				}
-				part = man.part
-				top.part = part
-			}
-			// Mid-migration the caller may know either era's count; both
-			// adopt the resume. Anything else is a real contradiction.
-			if want != 0 && want != man.from && want != man.to {
-				return top, &TopologyMismatchError{
-					StoredEpoch: man.epoch, CurrentEpoch: man.epoch,
-					StoredShards: man.to, CurrentShards: want,
-				}
-			}
-			top.stable = man.from
-			top.epoch = man.epoch
-			top.man = man
-			top.recorded = true
-			top.slots = man.from
-			if man.to > top.slots {
-				top.slots = man.to
-			}
-			return top, nil
-		}
 	}
-	if haveStored {
-		if want != 0 && want != storedN {
-			return top, &TopologyMismatchError{
-				StoredEpoch: storedEpoch, CurrentEpoch: storedEpoch,
-				StoredShards: storedN, CurrentShards: want,
-			}
-		}
-		top.stable, top.epoch = storedN, storedEpoch
-	} else {
+	// stored is the store's stable topology; also is the other count a
+	// caller may legitimately know — mid-migration, the destination's.
+	var stored topologyRecord
+	var also int
+	switch {
+	case man != nil:
+		stored, also = topologyRecord{man.epoch, man.from, man.part}, man.to
+	case rec != nil:
+		stored, also = *rec, rec.shards
+	default:
 		if want == 0 {
-			want = 4
+			top.shards = 4
 		}
-		top.stable = want
+		return top, nil, false, nil
 	}
-	top.slots = top.stable
-	return top, nil
+	if stored.part != top.part && c.opts.Partition != HashPartition {
+		return top, nil, false, fmt.Errorf("eunomia: store is %v-partitioned, options say %v: %w",
+			stored.part, c.opts.Partition, ErrTopologyMismatch)
+	}
+	if want != 0 && want != stored.shards && want != also {
+		return top, nil, false, &TopologyMismatchError{
+			StoredEpoch: stored.epoch, CurrentEpoch: stored.epoch,
+			StoredShards: also, CurrentShards: want,
+		}
+	}
+	return stored, man, true, nil
 }

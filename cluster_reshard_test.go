@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,62 +231,6 @@ func TestReshardTopologyMismatchTyped(t *testing.T) {
 			t.Fatalf("Shards:%d reopen got %d shards", n, c2.Shards())
 		}
 		c2.Close()
-	}
-}
-
-// TestBarrierV1V2BackCompat: barrier manifests from before resharding
-// load as epoch 0 and still gate recovery, instead of being rejected.
-func TestBarrierV1V2BackCompat(t *testing.T) {
-	for _, hdr := range []string{
-		"euno-cluster-barrier v1 id=1 shards=2\n",
-		"euno-cluster-barrier v2 id=1 shards=2 excluded=0\n",
-	} {
-		fs := durable.NewMemFS(durable.FaultPlan{})
-		c, err := OpenCluster(durableReshardOpts(fs, 2, HashPartition))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := c.NewSession()
-		for k := uint64(1); k <= 20; k++ {
-			if err := sess.Put(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Plant an old-format barrier with zero floors: loads as epoch 0,
-		// verification passes (every shard recovered past 0).
-		f, err := fs.Create("clusterdb/cluster-barrier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte(hdr + "0 0\n1 0\n")); err != nil {
-			t.Fatal(err)
-		}
-		f.Sync()
-		f.Close()
-		c2, err := OpenCluster(durableReshardOpts(fs, 2, HashPartition))
-		if err != nil {
-			t.Fatalf("%q: reopen: %v", hdr, err)
-		}
-		if c2.Epoch() != 0 {
-			t.Fatalf("%q: epoch = %d, want 0", hdr, c2.Epoch())
-		}
-		// Unsatisfiable floor in the old format still fails loudly.
-		c2.Close()
-		f, err = fs.Create("clusterdb/cluster-barrier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte(hdr + "0 999999\n1 999999\n")); err != nil {
-			t.Fatal(err)
-		}
-		f.Sync()
-		f.Close()
-		if _, err := OpenCluster(durableReshardOpts(fs, 2, HashPartition)); err == nil {
-			t.Fatalf("%q: rolled-back store opened against old-format barrier", hdr)
-		}
 	}
 }
 
@@ -867,6 +812,128 @@ func TestReshardCrashResume(t *testing.T) {
 					_ = sh
 				}
 				c2.Close()
+			}
+		})
+	}
+}
+
+// createHookFS wraps a durable.FS and calls hook just before the nth (and
+// every later) Create of a path containing name — the way to hit exactly
+// the engine's first cutover journal, which is the second
+// cluster-reshard.tmp a Reshard creates (the first is Reshard's own).
+type createHookFS struct {
+	durable.FS
+	name string
+	nth  int32
+	seen atomic.Int32
+	hook func()
+}
+
+func (f *createHookFS) Create(name string) (durable.File, error) {
+	if strings.Contains(name, f.name) && f.seen.Add(1) >= f.nth {
+		f.hook()
+	}
+	return f.FS.Create(name)
+}
+
+// splitOverHookedRoot opens a durable 2-shard cluster whose shards live on
+// healthy disks of their own and whose root (manifest) disk runs hook from
+// the engine's first cutover journal on, preloads it, and runs Reshard(4)
+// under a watchdog.
+func splitOverHookedRoot(t *testing.T, backend Backend, root *durable.MemFS, hook func()) (*Cluster, ClusterOptions, error) {
+	t.Helper()
+	disks := make([]*durable.MemFS, 4)
+	for i := range disks {
+		disks[i] = durable.NewMemFS(durable.FaultPlan{})
+	}
+	o := durableReshardOpts(root, 2, RangePartition)
+	o.Shard.Backend = backend
+	o.PerShard = func(i int, so *Options) { so.Durability.FS = disks[i] }
+	o.Repair = RepairOptions{Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+	hooked := o
+	hooked.Shard.Durability.FS = &createHookFS{FS: root, name: "cluster-reshard.tmp", nth: 2, hook: hook}
+	c, err := OpenCluster(hooked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := c.NewSession()
+	defer sess.Close()
+	for k := uint64(0); k < 128; k++ {
+		if err := sess.Put(k<<57, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Reshard(4) }()
+	select {
+	case err = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Reshard still blocked 20s after its manifest disk stopped working (stall bound: 40ms)")
+	}
+	return c, o, err
+}
+
+// TestReshardManifestDiskDies: the root disk dies at the engine's first
+// cutover journal while every shard stays healthy. Reshard must come back
+// with the stall error instead of retrying forever (and, on the emulated
+// backend, instead of running the DB out of proc ids and panicking); the
+// cluster keeps serving and closes; a reopen on the rebooted disk resumes
+// the migration and finishes it.
+func TestReshardManifestDiskDies(t *testing.T) {
+	for _, backend := range []Backend{Emulated, Host} {
+		t.Run(backend.String(), func(t *testing.T) {
+			root := durable.NewMemFS(durable.FaultPlan{})
+			c, o, err := splitOverHookedRoot(t, backend, root, root.Kill)
+			if !errors.Is(err, ErrShardUnavailable) && !errors.Is(err, durable.ErrCrashed) {
+				t.Fatalf("Reshard over a dead manifest disk = %v", err)
+			}
+			if !c.Migrating() {
+				t.Fatal("the stalled migration was abandoned, not left retrying")
+			}
+			if err := c.Reshard(3); !errors.Is(err, ErrReshardInProgress) {
+				t.Fatalf("second Reshard during the stalled one = %v", err)
+			}
+			sess := c.NewSession()
+			v := c.table.View()
+			for k := uint64(0); k < 128; k++ {
+				key := k << 57
+				if got, ok, err := sess.Get(key); err != nil || !ok || got != k {
+					t.Fatalf("Get(%d) mid-stall = %d, %v, %v", key, got, ok, err)
+				}
+				if _, moving := v.MoveOf(key); !moving {
+					if err := sess.Put(key, k); err != nil {
+						t.Fatalf("Put(%d) on a stable key mid-stall: %v", key, err)
+					}
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- c.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close blocked behind the stalled migration")
+			}
+
+			root.Reboot()
+			o.Shards = 0
+			c2, err := OpenCluster(o)
+			if err != nil {
+				t.Fatalf("reopen on the rebooted disk: %v", err)
+			}
+			defer c2.Close()
+			for wait := time.Now().Add(20 * time.Second); c2.Migrating(); time.Sleep(time.Millisecond) {
+				if time.Now().After(wait) {
+					t.Fatal("resumed migration never finished")
+				}
+			}
+			if c2.Shards() != 4 || c2.Epoch() != 1 {
+				t.Fatalf("after resume: shards=%d epoch=%d", c2.Shards(), c2.Epoch())
+			}
+			s2 := c2.NewSession()
+			for k := uint64(0); k < 128; k++ {
+				if got, ok, err := s2.Get(k << 57); err != nil || !ok || got != k {
+					t.Fatalf("Get(%d) after resume = %d, %v, %v", k<<57, got, ok, err)
+				}
 			}
 		})
 	}

@@ -203,15 +203,7 @@ func (s *Session) scanFailed(i int, err error) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if !c.healthOn {
-		return err
-	}
-	sh := c.shard(i)
-	cause := c.causeOf(err)
-	if sh.health.RecordFailure(cause, false) {
-		c.tripped(sh)
-	}
-	return &ShardError{Shard: i, State: ShardState(sh.health.State()), Cause: cause}
+	return c.shardFailed(c.shard(i), err)
 }
 
 // mergedRange is Range and RangePartial's iterator over merge.

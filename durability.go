@@ -166,7 +166,9 @@ func (db *DB) Snapshot() error {
 	if db.dur == nil {
 		return nil
 	}
-	return durErr(db.dur.Snapshot(db.scanAll(db.NewThread().th), false))
+	t := db.NewThread()
+	defer t.Close()
+	return durErr(db.dur.Snapshot(db.scanAll(t.th), false))
 }
 
 // Close flushes the WAL and releases the DB. It is idempotent; operations

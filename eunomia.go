@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"sync"
 	"sync/atomic"
 
 	"eunomia/internal/core"
@@ -144,14 +145,10 @@ type Tuning struct {
 // single flush. The zero value disables the layer entirely, leaving the
 // tree bit-identical to the paper-faithful default.
 type Combine struct {
-	// Enabled turns the layer on.
+	// Enabled turns the layer on: 4 publication arrays of 8 slots each
+	// (bursts on one leaf always meet in one array; a saturated one falls
+	// back to the normal path).
 	Enabled bool
-	// Stripes is the number of publication arrays (default 4). Bursts on
-	// one leaf always meet in one stripe.
-	Stripes int
-	// Slots is the number of publication slots per stripe (default 8,
-	// max 64). A saturated stripe falls back to the normal path.
-	Slots int
 }
 
 // Options configures Open.
@@ -161,8 +158,6 @@ type Options struct {
 	// ArenaWords is the memory capacity in 8-byte words (default 1<<24,
 	// i.e. 128 MiB).
 	ArenaWords uint64
-	// Fanout is the node fanout for the non-Euno trees (default 16).
-	Fanout int
 	// Euno tunes the Euno-B+Tree (ignored for other kinds).
 	Euno Tuning
 	// Combine enables the CCM v2 hot-key layer on the Euno-B+Tree
@@ -213,17 +208,21 @@ type DB struct {
 	observer obs.Observer   // combined observer chain (nil when disabled)
 	heat     *obs.Heatmap   // non-nil when Observability.Heatmap
 	closed   atomic.Bool
-	nextID   atomic.Int64
-	threads  atomic.Int64
+
+	// Proc ids for NewThread: nextID is the next never-used id, freeIDs
+	// the ids closed Threads handed back (taken first).
+	idMu    sync.Mutex
+	nextID  int
+	freeIDs []int
 }
+
+// treeFanout is the node fanout of the three non-Euno trees.
+const treeFanout = 16
 
 // Open creates a DB.
 func Open(opts Options) (*DB, error) {
 	if opts.ArenaWords == 0 {
 		opts.ArenaWords = 1 << 24
-	}
-	if opts.Fanout == 0 {
-		opts.Fanout = 16
 	}
 	arena := simmem.NewArena(opts.ArenaWords)
 	hcfg := htm.DefaultConfig
@@ -240,11 +239,7 @@ func Open(opts Options) (*DB, error) {
 	var heat *obs.Heatmap
 	oo := opts.Observability
 	if oo.Heatmap {
-		heat = obs.NewHeatmap(obs.HeatmapConfig{
-			SampleEvery: oo.HeatmapSampleEvery,
-			RingSize:    oo.HeatmapRingSize,
-			TableSize:   oo.HeatmapTableSize,
-		})
+		heat = obs.NewHeatmap(obs.HeatmapConfig{})
 	}
 	var chain []obs.Observer
 	if oo.Observer != nil {
@@ -281,11 +276,7 @@ func Open(opts Options) (*DB, error) {
 		cfg.CCMLockBits = !t.DisableCCMLockBits
 		cfg.CCMMarkBits = !t.DisableCCMMarkBits
 		cfg.Adaptive = !t.DisableAdaptive
-		cfg.Combine = core.CombineConfig{
-			Enabled: opts.Combine.Enabled,
-			Stripes: opts.Combine.Stripes,
-			Slots:   opts.Combine.Slots,
-		}
+		cfg.Combine.Enabled = opts.Combine.Enabled
 		if opts.Resilience {
 			cfg.Resilience = htm.DefaultResilience()
 		}
@@ -296,13 +287,13 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.kv = db.euno
 	case HTMBTree:
-		t := htmtree.New(device, boot, opts.Fanout)
+		t := htmtree.New(device, boot, treeFanout)
 		if opts.Resilience {
 			t.SetPolicy(htm.ResilientPolicy())
 		}
 		db.kv = t
 	case Masstree, HTMMasstree:
-		t := masstree.New(device, boot, opts.Fanout, opts.Kind == HTMMasstree)
+		t := masstree.New(device, boot, treeFanout, opts.Kind == HTMMasstree)
 		if opts.Resilience {
 			t.SetPolicy(htm.ResilientPolicy())
 		}
@@ -315,7 +306,7 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.nextID.Store(1) // proc 0 was the boot thread
+	db.nextID = 2 // proc 0 was the boot thread; 1 is left unused, as it always was
 	return db, nil
 }
 
@@ -328,18 +319,35 @@ func (db *DB) Kind() Kind { return db.opts.Kind }
 type Thread struct {
 	db *DB
 	th *htm.Thread
+	id int // proc id Close hands back to the DB; 0 once closed, and for RunVirtual's threads
 }
 
 // NewThread creates a wall-clock worker handle. On the Host backend the
-// handle runs at native speed; create one per worker goroutine.
+// handle runs at native speed; create one per worker goroutine. Close the
+// handle when its worker ends: the emulated backend models one private
+// cache per handle and has room for at most 254 live handles — NewThread
+// panics when asked for a 255th — while any number may be created and
+// closed over the DB's life (a closed handle's id is reused). The Host
+// backend has no such limit.
 func (db *DB) NewThread() *Thread {
-	id := int(db.nextID.Add(1))
+	db.idMu.Lock()
+	var id int
+	if n := len(db.freeIDs); n > 0 {
+		id, db.freeIDs = db.freeIDs[n-1], db.freeIDs[:n-1]
+	} else {
+		id = db.nextID
+		db.nextID++
+	}
+	db.idMu.Unlock()
 	seed := uint64(id)*0x9e3779b9 + 1
 	if db.opts.Backend == Host {
-		return &Thread{db: db, th: db.device.NewHostThread(id, seed)}
+		return &Thread{db: db, id: id, th: db.device.NewHostThread(id, seed)}
+	}
+	if id >= simmem.MaxProcs {
+		panic(fmt.Sprintf("eunomia: more than %d live handles on the emulated backend; Close the ones that are done", simmem.MaxProcs-2))
 	}
 	p := vclock.NewWallProc(id, db.opts.YieldEvery)
-	return &Thread{db: db, th: db.device.NewThread(p, seed)}
+	return &Thread{db: db, id: id, th: db.device.NewThread(p, seed)}
 }
 
 // Get returns the value stored under key.
@@ -475,19 +483,22 @@ type Stats struct {
 
 // Stats returns this thread's accumulated statistics (the per-worker
 // view; the DB-wide aggregate across all threads is DB.Metrics().Tx).
-func (t *Thread) Stats() Stats {
+func (t *Thread) Stats() Stats { return statsOf(&t.th.Stats) }
+
+// statsOf is the public view of one htm.Stats.
+func statsOf(h *htm.Stats) Stats {
 	s := Stats{
-		Commits:           t.th.Stats.Commits,
-		Aborts:            t.th.Stats.TotalAborts(),
-		Fallbacks:         t.th.Stats.Fallbacks,
-		WastedCycles:      t.th.Stats.WastedCycles,
-		BackoffCycles:     t.th.Stats.BackoffCycles,
-		DegradationEvents: t.th.Stats.DegradationEvents,
-		WatchdogTrips:     t.th.Stats.WatchdogTrips,
+		Commits:           h.Commits,
+		Aborts:            h.TotalAborts(),
+		Fallbacks:         h.Fallbacks,
+		WastedCycles:      h.WastedCycles,
+		BackoffCycles:     h.BackoffCycles,
+		DegradationEvents: h.DegradationEvents,
+		WatchdogTrips:     h.WatchdogTrips,
 		AbortsByReason:    map[string]uint64{},
 	}
 	for r := htm.AbortReason(1); r < htm.NumAbortReasons; r++ {
-		if n := t.th.Stats.Aborts[r]; n > 0 {
+		if n := h.Aborts[r]; n > 0 {
 			s.AbortsByReason[r.String()] = n
 		}
 	}
@@ -546,26 +557,12 @@ func (db *DB) RunVirtual(threads int, body func(t *Thread)) VirtualResult {
 		workers[p.ID()] = t
 		body(t)
 	})
-	res := VirtualResult{Cycles: sim.MaxClock()}
-	res.Seconds = float64(res.Cycles) / vclock.CyclesPerSecond
-	res.Stats.AbortsByReason = map[string]uint64{}
 	var merged htm.Stats
 	for _, w := range workers {
 		merged.Merge(&w.th.Stats)
 	}
-	res.Stats.Commits = merged.Commits
-	res.Stats.Aborts = merged.TotalAborts()
-	res.Stats.Fallbacks = merged.Fallbacks
-	res.Stats.WastedCycles = merged.WastedCycles
-	res.Stats.BackoffCycles = merged.BackoffCycles
-	res.Stats.DegradationEvents = merged.DegradationEvents
-	res.Stats.WatchdogTrips = merged.WatchdogTrips
-	for r := htm.AbortReason(1); r < htm.NumAbortReasons; r++ {
-		if n := merged.Aborts[r]; n > 0 {
-			res.Stats.AbortsByReason[r.String()] = n
-		}
-	}
-	return res
+	cycles := sim.MaxClock()
+	return VirtualResult{Cycles: cycles, Seconds: float64(cycles) / vclock.CyclesPerSecond, Stats: statsOf(&merged)}
 }
 
 // newEuno adapts core.New's panic-on-bad-config to an error.

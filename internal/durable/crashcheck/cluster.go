@@ -2,215 +2,56 @@ package crashcheck
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"eunomia"
-	"eunomia/internal/check"
 	"eunomia/internal/durable"
-	"eunomia/internal/shard"
 )
 
-// This file extends the crash harness to the sharded Cluster. The failure
-// model is richer than the single-DB one: instead of the whole machine
-// dying, a seeded SUBSET of the shard disks dies (k of N, chosen by a kill
-// bitmask), possibly including the cluster root's manifest disk — so crash
-// points land mid-group-commit on some shards while others keep serving,
-// and mid-snapshot-barrier while the cluster-wide manifest is being
-// committed. Writers deliberately continue past per-shard errors (a dead
-// shard is not a dead process): every failed write stays in the history
-// with an open window, exactly like the single-DB in-flight rule. After
-// the run the whole cluster reboots, recovers through OpenCluster (which
-// re-checks the snapshot-barrier vector), optionally survives extra
-// restart cycles, and the full history — acked writes, open-window
-// failures, post-recovery reads of the entire universe — goes through the
-// linearizability checker.
-
-// ClusterScenario is one fully-specified cluster crash-recovery run.
-type ClusterScenario struct {
-	Shards int    // cluster shards (default 3)
-	Kill   uint64 // bitmask: bit i < Shards kills shard i's disk; bit Shards kills the manifest disk
-	Kind   eunomia.Kind
-	Procs  int    // concurrent writer goroutines (default 2)
-	Ops    int    // operations per writer (default 40)
-	Keys   uint64 // key universe size (default 16)
-	Seed   uint64
-
-	CrashAtIO uint64 // IO point (per killed disk's own IO stream) at which it dies
-	TornSeed  uint64
-	Restarts  int  // post-crash recover→write→restart cycles
-	Barrier   bool // writer 0 triggers a cluster Snapshot mid-run (mid-barrier crash coverage)
-	// Heal revives the killed disks after phase 1 and requires the
-	// cluster's own repair loop — not a process restart — to trip, reopen,
-	// replay, and re-admit every wounded shard before the run continues.
-	// Acknowledged writes taken through the re-admitted shards join the
-	// checked history, so a repair loop that loses data fails the checker.
-	Heal bool
-	// AdmitBeforeReplay passes the deliberately broken repair mode through
-	// to RepairOptions: re-admit with no replay, no watermark check, no
-	// probation. A Heal run with this set must FAIL the checker — the
-	// mutant proving the probation gate has teeth.
-	AdmitBeforeReplay bool
-
-	// Reshard, when non-zero, starts a live Cluster.Reshard to this shard
-	// count concurrently with phase 1's writers, so crash points land mid
-	// bulk-copy, mid-catch-up, mid-cutover, and inside the migration
-	// manifest commit — on source disks, destination disks (the kill mask
-	// spans max(Shards, Reshard) disks), or the root manifest disk. After
-	// recovery the migration resumes from the journaled move watermarks.
-	Reshard int
-	// CutBeforeCatchup passes the deliberately broken migration mode
-	// through to ReshardOptions: cutover with no dirty-set drain. A Reshard
-	// run with live writers must FAIL the checker under it.
-	CutBeforeCatchup bool
-
-	FlushInterval  time.Duration
-	FlushBytes     int
-	SnapshotBytes  int64
-	AckBeforeFlush bool // the deliberately broken mode the harness must catch
-}
-
-func (s ClusterScenario) withDefaults() ClusterScenario {
-	if s.Shards == 0 {
-		s.Shards = 3
-	}
-	if s.Procs == 0 {
-		s.Procs = 2
-	}
-	if s.Ops == 0 {
-		s.Ops = 40
-	}
-	if s.Keys == 0 {
-		s.Keys = 16
-	}
-	if s.Kill == 0 {
-		s.Kill = 1
-	}
-	return s
-}
-
-// String encodes the scenario as the EUNO_CLUSTER_CRASH_REPRO token.
-func (s ClusterScenario) String() string {
-	return fmt.Sprintf("shards=%d,kill=%d,kind=%d,procs=%d,ops=%d,keys=%d,seed=%d,crash=%d,torn=%d,restarts=%d,barrier=%d,heal=%d,mutant=%d,reshard=%d,cutmut=%d,interval=%d,flushbytes=%d,snapbytes=%d,ack=%d",
-		s.Shards, s.Kill, int(s.Kind), s.Procs, s.Ops, s.Keys, s.Seed, s.CrashAtIO, s.TornSeed,
-		s.Restarts, b2i(s.Barrier), b2i(s.Heal), b2i(s.AdmitBeforeReplay), s.Reshard, b2i(s.CutBeforeCatchup),
-		int64(s.FlushInterval), s.FlushBytes, s.SnapshotBytes, b2i(s.AckBeforeFlush))
-}
-
-// ParseCluster decodes a ClusterScenario from its String form.
-func ParseCluster(tok string) (ClusterScenario, error) {
-	var s ClusterScenario
-	for _, kv := range strings.Split(strings.TrimSpace(tok), ",") {
-		name, val, ok := strings.Cut(kv, "=")
-		if !ok {
-			return s, fmt.Errorf("crashcheck: bad field %q", kv)
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return s, fmt.Errorf("crashcheck: bad value in %q: %v", kv, err)
-		}
-		switch name {
-		case "shards":
-			s.Shards = int(n)
-		case "kill":
-			s.Kill = uint64(n)
-		case "kind":
-			s.Kind = eunomia.Kind(n)
-		case "procs":
-			s.Procs = int(n)
-		case "ops":
-			s.Ops = int(n)
-		case "keys":
-			s.Keys = uint64(n)
-		case "seed":
-			s.Seed = uint64(n)
-		case "crash":
-			s.CrashAtIO = uint64(n)
-		case "torn":
-			s.TornSeed = uint64(n)
-		case "restarts":
-			s.Restarts = int(n)
-		case "barrier":
-			s.Barrier = n != 0
-		case "heal":
-			s.Heal = n != 0
-		case "mutant":
-			s.AdmitBeforeReplay = n != 0
-		case "reshard":
-			s.Reshard = int(n)
-		case "cutmut":
-			s.CutBeforeCatchup = n != 0
-		case "interval":
-			s.FlushInterval = time.Duration(n)
-		case "flushbytes":
-			s.FlushBytes = int(n)
-		case "snapbytes":
-			s.SnapshotBytes = n
-		case "ack":
-			s.AckBeforeFlush = n != 0
-		default:
-			return s, fmt.Errorf("crashcheck: unknown field %q", name)
-		}
-	}
-	return s, nil
-}
-
-// ClusterReproLine renders the one-command repro for a failing scenario.
-func ClusterReproLine(s ClusterScenario) string {
-	return fmt.Sprintf("EUNO_CLUSTER_CRASH_REPRO='%s' go test ./internal/durable/crashcheck -run TestClusterCrashRepro -v", s)
-}
-
-// RunCluster executes one cluster crash-recovery scenario.
-func RunCluster(s ClusterScenario) Result {
-	s = s.withDefaults()
+// This file is what a Scenario with Cluster set does before the shared
+// recovery tail. The failure model is richer than the single-DB one:
+// instead of the whole machine dying, a seeded SUBSET of the shard disks
+// dies (k of N, chosen by the kill bitmask), possibly including the cluster
+// root's manifest disk — so crash points land mid-group-commit on some
+// shards while others keep serving, mid-snapshot-barrier while the
+// cluster-wide manifest is being committed, and (Reshard) anywhere in a
+// live migration. Writers continue past per-shard errors (a dead shard is
+// not a dead process): every failed write stays in the history with an
+// open window, exactly like the single-DB in-flight rule. After the run
+// the whole cluster reboots and recovers through OpenCluster, which
+// re-checks the snapshot-barrier vector and resumes a journaled migration.
+func (r *run) cluster() Result {
+	s := r.s
 	plan := durable.FaultPlan{CrashAtIO: s.CrashAtIO, TornSeed: s.TornSeed}
-	// A Reshard run serves from max(Shards, Reshard) disks: destination
+	// A Reshard run serves from max(Cluster, Reshard) disks: destination
 	// slots opened by the split get their own killable disks, so crash
-	// points land on the copy's write side too.
-	maxShards := s.Shards
-	if s.Reshard > maxShards {
-		maxShards = s.Reshard
-	}
-	fses := make([]*durable.MemFS, maxShards)
-	for i := range fses {
+	// points land on the copy's write side too. The last disk is the root's.
+	shards := max(s.Cluster, s.Reshard)
+	disks := make([]*durable.MemFS, shards+1)
+	for i := range disks {
+		disks[i] = durable.NewMemFS(durable.FaultPlan{})
 		if s.Kill&(1<<uint(i)) != 0 {
-			fses[i] = durable.NewMemFS(plan)
-		} else {
-			fses[i] = durable.NewMemFS(durable.FaultPlan{})
+			disks[i] = durable.NewMemFS(plan)
 		}
-	}
-	manifestFS := durable.NewMemFS(durable.FaultPlan{})
-	if s.Kill&(1<<uint(maxShards)) != 0 {
-		manifestFS = durable.NewMemFS(plan)
 	}
 	anyCrashed := func() bool {
-		for _, fs := range fses {
+		for _, fs := range disks {
 			if fs.Crashed() {
 				return true
 			}
 		}
-		return manifestFS.Crashed()
+		return false
 	}
-	open := func(shards int) (*eunomia.Cluster, error) {
+	open := func(n int) (*eunomia.Cluster, error) {
 		co := eunomia.ClusterOptions{
-			Shards:  shards,
+			Shards:  n,
 			Reshard: eunomia.ReshardOptions{CutBeforeCatchup: s.CutBeforeCatchup},
 			Shard: eunomia.Options{
 				Kind:       s.Kind,
 				ArenaWords: 1 << 19,
-				Durability: eunomia.Durability{
-					Dir:            "clusterdb",
-					FS:             manifestFS,
-					FlushInterval:  s.FlushInterval,
-					FlushBytes:     s.FlushBytes,
-					SnapshotBytes:  s.SnapshotBytes,
-					AckBeforeFlush: s.AckBeforeFlush,
-				},
+				Durability: s.durability("clusterdb", disks[shards]),
 			},
-			PerShard: func(i int, o *eunomia.Options) { o.Durability.FS = fses[i] },
+			PerShard: func(i int, o *eunomia.Options) { o.Durability.FS = disks[i] },
 		}
 		if s.Heal {
 			// Heal runs need a sensitive breaker and a tight repair loop so
@@ -226,7 +67,10 @@ func RunCluster(s ClusterScenario) Result {
 		}
 		return eunomia.OpenCluster(co)
 	}
-	c, err := open(s.Shards)
+	// The crash can fire inside OpenCluster itself (segment creation and
+	// directory fsyncs are IO points); nothing was acknowledged, so phase 1
+	// is skipped and the run goes straight to recovery.
+	c, err := open(s.Cluster)
 	if err != nil && !anyCrashed() {
 		return Result{Err: fmt.Errorf("crashcheck: first cluster open: %w", err)}
 	}
@@ -235,154 +79,104 @@ func RunCluster(s ClusterScenario) Result {
 	// completed (or be mid-flight) by then, making the original count
 	// stale. If the first open itself crashed, nothing was recorded and
 	// recovery must restate the intended count.
-	reopenShards := s.Shards
+	reopenShards := s.Cluster
 	if s.Reshard != 0 && c != nil {
 		reopenShards = 0
 	}
+	var res Result
+	if c != nil {
+		r.serve(c, disks, anyCrashed, &res)
+	}
+	res.Crashed = res.Crashed || anyCrashed()
+	res.Acked = len(r.acked)
+	if res.Err != nil {
+		return res
+	}
 
-	var clock atomic.Uint64
-	var mu sync.Mutex
-	var acked []check.Op
-	var inflight []check.Op // response timestamps patched after recovery
+	// Reboot every disk and recover the whole cluster. Healthy disks keep
+	// everything (clean restart); killed disks keep only synced prefixes
+	// plus seeded torn tails. OpenCluster re-verifies the barrier vector
+	// here: a shard recovering below a committed barrier is itself a
+	// detected failure.
+	for _, fs := range disks {
+		fs.Reboot()
+	}
+	return r.recover(res, func() (eunomia.Store, error) {
+		c, err := open(reopenShards)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	})
+}
 
-	// Reshard runs preload the whole universe first: an empty cluster
-	// migrates instantly (nothing to copy), leaving no window for crash
-	// points or the cut-before-catch-up mutant to land in. The preload
-	// writes are acknowledged history like any other.
-	if s.Reshard != 0 && c != nil {
+// serve is a cluster run's first life: preload and live migration
+// (Reshard), the concurrent writers, the in-place heal (Heal), and Close —
+// this harness's process death. It reports into res.
+func (r *run) serve(c *eunomia.Cluster, disks []*durable.MemFS, anyCrashed func() bool, res *Result) {
+	s := r.s
+	// The live migration runs concurrently with phase 1's writers. Reshard
+	// returns when the migration finishes, when a dead disk has stalled it
+	// past the engine's bound, or when the cluster closes.
+	var reshardDone chan struct{}
+	defer func() {
+		c.Close() // joined errors expected after a crash
+		if reshardDone != nil {
+			<-reshardDone
+		}
+	}()
+	if s.Reshard != 0 {
+		// Preload the whole universe first: an empty cluster migrates
+		// instantly (nothing to copy), leaving no window for crash points or
+		// the cut-before-catch-up mutant to land in. The preload writes are
+		// acknowledged history like any other.
 		sess := c.NewSession()
 		proc := s.Procs + s.Restarts + 3
 		for key := uint64(1); key <= s.Keys; key++ {
-			val := uint64(proc)<<40 | key<<8 | 0x5
-			op := check.Op{Kind: check.Put, Key: key, Val: val, OK: true,
-				Proc: proc, Inv: clock.Add(1)}
-			err := sess.Put(key, val)
-			op.Rsp = clock.Add(1)
-			if err == nil {
-				acked = append(acked, op)
-			} else {
-				inflight = append(inflight, op)
-			}
+			r.put(sess, proc, key, uint64(proc)<<40|key<<8|0x5)
 		}
-	}
-
-	// The live migration runs concurrently with phase 1's writers. The
-	// goroutine parks until the migration finishes or the cluster closes
-	// (a killed disk blocks the engine on the shard's breaker; Close is
-	// this harness's process death).
-	var reshardDone chan struct{}
-	if s.Reshard != 0 && c != nil {
+		sess.Close()
 		reshardDone = make(chan struct{})
-		go func(c *eunomia.Cluster) {
+		go func() {
 			defer close(reshardDone)
 			_ = c.Reshard(s.Reshard)
-		}(c)
+		}()
 	}
-	// The crash can fire inside OpenCluster itself (segment creation and
-	// directory fsyncs are IO points); nothing was acknowledged, so phase 1
-	// is skipped and the run goes straight to recovery.
-
-	// migrating reports whether the concurrent Reshard is still running.
 	migrating := func() bool {
-		if reshardDone == nil {
-			return false
-		}
 		select {
 		case <-reshardDone:
 			return false
 		default:
-			return true
+			return reshardDone != nil
 		}
 	}
 
-	// Phase 1: concurrent writers. Unlike the single-DB harness, a failed
-	// operation does NOT end the worker — only its shard's disk died, the
-	// process is alive — so every failed write is recorded with an open
-	// window and the worker moves on, exercising healthy shards around the
-	// dead one.
-	//
-	// With a live migration the writers run past their op budget until the
-	// cutovers finish (hard-capped, and never past a crash): the copy
-	// window then always overlaps acknowledged writes, so the overlap the
-	// CutBeforeCatchup mutant loses is structural, not a scheduling
+	// Phase 1. With a live migration the writers run past their op budget
+	// until the cutovers finish (hard-capped, and never past a crash): the
+	// copy window then always overlaps acknowledged writes, so the overlap
+	// the CutBeforeCatchup mutant loses is structural, not a scheduling
 	// accident of a loaded test machine.
 	maxOps := s.Ops
 	if s.Reshard != 0 {
 		maxOps = s.Ops * 64
 	}
-	var wg sync.WaitGroup
-	for p := 0; c != nil && p < s.Procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			sess := c.NewSession()
-			rng := s.Seed*0x9E3779B97F4A7C15 + uint64(p)*0xBF58476D1CE4E5B9 + 1
-			next := func() uint64 {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				return rng
-			}
-			for i := 0; i < maxOps; i++ {
-				if i >= s.Ops && (!migrating() || anyCrashed()) {
-					break
-				}
-				if s.Barrier && p == 0 && i == s.Ops/2 {
-					// Mid-run cluster snapshot: the barrier's per-shard syncs
-					// and the manifest commit interleave their IO points with
-					// the killed disks' streams. Errors are expected when a
-					// shard is already dead.
-					_ = c.Snapshot()
-				}
-				key := next()%s.Keys + 1
-				val := uint64(p)<<40 | uint64(i)<<8 | 0x5
-				del := next()%10 < 3
-				inv := clock.Add(1)
-				var op check.Op
-				var err error
-				if del {
-					var ok bool
-					ok, err = sess.Delete(key)
-					op = check.Op{Kind: check.Delete, Key: key, OK: ok, Proc: p}
-				} else {
-					err = sess.Put(key, val)
-					op = check.Op{Kind: check.Put, Key: key, Val: val, OK: true, Proc: p}
-				}
-				op.Inv = inv
-				op.Rsp = clock.Add(1)
-				mu.Lock()
-				switch {
-				case del && !op.OK:
-					// Never recorded. An absent-delete writes nothing and its
-					// "absent" observation is served from volatile memory —
-					// with workers outliving a dead shard it can witness an
-					// applied-but-unlogged delete that the crash rolls back,
-					// the same group-commit volatility that exempts pre-crash
-					// reads from recording (see the package comment). This
-					// relies on Session.Delete's no-retry-after-half-apply
-					// guarantee: present=false means the removal provably did
-					// not run, whether err is nil or not. (An early retry
-					// design re-ran half-applied deletes, which observed their
-					// own removal and came back (false, nil) — this harness
-					// caught the resulting unexplainable absent keys.)
-				case err == nil:
-					acked = append(acked, op)
-				default:
-					// Effect unknown: the crash may or may not have persisted
-					// it, so the window stays open past recovery.
-					inflight = append(inflight, op)
-				}
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	crashed := anyCrashed()
-	healed := false
+	r.writers(c, maxOps, survives, func(p, i int) bool {
+		if i >= s.Ops && (!migrating() || anyCrashed()) {
+			return false
+		}
+		if s.Barrier && p == 0 && i == s.Ops/2 {
+			// Mid-run cluster snapshot: the barrier's per-shard syncs and
+			// the manifest commit interleave their IO points with the killed
+			// disks' streams. Errors are expected when a shard is already
+			// dead.
+			_ = c.Snapshot()
+		}
+		return true
+	})
 
 	// Phase 1b (Heal): the killed disks come back in place — same files,
 	// same handles — and the cluster's own repair loop must bring every
-	// wounded shard home. Ops keep hammering the whole universe while the
+	// wounded shard home. Puts keep hammering the whole universe while the
 	// shards are down: failures feed the breakers (tripping shards the
 	// crash left wounded-but-untripped, since their poisoned WALs never
 	// acknowledge again), and once a shard is re-admitted its successes
@@ -390,182 +184,43 @@ func RunCluster(s ClusterScenario) Result {
 	// repair loop that re-admits a shard missing acknowledged data — or
 	// one that serves writes it won't replay — fails the checker at the
 	// post-reboot read phase.
-	if s.Heal && c != nil && crashed {
-		for _, fs := range fses {
+	if res.Crashed = anyCrashed(); s.Heal && res.Crashed {
+		for _, fs := range disks {
 			if fs.Crashed() {
 				fs.Reboot()
 			}
 		}
-		if manifestFS.Crashed() {
-			manifestFS.Reboot()
-		}
 		proc := s.Procs + s.Restarts + 2
 		sess := c.NewSession()
 		deadline := time.Now().Add(15 * time.Second)
-		for i, rounds := 0, 0; ; rounds++ {
-			allHealthy := true
-			for sh := 0; sh < s.Shards; sh++ {
-				if c.ShardState(sh) != eunomia.ShardHealthy {
-					allHealthy = false
-					break
-				}
+		for i, rounds := uint64(0), 0; ; rounds++ {
+			res.Healed = rounds > 0
+			for sh := 0; sh < s.Cluster; sh++ {
+				res.Healed = res.Healed && c.ShardState(sh) == eunomia.ShardHealthy
 			}
-			if allHealthy && rounds > 0 {
-				healed = true
+			if res.Healed {
 				break
 			}
 			if time.Now().After(deadline) {
-				return Result{Crashed: crashed, Acked: len(acked), Err: fmt.Errorf(
-					"crashcheck: shards never re-admitted after disk revival\nrepro: %s", ClusterReproLine(s))}
+				res.Err = fmt.Errorf("crashcheck: shards never re-admitted after disk revival\nrepro: %s", ReproLine(s))
+				return
 			}
-			for key := uint64(1); key <= s.Keys; key++ {
-				val := uint64(proc)<<40 | uint64(i)<<8 | 0x5
-				i++
-				op := check.Op{Kind: check.Put, Key: key, Val: val, OK: true,
-					Proc: proc, Inv: clock.Add(1)}
-				err := sess.Put(key, val)
-				op.Rsp = clock.Add(1)
-				if err == nil {
-					acked = append(acked, op)
-				} else {
-					inflight = append(inflight, op)
-				}
+			for key := uint64(1); key <= s.Keys; key, i = key+1, i+1 {
+				r.put(sess, proc, key, uint64(proc)<<40|i<<8|0x5)
 			}
 			time.Sleep(time.Millisecond)
 		}
+		sess.Close()
 	}
 
 	// On a crash-free run let the migration land before closing: the
 	// cutover and purge must happen while the cluster serves, which is
-	// exactly the window the CutBeforeCatchup mutant loses writes in. On a
-	// crashed run the engine is parked on a dead shard's breaker — Close
-	// unblocks it, like killing the process.
-	if reshardDone != nil && !anyCrashed() {
-		<-reshardDone
+	// exactly the window the CutBeforeCatchup mutant loses writes in. A
+	// disk may still die under the migration after the writers have gone,
+	// so the wait watches for a crash the whole time; on a crashed run the
+	// engine is parked on a dead shard's breaker or a dead journal, and
+	// Close stops it, like killing the process.
+	for migrating() && !anyCrashed() {
+		time.Sleep(100 * time.Microsecond)
 	}
-	res := Result{Crashed: crashed, Healed: healed, Acked: len(acked)}
-	if c != nil {
-		c.Close() // joined errors expected after a crash
-	}
-	if reshardDone != nil {
-		<-reshardDone
-	}
-
-	// Phase 2: reboot every disk and recover the whole cluster. Healthy
-	// disks keep everything (clean restart); killed disks keep only synced
-	// prefixes plus seeded torn tails. OpenCluster re-verifies the barrier
-	// vector here: a shard recovering below a committed barrier is itself a
-	// detected failure.
-	for _, fs := range fses {
-		fs.Reboot()
-	}
-	manifestFS.Reboot()
-	c2, err := open(reopenShards)
-	if err != nil {
-		res.Err = fmt.Errorf("crashcheck: cluster recovery failed: %w", err)
-		return res
-	}
-	defer func() { c2.Close() }()
-
-	// Phase 2b: restart cycles — acknowledged writes on the recovered
-	// cluster, clean close, recover again. Regression gate for torn-tail
-	// healing and later-generation replay, per shard.
-	for cy := 0; cy < s.Restarts; cy++ {
-		proc := s.Procs + 1 + cy
-		sess := c2.NewSession()
-		rng := s.Seed*0xBF58476D1CE4E5B9 + uint64(proc)*0x94D049BB133111EB + 1
-		next := func() uint64 {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng
-		}
-		for i := 0; i < s.Ops; i++ {
-			key := next()%s.Keys + 1
-			val := uint64(proc)<<40 | uint64(i)<<8 | 0x5
-			del := next()%10 < 3
-			inv := clock.Add(1)
-			var op check.Op
-			var err error
-			if del {
-				var ok bool
-				ok, err = sess.Delete(key)
-				op = check.Op{Kind: check.Delete, Key: key, OK: ok, Proc: proc}
-			} else {
-				err = sess.Put(key, val)
-				op = check.Op{Kind: check.Put, Key: key, Val: val, OK: true, Proc: proc}
-			}
-			op.Inv = inv
-			op.Rsp = clock.Add(1)
-			if err != nil {
-				res.Err = fmt.Errorf("crashcheck: cluster restart cycle %d write: %w", cy, err)
-				return res
-			}
-			acked = append(acked, op)
-		}
-		if err := c2.Close(); err != nil {
-			res.Err = fmt.Errorf("crashcheck: cluster restart cycle %d close: %w", cy, err)
-			return res
-		}
-		if c2, err = open(reopenShards); err != nil {
-			res.Err = fmt.Errorf("crashcheck: cluster restart cycle %d recovery: %w", cy, err)
-			return res
-		}
-	}
-
-	// Phase 3: observe the whole universe through the router, then close
-	// the in-flight windows after every observation.
-	ops := acked
-	sess := c2.NewSession()
-	for key := uint64(1); key <= s.Keys; key++ {
-		inv := clock.Add(1)
-		v, ok, err := sess.Get(key)
-		if err != nil {
-			res.Err = fmt.Errorf("crashcheck: post-recovery cluster get(%d): %w", key, err)
-			return res
-		}
-		ops = append(ops, check.Op{
-			Kind: check.Get, Key: key, Val: v, OK: ok,
-			Inv: inv, Rsp: clock.Add(1), Proc: s.Procs,
-		})
-	}
-	end := clock.Add(1)
-	for _, op := range inflight {
-		op.Rsp = end
-		ops = append(ops, op)
-	}
-	res.Checked = len(ops)
-	if err := check.Check(check.History{Ops: ops}); err != nil {
-		res.Err = fmt.Errorf("crashcheck: %w\nrepro: %s", err, ClusterReproLine(s))
-	}
-	return res
-}
-
-// ClusterSweep runs the base scenario once per crash point in [1, points].
-// Each point perturbs the torn seed and draws a seeded nonzero kill mask,
-// so the sweep covers single-shard deaths, multi-shard deaths, and (when
-// Barrier is set) manifest-disk deaths mid-snapshot-barrier.
-func ClusterSweep(base ClusterScenario, points uint64) (fired int, firstErr error) {
-	base = base.withDefaults()
-	disks := uint(base.Shards)
-	if base.Reshard > int(disks) {
-		disks = uint(base.Reshard) // destination disks are killable too
-	}
-	if base.Barrier || base.Reshard != 0 {
-		disks++ // the manifest disk (and migration manifest) is killable too
-	}
-	for p := uint64(1); p <= points; p++ {
-		s := base
-		s.CrashAtIO = p
-		s.TornSeed = p*2654435761 + base.Seed
-		s.Kill = shard.Mix(p*0x9E3779B97F4A7C15+base.Seed)%((1<<disks)-1) + 1
-		r := RunCluster(s)
-		if r.Crashed {
-			fired++
-		}
-		if r.Err != nil && firstErr == nil {
-			firstErr = r.Err
-		}
-	}
-	return fired, firstErr
 }

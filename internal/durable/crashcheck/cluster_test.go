@@ -17,9 +17,9 @@ func TestClusterCrashSweep(t *testing.T) {
 	if testing.Short() {
 		points = 15
 	}
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 40, Keys: 16, Seed: 31}
-	fired, err := ClusterSweep(base, points)
+	fired, err := Sweep(base, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +38,9 @@ func TestClusterCrashMidBarrier(t *testing.T) {
 	if testing.Short() {
 		points = 12
 	}
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 40, Keys: 16, Seed: 57, Barrier: true}
-	fired, err := ClusterSweep(base, points)
+	fired, err := Sweep(base, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestClusterCrashMidBarrier(t *testing.T) {
 	t.Logf("mid-barrier sweep: %d crash points fired, zero violations", fired)
 }
 
-// TestClusterCrashRestartCycles mirrors Scenario.Restarts at the cluster
+// TestClusterCrashRestartCycles runs the Restarts cycles at the cluster
 // level: crash a shard subset, recover the cluster, acknowledge new
 // writes, restart cleanly twice more. Torn-tail healing and
 // later-generation replay must hold independently in every shard's WAL
@@ -60,9 +60,9 @@ func TestClusterCrashRestartCycles(t *testing.T) {
 	if testing.Short() {
 		points = 10
 	}
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 30, Keys: 12, Seed: 71, Restarts: 2}
-	fired, err := ClusterSweep(base, points)
+	fired, err := Sweep(base, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +80,15 @@ func TestClusterAckBeforeFlushMutantCaught(t *testing.T) {
 	// FlushBytes forces periodic real flushes, so the broken mode has IO
 	// points mid-run to crash at (without it nothing is ever written and
 	// the crash lands inside Open, before anything is acknowledged).
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 60, Keys: 8, Seed: 5, FlushBytes: 256, AckBeforeFlush: true}
-	var failing *ClusterScenario
+	var failing *Scenario
 	for p := uint64(1); p <= 24; p++ {
 		s := base
 		s.CrashAtIO = p
 		s.TornSeed = p * 17
-		s.Kill = p%uint64(1<<base.Shards-1) + 1
-		r := RunCluster(s)
+		s.Kill = p%uint64(1<<base.Cluster-1) + 1
+		r := Run(s)
 		if !r.Crashed {
 			continue
 		}
@@ -100,17 +100,17 @@ func TestClusterAckBeforeFlushMutantCaught(t *testing.T) {
 	if failing == nil {
 		t.Fatal("cluster ack-before-flush mutant survived every crash point: the checker is blind")
 	}
-	parsed, err := ParseCluster(failing.String())
+	parsed, err := Parse(failing.String())
 	if err != nil {
 		t.Fatalf("repro token does not parse: %v", err)
 	}
 	if parsed != *failing {
 		t.Fatalf("repro round-trip mismatch:\n  %+v\n  %+v", parsed, *failing)
 	}
-	if r := RunCluster(parsed); r.Err == nil {
+	if r := Run(parsed); r.Err == nil {
 		t.Fatal("replayed cluster repro did not reproduce the violation")
 	}
-	t.Logf("cluster mutant caught; repro: %s", ClusterReproLine(*failing))
+	t.Logf("cluster mutant caught; repro: %s", ReproLine(*failing))
 }
 
 // TestClusterCrashHealSweep: the self-healing gate. Seeded crash points
@@ -125,15 +125,15 @@ func TestClusterCrashHealSweep(t *testing.T) {
 	if testing.Short() {
 		points = 8
 	}
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 40, Keys: 16, Seed: 93, Heal: true}
 	fired, healed := 0, 0
 	for p := uint64(1); p <= points; p++ {
 		s := base
 		s.CrashAtIO = p
 		s.TornSeed = p*2654435761 + base.Seed
-		s.Kill = p%uint64(1<<base.Shards-1) + 1 // shard disks only
-		r := RunCluster(s)
+		s.Kill = p%uint64(1<<base.Cluster-1) + 1 // shard disks only
+		r := Run(s)
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -155,15 +155,15 @@ func TestClusterCrashHealSweep(t *testing.T) {
 // the heal fuzzer. If every crash point survives, the probation gate is
 // decorative.
 func TestClusterHealMutantCaught(t *testing.T) {
-	base := ClusterScenario{Shards: 3, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 40, Keys: 16, Seed: 93, Heal: true, AdmitBeforeReplay: true}
-	var failing *ClusterScenario
+	var failing *Scenario
 	for p := uint64(1); p <= 24 && failing == nil; p++ {
 		s := base
 		s.CrashAtIO = p
 		s.TornSeed = p*2654435761 + base.Seed
-		s.Kill = p%uint64(1<<base.Shards-1) + 1
-		r := RunCluster(s)
+		s.Kill = p%uint64(1<<base.Cluster-1) + 1
+		r := Run(s)
 		if !r.Crashed || r.Err == nil {
 			continue
 		}
@@ -172,7 +172,7 @@ func TestClusterHealMutantCaught(t *testing.T) {
 		// point that fails again is accepted — the printed repro token must
 		// be actionable, not a one-off scheduling fluke.
 		for try := 0; try < 5; try++ {
-			if RunCluster(s).Err != nil {
+			if Run(s).Err != nil {
 				failing = &s
 				break
 			}
@@ -181,7 +181,7 @@ func TestClusterHealMutantCaught(t *testing.T) {
 	if failing == nil {
 		t.Fatal("admit-before-replay mutant survived every heal crash point: the probation gate is blind")
 	}
-	parsed, err := ParseCluster(failing.String())
+	parsed, err := Parse(failing.String())
 	if err != nil {
 		t.Fatalf("repro token does not parse: %v", err)
 	}
@@ -195,12 +195,12 @@ func TestClusterHealMutantCaught(t *testing.T) {
 	// miss while a fixed bug still fails fast.
 	reproduced := false
 	for try := 0; try < 30 && !reproduced; try++ {
-		reproduced = RunCluster(parsed).Err != nil
+		reproduced = Run(parsed).Err != nil
 	}
 	if !reproduced {
 		t.Fatal("replayed heal-mutant repro did not reproduce the violation in 30 attempts")
 	}
-	t.Logf("heal mutant caught; repro: %s", ClusterReproLine(*failing))
+	t.Logf("heal mutant caught; repro: %s", ReproLine(*failing))
 }
 
 // TestClusterReshardCrashSweep drives seeded crash points through a live
@@ -215,9 +215,9 @@ func TestClusterReshardCrashSweep(t *testing.T) {
 	if testing.Short() {
 		points = 10
 	}
-	base := ClusterScenario{Shards: 2, Reshard: 4, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 2, Reshard: 4, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 50, Keys: 24, Seed: 131, Restarts: 1}
-	fired, err := ClusterSweep(base, points)
+	fired, err := Sweep(base, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +234,9 @@ func TestClusterReshardMergeCrashSweep(t *testing.T) {
 	if testing.Short() {
 		points = 6
 	}
-	base := ClusterScenario{Shards: 4, Reshard: 2, Kind: eunomia.EunoBTree,
+	base := Scenario{Cluster: 4, Reshard: 2, Kind: eunomia.EunoBTree,
 		Procs: 2, Ops: 40, Keys: 20, Seed: 177}
-	fired, err := ClusterSweep(base, points)
+	fired, err := Sweep(base, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +255,16 @@ func TestClusterReshardMutantCaught(t *testing.T) {
 	// The universe must be big enough that the bulk copy genuinely
 	// overlaps the writers — over a small one the migration finishes
 	// before a single racing write lands.
-	base := ClusterScenario{Shards: 3, Reshard: 5, CutBeforeCatchup: true,
+	base := Scenario{Cluster: 3, Reshard: 5, CutBeforeCatchup: true,
 		Kind: eunomia.EunoBTree, Procs: 3, Ops: 200, Keys: 2048, Kill: 1}
-	var failing *ClusterScenario
+	var failing *Scenario
 	for seed := uint64(1); seed <= 8 && failing == nil; seed++ {
 		s := base
 		s.Seed = seed
 		// The overlap between the writers and the copy window is a real
 		// race; accept a seed only if it fails repeatably enough to print.
 		for try := 0; try < 3; try++ {
-			if RunCluster(s).Err != nil {
+			if Run(s).Err != nil {
 				failing = &s
 				break
 			}
@@ -273,7 +273,7 @@ func TestClusterReshardMutantCaught(t *testing.T) {
 	if failing == nil {
 		t.Fatal("cut-before-catch-up mutant survived every seed: the migration fuzzer is blind")
 	}
-	parsed, err := ParseCluster(failing.String())
+	parsed, err := Parse(failing.String())
 	if err != nil {
 		t.Fatalf("repro token does not parse: %v", err)
 	}
@@ -282,12 +282,12 @@ func TestClusterReshardMutantCaught(t *testing.T) {
 	}
 	reproduced := false
 	for try := 0; try < 10 && !reproduced; try++ {
-		reproduced = RunCluster(parsed).Err != nil
+		reproduced = Run(parsed).Err != nil
 	}
 	if !reproduced {
 		t.Fatal("replayed reshard-mutant repro did not reproduce the violation in 10 attempts")
 	}
-	t.Logf("reshard mutant caught; repro: %s", ClusterReproLine(*failing))
+	t.Logf("reshard mutant caught; repro: %s", ReproLine(*failing))
 }
 
 // TestClusterBarrierDetectsRolledBackShard: commit a snapshot barrier,
@@ -343,26 +343,6 @@ func TestClusterBarrierDetectsRolledBackShard(t *testing.T) {
 	}
 }
 
-// TestClusterScenarioRoundtrip checks String/ParseCluster over a fully
-// populated scenario.
-func TestClusterScenarioRoundtrip(t *testing.T) {
-	s := ClusterScenario{Shards: 5, Kill: 11, Kind: eunomia.Masstree,
-		Procs: 3, Ops: 99, Keys: 31, Seed: 8, CrashAtIO: 42, TornSeed: 77,
-		Restarts: 2, Barrier: true, Reshard: 7, CutBeforeCatchup: true,
-		FlushInterval: 1_000_000,
-		FlushBytes: 512, SnapshotBytes: 4096, AckBeforeFlush: true}
-	parsed, err := ParseCluster(s.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed != s {
-		t.Fatalf("round-trip mismatch:\n  in:  %+v\n  out: %+v", s, parsed)
-	}
-	if _, err := ParseCluster("nope=1"); err == nil {
-		t.Fatal("unknown field parsed")
-	}
-}
-
 // TestClusterCrashRepro replays the scenario in EUNO_CLUSTER_CRASH_REPRO,
 // the one-command repro printed when a cluster sweep fails.
 func TestClusterCrashRepro(t *testing.T) {
@@ -370,11 +350,11 @@ func TestClusterCrashRepro(t *testing.T) {
 	if tok == "" {
 		t.Skip("EUNO_CLUSTER_CRASH_REPRO not set")
 	}
-	s, err := ParseCluster(tok)
+	s, err := Parse(tok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RunCluster(s)
+	r := Run(s)
 	t.Logf("replay: crashed=%v acked=%d checked=%d", r.Crashed, r.Acked, r.Checked)
 	if r.Err != nil {
 		t.Fatal(r.Err)

@@ -2,6 +2,7 @@ package crashcheck
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"eunomia"
@@ -138,24 +139,35 @@ func TestAckBeforeFlushMutantCaught(t *testing.T) {
 	t.Logf("mutant caught; repro: %s", ReproLine(*failing))
 }
 
-// TestScenarioRoundtrip checks String/Parse over a fully populated
-// scenario.
+// TestScenarioRoundtrip checks String/Parse over fully populated single-DB
+// and cluster scenarios, and that the repro line of each names its own
+// entry point.
 func TestScenarioRoundtrip(t *testing.T) {
-	s := Scenario{Kind: eunomia.Masstree, Procs: 3, Ops: 99, Keys: 31, Seed: 8,
+	single := Scenario{Kind: eunomia.Masstree, Procs: 3, Ops: 99, Keys: 31, Seed: 8,
 		CrashAtIO: 42, TornSeed: 77, Restarts: 2, FlushInterval: 1_000_000,
 		FlushBytes: 512, Shards: 4, SnapshotBytes: 4096, AckBeforeFlush: true}
-	parsed, err := Parse(s.String())
-	if err != nil {
-		t.Fatal(err)
+	cluster := single
+	cluster.Cluster, cluster.Kill, cluster.Barrier, cluster.Heal = 5, 11, true, true
+	cluster.AdmitBeforeReplay, cluster.Reshard, cluster.CutBeforeCatchup = true, 7, true
+	for _, s := range []Scenario{single, cluster} {
+		parsed, err := Parse(s.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parsed != s {
+			t.Fatalf("round-trip mismatch:\n  in:  %+v\n  out: %+v", s, parsed)
+		}
 	}
-	if parsed != s {
-		t.Fatalf("round-trip mismatch:\n  in:  %+v\n  out: %+v", s, parsed)
+	if line := ReproLine(single); !strings.Contains(line, "EUNO_CRASH_REPRO=") || !strings.Contains(line, "-run TestCrashRepro ") {
+		t.Fatalf("single-DB repro line: %s", line)
 	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("garbage token parsed")
+	if line := ReproLine(cluster); !strings.Contains(line, "EUNO_CLUSTER_CRASH_REPRO=") || !strings.Contains(line, "-run TestClusterCrashRepro ") {
+		t.Fatalf("cluster repro line: %s", line)
 	}
-	if _, err := Parse("nope=1"); err == nil {
-		t.Fatal("unknown field parsed")
+	for _, bad := range []string{"bogus", "nope=1", "seed=x"} {
+		if _, err := Parse(bad); err == nil {
+			t.Fatalf("token %q parsed", bad)
+		}
 	}
 }
 

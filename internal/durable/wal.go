@@ -214,9 +214,27 @@ func newWAL(cfg Config, startGen int) (*wal, error) {
 
 // flusherLoop is the timed group-commit driver: every FlushInterval (or
 // sooner, when a byte-threshold kick arrives) it flushes every shard's
-// pending batch.
+// pending batch. A panic under it — the filesystem or an observer blowing
+// up, both called with no shard lock held — does not end the process: it
+// poisons every shard, so parked and later writers get ErrWALFailed and
+// nothing is acknowledged again, exactly as after a failed fsync.
 func (w *wal) flusherLoop() {
 	defer close(w.flusherDone)
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		for _, s := range w.shards {
+			s.mu.Lock()
+			if s.err == nil {
+				s.err = fmt.Errorf("flusher panicked: %v", r)
+			}
+			s.flushing = false
+			s.cond.Broadcast()
+			s.mu.Unlock()
+		}
+	}()
 	t := time.NewTicker(w.interval)
 	defer t.Stop()
 	for {

@@ -476,3 +476,53 @@ func TestLogPutAllocationFree(t *testing.T) {
 		t.Fatalf("LogPut allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// panicWriteFS wraps an FS whose append files panic on Write once armed.
+type panicWriteFS struct {
+	FS
+	armed atomic.Bool
+}
+
+type panicWriteFile struct {
+	File
+	fs *panicWriteFS
+}
+
+func (f *panicWriteFS) OpenAppend(name string) (File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return panicWriteFile{file, f}, err
+}
+
+func (f panicWriteFile) Write(p []byte) (int, error) {
+	if f.fs.armed.Load() {
+		panic("panicWriteFS: injected panic in Write")
+	}
+	return f.File.Write(p)
+}
+
+// TestFlusherPanicPoisonsLog: the interval flusher is the one goroutine
+// this package starts. A panic under it must not take the process down; it
+// poisons every shard, so the writer parked on that flush and every later
+// writer get ErrWALFailed, nothing is acknowledged again, and Close
+// returns.
+func TestFlusherPanicPoisonsLog(t *testing.T) {
+	fs := &panicWriteFS{FS: NewMemFS(FaultPlan{})}
+	state := newMapState()
+	st, err := Open(Config{FS: fs, Dir: "db", Shards: 2, FlushInterval: time.Millisecond}, state.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogPut(1, 1, state.put(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	for k := uint64(2); k < 10; k++ { // both shards, parked and late writers
+		if err := st.LogPut(k, k, state.put(k, k)); !errors.Is(err, ErrWALFailed) {
+			t.Fatalf("put(%d) after the flusher panicked = %v", k, err)
+		}
+	}
+	if err := st.Sync(); !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("Sync after the flusher panicked = %v", err)
+	}
+	st.Close() // returns; the poisoned shards report their error
+}

@@ -27,8 +27,8 @@ const (
 	// cacheSlots is the per-proc capacity in lines (direct-mapped). At 64
 	// bytes per line this models ~64 KB of private cache.
 	cacheSlots = 1024
-	// maxProcs bounds the number of distinct proc IDs per arena.
-	maxProcs = 256
+	// MaxProcs bounds the number of distinct proc IDs per arena.
+	MaxProcs = 256
 )
 
 type procCache struct {
@@ -41,8 +41,8 @@ type procCache struct {
 // (only that proc's goroutine ever touches its slot).
 func (a *Arena) cacheFor(p vclock.Proc) *procCache {
 	id := p.ID()
-	if id < 0 || id >= maxProcs {
-		panic(fmt.Sprintf("simmem: proc id %d out of [0,%d)", id, maxProcs))
+	if id < 0 || id >= MaxProcs {
+		panic(fmt.Sprintf("simmem: proc id %d out of [0,%d)", id, MaxProcs))
 	}
 	c := a.caches[id]
 	if c == nil {

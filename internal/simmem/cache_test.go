@@ -81,7 +81,7 @@ func TestCacheProcIDBounds(t *testing.T) {
 			t.Fatal("no panic for out-of-range proc id")
 		}
 	}()
-	a.LoadWord(vclock.NewWallProc(maxProcs, 0), 8)
+	a.LoadWord(vclock.NewWallProc(MaxProcs, 0), 8)
 }
 
 // TestRetagMovesAccounting verifies the byte accounting transfer.

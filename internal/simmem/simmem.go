@@ -140,7 +140,7 @@ type Arena struct {
 	peak  atomic.Int64
 	byTag [NumTags]atomic.Int64
 
-	caches [maxProcs]*procCache // per-proc cache model (see cache.go)
+	caches [MaxProcs]*procCache // per-proc cache model (see cache.go)
 }
 
 // NewArena creates an arena holding the given number of words (rounded up

@@ -1,7 +1,6 @@
 package eunomia
 
 import (
-	"eunomia/internal/htm"
 	"eunomia/internal/obs"
 	"eunomia/internal/simmem"
 )
@@ -63,14 +62,9 @@ type Observability struct {
 	// emit. Optional; may be combined with the built-in heatmap.
 	Observer Observer
 	// Heatmap enables the built-in per-leaf contention heatmap, surfaced
-	// through Metrics.Contention.
+	// through Metrics.Contention: every abort is sampled into a ring of the
+	// 4096 most recent and a table of the 64 hottest leaves.
 	Heatmap bool
-	// HeatmapSampleEvery keeps every Nth abort (default 1 = all).
-	HeatmapSampleEvery int
-	// HeatmapRingSize bounds the recent-aborts ring (default 4096).
-	HeatmapRingSize int
-	// HeatmapTableSize bounds the hot-leaf table (default 64).
-	HeatmapTableSize int
 }
 
 // TxMetrics aggregates transactional behavior across every thread of the
@@ -154,7 +148,7 @@ func (db *DB) Metrics() Metrics {
 			BackoffCycles:     s.BackoffCycles,
 			DegradationEvents: s.DegradationEvents,
 			WatchdogTrips:     s.WatchdogTrips,
-			AbortsByReason:    map[string]uint64{},
+			AbortsByReason:    statsOf(&s).AbortsByReason,
 		},
 		Resilience: ResilienceStats{
 			Degraded:    db.device.Degraded(),
@@ -167,11 +161,6 @@ func (db *DB) Metrics() Metrics {
 			CCMBytes:      db.arena.BytesByTag(simmem.TagCCM),
 		},
 		Durability: db.durabilityMetrics(),
-	}
-	for r := htm.AbortReason(1); r < htm.NumAbortReasons; r++ {
-		if n := s.Aborts[r]; n > 0 {
-			m.Tx.AbortsByReason[r.String()] = n
-		}
 	}
 	if db.euno != nil {
 		m.Tree = TreeMetrics{

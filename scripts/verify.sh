@@ -20,6 +20,10 @@
 # runs them in a dedicated host-backend-race job.
 set -eux
 
+# A -run filter that no longer matches anything passes silently; catch that
+# before the lanes below (and CI's) are trusted.
+"$(dirname "$0")/check-run-filters.sh"
+
 go vet ./...
 go build ./...
 go test -race ./internal/htm/ ./internal/simmem/ ./internal/shard/

@@ -48,12 +48,13 @@ type Handle interface {
 	Scan(from uint64, max int, fn func(key, val uint64) bool) (int, error)
 	// Range iterates the pairs in [from, to] ascending (range-over-func).
 	Range(from, to uint64) iter.Seq2[uint64, uint64]
-	// Close releases the handle. A DB Thread's Close folds the statistics
-	// the thread has batched into the DB's Metrics (a host thread reports
-	// only every 64 operations otherwise); a Cluster Session's Close does
-	// that for its per-shard Threads and unregisters the Session from the
-	// resharding engine's quiesce barrier (mandatory for session-churning
-	// workloads).
+	// Close releases the handle, which must not be used afterwards. A DB
+	// Thread's Close folds the statistics the thread has batched into the
+	// DB's Metrics (a host thread reports only every 64 operations
+	// otherwise) and frees its slot among the emulated backend's 254 live
+	// handles; a Cluster Session's Close does that for its per-shard
+	// Threads and unregisters the Session from the resharding engine's
+	// quiesce barrier. Mandatory for workloads that churn handles.
 	Close() error
 }
 
@@ -70,9 +71,18 @@ func (db *DB) NewHandle() Handle { return db.NewThread() }
 
 // Close releases the Thread: it folds the statistics the thread has
 // batched since its last report into the DB's Metrics, so a short-lived
-// handle is counted. Threads hold no other resources.
+// handle is counted, and hands the thread's proc id back to the DB for
+// the next NewThread. The Thread must not be used afterwards (on the
+// emulated backend its private cache model now belongs to whoever gets
+// the id). Closing twice is harmless.
 func (t *Thread) Close() error {
 	t.th.FlushStats()
+	if t.id != 0 {
+		t.db.idMu.Lock()
+		t.db.freeIDs = append(t.db.freeIDs, t.id)
+		t.db.idMu.Unlock()
+		t.id = 0
+	}
 	return nil
 }
 

@@ -103,3 +103,61 @@ func TestStoreHandleConformance(t *testing.T) {
 		})
 	}
 }
+
+// TestHandleIDsRecycled: a closed handle's proc id goes back to its DB, so
+// the emulated backend's cap is on handles alive at once, not on handles
+// ever created — a server that opens a handle per connection does not die
+// at its 255th. Both stores; only the live-handle cap itself may panic,
+// and it panics in NewThread, not inside the first operation.
+func TestHandleIDsRecycled(t *testing.T) {
+	db, err := Open(Options{ArenaWords: 1 << 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 19}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, st := range map[string]Store{"DB": db, "Cluster": c} {
+		for i := uint64(0); i < 1000; i++ {
+			h := st.NewHandle()
+			for k := i; k < i+4; k++ { // four keys: every cluster shard gets a thread
+				if err := h.Put(k, i); err != nil {
+					t.Fatalf("%s: handle %d: %v", name, i, err)
+				}
+			}
+			h.Close()
+		}
+	}
+	// Snapshots borrow a handle each; they give it back too.
+	dur, err := Open(Options{ArenaWords: 1 << 19, Durability: Durability{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dur.Close()
+	for i := 0; i < 300; i++ {
+		if err := dur.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	live := make([]*Thread, 254)
+	for i := range live {
+		live[i] = db.NewThread()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the 255th live handle on an emulated DB did not panic in NewThread")
+			}
+		}()
+		db.NewThread()
+	}()
+	live[0].Close()
+	th := db.NewThread() // room again
+	if err := th.Put(1, 1); err != nil {
+		t.Fatal(err)
+	}
+}
