@@ -310,9 +310,17 @@ func BenchmarkHostParallel(b *testing.B) {
 const scanBenchKeys = 100_000
 
 // BenchmarkTreeScan16 is core.Tree.Scan(from, 16) on the host backend with
-// nothing above it: the per-leaf cost of the scan path (collect, sort,
-// staging accounting). Run with -benchmem; steady state allocates nothing.
-func BenchmarkTreeScan16(b *testing.B) {
+// nothing above it: the upper region plus one lower region that walks the
+// leaf chain through the bounded merged reader. attempts/scan and loads/key
+// name the transactional work (htm.Stats) behind the time. Run with
+// -benchmem; steady state allocates nothing.
+func BenchmarkTreeScan16(b *testing.B) { benchTreeScan(b, 16) }
+
+// BenchmarkTreeScan256 is the long scan: several lower regions of
+// scanLeaves leaves each.
+func BenchmarkTreeScan256(b *testing.B) { benchTreeScan(b, 256) }
+
+func benchTreeScan(b *testing.B, max int) {
 	db, err := Open(Options{ArenaWords: 1 << 24, Backend: Host})
 	if err != nil {
 		b.Fatal(err)
@@ -325,17 +333,30 @@ func BenchmarkTreeScan16(b *testing.B) {
 	visit := func(_, _ uint64) bool { return true }
 	b.ReportAllocs()
 	b.ResetTimer()
+	before, keys := th.th.Stats, 0
 	for i := 0; i < b.N; i++ {
 		from := uint64(i) * 2654435761 % (2 * scanBenchKeys)
-		db.euno.Scan(th.th, from, 16, visit)
+		keys += db.euno.Scan(th.th, from, max, visit)
 	}
+	reportScanWork(b, th.th.Stats.Attempts-before.Attempts, th.th.Stats.TxLoads-before.TxLoads, keys)
+}
+
+// reportScanWork names a scan benchmark's transactional work.
+func reportScanWork(b *testing.B, attempts, loads uint64, keys int) {
+	b.ReportMetric(float64(attempts)/float64(b.N), "attempts/scan")
+	b.ReportMetric(float64(loads)/float64(keys), "loads/key")
 }
 
 // BenchmarkSessionScan16 is Session.Scan(from, 16) on a 4-shard hash
 // cluster, host backend, health on: the merge-scan the scan-mix workload
 // spends its time in. refills/scan is the cursor pages read beyond each
 // shard's first, the price of asking a shard for only its share.
-func BenchmarkSessionScan16(b *testing.B) {
+func BenchmarkSessionScan16(b *testing.B) { benchSessionScan(b, 16) }
+
+// BenchmarkSessionScan256 is the long merged scan.
+func BenchmarkSessionScan256(b *testing.B) { benchSessionScan(b, 256) }
+
+func benchSessionScan(b *testing.B, max int) {
 	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 22, Backend: Host}})
 	if err != nil {
 		b.Fatal(err)
@@ -348,14 +369,25 @@ func BenchmarkSessionScan16(b *testing.B) {
 		}
 	}
 	visit := func(_, _ uint64) bool { return true }
+	work := func() (attempts, loads uint64) {
+		for _, th := range sess.threads {
+			attempts, loads = attempts+th.th.Stats.Attempts, loads+th.th.Stats.TxLoads
+		}
+		return attempts, loads
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	pages := sess.pages
+	pages, keys := sess.pages, 0
+	attempts, loads := work()
 	for i := 0; i < b.N; i++ {
 		from := uint64(i) * 2654435761 % (2 * scanBenchKeys)
-		if _, err := sess.Scan(from, 16, visit); err != nil {
+		n, err := sess.Scan(from, max, visit)
+		if err != nil {
 			b.Fatal(err)
 		}
+		keys += n
 	}
 	b.ReportMetric(float64(sess.pages-pages)/float64(b.N)-float64(c.Shards()), "refills/scan")
+	a, l := work()
+	reportScanWork(b, a-attempts, l-loads, keys)
 }

@@ -451,6 +451,11 @@ func TestReshardAutoSplitTriggers(t *testing.T) {
 			}
 		}
 		if c.Shards() == 3 && !c.Migrating() {
+			// The watcher counts the split once Reshard has returned to it,
+			// a moment after the topology shows the third shard.
+			for c.ClusterMetrics().Topology.AutoSplits == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
 			if got := c.ClusterMetrics().Topology.AutoSplits; got != 1 {
 				t.Fatalf("AutoSplits = %d, want 1", got)
 			}

@@ -260,9 +260,12 @@ func (w scanWork) plus(o scanWork) scanWork {
 // each shard for its share (firstPage), so it costs what four share-sized
 // shard scans cost plus at most one refill — share + slack is half of 16, so
 // a second cursor cannot run dry before the 16th key is out — and over any
-// run of scans strictly less than asking every shard for all 16. One
-// goroutine on the host backend, so every attempt commits and the counts
-// are exact.
+// run of scans strictly fewer Tx loads than asking every shard for all 16.
+// Attempts cannot tell the two apart since a shard scan walks its leaves in
+// one region: each page the merge asks for, first or refill, is exactly two
+// attempts (the upper region and one lower region), and that is what the
+// test pins. One goroutine on the host backend, so every attempt commits
+// and the counts are exact.
 func TestClusterScanWorkBound(t *testing.T) {
 	c, sess := hostScanCluster(t)
 	total := func() (w scanWork) {
@@ -316,8 +319,12 @@ func TestClusterScanWorkBound(t *testing.T) {
 				r.from, r.used, share, r.asked, refill)
 		}
 	}
-	if usedSum.attempts >= fullSum.attempts || usedSum.loads >= fullSum.loads {
-		t.Fatalf("200 Scan(from,16) cost %+v; asking every shard for all 16 costs %+v: want strictly less", usedSum, fullSum)
+	if usedSum.loads >= fullSum.loads {
+		t.Fatalf("200 Scan(from,16) cost %+v; asking every shard for all 16 costs %+v: want strictly fewer loads", usedSum, fullSum)
+	}
+	if asked := sess.pages - pages; usedSum.attempts != 2*asked || fullSum.attempts != 2*200*uint64(c.Shards()) {
+		t.Fatalf("200 Scan(from,16) asked the shards for %d pages in %d attempts, and 800 full-limit shard scans took %d: want exactly 2 per shard scan",
+			asked, usedSum.attempts, fullSum.attempts)
 	}
 	if refills := sess.pages - pages - 200*uint64(c.Shards()); refills > 200*15/100 {
 		t.Fatalf("%d of 200 scans refilled a cursor; clusterShareSlack is sized to keep that under 15%%", refills)

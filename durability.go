@@ -102,7 +102,7 @@ func (t groupTxn) Commit(ops []core.GroupOp) error {
 	return t.g.Commit(entries)
 }
 
-func (t groupTxn) Abort() { t.g.Abort() }
+func (t groupTxn) Abort() error { return t.g.Abort() }
 
 // durErr maps store-level errors onto the public API's vocabulary.
 func durErr(err error) error {

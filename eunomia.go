@@ -431,9 +431,9 @@ func (t *Thread) Scan(from uint64, max int, fn func(key, val uint64) bool) (int,
 //
 //	for k, v := range th.Range(10, 19) { ... }
 //
-// Pairs are delivered with the same snapshot granularity as Scan (per
-// leaf, never mid-transaction); keys inserted or deleted while ranging
-// may or may not be observed. Iteration stops silently if the DB closes
+// Pairs are delivered with the same snapshot granularity as Scan (a run of
+// a few adjacent leaves read in one transaction, never mid-transaction);
+// keys inserted or deleted while ranging may or may not be observed. Iteration stops silently if the DB closes
 // mid-range; use Scan to distinguish that case.
 func (t *Thread) Range(from, to uint64) iter.Seq2[uint64, uint64] {
 	return func(yield func(uint64, uint64) bool) {
@@ -519,7 +519,7 @@ type ResilienceStats struct {
 type MemoryStats struct {
 	LiveBytes     int64
 	PeakBytes     int64
-	ReservedBytes int64 // transient reserved-keys buffers currently live
+	ReservedBytes int64 // transient reserved-keys buffers currently live (compaction, split)
 	CCMBytes      int64 // conflict control module lines
 }
 

@@ -44,8 +44,8 @@ func main() {
 	}
 
 	// Range queries: ordered iteration despite the partitioned leaf
-	// layout (segments are merge-sorted through the reserved-keys
-	// buffer). Scan takes a callback and a count limit; Range is the Go
+	// layout (a scan merges the segments with the stable run inside one
+	// transaction). Scan takes a callback and a count limit; Range is the Go
 	// 1.23 iterator form over a closed key interval.
 	fmt.Print("scan from 10, 8 keys:")
 	th.Scan(10, 8, func(k, v uint64) bool {

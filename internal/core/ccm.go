@@ -11,7 +11,7 @@ import (
 // point is to serialize or filter requests before they enter a transaction
 // (Figure 5). Word offsets within the CCM line:
 const (
-	ccmSplitLock = 0 // advisory per-leaf lock serializing splits and scans
+	ccmSplitLock = 0 // advisory per-leaf lock serializing splits and compactions
 	ccmLockBits  = 1 // one lock bit per hash slot (fine-grained advisory locks)
 	ccmMarks0    = 2 // counting mark slots, 16 nibbles per word (2 words)
 	ccmMarks1    = 3
@@ -94,8 +94,9 @@ func (t *Tree) markAdd(p vclock.Proc, ccm simmem.Addr, slot uint, delta int) uin
 	}
 }
 
-// lockLeaf acquires the per-leaf advisory split lock (serializing splits,
-// compactions, and scans on the leaf).
+// lockLeaf acquires the per-leaf advisory split lock (serializing splits
+// and compactions on the leaf; scans read a transactional snapshot and do
+// not take it).
 func (t *Tree) lockLeaf(p vclock.Proc, ccm simmem.Addr) {
 	for !t.a.CASWordDirect(p, ccm+ccmSplitLock, 0, 1) {
 		for t.a.LoadWord(p, ccm+ccmSplitLock) != 0 {

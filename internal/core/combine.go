@@ -47,8 +47,10 @@ type GroupTxn interface {
 	// Commit appends one WAL group record covering ops and acknowledges
 	// after it is flushed (or per the store's group-commit mode).
 	Commit(ops []GroupOp) error
-	// Abort releases the transaction without logging anything.
-	Abort()
+	// Abort releases the transaction without logging anything. Its error
+	// says the writes the batch observed (its deletes all missed) could not
+	// be made durable, so those answers must not be acknowledged.
+	Abort() error
 }
 
 // GroupCommitter mints group transactions; the eunomia package installs an
@@ -321,7 +323,7 @@ func (t *Tree) combineLeaf(th *htm.Thread, leaf simmem.Addr, ops []*combineSlot)
 		if len(logged) > 0 {
 			commitErr = gtx.Commit(logged)
 		} else {
-			gtx.Abort()
+			commitErr = gtx.Abort()
 		}
 	}
 
@@ -344,12 +346,10 @@ func (t *Tree) combineLeaf(th *htm.Thread, leaf simmem.Addr, ops []*combineSlot)
 		default:
 			op.redo = false
 			op.found = op.del && outs[i] == oFound
-			op.err = nil
-			if commitErr != nil && applied(op.del, outs[i]) {
-				// The tree mutated but durability failed: same contract as a
-				// failed LogPut — in memory, NOT durable.
-				op.err = commitErr
-			}
+			// The tree mutated but durability failed: same contract as a
+			// failed LogPut — in memory, NOT durable. A delete that missed
+			// shares it: what it observed is not durable either.
+			op.err = commitErr
 		}
 		op.state.Store(slotDone)
 	}

@@ -71,6 +71,31 @@ func TestCombineSingleThreadSemantics(t *testing.T) {
 	}
 }
 
+// failingGroups is a GroupCommitter whose transactions cannot make what the
+// batch observed durable: Commit and Abort both report it.
+type failingGroups struct{ err error }
+
+func (g failingGroups) Begin([]uint64) (GroupTxn, error) { return g, nil }
+func (g failingGroups) Commit([]GroupOp) error           { return g.err }
+func (g failingGroups) Abort() error                     { return g.err }
+
+// TestCombineMissedDeleteCarriesAbortError: a combined batch whose deletes
+// all miss logs nothing, but its "was not there" answers observed writes the
+// group could not flush, so they carry the Abort's error like an applied
+// op carries the Commit's.
+func TestCombineMissedDeleteCarriesAbortError(t *testing.T) {
+	tr, boot := newEuno(t, combineTestConfig())
+	tr.Put(boot, 1, 1)
+	want := fmt.Errorf("disk gone")
+	tr.SetGroupCommitter(failingGroups{want})
+	if handled, found, err := tr.TryCombineDelete(boot, 2); !handled || found || err != want {
+		t.Fatalf("missed delete = handled %v, found %v, err %v; want true, false, %v", handled, found, err, want)
+	}
+	if handled, found, err := tr.TryCombineDelete(boot, 1); !handled || !found || err != want {
+		t.Fatalf("applied delete = handled %v, found %v, err %v; want true, true, %v", handled, found, err, want)
+	}
+}
+
 // TestCombineScheduleFuzz is the schedule-exploration fuzz of
 // schedfuzz_test.go with combining on: every interleaving must preserve
 // the last-writer-tag model and the structural invariants.

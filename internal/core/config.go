@@ -45,6 +45,15 @@
 //     outside the transaction races with concurrent insertions; supersets
 //     only cost false positives. The new leaf's marks are computed inside
 //     the split transaction.
+//
+//   - Scans do not lock the leaf (Section 4.2.4 locks every scanned leaf
+//     while it merge-sorts the segments into that leaf's reserved keys).
+//     The lock guarded the shared reserved-keys buffer; ours is the
+//     scanning thread's own scratch, and the lower region that fills it is
+//     atomic on its own, so one region reads up to scanLeaves adjacent
+//     leaves as a single snapshot (Scan, scanLeaf) and a scan leaves the
+//     CCM line and the arena's accounting untouched. The advisory lock
+//     still serializes compactions and splits.
 package core
 
 import (

@@ -283,8 +283,9 @@ func TestSlotHashInRangeAndDeterministic(t *testing.T) {
 }
 
 func TestReservedBytesTransient(t *testing.T) {
-	// Maintenance and scans stage through TagReserved allocations that
-	// must be freed afterwards: steady-state reserved bytes stay zero.
+	// Maintenance stages through TagReserved allocations that must be
+	// freed afterwards, and a scan stages nothing: steady-state reserved
+	// bytes stay zero.
 	tr, boot := newEuno(t, DefaultConfig)
 	for i := uint64(1); i <= 3000; i++ {
 		tr.Put(boot, i, i)

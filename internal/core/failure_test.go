@@ -39,18 +39,39 @@ func TestCorrectUnderCapacityPressure(t *testing.T) {
 		}
 	}
 	// Scans exceed the read budget too and must fall back correctly.
-	visited := 0
-	last := uint64(0)
-	tr.Scan(boot, 0, 500, func(k, v uint64) bool {
-		if k <= last {
-			t.Fatalf("scan order violated: %d after %d", k, last)
+	scan500 := func(tr *Tree, th *htm.Thread) {
+		t.Helper()
+		visited := 0
+		last := uint64(0)
+		tr.Scan(th, 0, 500, func(k, v uint64) bool {
+			if k <= last {
+				t.Fatalf("scan order violated: %d after %d", k, last)
+			}
+			last = k
+			visited++
+			return true
+		})
+		if visited != 500 {
+			t.Fatalf("scan visited %d", visited)
 		}
-		last = k
-		visited++
-		return true
-	})
-	if visited != 500 {
-		t.Fatalf("scan visited %d", visited)
+	}
+	fallbacks := boot.Stats.Fallbacks
+	scan500(tr, boot)
+	if boot.Stats.Fallbacks == fallbacks {
+		t.Fatal("a 500-key scan on a 12-line device never fell back")
+	}
+
+	// A device with a few leaves' worth of read capacity: the scan region's
+	// leaf budget must fit it, not assume the default 512 lines.
+	h, boot = newTinyCapacityDevice(48, 48)
+	tr = New(h, boot, DefaultConfig)
+	for i := uint64(1); i <= n; i++ {
+		tr.Put(boot, i, i*3)
+	}
+	capacity := boot.Stats.Aborts[htm.AbortCapacity]
+	scan500(tr, boot)
+	if got := boot.Stats.Aborts[htm.AbortCapacity] - capacity; got != 0 {
+		t.Fatalf("a 500-key scan on a 48-line device took %d capacity aborts, want 0", got)
 	}
 }
 

@@ -417,6 +417,61 @@ func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
 	return buf
 }
 
+// scanLeaf is the scans' bounded merged reader: it appends to out, in key
+// order, the leaf's live records with key >= from (segment copies shadow
+// stable ones; tombstones dropped), stopping once out holds limit records.
+// The at most Segments×SegCap (validate: under 32) segment records >= from
+// are insertion-merged on the stack and then merged with the stable run
+// from its first key >= from (binary-searched; from 0 needs no search), so
+// it loads no value below from and no stable pair past the limit.
+func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, from uint64, out []pair, limit int) []pair {
+	var segs [32]pair
+	n := 0
+	for j := 0; j < t.cfg.Segments; j++ {
+		seg := t.segBase(leaf, j)
+		for i, count := 0, int(tx.Load(seg)); i < count; i++ {
+			k := tx.Load(seg + simmem.Addr(1+2*i))
+			if k < from {
+				continue
+			}
+			m := n
+			for ; m > 0 && segs[m-1].k > k; m-- {
+				segs[m] = segs[m-1]
+			}
+			segs[m] = pair{k, tx.Load(seg + simmem.Addr(2+2*i))}
+			n++
+		}
+	}
+	count := int(tx.Load(leaf + offStableCount))
+	i := 0
+	for hi := count; from > 0 && i < hi; {
+		if mid := (i + hi) / 2; tx.Load(t.stableK(leaf, mid)) < from {
+			i = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for s := 0; len(out) < limit; i++ {
+		if i == count {
+			return append(out, segs[s:min(n, s+limit-len(out))]...)
+		}
+		k := tx.Load(t.stableK(leaf, i))
+		for ; s < n && segs[s].k < k && len(out) < limit; s++ {
+			out = append(out, segs[s])
+		}
+		if len(out) == limit {
+			break
+		}
+		if s < n && segs[s].k == k {
+			out = append(out, segs[s]) // shadows the stable copy
+			s++
+		} else if v := tx.Load(t.stableV(leaf, i)); v != tree.Tombstone {
+			out = append(out, pair{k, v})
+		}
+	}
+	return out
+}
+
 // hasKey reports whether recs holds key.
 func hasKey(recs []pair, key uint64) bool {
 	for _, r := range recs {

@@ -38,6 +38,9 @@ type Tree struct {
 	leafWords int
 	intWords  int
 	nslots    uint
+	// scanLeaves is how many adjacent leaves one scan region may read:
+	// scanRegionLines over a leaf's lines short of its CCM line.
+	scanLeaves int
 
 	upperPol htm.RetryPolicy
 	lowerPol htm.RetryPolicy
@@ -82,6 +85,7 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 	t.segStride = roundLine(1 + 2*cfg.SegCap)
 	t.ccmOff = t.segOff + cfg.Segments*t.segStride
 	t.leafWords = t.ccmOff + simmem.WordsPerLine
+	t.scanLeaves = max(1, scanRegionLines*simmem.WordsPerLine/t.ccmOff)
 	t.intWords = offIntKeys + 2*cfg.StableCap + 1
 	t.nslots = uint(2 * cfg.StableCap)
 	if t.nslots > 32 {

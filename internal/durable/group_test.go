@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestGroupFrameRoundtrip(t *testing.T) {
@@ -224,6 +225,81 @@ func TestGroupAbortAndEmptyCommit(t *testing.T) {
 	}
 	if _, err := st.BeginGroup([]uint64{1}); !errors.Is(err, ErrStoreClosed) {
 		t.Fatalf("BeginGroup after close: %v", err)
+	}
+}
+
+// TestGroupMissedDeletesWaitForObservedWrites is
+// TestNegativeDeleteWaitsForObservedWrites for the combined-batch path: a
+// batch's delete that misses may have observed a delete still on its way to
+// disk, on any of the batch's shards, so neither Abort (every delete missed)
+// nor Commit (some did; the group frame goes to the lowest shard only) may
+// return before that shard is flushed.
+func TestGroupMissedDeletesWaitForObservedWrites(t *testing.T) {
+	fs := &gateFS{MemFS: NewMemFS(FaultPlan{}), entered: make(chan struct{}), release: make(chan struct{})}
+	state := newMapState()
+	st, err := Open(Config{FS: fs, Dir: "db", Shards: 2}, state.apply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// low homes on shard 0, where a group frame goes; gone on shard 1.
+	var low, gone uint64
+	for k := uint64(1); low == 0 || gone == 0; k++ {
+		if st.wal.shardFor(k).id == 0 {
+			low = k
+		} else {
+			gone = k
+		}
+	}
+	for name, finish := range map[string]func(g *Group) error{
+		"Abort": (*Group).Abort,
+		"Commit": func(g *Group) error {
+			state.put(low, 1)()
+			return g.Commit([]GroupEntry{{Key: low, Val: 1}})
+		},
+	} {
+		if err := st.LogPut(gone, 30, state.put(gone, 30)); err != nil {
+			t.Fatal(err)
+		}
+		fs.armed.Store(true)
+		first := make(chan error, 1)
+		go func() {
+			_, err := st.LogDelete(gone, state.del(gone))
+			first <- err
+		}()
+		<-fs.entered // the delete is applied, appended, and stuck in fsync
+		fs.armed.Store(false)
+		g, err := st.BeginGroup([]uint64{low, gone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state.del(gone)() {
+			t.Fatalf("%s: the batch's delete found the key the first delete removed", name)
+		}
+		done := make(chan error, 1)
+		go func() { done <- finish(g) }()
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned %v while the delete its missed delete observed was still unflushed", name, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		fs.release <- struct{}{}
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("%s = %v", name, err)
+		}
+	}
+	// With nothing pending a batch whose deletes missed waits for nothing.
+	g, err := st.BeginGroup([]uint64{low, gone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

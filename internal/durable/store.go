@@ -399,15 +399,15 @@ func (st *Store) BeginGroup(keys []uint64) (*Group, error) {
 
 // Commit assigns the batch a contiguous LSN range, appends it as one
 // group frame on the lowest-id involved shard, releases the shard locks,
-// and blocks until the frame is durable. ops must list only operations
-// that actually mutated the tree (an absent-key delete is not logged);
-// an empty ops is an Abort. Recovery re-expands the frame and replays
-// sub-operations in global LSN order, so the batch's effects survive a
-// crash exactly as applied.
+// and blocks until the frame — and everything the batch observed on its
+// other shards, see awaitObserved — is durable. ops must list only
+// operations that actually mutated the tree (an absent-key delete is not
+// logged); an empty ops is an Abort. Recovery re-expands the frame and
+// replays sub-operations in global LSN order, so the batch's effects
+// survive a crash exactly as applied.
 func (g *Group) Commit(ops []GroupEntry) error {
 	if len(ops) == 0 {
-		g.Abort()
-		return nil
+		return g.Abort()
 	}
 	recs := make([]groupRec, len(ops))
 	for i, op := range ops {
@@ -419,19 +419,52 @@ func (g *Group) Commit(ops []GroupEntry) error {
 	s.appendGroupLocked(last, recs)
 	n := len(s.pending)
 	g.release()
-	return g.st.ack(s, last, n, n-before)
+	err := g.st.ack(s, last, n, n-before)
+	if oerr := g.awaitObserved(); err == nil {
+		err = oerr
+	}
+	return err
 }
 
 // Abort releases the shard locks without logging anything. The caller
-// must not have applied any mutation under this group.
-func (g *Group) Abort() { g.release() }
+// must not have applied any mutation under this group; the error is
+// awaitObserved's.
+func (g *Group) Abort() error {
+	g.release()
+	return g.awaitObserved()
+}
 
 // release unlocks the group's shards (reverse order, for symmetry).
 func (g *Group) release() {
 	for i := len(g.shards) - 1; i >= 0; i-- {
 		g.shards[i].unlock()
 	}
+}
+
+// awaitObserved blocks until everything appended to the group's shards is
+// durable. A delete of the batch that missed is an observation like
+// LogDelete's negative answer: its key may be absent only because a delete
+// of it is appended and still on its way to disk, so the batch is not
+// acknowledged before the writes it can have observed. It runs after
+// release and takes the shards one at a time — parked on one shard's flush
+// while holding another's lock would block the interval flusher, which takes
+// the shards in turn. With nothing pending it is one comparison per shard;
+// under AckBeforeFlush it is skipped like every other wait.
+func (g *Group) awaitObserved() error {
+	var err error
+	for _, s := range g.shards {
+		if g.st.cfg.AckBeforeFlush {
+			break
+		}
+		s.lock()
+		werr := g.st.wal.flushLocked(s, s.lastSeq, g.st.wal.interval == 0)
+		s.unlock()
+		if err == nil {
+			err = werr
+		}
+	}
 	g.shards = nil
+	return err
 }
 
 // ack waits for durability (or, in the broken AckBeforeFlush mode,

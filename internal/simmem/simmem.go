@@ -275,33 +275,6 @@ func (a *Arena) Free(p vclock.Proc, addr Addr, nWords int, tag Tag) {
 	a.mu.Unlock()
 }
 
-// Reserve accounts for nWords of transient memory the caller keeps outside
-// the arena — a thread-local buffer standing in for the paper's reserved-keys
-// space, which nothing shared ever reads. The live, peak and per-tag byte
-// counters move and the proc is charged the modelled cycles exactly as for
-// AllocAligned followed by Free, but no arena line is handed out, so there
-// is no zeroing, no version-clock bump and no free-list lock. Release
-// undoes it with the same arguments.
-func (a *Arena) Reserve(p vclock.Proc, nWords int, tag Tag) {
-	if nWords <= 0 {
-		return
-	}
-	p.Tick(a.costs.Compute * 8) // allocator bookkeeping
-	a.account(roundLines(nWords), tag)
-}
-
-// Release ends a Reserve.
-func (a *Arena) Release(p vclock.Proc, nWords int, tag Tag) {
-	if nWords <= 0 {
-		return
-	}
-	n := roundLines(nWords)
-	p.Tick(uint64(n/WordsPerLine) * (a.costs.CAS + a.costs.Store*WordsPerLine)) // clearing the lines
-	b := int64(n * WordBytes)
-	a.byTag[tag].Add(-b)
-	a.live.Add(-b)
-}
-
 // roundLines rounds a word count up to whole lines.
 func roundLines(nWords int) int {
 	return (nWords + WordsPerLine - 1) &^ (WordsPerLine - 1)

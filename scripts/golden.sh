@@ -28,4 +28,14 @@ diff -u cmd/eunobench/testdata/golden-fig8-quick.csv "$tmp/fig8.csv"
 go run ./cmd/eunobench -quick -csv hotkey | grep -E '^#|^scenario|,off,' > "$tmp/hotkey-off.csv"
 diff -u cmd/eunobench/testdata/golden-hotkey-off-quick.csv "$tmp/hotkey-off.csv"
 
+# The scan path has no figure among the three above. Virtual time is
+# deterministic, so it gets the same guard: the range-query extension's
+# table must not move unless a PR means to move it. First baseline: the PR
+# that replaced the per-leaf locked scan with the region walk (ISSUE 20),
+# recorded after that change — there is no older golden to compare with.
+# Re-baseline after an intentional change to the scan path:
+#   go run ./cmd/eunobench -quick -csv scan > cmd/eunobench/testdata/golden-scan-quick.csv
+go run ./cmd/eunobench -quick -csv scan > "$tmp/scan.csv"
+diff -u cmd/eunobench/testdata/golden-scan-quick.csv "$tmp/scan.csv"
+
 echo "golden figures: bit-identical"
