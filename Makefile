@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test tier1-stress verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-hostops bench-hotkey bench-swarm bench-reshard figures trace-demo loc
+.PHONY: test tier1-stress verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-hostops bench-swarm bench-reshard figures trace-demo loc
 
 test:
 	go build ./... && go test ./...
@@ -35,8 +35,8 @@ check:
 	go test -short ./internal/check/... ./internal/durable/...
 
 # golden: the bit-identical-figures guard — the opt-in resilience layer
-# must not move the paper-faithful default figures (fig1, fig8, hotkey-off;
-# and the range-query table, for the scan path) by a single cycle.
+# must not move the paper-faithful default figures (fig1, fig8; and the
+# range-query table, for the scan path) by a single cycle.
 golden:
 	./scripts/golden.sh
 
@@ -72,13 +72,6 @@ bench:
 bench-hostops:
 	go test -run=NONE -bench 'HostOps/Euno' -count=5 .
 
-# bench-hotkey: the CCM v2 hot-key comparison (Options.Combine on vs off)
-# under a single-key hammer and a theta=0.99 celebrity-key Zipfian, on the
-# emulated backend — deterministic virtual-time numbers, so the on/off
-# ratios are comparable across machines and meaningful on single-core CI.
-bench-hotkey:
-	go run ./cmd/eunobench -benchjson BENCH_hotkey.json -benchlabel $(LABEL) hotkey
-
 # bench-swarm: the open-loop serving benchmark (Poisson arrivals at a
 # calibrated offered rate against the durable 4-shard cluster) plus its
 # chaos variant (one shard disk killed and revived mid-run; the artifact
@@ -107,9 +100,9 @@ figures:
 trace-demo:
 	go run ./cmd/eunobench -trace trace_storm.json storm
 
-# loc: non-test Go lines in the four places ROADMAP tracks, so "wc -l went
+# loc: non-test Go lines in the places ROADMAP tracks, so "wc -l went
 # down" is one command.
 loc:
-	@for d in . internal/harness cmd/eunobench bench; do \
+	@for d in . internal/core internal/durable internal/harness cmd/eunobench bench; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done

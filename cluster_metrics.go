@@ -123,10 +123,6 @@ func mergeMetrics(dst *Metrics, src *Metrics) {
 	dst.Tree.MarkRejects += src.Tree.MarkRejects
 	dst.Tree.RootRetries += src.Tree.RootRetries
 	dst.Tree.MaintRounds += src.Tree.MaintRounds
-	dst.Tree.EliminatedPairs += src.Tree.EliminatedPairs
-	dst.Tree.CombinedBatches += src.Tree.CombinedBatches
-	dst.Tree.CombinedOps += src.Tree.CombinedOps
-	dst.Tree.CombinerHandoffs += src.Tree.CombinerHandoffs
 	d, s := &dst.Durability, &src.Durability
 	d.Enabled = d.Enabled || s.Enabled
 	d.Flushes += s.Flushes

@@ -16,7 +16,7 @@ import (
 )
 
 var (
-	benchjson  = flag.String("benchjson", "", "record the run in the JSON artifact at `file` (hostbench, hotkey, swarm, swarmchaos, reshardchaos)")
+	benchjson  = flag.String("benchjson", "", "record the run in the JSON artifact at `file` (hostbench, swarm, swarmchaos, reshardchaos)")
 	benchlabel = flag.String("benchlabel", "current", "run label recorded in the JSON artifact")
 )
 

@@ -60,7 +60,6 @@ var subcommands = []struct {
 	{"adjacency", adjacency, false},
 	{"validate", validateCmd, false},
 	{"hostbench", hostbenchCmd, false},
-	{"hotkey", hotkeyCmd, false},
 	{"storm", stormCmd, false},
 	{"abortmix", abortmixCmd, false},
 	{"heatmap", heatmapCmd, false},

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"eunomia/internal/core"
 	"eunomia/internal/durable"
 	"eunomia/internal/htm"
 )
@@ -69,40 +68,8 @@ func (db *DB) openDurable(boot *htm.Thread, d Durability) error {
 		return err
 	}
 	db.dur = st
-	if db.euno != nil && db.euno.CombineEnabled() {
-		// Route combined batches through the WAL's group commit. Installing
-		// the committer also stops the tree from combining inside plain
-		// Put/Delete — Thread.Put/Delete offer each op to the combining
-		// layer BEFORE their own LogPut, so nothing is logged twice.
-		db.euno.SetGroupCommitter(groupCommitter{st})
-	}
 	return nil
 }
-
-// groupCommitter adapts durable.Store's group commit to the tree's
-// GroupCommitter hook.
-type groupCommitter struct{ st *durable.Store }
-
-func (g groupCommitter) Begin(keys []uint64) (core.GroupTxn, error) {
-	grp, err := g.st.BeginGroup(keys)
-	if err != nil {
-		return nil, err
-	}
-	return groupTxn{grp}, nil
-}
-
-// groupTxn adapts one open durable.Group.
-type groupTxn struct{ g *durable.Group }
-
-func (t groupTxn) Commit(ops []core.GroupOp) error {
-	entries := make([]durable.GroupEntry, len(ops))
-	for i, op := range ops {
-		entries[i] = durable.GroupEntry{Key: op.Key, Val: op.Val, Delete: op.Delete}
-	}
-	return t.g.Commit(entries)
-}
-
-func (t groupTxn) Abort() error { return t.g.Abort() }
 
 // durErr maps store-level errors onto the public API's vocabulary.
 func durErr(err error) error {

@@ -2,7 +2,6 @@ package eunomia
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -244,96 +243,6 @@ func TestOsFilesystemDurability(t *testing.T) {
 	for i := uint64(1); i <= 50; i++ {
 		if v, ok, _ := th2.Get(i); !ok || v != i^0xff {
 			t.Fatalf("key %d lost across real-disk restart", i)
-		}
-	}
-}
-
-// TestDurableCombineRoundtrip drives the full CCM v2 + durability stack:
-// with combining on and the adaptive gate off, every put and delete routes
-// through TryCombine* and a combined batch commits as one WAL group record
-// with per-op acks. Concurrent workers hammer a tiny hot key set while
-// also writing disjoint private keys; after close + reopen the private
-// keys must be intact, the hot keys must match their final writes, and
-// recovery must have replayed group frames.
-func TestDurableCombineRoundtrip(t *testing.T) {
-	fs := durable.NewMemFS(durable.FaultPlan{})
-	open := func() *DB {
-		db, err := Open(Options{ArenaWords: 1 << 20, YieldEvery: 64,
-			Euno:       Tuning{DisableAdaptive: true},
-			Combine:    Combine{Enabled: true},
-			Durability: Durability{Dir: "db", FS: fs}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	db := open()
-	var wg sync.WaitGroup
-	const workers, per, hot = 4, 120, 4
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th := db.NewThread()
-			base := uint64(1000 + w*per)
-			for i := uint64(0); i < per; i++ {
-				if err := th.Put(base+i, base+i); err != nil {
-					t.Error(err)
-					return
-				}
-				k := uint64(i % hot)
-				if i%3 == 2 {
-					if _, err := th.Delete(k); err != nil {
-						t.Error(err)
-						return
-					}
-				} else if err := th.Put(k, uint64(w)<<32|i); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.Fatal("worker errors above")
-	}
-
-	// Pin the hot keys to known final values through the combining path.
-	th := db.NewThread()
-	for k := uint64(0); k < hot; k++ {
-		if err := th.Put(k, k+7000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := db.Metrics()
-	if m.Tree.CombinedBatches == 0 || m.Tree.CombinedOps == 0 {
-		t.Fatalf("no combined batches with combining on and adaptive off: %+v", m.Tree)
-	}
-	t.Logf("combined %d ops in %d batches, %d eliminated pairs, %d handoffs",
-		m.Tree.CombinedOps, m.Tree.CombinedBatches, m.Tree.EliminatedPairs, m.Tree.CombinerHandoffs)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := open()
-	defer db2.Close()
-	ds := db2.Metrics().Durability
-	if !ds.Enabled || ds.ReplayedFrames == 0 {
-		t.Fatalf("recovery replayed nothing: %+v", ds)
-	}
-	th2 := db2.NewThread()
-	for w := 0; w < workers; w++ {
-		base := uint64(1000 + w*per)
-		for i := uint64(0); i < per; i++ {
-			if v, ok, err := th2.Get(base + i); err != nil || !ok || v != base+i {
-				t.Fatalf("private key %d lost across restart (got %d,%v,%v)", base+i, v, ok, err)
-			}
-		}
-	}
-	for k := uint64(0); k < hot; k++ {
-		if v, ok, err := th2.Get(k); err != nil || !ok || v != k+7000 {
-			t.Fatalf("hot key %d: got %d,%v,%v want %d", k, v, ok, err, k+7000)
 		}
 	}
 }

@@ -137,20 +137,6 @@ type Tuning struct {
 	DisableAdaptive    bool
 }
 
-// Combine configures the CCM v2 hot-key layer: elimination of same-key
-// insert+delete pairs plus flat combining of same-leaf bursts, applied
-// only to leaves the adaptive hotness signal flags (cold leaves never pay
-// anything). With durability enabled a combined batch is logged as one
-// WAL group record and every operation in it is acknowledged after that
-// single flush. The zero value disables the layer entirely, leaving the
-// tree bit-identical to the paper-faithful default.
-type Combine struct {
-	// Enabled turns the layer on: 4 publication arrays of 8 slots each
-	// (bursts on one leaf always meet in one array; a saturated one falls
-	// back to the normal path).
-	Enabled bool
-}
-
 // Options configures Open.
 type Options struct {
 	// Kind selects the tree implementation (default EunoBTree).
@@ -160,9 +146,6 @@ type Options struct {
 	ArenaWords uint64
 	// Euno tunes the Euno-B+Tree (ignored for other kinds).
 	Euno Tuning
-	// Combine enables the CCM v2 hot-key layer on the Euno-B+Tree
-	// (ignored for other kinds). Default off — the paper-faithful tree.
-	Combine Combine
 	// Backend selects the execution engine (default Emulated). Host runs
 	// the same protocol on real goroutines at native speed — use it for
 	// actual-throughput work; use the default for paper-comparable,
@@ -205,7 +188,7 @@ type DB struct {
 	kv       tree.KV
 	euno     *core.Tree     // non-nil when Kind == EunoBTree
 	dur      *durable.Store // non-nil when durability is enabled
-	observer obs.Observer   // combined observer chain (nil when disabled)
+	observer obs.Observer   // the observer chain as one (nil when disabled)
 	heat     *obs.Heatmap   // non-nil when Observability.Heatmap
 	closed   atomic.Bool
 
@@ -276,7 +259,6 @@ func Open(opts Options) (*DB, error) {
 		cfg.CCMLockBits = !t.DisableCCMLockBits
 		cfg.CCMMarkBits = !t.DisableCCMMarkBits
 		cfg.Adaptive = !t.DisableAdaptive
-		cfg.Combine.Enabled = opts.Combine.Enabled
 		if opts.Resilience {
 			cfg.Resilience = htm.DefaultResilience()
 		}
@@ -373,17 +355,6 @@ func (t *Thread) Put(key, val uint64) error {
 		t.db.kv.Put(t.th, key, val)
 		return nil
 	}
-	// With combining on, the batch path owns both the tree mutation and the
-	// WAL group record — it must run before LogPut or the op would log twice.
-	if t.db.euno != nil && t.db.euno.CombineEnabled() {
-		if handled, err := t.db.euno.TryCombinePut(t.th, key, val); handled {
-			if err != nil {
-				return durErr(err)
-			}
-			t.maybeSnapshot()
-			return nil
-		}
-	}
 	if err := t.db.dur.LogPut(key, val, func() { t.db.kv.Put(t.th, key, val) }); err != nil {
 		return durErr(err)
 	}
@@ -399,15 +370,6 @@ func (t *Thread) Delete(key uint64) (bool, error) {
 	}
 	if t.db.dur == nil {
 		return t.db.kv.Delete(t.th, key), nil
-	}
-	if t.db.euno != nil && t.db.euno.CombineEnabled() {
-		if handled, found, err := t.db.euno.TryCombineDelete(t.th, key); handled {
-			if err != nil {
-				return found, durErr(err)
-			}
-			t.maybeSnapshot()
-			return found, nil
-		}
 	}
 	ok, err := t.db.dur.LogDelete(key, func() bool { return t.db.kv.Delete(t.th, key) })
 	if err != nil {

@@ -340,10 +340,6 @@ func (s *server) serveConn(conn net.Conn) {
 				fmt.Fprintf(out, " flushes=%d batch_avg=%.1f flush_p99_us=%d snapshots=%d replayed=%d",
 					ds.Flushes, ds.AvgBatch, ds.FlushP99Ns/1000, ds.Snapshots, ds.ReplayedFrames)
 			}
-			if tr := m.Tree; tr.CombinedBatches > 0 || tr.EliminatedPairs > 0 {
-				fmt.Fprintf(out, " combined_batches=%d combined_ops=%d eliminated=%d",
-					tr.CombinedBatches, tr.CombinedOps, tr.EliminatedPairs)
-			}
 			if cluster != nil {
 				cm := cluster.ClusterMetrics()
 				// Fault domains (one letter per shard: H/D/F/R) + serving edge.

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"eunomia/internal/check"
-	"eunomia/internal/core"
 	"eunomia/internal/htm"
-	"eunomia/internal/tree"
 )
 
 // TestRegistryBuilds instantiates every registry entry once so a renamed
@@ -121,153 +119,6 @@ func TestMutantCaught(t *testing.T) {
 	if _, _, err := check.RunWorkload(healthy, r.Workload, r.Fault); err != nil {
 		t.Errorf("healthy geometry fails the mutant's repro schedule:\n%v", err)
 	}
-}
-
-// combineSweep is the sweep shape for the CCM v2 layer: few keys and a
-// put/delete-heavy mix maximize same-key insert+delete pairing, and the
-// FaultCombine yields stretch the publication window (slot Reserved, not
-// yet Published) so concurrent bursts actually meet in one stripe drain.
-func combineSweep(seeds int) check.SweepConfig {
-	sc := check.DefaultSweep(seeds)
-	sc.Base = check.Workload{
-		Procs: 3, Ops: 40, Keys: 4,
-		GetPct: 20, PutPct: 40, DelPct: 40,
-		Preload: true,
-	}
-	sc.Faults = []htm.FaultSpec{
-		{Point: htm.FaultCombine, Action: htm.ActYield, Nth: 1},
-		{Point: htm.FaultCombine, Action: htm.ActYield, Nth: 2},
-	}
-	return sc
-}
-
-func combineSeeds() int {
-	if testing.Short() {
-		return 8
-	}
-	return 16
-}
-
-// TestCombineSweep is the healthy half of the CCM v2 acceptance: both
-// combining geometries must pass the full elimination-weighted sweep.
-func TestCombineSweep(t *testing.T) {
-	for _, name := range []string{"euno-combine", "euno-combine-tiny"} {
-		mk, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		histories, fail := check.Sweep(name, mk, combineSweep(combineSeeds()))
-		if fail != nil {
-			t.Fatalf("%s failed after %d histories\nrepro: %s\n%v",
-				name, histories, fail.ReproLine(), fail.Err)
-		}
-		t.Logf("%s: %d histories linearizable", name, histories)
-	}
-}
-
-// TestCombineMutantCaught is the CCM v2 self-test: with the elimination
-// absence proof removed (core.CombineConfig.UnsoundEliminate) an
-// insert+delete pair annihilates even when the key is present, so the
-// pre-existing value survives a delete that answered found — an
-// intervening or later read contradicts every linearization. The checker
-// must reject it within the seed budget, the failure must shrink and
-// replay deterministically, and the sound geometry must pass the very
-// same schedule.
-func TestCombineMutantCaught(t *testing.T) {
-	mk, err := Lookup("euno-combine-broken")
-	if err != nil {
-		t.Fatal(err)
-	}
-	histories, fail := check.Sweep("euno-combine-broken", mk, combineSweep(mutantSeeds()))
-	if fail == nil {
-		t.Fatalf("unsound-elimination mutant survived %d histories; the checker lost its teeth", histories)
-	}
-	t.Logf("mutant caught after %d histories", histories)
-	t.Logf("repro: %s", fail.ReproLine())
-	t.Logf("violation:\n%v", fail.Err)
-
-	r, err := check.ParseRepro(check.Repro{Tree: fail.Tree, Workload: fail.Workload, Fault: fail.Fault}.String())
-	if err != nil {
-		t.Fatalf("emitted repro does not parse: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := check.RunWorkload(mk, r.Workload, r.Fault); err == nil {
-			t.Fatalf("replay %d of the shrunk repro passed; repro is not deterministic", i)
-		}
-	}
-
-	healthy, err := Lookup("euno-combine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := check.RunWorkload(healthy, r.Workload, r.Fault); err != nil {
-		t.Errorf("sound elimination fails the mutant's repro schedule:\n%v", err)
-	}
-}
-
-// TestCombineFaultCovered asserts the FaultCombine point — the CCM v2
-// publication and drain windows — is both visited and forced under the
-// combining geometry, with the history staying linearizable. (The base
-// coverage test runs euno-tiny, which has no combiner, so this point
-// needs its own run.)
-func TestCombineFaultCovered(t *testing.T) {
-	mk, err := Lookup("euno-combine-tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := check.Workload{
-		Procs: 3, Ops: 80, Keys: 8,
-		GetPct: 20, PutPct: 40, DelPct: 40,
-		Preload: true, Seed: 7,
-	}
-	for _, spec := range []htm.FaultSpec{
-		{Point: htm.FaultCombine, Action: htm.ActYield, Nth: 1},
-		{Point: htm.FaultCombine, Action: htm.ActYield, Nth: 3},
-	} {
-		_, fi, err := check.RunWorkload(mk, wl, spec)
-		if err != nil {
-			t.Fatalf("euno-combine-tiny under fault %s:\n%v", spec, err)
-		}
-		if fi.Hits(spec.Point) == 0 {
-			t.Fatalf("fault %s never fired (visits=%d)", spec, fi.Visits(spec.Point))
-		}
-		t.Logf("fault %s: visits=%d hits=%d", spec, fi.Visits(spec.Point), fi.Hits(spec.Point))
-	}
-}
-
-// TestCombineEliminationObserved proves the sound elimination path is not
-// vacuous under the checker: across the seed sweep at least one
-// insert+delete pair must actually annihilate (the counter moves), and
-// every one of those histories must still linearize. Without this, a
-// regression that silently disabled elimination would leave the mutant
-// sweep green for the wrong reason.
-func TestCombineEliminationObserved(t *testing.T) {
-	var last *core.Tree
-	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		cfg := combineEuno()
-		cfg.Combine.Stripes, cfg.Combine.Slots = 1, 4
-		last = core.New(h, boot, cfg)
-		return last
-	}
-	wl := check.Workload{
-		Procs: 3, Ops: 60, Keys: 2,
-		GetPct: 10, PutPct: 45, DelPct: 45,
-		Preload: false, // absent keys: the absence proof can succeed
-	}
-	fault := htm.FaultSpec{Point: htm.FaultCombine, Action: htm.ActYield, Nth: 1}
-	var eliminated, batches uint64
-	for seed := uint64(0); seed < 32; seed++ {
-		wl.Seed = seed
-		if _, _, err := check.RunWorkload(mk, wl, fault); err != nil {
-			t.Fatalf("seed %d:\n%v", seed, err)
-		}
-		eliminated += last.EliminatedPairs()
-		batches += last.CombinedBatches()
-	}
-	if eliminated == 0 {
-		t.Fatalf("no insert+delete pair eliminated across 32 seeds (%d combined batches); the elimination sweep is vacuous", batches)
-	}
-	t.Logf("eliminated %d pairs across 32 seeds (%d combined batches)", eliminated, batches)
 }
 
 // TestFaultPointsCoveredEuno is the coverage acceptance test for the Euno

@@ -42,26 +42,6 @@ func brokenEuno() core.Config {
 	return cfg
 }
 
-// combineEuno is tinyEuno with the CCM v2 elimination + flat-combining
-// layer on: split-heavy geometry, always-hot leaves, so every burst runs
-// through the publication slots.
-func combineEuno() core.Config {
-	cfg := tinyEuno()
-	cfg.Combine.Enabled = true
-	return cfg
-}
-
-// combineBrokenEuno is combineEuno with the elimination absence proof
-// removed: an insert+delete pair annihilates even when the key is
-// present, so an intervening read (or the delete's own found answer) can
-// contradict every linearization — the seeded mutant the checker must
-// catch (see core.CombineConfig.UnsoundEliminate).
-func combineBrokenEuno() core.Config {
-	cfg := combineEuno()
-	cfg.Combine.UnsoundEliminate = true
-	return cfg
-}
-
 // Registry maps repro names to factories. Default-geometry entries match
 // the tree's own Name(); -tiny entries shrink fanout for split pressure.
 var Registry = map[string]check.Factory{
@@ -73,17 +53,6 @@ var Registry = map[string]check.Factory{
 	},
 	"euno-broken": func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		return core.New(h, boot, brokenEuno())
-	},
-	"euno-combine": func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		return core.New(h, boot, combineEuno())
-	},
-	"euno-combine-tiny": func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		cfg := combineEuno()
-		cfg.Combine.Stripes, cfg.Combine.Slots = 1, 2
-		return core.New(h, boot, cfg)
-	},
-	"euno-combine-broken": func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		return core.New(h, boot, combineBrokenEuno())
 	},
 	"htm-btree": func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		return htmtree.New(h, boot, 16)

@@ -107,37 +107,6 @@ type Config struct {
 	// mutation self-test for the linearizability checker (internal/check):
 	// the checker must reject this configuration. Never set it otherwise.
 	DisableSeqnoCheck bool
-
-	// Combine configures CCM v2: opt-in elimination and flat combining for
-	// hot keys and leaves (see combine.go). The zero value disables it.
-	Combine CombineConfig
-}
-
-// CombineConfig configures the CCM v2 elimination/flat-combining layer.
-// With Enabled false (the default) the tree behaves exactly as before —
-// the combine path is never entered and figure metrics stay bit-identical.
-type CombineConfig struct {
-	// Enabled turns the layer on. Puts and deletes that target a hot leaf
-	// (per the adaptive contention detector; always when Adaptive is off)
-	// publish into a combining stripe instead of running the lower region
-	// themselves: concurrent same-key insert+delete pairs are eliminated
-	// without touching the leaf, and same-leaf bursts are drained by one
-	// combiner thread in a single transaction.
-	Enabled bool
-	// Stripes is the number of publication stripes (leaves hash to a
-	// stripe; same leaf always lands on the same stripe so bursts meet).
-	// Default 4.
-	Stripes int
-	// Slots is the number of publication slots per stripe. A put/delete
-	// that finds no free slot silently falls back to the normal path.
-	// Default 8.
-	Slots int
-	// UnsoundEliminate deliberately breaks elimination by skipping the
-	// absence proof (mark-slot and seqno checks), so a present key's
-	// insert+delete pair is cancelled even though the delete should have
-	// removed the *existing* record. It exists solely as the mutation
-	// self-test for the linearizability checker. Never set it otherwise.
-	UnsoundEliminate bool
 }
 
 // DefaultConfig is the full Euno-B+Tree ("+Adaptive" column of Figure 13):
@@ -202,17 +171,6 @@ func (c *Config) validate() error {
 	}
 	if c.RebalanceThreshold == 0 {
 		c.RebalanceThreshold = DefaultConfig.RebalanceThreshold
-	}
-	if c.Combine.Enabled {
-		if c.Combine.Stripes <= 0 {
-			c.Combine.Stripes = 4
-		}
-		if c.Combine.Slots <= 0 {
-			c.Combine.Slots = 8
-		}
-		if c.Combine.Slots > 64 {
-			return fmt.Errorf("core: Combine.Slots %d out of [1,64]", c.Combine.Slots)
-		}
 	}
 	return nil
 }

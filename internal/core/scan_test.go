@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -290,7 +291,13 @@ func TestScanOrderedAcrossRegionsUnderSplits(t *testing.T) {
 		}
 	}()
 	defer func() { close(stop); <-done }()
-	for round := 0; round < 300; round++ {
+	// At least 300 rounds, and more until the writer has split something:
+	// 300 scans take ~10 ms, less than the writer may have to wait for its
+	// first time slice, and on one core it runs only when the scanner yields.
+	for round := 0; round < 300 || (tr.Splits() == splits && round < 100_000); round++ {
+		if tr.Splits() == splits {
+			runtime.Gosched()
+		}
 		from := uint64(round*97) % 7000
 		last, seen, evens := uint64(0), false, 0
 		n := tr.Scan(th, from, 256, func(k, _ uint64) bool {

@@ -45,23 +45,12 @@ type Tree struct {
 	upperPol htm.RetryPolicy
 	lowerPol htm.RetryPolicy
 
-	// CCM v2 (see combine.go). comb is nil unless cfg.Combine.Enabled; gc
-	// is the durability hook for combined batches (nil when non-durable).
-	comb *combiner
-	gc   GroupCommitter
-
 	// Diagnostics.
 	splits      atomic.Uint64
 	compactions atomic.Uint64
 	markRejects atomic.Uint64 // get/delete turned away by mark slots
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
-
-	// CCM v2 diagnostics.
-	eliminatedPairs  atomic.Uint64 // insert+delete pairs cancelled leaf-free
-	combinedBatches  atomic.Uint64 // per-leaf batches drained by a combiner
-	combinedOps      atomic.Uint64 // operations served inside those batches
-	combinerHandoffs atomic.Uint64 // claimed requests published by another thread
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -92,10 +81,6 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 		t.nslots = 32
 	}
 
-	if cfg.Combine.Enabled {
-		t.comb = newCombiner(cfg.Combine)
-	}
-
 	t.meta = t.a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagTreeMeta)
 	root := t.newLeaf(boot.P)
 	t.a.StoreWordDirect(boot.P, t.meta+metaRoot, uint64(root))
@@ -116,13 +101,6 @@ func (t *Tree) Compactions() uint64 { return t.compactions.Load() }
 func (t *Tree) MarkRejects() uint64 { return t.markRejects.Load() }
 func (t *Tree) RootRetries() uint64 { return t.rootRetries.Load() }
 func (t *Tree) MaintRounds() uint64 { return t.maintRounds.Load() }
-
-// EliminatedPairs, CombinedBatches, CombinedOps and CombinerHandoffs
-// expose the CCM v2 diagnostics (all zero unless Combine.Enabled).
-func (t *Tree) EliminatedPairs() uint64  { return t.eliminatedPairs.Load() }
-func (t *Tree) CombinedBatches() uint64  { return t.combinedBatches.Load() }
-func (t *Tree) CombinedOps() uint64      { return t.combinedOps.Load() }
-func (t *Tree) CombinerHandoffs() uint64 { return t.combinerHandoffs.Load() }
 
 func (t *Tree) newLeaf(p vclock.Proc) simmem.Addr {
 	addr := t.a.AllocAligned(p, t.leafWords, simmem.TagKeys)
@@ -256,15 +234,6 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 	if val == tree.Tombstone {
 		panic("core: the tombstone value is reserved")
 	}
-	// CCM v2 fast path: with combining on and no external durability
-	// driver, offer the put to the elimination/flat-combining layer first
-	// (a durable owner interleaves TryCombinePut with its own logging
-	// instead, so nothing is logged twice).
-	if t.comb != nil && t.gc == nil {
-		if handled, _ := t.TryCombinePut(th, key, val); handled {
-			return
-		}
-	}
 	for {
 		leaf, s0 := t.upper(th, key)
 		th.Fault(htm.FaultStitch)
@@ -338,12 +307,6 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 // tombstoned in the stable region; physical cleanup happens at the next
 // compaction or split (deletion without rebalancing).
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
-	// CCM v2 fast path; see Put.
-	if t.comb != nil && t.gc == nil {
-		if handled, found, _ := t.TryCombineDelete(th, key); handled {
-			return found
-		}
-	}
 	for {
 		leaf, s0 := t.upper(th, key)
 		th.Fault(htm.FaultStitch)

@@ -15,26 +15,20 @@ import (
 //
 //	op u8 | seq u64 | key u64 | val u64 (put/snap-record frames only)
 //
-// for the fixed-size ops, or — for a combined-batch group record —
-//
-//	op u8 | seq u64 | count u32 | count × (kind u8 | key u64 | val u64)
-//
-// where seq is the LSN of the *last* sub-operation (sub-op i carries
-// seq-count+1+i) so the shard's flush watermark covers the whole batch.
-// A fixed frame is 17 or 25 payload bytes and a group frame is
-// 13 + 17·count; anything else fails validation, which is what makes a
-// zeroed tail (len=0) or a length landing past EOF (truncated frame)
-// detectable without a scan-forward heuristic. Recovery truncates a file
-// at the first frame that fails any of these checks — torn tails are
-// expected after a crash, and everything past the tear was never
-// acknowledged.
+// so a frame is 17 or 25 payload bytes; anything else fails validation,
+// which is what makes a zeroed tail (len=0) or a length landing past EOF
+// (truncated frame) detectable without a scan-forward heuristic. Recovery
+// truncates a file at the first frame that fails any of these checks —
+// torn tails are expected after a crash, and everything past the tear was
+// never acknowledged. The one thing it does not truncate is a frame that
+// is whole (see framePayload) yet not one this version reads: it was
+// written, and synced, by a version with frame kinds this one does not
+// have, and so was everything behind it.
 const (
 	frameHeaderSize = 8
 	payloadDel      = 17 // op + seq + key
 	payloadPut      = 25 // op + seq + key + val
 	maxFrameSize    = frameHeaderSize + payloadPut
-	groupFixed      = 13 // op + seq + count
-	groupOpSize     = 17 // kind + key + val
 )
 
 // Frame op codes. WAL segments hold only put and delete frames; snapshot
@@ -45,7 +39,6 @@ const (
 	opSnapHeader = 3 // seq = base LSN, key = snapshot id
 	opSnapRecord = 4 // key/val pair captured by the snapshot scan
 	opSnapFooter = 5 // seq = base LSN, key = record count
-	opGroup      = 6 // combined batch: one record, many sub-operations
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -56,15 +49,6 @@ type frame struct {
 	seq uint64
 	key uint64
 	val uint64
-	// group holds a group frame's sub-operations (nil otherwise); seq is
-	// then the last sub-op's LSN.
-	group []groupRec
-}
-
-// groupRec is one sub-operation of a group frame.
-type groupRec struct {
-	key, val uint64
-	del      bool
 }
 
 // hasVal reports whether the op carries a value word.
@@ -91,93 +75,47 @@ func appendFrame(buf []byte, f frame) []byte {
 	return buf
 }
 
-// appendGroupFrame encodes a combined batch as one frame. lastSeq is the
-// LSN of the final sub-operation; sub-op i carries lastSeq-len(ops)+1+i.
-func appendGroupFrame(buf []byte, lastSeq uint64, ops []groupRec) []byte {
-	plen := groupFixed + groupOpSize*len(ops)
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHeaderSize+plen)...)
-	p := buf[start+frameHeaderSize:]
-	p[0] = opGroup
-	binary.LittleEndian.PutUint64(p[1:], lastSeq)
-	binary.LittleEndian.PutUint32(p[9:], uint32(len(ops)))
-	o := groupFixed
-	for _, g := range ops {
-		if g.del {
-			p[o] = opDel
-		} else {
-			p[o] = opPut
-		}
-		binary.LittleEndian.PutUint64(p[o+1:], g.key)
-		binary.LittleEndian.PutUint64(p[o+9:], g.val)
-		o += groupOpSize
+// framePayload returns the payload of the frame at data[off:] if the frame
+// is whole: a non-zero length word that fits inside the file and a payload
+// its CRC verifies. A tear cannot look like this — a zeroed tail has length
+// 0, a short tail a length past EOF, a partial overwrite a bad CRC.
+func framePayload(data []byte, off int) ([]byte, bool) {
+	if off+frameHeaderSize > len(data) {
+		return nil, false
 	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(plen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(p, castagnoli))
-	return buf
-}
-
-// validPayloadLen screens a length word before anything else is trusted.
-func validPayloadLen(plen int) bool {
-	if plen == payloadDel || plen == payloadPut {
-		return true
+	plen := int(binary.LittleEndian.Uint32(data[off:]))
+	if plen == 0 || plen > len(data)-off-frameHeaderSize {
+		return nil, false
 	}
-	return plen >= groupFixed+groupOpSize && (plen-groupFixed)%groupOpSize == 0
+	p := data[off+frameHeaderSize : off+frameHeaderSize+plen]
+	return p, crc32.Checksum(p, castagnoli) == binary.LittleEndian.Uint32(data[off+4:])
 }
 
 // decodeFrame decodes the frame at data[off:]. ok=false means the bytes
-// at off do not form a valid frame (torn tail, zeroed region, bit flip) —
-// recovery stops reading the file there.
+// at off do not form a frame this version reads: a tear (torn tail, zeroed
+// region, bit flip), where recovery stops reading the file, or a whole
+// frame of another length or op, which only framePayload tells apart.
 func decodeFrame(data []byte, off int) (f frame, size int, ok bool) {
-	if off+frameHeaderSize > len(data) {
-		return f, 0, false
-	}
-	plen := int(binary.LittleEndian.Uint32(data[off:]))
-	if !validPayloadLen(plen) {
-		return f, 0, false
-	}
-	if off+frameHeaderSize+plen > len(data) {
-		return f, 0, false
-	}
-	p := data[off+frameHeaderSize : off+frameHeaderSize+plen]
-	if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+	p, whole := framePayload(data, off)
+	if !whole || (len(p) != payloadDel && len(p) != payloadPut) {
 		return f, 0, false
 	}
 	f.op = p[0]
 	f.seq = binary.LittleEndian.Uint64(p[1:])
 	switch f.op {
 	case opPut, opSnapRecord:
-		if plen != payloadPut {
+		if len(p) != payloadPut {
 			return f, 0, false
 		}
 		f.key = binary.LittleEndian.Uint64(p[9:])
 		f.val = binary.LittleEndian.Uint64(p[17:])
 	case opDel, opSnapHeader, opSnapFooter:
-		if plen != payloadDel {
+		if len(p) != payloadDel {
 			return f, 0, false
 		}
 		f.key = binary.LittleEndian.Uint64(p[9:])
-	case opGroup:
-		count := int(binary.LittleEndian.Uint32(p[9:]))
-		if count <= 0 || plen != groupFixed+groupOpSize*count {
-			return f, 0, false
-		}
-		f.group = make([]groupRec, count)
-		o := groupFixed
-		for i := range f.group {
-			kind := p[o]
-			if kind != opPut && kind != opDel {
-				return f, 0, false
-			}
-			f.group[i] = groupRec{
-				key: binary.LittleEndian.Uint64(p[o+1:]),
-				val: binary.LittleEndian.Uint64(p[o+9:]),
-				del: kind == opDel,
-			}
-			o += groupOpSize
-		}
 	default:
 		return f, 0, false
 	}
-	return f, frameHeaderSize + plen, true
+	return f, frameHeaderSize + len(p), true
 }

@@ -1,6 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -238,13 +242,11 @@ func TestTornWriteMatrix(t *testing.T) {
 
 				// Find the live (highest-generation) segment and corrupt it.
 				names, _ := fs.List("db")
-				var seg string
-				for _, segs := range groupSegments(names) {
-					seg = segs[len(segs)-1].name
-				}
-				if seg == "" {
+				segs := walSegments(names)
+				if len(segs) == 0 {
 					t.Fatalf("no segment found in %v", names)
 				}
+				seg := segs[len(segs)-1].name
 				raw := fs.RawData("db/" + seg)
 				if len(raw) == 0 {
 					t.Fatalf("segment %s empty", seg)
@@ -302,7 +304,7 @@ func TestTornSegmentHealedAndLaterGenerationsReplayed(t *testing.T) {
 	// "Run A's crash": tear the tail of generation 1 — key 4's frame loses
 	// its last bytes, so only keys 1..3 are recoverable.
 	names, _ := fs.List("db")
-	seg := groupSegments(names)[0][0].name
+	seg := walSegments(names)[0].name
 	raw := fs.RawData("db/" + seg)
 	fs.SetRawData("db/"+seg, raw[:len(raw)-3])
 	validPrefix := 3 * (frameHeaderSize + payloadPut)
@@ -339,6 +341,105 @@ func TestTornSegmentHealedAndLaterGenerationsReplayed(t *testing.T) {
 	sameMap(t, stateC.snapshot(), map[uint64]uint64{1: 1, 2: 2, 3: 3, 5: 5, 6: 6, 7: 7, 8: 8})
 	if ri := stC.RecoveryInfo(); ri.TornTails != 0 {
 		t.Fatalf("run C re-read a tear run B should have healed: %+v", ri)
+	}
+}
+
+// rawFrame frames an arbitrary payload the way appendFrame would: length
+// word, CRC32C, payload.
+func rawFrame(payload []byte) []byte {
+	out := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[4:], crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// TestUnknownFrameRefusedNotHealed: a whole, checksummed frame of a kind
+// this version does not read is not a torn tail. Healing it away would
+// truncate the acknowledged writes behind it, so Open must fail with the
+// file and offset and leave the segment byte for byte as it found it.
+func TestUnknownFrameRefusedNotHealed(t *testing.T) {
+	// The group record the CCM v2 layer logged (op 6, one put of key 7).
+	group := make([]byte, 13+17)
+	group[0] = 6
+	binary.LittleEndian.PutUint64(group[1:], 4)
+	binary.LittleEndian.PutUint32(group[9:], 1)
+	group[13] = opPut
+	binary.LittleEndian.PutUint64(group[14:], 7)
+	binary.LittleEndian.PutUint64(group[22:], 70)
+	foreign := map[string][]byte{
+		"unknown-op":       appendFrame(nil, frame{op: 77, seq: 4, key: 7}),
+		"old-group-record": rawFrame(group),
+		"snapshot-op":      appendFrame(nil, frame{op: opSnapRecord, key: 7, val: 70}),
+	}
+	for name, alien := range foreign {
+		t.Run(name, func(t *testing.T) {
+			fs := NewMemFS(FaultPlan{})
+			var seg []byte
+			for i := uint64(1); i <= 3; i++ {
+				seg = appendFrame(seg, frame{op: opPut, seq: i, key: i, val: i})
+			}
+			at := len(seg)
+			seg = append(seg, alien...)
+			for i := uint64(5); i <= 6; i++ {
+				seg = appendFrame(seg, frame{op: opPut, seq: i, key: i, val: i})
+			}
+			file := join("db", segmentName(0, 1))
+			fs.SetRawData(file, seg)
+
+			st, err := Open(Config{FS: fs, Dir: "db", Shards: 1}, newMapState().apply)
+			var ufe *UnknownFrameError
+			if !errors.As(err, &ufe) {
+				if st != nil {
+					st.Close()
+				}
+				t.Fatalf("Open = %v, want an *UnknownFrameError", err)
+			}
+			if ufe.File != file || ufe.Offset != at || ufe.Op != alien[frameHeaderSize] {
+				t.Fatalf("error names %s offset %d op %d, want %s offset %d op %d",
+					ufe.File, ufe.Offset, ufe.Op, file, at, alien[frameHeaderSize])
+			}
+			if !strings.Contains(err.Error(), file) {
+				t.Fatalf("message %q does not name the file", err)
+			}
+			if got := fs.RawData(file); !bytes.Equal(got, seg) {
+				t.Fatalf("segment rewritten: %d bytes on disk, %d before Open", len(got), len(seg))
+			}
+		})
+	}
+}
+
+// TestReplayOrderAcrossShardCounts: a key's frames share a shard only
+// within one run. Reopened with another shard count the key moves, and
+// replay must still end on the later run's write — generations, not shard
+// numbers, order the segments.
+func TestReplayOrderAcrossShardCounts(t *testing.T) {
+	for _, counts := range [][2]int{{8, 1}, {1, 8}} {
+		fs := NewMemFS(FaultPlan{})
+		want := map[uint64]uint64{}
+		for run, shards := range counts {
+			state := newMapState()
+			st, err := Open(Config{FS: fs, Dir: "db", Shards: shards}, state.apply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k <= 16; k++ {
+				v := k*10 + uint64(run)
+				if err := st.LogPut(k, v, state.put(k, v)); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = v
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := newMapState()
+		st, err := Open(Config{FS: fs, Dir: "db", Shards: counts[1]}, state.apply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		sameMap(t, state.snapshot(), want)
 	}
 }
 

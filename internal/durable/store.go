@@ -118,9 +118,10 @@ type Store struct {
 
 // Open recovers existing state (replaying the newest valid snapshot and
 // then every log frame past its base LSN into the apply callback) and
-// readies the Store for appends. Replay order is per-shard append order,
-// which per key equals acknowledgement order; torn or corrupt tail
-// frames are truncated, never applied.
+// readies the Store for appends. Replay order per key equals
+// acknowledgement order; torn or corrupt tail frames are truncated, never
+// applied, and a whole frame of an unknown kind fails Open with an
+// *UnknownFrameError instead.
 func Open(cfg Config, apply func(Op)) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
@@ -146,70 +147,55 @@ func Open(cfg Config, apply func(Op)) (*Store, error) {
 	}
 	st.snapID.Store(maxSnapID)
 
-	// 2. Log tail: per shard, generations in order, frames in file order.
-	// A bad frame truncates the rest of that shard's segment (the tear
-	// marks where acknowledged — synced — bytes end), and the truncation
-	// is made physical: the segment is rewritten to its valid prefix. That
-	// heal is what lets replay continue into later generations — they can
-	// only hold frames acknowledged by a run that already recovered past
-	// this tear, and without the rewrite a second restart would re-read
-	// the tear and silently orphan those acknowledged writes.
+	// 2. Log tail, applied frame by frame as it is read, in walSegments'
+	// order, which for every key is the order its writes were acknowledged
+	// in (frames of different keys commute).
 	//
-	// Operations are collected and applied in global LSN order rather than
-	// shard-by-shard: a combined batch's group frame lands on ONE shard but
-	// may cover keys homed on others, so per-shard file order no longer
-	// implies per-key order — the sub-operations' LSNs do. (For plain
-	// frames the sort is a no-op per key: same key, same shard, ascending
-	// seq in file order.)
+	// A bad frame truncates the rest of its segment (the tear marks where
+	// acknowledged — synced — bytes end), and the truncation is made
+	// physical: the segment is rewritten to its valid prefix. That heal is
+	// what lets replay continue into later generations — they can only hold
+	// frames acknowledged by a run that already recovered past this tear,
+	// and without the rewrite a second restart would re-read the tear and
+	// silently orphan those acknowledged writes.
+	//
+	// A frame that is whole but not one a WAL segment of this version holds
+	// is no tear: it was synced by whoever wrote it, so Open refuses the
+	// log and leaves its bytes as they are.
 	maxSeq := baseLSN
 	maxGen := 0
-	var replay []Op
-	collect := func(op Op) {
-		if op.Seq > maxSeq {
-			maxSeq = op.Seq
+	for _, sg := range walSegments(names) {
+		maxGen = sg.gen // ascending
+		path := join(cfg.Dir, sg.name)
+		data, err := readFileAll(cfg.FS, path)
+		if err != nil {
+			return nil, err
 		}
-		if op.Seq <= baseLSN {
-			info.SkippedFrames++
-			return
-		}
-		replay = append(replay, op)
-		info.ReplayedFrames++
-	}
-	for _, segs := range groupSegments(names) {
-		for _, sg := range segs {
-			if sg.gen > maxGen {
-				maxGen = sg.gen
-			}
-			data, err := readFileAll(cfg.FS, join(cfg.Dir, sg.name))
-			if err != nil {
-				return nil, err
-			}
-			info.Segments++
-			off := 0
-			for off < len(data) {
-				f, n, ok := decodeFrame(data, off)
-				if !ok || (f.op != opPut && f.op != opDel && f.op != opGroup) {
-					info.TornTails++
-					if err := healSegment(cfg, sg.name, data[:off]); err != nil {
-						return nil, err
-					}
-					break
+		info.Segments++
+		off := 0
+		for off < len(data) {
+			f, n, ok := decodeFrame(data, off)
+			if !ok || (f.op != opPut && f.op != opDel) {
+				if p, whole := framePayload(data, off); whole {
+					return nil, &UnknownFrameError{File: path, Offset: off, Op: p[0]}
 				}
-				off += n
-				if f.op == opGroup {
-					base := f.seq - uint64(len(f.group)) + 1
-					for i, g := range f.group {
-						collect(Op{Seq: base + uint64(i), Key: g.key, Val: g.val, Delete: g.del})
-					}
-					continue
+				info.TornTails++
+				if err := healSegment(cfg, sg.name, data[:off]); err != nil {
+					return nil, err
 				}
-				collect(Op{Seq: f.seq, Key: f.key, Val: f.val, Delete: f.op == opDel})
+				break
 			}
+			off += n
+			if f.seq > maxSeq {
+				maxSeq = f.seq
+			}
+			if f.seq <= baseLSN {
+				info.SkippedFrames++
+				continue
+			}
+			apply(Op{Seq: f.seq, Key: f.key, Val: f.val, Delete: f.op == opDel})
+			info.ReplayedFrames++
 		}
-	}
-	sort.Slice(replay, func(i, j int) bool { return replay[i].Seq < replay[j].Seq })
-	for _, op := range replay {
-		apply(op)
 	}
 	st.seq.Store(maxSeq)
 	info.MaxSeq = maxSeq
@@ -243,10 +229,13 @@ type segment struct {
 	gen   int
 }
 
-// groupSegments parses wal-<shard>-<gen>.log names and groups them by
-// shard with generations ascending.
-func groupSegments(names []string) map[int][]segment {
-	out := map[int][]segment{}
+// walSegments parses wal-<shard>-<gen>.log names into replay order:
+// generations ascending, shards within one. A run appends a key to one
+// shard only, moves each shard's generation forward, and starts above every
+// generation it found, so for any key this is append order — also across
+// runs that were opened with different shard counts.
+func walSegments(names []string) []segment {
+	var out []segment
 	for _, name := range names {
 		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
 			continue
@@ -260,13 +249,14 @@ func groupSegments(names []string) map[int][]segment {
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		out[sh] = append(out[sh], segment{name: name, shard: sh, gen: gen})
+		out = append(out, segment{name: name, shard: sh, gen: gen})
 	}
-	for sh := range out {
-		segs := out[sh]
-		sort.Slice(segs, func(i, j int) bool { return segs[i].gen < segs[j].gen })
-		out[sh] = segs
-	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].gen != out[j].gen {
+			return out[i].gen < out[j].gen
+		}
+		return out[i].shard < out[j].shard
+	})
 	return out
 }
 
@@ -297,6 +287,19 @@ func healSegment(cfg Config, name string, prefix []byte) error {
 		return err
 	}
 	return cfg.FS.SyncDir(cfg.Dir)
+}
+
+// UnknownFrameError is Open's refusal of a WAL segment that holds a whole,
+// checksummed frame of a kind this version does not read — written by
+// another version, not torn by a crash. Nothing was truncated.
+type UnknownFrameError struct {
+	File   string
+	Offset int
+	Op     byte
+}
+
+func (e *UnknownFrameError) Error() string {
+	return fmt.Sprintf("durable: %s: intact frame with unknown op %d at offset %d; log left untouched", e.File, e.Op, e.Offset)
 }
 
 // ErrStoreClosed is returned by operations on a closed Store.
@@ -356,115 +359,6 @@ func (st *Store) log(f frame, apply func()) error {
 	n := len(s.pending)
 	s.unlock()
 	return st.ack(s, f.seq, n, n-before)
-}
-
-// GroupEntry is one operation of a combined batch.
-type GroupEntry struct {
-	Key, Val uint64
-	Delete   bool
-}
-
-// Group is an open combined-batch transaction: the shards homing the
-// batch's keys are locked (in ascending shard order — the global lock
-// order, so concurrent groups and single-op appends cannot deadlock)
-// until Commit or Abort.
-type Group struct {
-	st     *Store
-	shards []*shard
-}
-
-// BeginGroup locks the shards homing keys, in ascending shard order,
-// pinning the apply+append critical section for the whole batch. The
-// caller applies the batch's tree mutations while the group is open,
-// then Commits the operations that actually happened (or Aborts).
-func (st *Store) BeginGroup(keys []uint64) (*Group, error) {
-	if st.closed.Load() {
-		return nil, ErrStoreClosed
-	}
-	seen := map[int]*shard{}
-	for _, k := range keys {
-		s := st.wal.shardFor(k)
-		seen[s.id] = s
-	}
-	g := &Group{st: st, shards: make([]*shard, 0, len(seen))}
-	for _, s := range seen {
-		g.shards = append(g.shards, s)
-	}
-	sort.Slice(g.shards, func(i, j int) bool { return g.shards[i].id < g.shards[j].id })
-	for _, s := range g.shards {
-		s.lock()
-	}
-	return g, nil
-}
-
-// Commit assigns the batch a contiguous LSN range, appends it as one
-// group frame on the lowest-id involved shard, releases the shard locks,
-// and blocks until the frame — and everything the batch observed on its
-// other shards, see awaitObserved — is durable. ops must list only
-// operations that actually mutated the tree (an absent-key delete is not
-// logged); an empty ops is an Abort. Recovery re-expands the frame and
-// replays sub-operations in global LSN order, so the batch's effects
-// survive a crash exactly as applied.
-func (g *Group) Commit(ops []GroupEntry) error {
-	if len(ops) == 0 {
-		return g.Abort()
-	}
-	recs := make([]groupRec, len(ops))
-	for i, op := range ops {
-		recs[i] = groupRec{key: op.Key, val: op.Val, del: op.Delete}
-	}
-	last := g.st.seq.Add(uint64(len(ops)))
-	s := g.shards[0]
-	before := len(s.pending)
-	s.appendGroupLocked(last, recs)
-	n := len(s.pending)
-	g.release()
-	err := g.st.ack(s, last, n, n-before)
-	if oerr := g.awaitObserved(); err == nil {
-		err = oerr
-	}
-	return err
-}
-
-// Abort releases the shard locks without logging anything. The caller
-// must not have applied any mutation under this group; the error is
-// awaitObserved's.
-func (g *Group) Abort() error {
-	g.release()
-	return g.awaitObserved()
-}
-
-// release unlocks the group's shards (reverse order, for symmetry).
-func (g *Group) release() {
-	for i := len(g.shards) - 1; i >= 0; i-- {
-		g.shards[i].unlock()
-	}
-}
-
-// awaitObserved blocks until everything appended to the group's shards is
-// durable. A delete of the batch that missed is an observation like
-// LogDelete's negative answer: its key may be absent only because a delete
-// of it is appended and still on its way to disk, so the batch is not
-// acknowledged before the writes it can have observed. It runs after
-// release and takes the shards one at a time — parked on one shard's flush
-// while holding another's lock would block the interval flusher, which takes
-// the shards in turn. With nothing pending it is one comparison per shard;
-// under AckBeforeFlush it is skipped like every other wait.
-func (g *Group) awaitObserved() error {
-	var err error
-	for _, s := range g.shards {
-		if g.st.cfg.AckBeforeFlush {
-			break
-		}
-		s.lock()
-		werr := g.st.wal.flushLocked(s, s.lastSeq, g.st.wal.interval == 0)
-		s.unlock()
-		if err == nil {
-			err = werr
-		}
-	}
-	g.shards = nil
-	return err
 }
 
 // ack waits for durability (or, in the broken AckBeforeFlush mode,

@@ -52,14 +52,6 @@ func (s *shard) appendLocked(f frame) {
 	s.lastSeq = f.seq
 }
 
-// appendGroupLocked encodes a combined batch as one group frame. lastSeq
-// is the batch's final LSN. Caller holds mu.
-func (s *shard) appendGroupLocked(lastSeq uint64, recs []groupRec) {
-	s.pending = appendGroupFrame(s.pending, lastSeq, recs)
-	s.nFrames++
-	s.lastSeq = lastSeq
-}
-
 // flushLocked runs the leader protocol until everything appended at entry
 // is durable (or the shard fails). Caller holds mu; mu is released around
 // the file IO and re-held on return. immediate controls whether this

@@ -97,7 +97,7 @@ func TestFrameRoundtrip(t *testing.T) {
 			t.Fatalf("frame %d: decode failed", i)
 		}
 		if got.op != want.op || got.seq != want.seq || got.key != want.key ||
-			got.val != want.val || got.group != nil {
+			got.val != want.val {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 		off += n

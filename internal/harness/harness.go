@@ -143,13 +143,6 @@ type Result struct {
 	// StormEvents is how many times the device's abort-storm detector
 	// engaged degradation (0 without Config.Resilience).
 	StormEvents uint64
-
-	// CCM v2 hot-key layer activity (all zero unless the run's EunoCfg
-	// enables Combine).
-	EliminatedPairs  uint64
-	CombinedBatches  uint64
-	CombinedOps      uint64
-	CombinerHandoffs uint64
 }
 
 // newDevice constructs the HTM device, applying the hardening bundle when
@@ -278,12 +271,6 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 		res.WastedPct = 100 * float64(res.Stats.WastedCycles) / float64(totalThreadCycles)
 	}
 	res.StormEvents = device.StormEvents()
-	if eu, ok := kv.(*core.Tree); ok {
-		res.EliminatedPairs = eu.EliminatedPairs()
-		res.CombinedBatches = eu.CombinedBatches()
-		res.CombinedOps = eu.CombinedOps()
-		res.CombinerHandoffs = eu.CombinerHandoffs()
-	}
 	return res, kv, boot
 }
 

@@ -20,6 +20,19 @@ func smallCfg(k TreeKind) Config {
 	}
 }
 
+// hammerCfg is the single-key hammer: every thread's every op lands on one
+// record of a fully preloaded default tree, 20 % get / 40 % put / 40 %
+// delete — the most contended input the harness can be given, and one no
+// figure runs.
+func hammerCfg() Config {
+	c := smallCfg(EunoBTree)
+	c.Threads = 8
+	c.PreloadPct = 100
+	c.Dist = workload.Spec{Kind: workload.Uniform, N: 1}
+	c.Mix = workload.Mix{GetPct: 20, PutPct: 40, DeletePct: 40}
+	return c
+}
+
 func TestRunAllTreeKinds(t *testing.T) {
 	for _, k := range []TreeKind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
 		k := k
@@ -45,10 +58,12 @@ func TestRunAllTreeKinds(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a := Run(smallCfg(EunoBTree))
-	b := Run(smallCfg(EunoBTree))
-	if a.Cycles != b.Cycles || a.Stats != b.Stats {
-		t.Fatalf("nondeterministic harness: %d vs %d cycles", a.Cycles, b.Cycles)
+	for name, cfg := range map[string]Config{"zipf": smallCfg(EunoBTree), "hammer": hammerCfg()} {
+		a := Run(cfg)
+		b := Run(cfg)
+		if a.Cycles != b.Cycles || a.Stats != b.Stats {
+			t.Fatalf("%s: nondeterministic harness: %d vs %d cycles", name, a.Cycles, b.Cycles)
+		}
 	}
 }
 
@@ -184,15 +199,19 @@ func TestFixedDurationMode(t *testing.T) {
 }
 
 func TestRunAndValidate(t *testing.T) {
+	cfgs := []Config{hammerCfg()}
 	for _, k := range []TreeKind{EunoBTree, HTMBTree, Masstree} {
 		cfg := smallCfg(k)
 		cfg.Mix = workload.Mix{GetPct: 40, PutPct: 40, DeletePct: 20}
+		cfgs = append(cfgs, cfg)
+	}
+	for _, cfg := range cfgs {
 		res, err := RunAndValidate(cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", k, err)
+			t.Fatalf("%v %+v: %v", cfg.Tree, cfg.Dist, err)
 		}
 		if res.Ops == 0 {
-			t.Fatalf("%v: no ops", k)
+			t.Fatalf("%v %+v: no ops", cfg.Tree, cfg.Dist)
 		}
 	}
 }

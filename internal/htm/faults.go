@@ -47,11 +47,6 @@ const (
 	// FaultQLock fires at each queued (ticket) fallback-lock acquisition,
 	// before the ticket is taken.
 	FaultQLock
-	// FaultCombine fires in the CCM v2 combining windows: after a
-	// publisher fills its publication slot (before the request becomes
-	// visible) and at combiner drain entry — the gaps where elimination
-	// and batch execution race against normal-path operations.
-	FaultCombine
 	NumFaultPoints
 )
 
@@ -74,8 +69,6 @@ func (p FaultPoint) String() string {
 		return "watchdog"
 	case FaultQLock:
 		return "qlock"
-	case FaultCombine:
-		return "combine"
 	default:
 		return fmt.Sprintf("point(%d)", uint8(p))
 	}
@@ -164,8 +157,6 @@ func ParseFaultSpec(text string) (FaultSpec, error) {
 		s.Point = FaultWatchdog
 	case "qlock":
 		s.Point = FaultQLock
-	case "combine":
-		s.Point = FaultCombine
 	default:
 		return FaultSpec{}, fmt.Errorf("htm: unknown fault point %q", parts[0])
 	}

@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"strings"
 	"testing"
 
 	"eunomia/internal/simmem"
@@ -403,6 +404,11 @@ func TestResilienceFaultPointsCovered(t *testing.T) {
 		if s.String() != spec {
 			t.Fatalf("spec %q round-tripped to %q", spec, s.String())
 		}
+	}
+	// A point this version does not have is refused by name, so an old
+	// repro token fails at parse time instead of arming nothing.
+	if _, err := ParseFaultSpec("combine:yield:1"); err == nil || !strings.Contains(err.Error(), "unknown fault point") {
+		t.Fatalf(`ParseFaultSpec("combine:yield:1") = %v, want an "unknown fault point" error`, err)
 	}
 
 	// watchdog: the budget-bounded always-abort scenario.

@@ -16,9 +16,9 @@ var hostEpoch = time.Now()
 // waiter's condition flips only when another goroutine gets to run, so with
 // more goroutines than cores every wait loop needs a scheduling point or the
 // spinners starve the lock holder; the loops that wait (line-lock spins, the
-// CCM advisory locks, the combining stripe, the fallback-lock waits) all
-// charge their failed iterations through Spin, which gives them that point
-// without a host-specific branch at any site.
+// CCM advisory locks, the fallback-lock waits) all charge their failed
+// iterations through Spin, which gives them that point without a
+// host-specific branch at any site.
 const hostYieldCycles = 1 << 14
 
 // HostProc is a Proc for native-speed execution on the host backend: Tick

@@ -96,11 +96,6 @@ type TreeMetrics struct {
 	MarkRejects uint64
 	RootRetries uint64
 	MaintRounds uint64
-	// CCM v2 hot-key layer activity (zero unless Options.Combine.Enabled).
-	EliminatedPairs  uint64 // same-key insert+delete pairs annihilated
-	CombinedBatches  uint64 // flat-combined leaf batches executed
-	CombinedOps      uint64 // operations served inside those batches
-	CombinerHandoffs uint64 // operations served by a different thread
 }
 
 // ContentionMetrics reports the built-in heatmap (Enabled false — and all
@@ -169,11 +164,6 @@ func (db *DB) Metrics() Metrics {
 			MarkRejects: db.euno.MarkRejects(),
 			RootRetries: db.euno.RootRetries(),
 			MaintRounds: db.euno.MaintRounds(),
-
-			EliminatedPairs:  db.euno.EliminatedPairs(),
-			CombinedBatches:  db.euno.CombinedBatches(),
-			CombinedOps:      db.euno.CombinedOps(),
-			CombinerHandoffs: db.euno.CombinerHandoffs(),
 		}
 	}
 	if db.heat != nil {

@@ -21,14 +21,7 @@ diff -u cmd/eunobench/testdata/golden-fig1-quick.csv "$tmp/fig1.csv"
 go run ./cmd/eunobench -quick -csv fig8 > "$tmp/fig8.csv"
 diff -u cmd/eunobench/testdata/golden-fig8-quick.csv "$tmp/fig8.csv"
 
-# The CCM v2 layer (Options.Combine) is opt-in like resilience: the
-# combine=off rows of the hotkey comparison run the paper-faithful default
-# tree in the extreme-skew regime and must not move either. The combine=on
-# rows are intentionally excluded — tuning the combiner may change them.
-go run ./cmd/eunobench -quick -csv hotkey | grep -E '^#|^scenario|,off,' > "$tmp/hotkey-off.csv"
-diff -u cmd/eunobench/testdata/golden-hotkey-off-quick.csv "$tmp/hotkey-off.csv"
-
-# The scan path has no figure among the three above. Virtual time is
+# The scan path has no figure among the two above. Virtual time is
 # deterministic, so it gets the same guard: the range-query extension's
 # table must not move unless a PR means to move it. First baseline: the PR
 # that replaced the per-leaf locked scan with the region walk (ISSUE 20),
