@@ -73,10 +73,6 @@ type ClusterOptions struct {
 	// Reshard configures the online migration engine (see ReshardOptions;
 	// the zero value is correct).
 	Reshard ReshardOptions
-	// AutoSplit configures the hot-shard watcher that triggers a split
-	// when one shard runs disproportionately hot (off by default; see
-	// AutoSplitOptions).
-	AutoSplit AutoSplitOptions
 }
 
 // clusterShard is one shard slot: the live DB behind an atomic pointer
@@ -95,11 +91,6 @@ type clusterShard struct {
 	// a reopened incarnation recovering short of it has lost data.
 	watermark atomic.Uint64
 	repairing atomic.Bool
-	// ops counts successfully served operations — the heat signal the
-	// auto-split watcher reads. lastOps is the watcher's private window
-	// cursor.
-	ops     atomic.Uint64
-	lastOps uint64
 }
 
 // Cluster is a hash- or range-partitioned key-value store over N
@@ -124,25 +115,23 @@ type Cluster struct {
 	healthOn  bool
 	healthCfg shard.HealthConfig
 	repair    RepairOptions
-	retryCap  int // per-shard retry tokens a Session may bank
 
 	stop     chan struct{}  // closed by Close; every library goroutine watches it
 	repairMu sync.Mutex     // serializes spawn vs Close
-	bg       sync.WaitGroup // the repair, migration and auto-split goroutines
+	bg       sync.WaitGroup // the repair and migration goroutines
 
 	// Online resharding state (cluster_reshard.go): the in-flight
 	// migration, the live-scan registry that gates purges and slot
 	// retirement, and the session registry the engine's quiesce barrier
 	// walks before the first copy.
-	reshardMu  sync.Mutex
-	mig        atomic.Pointer[migration]
-	scanMu     sync.Mutex
-	scans      map[uint64]int // routing Gen a live merged scan froze -> count
-	sessMu     sync.Mutex
-	sessions   map[*Session]struct{}
-	movesDone  atomic.Uint64
-	redirects  atomic.Uint64
-	autoSplits atomic.Uint64
+	reshardMu sync.Mutex
+	mig       atomic.Pointer[migration]
+	scanMu    sync.Mutex
+	scans     map[uint64]int // routing Gen a live merged scan froze -> count
+	sessMu    sync.Mutex
+	sessions  map[*Session]struct{}
+	movesDone atomic.Uint64
+	redirects atomic.Uint64
 
 	// Fault-domain counters (see FaultMetrics).
 	shed          atomic.Uint64
@@ -201,12 +190,6 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 		RecoverSuccesses: opts.Health.RecoverSuccesses,
 	}
 	c.repair = opts.Repair.withDefaults()
-	c.retryCap = opts.Health.RetryBudget
-	if c.retryCap == 0 {
-		c.retryCap = defaultRetryBudget
-	} else if c.retryCap < 0 {
-		c.retryCap = 0
-	}
 	if opts.Shard.Durability.Dir != "" {
 		c.dir = opts.Shard.Durability.Dir
 		c.fs = opts.Shard.Durability.FS
@@ -259,10 +242,6 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	if resume != nil {
 		c.spawn(func() error { return c.runMigration(resume, true) }, resume.finish)
-	}
-	if opts.AutoSplit.Enable {
-		// A watcher that panics just stops watching.
-		c.spawn(func() error { c.autoSplitLoop(); return nil }, func(error) {})
 	}
 	return c, nil
 }
@@ -398,7 +377,7 @@ func (s *Session) ensure(n int) {
 	for len(s.threads) < n {
 		s.threads = append(s.threads, nil)
 		s.gens = append(s.gens, 0)
-		s.tokens = append(s.tokens, s.c.retryCap)
+		s.tokens = append(s.tokens, retryBudget)
 		s.earned = append(s.earned, 0)
 	}
 	if len(s.threads) > n {
@@ -450,10 +429,8 @@ func (s *Session) do(i int, op func(*Thread) error) error {
 		}
 		err = op(th)
 		if err == nil {
-			sh := c.shard(i)
-			sh.ops.Add(1)
 			if c.healthOn {
-				sh.health.RecordSuccess()
+				c.shard(i).health.RecordSuccess()
 				s.earnRetry(i)
 			}
 			return nil

@@ -107,16 +107,13 @@ type HealthOptions struct {
 	// RecoverSuccesses is the consecutive-success count that clears
 	// Degraded → Healthy (default 8).
 	RecoverSuccesses int
-	// RetryBudget caps the retry tokens a Session banks per shard: a
-	// transient op failure is retried at most once and only while a token
-	// is banked (tokens accrue with successes), so retries cannot amplify
-	// a failure storm. 0 means the default (3); negative disables
-	// retries.
-	RetryBudget int
 }
 
-// defaultRetryBudget is the per-shard token cap when RetryBudget is 0.
-const defaultRetryBudget = 3
+// retryBudget caps the retry tokens a Session banks per shard: a transient
+// op failure is retried at most once and only while a token is banked
+// (tokens accrue with successes), so retries cannot amplify a failure
+// storm.
+const retryBudget = 3
 
 // retryEarnEvery is how many successes earn back one retry token.
 const retryEarnEvery = 8
@@ -222,8 +219,7 @@ func (c *Cluster) shardFailed(sh *clusterShard, err error) error {
 
 // earnRetry banks success toward a retry token, up to the cap.
 func (s *Session) earnRetry(i int) {
-	cap := s.c.retryCap
-	if cap == 0 || s.tokens[i] >= cap {
+	if s.tokens[i] >= retryBudget {
 		s.earned[i] = 0
 		return
 	}

@@ -347,7 +347,7 @@ func TestClusterRetryBudget(t *testing.T) {
 		PerShard: func(i int, o *Options) { o.Durability.FS = fses[i] },
 		// A wide window keeps the shard Degraded (never Failed) so every
 		// op reaches the store and the budget is the only limiter.
-		Health: HealthOptions{Window: 64, TripFailures: 60, RetryBudget: 3},
+		Health: HealthOptions{Window: 64, TripFailures: 60},
 		Repair: RepairOptions{Disable: true},
 	})
 	if err != nil {
@@ -564,7 +564,8 @@ func (f *panicOpenFS) Open(name string) (durable.File, error) {
 
 // TestLibraryGoroutinePanicsContained: a panic on a goroutine the cluster
 // started — the repair loop, the migration engine — ends that piece of
-// work with an error; it never ends the process.
+// work with an error; it never ends the process. A cluster that never
+// needed one of them starts none.
 func TestLibraryGoroutinePanicsContained(t *testing.T) {
 	t.Run("repair", func(t *testing.T) {
 		mem := []*durable.MemFS{durable.NewMemFS(durable.FaultPlan{}), durable.NewMemFS(durable.FaultPlan{})}
@@ -633,6 +634,41 @@ func TestLibraryGoroutinePanicsContained(t *testing.T) {
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
+		}
+	})
+	// With nothing failed and no reshard in flight the library runs no
+	// goroutine of its own, so a healthy durable cluster leaves none behind
+	// (an earlier subtest's goroutine still winding down can only lower the
+	// count, hence > and not !=).
+	t.Run("none left behind", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		c, err := OpenCluster(ClusterOptions{
+			Shards: 2,
+			Shard: Options{
+				ArenaWords: 1 << 19,
+				Durability: Durability{Dir: "clusterdb", FS: durable.NewMemFS(durable.FaultPlan{})},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if open := runtime.NumGoroutine(); open > before {
+			t.Fatalf("%d goroutines with the cluster open, %d before", open, before)
+		}
+		sess := c.NewSession()
+		for k := uint64(0); k < 64; k++ {
+			if err := sess.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("%d goroutines after Close, %d before OpenCluster", after, before)
 		}
 	})
 }

@@ -40,8 +40,6 @@ type TopologyMetrics struct {
 	// Redirects counts operations re-routed mid-flight because their key's
 	// interval cut over under them.
 	Redirects uint64
-	// AutoSplits counts resharding runs triggered by the hot-shard watcher.
-	AutoSplits uint64
 }
 
 // Metrics returns the cluster-wide aggregate snapshot — the
@@ -69,7 +67,6 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 		Migrating:  v.Migrating(),
 		MovesDone:  c.movesDone.Load(),
 		Redirects:  c.redirects.Load(),
-		AutoSplits: c.autoSplits.Load(),
 	}
 	for _, sh := range shards {
 		m := sh.db.Load().Metrics()

@@ -84,44 +84,6 @@ type ReshardOptions struct {
 	CutBeforeCatchup bool
 }
 
-// AutoSplitOptions configures the hot-shard watcher: a background loop
-// that samples per-shard op counts and triggers Reshard(n+1) when one
-// shard runs disproportionately hot.
-type AutoSplitOptions struct {
-	// Enable turns the watcher on (off by default).
-	Enable bool
-	// MaxShards caps automatic growth (default 16, hard cap 64).
-	MaxShards int
-	// HotFactor is the trigger ratio: split when the hottest shard served
-	// more than HotFactor times the mean of the other shards over the
-	// last window (default 4).
-	HotFactor int
-	// MinOps is the minimum cluster-wide ops per window before the
-	// watcher acts at all — an idle cluster is never "hot" (default 4096).
-	MinOps uint64
-	// Interval is the sampling window (default 500ms).
-	Interval time.Duration
-}
-
-func (o AutoSplitOptions) withDefaults() AutoSplitOptions {
-	if o.MaxShards == 0 {
-		o.MaxShards = 16
-	}
-	if o.MaxShards > 64 {
-		o.MaxShards = 64
-	}
-	if o.HotFactor == 0 {
-		o.HotFactor = 4
-	}
-	if o.MinOps == 0 {
-		o.MinOps = 4096
-	}
-	if o.Interval == 0 {
-		o.Interval = 500 * time.Millisecond
-	}
-	return o
-}
-
 // migration is one in-flight topology change's shared state.
 type migration struct {
 	from, to shard.Router
@@ -662,50 +624,6 @@ func (c *Cluster) waitScansBefore(m *migration, gen uint64) error {
 }
 
 var errScansLive = errors.New("eunomia: merged scans frozen on an older routing view are still running")
-
-// autoSplitLoop is the hot-shard watcher: every Interval it compares each
-// shard's served-op delta against the others' mean and splits when one
-// runs disproportionately hot.
-func (c *Cluster) autoSplitLoop() {
-	o := c.opts.AutoSplit.withDefaults()
-	for {
-		if !c.sleepUnlessClosed(o.Interval) {
-			return
-		}
-		if c.mig.Load() != nil || c.table.Migrating() {
-			continue
-		}
-		list := c.shardList()
-		var total, hot uint64
-		for _, sh := range list {
-			cur := sh.ops.Load()
-			d := cur - sh.lastOps
-			sh.lastOps = cur
-			total += d
-			if d > hot {
-				hot = d
-			}
-		}
-		if total < o.MinOps || len(list) >= o.MaxShards {
-			continue
-		}
-		// Compare the hottest shard against the mean of the rest: against
-		// the overall mean, a perfectly-skewed load could never exceed
-		// factor * mean once factor >= shard count.
-		split := false
-		if len(list) == 1 {
-			split = true // one shard holding a hot load is definitionally hot
-		} else {
-			others := (total - hot) / uint64(len(list)-1)
-			split = hot > uint64(o.HotFactor)*others
-		}
-		if split {
-			if err := c.Reshard(len(list) + 1); err == nil {
-				c.autoSplits.Add(1)
-			}
-		}
-	}
-}
 
 // --- topology resolution ---------------------------------------------
 

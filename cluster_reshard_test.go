@@ -422,49 +422,6 @@ func TestReshardScanExactlyOnceMidMigration(t *testing.T) {
 	c.mig.Store(nil)
 }
 
-// TestReshardAutoSplitTriggers: a hot shard under a skewed load trips the
-// watcher, which grows the topology without any explicit Reshard call.
-func TestReshardAutoSplitTriggers(t *testing.T) {
-	c, err := OpenCluster(ClusterOptions{
-		Shards:    2,
-		Partition: RangePartition,
-		Shard:     Options{ArenaWords: 1 << 19},
-		AutoSplit: AutoSplitOptions{
-			Enable:    true,
-			MaxShards: 3,
-			HotFactor: 2,
-			MinOps:    256,
-			Interval:  5 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	sess := c.NewSession()
-	// Hammer shard 0's half of the key space only.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for k := uint64(0); k < 512; k++ {
-			if err := sess.Put(k, k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c.Shards() == 3 && !c.Migrating() {
-			// The watcher counts the split once Reshard has returned to it,
-			// a moment after the topology shows the third shard.
-			for c.ClusterMetrics().Topology.AutoSplits == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if got := c.ClusterMetrics().Topology.AutoSplits; got != 1 {
-				t.Fatalf("AutoSplits = %d, want 1", got)
-			}
-			return
-		}
-	}
-	t.Fatalf("auto-split never triggered: shards=%d", c.Shards())
-}
-
 // TestReshardArgErrors: bad targets and concurrent reshard attempts are
 // rejected with the right sentinels.
 func TestReshardArgErrors(t *testing.T) {

@@ -30,7 +30,6 @@ var (
 	seed    = flag.Uint64("seed", 42, "base RNG seed")
 	quick   = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 	csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	chart   = flag.Bool("chart", false, "also render series figures as ASCII charts")
 	// resilience flips every harness run onto the hardened retry policy
 	// (backoff, lemming-wait, watchdog, queued fallback, storm detector).
 	// Figures measured with it on are no longer the paper's fragile
@@ -200,27 +199,16 @@ func fig8() {
 		Title:  "Figure 8: throughput under different contention rates (" + fmt.Sprint(*threads) + " threads, ops/s)",
 		Header: []string{"theta", "Euno-B+Tree", "HTM-B+Tree", "Masstree", "HTM-Masstree"},
 	}
-	ch := harness.Chart{Title: tbl.Title, XLabel: "theta", YLabel: "ops/s"}
-	for range allTrees {
-		ch.Series = append(ch.Series, harness.ChartSeries{})
-	}
-	for i, k := range allTrees {
-		ch.Series[i].Name = k.String()
-	}
 	for _, th := range thetas() {
 		row := []string{fmt.Sprintf("%.2f", th)}
-		ch.X = append(ch.X, th)
-		for i, k := range allTrees {
+		for _, k := range allTrees {
 			cfg := baseCfg(k)
 			cfg.Dist.Theta = th
-			r := harness.Run(cfg)
-			row = append(row, mops(r))
-			ch.Series[i].Y = append(ch.Series[i].Y, r.Throughput)
+			row = append(row, mops(harness.Run(cfg)))
 		}
 		tbl.AddRow(row...)
 	}
 	emit(&tbl)
-	emitChart(&ch)
 }
 
 // fig9 — Figure 9: comparison of HTM aborts by reason, Euno vs baseline.
@@ -252,35 +240,17 @@ func scalePanel(title string, mod func(*harness.Config)) {
 		Title:  title,
 		Header: []string{"threads", "Euno-B+Tree", "HTM-B+Tree", "Masstree", "HTM-Masstree"},
 	}
-	ch := harness.Chart{Title: title, XLabel: "threads", YLabel: "ops/s"}
-	for _, k := range allTrees {
-		ch.Series = append(ch.Series, harness.ChartSeries{Name: k.String()})
-	}
 	for _, n := range threadSweep() {
 		row := []string{fmt.Sprint(n)}
-		ch.X = append(ch.X, float64(n))
-		for i, k := range allTrees {
+		for _, k := range allTrees {
 			cfg := baseCfg(k)
 			cfg.Threads = n
 			mod(&cfg)
-			r := harness.Run(cfg)
-			row = append(row, mops(r))
-			ch.Series[i].Y = append(ch.Series[i].Y, r.Throughput)
+			row = append(row, mops(harness.Run(cfg)))
 		}
 		tbl.AddRow(row...)
 	}
 	emit(&tbl)
-	emitChart(&ch)
-}
-
-// emitChart renders a chart when -chart is set.
-func emitChart(c *harness.Chart) {
-	if !*chart {
-		return
-	}
-	if err := c.Fprint(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "eunobench: %v\n", err)
-	}
 }
 
 // fig10 — Figure 10: scalability under four contention levels.

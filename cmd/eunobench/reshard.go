@@ -145,16 +145,6 @@ func reshardChaosCmd() {
 		res.ReshardOK, res.ReadbackOK,
 		100*res.MigrationGoodputRatio, res.PostP99Ratio,
 		res.RoutingEpochBumps, res.RoutingGen, res.MovesDone, res.RedirectedOps)
-	ch := harness.Chart{
-		Title:  "reshardchaos: goodput per 100ms bucket through the live split",
-		XLabel: "t(s)", YLabel: "ops/bucket",
-		Series: []harness.ChartSeries{{Name: "completed ok"}},
-	}
-	for i := range res.TimelineOK {
-		ch.X = append(ch.X, float64(i)*loopBucket.Seconds())
-		ch.Series[0].Y = append(ch.Series[0].Y, float64(res.TimelineOK[i]))
-	}
-	emitChart(&ch)
 
 	run := newLoopRun("reshardchaos", reshardShards, keys, dur, res)
 	art.save(run.Label, run)

@@ -130,17 +130,6 @@ func swarmCmd(chaos bool) {
 			res.KilledShard, res.KillBucket, res.RebootBucket, res.RepairedBucket,
 			res.Repaired, res.ReadbackOK, 100*res.HealthyGoodputRatio,
 			res.Trips, res.Repairs, res.Shed, res.Retries, res.RetriesDenied)
-		ch := harness.Chart{
-			Title:  "swarmchaos: goodput per 100ms bucket through kill → degrade → repair",
-			XLabel: "t(s)", YLabel: "ops/bucket",
-			Series: []harness.ChartSeries{{Name: "healthy shards"}, {Name: "killed shard"}},
-		}
-		for i := range res.TimelineHealthy {
-			ch.X = append(ch.X, float64(i)*loopBucket.Seconds())
-			ch.Series[0].Y = append(ch.Series[0].Y, float64(res.TimelineHealthy[i]))
-			ch.Series[1].Y = append(ch.Series[1].Y, float64(res.TimelineKilled[i]))
-		}
-		emitChart(&ch)
 	}
 	run := newLoopRun(res.Scenario, swarmShards, keys, dur, res)
 	art.save(run.Label, run)

@@ -2,31 +2,23 @@ package eunomia
 
 import (
 	"errors"
-	"time"
 
 	"eunomia/internal/durable"
 	"eunomia/internal/htm"
 )
 
 // Durability configures crash durability: a group-committed write-ahead
-// log plus periodic snapshots, recovered on Open. The zero value disables
-// durability entirely (the hot path then costs one atomic load and a nil
-// check — no logging, no allocation, no virtual ticks).
+// log plus periodic snapshots, recovered on Open. A write is acknowledged
+// only once it is fsynced: the acknowledging operation that finds no flush
+// in progress fsyncs the whole pending batch itself, so concurrent writers
+// amortize one fsync. The zero value disables durability entirely (the hot
+// path then costs one atomic load and a nil check — no logging, no
+// allocation, no virtual ticks).
 type Durability struct {
 	// Dir enables durability when non-empty: WAL segments and snapshots
 	// live in this directory, and Open replays them into the tree before
 	// returning.
 	Dir string
-	// FlushInterval selects the group-commit mode. 0 (the default) is
-	// leader-based immediate commit: an acknowledging operation that finds
-	// no flush in progress fsyncs the whole pending batch itself, so
-	// concurrent writers amortize one fsync. A positive interval parks
-	// writers and fsyncs on a timer — higher throughput, bounded
-	// acknowledgement latency of about one interval.
-	FlushInterval time.Duration
-	// FlushBytes forces an early flush once a shard's pending batch
-	// reaches this many bytes. 0 disables the threshold.
-	FlushBytes int
 	// SnapshotBytes triggers an automatic snapshot (with WAL truncation)
 	// after that many log bytes. 0 disables automatic snapshots;
 	// DB.Snapshot still works.
@@ -52,8 +44,6 @@ func (db *DB) openDurable(boot *htm.Thread, d Durability) error {
 		FS:             d.FS,
 		Dir:            d.Dir,
 		Shards:         d.Shards,
-		FlushInterval:  d.FlushInterval,
-		FlushBytes:     d.FlushBytes,
 		SnapshotBytes:  d.SnapshotBytes,
 		AckBeforeFlush: d.AckBeforeFlush,
 		Observer:       db.observer,

@@ -3,7 +3,6 @@ package eunomia
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"eunomia/internal/durable"
 )
@@ -175,31 +174,6 @@ func TestAutoSnapshotViaOptions(t *testing.T) {
 		if v, ok, _ := th2.Get(i); !ok || v != i {
 			t.Fatalf("key %d lost after auto-snapshot recovery", i)
 		}
-	}
-}
-
-func TestDurableTimedGroupCommit(t *testing.T) {
-	fs := durable.NewMemFS(durable.FaultPlan{})
-	db, err := Open(Options{ArenaWords: 1 << 20,
-		Durability: Durability{Dir: "db", FS: fs, FlushInterval: time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := db.NewThread()
-	for i := uint64(1); i <= 50; i++ {
-		if err := th.Put(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	ds := db.Metrics().Durability
-	if ds.FlushedFrames != 50 {
-		t.Fatalf("flushed %d frames, want 50", ds.FlushedFrames)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

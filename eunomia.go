@@ -151,10 +151,6 @@ type Options struct {
 	// actual-throughput work; use the default for paper-comparable,
 	// deterministic virtual-time numbers.
 	Backend Backend
-	// YieldEvery inserts a cooperative scheduling point into wall-clock
-	// threads every N charged cycles; 0 disables. It matters only when
-	// running more worker goroutines than host cores.
-	YieldEvery uint64
 	// Resilience enables the abort-storm hardening layer: randomized
 	// exponential backoff, lemming-wait on the held fallback lock, a
 	// per-operation starvation watchdog, a fair queued fallback lock, and
@@ -328,7 +324,7 @@ func (db *DB) NewThread() *Thread {
 	if id >= simmem.MaxProcs {
 		panic(fmt.Sprintf("eunomia: more than %d live handles on the emulated backend; Close the ones that are done", simmem.MaxProcs-2))
 	}
-	p := vclock.NewWallProc(id, db.opts.YieldEvery)
+	p := vclock.NewWallProc(id, 0)
 	return &Thread{db: db, id: id, th: db.device.NewThread(p, seed)}
 }
 

@@ -97,7 +97,7 @@ func TestTuningAblation(t *testing.T) {
 }
 
 func TestConcurrentWallThreads(t *testing.T) {
-	db, _ := Open(Options{ArenaWords: 1 << 22, YieldEvery: 64})
+	db, _ := Open(Options{ArenaWords: 1 << 22})
 	var wg sync.WaitGroup
 	const workers, per = 6, 300
 	for w := 0; w < workers; w++ {

@@ -85,7 +85,6 @@ var (
 	shards     = flag.Int("shards", 4, "number of independent tree shards the key space is partitioned across; when the flag is not set, a durable cluster adopts whatever topology its store recorded (RESHARD survives restarts)")
 	resilience = flag.Bool("resilience", false, "enable the abort-storm hardening layer (backoff, queued fallback, storm detector, watchdog)")
 	durableDir = flag.String("durable", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
-	flushEvery = flag.Duration("flush-interval", 0, "group-commit flush interval (0 = leader-based immediate commit)")
 	snapBytes  = flag.Int64("snapshot-bytes", 16<<20, "WAL bytes between automatic snapshots (durable mode)")
 	drainFor   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight connections")
 	heatmap    = flag.Bool("heatmap", false, "enable the per-leaf contention heatmap (surfaced in STATS)")
@@ -351,8 +350,8 @@ func (s *server) serveConn(conn net.Conn) {
 					states, cm.Fault.Trips, cm.Fault.Repairs, cm.Fault.ShedOps,
 					cm.Fault.Retries, cm.Fault.RetriesDenied, s.busyShed.Load(), s.connsRejected.Load())
 				tm := cm.Topology
-				fmt.Fprintf(out, " epoch=%d gen=%d migrating=%v moves_done=%d redirects=%d autosplits=%d",
-					tm.Epoch, tm.RoutingGen, tm.Migrating, tm.MovesDone, tm.Redirects, tm.AutoSplits)
+				fmt.Fprintf(out, " epoch=%d gen=%d migrating=%v moves_done=%d redirects=%d",
+					tm.Epoch, tm.RoutingGen, tm.Migrating, tm.MovesDone, tm.Redirects)
 			}
 			if c := m.Contention; c.Enabled {
 				fmt.Fprintf(out, " heat_aborts=%d", c.AbortsSeen)
@@ -465,12 +464,11 @@ func (s *server) shutdown(ln net.Listener, drain time.Duration) {
 
 func main() {
 	flag.Parse()
-	opts := eunomia.Options{ArenaWords: 1 << 22, YieldEvery: 128, Resilience: *resilience,
+	opts := eunomia.Options{ArenaWords: 1 << 22, Resilience: *resilience,
 		Observability: eunomia.Observability{Heatmap: *heatmap}}
 	if *durableDir != "" {
 		opts.Durability = eunomia.Durability{
 			Dir:           *durableDir, // cluster root; shard i logs under shard-<i>
-			FlushInterval: *flushEvery,
 			SnapshotBytes: *snapBytes,
 		}
 	}

@@ -77,11 +77,12 @@ func TestClusterCrashRestartCycles(t *testing.T) {
 // lose acknowledged writes on a shard-subset crash, and the checker (or
 // the barrier verification) must reject the recovered cluster.
 func TestClusterAckBeforeFlushMutantCaught(t *testing.T) {
-	// FlushBytes forces periodic real flushes, so the broken mode has IO
-	// points mid-run to crash at (without it nothing is ever written and
-	// the crash lands inside Open, before anything is acknowledged).
+	// The broken mode still flushes once a shard's pending batch passes a
+	// fixed size, so it has IO points mid-run to crash at (otherwise nothing
+	// is ever written and the crash lands inside Open, before anything is
+	// acknowledged).
 	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
-		Procs: 2, Ops: 60, Keys: 8, Seed: 5, FlushBytes: 256, AckBeforeFlush: true}
+		Procs: 2, Ops: 60, Keys: 8, Seed: 5, AckBeforeFlush: true}
 	var failing *Scenario
 	for p := uint64(1); p <= 24; p++ {
 		s := base

@@ -41,7 +41,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eunomia"
 	"eunomia/internal/check"
@@ -63,8 +62,6 @@ type Scenario struct {
 	TornSeed  uint64 // how much unsynced tail survives the crash
 	Restarts  int    // post-crash recover→write→restart cycles before checking
 
-	FlushInterval  time.Duration
-	FlushBytes     int
 	Shards         int // WAL shards per DB
 	SnapshotBytes  int64
 	AckBeforeFlush bool // the deliberately broken mode the harness must catch
@@ -120,8 +117,7 @@ func (s *Scenario) fields() []field {
 	return []field{
 		{"kind", &s.Kind}, {"procs", &s.Procs}, {"ops", &s.Ops}, {"keys", &s.Keys}, {"seed", &s.Seed},
 		{"crash", &s.CrashAtIO}, {"torn", &s.TornSeed}, {"restarts", &s.Restarts},
-		{"interval", &s.FlushInterval}, {"flushbytes", &s.FlushBytes}, {"shards", &s.Shards},
-		{"snapbytes", &s.SnapshotBytes}, {"ack", &s.AckBeforeFlush},
+		{"shards", &s.Shards}, {"snapbytes", &s.SnapshotBytes}, {"ack", &s.AckBeforeFlush},
 		{"cluster", &s.Cluster}, {"kill", &s.Kill}, {"barrier", &s.Barrier}, {"heal", &s.Heal},
 		{"mutant", &s.AdmitBeforeReplay}, {"reshard", &s.Reshard}, {"cutmut", &s.CutBeforeCatchup},
 	}
@@ -435,8 +431,6 @@ func (s Scenario) durability(dir string, fs durable.FS) eunomia.Durability {
 	return eunomia.Durability{
 		Dir:            dir,
 		FS:             fs,
-		FlushInterval:  s.FlushInterval,
-		FlushBytes:     s.FlushBytes,
 		Shards:         s.Shards,
 		SnapshotBytes:  s.SnapshotBytes,
 		AckBeforeFlush: s.AckBeforeFlush,

@@ -26,14 +26,6 @@ type Config struct {
 	// Shards is the number of WAL append files (default 8). A key's
 	// shard is fixed, so per-key log order equals per-key apply order.
 	Shards int
-	// FlushInterval enables timed group commit: appenders park and a
-	// background flusher syncs every interval. 0 means leader-based
-	// immediate group commit (the appender that finds no flush in
-	// progress syncs the whole pending batch itself).
-	FlushInterval time.Duration
-	// FlushBytes triggers an early flush once a shard's pending batch
-	// reaches this size. 0 disables the threshold.
-	FlushBytes int
 	// SnapshotBytes triggers an automatic snapshot (via the registered
 	// scan) once that many WAL bytes have been appended since the last
 	// one. 0 disables automatic snapshots; Snapshot can still be called.
@@ -333,16 +325,16 @@ func (st *Store) LogDelete(key uint64, apply func() bool) (bool, error) {
 	if !ok {
 		var err error
 		if !st.cfg.AckBeforeFlush {
-			err = st.wal.flushLocked(s, s.lastSeq, st.wal.interval == 0)
+			err = st.wal.flushLocked(s, s.lastSeq)
 		}
 		s.unlock()
 		return false, err
 	}
 	seq := st.seq.Add(1)
 	s.appendLocked(frame{op: opDel, seq: seq, key: key})
-	n := len(s.pending)
+	n := len(s.pending) - before
 	s.unlock()
-	return true, st.ack(s, seq, n, n-before)
+	return true, st.ack(s, seq, n)
 }
 
 // log is the shared put/delete append path.
@@ -356,31 +348,30 @@ func (st *Store) log(f frame, apply func()) error {
 	apply()
 	f.seq = st.seq.Add(1)
 	s.appendLocked(f)
-	n := len(s.pending)
+	n := len(s.pending) - before
 	s.unlock()
-	return st.ack(s, f.seq, n, n-before)
+	return st.ack(s, f.seq, n)
 }
+
+// mutantFlushAt is the pending-batch size at which the broken
+// AckBeforeFlush mode does flush, so that a run in it performs IO for the
+// crash checker to crash at.
+const mutantFlushAt = 256
 
 // ack waits for durability (or, in the broken AckBeforeFlush mode,
 // doesn't — the mode the crash checker exists to catch) and accounts the
 // appended bytes toward the auto-snapshot threshold.
-func (st *Store) ack(s *shard, seq uint64, pendingBytes, frameBytes int) error {
+func (st *Store) ack(s *shard, seq uint64, frameBytes int) error {
 	st.bytesSinceSnap.Add(int64(frameBytes))
-	if st.cfg.FlushBytes > 0 && pendingBytes >= st.cfg.FlushBytes {
-		if st.wal.interval > 0 {
-			st.wal.kickFlush()
-		}
-		// With no interval flusher the waiter below flushes immediately
-		// anyway.
-	}
 	if st.cfg.AckBeforeFlush {
-		// BROKEN: acknowledge before the data is durable. A timed or
-		// threshold flush will eventually sync it — unless the crash
-		// comes first.
-		if st.wal.interval == 0 && st.cfg.FlushBytes > 0 && pendingBytes >= st.cfg.FlushBytes {
-			return st.wal.waitFlushed(s, seq)
+		// BROKEN: acknowledge before the data is durable. A later flush
+		// will sync it — unless the crash comes first.
+		s.lock()
+		defer s.unlock()
+		if len(s.pending) < mutantFlushAt {
+			return nil
 		}
-		return nil
+		return st.wal.flushLocked(s, seq)
 	}
 	return st.wal.waitFlushed(s, seq)
 }

@@ -54,10 +54,10 @@ func (s *shard) appendLocked(f frame) {
 
 // flushLocked runs the leader protocol until everything appended at entry
 // is durable (or the shard fails). Caller holds mu; mu is released around
-// the file IO and re-held on return. immediate controls whether this
-// caller may become the flush leader itself (false = park and wait for
-// the interval flusher).
-func (w *wal) flushLocked(s *shard, upto uint64, immediate bool) error {
+// the file IO and re-held on return. A caller that finds no flush in
+// progress becomes the leader and syncs the whole pending batch; one that
+// finds a leader at work waits for it.
+func (w *wal) flushLocked(s *shard, upto uint64) error {
 	for s.flushed < upto {
 		if s.err != nil {
 			return fmt.Errorf("%w: %v", ErrWALFailed, s.err)
@@ -65,7 +65,7 @@ func (w *wal) flushLocked(s *shard, upto uint64, immediate bool) error {
 		if s.closed {
 			return fmt.Errorf("%w: log closed", ErrWALFailed)
 		}
-		if s.flushing || !immediate {
+		if s.flushing {
 			s.cond.Wait()
 			continue
 		}
@@ -166,20 +166,15 @@ type walStats struct {
 
 // wal is the sharded write-ahead log.
 type wal struct {
-	cfg      Config
-	shards   []*shard
-	interval time.Duration
-	stats    walStats
-
-	flusherStop chan struct{}
-	flusherDone chan struct{}
-	kick        chan struct{}
+	cfg    Config
+	shards []*shard
+	stats  walStats
 }
 
 // newWAL opens (or resumes, after recovery) the shard segment files.
 // startGen is the generation to begin appending at.
 func newWAL(cfg Config, startGen int) (*wal, error) {
-	w := &wal{cfg: cfg, interval: cfg.FlushInterval}
+	w := &wal{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{id: i, gen: startGen}
 		s.cond = sync.NewCond(&s.mu)
@@ -195,74 +190,7 @@ func newWAL(cfg Config, startGen int) (*wal, error) {
 	if err := cfg.FS.SyncDir(cfg.Dir); err != nil {
 		return nil, err
 	}
-	if w.interval > 0 {
-		w.flusherStop = make(chan struct{})
-		w.flusherDone = make(chan struct{})
-		w.kick = make(chan struct{}, 1)
-		go w.flusherLoop()
-	}
 	return w, nil
-}
-
-// flusherLoop is the timed group-commit driver: every FlushInterval (or
-// sooner, when a byte-threshold kick arrives) it flushes every shard's
-// pending batch. A panic under it — the filesystem or an observer blowing
-// up, both called with no shard lock held — does not end the process: it
-// poisons every shard, so parked and later writers get ErrWALFailed and
-// nothing is acknowledged again, exactly as after a failed fsync.
-func (w *wal) flusherLoop() {
-	defer close(w.flusherDone)
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		for _, s := range w.shards {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = fmt.Errorf("flusher panicked: %v", r)
-			}
-			s.flushing = false
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		}
-	}()
-	t := time.NewTicker(w.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.flusherStop:
-			return
-		case <-t.C:
-		case <-w.kick:
-		}
-		w.flushAll()
-	}
-}
-
-// flushAll flushes every shard's pending frames.
-func (w *wal) flushAll() {
-	for _, s := range w.shards {
-		s.mu.Lock()
-		for s.flushing {
-			s.cond.Wait()
-		}
-		if s.err == nil && !s.closed {
-			w.leaderFlush(s)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// kickFlush nudges the interval flusher (byte threshold crossed).
-func (w *wal) kickFlush() {
-	if w.kick == nil {
-		return
-	}
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
 }
 
 // shardFor maps a key to its shard; same key, same shard, so per-key log
@@ -272,14 +200,13 @@ func (w *wal) shardFor(key uint64) *shard {
 	return w.shards[h%uint64(len(w.shards))]
 }
 
-// waitFlushed blocks until seq is durable on s. With no interval flusher
-// the caller becomes the group-commit leader itself (concurrent appenders
-// that arrived during an in-progress flush are absorbed into one batch);
-// with an interval flusher it parks until the timed flush covers it.
+// waitFlushed blocks until seq is durable on s: the caller becomes the
+// group-commit leader itself, and concurrent appenders that arrived during
+// an in-progress flush are absorbed into one batch.
 func (w *wal) waitFlushed(s *shard, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return w.flushLocked(s, seq, w.interval == 0)
+	return w.flushLocked(s, seq)
 }
 
 // rotate seals every shard's current segment (flushing its pending tail)
@@ -366,7 +293,7 @@ func (w *wal) syncAll() error {
 	var errs []error
 	for _, s := range w.shards {
 		s.mu.Lock()
-		err := w.flushLocked(s, s.lastSeq, true)
+		err := w.flushLocked(s, s.lastSeq)
 		s.mu.Unlock()
 		if err != nil {
 			errs = append(errs, fmt.Errorf("wal shard %d: %w", s.id, err))
@@ -377,11 +304,6 @@ func (w *wal) syncAll() error {
 
 // close flushes and closes every shard. Idempotent.
 func (w *wal) close() error {
-	if w.flusherStop != nil {
-		close(w.flusherStop)
-		<-w.flusherDone
-		w.flusherStop = nil
-	}
 	var errs []error
 	for _, s := range w.shards {
 		s.mu.Lock()
@@ -389,7 +311,7 @@ func (w *wal) close() error {
 			s.mu.Unlock()
 			continue
 		}
-		err := w.flushLocked(s, s.lastSeq, true)
+		err := w.flushLocked(s, s.lastSeq)
 		s.closed = true
 		if s.f != nil {
 			if cerr := s.f.Close(); err == nil {

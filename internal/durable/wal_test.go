@@ -196,53 +196,6 @@ func TestImmediateModeFlushPerOp(t *testing.T) {
 	}
 }
 
-func TestGroupCommitBatches(t *testing.T) {
-	fs := NewMemFS(FaultPlan{})
-	state := newMapState()
-	st, err := Open(Config{FS: fs, Dir: "db", Shards: 1, FlushInterval: 2 * time.Millisecond}, state.apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 4, 50
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := uint64(w*per + i)
-				if err := st.LogPut(k, k, state.put(k, k)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := st.Stats()
-	if s.FlushedFrames != workers*per {
-		t.Fatalf("flushed %d frames, want %d", s.FlushedFrames, workers*per)
-	}
-	// Timed group commit must batch: far fewer fsyncs than frames.
-	if s.Flushes >= s.FlushedFrames {
-		t.Fatalf("no batching: %d flushes for %d frames", s.Flushes, s.FlushedFrames)
-	}
-	if s.MaxBatch < 2 {
-		t.Fatalf("max batch %d, want >= 2", s.MaxBatch)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	state2 := newMapState()
-	st2, err := Open(Config{FS: fs, Dir: "db"}, state2.apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	sameMap(t, state2.snapshot(), state.snapshot())
-}
-
 func TestConcurrentLeaderGroupCommit(t *testing.T) {
 	fs := NewMemFS(FaultPlan{})
 	state := newMapState()
@@ -475,54 +428,4 @@ func TestLogPutAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("LogPut allocates %.1f times per call, want 0", allocs)
 	}
-}
-
-// panicWriteFS wraps an FS whose append files panic on Write once armed.
-type panicWriteFS struct {
-	FS
-	armed atomic.Bool
-}
-
-type panicWriteFile struct {
-	File
-	fs *panicWriteFS
-}
-
-func (f *panicWriteFS) OpenAppend(name string) (File, error) {
-	file, err := f.FS.OpenAppend(name)
-	return panicWriteFile{file, f}, err
-}
-
-func (f panicWriteFile) Write(p []byte) (int, error) {
-	if f.fs.armed.Load() {
-		panic("panicWriteFS: injected panic in Write")
-	}
-	return f.File.Write(p)
-}
-
-// TestFlusherPanicPoisonsLog: the interval flusher is the one goroutine
-// this package starts. A panic under it must not take the process down; it
-// poisons every shard, so the writer parked on that flush and every later
-// writer get ErrWALFailed, nothing is acknowledged again, and Close
-// returns.
-func TestFlusherPanicPoisonsLog(t *testing.T) {
-	fs := &panicWriteFS{FS: NewMemFS(FaultPlan{})}
-	state := newMapState()
-	st, err := Open(Config{FS: fs, Dir: "db", Shards: 2, FlushInterval: time.Millisecond}, state.apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.LogPut(1, 1, state.put(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	fs.armed.Store(true)
-	for k := uint64(2); k < 10; k++ { // both shards, parked and late writers
-		if err := st.LogPut(k, k, state.put(k, k)); !errors.Is(err, ErrWALFailed) {
-			t.Fatalf("put(%d) after the flusher panicked = %v", k, err)
-		}
-	}
-	if err := st.Sync(); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("Sync after the flusher panicked = %v", err)
-	}
-	st.Close() // returns; the poisoned shards report their error
 }

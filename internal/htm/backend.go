@@ -72,14 +72,3 @@ func hostPause(n uint64) {
 		}
 	}
 }
-
-// hostWait spins until cond returns true, escalating from a brief busy wait
-// to yielding every iteration. Used for the host-backend fallback-lock
-// waits, where the condition flips only when another goroutine gets to run.
-func hostWait(cond func() bool) {
-	for spins := 0; !cond(); spins++ {
-		if spins > 64 {
-			runtime.Gosched()
-		}
-	}
-}

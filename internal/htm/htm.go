@@ -452,8 +452,8 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 // those numbers that has to be made, and re-baselined, on its own.
 func (tx *Tx) awaitWriteBack(line uint64) {
 	a := tx.h.arena
-	if simmem.StateLocked(a.LineState(line)) {
-		hostWait(func() bool { return !simmem.StateLocked(a.LineState(line)) })
+	for simmem.StateLocked(a.LineState(line)) {
+		tx.p.Spin(a.Costs().SpinIter)
 	}
 }
 

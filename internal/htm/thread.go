@@ -400,12 +400,8 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 				// Lemming mitigation: wait for the lock holder to finish
 				// instead of burning more aborts against the held lock.
 				a := t.H.arena
-				if t.H.host {
-					hostWait(func() bool { return a.LoadWord(t.P, t.H.fallback) == 0 })
-				} else {
-					for a.LoadWord(t.P, t.H.fallback) != 0 {
-						t.P.Spin(a.Costs().SpinIter)
-					}
+				for a.LoadWord(t.P, t.H.fallback) != 0 {
+					t.P.Spin(a.Costs().SpinIter)
 				}
 			} else {
 				t.P.Spin(t.H.arena.Costs().SpinIter)
@@ -487,24 +483,16 @@ func (t *Thread) RunFallback(body func(*Tx)) {
 		// joins do not disturb transactions subscribed to the lock word
 		// (nor, on the host backend, the waiters spinning on serving).
 		my := a.AddWordDirect(t.P, t.H.qticket, 1) - 1
-		if t.H.host {
-			hostWait(func() bool { return a.LoadWord(t.P, t.H.qserving) == my })
-		} else {
-			for a.LoadWord(t.P, t.H.qserving) != my {
-				t.P.Spin(a.Costs().SpinIter)
-			}
+		for a.LoadWord(t.P, t.H.qserving) != my {
+			t.P.Spin(a.Costs().SpinIter)
 		}
 		// Exclusive by ticket order; publish the held flag transactions
 		// subscribe to (the version bump aborts in-flight readers).
 		a.StoreWordDirect(t.P, t.H.fallback, 1)
 	} else {
 		for !a.CASWordDirect(t.P, t.H.fallback, 0, 1) {
-			if t.H.host {
-				hostWait(func() bool { return a.LoadWord(t.P, t.H.fallback) == 0 })
-			} else {
-				for a.LoadWord(t.P, t.H.fallback) != 0 {
-					t.P.Spin(a.Costs().SpinIter)
-				}
+			for a.LoadWord(t.P, t.H.fallback) != 0 {
+				t.P.Spin(a.Costs().SpinIter)
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func runLinearizabilityHost(t *testing.T, mk Factory) {
 // that open window chains the whole per-key history into one overlap
 // chunk and overflows the checker's bitset budget. Yielding at op
 // boundaries keeps windows short (emulated wall threads already yield
-// inside ops via WallProc's YieldEvery).
+// inside ops, every few charged cycles).
 func runLinearizabilityOn(t *testing.T, mk Factory, h *htm.HTM, boot *htm.Thread, mkThread func(w int) *htm.Thread) {
 	hosted := h.Host()
 	kv := mk(h, boot)

@@ -4,7 +4,7 @@ import "runtime"
 
 // WallProc is a Proc for real goroutine execution measured in wall-clock
 // time. Tick still accumulates a local cycle count (used for wasted-work
-// accounting) and optionally yields the OS thread every YieldEvery charged
+// accounting) and optionally yields the OS thread every yieldEvery charged
 // cycles, which produces fine-grained interleaving on hosts with fewer
 // physical cores than worker goroutines.
 type WallProc struct {

@@ -121,7 +121,7 @@ func TestObserverEventAccounting(t *testing.T) {
 // under -race via scripts/verify.sh).
 func TestObserverConcurrentWall(t *testing.T) {
 	co := &countingObserver{}
-	db, err := Open(Options{ArenaWords: 1 << 21, YieldEvery: 16,
+	db, err := Open(Options{ArenaWords: 1 << 21,
 		Observability: Observability{Observer: co, Heatmap: true}})
 	if err != nil {
 		t.Fatal(err)
