@@ -35,8 +35,9 @@ check:
 	go test -short ./internal/check/... ./internal/durable/...
 
 # golden: the bit-identical-figures guard — the opt-in resilience layer
-# must not move the paper-faithful default figures (fig1, fig8; and the
-# range-query table, for the scan path) by a single cycle.
+# must not move the paper-faithful default figures (fig1, fig8, fig13's
+# ablation chain; and the range-query table, for the scan path) by a
+# single cycle.
 golden:
 	./scripts/golden.sh
 

@@ -130,7 +130,11 @@ type Tuning struct {
 	Segments int
 	SegCap   int
 	// Disable* switch off individual Eunomia guidelines (all enabled by
-	// default).
+	// default). With the adaptive control on, a leaf is one dense sorted
+	// run (about 30 B/key) until its contention detector finds it hot, and
+	// only then takes the partitioned layout and the CCM; DisableAdaptive
+	// restores the paper's leaf everywhere — always partitioned, CCM always
+	// on, about 48 B/key.
 	DisablePartLeaf    bool
 	DisableCCMLockBits bool
 	DisableCCMMarkBits bool

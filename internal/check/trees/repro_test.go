@@ -126,9 +126,18 @@ func TestMutantCaught(t *testing.T) {
 // CCM lock/mark update, and fallback-lock entry — must be both visited and
 // actually fired at least once per suite run, with the history staying
 // linearizable throughout. The tiny geometry keeps splits frequent and the
-// adaptive gate off keeps CCM active on every lower-region operation.
+// adaptive gate off keeps CCM active on every lower-region operation; with
+// the gate on and a threshold of one abort (euno-adapt-tiny) the mid-split
+// point is also the promotions', and the stitch is stretched across leaves
+// that change state under it.
 func TestFaultPointsCoveredEuno(t *testing.T) {
-	mk, err := Lookup("euno-tiny")
+	for _, name := range []string{"euno-tiny", "euno-adapt-tiny"} {
+		faultPointsCovered(t, name)
+	}
+}
+
+func faultPointsCovered(t *testing.T, name string) {
+	mk, err := Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +159,18 @@ func TestFaultPointsCoveredEuno(t *testing.T) {
 	for _, spec := range specs {
 		_, fi, err := check.RunWorkload(mk, wl, spec)
 		if err != nil {
-			t.Fatalf("euno-tiny under fault %s:\n%v", spec, err)
+			t.Fatalf("%s under fault %s:\n%v", name, spec, err)
 		}
 		if fi.Hits(spec.Point) == 0 {
-			t.Fatalf("fault %s never fired (visits=%d)", spec, fi.Visits(spec.Point))
+			t.Fatalf("%s: fault %s never fired (visits=%d)", name, spec, fi.Visits(spec.Point))
 		}
 		covered[spec.Point] += fi.Hits(spec.Point)
 	}
 	for _, pt := range []htm.FaultPoint{htm.FaultStitch, htm.FaultMidSplit, htm.FaultCCM, htm.FaultFallback} {
 		if covered[pt] == 0 {
-			t.Errorf("fault point %s not covered", pt)
+			t.Errorf("%s: fault point %s not covered", name, pt)
 		} else {
-			t.Logf("fault point %s: %d forced hits", pt, covered[pt])
+			t.Logf("%s: fault point %s: %d forced hits", name, pt, covered[pt])
 		}
 	}
 }

@@ -33,6 +33,19 @@ func tinyEuno() core.Config {
 	}
 }
 
+// adaptTinyEuno is tinyEuno with the adaptive gate on and a threshold the
+// first conflict abort reaches: leaves are born dense (one sorted run of up
+// to twelve records), are promoted to the partitioned layout and demoted
+// again many times in a history of a hundred operations, so the checker
+// linearizes operations against both states of a leaf and both changes.
+// (Its seeded mutant, a demotion that loses the segments' records, lives in
+// internal/core's tests, where its switch can be reached.)
+func adaptTinyEuno() core.Config {
+	cfg := tinyEuno()
+	cfg.Adaptive, cfg.HotThreshold = true, 1
+	return cfg
+}
+
 // brokenEuno is tinyEuno with the lower region's seqno re-validation
 // removed — the seeded mutant the checker must reject (see
 // core.Config.DisableSeqnoCheck).
@@ -50,6 +63,9 @@ var Registry = map[string]check.Factory{
 	},
 	"euno-tiny": func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		return core.New(h, boot, tinyEuno())
+	},
+	"euno-adapt-tiny": func(h *htm.HTM, boot *htm.Thread) tree.KV {
+		return core.New(h, boot, adaptTinyEuno())
 	},
 	"euno-broken": func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		return core.New(h, boot, brokenEuno())

@@ -1,0 +1,284 @@
+package core
+
+import (
+	"testing"
+
+	"eunomia/internal/check"
+	"eunomia/internal/htm"
+	"eunomia/internal/simmem"
+	"eunomia/internal/tree"
+	"eunomia/internal/tree/treetest"
+)
+
+// hotTiny is checktrees' euno-adapt-tiny: the split-heavy geometry with the
+// adaptive gate on and a threshold one conflict abort reaches, so leaves
+// change state many times in a history of a hundred operations.
+func hotTiny() Config {
+	return Config{
+		StableCap: 4, Segments: 2, SegCap: 1,
+		PartLeaf: true, CCMLockBits: true, CCMMarkBits: true,
+		Adaptive: true, HotThreshold: 1,
+	}
+}
+
+// fill puts keys 1..n, which a cold tree keeps in one dense leaf while n is
+// at most denseCap.
+func fill(tr *Tree, th *htm.Thread, n uint64) {
+	for k := uint64(1); k <= n; k++ {
+		tr.Put(th, k, 10*k)
+	}
+}
+
+func wantAll(t *testing.T, tr *Tree, th *htm.Thread, n uint64) {
+	t.Helper()
+	if err := tr.Validate(th.P); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= n; k++ {
+		if v, ok := tr.Get(th, k); !ok || v != 10*k {
+			t.Fatalf("get(%d) = %d,%v want %d", k, v, ok, 10*k)
+		}
+	}
+}
+
+// setScore overwrites the contention score of the leaf that covers key.
+func (t *Tree) setScore(th *htm.Thread, key, score uint64) {
+	leaf, _ := t.leafState(th, key)
+	t.a.StoreWordDirect(th.P, t.ccmAddr(leaf)+ccmConflict, score)
+}
+
+// TestLeafBornDensePromotesInPlaceOrBySplit: a leaf nobody aborted on is
+// one sorted run past StableCap; the operation that takes its score to the
+// threshold partitions it — in place, seqno untouched, while every record
+// can have its shadow in a segment, by the sort-split beyond that — and no
+// record or mark is lost on the way.
+func TestLeafBornDensePromotesInPlaceOrBySplit(t *testing.T) {
+	for _, n := range []uint64{12, 30} {
+		tr, th := newEuno(t, DefaultConfig)
+		fill(tr, th, n)
+		leaf, segs := tr.leafState(th, 1)
+		if run := tr.a.LoadWord(th.P, leaf+offStableCount); segs != 0 || run != n || tr.Splits() != 0 {
+			t.Fatalf("n=%d: %d segments in use, a run of %d, %d splits; want one dense leaf", n, segs, run, tr.Splits())
+		}
+		seq := tr.a.LoadWord(th.P, leaf+offSeqno)
+		// An operation that saw the leaf dense and aborted up to the threshold.
+		tr.noteConflicts(th, leaf, seq, 0, tr.cfg.HotThreshold)
+		for k := uint64(1); k <= n; k++ {
+			if _, segs := tr.leafState(th, k); segs != tr.cfg.Segments {
+				t.Fatalf("n=%d: key %d's leaf has %d segments in use after the promotion", n, k, segs)
+			}
+		}
+		inPlace := n <= uint64(tr.cfg.Segments*tr.cfg.SegCap)
+		if got := tr.Splits() == 0 && tr.a.LoadWord(th.P, leaf+offSeqno) == seq; got != inPlace {
+			t.Fatalf("n=%d: promoted in place: %v, want %v", n, got, inPlace)
+		}
+		wantAll(t, tr, th, n)
+		// A second threshold's worth of aborts finds nothing to do.
+		before := th.Stats.TxStores
+		tr.noteConflicts(th, leaf, tr.a.LoadWord(th.P, leaf+offSeqno), 0, tr.cfg.HotThreshold)
+		if th.Stats.TxStores != before {
+			t.Fatalf("n=%d: promoting a partitioned leaf stored %d words", n, th.Stats.TxStores-before)
+		}
+	}
+}
+
+// TestLeafDemotesOnlyWhenScoreIsGone: a partitioned leaf whose segments
+// overflow is rewritten partitioned while any score is left — under the CCM
+// a score hovers below the threshold by design — and dense once the score
+// has decayed to nothing; the cold leaf, with more live records than a
+// stable region holds, is joined into one run where the warm one splits.
+func TestLeafDemotesOnlyWhenScoreIsGone(t *testing.T) {
+	for _, score := range []uint64{DefaultConfig.HotThreshold - 1, 0} {
+		tr, th := newEuno(t, DefaultConfig)
+		fill(tr, th, 12)
+		tr.heat(th) // in place: 12 stable records, empty segments
+		// Short of the threshold the lock bits are off and a put goes to its
+		// key's home segment: fill every segment to the brim.
+		tr.setScore(th, 1, tr.cfg.HotThreshold-1)
+		keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+		room := make([]int, tr.cfg.Segments)
+		k := uint64(13)
+		for ; len(keys) < 12+tr.cfg.Segments*tr.cfg.SegCap; k++ {
+			if j := tr.homeSeg(k); room[j] < tr.cfg.SegCap {
+				room[j]++
+				keys = append(keys, k)
+				tr.Put(th, k, 10*k)
+			}
+		}
+		if leaf, segs := tr.leafState(th, 1); segs != tr.cfg.Segments || tr.a.LoadWord(th.P, leaf+offStableCount) != 12 || tr.Splits() != 0 {
+			t.Fatalf("score %d: the set-up left %d segments in use and %d splits; want one partitioned leaf, segments full", score, segs, tr.Splits())
+		}
+		tr.setScore(th, 1, score)
+		tr.Put(th, k, 10*k) // no room in its home segment: the rewrite
+		keys = append(keys, k)
+		leaf, segs := tr.leafState(th, 1)
+		run := int(tr.a.LoadWord(th.P, leaf+offStableCount))
+		if score > 0 && (segs != tr.cfg.Segments || tr.Splits() != 1) {
+			t.Fatalf("score %d: %d segments in use and %d splits after the rewrite; want a split with partitioned halves", score, segs, tr.Splits())
+		}
+		if score == 0 && (segs != 0 || run != len(keys) || tr.Splits() != 0) {
+			t.Fatalf("score 0: %d segments in use, a run of %d and %d splits after the rewrite; want one dense leaf of %d records",
+				segs, run, tr.Splits(), len(keys))
+		}
+		if err := tr.Validate(th.P); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if v, ok := tr.Get(th, k); !ok || v != 10*k {
+				t.Fatalf("score %d: get(%d) = %d,%v want %d", score, k, v, ok, 10*k)
+			}
+		}
+	}
+}
+
+// TestDenseUpdateIsOneStore: on a dense leaf an update of a present key is
+// one store where the key lies, not a shadow copy; it and a get cost fewer
+// loads than on the same records partitioned; and neither writes the CCM
+// line.
+func TestDenseUpdateIsOneStore(t *testing.T) {
+	cost := func(hot bool) (stores, loads uint64) {
+		tr, th := newEuno(t, DefaultConfig)
+		fill(tr, th, 12)
+		if hot {
+			tr.heat(th)
+		}
+		leaf, segs := tr.leafState(th, 7)
+		if (segs != 0) != hot {
+			t.Fatalf("hot=%v: %d segments in use", hot, segs)
+		}
+		ccm := tr.a.LineState(tr.ccmAddr(leaf).Line())
+		stores, loads = th.Stats.TxStores, th.Stats.TxLoads
+		tr.Put(th, 7, 70)
+		stores = th.Stats.TxStores - stores
+		if v, ok := tr.Get(th, 7); !ok || v != 70 {
+			t.Fatalf("hot=%v: get(7) = %d,%v", hot, v, ok)
+		}
+		if got := tr.a.LineState(tr.ccmAddr(leaf).Line()); !hot && got != ccm {
+			t.Fatalf("the CCM line of a dense leaf moved %#x -> %#x across an update and a get", ccm, got)
+		}
+		return stores, th.Stats.TxLoads - loads
+	}
+	denseStores, denseLoads := cost(false)
+	partStores, partLoads := cost(true)
+	t.Logf("update+get of one of 12 records: dense %d stores %d loads, partitioned %d stores %d loads",
+		denseStores, denseLoads, partStores, partLoads)
+	if denseStores != 1 || partStores <= 1 {
+		t.Fatalf("the update stored %d words on the dense leaf and %d on the partitioned one; want 1 and a shadow copy's several", denseStores, partStores)
+	}
+	if denseLoads >= partLoads {
+		t.Fatalf("update+get cost %d loads dense and %d partitioned; want fewer dense", denseLoads, partLoads)
+	}
+}
+
+// TestPromotionFaultPoint: the promotion that does not split still passes
+// FaultMidSplit, and an abort injected there discards it wholesale — the
+// retry promotes, and the leaf is never seen half rewritten.
+func TestPromotionFaultPoint(t *testing.T) {
+	h, th := treetest.NewDevice(1 << 20)
+	tr := New(h, th, DefaultConfig)
+	fill(tr, th, 10)
+	fi := htm.NewFaultInjector(htm.FaultSpec{Point: htm.FaultMidSplit, Action: htm.ActAbort, Nth: 1})
+	h.SetFaultInjector(fi)
+	leaf, _ := tr.leafState(th, 1)
+	aborts := th.Stats.TotalAborts()
+	tr.noteConflicts(th, leaf, tr.a.LoadWord(th.P, leaf+offSeqno), 0, tr.cfg.HotThreshold)
+	h.SetFaultInjector(nil)
+	if fi.Hits(htm.FaultMidSplit) == 0 || th.Stats.TotalAborts() == aborts {
+		t.Fatalf("the promotion passed FaultMidSplit %d times and aborted %d times; want both",
+			fi.Hits(htm.FaultMidSplit), th.Stats.TotalAborts()-aborts)
+	}
+	if _, segs := tr.leafState(th, 1); segs != tr.cfg.Segments || tr.Splits() != 0 {
+		t.Fatalf("%d segments in use and %d splits after the retried promotion", segs, tr.Splits())
+	}
+	wantAll(t, tr, th, 10)
+}
+
+// stateWatch counts the state changes of a tree's leaves: after each
+// operation it reads every leaf's state word with raw loads, which cost no
+// virtual time and so leave the schedule under test alone. (The lockstep
+// simulator runs one goroutine at a time.)
+type stateWatch struct {
+	*Tree
+	seen              map[simmem.Addr]uint64
+	promoted, demoted *int
+}
+
+func (w stateWatch) observe() {
+	t := w.Tree
+	l := simmem.Addr(t.a.WordRaw(t.meta + metaRoot))
+	for d := t.a.WordRaw(t.meta + metaDepth); d > 1; d-- {
+		l = simmem.Addr(t.a.WordRaw(t.intChild(l, 0)))
+	}
+	for ; l != simmem.NilAddr; l = simmem.Addr(t.a.WordRaw(l + offNext)) {
+		now := t.a.WordRaw(l + offSegs)
+		if was, ok := w.seen[l]; ok && was != now {
+			if now == 0 {
+				*w.demoted++
+			} else {
+				*w.promoted++
+			}
+		}
+		w.seen[l] = now
+	}
+}
+
+func (w stateWatch) Get(th *htm.Thread, k uint64) (uint64, bool) {
+	defer w.observe()
+	return w.Tree.Get(th, k)
+}
+func (w stateWatch) Put(th *htm.Thread, k, v uint64) { defer w.observe(); w.Tree.Put(th, k, v) }
+func (w stateWatch) Delete(th *htm.Thread, k uint64) bool {
+	defer w.observe()
+	return w.Tree.Delete(th, k)
+}
+
+// TestFuzzerPromotesAndDemotesMidHistory: on the hot tiny geometry the
+// schedule-exploration sweep changes leaves' state in both directions while
+// it records, and every history it records is linearizable.
+func TestFuzzerPromotesAndDemotesMidHistory(t *testing.T) {
+	var promoted, demoted int
+	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
+		return stateWatch{New(h, boot, hotTiny()), map[simmem.Addr]uint64{}, &promoted, &demoted}
+	}
+	seeds := 48
+	if testing.Short() {
+		seeds = 16
+	}
+	histories, fail := check.Sweep("euno-adapt-tiny", mk, check.DefaultSweep(seeds))
+	if fail != nil {
+		t.Fatalf("after %d histories:\n%v\nrepro: %s", histories, fail.Err, fail.ReproLine())
+	}
+	t.Logf("%d histories, %d promotions and %d demotions in them", histories, promoted, demoted)
+	if promoted < histories/4 || demoted < histories/4 {
+		t.Fatalf("%d promotions and %d demotions in %d histories; the threshold is too high for the fuzzer to reach the transitions",
+			promoted, demoted, histories)
+	}
+}
+
+// TestDemotionMutantCaught is the checker's self-test for the state
+// change: a demotion that leaves the segments' records behind — it reads
+// the leaf as if it were dense already — must be rejected by the same sweep
+// the healthy tree passes. (The mutant is seeded here and not in
+// checktrees' registry: its switch is a field no other package can reach,
+// which is the point.)
+func TestDemotionMutantCaught(t *testing.T) {
+	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
+		tr := New(h, boot, hotTiny())
+		tr.dropSegs = true
+		return tr
+	}
+	histories, fail := check.Sweep("euno-adapt-broken", mk, check.DefaultSweep(48))
+	if fail == nil {
+		t.Fatalf("the lossy demotion survived %d histories; the checker cannot see a state change go wrong", histories)
+	}
+	t.Logf("caught after %d histories: %s", histories, fail.Workload)
+	for i := 0; i < 2; i++ {
+		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
+			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
+		}
+	}
+	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
+	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
+		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"eunomia/internal/htm"
 	"eunomia/internal/simmem"
+	"eunomia/internal/tree"
 	"eunomia/internal/vclock"
 )
 
@@ -114,10 +115,26 @@ func (t *Tree) unlockLeaf(p vclock.Proc, ccm simmem.Addr) {
 // conflict score is at or above the threshold. With Adaptive disabled the
 // CCM is considered always-on.
 func (t *Tree) leafHot(p vclock.Proc, ccm simmem.Addr) bool {
+	return t.leafScore(p, ccm) >= t.cfg.HotThreshold
+}
+
+// leafScore reads the contention score; with Adaptive disabled every leaf
+// is as hot as the threshold.
+func (t *Tree) leafScore(p vclock.Proc, ccm simmem.Addr) uint64 {
 	if !t.cfg.Adaptive {
-		return true
+		return t.cfg.HotThreshold
 	}
-	return t.a.LoadWord(p, ccm+ccmConflict) >= t.cfg.HotThreshold
+	return t.a.LoadWord(p, ccm+ccmConflict)
+}
+
+// staysPart decides, from the score read before the region and the state
+// read inside it, whether a rewrite leaves the leaf partitioned: a dense
+// leaf once it is hot, a partitioned one until its score has decayed to
+// nothing. Under the CCM a score hovers about the threshold by design (the
+// CCM removes the aborts that feed it), and a leaf demoted on every dip
+// pays a threshold's worth of aborts, dense, to be promoted again.
+func (t *Tree) staysPart(score uint64, segs int) bool {
+	return score >= t.cfg.HotThreshold || (segs != 0 && score > 0)
 }
 
 // noteConflicts feeds the contention detector after an operation that
@@ -126,12 +143,21 @@ func (t *Tree) leafHot(p vclock.Proc, ccm simmem.Addr) bool {
 // passes. The detector writes the CCM line only on aborts and on sampled
 // decays — clean traffic leaves the line read-shared and therefore cached,
 // keeping the detector itself from becoming a contention point.
-func (t *Tree) noteConflicts(th *htm.Thread, ccm simmem.Addr, aborts uint64) {
+//
+// Aborts are the lower region's conflict aborts: a fallback-lock abort says
+// nothing about this leaf. The operation whose aborts leave the score at or
+// above the threshold on a leaf it saw short of the configured segments
+// promotes it: leafMaint with nothing to put rewrites the leaf partitioned,
+// splitting it if it holds more than rewriteCap.
+func (t *Tree) noteConflicts(th *htm.Thread, leaf simmem.Addr, s0 uint64, segs int, aborts uint64) {
 	if !t.cfg.Adaptive {
 		return
 	}
+	ccm := t.ccmAddr(leaf)
 	if aborts > 0 {
-		t.a.AddWordDirect(th.P, ccm+ccmConflict, aborts)
+		if t.a.AddWordDirect(th.P, ccm+ccmConflict, aborts) >= t.cfg.HotThreshold && segs != t.cfg.Segments {
+			t.leafMaint(th, leaf, s0, 0, tree.Tombstone)
+		}
 		return
 	}
 	// Clean op: sampled decay-on-read (lossy racing is fine — the score is

@@ -23,7 +23,7 @@
 //
 //  4. Adaptive concurrency control. A per-leaf contention detector lets
 //     cold leaves bypass the CCM entirely, removing its overhead under low
-//     contention.
+//     contention (and, here, the partitioned layout's: see the deviations).
 //
 // Documented deviations from the paper's prose, with reasons:
 //
@@ -54,6 +54,13 @@
 //     leaves as a single snapshot (Scan, scanLeaf) and a scan leaves the
 //     CCM line and the arena's accounting untouched. The advisory lock
 //     still serializes compactions and splits.
+//
+//   - The paper bypasses the CCM on cold leaves; we also densify them: a
+//     leaf is one sorted run over all its data lines until the detector
+//     finds it hot, is then rewritten partitioned, and goes back once its
+//     score has decayed to nothing (leaf.go). The score counts conflict
+//     aborts only, and a hot leaf keeps no more records than its segments
+//     can shadow. Adaptive off restores the paper's leaf exactly.
 package core
 
 import (
@@ -83,11 +90,12 @@ type Config struct {
 	// CCMMarkBits enables the counting mark slots (+CCM markbits).
 	CCMMarkBits bool
 	// Adaptive enables the per-leaf contention detector that bypasses the
-	// CCM on cold leaves (+Adaptive).
+	// CCM on cold leaves and keeps them dense (+Adaptive).
 	Adaptive bool
 
 	// HotThreshold is the contention score at which a leaf is considered
-	// hot (the score decays on sampled conflict-free operations).
+	// hot and promoted (the score decays on sampled conflict-free
+	// operations).
 	HotThreshold uint64
 	// RebalanceThreshold is the number of tombstones a leaf accumulates
 	// before a delete triggers compaction (Section 4.2.4: "we do the

@@ -36,6 +36,7 @@ func TestKitAblations(t *testing.T) {
 // TestKitOddGeometries exercises non-default segment shapes.
 func TestKitOddGeometries(t *testing.T) {
 	cfgs := map[string]Config{
+		"hot-leaf":    hotTiny(),
 		"small-leaf":  {StableCap: 4, Segments: 2, SegCap: 1, PartLeaf: true, CCMLockBits: true, CCMMarkBits: true, Adaptive: true},
 		"wide-leaf":   {StableCap: 32, Segments: 4, SegCap: 7, PartLeaf: true, CCMLockBits: true, CCMMarkBits: true},
 		"no-adaptive": {StableCap: 16, Segments: 4, SegCap: 3, PartLeaf: true, CCMLockBits: true, CCMMarkBits: true},
@@ -52,6 +53,29 @@ func newEuno(t *testing.T, cfg Config) (*Tree, *htm.Thread) {
 	t.Helper()
 	h, boot := treetest.NewDevice(1 << 24)
 	return New(h, boot, cfg), boot
+}
+
+// heat makes every leaf the tree has hot — a score no test's clean
+// operations decay away — and partitioned, the way the first operation to
+// abort on each would. Two passes: a promotion that splits leaves its new
+// right half partitioned but cold.
+func (t *Tree) heat(th *htm.Thread) {
+	for pass := 0; pass < 2; pass++ {
+		for _, l := range t.leaves(th) {
+			t.heatLeaf(th, l)
+		}
+	}
+}
+
+func (t *Tree) heatLeaf(th *htm.Thread, l simmem.Addr) {
+	t.a.StoreWordDirect(th.P, t.ccmAddr(l)+ccmConflict, 1<<62)
+	t.noteConflicts(th, l, t.a.LoadWord(th.P, l+offSeqno), 0, 1)
+}
+
+// leafState reads the state word of the leaf that covers key.
+func (t *Tree) leafState(th *htm.Thread, key uint64) (leaf simmem.Addr, segs int) {
+	leaf, _, segs = t.upper(th, key)
+	return leaf, segs
 }
 
 func TestTwoRegionGetUsesTwoTransactions(t *testing.T) {
@@ -151,7 +175,9 @@ func TestSplitsBumpSeqnoAndForceRootRetries(t *testing.T) {
 func TestShadowUpdateWinsOverStable(t *testing.T) {
 	// Drive a key into the stable region via compaction, then update it;
 	// the segment shadow must win on reads and survive the next compaction.
+	// Shadows are a partitioned leaf's: the leaf is hot from the start.
 	tr, boot := newEuno(t, DefaultConfig)
+	tr.heat(boot)
 	for i := uint64(1); i <= 20; i++ { // overflow segments -> compaction
 		tr.Put(boot, i, 100+i)
 	}
@@ -159,6 +185,16 @@ func TestShadowUpdateWinsOverStable(t *testing.T) {
 		t.Fatal("expected at least one compaction")
 	}
 	tr.Put(boot, 5, 999) // shadow update of a stable-resident key
+	leaf, segs := tr.leafState(boot, 5)
+	var stable uint64
+	boot.Execute(tr.lowerPol, func(tx *htm.Tx) {
+		if i, ok := tr.stableSearch(tx, leaf, 5); ok {
+			stable = tx.Load(tr.stableV(leaf, i))
+		}
+	})
+	if segs == 0 || stable != 105 {
+		t.Fatalf("key 5's leaf has %d segments in use and stable value %d; want a partitioned leaf still holding 105 under the shadow", segs, stable)
+	}
 	if v, ok := tr.Get(boot, 5); !ok || v != 999 {
 		t.Fatalf("get(5) = %d,%v want 999", v, ok)
 	}
@@ -175,7 +211,7 @@ func TestAdaptiveDetectorHeatsAndCools(t *testing.T) {
 	cfg.HotThreshold = 4
 	tr, boot := newEuno(t, cfg)
 	tr.Put(boot, 1, 1)
-	leaf, _ := tr.upper(boot, 1)
+	leaf, _, _ := tr.upper(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	if tr.leafHot(boot.P, ccm) {
 		t.Fatal("fresh leaf reported hot")
@@ -225,7 +261,7 @@ func TestConfigValidation(t *testing.T) {
 func TestCCMBitOps(t *testing.T) {
 	tr, boot := newEuno(t, DefaultConfig)
 	tr.Put(boot, 1, 1)
-	leaf, _ := tr.upper(boot, 1)
+	leaf, _, _ := tr.upper(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	p := boot.P
 
@@ -261,7 +297,7 @@ func TestCCMBitOps(t *testing.T) {
 func TestMarkAddClampAtZero(t *testing.T) {
 	tr, boot := newEuno(t, DefaultConfig)
 	tr.Put(boot, 1, 1)
-	leaf, _ := tr.upper(boot, 1)
+	leaf, _, _ := tr.upper(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	slot := uint(9)
 	if got := tr.markAdd(boot.P, ccm, slot, -1); got != 0 {

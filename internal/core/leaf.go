@@ -9,26 +9,41 @@ import (
 
 // Leaf memory layout (word offsets from the leaf base address):
 //
-//	line 0 (TagNodeMeta):  w0 seqno, w1 next-leaf, w2 stable count
-//	stable region (TagKeys): StableCap interleaved (key,value) pairs,
-//	    sorted by key; only written under the leaf's advisory lock during
-//	    compaction or split, so it rarely conflicts (the paper's "reserved
-//	    keys will not be updated and inserted frequently").
-//	segments (TagKeys): Segments line-aligned blocks, each
-//	    [count, k0,v0, k1,v1, ...], sorted within the block; all puts land
-//	    here, scattered across blocks, so concurrent writers touch
-//	    different cache lines.
+//	line 0 (TagNodeMeta):  w0 seqno, w1 next-leaf, w2 run count, w3 the
+//	    leaf's state: segments in use, 0 for a dense leaf, Segments for a
+//	    partitioned one (leafSegs; kept by an adaptive tree only).
+//	data lines (TagKeys), stableOff up to the CCM line:
+//	  dense leaf: one run of up to denseCap interleaved (key,value) pairs,
+//	    sorted by key, searched, updated and shifted in place by the lower
+//	    region: every cold leaf of the full tree. It has no conventional
+//	    header (the +Split HTM leaf's alone, see convHeaderWords).
+//	  partitioned leaf: the run is the stable region, StableCap pairs, only
+//	    written under the leaf's advisory lock during compaction or split,
+//	    so it rarely conflicts (the paper's "reserved keys will not be
+//	    updated and inserted frequently"); then Segments line-aligned
+//	    blocks, each [count, k0,v0, k1,v1, ...], sorted within the block;
+//	    all puts land here, scattered across blocks, so concurrent writers
+//	    touch different cache lines.
 //	CCM line (TagCCM): see ccm.go. Never accessed inside a transaction.
 //
-// A key may transiently exist both in a segment and in the stable region:
-// a put that finds its key only in the stable region inserts a *shadow*
-// copy into a segment instead of writing the stable line (keeping hot
-// updates scattered). Lookups search segments before the stable region, so
-// the newest copy always wins; compaction merges with segment priority.
+// In a partitioned leaf a key may transiently exist both in a segment and
+// in the stable region: a put that finds its key only in the stable region
+// inserts a *shadow* copy into a segment instead of writing the stable line
+// (keeping hot updates scattered). Lookups search segments before the
+// stable region, so the newest copy always wins; compaction merges with
+// segment priority.
+//
+// A leaf is born dense; noteConflicts promotes it and writeLeaf, under the
+// leaf lock, picks the state again at every rewrite (DESIGN.md §5.2). Every
+// lower region reads the state inside its own transaction, so none acts on
+// the wrong layout; what the upper region samples only decides whether the
+// CCM line is consulted, which was always advisory. Marks are kept on dense
+// leaves as on partitioned ones: they never under-count at a promotion.
 const (
 	offSeqno       = 0
 	offNext        = 1
 	offStableCount = 2
+	offSegs        = 3
 	offLeafData    = 8
 	// convHeaderWords reserves the conventional in-node version/status
 	// header at the head of the key area in the unpartitioned (+Split HTM)
@@ -77,18 +92,28 @@ func (t *Tree) ccmAddr(leaf simmem.Addr) simmem.Addr {
 
 // segment pair i lives at [base+1+2i] (key) and [base+2+2i] (value).
 
+// leafSegs reads the leaf's state inside a region: the number of segments
+// in use, 0 for a dense leaf. Only an adaptive tree has dense leaves and
+// keeps the word; the others load nothing.
+func (t *Tree) leafSegs(tx *htm.Tx, leaf simmem.Addr) int {
+	if !t.cfg.Adaptive {
+		return t.cfg.Segments
+	}
+	return int(tx.Load(leaf + offSegs))
+}
+
 // prefetchLeaf issues the independent loads of a partitioned-leaf probe as
 // one burst: all segment header lines plus the first stable lines. These
 // are independent addresses (unlike a binary search's dependent probes),
 // so they overlap in the memory pipeline — the reason the paper's
 // partitioned layout costs only a few percent at low contention.
-func (t *Tree) prefetchLeaf(tx *htm.Tx, leaf simmem.Addr) {
-	if t.cfg.Segments == 0 {
+func (t *Tree) prefetchLeaf(tx *htm.Tx, leaf simmem.Addr, segs int) {
+	if segs == 0 {
 		return
 	}
 	var addrs [10]simmem.Addr
 	n := 0
-	for j := 0; j < t.cfg.Segments && n < 8; j++ {
+	for j := 0; j < segs && n < 8; j++ {
 		addrs[n] = t.segBase(leaf, j)
 		n++
 	}
@@ -196,8 +221,9 @@ func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, u
 	if !t.seqnoValid(tx, leaf, s0) {
 		return oMismatch, 0
 	}
-	t.prefetchLeaf(tx, leaf)
-	for j := 0; j < t.cfg.Segments; j++ {
+	segs := t.leafSegs(tx, leaf)
+	t.prefetchLeaf(tx, leaf, segs)
+	for j := 0; j < segs; j++ {
 		seg := t.segBase(leaf, j)
 		if idx, _, found := t.segSearch(tx, seg, key); found {
 			return oFound, tx.Load(seg + simmem.Addr(2+2*idx))
@@ -227,9 +253,10 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 	if !t.seqnoValid(tx, leaf, s0) {
 		return oMismatch
 	}
-	t.prefetchLeaf(tx, leaf)
+	segs := t.leafSegs(tx, leaf)
+	t.prefetchLeaf(tx, leaf, segs)
 	// Update in place if a segment already holds the key (newest copy).
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j := 0; j < segs; j++ {
 		seg := t.segBase(leaf, j)
 		if idx, _, found := t.segSearch(tx, seg, key); found {
 			tx.Store(seg+simmem.Addr(2+2*idx), val)
@@ -241,9 +268,9 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 	if inStable {
 		wasLive = tx.Load(t.stableV(leaf, stIdx)) != tree.Tombstone
 	}
-	if t.cfg.Segments == 0 {
-		// +Split HTM configuration: conventional sorted leaf, two-region
-		// traversal only.
+	if segs == 0 {
+		// A dense leaf, or the +Split HTM configuration's conventional
+		// sorted leaf: the run is updated and shifted in place.
 		if inStable {
 			prev := tx.Load(t.stableV(leaf, stIdx))
 			if prev == tree.Tombstone {
@@ -262,12 +289,26 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 			return oNeedMark
 		}
 		count := int(tx.Load(leaf + offStableCount))
-		if count == t.cfg.StableCap {
+		if count == t.denseCap {
 			return oMaint
 		}
-		for i := count; i > stIdx; i-- {
-			tx.Store(t.stableK(leaf, i), tx.Load(t.stableK(leaf, i-1)))
-			tx.Store(t.stableV(leaf, i), tx.Load(t.stableV(leaf, i-1)))
+		if src, n := t.stableK(leaf, stIdx), simmem.Addr(2*(count-stIdx)); t.cfg.PartLeaf {
+			// A dense leaf loads every word that moves before it stores
+			// any: a load issued after a store has the write set to probe.
+			var moved [2 * maxRun]uint64
+			for i := n; i > 0; i-- {
+				moved[i-1] = tx.Load(src + i - 1)
+			}
+			for i := n; i > 0; i-- {
+				tx.Store(src+1+i, moved[i-1])
+			}
+		} else {
+			// The +Split HTM leaf keeps the baseline's word-by-word shift:
+			// Figure 13's row is pinned to its order of ticks.
+			for i := count; i > stIdx; i-- {
+				tx.Store(t.stableK(leaf, i), tx.Load(t.stableK(leaf, i-1)))
+				tx.Store(t.stableV(leaf, i), tx.Load(t.stableV(leaf, i-1)))
+			}
 		}
 		tx.Store(t.stableK(leaf, stIdx), key)
 		tx.Store(t.stableV(leaf, stIdx), val)
@@ -329,9 +370,10 @@ func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out out
 	if !t.seqnoValid(tx, leaf, s0) {
 		return oMismatch, false
 	}
-	t.prefetchLeaf(tx, leaf)
+	segs := t.leafSegs(tx, leaf)
+	t.prefetchLeaf(tx, leaf, segs)
 	removed := false
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j := 0; j < segs; j++ {
 		seg := t.segBase(leaf, j)
 		if idx, count, found := t.segSearch(tx, seg, key); found {
 			t.segRemoveAt(tx, seg, idx, count)
@@ -353,13 +395,14 @@ func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out out
 	return oAbsent, false
 }
 
-// compactLeaf drops a leaf's tombstones by rewriting the stable region
-// under the advisory lock — the deferred rebalance of Section 4.2.4. A
-// stale seqno or an over-full leaf silently skips (the segment-overflow
-// maintenance path handles those cases).
+// compactLeaf drops a leaf's tombstones by rewriting its run under the
+// advisory lock — the deferred rebalance of Section 4.2.4. A stale seqno or
+// an over-full leaf silently skips (the overflow maintenance path handles
+// those cases).
 func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 	ccm := t.ccmAddr(leaf)
 	t.lockLeaf(th.P, ccm)
+	score := t.leafScore(th.P, ccm)
 	var staging simmem.Addr
 	var stagingWords int
 	sc := t.borrowScratch(th)
@@ -368,14 +411,16 @@ func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 		if tx.Load(leaf+offSeqno) != s0 {
 			return
 		}
-		recs := t.collectLive(tx, leaf, sc.buf[:0])
-		if len(recs) > t.cfg.StableCap {
+		segs := t.leafSegs(tx, leaf)
+		hot := t.staysPart(score, segs)
+		recs := t.collectLive(tx, leaf, segs, sc.buf[:0])
+		if len(recs) > t.rewriteCap(hot) {
 			return
 		}
 		sortPairs(recs)
 		stagingWords = 2*len(recs) + 1
 		staging = tx.AllocAligned(stagingWords, simmem.TagReserved)
-		t.writeStable(tx, leaf, recs)
+		t.writeLeaf(tx, leaf, recs, hot)
 	})
 	th.Scratch = sc
 	if staging != simmem.NilAddr {
@@ -391,9 +436,9 @@ type pair struct{ k, v uint64 }
 
 // collectLive gathers every live record of the leaf (segment copies win
 // over stable copies; tombstones dropped) into buf, unsorted.
-func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
+func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, inUse int, buf []pair) []pair {
 	base := len(buf)
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j := 0; j < inUse; j++ {
 		seg := t.segBase(leaf, j)
 		count := int(tx.Load(seg))
 		for i := 0; i < count; i++ {
@@ -423,11 +468,12 @@ func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, buf []pair) []pair {
 // The at most Segments×SegCap (validate: under 32) segment records >= from
 // are insertion-merged on the stack and then merged with the stable run
 // from its first key >= from (binary-searched; from 0 needs no search), so
-// it loads no value below from and no stable pair past the limit.
+// it loads no value below from and no stable pair past the limit. A dense
+// leaf is the run alone.
 func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, from uint64, out []pair, limit int) []pair {
-	var segs [32]pair
+	var segs [maxRun]pair
 	n := 0
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j, inUse := 0, t.leafSegs(tx, leaf); j < inUse; j++ {
 		seg := t.segBase(leaf, j)
 		for i, count := 0, int(tx.Load(seg)); i < count; i++ {
 			k := tx.Load(seg + simmem.Addr(1+2*i))
@@ -482,25 +528,52 @@ func hasKey(recs []pair, key uint64) bool {
 	return false
 }
 
-// writeStable rewrites the leaf's stable region with the given sorted
-// records and clears all segments.
-func (t *Tree) writeStable(tx *htm.Tx, leaf simmem.Addr, recs []pair) {
+// rewriteCap is how many records a rewrite may leave in one leaf. A cold
+// leaf comes out dense. A hot one comes out partitioned, so they must fit
+// its stable region — and, on an adaptive tree, its segments: once every
+// record has its shadow copy a hot leaf stops compacting, while one record
+// more has it compact again every few updates.
+func (t *Tree) rewriteCap(hot bool) int {
+	switch {
+	case !hot:
+		return t.denseCap
+	case t.cfg.Adaptive:
+		return min(t.cfg.StableCap, t.cfg.Segments*t.cfg.SegCap)
+	}
+	return t.cfg.StableCap
+}
+
+// writeLeaf rewrites the leaf as the given sorted records and picks its
+// state: partitioned, with every segment cleared, when the leaf is hot and
+// the records fit the stable region (always, without Adaptive); dense
+// otherwise — which is how a leaf that cooled is demoted, and why half of a
+// split may stay dense on a hot leaf until the next abort promotes it.
+func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 	t.bumpConvHeader(tx, leaf)
 	for i, r := range recs {
 		tx.Store(t.stableK(leaf, i), r.k)
 		tx.Store(t.stableV(leaf, i), r.v)
 	}
 	tx.Store(leaf+offStableCount, uint64(len(recs)))
-	for j := 0; j < t.cfg.Segments; j++ {
-		tx.Store(t.segBase(leaf, j), 0)
+	segs := 0
+	if hot && len(recs) <= t.cfg.StableCap {
+		segs = t.cfg.Segments
+		for j := 0; j < segs; j++ {
+			tx.Store(t.segBase(leaf, j), 0)
+		}
+	}
+	if t.cfg.Adaptive {
+		tx.Store(leaf+offSegs, uint64(segs))
 	}
 }
 
-// leafMaint is the locked maintenance path for a put whose segment space
-// was exhausted: under the leaf's advisory lock it merges segments and
-// stable region (Figure 6b/6c — moveToReserved + shrinkSegs) and, if the
-// leaf is genuinely full, performs the sort-split-reorganize of Figure 7
-// (Algorithm 3 lines 67-86). It returns the final outcome of the put.
+// leafMaint is the locked maintenance path for a put that found no room:
+// it takes the leaf's advisory lock and in one lower region merges segments
+// and run (Figure 6b/6c — moveToReserved + shrinkSegs) or, if the records
+// no longer fit one leaf, performs the sort-split-reorganize of Figure 7
+// (Algorithm 3 lines 67-86). It returns the final outcome of the put. A
+// promotion is the same rewrite with nothing to put: val is then the
+// tombstone, which no put carries.
 //
 // A transient staging buffer is allocated from the arena with TagReserved
 // for the duration of the reorganization and freed afterwards — this is the
@@ -508,80 +581,100 @@ func (t *Tree) writeStable(tx *htm.Tx, leaf simmem.Addr, recs []pair) {
 // itself stages through thread-local memory).
 func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) outcome {
 	var out outcome
+	var compacted bool
 	var staging simmem.Addr
 	var stagingWords int
+	ccm := t.ccmAddr(leaf)
+	t.lockLeaf(th.P, ccm)
+	score := t.leafScore(th.P, ccm)
 	sc := t.borrowScratch(th)
 	th.Execute(t.lowerPol, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
-		out = t.leafMaintBody(tx, sc, leaf, s0, key, val, &staging, &stagingWords)
+		out, compacted = t.leafMaintBody(tx, sc, leaf, s0, key, val, score, &staging, &stagingWords)
 	})
 	th.Scratch = sc
 	if staging != simmem.NilAddr {
 		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
 	}
+	t.unlockLeaf(th.P, ccm)
+	if compacted {
+		t.compactions.Add(1)
+	}
 	return out
 }
 
-func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val uint64, staging *simmem.Addr, stagingWords *int) outcome {
+func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool) {
 	if tx.Load(leaf+offSeqno) != s0 {
-		return oMismatch
+		return oMismatch, false
+	}
+	put := val != tree.Tombstone
+	segs := t.leafSegs(tx, leaf)
+	hot := t.staysPart(score, segs)
+	if !put && segs == t.cfg.Segments {
+		return oAbsent, false // promoted by someone else meanwhile
 	}
 	// Re-check: a concurrent put may have inserted or updated the key (or
 	// freed segment space) before we took the leaf lock.
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j := 0; put && j < segs; j++ {
 		seg := t.segBase(leaf, j)
 		if idx, _, found := t.segSearch(tx, seg, key); found {
 			tx.Store(seg+simmem.Addr(2+2*idx), val)
-			return oUpdated
+			return oUpdated, false
 		}
 	}
-	recs := t.collectLive(tx, leaf, sc.buf[:0])
-	wasLive := false
+	if t.dropSegs && !hot {
+		segs = 0 // the seeded bug: a demotion that reads the leaf as dense already
+	}
+	recs := t.collectLive(tx, leaf, segs, sc.buf[:0])
+	out = oInserted
 	for i := range recs {
-		if recs[i].k == key {
+		if put && recs[i].k == key {
 			recs[i].v = val
-			wasLive = true
+			out = oUpdated
 			break
 		}
 	}
-	if !wasLive {
+	if put && out == oInserted {
 		recs = append(recs, pair{key, val})
 	}
 	sortPairs(recs)
 
-	// Model the reserved-keys allocation for the reorganize.
-	*stagingWords = 2 * len(recs)
-	*staging = tx.AllocAligned(*stagingWords, simmem.TagReserved)
-
-	result := func() outcome {
-		if wasLive {
-			return oUpdated
-		}
-		return oInserted
+	// Model the reserved-keys allocation for the reorganize (a promotion
+	// may find the leaf empty).
+	if *stagingWords = 2 * len(recs); *stagingWords > 0 {
+		*staging = tx.AllocAligned(*stagingWords, simmem.TagReserved)
 	}
 
-	if len(recs) <= t.cfg.StableCap {
-		// Compaction suffices (Figure 6c): everything fits in the stable
-		// region; segments empty out for new concurrent insertions. Leaf
-		// membership is unchanged, so seqno stays — concurrent two-step
-		// operations remain valid.
-		t.writeStable(tx, leaf, recs)
-		return result()
+	if len(recs) <= t.rewriteCap(hot) {
+		// Compaction suffices (Figure 6c): everything fits the run;
+		// segments empty out for new concurrent insertions. Leaf membership
+		// is unchanged, so seqno stays — concurrent two-step operations
+		// remain valid, whichever state the leaf comes out in.
+		if !put {
+			// A promotion changes the layout under them as a split does:
+			// an injected abort must discard it wholesale.
+			tx.Fault(htm.FaultMidSplit)
+		}
+		t.writeLeaf(tx, leaf, recs, hot)
+		return out, true
 	}
 	// Split (Figure 7): re-traverse from the root *inside this
 	// transaction* so the parent path is consistent with the split.
+	if !put {
+		key = recs[0].k // a promotion descends by a key of the leaf's own
+	}
 	sc.path = sc.path[:0]
 	found := t.descend(tx, key, &sc.path)
 	if found != leaf {
-		return oMismatch
+		return oMismatch, false
 	}
 	// Structural modification begins: an injected abort here must discard
 	// the half-built split wholesale.
 	tx.Fault(htm.FaultMidSplit)
 	half := len(recs) / 2
 	right := t.newLeafTx(tx)
-	t.writeStable(tx, leaf, recs[:half])
-	t.writeStable(tx, right, recs[half:])
+	t.writeLeaf(tx, leaf, recs[:half], hot)
+	t.writeLeaf(tx, right, recs[half:], hot)
 	tx.Store(right+offNext, tx.Load(leaf+offNext))
 	tx.Store(leaf+offNext, uint64(right))
 	tx.Store(leaf+offSeqno, s0+1)
@@ -591,7 +684,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	sep := recs[half].k
 	t.insertUp(tx, sc.path, sep, right)
 	t.splits.Add(1)
-	return result()
+	return out, false
 }
 
 // initMarks computes the new (unpublished) right leaf's counting marks

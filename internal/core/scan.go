@@ -47,7 +47,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 		if chainLeaf != simmem.NilAddr {
 			leaf, s0 = chainLeaf, chainSeq
 		} else {
-			leaf, s0 = t.upper(th, cur)
+			leaf, s0, _ = t.upper(th, cur)
 		}
 		th.NoteNode(uint64(leaf))
 		ok := false
@@ -108,7 +108,7 @@ type threadScratch struct {
 func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
 	sc, _ := th.Scratch.(*threadScratch)
 	th.Scratch = nil
-	if n := t.scanLeaves * t.leafCap(); sc == nil || cap(sc.buf) <= n {
+	if n := t.scanLeaves * max(t.leafCap(), t.denseCap); sc == nil || cap(sc.buf) <= n {
 		sc = &threadScratch{buf: make([]pair, 0, n+1)}
 	}
 	return sc

@@ -13,18 +13,45 @@ import (
 	"eunomia/internal/tree/treetest"
 )
 
-// scanTree is a tree preloaded with every other key of [0, 2n), so leaves
-// hold both stable and segment records and a scan crosses several of them.
+// scanTree is a tree preloaded with every other key of [0, 2n) in two
+// halves, every other leaf heated in between: those are partitioned, and
+// the second half's puts leave them both stable and segment records; the
+// rest are dense; a scan crosses several of either.
 func scanTree(t *testing.T, host bool, n uint64) (*Tree, *htm.Thread) {
+	t.Helper()
+	return scanTreeCfg(t, host, n, DefaultConfig)
+}
+
+// scanTreeCfg is scanTree with any configuration; without Adaptive there
+// is nothing to heat and every leaf is partitioned.
+func scanTreeCfg(t *testing.T, host bool, n uint64, cfg Config) (*Tree, *htm.Thread) {
 	t.Helper()
 	mk := treetest.NewDevice
 	if host {
 		mk = treetest.NewHostDevice
 	}
 	h, boot := mk(1 << 22)
-	tr := New(h, boot, DefaultConfig)
-	for _, k := range rand.New(rand.NewSource(1)).Perm(int(n)) {
+	tr := New(h, boot, cfg)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(int(n)) {
+		if i == int(n)/2 && cfg.Adaptive {
+			for j, l := range tr.leaves(boot) {
+				if j%2 == 0 {
+					tr.heatLeaf(boot, l)
+				}
+			}
+		}
 		tr.Put(boot, 2*uint64(k), uint64(k))
+	}
+	var dense, part int
+	for _, l := range tr.leaves(boot) {
+		if tr.a.LoadWord(boot.P, l+offSegs) == 0 {
+			dense++
+		} else {
+			part++
+		}
+	}
+	if cfg.Adaptive && (dense < 8 || part < 8) {
+		t.Fatalf("scanTree has %d dense and %d partitioned leaves; want several of both", dense, part)
 	}
 	return tr, boot
 }
@@ -114,40 +141,109 @@ func TestScanCallbackPutBuildsOwnScratch(t *testing.T) {
 // TestPutMaintenanceAllocationFree: compactions and splits stage a leaf's
 // records and the split's path in the thread's scratch, not in buffers made
 // inside a transaction body that retries, so a warmed-up thread's puts and
-// deletes allocate nothing at all.
+// deletes allocate nothing at all — on the cold tree's dense leaves, with
+// their in-leaf shift, and on leaves that are always hot (Adaptive off).
 func TestPutMaintenanceAllocationFree(t *testing.T) {
-	tr, th := scanTree(t, true, 4000)
-	next := uint64(0)
-	churn := func() {
-		for i := 0; i < 20000; i++ {
-			k := 8000 + next
-			tr.Put(th, k, k)
-			if next%2 == 1 {
-				tr.Delete(th, k-1)
+	for _, adaptive := range []bool{true, false} {
+		cfg := DefaultConfig
+		cfg.Adaptive = adaptive
+		tr, th := scanTreeCfg(t, true, 4000, cfg)
+		next := uint64(0)
+		churn := func() {
+			for i := 0; i < 20000; i++ {
+				k := 8000 + next
+				tr.Put(th, k, k)
+				if next%2 == 1 {
+					tr.Delete(th, k-1)
+					// An update well behind the growing edge: a shadow copy
+					// on a partitioned leaf, and so its compactions.
+					tr.Put(th, 8000+next/2|1, k)
+				}
+				next++
 			}
-			next++
+		}
+		// Warm up what grows to a high-water mark and then stays: the Tx's
+		// own buffers and tables, the split path, and the arena's per-size
+		// free lists — one per staging size, which on dense leaves is any
+		// up to a full run's and the record that overflowed it. The widest
+		// transaction — a full dense leaf's split under an index split on
+		// every level — is too rare to count on: one wider than any,
+		// aborted, grows the Tx to it.
+		churn()
+		for w := 1; w <= 2*(maxRun+1); w += simmem.WordsPerLine {
+			tr.a.Free(th.P, tr.a.AllocAligned(th.P, w, simmem.TagReserved), w, simmem.TagReserved)
+		}
+		const wide = 64 * simmem.WordsPerLine
+		block := tr.a.AllocAligned(th.P, wide, simmem.TagReserved)
+		th.Run(func(tx *htm.Tx) {
+			for i := simmem.Addr(0); i < wide; i++ {
+				tx.Store(block+i, 1)
+			}
+			tx.Abort(1)
+		})
+		tr.a.Free(th.P, block, wide, simmem.TagReserved)
+		splits, compactions := tr.Splits(), tr.Compactions()
+		// One run measured (after AllocsPerRun's own warm-up run): the
+		// integer average over a single run hides no allocation.
+		allocs := testing.AllocsPerRun(1, churn)
+		if tr.Splits() == splits || tr.Compactions() == compactions {
+			t.Fatalf("adaptive=%v: churn caused %d splits and %d compactions; the test needs both",
+				adaptive, tr.Splits()-splits, tr.Compactions()-compactions)
+		}
+		if _, segs := tr.leafState(th, 8000+next-1); (segs == 0) != adaptive {
+			t.Fatalf("adaptive=%v: the leaf the churn ends on has %d segments in use", adaptive, segs)
+		}
+		if allocs != 0 {
+			t.Errorf("adaptive=%v: 30000 puts and 10000 deletes allocate %.0f times, want 0", adaptive, allocs)
 		}
 	}
-	// Warm up what grows to a high-water mark and then stays: the Tx's own
-	// buffers and tables, the arena's per-size free lists, the split path.
-	churn()
-	splits, compactions := tr.Splits(), tr.Compactions()
-	// One run measured (after AllocsPerRun's own warm-up run): the integer
-	// average over a single run hides no allocation.
-	allocs := testing.AllocsPerRun(1, churn)
-	if tr.Splits() == splits || tr.Compactions() == compactions {
-		t.Fatalf("churn caused %d splits and %d compactions; the test needs both",
-			tr.Splits()-splits, tr.Compactions()-compactions)
+}
+
+// TestScanRegionOfFullDenseLeavesAllocationFree: the scratch holds a whole
+// scan region of dense leaves at their fullest, which is more than the
+// partitioned leafCap it was sized by before there were dense leaves.
+func TestScanRegionOfFullDenseLeavesAllocationFree(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	if tr.denseCap <= tr.leafCap() {
+		t.Fatalf("a dense leaf's %d records do not exceed leafCap %d; the test exercises nothing", tr.denseCap, tr.leafCap())
 	}
+	// Ascending puts split every full leaf in halves and never touch the
+	// left one again; a second ascending pass between the first one's keys
+	// doubles each, to the brim.
+	n := uint64(4*tr.scanLeaves) * uint64(tr.denseCap)
+	for _, off := range []uint64{0, 2} {
+		for k := uint64(4); k <= 4*n; k += 4 {
+			tr.Put(th, k+off, k)
+		}
+	}
+	run, longest := 0, 0
+	for _, l := range tr.leaves(th) {
+		if tr.a.LoadWord(th.P, l+offSegs) != 0 || int(tr.a.LoadWord(th.P, l+offStableCount)) != tr.denseCap {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
+	}
+	if longest < 2*tr.scanLeaves {
+		t.Fatalf("%d full dense leaves in a row, want two scan regions' %d", longest, 2*tr.scanLeaves)
+	}
+	visit := func(_, _ uint64) bool { return true }
+	tr.Scan(th, 0, 1, visit) // the thread's scratch
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := tr.Scan(th, 0, int(2*n), visit); got != int(2*n) {
+			t.Fatalf("scan visited %d keys, want %d", got, 2*n)
+		}
+	})
 	if allocs != 0 {
-		t.Errorf("20000 puts and 10000 deletes allocate %.0f times, want 0", allocs)
+		t.Errorf("a scan over full dense leaves allocates %.0f times, want 0", allocs)
 	}
 }
 
 // leaves walks the leaf chain from the leftmost leaf with direct loads.
 func (t *Tree) leaves(th *htm.Thread) []simmem.Addr {
 	var out []simmem.Addr
-	for l, _ := t.upper(th, 0); l != simmem.NilAddr; l = simmem.Addr(t.a.LoadWord(th.P, l+offNext)) {
+	for l, _, _ := t.upper(th, 0); l != simmem.NilAddr; l = simmem.Addr(t.a.LoadWord(th.P, l+offNext)) {
 		out = append(out, l)
 	}
 	return out
@@ -157,14 +253,18 @@ func (t *Tree) leaves(th *htm.Thread) []simmem.Addr {
 // checked against the maintenance path's collectLive + sortPairs on leaves
 // that random puts and deletes leave in every state the layout has — shadow
 // copies, tombstones, a tombstone under a live segment copy, empty and full
-// segments — for every from and every limit.
+// segments, and dense leaves with and without tombstones — for every from
+// and every limit. Odd seeds keep every leaf hot, even ones leave them cold.
 func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 	const keys = 160
-	var shadows, tombs, revived, emptySegs, fullSegs int
+	var shadows, tombs, revived, emptySegs, fullSegs, dense, denseTombs int
 	for seed := int64(1); seed <= 20; seed++ {
 		tr, th := newEuno(t, DefaultConfig)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 600; i++ {
+			if seed%2 == 1 && i%50 == 0 {
+				tr.heat(th)
+			}
 			if k := uint64(rng.Intn(keys)); rng.Intn(3) == 0 {
 				tr.Delete(th, k)
 			} else {
@@ -174,7 +274,11 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 		leaves := tr.leaves(th)
 		th.Execute(tr.lowerPol, func(tx *htm.Tx) {
 			for _, leaf := range leaves {
-				for j := 0; j < tr.cfg.Segments; j++ {
+				segs := tr.leafSegs(tx, leaf)
+				if segs == 0 {
+					dense++
+				}
+				for j := 0; j < segs; j++ {
 					switch n := int(tx.Load(tr.segBase(leaf, j))); n {
 					case 0:
 						emptySegs++
@@ -185,10 +289,12 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 				for i, n := 0, int(tx.Load(leaf+offStableCount)); i < n; i++ {
 					k, dead := tx.Load(tr.stableK(leaf, i)), tx.Load(tr.stableV(leaf, i)) == tree.Tombstone
 					inSeg := false
-					for j := 0; j < tr.cfg.Segments && !inSeg; j++ {
+					for j := 0; j < segs && !inSeg; j++ {
 						_, _, inSeg = tr.segSearch(tx, tr.segBase(leaf, j), k)
 					}
 					switch {
+					case dead && segs == 0:
+						denseTombs++
 					case dead && inSeg:
 						revived++
 					case dead:
@@ -197,7 +303,7 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 						shadows++
 					}
 				}
-				live := tr.collectLive(tx, leaf, nil)
+				live := tr.collectLive(tx, leaf, segs, nil)
 				sortPairs(live)
 				for from := uint64(0); from <= keys; from++ {
 					want := live
@@ -216,9 +322,9 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 			}
 		})
 	}
-	if shadows == 0 || tombs == 0 || revived == 0 || emptySegs == 0 || fullSegs == 0 {
-		t.Fatalf("coverage: %d shadow copies, %d tombstones, %d tombstones under a segment copy, %d empty and %d full segments; want all > 0",
-			shadows, tombs, revived, emptySegs, fullSegs)
+	if shadows == 0 || tombs == 0 || revived == 0 || emptySegs == 0 || fullSegs == 0 || dense == 0 || denseTombs == 0 {
+		t.Fatalf("coverage: %d shadow copies, %d tombstones, %d tombstones under a segment copy, %d empty and %d full segments, %d dense leaves with %d tombstones; want all > 0",
+			shadows, tombs, revived, emptySegs, fullSegs, dense, denseTombs)
 	}
 }
 

@@ -19,6 +19,9 @@ const (
 	offIntKeys = 8
 	metaRoot   = 0
 	metaDepth  = 1
+	// maxRun bounds a leaf's sorted run in either state, so the in-leaf
+	// shift and the scans' segment merge stage on the stack.
+	maxRun = 32
 )
 
 // Tree is Euno-B+Tree. Create with New; all methods are safe for concurrent
@@ -35,6 +38,7 @@ type Tree struct {
 	segOff    int // word offset of segment 0
 	segStride int // words per segment block (line multiple)
 	ccmOff    int // word offset of the CCM line
+	denseCap  int // records a dense leaf's run holds: the data lines' worth, at most maxRun
 	leafWords int
 	intWords  int
 	nslots    uint
@@ -51,6 +55,10 @@ type Tree struct {
 	markRejects atomic.Uint64 // get/delete turned away by mark slots
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
+
+	// dropSegs seeds a bug for the checker's self-test (adapt_test.go): a
+	// demotion that leaves the segments' records behind.
+	dropSegs bool
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -74,6 +82,10 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 	t.segStride = roundLine(1 + 2*cfg.SegCap)
 	t.ccmOff = t.segOff + cfg.Segments*t.segStride
 	t.leafWords = t.ccmOff + simmem.WordsPerLine
+	t.denseCap = cfg.StableCap // the +Split HTM leaf: its conventional run
+	if cfg.PartLeaf {
+		t.denseCap = min((t.ccmOff-t.stableOff)/2, maxRun)
+	}
 	t.scanLeaves = max(1, scanRegionLines*simmem.WordsPerLine/t.ccmOff)
 	t.intWords = offIntKeys + 2*cfg.StableCap + 1
 	t.nslots = uint(2 * cfg.StableCap)
@@ -157,8 +169,10 @@ func (t *Tree) descend(tx *htm.Tx, key uint64, path *[]simmem.Addr) simmem.Addr 
 }
 
 // upper executes the upper HTM region (Algorithm 2 lines 23-28): traverse
-// the index and sample the target leaf's sequence number.
-func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64) {
+// the index and sample the target leaf's sequence number — and, from the
+// same line, its state, by which the caller decides whether to consult the
+// CCM line at all (advisory: the lower region reads the state it acts on).
+func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, segs int) {
 	// Upper-region conflicts happen on interior/meta lines, not the leaf
 	// the previous operation annotated — clear the observability node
 	// annotation so they attribute to their raw conflict line.
@@ -166,14 +180,16 @@ func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64) {
 	th.Execute(t.upperPol, func(tx *htm.Tx) {
 		leaf = t.descend(tx, key, nil)
 		s0 = tx.Load(leaf + offSeqno)
+		segs = t.leafSegs(tx, leaf)
 	})
-	return leaf, s0
+	return leaf, s0, segs
 }
 
 // ccmGate decides, per operation, whether the CCM applies: enabled by
-// configuration and — when adaptive — only on hot leaves.
-func (t *Tree) ccmGate(th *htm.Thread, ccm simmem.Addr) (useLock, useMark bool) {
-	if !t.cfg.CCMLockBits && !t.cfg.CCMMarkBits {
+// configuration and — when adaptive — only on hot leaves. A dense leaf is a
+// cold one that need not even be asked: its CCM line is not read.
+func (t *Tree) ccmGate(th *htm.Thread, ccm simmem.Addr, segs int) (useLock, useMark bool) {
+	if segs != t.cfg.Segments || (!t.cfg.CCMLockBits && !t.cfg.CCMMarkBits) {
 		return false, false
 	}
 	hot := t.leafHot(th.P, ccm)
@@ -183,7 +199,7 @@ func (t *Tree) ccmGate(th *htm.Thread, ccm simmem.Addr) (useLock, useMark bool) 
 // Get implements tree.KV via the two-step traversal of Algorithm 2.
 func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 	for {
-		leaf, s0 := t.upper(th, key)
+		leaf, s0, segs := t.upper(th, key)
 		// The stitch: between here and the lower region the leaf may split,
 		// compact, or fill — correctness rests on the seqno re-validation.
 		th.Fault(htm.FaultStitch)
@@ -191,7 +207,7 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		th.NoteNode(uint64(leaf))
 		ccm := t.ccmAddr(leaf)
 		slot := t.slotOf(key)
-		useLock, useMark := t.ccmGate(th, ccm)
+		useLock, useMark := t.ccmGate(th, ccm, segs)
 		if useMark && t.markCount(th.P, ccm, slot) == 0 {
 			// Mark slots say no key in this leaf hashes here. Validate the
 			// leaf is still current (a split could have moved the key);
@@ -209,14 +225,14 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		}
 		var out outcome
 		var val uint64
-		before := th.Stats.Attempts
+		before := th.Stats.ConflictAborts()
 		th.Execute(t.lowerPol, func(tx *htm.Tx) {
 			out, val = t.leafGet(tx, leaf, s0, key)
 		})
 		if useLock {
 			t.unlockSlot(th.P, ccm, slot)
 		}
-		t.noteConflicts(th, ccm, th.Stats.Attempts-before-1)
+		t.noteConflicts(th, leaf, s0, segs, th.Stats.ConflictAborts()-before)
 		switch out {
 		case oMismatch:
 			t.rootRetries.Add(1)
@@ -235,13 +251,13 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		panic("core: the tombstone value is reserved")
 	}
 	for {
-		leaf, s0 := t.upper(th, key)
+		leaf, s0, segs := t.upper(th, key)
 		th.Fault(htm.FaultStitch)
 		th.NoteStitch(uint64(leaf))
 		th.NoteNode(uint64(leaf))
 		ccm := t.ccmAddr(leaf)
 		slot := t.slotOf(key)
-		useLock, _ := t.ccmGate(th, ccm)
+		useLock, _ := t.ccmGate(th, ccm, segs)
 		// Anticipate an insertion: marks are bumped *before* the lower
 		// region so a concurrent get can never miss a committed insert
 		// (Algorithm 2 line 38). A zero mark count proves the key absent,
@@ -259,7 +275,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 			t.lockSlot(th.P, ccm, slot)
 		}
 		var out outcome
-		before := th.Stats.Attempts
+		before := th.Stats.ConflictAborts()
 		runLower := func() {
 			needMark := t.cfg.CCMMarkBits && !preMarked
 			th.Execute(t.lowerPol, func(tx *htm.Tx) {
@@ -280,12 +296,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 				preMarked = true
 			}
 			t.maintRounds.Add(1)
-			t.lockLeaf(th.P, ccm)
 			out = t.leafMaint(th, leaf, s0, key, val)
-			t.unlockLeaf(th.P, ccm)
-			if out == oUpdated || out == oInserted {
-				t.compactions.Add(1)
-			}
 		}
 		if preMarked && out != oInserted {
 			// Update or retry: the anticipated insert did not materialize.
@@ -294,7 +305,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		if useLock {
 			t.unlockSlot(th.P, ccm, slot)
 		}
-		t.noteConflicts(th, ccm, th.Stats.Attempts-before-1)
+		t.noteConflicts(th, leaf, s0, segs, th.Stats.ConflictAborts()-before)
 		if out == oMismatch {
 			t.rootRetries.Add(1)
 			continue
@@ -308,13 +319,13 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 // compaction or split (deletion without rebalancing).
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 	for {
-		leaf, s0 := t.upper(th, key)
+		leaf, s0, segs := t.upper(th, key)
 		th.Fault(htm.FaultStitch)
 		th.NoteStitch(uint64(leaf))
 		th.NoteNode(uint64(leaf))
 		ccm := t.ccmAddr(leaf)
 		slot := t.slotOf(key)
-		useLock, useMark := t.ccmGate(th, ccm)
+		useLock, useMark := t.ccmGate(th, ccm, segs)
 		if useMark && t.markCount(th.P, ccm, slot) == 0 {
 			if t.a.LoadWord(th.P, leaf+offSeqno) == s0 {
 				t.markRejects.Add(1)
@@ -329,7 +340,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		}
 		var out outcome
 		var tombstoned bool
-		before := th.Stats.Attempts
+		before := th.Stats.ConflictAborts()
 		th.Execute(t.lowerPol, func(tx *htm.Tx) {
 			out, tombstoned = t.leafDelete(tx, leaf, s0, key)
 		})
@@ -346,7 +357,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		if useLock {
 			t.unlockSlot(th.P, ccm, slot)
 		}
-		t.noteConflicts(th, ccm, th.Stats.Attempts-before-1)
+		t.noteConflicts(th, leaf, s0, segs, th.Stats.ConflictAborts()-before)
 		switch out {
 		case oMismatch:
 			t.rootRetries.Add(1)

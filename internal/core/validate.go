@@ -15,10 +15,13 @@ import (
 // Checked invariants:
 //   - internal nodes: separator keys strictly ascending and within the
 //     node's inherited (low, high] bounds; child count = key count + 1;
-//   - leaves: stable region strictly sorted; every segment strictly
-//     sorted; all keys within the leaf's separator bounds; no key present
-//     twice among live locations (a stable entry shadowed by a segment
-//     copy is allowed, a duplicate within or across segments is not);
+//   - leaves: the state word is 0 (dense) or Segments (partitioned); the
+//     run strictly sorted and no longer than its state allows (denseCap,
+//     StableCap); in a partitioned leaf every segment strictly sorted; all
+//     keys within the leaf's separator bounds; no key present twice among
+//     live locations (a stable entry shadowed by a segment copy is
+//     allowed, a duplicate within or across segments is not). A dense
+//     leaf's segment area is run or garbage and is not interpreted;
 //   - the leaf chain visits leaves in ascending key order and agrees with
 //     the set of leaves reachable from the root;
 //   - with mark slots enabled, every live key's slot has a nonzero count
@@ -99,9 +102,16 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 	live := map[uint64]bool{} // live key locations (segments first)
 	inStable := map[uint64]bool{}
 
+	segs := t.cfg.Segments
+	if t.cfg.Adaptive {
+		segs = int(t.a.LoadWord(p, leaf+offSegs))
+		if segs != 0 && segs != t.cfg.Segments {
+			return fmt.Errorf("leaf %d: %d segments in use, want 0 or %d", leaf, segs, t.cfg.Segments)
+		}
+	}
 	stCount := int(t.a.LoadWord(p, leaf+offStableCount))
-	if stCount < 0 || stCount > t.cfg.StableCap {
-		return fmt.Errorf("leaf %d: stable count %d out of range", leaf, stCount)
+	if stCount < 0 || stCount > t.denseCap || (segs != 0 && stCount > t.cfg.StableCap) {
+		return fmt.Errorf("leaf %d: run of %d records out of range with %d segments in use", leaf, stCount, segs)
 	}
 	prev := uint64(0)
 	for i := 0; i < stCount; i++ {
@@ -118,7 +128,7 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 		inStable[k] = true
 		prev = k
 	}
-	for j := 0; j < t.cfg.Segments; j++ {
+	for j := 0; j < segs; j++ {
 		seg := t.segBase(leaf, j)
 		count := int(t.a.LoadWord(p, seg))
 		if count < 0 || count > t.cfg.SegCap {

@@ -77,31 +77,41 @@ func TestValidateAfterConcurrentSim(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	// Sanity-check the validator itself: deliberately corrupt a leaf and
-	// confirm it notices.
+	// Sanity-check the validator itself: deliberately corrupt a leaf in
+	// each of its two states and confirm it notices.
 	tr, boot := newEuno(t, DefaultConfig)
 	for i := uint64(1); i <= 200; i++ {
 		tr.Put(boot, i, i)
 	}
 	validateOrFail(t, tr, boot)
-	leaf, _ := tr.upper(boot, 100)
-	// Swap two stable keys out of order.
-	a := tr.a.LoadWord(boot.P, tr.stableK(leaf, 0))
-	b := tr.a.LoadWord(boot.P, tr.stableK(leaf, 1))
-	tr.a.StoreWordDirect(boot.P, tr.stableK(leaf, 0), b)
-	tr.a.StoreWordDirect(boot.P, tr.stableK(leaf, 1), a)
-	if err := tr.Validate(boot.P); err == nil {
-		t.Fatal("validator accepted an unsorted stable region")
+	corrupt := func(what string, addr simmem.Addr, v uint64) {
+		t.Helper()
+		old := tr.a.LoadWord(boot.P, addr)
+		tr.a.StoreWordDirect(boot.P, addr, v)
+		if err := tr.Validate(boot.P); err == nil {
+			t.Fatalf("validator accepted %s", what)
+		}
+		tr.a.StoreWordDirect(boot.P, addr, old)
+		validateOrFail(t, tr, boot)
 	}
-	// Restore and corrupt a segment count instead.
-	tr.a.StoreWordDirect(boot.P, tr.stableK(leaf, 0), a)
-	tr.a.StoreWordDirect(boot.P, tr.stableK(leaf, 1), b)
+
+	leaf, segs := tr.leafState(boot, 100)
+	if segs != 0 {
+		t.Fatalf("a leaf no operation ever aborted on has %d segments in use, want a dense leaf", segs)
+	}
+	corrupt("an unsorted dense run", tr.stableK(leaf, 0), tr.a.LoadWord(boot.P, tr.stableK(leaf, 1))+1)
+	corrupt("a dense run longer than the data lines", leaf+offStableCount, uint64(tr.denseCap)+1)
+	corrupt("a state word that is neither 0 nor Segments", leaf+offSegs, uint64(tr.cfg.Segments)-1)
+
+	tr.heat(boot)
 	validateOrFail(t, tr, boot)
-	seg := tr.segBase(leaf, 0)
-	tr.a.StoreWordDirect(boot.P, seg, uint64(tr.cfg.SegCap)+5)
-	if err := tr.Validate(boot.P); err == nil {
-		t.Fatal("validator accepted an oversized segment count")
+	leaf, segs = tr.leafState(boot, 100)
+	if segs != tr.cfg.Segments {
+		t.Fatalf("a heated leaf has %d segments in use, want %d", segs, tr.cfg.Segments)
 	}
+	corrupt("an unsorted stable region", tr.stableK(leaf, 0), tr.a.LoadWord(boot.P, tr.stableK(leaf, 1))+1)
+	corrupt("an oversized segment count", tr.segBase(leaf, 0), uint64(tr.cfg.SegCap)+5)
+	corrupt("a partitioned leaf whose run overflows its stable region", leaf+offStableCount, uint64(tr.cfg.StableCap)+1)
 }
 
 func TestValidateUnderCapacityPressure(t *testing.T) {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Bit-identical-figures guard: the resilience layer is opt-in, so the
 # paper-faithful default figures must not move by a single virtual cycle.
-# Regenerates the quick-scale Figure 1 and Figure 8 CSVs and diffs them
-# against the checked-in goldens (captured before the resilience layer
+# Regenerates the quick-scale Figure 1, 8 and 13 CSVs and diffs them
+# against the checked-in goldens (fig1 captured before the resilience layer
 # landed). Any drift — an extra arena allocation, an extra tick, a stray
 # RNG draw on the default path — shows up here as a CSV difference.
 #
@@ -18,14 +18,31 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/eunobench -quick -csv fig1 > "$tmp/fig1.csv"
 diff -u cmd/eunobench/testdata/golden-fig1-quick.csv "$tmp/fig1.csv"
 
+# Re-baselined once, on purpose, by the PR that made cold leaves dense
+# (ISSUE 23): the Euno-B+Tree column moved (0.20/0.90/0.99: 28.45M/31.83M/
+# 24.55M at the parent, 11e6347, to 31.40M/38.09M/23.11M); the other three
+# columns did not move by a digit. EXPERIMENTS.md keeps both.
 go run ./cmd/eunobench -quick -csv fig8 > "$tmp/fig8.csv"
 diff -u cmd/eunobench/testdata/golden-fig8-quick.csv "$tmp/fig8.csv"
+
+# Figure 13 pins the ablation chain: the four configurations without
+# Adaptive are the paper's leaf exactly, whatever the adaptive tree's leaves
+# do. Recorded from a clone of the parent (11e6347) before ISSUE 23 changed
+# a line; after it, only the two +Adaptive rows differ from that recording
+# (31.83M -> 38.09M at theta 0.9, 28.45M -> 31.40M at 0.2), and they are
+# what this file now holds. Re-baseline after an intentional change:
+#   go run ./cmd/eunobench -quick -csv fig13 > cmd/eunobench/testdata/golden-fig13-quick.csv
+go run ./cmd/eunobench -quick -csv fig13 > "$tmp/fig13.csv"
+diff -u cmd/eunobench/testdata/golden-fig13-quick.csv "$tmp/fig13.csv"
 
 # The scan path has no figure among the two above. Virtual time is
 # deterministic, so it gets the same guard: the range-query extension's
 # table must not move unless a PR means to move it. First baseline: the PR
 # that replaced the per-leaf locked scan with the region walk (ISSUE 20),
 # recorded after that change — there is no older golden to compare with.
+# Re-baselined once since, by ISSUE 23 (dense cold leaves): the Euno column
+# moved from 28.65M/25.87M/18.65M/8.83M (lengths 4/16/64/256) to
+# 33.86M/32.13M/25.87M/14.90M; HTM-B+Tree and Masstree did not move.
 # Re-baseline after an intentional change to the scan path:
 #   go run ./cmd/eunobench -quick -csv scan > cmd/eunobench/testdata/golden-scan-quick.csv
 go run ./cmd/eunobench -quick -csv scan > "$tmp/scan.csv"
