@@ -34,8 +34,9 @@ verify:
 check:
 	go test -short ./internal/check/... ./internal/durable/...
 
-# golden: the bit-identical-figures guard — the opt-in resilience layer
-# must not move the paper-faithful default figures (fig1, fig8, fig13's
+# golden: the bit-identical-figures guard — a change that does not mean
+# to alter the default (fragile-policy, observer-less, emulated) path must
+# not move the paper-faithful default figures (fig1, fig8, fig13's
 # ablation chain; and the range-query table, for the scan path) by a
 # single cycle.
 golden:
@@ -95,11 +96,13 @@ bench-reshard:
 figures:
 	go run ./cmd/eunobench -quick all
 
-# trace-demo: record the abort-storm scenario as Chrome trace-event JSON
-# (fragile and resilient lanes side by side); open trace_storm.json in
-# chrome://tracing or ui.perfetto.dev.
+# trace-demo: record the abort-attribution scenario (theta 0.9, one lane
+# per tree) as Chrome trace-event JSON; open trace_abortmix.json in
+# chrome://tracing or ui.perfetto.dev. The HTM-B+Tree lane shows the
+# fallback-lock convoy as stacked fallback spans; 300 ops per thread keep
+# the file under 50 MB.
 trace-demo:
-	go run ./cmd/eunobench -trace trace_storm.json storm
+	go run ./cmd/eunobench -ops 300 -trace trace_abortmix.json abortmix
 
 # loc: non-test Go lines in the places ROADMAP tracks, so "wc -l went
 # down" is one command — and, in the options row, the exported fields of
@@ -107,7 +110,7 @@ trace-demo:
 # and every *Options; a struct-typed field counts as one), so "knobs went
 # down" is the same command.
 loc:
-	@for d in . internal/core internal/durable internal/harness cmd/eunobench bench; do \
+	@for d in . internal/core internal/htm internal/durable internal/harness cmd/eunobench bench; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-18s %6d\n' options $$(awk ' \

@@ -12,7 +12,7 @@ import (
 
 // This file is the sharded serving layer: a Cluster partitions the key
 // space across N independent DB shards — each with its own arena, HTM
-// device, tree, WAL shard-group, resilience policy, and metrics domain —
+// device, tree, WAL shard-group, retry policy, and metrics domain —
 // and routes operations through Sessions. Sharding multiplies every
 // single-tree property: N contention domains instead of one (a hot key
 // storms only its shard), N group-commit pipelines, N recovery streams.

@@ -100,17 +100,12 @@ func mergeMetrics(dst *Metrics, src *Metrics) {
 	dst.Tx.WastedCycles += src.Tx.WastedCycles
 	dst.Tx.TxLoads += src.Tx.TxLoads
 	dst.Tx.TxStores += src.Tx.TxStores
-	dst.Tx.BackoffCycles += src.Tx.BackoffCycles
-	dst.Tx.DegradationEvents += src.Tx.DegradationEvents
-	dst.Tx.WatchdogTrips += src.Tx.WatchdogTrips
 	if len(src.Tx.AbortsByReason) > 0 && dst.Tx.AbortsByReason == nil {
 		dst.Tx.AbortsByReason = map[string]uint64{}
 	}
 	for r, n := range src.Tx.AbortsByReason {
 		dst.Tx.AbortsByReason[r] += n
 	}
-	dst.Resilience.Degraded = dst.Resilience.Degraded || src.Resilience.Degraded
-	dst.Resilience.StormEvents += src.Resilience.StormEvents
 	dst.Memory.LiveBytes += src.Memory.LiveBytes
 	dst.Memory.PeakBytes += src.Memory.PeakBytes
 	dst.Memory.ReservedBytes += src.Memory.ReservedBytes

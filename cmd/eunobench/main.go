@@ -31,10 +31,9 @@ var (
 	quick   = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 	csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	// resilience flips every harness run onto the hardened retry policy
-	// (backoff, lemming-wait, watchdog, queued fallback, storm detector).
-	// Figures measured with it on are no longer the paper's fragile
-	// baseline — that is the point of the comparison.
-	resilience = flag.Bool("resilience", false, "enable the abort-storm resilience layer for all runs")
+	// (htm.ResilientPolicy). Figures measured with it on are no longer the
+	// paper's fragile baseline — that is the point of the comparison.
+	resilience = flag.Bool("resilience", false, "wait for the fallback lock instead of retrying into it, in all runs")
 )
 
 // subcommands is the one list of what eunobench runs: dispatch, the usage
@@ -59,7 +58,6 @@ var subcommands = []struct {
 	{"adjacency", adjacency, false},
 	{"validate", validateCmd, false},
 	{"hostbench", hostbenchCmd, false},
-	{"storm", stormCmd, false},
 	{"abortmix", abortmixCmd, false},
 	{"heatmap", heatmapCmd, false},
 	{"swarm", func() { swarmCmd(false) }, false},

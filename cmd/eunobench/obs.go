@@ -18,7 +18,7 @@ import (
 
 var (
 	traceFile = flag.String("trace", "",
-		"write a Chrome trace-event JSON of the scenario to FILE (abortmix, heatmap, storm)")
+		"write a Chrome trace-event JSON of the scenario to FILE (abortmix, heatmap)")
 	heatSample = flag.Int("heatmap-sample", 1,
 		"heatmap: keep every Nth abort event (1 = all)")
 	heatTop = flag.Int("heatmap-top", 12, "heatmap: hot leaves to print")

@@ -28,10 +28,10 @@
 // set, writes are group-committed to a write-ahead log and acknowledged
 // only after they are on disk; DB.Sync forces buffered bytes down,
 // DB.Snapshot captures the tree and truncates the log, and Open replays
-// both on restart. Options.Resilience opts into the abort-storm
-// hardening layer, and Options.Observability enables abort attribution,
-// contention heatmaps and structured tracing; DB.Metrics returns the
-// unified snapshot of every counter the DB keeps.
+// both on restart. Options.Resilience makes operations wait out a held
+// fallback lock instead of retrying into it, and Options.Observability
+// enables abort attribution, contention heatmaps and structured tracing;
+// DB.Metrics returns the unified snapshot of every counter the DB keeps.
 //
 // For deterministic virtual-time parallel execution (the mode all paper
 // figures use), see DB.RunVirtual.
@@ -155,12 +155,13 @@ type Options struct {
 	// actual-throughput work; use the default for paper-comparable,
 	// deterministic virtual-time numbers.
 	Backend Backend
-	// Resilience enables the abort-storm hardening layer: randomized
-	// exponential backoff, lemming-wait on the held fallback lock, a
-	// per-operation starvation watchdog, a fair queued fallback lock, and
-	// an abort-storm detector with graceful degradation (htm.
-	// DefaultResilience). The default false keeps the paper-faithful
-	// fragile retry behavior the reproduction studies.
+	// Resilience hardens the retry loop of whichever tree Kind selects
+	// with one change: an operation whose transaction aborts because the
+	// global fallback lock is held waits for the lock to clear before it
+	// retries, instead of retrying into it and then queueing for the lock
+	// itself (the convoy that collapses a contended HTM tree). It costs
+	// nothing where nothing falls back. The default false keeps the
+	// paper-faithful fragile retry behavior the reproduction studies.
 	Resilience bool
 	// Durability enables crash durability (write-ahead log + snapshots,
 	// recovered on Open) when Durability.Dir is non-empty. Durable DBs are
@@ -209,9 +210,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	arena := simmem.NewArena(opts.ArenaWords)
 	hcfg := htm.DefaultConfig
-	if opts.Resilience {
-		hcfg = htm.DefaultResilience().DeviceConfig(hcfg)
-	}
 	switch opts.Backend {
 	case Emulated:
 	case Host:
@@ -259,9 +257,7 @@ func Open(opts Options) (*DB, error) {
 		cfg.CCMLockBits = !t.DisableCCMLockBits
 		cfg.CCMMarkBits = !t.DisableCCMMarkBits
 		cfg.Adaptive = !t.DisableAdaptive
-		if opts.Resilience {
-			cfg.Resilience = htm.DefaultResilience()
-		}
+		cfg.Resilience = opts.Resilience
 		var err error
 		db.euno, err = newEuno(device, boot, cfg)
 		if err != nil {
@@ -432,12 +428,6 @@ type Stats struct {
 	Aborts       uint64
 	Fallbacks    uint64
 	WastedCycles uint64
-	// BackoffCycles, DegradationEvents and WatchdogTrips report the
-	// resilience layer's activity (all zero unless Options.Resilience or
-	// a custom hardened policy is in use).
-	BackoffCycles     uint64
-	DegradationEvents uint64
-	WatchdogTrips     uint64
 	// AbortsByReason maps reason names ("conflict-true", "conflict-false",
 	// "conflict-meta", "capacity", "explicit", "fallback-lock") to counts.
 	AbortsByReason map[string]uint64
@@ -450,14 +440,11 @@ func (t *Thread) Stats() Stats { return statsOf(&t.th.Stats) }
 // statsOf is the public view of one htm.Stats.
 func statsOf(h *htm.Stats) Stats {
 	s := Stats{
-		Commits:           h.Commits,
-		Aborts:            h.TotalAborts(),
-		Fallbacks:         h.Fallbacks,
-		WastedCycles:      h.WastedCycles,
-		BackoffCycles:     h.BackoffCycles,
-		DegradationEvents: h.DegradationEvents,
-		WatchdogTrips:     h.WatchdogTrips,
-		AbortsByReason:    map[string]uint64{},
+		Commits:        h.Commits,
+		Aborts:         h.TotalAborts(),
+		Fallbacks:      h.Fallbacks,
+		WastedCycles:   h.WastedCycles,
+		AbortsByReason: map[string]uint64{},
 	}
 	for r := htm.AbortReason(1); r < htm.NumAbortReasons; r++ {
 		if n := h.Aborts[r]; n > 0 {
@@ -465,16 +452,6 @@ func statsOf(h *htm.Stats) Stats {
 		}
 	}
 	return s
-}
-
-// ResilienceStats reports device-level resilience state (meaningful only
-// with Options.Resilience).
-type ResilienceStats struct {
-	// Degraded is true while the abort-storm detector is serializing all
-	// executions through the fallback path.
-	Degraded bool
-	// StormEvents counts how many times degradation has engaged.
-	StormEvents uint64
 }
 
 // MemoryStats reports the DB's arena footprint.

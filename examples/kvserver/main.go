@@ -22,8 +22,8 @@
 //	                        durable mode the migration itself is
 //	                        crash-safe: a restart resumes or rolls forward)
 //	STATS                -> one line: the Cluster.Metrics() aggregate —
-//	                        cluster-wide commit/abort counters, the abort
-//	                        decomposition by reason, durability counters,
+//	                        cluster-wide commit/abort/fallback counters, the
+//	                        abort decomposition by reason, durability counters,
 //	                        per-shard health + fault-domain counters, the
 //	                        serving-edge shed counters, and (with -heatmap)
 //	                        the hottest contended leaves
@@ -83,7 +83,7 @@ import (
 var (
 	listen     = flag.String("listen", "", "address to serve on (empty = run the built-in demo)")
 	shards     = flag.Int("shards", 4, "number of independent tree shards the key space is partitioned across; when the flag is not set, a durable cluster adopts whatever topology its store recorded (RESHARD survives restarts)")
-	resilience = flag.Bool("resilience", false, "enable the abort-storm hardening layer (backoff, queued fallback, storm detector, watchdog)")
+	resilience = flag.Bool("resilience", false, "wait for the fallback lock instead of retrying into it")
 	durableDir = flag.String("durable", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
 	snapBytes  = flag.Int64("snapshot-bytes", 16<<20, "WAL bytes between automatic snapshots (durable mode)")
 	drainFor   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight connections")
@@ -329,9 +329,8 @@ func (s *server) serveConn(conn net.Conn) {
 			if cluster != nil {
 				nshards = cluster.Shards()
 			}
-			fmt.Fprintf(out, "STATS shards=%d commits=%d aborts=%d fallbacks=%d backoff=%d degraded=%d watchdog=%d storms=%d",
-				nshards, m.Tx.Commits, m.Tx.Aborts, m.Tx.Fallbacks,
-				m.Tx.BackoffCycles, m.Tx.DegradationEvents, m.Tx.WatchdogTrips, m.Resilience.StormEvents)
+			fmt.Fprintf(out, "STATS shards=%d commits=%d aborts=%d fallbacks=%d",
+				nshards, m.Tx.Commits, m.Tx.Aborts, m.Tx.Fallbacks)
 			for _, reason := range slices.Sorted(maps.Keys(m.Tx.AbortsByReason)) {
 				fmt.Fprintf(out, " abort[%s]=%d", reason, m.Tx.AbortsByReason[reason])
 			}

@@ -313,8 +313,8 @@ func TestTruncatedRequestAndAbruptDisconnect(t *testing.T) {
 	assertAlive(t, addr)
 }
 
-// TestStatsResilienceFields: the STATS line must carry the resilience
-// counters, and a resilience-enabled server must serve the same protocol.
+// TestStatsResilienceFields: a resilience-enabled server must serve the
+// same protocol and the same STATS transaction counters.
 func TestStatsResilienceFields(t *testing.T) {
 	addr := startTestServerOpts(t, eunomia.Options{ArenaWords: 1 << 20, Resilience: true})
 	conn, in := dialServer(t, addr)
@@ -325,7 +325,7 @@ func TestStatsResilienceFields(t *testing.T) {
 		t.Fatalf("get: %q", got)
 	}
 	stats := roundTrip(t, conn, in, "STATS")
-	for _, field := range []string{"commits=", "aborts=", "fallbacks=", "backoff=", "degraded=", "watchdog=", "storms="} {
+	for _, field := range []string{"commits=", "aborts=", "fallbacks="} {
 		if !strings.Contains(stats, field) {
 			t.Fatalf("STATS %q missing %q", stats, field)
 		}
@@ -764,6 +764,12 @@ func TestStatsFaultFields(t *testing.T) {
 	want := "health=" + strings.Repeat("H", testShards)
 	if !strings.Contains(stats, want) {
 		t.Fatalf("STATS %q: want %q (all shards healthy)", stats, want)
+	}
+	// The counters of the removed hardening bundle are gone from the line.
+	for _, field := range []string{"backoff=", "degraded=", "watchdog=", "storms="} {
+		if strings.Contains(stats, field) {
+			t.Fatalf("STATS %q still carries %q", stats, field)
+		}
 	}
 }
 

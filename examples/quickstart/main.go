@@ -61,8 +61,8 @@ func main() {
 
 	// Store.Metrics is the unified snapshot: transactional counters with
 	// the paper's abort decomposition, memory accounting, tree
-	// maintenance, and — when enabled — resilience, durability and
-	// contention sections.
+	// maintenance, and — when enabled — durability and contention
+	// sections.
 	m := store.Metrics()
 	fmt.Printf("stats: %d commits, %d aborts, %d fallbacks\n",
 		m.Tx.Commits, m.Tx.Aborts, m.Tx.Fallbacks)

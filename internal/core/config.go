@@ -63,11 +63,7 @@
 //     can shadow. Adaptive off restores the paper's leaf exactly.
 package core
 
-import (
-	"fmt"
-
-	"eunomia/internal/htm"
-)
+import "fmt"
 
 // Config selects the Euno-B+Tree geometry and which Eunomia design
 // guidelines are active; the flags give the Figure 13 ablation chain.
@@ -103,12 +99,10 @@ type Config struct {
 	// threshold"). 0 keeps the default.
 	RebalanceThreshold uint64
 
-	// Resilience applies the opt-in HTM hardening layer (randomized
-	// backoff, lemming wait, per-operation attempt budget) to both
-	// regions' retry policies. The zero value keeps the paper-faithful
-	// htm.DefaultPolicy. The queued fallback lock and abort-storm
-	// detector are device-level knobs (htm.Config), not per-tree.
-	Resilience htm.Resilience
+	// Resilience runs both regions under htm.ResilientPolicy (wait for the
+	// fallback lock instead of retrying into it). False keeps the
+	// paper-faithful htm.DefaultPolicy.
+	Resilience bool
 
 	// DisableSeqnoCheck deliberately breaks the tree by skipping the lower
 	// region's sequence-number re-validation. It exists solely as the

@@ -66,7 +66,10 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	pol := cfg.Resilience.Apply(htm.DefaultPolicy)
+	pol := htm.DefaultPolicy
+	if cfg.Resilience {
+		pol = htm.ResilientPolicy()
+	}
 	t := &Tree{h: h, a: h.Arena(), cfg: cfg,
 		upperPol: pol, lowerPol: pol}
 

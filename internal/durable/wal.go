@@ -194,10 +194,10 @@ func newWAL(cfg Config, startGen int) (*wal, error) {
 }
 
 // shardFor maps a key to its shard; same key, same shard, so per-key log
-// order is per-shard file order.
+// order is per-shard file order. The product's high half picks it: the low
+// bits only permute the key's, so a key stride of 8 would fill one shard.
 func (w *wal) shardFor(key uint64) *shard {
-	h := key * 0x9E3779B97F4A7C15
-	return w.shards[h%uint64(len(w.shards))]
+	return w.shards[(key*0x9E3779B97F4A7C15>>32)%uint64(len(w.shards))]
 }
 
 // waitFlushed blocks until seq is durable on s: the caller becomes the

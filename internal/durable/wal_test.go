@@ -232,6 +232,33 @@ func TestConcurrentLeaderGroupCommit(t *testing.T) {
 	sameMap(t, state2.snapshot(), want)
 }
 
+// TestWALShardSpreadsStridedKeys: keys a fixed stride apart must still use
+// every WAL shard. A pick that keeps only the key's low bits puts a stride
+// of 8 (or any multiple of the shard count) into a single shard.
+func TestWALShardSpreadsStridedKeys(t *testing.T) {
+	const shards, keys = 8, 4096
+	w := &wal{}
+	index := map[*shard]int{}
+	for i := 0; i < shards; i++ {
+		s := &shard{id: i}
+		w.shards = append(w.shards, s)
+		index[s] = i
+	}
+	for _, stride := range []uint64{1, 8, 64, 4096} {
+		var hits [shards]int
+		for k := uint64(0); k < keys; k++ {
+			hits[index[w.shardFor(k*stride)]]++
+		}
+		for i, n := range hits {
+			if n > 2*keys/shards {
+				t.Errorf("stride %d: shard %d took %d of %d keys (fair share %d): %v",
+					stride, i, n, keys, keys/shards, hits)
+				break
+			}
+		}
+	}
+}
+
 func TestShortWritesRetried(t *testing.T) {
 	fs := NewMemFS(FaultPlan{ShortWriteEveryN: 3})
 	state := newMapState()

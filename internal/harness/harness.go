@@ -70,10 +70,9 @@ type Config struct {
 	ArenaWords uint64 // arena capacity
 	Slack      uint64 // virtual-time scheduler slack (0 = exact)
 
-	// Resilience enables the abort-storm hardening layer (htm.
-	// DefaultResilience) on both the device and the tree's retry
-	// policies. Default false keeps the paper-faithful fragile behavior
-	// every figure measures.
+	// Resilience runs the tree under htm.ResilientPolicy (wait for the
+	// fallback lock instead of retrying into it). Default false keeps the
+	// paper-faithful fragile behavior every figure measures.
 	Resilience bool
 
 	// Observer, when non-nil, is installed on the HTM device and receives
@@ -139,21 +138,6 @@ type Result struct {
 
 	LiveBytes     int64 // tree footprint after the run
 	PreloadedKeys uint64
-
-	// StormEvents is how many times the device's abort-storm detector
-	// engaged degradation (0 without Config.Resilience).
-	StormEvents uint64
-}
-
-// newDevice constructs the HTM device, applying the hardening bundle when
-// the config asks for it.
-func newDevice(cfg Config, arena *simmem.Arena) *htm.HTM {
-	hcfg := htm.DefaultConfig
-	if cfg.Resilience {
-		hcfg = htm.DefaultResilience().DeviceConfig(hcfg)
-	}
-	hcfg.Observer = cfg.Observer
-	return htm.New(arena, hcfg)
 }
 
 // buildTree constructs the tree under test.
@@ -164,9 +148,7 @@ func buildTree(cfg Config, h *htm.HTM, boot *htm.Thread) tree.KV {
 		if cfg.EunoCfg != nil {
 			ec = *cfg.EunoCfg
 		}
-		if cfg.Resilience {
-			ec.Resilience = htm.DefaultResilience()
-		}
+		ec.Resilience = ec.Resilience || cfg.Resilience
 		return core.New(h, boot, ec)
 	case HTMBTree:
 		t := htmtree.New(h, boot, cfg.Fanout)
@@ -200,7 +182,9 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 		panic(err)
 	}
 	arena := simmem.NewArena(cfg.ArenaWords)
-	device := newDevice(cfg, arena)
+	hcfg := htm.DefaultConfig
+	hcfg.Observer = cfg.Observer
+	device := htm.New(arena, hcfg)
 	boot := device.NewThread(vclock.NewWallProc(0, 0), cfg.Seed)
 	kv := buildTree(cfg, device, boot)
 
@@ -270,7 +254,6 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	if totalThreadCycles > 0 {
 		res.WastedPct = 100 * float64(res.Stats.WastedCycles) / float64(totalThreadCycles)
 	}
-	res.StormEvents = device.StormEvents()
 	return res, kv, boot
 }
 

@@ -58,7 +58,9 @@ func TestRunAllTreeKinds(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	for name, cfg := range map[string]Config{"zipf": smallCfg(EunoBTree), "hammer": hammerCfg()} {
+	hardened := smallCfg(HTMBTree)
+	hardened.Resilience = true
+	for name, cfg := range map[string]Config{"zipf": smallCfg(EunoBTree), "hammer": hammerCfg(), "hardened": hardened} {
 		a := Run(cfg)
 		b := Run(cfg)
 		if a.Cycles != b.Cycles || a.Stats != b.Stats {
@@ -103,6 +105,48 @@ func TestEunoBeatsBaselineUnderHighContention(t *testing.T) {
 	}
 	t.Logf("speedup at theta=0.99: %.2fx (euno %.2fM vs base %.2fM ops/s)",
 		re.Throughput/rb.Throughput, re.Throughput/1e6, rb.Throughput/1e6)
+}
+
+// TestLemmingWaitRemovesConvoy pins what Config.Resilience is for, at the
+// quick figure scale (20 virtual cores, 100k keys): waiting for the fallback
+// lock instead of retrying into it takes the monolithic HTM trees out of
+// their collapse, and costs nothing where nothing falls back.
+func TestLemmingWaitRemovesConvoy(t *testing.T) {
+	pair := func(k TreeKind, theta float64) (fragile, hardened Result) {
+		c := smallCfg(k)
+		c.Threads = 20
+		c.Keys = 100_000
+		c.Dist.Theta = theta
+		c.OpsPerThread = 300
+		fragile = Run(c)
+		c.Resilience = true
+		return fragile, Run(c)
+	}
+
+	f, h := pair(HTMBTree, 0.9)
+	if h.Throughput < 3*f.Throughput {
+		t.Errorf("HTM-B+Tree theta=0.9: hardened %.2fM ops/s is not 3x the default %.2fM",
+			h.Throughput/1e6, f.Throughput/1e6)
+	}
+	if fl, hl := f.AbortBreakdown[htm.AbortFallbackLock], h.AbortBreakdown[htm.AbortFallbackLock]; hl*10 > fl {
+		t.Errorf("HTM-B+Tree theta=0.9: fallback-lock aborts/op %.3f -> %.3f, want a 10x drop", fl, hl)
+	}
+
+	// The cell the five-defence bundle lost to the default it hardened.
+	f, h = pair(HTMMasstree, 0.99)
+	if h.Throughput <= f.Throughput {
+		t.Errorf("HTM-Masstree theta=0.99: hardened %.2fM ops/s <= default %.2fM",
+			h.Throughput/1e6, f.Throughput/1e6)
+	}
+
+	f, h = pair(HTMBTree, 0.2)
+	if f.Stats.Aborts[htm.AbortFallbackLock] != 0 {
+		t.Fatalf("theta=0.2 run saw %d fallback-lock aborts; it no longer shows that an idle wait is free",
+			f.Stats.Aborts[htm.AbortFallbackLock])
+	}
+	if f.Cycles != h.Cycles || f.Stats != h.Stats {
+		t.Errorf("theta=0.2: the policy moved a run with no fallback-lock abort: %d vs %d cycles", f.Cycles, h.Cycles)
+	}
 }
 
 func TestEunoAblationConfigsRun(t *testing.T) {

@@ -2,8 +2,6 @@ package htm
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"eunomia/internal/vclock"
 )
@@ -21,10 +19,10 @@ import (
 //
 //   - BackendHost turns the cost model off and measures nothing but wall
 //     time: threads are plain goroutines on vclock.HostProc, loads and
-//     stores are bare sync/atomic word operations, and the resilience
-//     waits (backoff, lemming-wait, fallback spins) pause in real time
-//     with cooperative yields. This is the engine for real multi-core
-//     throughput numbers (`make benchmark`).
+//     stores are bare sync/atomic word operations, and the waits (the
+//     retry pause, the lemming wait, the fallback spin) yield
+//     cooperatively through Proc.Spin. This is the engine for real
+//     multi-core throughput numbers (`make benchmark`).
 type Backend int
 
 // The two execution engines.
@@ -53,22 +51,4 @@ func (h *HTM) Host() bool { return h.host }
 // id only labels the thread (host proc IDs are unbounded).
 func (h *HTM) NewHostThread(id int, seed uint64) *Thread {
 	return h.NewThread(vclock.NewHostProc(id), seed)
-}
-
-// hostSpinSink gives host-backend pause loops a load the compiler cannot
-// elide without the coherence cost of a shared store.
-var hostSpinSink atomic.Uint64
-
-// hostPause busy-waits for roughly n spin units (about a nanosecond each),
-// yielding the OS thread periodically so a descheduled lock holder or
-// conflicting writer can run — mandatory for progress when goroutines
-// outnumber cores. It is the host-backend realization of "pause for d
-// virtual cycles" in the randomized backoff.
-func hostPause(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		_ = hostSpinSink.Load()
-		if i&1023 == 1023 {
-			runtime.Gosched()
-		}
-	}
 }

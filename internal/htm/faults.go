@@ -38,15 +38,6 @@ const (
 	// FaultFallback fires at Thread.Execute entry and can force the
 	// execution straight onto the global-lock fallback path.
 	FaultFallback
-	// FaultStorm fires when the abort-storm detector redirects an Execute
-	// onto the serialized degradation path (resilience layer).
-	FaultStorm
-	// FaultWatchdog fires when an Execute's per-operation attempt budget
-	// expires and the starvation watchdog forces the fallback.
-	FaultWatchdog
-	// FaultQLock fires at each queued (ticket) fallback-lock acquisition,
-	// before the ticket is taken.
-	FaultQLock
 	NumFaultPoints
 )
 
@@ -63,12 +54,6 @@ func (p FaultPoint) String() string {
 		return "ccm"
 	case FaultFallback:
 		return "fallback"
-	case FaultStorm:
-		return "storm"
-	case FaultWatchdog:
-		return "watchdog"
-	case FaultQLock:
-		return "qlock"
 	default:
 		return fmt.Sprintf("point(%d)", uint8(p))
 	}
@@ -151,12 +136,6 @@ func ParseFaultSpec(text string) (FaultSpec, error) {
 		s.Point = FaultCCM
 	case "fallback":
 		s.Point = FaultFallback
-	case "storm":
-		s.Point = FaultStorm
-	case "watchdog":
-		s.Point = FaultWatchdog
-	case "qlock":
-		s.Point = FaultQLock
 	default:
 		return FaultSpec{}, fmt.Errorf("htm: unknown fault point %q", parts[0])
 	}

@@ -88,8 +88,7 @@ func (r AbortReason) IsConflict() bool {
 	return r == AbortConflictTrue || r == AbortConflictFalse || r == AbortConflictMeta
 }
 
-// Config sets the emulated hardware limits and the opt-in device-level
-// resilience features (see resilience.go).
+// Config sets the emulated hardware limits.
 type Config struct {
 	// MaxReadLines and MaxWriteLines bound the transactional working set,
 	// modeling L1d capacity (32 KB / 64 B = 512 lines).
@@ -101,14 +100,6 @@ type Config struct {
 	// figure uses; BackendHost disables the arena's cost model and runs
 	// the same protocol at native speed on real goroutines.
 	Backend Backend
-
-	// QueuedFallback replaces the spin-CAS fallback lock with a fair
-	// ticket lock (FIFO hand-off), so a fallback hog cannot starve
-	// waiters. Default false keeps the paper-faithful unfair lock.
-	QueuedFallback bool
-	// Storm configures the per-device abort-storm detector driving
-	// graceful degradation; a zero Window (the default) disables it.
-	Storm StormConfig
 
 	// Observer receives observability events (see internal/obs and
 	// SetObserver). nil — the default — disables emission entirely; each
@@ -126,16 +117,7 @@ type HTM struct {
 	arena    *simmem.Arena
 	cfg      Config
 	fallback simmem.Addr // global elision lock word, on its own line
-	// qticket/qserving implement the optional fair ticket fallback lock;
-	// each lives on its own line (allocated only with QueuedFallback, so
-	// the default arena layout is untouched). Separate lines matter on the
-	// host backend: ticket takers CAS one word while waiters spin-load the
-	// other, and co-locating them would ping-pong the waiters' line on
-	// every queue join.
-	qticket  simmem.Addr
-	qserving simmem.Addr
-	host     bool // cfg.Backend == BackendHost, cached for hot paths
-	storm    *stormDetector
+	host     bool        // cfg.Backend == BackendHost, cached for hot paths
 	fi       *FaultInjector
 	obs      obs.Observer
 	dev      deviceStats
@@ -155,15 +137,10 @@ func New(a *simmem.Arena, cfg Config) *HTM {
 		cfg:      cfg,
 		fallback: a.AllocAligned(boot, simmem.WordsPerLine, simmem.TagFallback),
 		host:     cfg.Backend == BackendHost,
-		storm:    newStormDetector(cfg.Storm),
 		obs:      cfg.Observer,
 	}
 	if h.host {
 		a.DisableCostModel()
-	}
-	if cfg.QueuedFallback {
-		h.qticket = a.AllocAligned(boot, simmem.WordsPerLine, simmem.TagFallback)
-		h.qserving = a.AllocAligned(boot, simmem.WordsPerLine, simmem.TagFallback)
 	}
 	return h
 }

@@ -62,16 +62,13 @@ func (t *Thread) NoteStitch(node uint64) {
 // flushes into them concurrently, and packing them would make the flush a
 // coherence hotspot of exactly the kind pad.go's benchmark measures.
 type deviceStats struct {
-	attempts          simmem.PaddedUint64
-	commits           simmem.PaddedUint64
-	fallbacks         simmem.PaddedUint64
-	txLoads           simmem.PaddedUint64
-	txStores          simmem.PaddedUint64
-	wastedCycles      simmem.PaddedUint64
-	aborts            [NumAbortReasons]atomic.Uint64
-	backoffCycles     atomic.Uint64
-	degradationEvents atomic.Uint64
-	watchdogTrips     atomic.Uint64
+	attempts     simmem.PaddedUint64
+	commits      simmem.PaddedUint64
+	fallbacks    simmem.PaddedUint64
+	txLoads      simmem.PaddedUint64
+	txStores     simmem.PaddedUint64
+	wastedCycles simmem.PaddedUint64
+	aborts       [NumAbortReasons]atomic.Uint64
 }
 
 // DeviceStats snapshots the device-wide aggregated statistics: every
@@ -79,15 +76,12 @@ type deviceStats struct {
 func (h *HTM) DeviceStats() Stats {
 	d := &h.dev
 	s := Stats{
-		Attempts:          d.attempts.Load(),
-		Commits:           d.commits.Load(),
-		Fallbacks:         d.fallbacks.Load(),
-		WastedCycles:      d.wastedCycles.Load(),
-		TxLoads:           d.txLoads.Load(),
-		TxStores:          d.txStores.Load(),
-		BackoffCycles:     d.backoffCycles.Load(),
-		DegradationEvents: d.degradationEvents.Load(),
-		WatchdogTrips:     d.watchdogTrips.Load(),
+		Attempts:     d.attempts.Load(),
+		Commits:      d.commits.Load(),
+		Fallbacks:    d.fallbacks.Load(),
+		WastedCycles: d.wastedCycles.Load(),
+		TxLoads:      d.txLoads.Load(),
+		TxStores:     d.txStores.Load(),
 	}
 	for i := range s.Aborts {
 		s.Aborts[i] = d.aborts[i].Load()
@@ -115,9 +109,6 @@ func (t *Thread) flushDeviceStats() {
 	add(&d.wastedCycles.Uint64, cur.WastedCycles, prev.WastedCycles)
 	add(&d.txLoads.Uint64, cur.TxLoads, prev.TxLoads)
 	add(&d.txStores.Uint64, cur.TxStores, prev.TxStores)
-	add(&d.backoffCycles, cur.BackoffCycles, prev.BackoffCycles)
-	add(&d.degradationEvents, cur.DegradationEvents, prev.DegradationEvents)
-	add(&d.watchdogTrips, cur.WatchdogTrips, prev.WatchdogTrips)
 	t.devFlushed = *cur
 }
 

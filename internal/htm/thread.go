@@ -28,15 +28,6 @@ type Stats struct {
 	// for the paper's executed-instruction comparisons.
 	TxLoads  uint64
 	TxStores uint64
-	// BackoffCycles is virtual time spent in randomized exponential
-	// backoff between conflict retries (resilience layer; 0 by default).
-	BackoffCycles uint64
-	// DegradationEvents counts Executes this thread serialized through the
-	// fallback path because the device's abort-storm detector was engaged.
-	DegradationEvents uint64
-	// WatchdogTrips counts Executes whose per-operation attempt budget
-	// expired, forcing the guaranteed fallback.
-	WatchdogTrips uint64
 }
 
 // TotalAborts sums aborts across all reasons.
@@ -64,9 +55,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.WastedCycles += o.WastedCycles
 	s.TxLoads += o.TxLoads
 	s.TxStores += o.TxStores
-	s.BackoffCycles += o.BackoffCycles
-	s.DegradationEvents += o.DegradationEvents
-	s.WatchdogTrips += o.WatchdogTrips
 }
 
 // String renders a one-line summary.
@@ -77,15 +65,6 @@ func (s *Stats) String() string {
 		if s.Aborts[r] > 0 {
 			fmt.Fprintf(&b, " %s=%d", r, s.Aborts[r])
 		}
-	}
-	if s.BackoffCycles > 0 {
-		fmt.Fprintf(&b, " backoff-cycles=%d", s.BackoffCycles)
-	}
-	if s.DegradationEvents > 0 {
-		fmt.Fprintf(&b, " degraded=%d", s.DegradationEvents)
-	}
-	if s.WatchdogTrips > 0 {
-		fmt.Fprintf(&b, " watchdog=%d", s.WatchdogTrips)
 	}
 	return b.String()
 }
@@ -112,26 +91,13 @@ type RetryPolicy struct {
 	// component of the paper's collapsed baseline.
 	LockBusy int
 
-	// The fields below are the opt-in resilience layer (see resilience.go
-	// and Resilience.Apply); all zero keeps the paper-faithful behavior.
-
-	// BackoffBase and BackoffMax enable randomized exponential backoff
-	// between conflict retries: after the k-th consecutive conflict abort
-	// the thread pauses a uniform random number of virtual ticks in
-	// [1, min(BackoffBase<<k, BackoffMax)], drawn from the thread RNG so
-	// simulated runs stay deterministic. BackoffBase 0 disables backoff.
-	BackoffBase uint64
-	BackoffMax  uint64
-	// LemmingWait, when true, replaces the retry-into-a-held-lock
-	// behavior: after an AbortFallbackLock the thread waits for the
-	// fallback lock to clear before re-attempting instead of burning
-	// further aborts against it.
+	// LemmingWait is the one hardening switch (ResilientPolicy sets it;
+	// false is the paper-faithful behavior every figure measures): after
+	// an AbortFallbackLock the thread waits for the fallback lock to
+	// clear before re-attempting instead of burning further aborts
+	// against it — the fix Brown's HTM template paper identifies as the
+	// difference between a usable and a collapsing fallback path.
 	LemmingWait bool
-	// AttemptBudget bounds the total attempts of one Execute across all
-	// abort reasons; when reached, the execution is guaranteed to take
-	// the fallback path (a watchdog trip), so every Execute has a bounded
-	// worst case. 0 disables the watchdog.
-	AttemptBudget int
 }
 
 // NoRetry is the explicit "zero retries for this reason" threshold. A
@@ -157,9 +123,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	p.Capacity = norm(p.Capacity, DefaultPolicy.Capacity)
 	p.Explicit = norm(p.Explicit, DefaultPolicy.Explicit)
 	p.LockBusy = norm(p.LockBusy, DefaultPolicy.LockBusy)
-	if p.AttemptBudget < 0 {
-		p.AttemptBudget = 0
-	}
 	return p
 }
 
@@ -168,10 +131,15 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // serialization collapse the paper analyses).
 var DefaultPolicy = RetryPolicy{Conflict: 3, Capacity: 2, Explicit: 16, LockBusy: 16}
 
-// ResilientPolicy is DefaultPolicy with the full hardening layer applied —
-// the policy eunomia.Options.Resilience and harness runs use.
+// ResilientPolicy is DefaultPolicy with the lemming wait — the policy
+// eunomia.Options.Resilience and hardened harness runs give every tree. The
+// wait is the whole hardening layer on purpose: it removes the fallback-lock
+// convoy by itself, and no other defence measured as a gain on top of it
+// (DESIGN.md §7).
 func ResilientPolicy() RetryPolicy {
-	return DefaultResilience().Apply(DefaultPolicy)
+	pol := DefaultPolicy
+	pol.LemmingWait = true
+	return pol
 }
 
 // Thread is a per-worker handle on the HTM device. It owns a reusable Tx,
@@ -332,10 +300,7 @@ func (t *Thread) attempt(body func(*Tx), weight uint64) (committed bool, reason 
 //
 // The policy is normalized (zero thresholds take DefaultPolicy values,
 // NoRetry means zero retries) after the first abort, which is the first
-// point that reads a threshold. When the device's abort-storm
-// detector is engaged, the execution serializes through the fallback path
-// immediately (graceful degradation); when the policy sets AttemptBudget,
-// the total attempt count is bounded before the guaranteed fallback.
+// point that reads a threshold.
 func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 	defer t.maybeFlushDeviceStats()
 	if fi := t.H.fi; fi != nil && fi.at(FaultFallback) {
@@ -349,16 +314,6 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 			t.pendingAbort = true
 		}
 	}
-	if s := t.H.storm; s != nil && s.degraded.Load() {
-		// Graceful degradation: a device-wide abort storm is in progress.
-		// Serializing through the (queued) fallback adds no fuel, and the
-		// calm sample drives the detector toward recovery.
-		t.Stats.DegradationEvents++
-		t.Fault(FaultStorm)
-		s.note(false)
-		t.RunFallback(body)
-		return
-	}
 	weight := uint64(1)
 	if t.H.host && t.H.obs == nil {
 		weight = 0
@@ -366,28 +321,15 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 			weight = hostClockSample
 		}
 	}
-	conflicts, caps, expl, busy, attempts := 0, 0, 0, 0, 0
-	for {
+	conflicts, caps, expl, busy := 0, 0, 0, 0
+	for first := true; ; first = false {
 		ok, reason := t.attempt(body, weight)
-		if s := t.H.storm; s != nil {
-			s.note(!ok)
-		}
 		if ok {
 			return
 		}
-		if attempts == 0 {
+		if first {
 			pol = pol.normalized()
 			weight = 1
-		}
-		attempts++
-		if pol.AttemptBudget > 0 && attempts >= pol.AttemptBudget {
-			// Starvation watchdog: the per-operation budget is spent;
-			// take the guaranteed (bounded, with the queued lock fair)
-			// fallback path no matter which reasons burned it.
-			t.Stats.WatchdogTrips++
-			t.Fault(FaultWatchdog)
-			t.RunFallback(body)
-			return
 		}
 		switch {
 		case reason == AbortFallbackLock:
@@ -399,10 +341,7 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 			if pol.LemmingWait {
 				// Lemming mitigation: wait for the lock holder to finish
 				// instead of burning more aborts against the held lock.
-				a := t.H.arena
-				for a.LoadWord(t.P, t.H.fallback) != 0 {
-					t.P.Spin(a.Costs().SpinIter)
-				}
+				t.awaitFallbackClear()
 			} else {
 				t.P.Spin(t.H.arena.Costs().SpinIter)
 			}
@@ -412,15 +351,11 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 				t.RunFallback(body)
 				return
 			}
-			if pol.BackoffBase > 0 {
-				t.backoff(pol, uint(conflicts-1))
-			} else {
-				// DBX retries essentially immediately; a token pause avoids a
-				// zero-length livelock in virtual time. (No exponential
-				// backoff — its absence is part of why contended HTM trees
-				// convoy and collapse, which is the behavior under study.)
-				t.P.Spin(t.H.arena.Costs().SpinIter)
-			}
+			// DBX retries essentially immediately; a token pause avoids a
+			// zero-length livelock in virtual time. (No exponential
+			// backoff — its absence is part of why contended HTM trees
+			// convoy and collapse, which is the behavior under study.)
+			t.P.Spin(t.H.arena.Costs().SpinIter)
 		case reason == AbortCapacity:
 			caps++
 			if caps > pol.Capacity {
@@ -437,30 +372,12 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 	}
 }
 
-// backoff charges the k-th randomized exponential pause: a uniform draw
-// from [1, min(BackoffBase<<k, BackoffMax)] virtual ticks off the thread
-// RNG, so lockstep-simulated runs remain bit-for-bit reproducible. On the
-// host backend the draw is realized as a real busy-wait of roughly that
-// many spin units (with cooperative yields) instead of a virtual-clock
-// charge — same distribution, wall-clock duration.
-func (t *Thread) backoff(pol RetryPolicy, k uint) {
-	if k > 32 {
-		k = 32
+// awaitFallbackClear spins until the fallback lock word reads free.
+func (t *Thread) awaitFallbackClear() {
+	a := t.H.arena
+	for a.LoadWord(t.P, t.H.fallback) != 0 {
+		t.P.Spin(a.Costs().SpinIter)
 	}
-	window := pol.BackoffBase << k
-	if window == 0 || (pol.BackoffMax > 0 && window > pol.BackoffMax) {
-		window = pol.BackoffMax
-	}
-	if window == 0 {
-		window = pol.BackoffBase
-	}
-	d := 1 + t.Rand.Uint64()%window
-	t.Stats.BackoffCycles += d
-	if t.H.host {
-		hostPause(d)
-		return
-	}
-	t.P.Tick(d)
 }
 
 // RunFallback acquires the global fallback lock and executes body
@@ -468,41 +385,18 @@ func (t *Thread) backoff(pol RetryPolicy, k uint) {
 // to the lock word), so the execution is mutually exclusive with every
 // transactional and fallback execution on this HTM device.
 //
-// With Config.QueuedFallback the acquisition goes through a fair ticket
-// lock (FIFO hand-off; a hog cannot starve waiters); otherwise it is the
-// paper-faithful spin-CAS. The lock is released via defer, so a panicking
-// body (or an injected fault) cannot wedge the device.
+// The acquisition is the paper-faithful test-and-test-and-set spin. The lock
+// is released via defer, so a panicking body (or an injected fault) cannot
+// wedge the device.
 func (t *Thread) RunFallback(body func(*Tx)) {
 	defer t.maybeFlushDeviceStats()
 	a := t.H.arena
 	start := t.P.Now()
-	if t.H.cfg.QueuedFallback {
-		t.Fault(FaultQLock)
-		// Ticket acquire: AddWordDirect hands out FIFO tickets; the
-		// ticket and serving words each live on their own line so queue
-		// joins do not disturb transactions subscribed to the lock word
-		// (nor, on the host backend, the waiters spinning on serving).
-		my := a.AddWordDirect(t.P, t.H.qticket, 1) - 1
-		for a.LoadWord(t.P, t.H.qserving) != my {
-			t.P.Spin(a.Costs().SpinIter)
-		}
-		// Exclusive by ticket order; publish the held flag transactions
-		// subscribe to (the version bump aborts in-flight readers).
-		a.StoreWordDirect(t.P, t.H.fallback, 1)
-	} else {
-		for !a.CASWordDirect(t.P, t.H.fallback, 0, 1) {
-			for a.LoadWord(t.P, t.H.fallback) != 0 {
-				t.P.Spin(a.Costs().SpinIter)
-			}
-		}
+	for !a.CASWordDirect(t.P, t.H.fallback, 0, 1) {
+		t.awaitFallbackClear()
 	}
 	t.Stats.Fallbacks++
-	defer func() {
-		a.StoreWordDirect(t.P, t.H.fallback, 0)
-		if t.H.cfg.QueuedFallback {
-			a.AddWordDirect(t.P, t.H.qserving, 1)
-		}
-	}()
+	defer a.StoreWordDirect(t.P, t.H.fallback, 0)
 	tx := &t.tx
 	tx.reset(true)
 	body(tx)

@@ -78,10 +78,6 @@ type TxMetrics struct {
 	WastedCycles uint64
 	TxLoads      uint64
 	TxStores     uint64
-	// Resilience-layer activity (zero unless Options.Resilience).
-	BackoffCycles     uint64
-	DegradationEvents uint64
-	WatchdogTrips     uint64
 	// AbortsByReason maps the paper's abort taxonomy ("conflict-false",
 	// "conflict-meta", "conflict-true", "capacity", "explicit",
 	// "fallback-lock") to counts. Reasons with zero counts are omitted.
@@ -112,14 +108,12 @@ type ContentionMetrics struct {
 
 // Metrics is one coherent snapshot of everything the DB can report about
 // itself: transactional behavior with the abort-reason decomposition,
-// resilience state, memory accounting, tree maintenance, durability
-// counters, and — when enabled — the contention heatmap. It replaced the
-// former per-subsystem accessors (ResilienceStats, MemoryStats,
-// DurabilityStats), now removed; their types remain as sections of this
-// snapshot.
+// memory accounting, tree maintenance, durability counters, and — when
+// enabled — the contention heatmap. It replaced the former per-subsystem
+// accessors (MemoryStats, DurabilityStats), now removed; their types
+// remain as sections of this snapshot.
 type Metrics struct {
 	Tx         TxMetrics
-	Resilience ResilienceStats
 	Memory     MemoryStats
 	Tree       TreeMetrics
 	Durability DurabilityStats
@@ -133,21 +127,14 @@ func (db *DB) Metrics() Metrics {
 	s := db.device.DeviceStats()
 	m := Metrics{
 		Tx: TxMetrics{
-			Attempts:          s.Attempts,
-			Commits:           s.Commits,
-			Aborts:            s.TotalAborts(),
-			Fallbacks:         s.Fallbacks,
-			WastedCycles:      s.WastedCycles,
-			TxLoads:           s.TxLoads,
-			TxStores:          s.TxStores,
-			BackoffCycles:     s.BackoffCycles,
-			DegradationEvents: s.DegradationEvents,
-			WatchdogTrips:     s.WatchdogTrips,
-			AbortsByReason:    statsOf(&s).AbortsByReason,
-		},
-		Resilience: ResilienceStats{
-			Degraded:    db.device.Degraded(),
-			StormEvents: db.device.StormEvents(),
+			Attempts:       s.Attempts,
+			Commits:        s.Commits,
+			Aborts:         s.TotalAborts(),
+			Fallbacks:      s.Fallbacks,
+			WastedCycles:   s.WastedCycles,
+			TxLoads:        s.TxLoads,
+			TxStores:       s.TxStores,
+			AbortsByReason: statsOf(&s).AbortsByReason,
 		},
 		Memory: MemoryStats{
 			LiveBytes:     db.arena.LiveBytes(),

@@ -196,9 +196,6 @@ func TestMetricsUnifiedSnapshot(t *testing.T) {
 	// Two snapshots must agree on the static parts (flush counters can
 	// advance between them).
 	m2 := db.Metrics()
-	if m2.Resilience != m.Resilience {
-		t.Fatalf("Resilience drifted: %+v != %+v", m2.Resilience, m.Resilience)
-	}
 	if m2.Durability.Enabled != m.Durability.Enabled ||
 		m2.Durability.ReplayedFrames != m.Durability.ReplayedFrames {
 		t.Fatalf("Durability drifted: %+v != %+v", m2.Durability, m.Durability)

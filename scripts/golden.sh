@@ -1,10 +1,13 @@
 #!/bin/sh
-# Bit-identical-figures guard: the resilience layer is opt-in, so the
-# paper-faithful default figures must not move by a single virtual cycle.
-# Regenerates the quick-scale Figure 1, 8 and 13 CSVs and diffs them
-# against the checked-in goldens (fig1 captured before the resilience layer
-# landed). Any drift — an extra arena allocation, an extra tick, a stray
-# RNG draw on the default path — shows up here as a CSV difference.
+# Bit-identical-figures guard: virtual time is deterministic, so a change
+# that does not mean to alter the paper-faithful default path (the fragile
+# retry policy, the trees, the emulator's cost model) must not move the
+# default figures by a single virtual cycle. Regenerates the quick-scale
+# Figure 1, 8 and 13 CSVs and the scan table and diffs them against the
+# checked-in goldens. Any drift — an extra arena allocation, an extra
+# tick, a stray RNG draw on the default path — shows up here as a CSV
+# difference. Options.Resilience, observers and the host backend are all
+# off in these runs: the guard proves they cost nothing when off.
 #
 # To re-baseline after an *intentional* metrics change:
 #   go run ./cmd/eunobench -quick -csv fig1 > cmd/eunobench/testdata/golden-fig1-quick.csv

@@ -8,10 +8,10 @@
 # wall-clock linearizability recordings, which are exactly the code paths
 # where an unsynchronized tree would race.
 #
-# The internal/htm race pass covers the resilience layer (storm detector,
-# queued fallback lock, watchdog) whose counters are the only cross-thread
-# shared state the hardening added; the kvserver pass races the resilience-
-# enabled server against real concurrent sockets.
+# The internal/htm race pass covers the one fallback lock and both ways of
+# waiting on it (retry into it, or the lemming wait of htm.ResilientPolicy);
+# the kvserver pass races a Resilience server against real concurrent
+# sockets.
 #
 # The host execution backend rides these same passes: its htm-level tests
 # (TestHost*) run in the internal/htm line, the per-tree
@@ -36,9 +36,9 @@ go test -race -short ./cmd/eunobench/
 # and the aggregated STATS path.
 go test -race ./examples/kvserver/
 # Durability engine under the race detector: the group-commit leader
-# protocol, background flusher, and snapshot rotation are the newest
-# cross-thread shared state; the -short crash-fuzzer pass races recovery
-# against the checker as well.
+# protocol (the waiting writer flushes; the WAL starts no goroutine) and
+# snapshot rotation are its cross-thread shared state; the -short
+# crash-fuzzer pass races recovery against the checker as well.
 go test -race -short ./internal/durable/...
 # Observability layer: the heatmap/trace observers receive events from
 # every wall-clock worker goroutine concurrently, and the root package's
