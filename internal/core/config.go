@@ -61,6 +61,12 @@
 //     score has decayed to nothing (leaf.go). The score counts conflict
 //     aborts only, and a hot leaf keeps no more records than its segments
 //     can shadow. Adaptive off restores the paper's leaf exactly.
+//
+//   - The paper re-runs the upper region for every operation. A get, put
+//     or delete here first asks its thread's leaf hints (Tree.locate): a
+//     leaf its upper region found before is used again while a direct load
+//     still reads the seqno it had then, the stitch the lower region
+//     re-validates anyway. Scans always descend.
 package core
 
 import "fmt"

@@ -74,7 +74,7 @@ func (t *Tree) heatLeaf(th *htm.Thread, l simmem.Addr) {
 
 // leafState reads the state word of the leaf that covers key.
 func (t *Tree) leafState(th *htm.Thread, key uint64) (leaf simmem.Addr, segs int) {
-	leaf, _, segs = t.upper(th, key)
+	leaf, _, segs, _, _ = t.upper(th, key)
 	return leaf, segs
 }
 
@@ -85,9 +85,10 @@ func TestTwoRegionGetUsesTwoTransactions(t *testing.T) {
 	for i := uint64(1); i <= 100; i++ {
 		tr.Put(boot, i, i)
 	}
-	before := boot.Stats.Attempts
-	tr.Get(boot, 50)
-	if got := boot.Stats.Attempts - before; got != 2 {
+	// A thread with no leaf hints: the hinted case is TestLeafHintSkipsUpperRegion.
+	th := tr.h.NewThread(vclock.NewWallProc(1, 0), 2)
+	tr.Get(th, 50)
+	if got := th.Stats.Attempts; got != 2 {
 		t.Fatalf("get used %d attempts, want 2 (upper + lower)", got)
 	}
 }
@@ -211,7 +212,7 @@ func TestAdaptiveDetectorHeatsAndCools(t *testing.T) {
 	cfg.HotThreshold = 4
 	tr, boot := newEuno(t, cfg)
 	tr.Put(boot, 1, 1)
-	leaf, _, _ := tr.upper(boot, 1)
+	leaf, _ := tr.leafState(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	if tr.leafHot(boot.P, ccm) {
 		t.Fatal("fresh leaf reported hot")
@@ -261,7 +262,7 @@ func TestConfigValidation(t *testing.T) {
 func TestCCMBitOps(t *testing.T) {
 	tr, boot := newEuno(t, DefaultConfig)
 	tr.Put(boot, 1, 1)
-	leaf, _, _ := tr.upper(boot, 1)
+	leaf, _ := tr.leafState(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	p := boot.P
 
@@ -297,7 +298,7 @@ func TestCCMBitOps(t *testing.T) {
 func TestMarkAddClampAtZero(t *testing.T) {
 	tr, boot := newEuno(t, DefaultConfig)
 	tr.Put(boot, 1, 1)
-	leaf, _, _ := tr.upper(boot, 1)
+	leaf, _ := tr.leafState(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	slot := uint(9)
 	if got := tr.markAdd(boot.P, ccm, slot, -1); got != 0 {

@@ -28,7 +28,7 @@ func TestHostWaitersYield(t *testing.T) {
 	h, boot := treetest.NewHostDevice(1 << 20)
 	tr := New(h, boot, DefaultConfig)
 	tr.Put(boot, 1, 1)
-	leaf, _, _ := tr.upper(boot, 1)
+	leaf, _ := tr.leafState(boot, 1)
 	ccm := tr.ccmAddr(leaf)
 	a := h.Arena()
 	word := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagNone)

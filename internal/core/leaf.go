@@ -422,7 +422,7 @@ func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
 		staging = tx.AllocAligned(stagingWords, simmem.TagReserved)
 		t.writeLeaf(tx, leaf, recs, hot)
 	})
-	th.Scratch = sc
+	sc.lent = false
 	if staging != simmem.NilAddr {
 		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
 		t.compactions.Add(1)
@@ -592,7 +592,7 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 		staging, stagingWords = simmem.NilAddr, 0
 		out, compacted = t.leafMaintBody(tx, sc, leaf, s0, key, val, score, &staging, &stagingWords)
 	})
-	th.Scratch = sc
+	sc.lent = false
 	if staging != simmem.NilAddr {
 		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
 	}
@@ -664,7 +664,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		key = recs[0].k // a promotion descends by a key of the leaf's own
 	}
 	sc.path = sc.path[:0]
-	found := t.descend(tx, key, &sc.path)
+	found, _, _ := t.descend(tx, key, &sc.path)
 	if found != leaf {
 		return oMismatch, false
 	}

@@ -38,7 +38,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	chainLeaf := simmem.NilAddr
 	var chainSeq uint64
 	sc := t.borrowScratch(th)
-	defer func() { th.Scratch = sc }()
+	defer func() { sc.lent = false }()
 	buf := sc.buf
 
 	for {
@@ -47,7 +47,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 		if chainLeaf != simmem.NilAddr {
 			leaf, s0 = chainLeaf, chainSeq
 		} else {
-			leaf, s0, _ = t.upper(th, cur)
+			leaf, s0, _, _, _ = t.upper(th, cur)
 		}
 		th.NoteNode(uint64(leaf))
 		ok := false
@@ -93,23 +93,41 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	}
 }
 
-// threadScratch is what a tree keeps on its htm.Thread between operations
-// so that the ones which stage records — Scan, compaction, the split — need
-// not allocate, least of all inside a transaction body that retries.
+// threadScratch is what a tree keeps on its htm.Thread between operations:
+// buffers for the ones which stage records — Scan, compaction, the split —
+// so that they need not allocate, and the point operations' leaf hints.
 type threadScratch struct {
 	buf  []pair        // a scan region's records, or a leaf's plus the one being put
 	path []simmem.Addr // the root-to-parent path of a split
+	lent bool          // buf and path are borrowed; the borrower clears it
+	hints
 }
 
-// borrowScratch takes the thread's scratch for the length of an operation;
-// the caller hands it back with th.Scratch = sc. Borrowed, not shared: an
-// operation issued from a Scan callback on this thread finds none and makes
-// its own.
-func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
+// scratch returns th's scratch, made on first use, holding t's leaf hints.
+func (t *Tree) scratch(th *htm.Thread) *threadScratch {
 	sc, _ := th.Scratch.(*threadScratch)
-	th.Scratch = nil
-	if n := t.scanLeaves * max(t.leafCap(), t.denseCap); sc == nil || cap(sc.buf) <= n {
-		sc = &threadScratch{buf: make([]pair, 0, n+1)}
+	if sc == nil {
+		sc = new(threadScratch)
+		th.Scratch = sc
+	}
+	if sc.tree != t {
+		sc.hints = hints{tree: t, sets: new([hintSets][2]hint)}
+	}
+	return sc
+}
+
+// borrowScratch lends the thread's buffers for the length of an operation,
+// which hands them back with sc.lent = false. Lent, not shared: an
+// operation started from a Scan callback on this thread finds them out and
+// makes its own.
+func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
+	sc := t.scratch(th)
+	if sc.lent {
+		sc = new(threadScratch)
+	}
+	sc.lent = true
+	if n := t.scanLeaves * max(t.leafCap(), t.denseCap); cap(sc.buf) <= n {
+		sc.buf = make([]pair, 0, n+1)
 	}
 	return sc
 }

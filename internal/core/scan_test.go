@@ -243,7 +243,7 @@ func TestScanRegionOfFullDenseLeavesAllocationFree(t *testing.T) {
 // leaves walks the leaf chain from the leftmost leaf with direct loads.
 func (t *Tree) leaves(th *htm.Thread) []simmem.Addr {
 	var out []simmem.Addr
-	for l, _, _ := t.upper(th, 0); l != simmem.NilAddr; l = simmem.Addr(t.a.LoadWord(th.P, l+offNext)) {
+	for l, _ := t.leafState(th, 0); l != simmem.NilAddr; l = simmem.Addr(t.a.LoadWord(th.P, l+offNext)) {
 		out = append(out, l)
 	}
 	return out

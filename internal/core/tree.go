@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 
 	"eunomia/internal/htm"
@@ -56,9 +57,9 @@ type Tree struct {
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
 
-	// dropSegs seeds a bug for the checker's self-test (adapt_test.go): a
-	// demotion that leaves the segments' records behind.
-	dropSegs bool
+	// dropSegs and widenFence seed bugs for the checker's self-tests: a lossy
+	// demotion (adapt_test.go), a hint fence one separator wide (hint_test.go).
+	dropSegs, widenFence bool
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -147,44 +148,118 @@ func (t *Tree) intChild(node simmem.Addr, i int) simmem.Addr {
 	return node + simmem.Addr(offIntKeys+t.cfg.StableCap+i)
 }
 
-// descend walks from the root to the leaf covering key, optionally
-// recording the internal path, entirely within the given transaction.
-func (t *Tree) descend(tx *htm.Tx, key uint64, path *[]simmem.Addr) simmem.Addr {
+// descend walks from the root to the leaf covering key inside tx and returns
+// it with its fences, the keys lo..hi it covers, from the separators the
+// searches load anyway; path, if not nil, records the split's parent path.
+func (t *Tree) descend(tx *htm.Tx, key uint64, path *[]simmem.Addr) (leaf simmem.Addr, lo, hi uint64) {
 	node := simmem.Addr(tx.Load(t.meta + metaRoot))
 	depth := tx.Load(t.meta + metaDepth)
+	lo, hi = 0, math.MaxUint64
 	for d := depth; d > 1; d-- {
 		if path != nil {
 			*path = append(*path, node)
 		}
 		count := int(tx.Load(node + offCount))
-		lo, hi := 0, count
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if tx.Load(t.intKey(node, mid)) <= key {
-				lo = mid + 1
+		l, h := 0, count
+		for l < h {
+			mid := (l + h) / 2
+			if sep := tx.Load(t.intKey(node, mid)); sep <= key {
+				l, lo = mid+1, sep
 			} else {
-				hi = mid
+				h, hi = mid, sep-1
 			}
 		}
-		node = simmem.Addr(tx.Load(t.intChild(node, lo)))
+		if t.widenFence && l+1 < count {
+			hi = tx.Load(t.intKey(node, l+1)) - 1 // the seeded bug
+		}
+		node = simmem.Addr(tx.Load(t.intChild(node, l)))
 	}
-	return node
+	return node, lo, hi
 }
 
 // upper executes the upper HTM region (Algorithm 2 lines 23-28): traverse
 // the index and sample the target leaf's sequence number — and, from the
 // same line, its state, by which the caller decides whether to consult the
 // CCM line at all (advisory: the lower region reads the state it acts on).
-func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, segs int) {
+func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, segs int, lo, hi uint64) {
 	// Upper-region conflicts happen on interior/meta lines, not the leaf
 	// the previous operation annotated — clear the observability node
 	// annotation so they attribute to their raw conflict line.
 	th.NoteNode(0)
 	th.Execute(t.upperPol, func(tx *htm.Tx) {
-		leaf = t.descend(tx, key, nil)
+		leaf, lo, hi = t.descend(tx, key, nil)
 		s0 = tx.Load(leaf + offSeqno)
 		segs = t.leafSegs(tx, leaf)
 	})
+	return leaf, s0, segs, lo, hi
+}
+
+// A thread's leaf hints for one tree: hintSets sets of two 32-byte entries,
+// a line each, key's set at key>>4; after hintMiss misses in a row only one
+// op in hintEvery looks up and fills, until a hit (DESIGN.md §5.2).
+const hintSets, hintMiss, hintEvery = 256, 64, 16
+
+// hint is a leaf the upper region found covering keys lo..hi at seqno;
+// leaf holds its line-aligned address and CLOCK's reference bit in bit 0.
+type hint struct{ lo, hi, leaf, seqno uint64 }
+
+type hints struct {
+	tree        *Tree
+	sets        *[hintSets][2]hint // pointer-free, so the allocator aligns each set to a line
+	misses, ops uint32             // misses in a row, up to hintMiss; ops the closed gate saw
+}
+
+// entry returns the entry of key's set that covers key, or nil.
+func (h *hints) entry(key uint64) *hint {
+	s := &h.sets[key>>4%hintSets]
+	for i := range s {
+		if e := &s[i]; e.leaf != 0 && e.lo <= key && key <= e.hi {
+			return e
+		}
+	}
+	return nil
+}
+
+// fill stores e over the first entry of key's set CLOCK finds unreferenced.
+func (h *hints) fill(key uint64, e hint) {
+	s := &h.sets[key>>4%hintSets]
+	for i := 0; ; i = (i + 1) % len(s) {
+		if s[i].leaf&1 == 0 {
+			s[i] = e
+			return
+		}
+		s[i].leaf &^= 1
+	}
+}
+
+// locate finds key's leaf, seqno and state for a point operation: from a
+// hint whose leaf still reads the hinted seqno — a direct load of the line
+// the lower region reads first anyway — or by the upper region, which
+// refills it. A stale hint is dropped here, also on an oMismatch's retry.
+func (t *Tree) locate(th *htm.Thread, key uint64) (simmem.Addr, uint64, int) {
+	h := &t.scratch(th).hints
+	if h.misses == hintMiss {
+		if h.ops++; h.ops%hintEvery != 0 {
+			leaf, s0, segs, _, _ := t.upper(th, key)
+			return leaf, s0, segs
+		}
+	}
+	if e := h.entry(key); e != nil {
+		leaf := simmem.Addr(e.leaf &^ 1)
+		if s0 := t.a.LoadWord(th.P, leaf+offSeqno); s0 == e.seqno {
+			e.leaf |= 1
+			h.misses = 0
+			segs := t.cfg.Segments
+			if t.cfg.Adaptive {
+				segs = int(t.a.LoadWord(th.P, leaf+offSegs))
+			}
+			return leaf, s0, segs
+		}
+		*e = hint{}
+	}
+	h.misses = min(h.misses+1, hintMiss)
+	leaf, s0, segs, lo, hi := t.upper(th, key)
+	h.fill(key, hint{lo, hi, uint64(leaf), s0})
 	return leaf, s0, segs
 }
 
@@ -202,7 +277,7 @@ func (t *Tree) ccmGate(th *htm.Thread, ccm simmem.Addr, segs int) (useLock, useM
 // Get implements tree.KV via the two-step traversal of Algorithm 2.
 func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 	for {
-		leaf, s0, segs := t.upper(th, key)
+		leaf, s0, segs := t.locate(th, key)
 		// The stitch: between here and the lower region the leaf may split,
 		// compact, or fill — correctness rests on the seqno re-validation.
 		th.Fault(htm.FaultStitch)
@@ -254,7 +329,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		panic("core: the tombstone value is reserved")
 	}
 	for {
-		leaf, s0, segs := t.upper(th, key)
+		leaf, s0, segs := t.locate(th, key)
 		th.Fault(htm.FaultStitch)
 		th.NoteStitch(uint64(leaf))
 		th.NoteNode(uint64(leaf))
@@ -322,7 +397,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 // compaction or split (deletion without rebalancing).
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 	for {
-		leaf, s0, segs := t.upper(th, key)
+		leaf, s0, segs := t.locate(th, key)
 		th.Fault(htm.FaultStitch)
 		th.NoteStitch(uint64(leaf))
 		th.NoteNode(uint64(leaf))

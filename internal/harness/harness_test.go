@@ -293,33 +293,41 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 // on the baseline HTM-B+Tree under the contended Figure-8-style workload:
 // layout false conflicts (different records, same line) must dominate the
 // conflict mass, with shared-metadata and true conflicts as minority
-// classes — the observation Eunomia's whole design answers. The same
-// workload on the Euno-B+Tree must cut the false-conflict share (its
-// partitioned leaves put each core's keys on distinct lines).
+// classes — the observation Eunomia's whole design answers. Figure 9 is
+// about aborts per operation, so that is what the Euno-B+Tree must cut: on
+// the same workload it takes at most half the baseline's false conflicts
+// per op (its partitioned leaves put each core's keys on distinct lines).
+// Its false *share* is no test: what else it removes, such as the upper
+// region's metadata conflicts, raises the share while the rate holds.
 func TestAbortDecompositionShape(t *testing.T) {
-	decompose := func(k TreeKind) (falseShare, metaShare, trueShare float64) {
+	decompose := func(k TreeKind, seed uint64) (falsePerOp, falseShare, metaShare, trueShare float64) {
 		cfg := smallCfg(k)
 		cfg.Threads = 8
 		cfg.OpsPerThread = 1200
+		cfg.Seed = seed
 		r := Run(cfg)
 		a := r.Stats.Aborts
 		conflicts := float64(a[htm.AbortConflictFalse] + a[htm.AbortConflictMeta] + a[htm.AbortConflictTrue])
 		if conflicts == 0 {
-			t.Fatalf("%v: no conflict aborts under theta=0.9", k)
+			t.Fatalf("%v seed %d: no conflict aborts under theta=0.9", k, seed)
 		}
-		return float64(a[htm.AbortConflictFalse]) / conflicts,
+		return r.AbortBreakdown[htm.AbortConflictFalse],
+			float64(a[htm.AbortConflictFalse]) / conflicts,
 			float64(a[htm.AbortConflictMeta]) / conflicts,
 			float64(a[htm.AbortConflictTrue]) / conflicts
 	}
-	f, m, tr := decompose(HTMBTree)
-	if f < 0.5 {
-		t.Fatalf("baseline layout-false share = %.2f, want dominant (paper: 0.87-0.90)", f)
-	}
-	if m > f || tr > f {
-		t.Fatalf("baseline minority classes out of shape: false=%.2f meta=%.2f true=%.2f", f, m, tr)
-	}
-	ef, _, _ := decompose(EunoBTree)
-	if ef >= f {
-		t.Fatalf("Euno layout-false share %.2f not below baseline %.2f", ef, f)
+	for _, seed := range []uint64{1, 2, 3, 42} {
+		bf, f, m, tr := decompose(HTMBTree, seed)
+		if f < 0.5 {
+			t.Fatalf("seed %d: baseline layout-false share = %.2f, want dominant (paper: 0.87-0.90)", seed, f)
+		}
+		if m > f || tr > f {
+			t.Fatalf("seed %d: baseline minority classes out of shape: false=%.2f meta=%.2f true=%.2f", seed, f, m, tr)
+		}
+		ef, _, _, _ := decompose(EunoBTree, seed)
+		if ef > bf/2 {
+			t.Fatalf("seed %d: Euno takes %.3f false conflicts per op, the baseline %.3f; want at most half", seed, ef, bf)
+		}
+		t.Logf("seed %d: false conflicts per op: Euno %.3f, baseline %.3f", seed, ef, bf)
 	}
 }
