@@ -310,9 +310,11 @@ func BenchmarkHostParallel(b *testing.B) {
 const scanBenchKeys = 100_000
 
 // BenchmarkTreeScan16 is core.Tree.Scan(from, 16) on the host backend with
-// nothing above it: the upper region plus one lower region that walks the
-// leaf chain through the bounded merged reader. attempts/scan and loads/key
-// name the transactional work (htm.Stats) behind the time. Run with
+// nothing above it: one lower region that walks the leaf chain through the
+// bounded merged reader, after the upper region when the leaf directory
+// does not hold from's leaf. attempts/scan and loads/key name the
+// transactional work (htm.Stats) behind the time; attempts/scan falls
+// toward 1 as the scans fill the directory, so it depends on b.N. Run with
 // -benchmem; steady state allocates nothing.
 func BenchmarkTreeScan16(b *testing.B) { benchTreeScan(b, 16) }
 

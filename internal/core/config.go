@@ -62,11 +62,11 @@
 //     aborts only, and a hot leaf keeps no more records than its segments
 //     can shadow. Adaptive off restores the paper's leaf exactly.
 //
-//   - The paper re-runs the upper region for every operation. A get, put
-//     or delete here first asks its thread's leaf hints (Tree.locate): a
-//     leaf its upper region found before is used again while a direct load
-//     still reads the seqno it had then, the stitch the lower region
-//     re-validates anyway. Scans always descend.
+//   - The paper re-runs the upper region for every operation. Here a get,
+//     put, delete or a scan's first leaf first asks the tree's lossy leaf
+//     directory (Tree.locate), and goes straight to the lower region when
+//     the leaf it names carries fences that cover the key; the lower region
+//     re-validates them with the seqno, the stitch it runs anyway.
 package core
 
 import "fmt"

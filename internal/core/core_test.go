@@ -74,7 +74,7 @@ func (t *Tree) heatLeaf(th *htm.Thread, l simmem.Addr) {
 
 // leafState reads the state word of the leaf that covers key.
 func (t *Tree) leafState(th *htm.Thread, key uint64) (leaf simmem.Addr, segs int) {
-	leaf, _, segs, _, _ = t.upper(th, key)
+	leaf, _, segs = t.upper(th, key)
 	return leaf, segs
 }
 
@@ -85,7 +85,9 @@ func TestTwoRegionGetUsesTwoTransactions(t *testing.T) {
 	for i := uint64(1); i <= 100; i++ {
 		tr.Put(boot, i, i)
 	}
-	// A thread with no leaf hints: the hinted case is TestLeafHintSkipsUpperRegion.
+	// An empty directory, so the get descends: the directory's hit is
+	// TestLeafHintSkipsUpperRegion.
+	tr.dir.Store(tr.newDir(tr.Splits() + 1))
 	th := tr.h.NewThread(vclock.NewWallProc(1, 0), 2)
 	tr.Get(th, 50)
 	if got := th.Stats.Attempts; got != 2 {
@@ -170,6 +172,31 @@ func TestSplitsBumpSeqnoAndForceRootRetries(t *testing.T) {
 	}
 	if tr.Depth(boot) < 2 {
 		t.Fatalf("depth = %d", tr.Depth(boot))
+	}
+}
+
+// TestSplitsCountedOnce: Splits counts the splits that committed — a split
+// region that aborts and retries is one split — so under contention it
+// still reads one less than the leaves on the chain; the leaf directory is
+// sized by it.
+func TestSplitsCountedOnce(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		h, boot := treetest.NewDevice(1 << 24)
+		tr := New(h, boot, DefaultConfig)
+		vclock.NewSim(16, 0).Run(func(p *vclock.SimProc) {
+			th := h.NewThread(p, seed*100+uint64(p.ID()))
+			r := vclock.NewRand(seed*1000 + uint64(p.ID()))
+			for i := 0; i < 2000; i++ {
+				tr.Put(th, r.Uint64()%4000, uint64(i)+1)
+			}
+		})
+		st := h.DeviceStats()
+		aborted := st.TotalAborts()
+		if leaves := uint64(len(tr.leaves(boot))); tr.Splits()+1 != leaves || aborted == 0 {
+			t.Fatalf("seed %d: Splits()+1 = %d with %d leaves on the chain after %d aborts; want them equal under contention",
+				seed, tr.Splits()+1, leaves, aborted)
+		}
+		validateOrFail(t, tr, boot)
 	}
 }
 

@@ -1,0 +1,218 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"eunomia/internal/check"
+	"eunomia/internal/htm"
+	"eunomia/internal/tree"
+	"eunomia/internal/tree/treetest"
+	"eunomia/internal/vclock"
+)
+
+// attempts runs op on th and returns the transactions it took.
+func attempts(th *htm.Thread, op func()) uint64 {
+	before := th.Stats.Attempts
+	op()
+	return th.Stats.Attempts - before
+}
+
+// TestLeafHintSkipsUpperRegion: once the directory holds a key's leaf, a
+// get, put or delete of that key is the lower region alone, and so is the
+// first page of a scan from it — on a cold dense leaf and on a hot
+// partitioned one, whose CCM the hit consults as a descent's would.
+func TestLeafHintSkipsUpperRegion(t *testing.T) {
+	for _, hot := range []bool{false, true} {
+		tr, th := newEuno(t, DefaultConfig)
+		fill(tr, th, 12)
+		if hot {
+			tr.heat(th)
+		}
+		steps := []struct {
+			name string
+			op   func() bool
+		}{
+			{"get", func() bool { v, ok := tr.Get(th, 7); return ok && v == 70 }},
+			{"put", func() bool { tr.Put(th, 7, 77); return true }},
+			{"get after put", func() bool { v, ok := tr.Get(th, 7); return ok && v == 77 }},
+			{"scan", func() bool { return tr.Scan(th, 7, 4, func(_, _ uint64) bool { return true }) == 4 }},
+			{"delete", func() bool { return tr.Delete(th, 7) }},
+		}
+		tr.Get(th, 7)
+		for _, s := range steps {
+			ok := false
+			if n := attempts(th, func() { ok = s.op() }); n != 1 || !ok {
+				t.Fatalf("hot=%v: %s from the directory took %d transactions (result ok: %v), want 1", hot, s.name, n, ok)
+			}
+		}
+	}
+}
+
+// TestLeafHintServesUniformKeys: on a tree of many leaves, any key whose
+// bucket an operation on it filled is served from the directory — a get, a
+// put and a scan's first page of a key drawn uniformly each cost one
+// transaction after one get of it — and one pass over every key leaves most
+// uniform gets a hit: a bucket that straddles two leaves holds only one.
+func TestLeafHintServesUniformKeys(t *testing.T) {
+	const n = 1 << 16
+	h, th := treetest.NewHostDevice(1 << 22)
+	tr := New(h, th, DefaultConfig)
+	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		tr.Put(th, uint64(k), uint64(k)+1)
+	}
+	r := vclock.NewRand(5)
+	visit := func(_, _ uint64) bool { return true }
+	for i := 0; i < 2000; i++ {
+		k := r.Uint64() % n
+		tr.Get(th, k)
+		for _, op := range []func(){
+			func() {
+				if v, ok := tr.Get(th, k); !ok || v != k+1 {
+					t.Fatalf("get(%d) = %d,%v want %d", k, v, ok, k+1)
+				}
+			},
+			func() { tr.Put(th, k, k+1) },
+			func() { tr.Scan(th, k, 8, visit) },
+		} {
+			if got := attempts(th, op); got != 1 {
+				t.Fatalf("an operation on key %d after a get of it took %d transactions, want 1", k, got)
+			}
+		}
+	}
+	for k := uint64(0); k < n; k++ {
+		tr.Get(th, k)
+	}
+	const gets = 10_000
+	var used uint64
+	for i := 0; i < gets; i++ {
+		k := r.Uint64() % n
+		used += attempts(th, func() { tr.Get(th, k) })
+	}
+	hits := 2*gets - used
+	t.Logf("%d leaves, %d buckets: %d of %d uniform gets served from the directory", tr.Splits()+1, len(tr.dir.Load().slots), hits, gets)
+	if hits < gets/2 {
+		t.Fatalf("%d of %d uniform gets hit the directory, want at least half", hits, gets)
+	}
+}
+
+// TestLeafHintSplitCaughtBeforeTheRegion: after another thread splits a
+// leaf the directory holds, the probe's fences send an operation on a key
+// that moved to the new right leaf down the upper region before any lower
+// region runs on the stale leaf, so no root retry is counted, and the
+// descent refills the bucket; a key that stayed is still served, though the
+// split bumped the seqno.
+func TestLeafHintSplitCaughtBeforeTheRegion(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	n := 2 * uint64(tr.denseCap)
+	fill(tr, th, n) // ascending: the last leaf ends full
+	leaves := tr.leaves(th)
+	last := leaves[len(leaves)-1]
+	stays := tr.a.LoadWord(th.P, last+offLo)
+	if d := tr.dir.Load(); tr.a.LoadWord(th.P, last+offStableCount) != uint64(tr.denseCap) ||
+		tr.Splits()+2 > uint64(len(d.slots)/2) || d.slot(n) == d.slot(stays) {
+		t.Fatalf("%d leaves and %d buckets: the next split must find no room, rebuild no directory, and part keys %d and %d of different buckets",
+			len(leaves), len(d.slots), n, stays)
+	}
+	tr.Get(th, n)
+	tr.Get(th, stays)
+	w := tr.h.NewThread(vclock.NewWallProc(1, 0), 2)
+	splits, retries := tr.Splits(), tr.RootRetries()
+	tr.Put(w, n+1, 10*(n+1))
+	if tr.Splits() != splits+1 || tr.a.LoadWord(th.P, last+offHi) >= n {
+		t.Fatalf("the put made %d splits and left the leaf's hi at %d; want one split moving %d right", tr.Splits()-splits, tr.a.LoadWord(th.P, last+offHi), n)
+	}
+	for i, c := range []struct{ key, want uint64 }{{n, 2}, {n, 1}, {stays, 1}} {
+		var v uint64
+		if got := attempts(th, func() { v, _ = tr.Get(th, c.key) }); got != c.want || v != 10*c.key {
+			t.Fatalf("get %d of %d after the split: %d transactions, value %d; want %d and %d", i, c.key, got, v, c.want, 10*c.key)
+		}
+	}
+	if got := tr.RootRetries() - retries; got != 0 {
+		t.Fatalf("%d root retries; the probe's fences should have caught the split", got)
+	}
+}
+
+// TestLeafHintFencesAreExact: a bucket that holds one leaf serves exactly
+// that leaf's keys. At a leaf boundary inside one bucket, the last key of
+// the left leaf and the first of the right — the separator — each descend
+// when the bucket holds the other's leaf, and hit once it holds their own.
+func TestLeafHintFencesAreExact(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	// In a random order, so that the separators fall anywhere in a bucket.
+	for _, k := range rand.New(rand.NewSource(1)).Perm(2000) {
+		tr.Put(th, uint64(k)+1, 10*(uint64(k)+1))
+	}
+	d := tr.dir.Load()
+	var sep uint64
+	for _, l := range tr.leaves(th)[1:] {
+		if lo := tr.a.LoadWord(th.P, l+offLo); d.slot(lo-1) == d.slot(lo) {
+			sep = lo
+			break
+		}
+	}
+	if sep == 0 {
+		t.Fatalf("no leaf boundary of %d leaves falls inside one of %d buckets", tr.Splits()+1, len(d.slots))
+	}
+	tr.Get(th, sep-1)
+	for _, c := range []struct{ key, want uint64 }{{sep - 1, 1}, {sep, 2}, {sep, 1}, {sep - 1, 2}, {sep - 1, 1}} {
+		var v uint64
+		if n := attempts(th, func() { v, _ = tr.Get(th, c.key) }); n != c.want || v != 10*c.key {
+			t.Fatalf("get(%d) with separator %d: %d transactions, value %d; want %d and %d", c.key, sep, n, v, c.want, 10*c.key)
+		}
+	}
+}
+
+// TestLeafHintTiedToItsTree: two trees on one device — whose leaves have
+// equal seqnos and cover the same keys — never share directory entries: a
+// key one tree serves from its directory still descends in the other, and
+// every get reads its own tree's value.
+func TestLeafHintTiedToItsTree(t *testing.T) {
+	h, th := treetest.NewDevice(1 << 22)
+	a, b := New(h, th, DefaultConfig), New(h, th, DefaultConfig)
+	for k := uint64(1); k <= 8; k++ {
+		a.Put(th, k, k)
+		b.Put(th, k, 100+k)
+	}
+	b.dir.Store(b.newDir(b.Splits() + 1))
+	for i, c := range []struct {
+		tr         *Tree
+		base, want uint64
+	}{{a, 0, 1}, {b, 100, 2}, {b, 100, 1}, {a, 0, 1}} {
+		var v uint64
+		var ok bool
+		if n := attempts(th, func() { v, ok = c.tr.Get(th, 3) }); n != c.want || !ok || v != c.base+3 {
+			t.Fatalf("get %d: %d transactions, %d,%v; want %d and %d", i, n, v, ok, c.want, c.base+3)
+		}
+	}
+}
+
+// TestHintFenceMutantCaught is the checker's self-test for the fences: a
+// split that leaves its separator inside the left leaf's fences lets an
+// operation on that key that finds the left leaf in the directory act on
+// it, and the sweep the healthy tree passes must reject that with a shrunk
+// case that replays.
+func TestHintFenceMutantCaught(t *testing.T) {
+	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
+		tr := New(h, boot, hotTiny())
+		tr.fenceSlack = 1
+		return tr
+	}
+	histories, fail := check.Sweep("euno-fence-broken", mk, check.DefaultSweep(48))
+	if fail == nil {
+		t.Fatalf("the overlapping fence survived %d histories; the checker cannot see a directory guess go wrong", histories)
+	}
+	t.Logf("caught after %d histories: %s", histories, fail.Workload)
+	if base := check.DefaultWorkload(); fail.Workload.Ops >= base.Ops && fail.Workload.Procs >= base.Procs && fail.Workload.Keys >= base.Keys {
+		t.Errorf("shrinking reduced nothing: %s (base %s)", fail.Workload, base)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
+			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
+		}
+	}
+	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
+	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
+		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
+	}
+}

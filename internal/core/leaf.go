@@ -11,7 +11,9 @@ import (
 //
 //	line 0 (TagNodeMeta):  w0 seqno, w1 next-leaf, w2 run count, w3 the
 //	    leaf's state: segments in use, 0 for a dense leaf, Segments for a
-//	    partitioned one (leafSegs; kept by an adaptive tree only).
+//	    partitioned one (leafSegs; kept by an adaptive tree only); w4 and
+//	    w5 the fences, the first and last key the leaf covers, written only
+//	    by a split, before the seqno it bumps.
 //	data lines (TagKeys), stableOff up to the CCM line:
 //	  dense leaf: one run of up to denseCap interleaved (key,value) pairs,
 //	    sorted by key, searched, updated and shifted in place by the lower
@@ -44,6 +46,8 @@ const (
 	offNext        = 1
 	offStableCount = 2
 	offSegs        = 3
+	offLo          = 4
+	offHi          = 5
 	offLeafData    = 8
 	// convHeaderWords reserves the conventional in-node version/status
 	// header at the head of the key area in the unpartitioned (+Split HTM)
@@ -204,21 +208,20 @@ func (t *Tree) homeSeg(key uint64) int {
 	return int(x % uint64(t.cfg.Segments))
 }
 
-// seqnoValid is the lower region's re-validation of the sampled sequence
-// number — the load-bearing check of the whole split-region protocol. The
-// DisableSeqnoCheck escape hatch exists only for the checker's mutation
-// self-test (a checker that cannot reject a known-broken tree proves
-// nothing); it must never be set outside tests.
-func (t *Tree) seqnoValid(tx *htm.Tx, leaf simmem.Addr, s0 uint64) bool {
-	if t.cfg.DisableSeqnoCheck {
-		return true
-	}
-	return tx.Load(leaf+offSeqno) == s0
+// stitched is the lower region's re-validation of what the descent or the
+// directory found — the leaf still reads the sampled seqno and its fences
+// hold key — the load-bearing check of the whole split-region protocol. The
+// DisableSeqnoCheck escape hatch turns it off, fences included; it exists
+// only for the checker's mutation self-test (a checker that cannot reject a
+// known-broken tree proves nothing) and must never be set outside tests.
+func (t *Tree) stitched(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) bool {
+	return t.cfg.DisableSeqnoCheck ||
+		tx.Load(leaf+offSeqno) == s0 && tx.Load(leaf+offLo) <= key && key <= tx.Load(leaf+offHi)
 }
 
 // leafGet searches the leaf inside the lower region.
 func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, uint64) {
-	if !t.seqnoValid(tx, leaf, s0) {
+	if !t.stitched(tx, leaf, s0, key) {
 		return oMismatch, 0
 	}
 	segs := t.leafSegs(tx, leaf)
@@ -250,7 +253,7 @@ func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, u
 // only after the commit would open a window in which the absent-key fast
 // path misses a committed record. Updates never need the mark.
 func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, randomSched bool, rnd *vclock.Rand, needMark bool) outcome {
-	if !t.seqnoValid(tx, leaf, s0) {
+	if !t.stitched(tx, leaf, s0, key) {
 		return oMismatch
 	}
 	segs := t.leafSegs(tx, leaf)
@@ -367,7 +370,7 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 // delete that pushes the leaf past the rebalance threshold triggers one
 // (see Tree.Delete). tombstoned reports whether a stable entry was marked.
 func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out outcome, tombstoned bool) {
-	if !t.seqnoValid(tx, leaf, s0) {
+	if !t.stitched(tx, leaf, s0, key) {
 		return oMismatch, false
 	}
 	segs := t.leafSegs(tx, leaf)
@@ -582,6 +585,7 @@ func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) outcome {
 	var out outcome
 	var compacted bool
+	var sep uint64
 	var staging simmem.Addr
 	var stagingWords int
 	ccm := t.ccmAddr(leaf)
@@ -590,7 +594,7 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 	sc := t.borrowScratch(th)
 	th.Execute(t.lowerPol, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
-		out, compacted = t.leafMaintBody(tx, sc, leaf, s0, key, val, score, &staging, &stagingWords)
+		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, key, val, score, &staging, &stagingWords)
 	})
 	sc.lent = false
 	if staging != simmem.NilAddr {
@@ -600,18 +604,23 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 	if compacted {
 		t.compactions.Add(1)
 	}
+	if sep != 0 {
+		t.noteSplit(sep)
+	}
 	return out
 }
 
-func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool) {
+// leafMaintBody is leafMaint's region; sep is the separator of the split it
+// made, 0 if it made none (a split's right half never starts at key 0).
+func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool, sep uint64) {
 	if tx.Load(leaf+offSeqno) != s0 {
-		return oMismatch, false
+		return oMismatch, false, 0
 	}
 	put := val != tree.Tombstone
 	segs := t.leafSegs(tx, leaf)
 	hot := t.staysPart(score, segs)
 	if !put && segs == t.cfg.Segments {
-		return oAbsent, false // promoted by someone else meanwhile
+		return oAbsent, false, 0 // promoted by someone else meanwhile
 	}
 	// Re-check: a concurrent put may have inserted or updated the key (or
 	// freed segment space) before we took the leaf lock.
@@ -619,7 +628,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		seg := t.segBase(leaf, j)
 		if idx, _, found := t.segSearch(tx, seg, key); found {
 			tx.Store(seg+simmem.Addr(2+2*idx), val)
-			return oUpdated, false
+			return oUpdated, false, 0
 		}
 	}
 	if t.dropSegs && !hot {
@@ -656,7 +665,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 			tx.Fault(htm.FaultMidSplit)
 		}
 		t.writeLeaf(tx, leaf, recs, hot)
-		return out, true
+		return out, true, 0
 	}
 	// Split (Figure 7): re-traverse from the root *inside this
 	// transaction* so the parent path is consistent with the split.
@@ -664,27 +673,30 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		key = recs[0].k // a promotion descends by a key of the leaf's own
 	}
 	sc.path = sc.path[:0]
-	found, _, _ := t.descend(tx, key, &sc.path)
-	if found != leaf {
-		return oMismatch, false
+	if t.descend(tx, key, &sc.path) != leaf {
+		return oMismatch, false, 0
 	}
 	// Structural modification begins: an injected abort here must discard
 	// the half-built split wholesale.
 	tx.Fault(htm.FaultMidSplit)
 	half := len(recs) / 2
+	sep = recs[half].k
 	right := t.newLeafTx(tx)
 	t.writeLeaf(tx, leaf, recs[:half], hot)
 	t.writeLeaf(tx, right, recs[half:], hot)
 	tx.Store(right+offNext, tx.Load(leaf+offNext))
 	tx.Store(leaf+offNext, uint64(right))
+	// The fences go before the seqno: the commit writes back in store order
+	// and the directory's direct probe loads the seqno first (locate).
+	tx.Store(right+offLo, sep)
+	tx.Store(right+offHi, tx.Load(leaf+offHi))
+	tx.Store(leaf+offHi, sep-1+t.fenceSlack)
 	tx.Store(leaf+offSeqno, s0+1)
 	if t.cfg.CCMMarkBits {
 		t.initMarks(tx, right, recs[half:])
 	}
-	sep := recs[half].k
 	t.insertUp(tx, sc.path, sep, right)
-	t.splits.Add(1)
-	return out, false
+	return out, false, sep
 }
 
 // initMarks computes the new (unpublished) right leaf's counting marks

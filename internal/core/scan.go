@@ -14,21 +14,22 @@ import (
 // regions on leaves no emptier than a split leaves them.
 const scanRegionLines = 40
 
-// Scan implements tree.KV range queries (Section 4.2.4). After the upper
-// region, one lower region re-validates the first leaf's sequence number and
-// then follows next inside the same transaction, for as long as the scan
-// still wants keys and up to scanLeaves leaves: every key a region returns
-// comes from one atomic snapshot of those adjacent leaves. The region reads
-// each leaf through scanLeaf — only from cur on, only as many records as are
-// still wanted — into the thread's own scratch (borrowScratch), and the
-// records are emitted to fn after it commits, so retries never re-deliver.
-// The scan takes no advisory lock and accounts no reserved-keys staging (see
-// the package comment's deviations).
+// Scan implements tree.KV range queries (Section 4.2.4). After the leaf
+// directory or the upper region (locate), one lower region re-validates the
+// first leaf's sequence number and fences and then follows next inside the
+// same transaction, for as long as the scan still wants keys and up to
+// scanLeaves leaves: every key a region returns comes from one atomic
+// snapshot of those adjacent leaves. The region reads each leaf through
+// scanLeaf — only from cur on, only as many records as are still wanted —
+// into the thread's own scratch (borrowScratch), and the records are emitted
+// to fn after it commits, so retries never re-deliver. The scan takes no
+// advisory lock and accounts no reserved-keys staging (see the package
+// comment's deviations).
 //
 // A region that stops at its leaf budget hands the (address, seqno) pair it
-// sampled for the following leaf to the next region as the connection point;
-// if validation of that leaf fails, the scan re-traverses from the root at
-// the first unvisited key.
+// sampled for the following leaf to the next region as the connection point,
+// whose seqno alone re-validates it; if that fails, the scan locates the
+// first unvisited key afresh.
 func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint64) bool) int {
 	if max <= 0 {
 		return 0
@@ -42,12 +43,10 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 	buf := sc.buf
 
 	for {
-		var leaf simmem.Addr
-		var s0 uint64
-		if chainLeaf != simmem.NilAddr {
-			leaf, s0 = chainLeaf, chainSeq
-		} else {
-			leaf, s0, _, _, _ = t.upper(th, cur)
+		leaf, s0 := chainLeaf, chainSeq
+		chained := leaf != simmem.NilAddr
+		if !chained {
+			leaf, s0, _ = t.locate(th, cur)
 		}
 		th.NoteNode(uint64(leaf))
 		ok := false
@@ -56,7 +55,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 		want := max - visited
 		th.Execute(t.lowerPol, func(tx *htm.Tx) {
 			ok, next, nextSeq, buf = false, simmem.NilAddr, 0, buf[:0]
-			if tx.Load(leaf+offSeqno) != s0 {
+			if chained && tx.Load(leaf+offSeqno) != s0 || !chained && !t.stitched(tx, leaf, s0, cur) {
 				return
 			}
 			ok = true
@@ -95,34 +94,24 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 
 // threadScratch is what a tree keeps on its htm.Thread between operations:
 // buffers for the ones which stage records — Scan, compaction, the split —
-// so that they need not allocate, and the point operations' leaf hints.
+// so that they need not allocate.
 type threadScratch struct {
 	buf  []pair        // a scan region's records, or a leaf's plus the one being put
 	path []simmem.Addr // the root-to-parent path of a split
 	lent bool          // buf and path are borrowed; the borrower clears it
-	hints
 }
 
-// scratch returns th's scratch, made on first use, holding t's leaf hints.
-func (t *Tree) scratch(th *htm.Thread) *threadScratch {
+// borrowScratch lends the thread's buffers, made on first use, for the
+// length of an operation, which hands them back with sc.lent = false. Lent,
+// not shared: an operation started from a Scan callback on this thread finds
+// them out and makes its own.
+func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
 	sc, _ := th.Scratch.(*threadScratch)
-	if sc == nil {
+	switch {
+	case sc == nil:
 		sc = new(threadScratch)
 		th.Scratch = sc
-	}
-	if sc.tree != t {
-		sc.hints = hints{tree: t, sets: new([hintSets][2]hint)}
-	}
-	return sc
-}
-
-// borrowScratch lends the thread's buffers for the length of an operation,
-// which hands them back with sc.lent = false. Lent, not shared: an
-// operation started from a Scan callback on this thread finds them out and
-// makes its own.
-func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
-	sc := t.scratch(th)
-	if sc.lent {
+	case sc.lent:
 		sc = new(threadScratch)
 	}
 	sc.lent = true

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"eunomia/internal/htm"
@@ -50,6 +51,11 @@ type Tree struct {
 	upperPol htm.RetryPolicy
 	lowerPol htm.RetryPolicy
 
+	// dir is the leaf directory; sepLo and sepHi are the smallest and largest
+	// separators a split has made, which place the next one (newDir).
+	dir          atomic.Pointer[leafDir]
+	sepLo, sepHi atomic.Uint64
+
 	// Diagnostics.
 	splits      atomic.Uint64
 	compactions atomic.Uint64
@@ -57,9 +63,11 @@ type Tree struct {
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
 
-	// dropSegs and widenFence seed bugs for the checker's self-tests: a lossy
-	// demotion (adapt_test.go), a hint fence one separator wide (hint_test.go).
-	dropSegs, widenFence bool
+	// dropSegs and fenceSlack seed bugs for the checker's self-tests: a
+	// lossy demotion (adapt_test.go) and, at 1, a split whose left leaf
+	// keeps the separator inside its fences (dir_test.go).
+	dropSegs   bool
+	fenceSlack uint64
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -99,8 +107,11 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 
 	t.meta = t.a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagTreeMeta)
 	root := t.newLeaf(boot.P)
+	t.a.StoreWordDirect(boot.P, root+offHi, math.MaxUint64)
 	t.a.StoreWordDirect(boot.P, t.meta+metaRoot, uint64(root))
 	t.a.StoreWordDirect(boot.P, t.meta+metaDepth, 1)
+	t.sepLo.Store(math.MaxUint64)
+	t.dir.Store(t.newDir(1))
 	return t
 }
 
@@ -148,118 +159,105 @@ func (t *Tree) intChild(node simmem.Addr, i int) simmem.Addr {
 	return node + simmem.Addr(offIntKeys+t.cfg.StableCap+i)
 }
 
-// descend walks from the root to the leaf covering key inside tx and returns
-// it with its fences, the keys lo..hi it covers, from the separators the
-// searches load anyway; path, if not nil, records the split's parent path.
-func (t *Tree) descend(tx *htm.Tx, key uint64, path *[]simmem.Addr) (leaf simmem.Addr, lo, hi uint64) {
+// descend walks from the root to the leaf covering key inside tx; path, if
+// not nil, records the split's parent path.
+func (t *Tree) descend(tx *htm.Tx, key uint64, path *[]simmem.Addr) simmem.Addr {
 	node := simmem.Addr(tx.Load(t.meta + metaRoot))
 	depth := tx.Load(t.meta + metaDepth)
-	lo, hi = 0, math.MaxUint64
 	for d := depth; d > 1; d-- {
 		if path != nil {
 			*path = append(*path, node)
 		}
-		count := int(tx.Load(node + offCount))
-		l, h := 0, count
-		for l < h {
-			mid := (l + h) / 2
-			if sep := tx.Load(t.intKey(node, mid)); sep <= key {
-				l, lo = mid+1, sep
+		lo, hi := 0, int(tx.Load(node+offCount))
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if tx.Load(t.intKey(node, mid)) <= key {
+				lo = mid + 1
 			} else {
-				h, hi = mid, sep-1
+				hi = mid
 			}
 		}
-		if t.widenFence && l+1 < count {
-			hi = tx.Load(t.intKey(node, l+1)) - 1 // the seeded bug
-		}
-		node = simmem.Addr(tx.Load(t.intChild(node, l)))
+		node = simmem.Addr(tx.Load(t.intChild(node, lo)))
 	}
-	return node, lo, hi
+	return node
 }
 
 // upper executes the upper HTM region (Algorithm 2 lines 23-28): traverse
 // the index and sample the target leaf's sequence number — and, from the
 // same line, its state, by which the caller decides whether to consult the
 // CCM line at all (advisory: the lower region reads the state it acts on).
-func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, segs int, lo, hi uint64) {
+func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, segs int) {
 	// Upper-region conflicts happen on interior/meta lines, not the leaf
 	// the previous operation annotated — clear the observability node
 	// annotation so they attribute to their raw conflict line.
 	th.NoteNode(0)
 	th.Execute(t.upperPol, func(tx *htm.Tx) {
-		leaf, lo, hi = t.descend(tx, key, nil)
+		leaf = t.descend(tx, key, nil)
 		s0 = tx.Load(leaf + offSeqno)
 		segs = t.leafSegs(tx, leaf)
 	})
-	return leaf, s0, segs, lo, hi
+	return leaf, s0, segs
 }
 
-// A thread's leaf hints for one tree: hintSets sets of two 32-byte entries,
-// a line each, key's set at key>>4; after hintMiss misses in a row only one
-// op in hintEvery looks up and fills, until a hit (DESIGN.md §5.2).
-const hintSets, hintMiss, hintEvery = 256, 64, 16
-
-// hint is a leaf the upper region found covering keys lo..hi at seqno;
-// leaf holds its line-aligned address and CLOCK's reference bit in bit 0.
-type hint struct{ lo, hi, leaf, seqno uint64 }
-
-type hints struct {
-	tree        *Tree
-	sets        *[hintSets][2]hint // pointer-free, so the allocator aligns each set to a line
-	misses, ops uint32             // misses in a row, up to hintMiss; ops the closed gate saw
+// leafDir is the tree's leaf directory (DESIGN.md §5.2): a lossy table of
+// leaf addresses, 0 for none, key's bucket at ((key-base)>>shift) masked to
+// the table. An entry is a guess; the fences its leaf carries check it.
+type leafDir struct {
+	base  uint64
+	shift int
+	slots []atomic.Uint64
 }
 
-// entry returns the entry of key's set that covers key, or nil.
-func (h *hints) entry(key uint64) *hint {
-	s := &h.sets[key>>4%hintSets]
-	for i := range s {
-		if e := &s[i]; e.leaf != 0 && e.lo <= key && key <= e.hi {
-			return e
-		}
+// newDir makes an empty directory for a tree of the given leaves: the power
+// of two at least twice as many buckets, spread over the keys between the
+// smallest and the largest separator made so far.
+func (t *Tree) newDir(leaves uint64) *leafDir {
+	size := uint64(2)
+	for size < 2*leaves {
+		size *= 2
 	}
-	return nil
+	lo, hi := t.sepLo.Load(), t.sepHi.Load()
+	lo = min(lo, hi) // no split yet: no spread
+	return &leafDir{base: lo, shift: max(0, bits.Len64(hi-lo)-bits.Len64(size-1)),
+		slots: make([]atomic.Uint64, size)}
 }
 
-// fill stores e over the first entry of key's set CLOCK finds unreferenced.
-func (h *hints) fill(key uint64, e hint) {
-	s := &h.sets[key>>4%hintSets]
-	for i := 0; ; i = (i + 1) % len(s) {
-		if s[i].leaf&1 == 0 {
-			s[i] = e
-			return
-		}
-		s[i].leaf &^= 1
+func (d *leafDir) slot(key uint64) *atomic.Uint64 {
+	return &d.slots[(key-d.base)>>d.shift&uint64(len(d.slots)-1)]
+}
+
+// noteSplit counts a committed split at separator sep and, once the leaves
+// outnumber half the directory's buckets, swaps in an empty one twice the
+// size.
+func (t *Tree) noteSplit(sep uint64) {
+	for lo := t.sepLo.Load(); sep < lo && !t.sepLo.CompareAndSwap(lo, sep); lo = t.sepLo.Load() {
+	}
+	for hi := t.sepHi.Load(); sep > hi && !t.sepHi.CompareAndSwap(hi, sep); hi = t.sepHi.Load() {
+	}
+	leaves := t.splits.Add(1) + 1
+	if d := t.dir.Load(); leaves > uint64(len(d.slots)/2) {
+		t.dir.CompareAndSwap(d, t.newDir(leaves))
 	}
 }
 
-// locate finds key's leaf, seqno and state for a point operation: from a
-// hint whose leaf still reads the hinted seqno — a direct load of the line
-// the lower region reads first anyway — or by the upper region, which
-// refills it. A stale hint is dropped here, also on an oMismatch's retry.
+// locate finds key's leaf, seqno and state for a point operation or a
+// scan's first leaf: from key's directory bucket when its leaf's fences,
+// loaded directly after the seqno, cover key; otherwise by the upper
+// region, whose leaf then fills the bucket.
 func (t *Tree) locate(th *htm.Thread, key uint64) (simmem.Addr, uint64, int) {
-	h := &t.scratch(th).hints
-	if h.misses == hintMiss {
-		if h.ops++; h.ops%hintEvery != 0 {
-			leaf, s0, segs, _, _ := t.upper(th, key)
-			return leaf, s0, segs
-		}
-	}
-	if e := h.entry(key); e != nil {
-		leaf := simmem.Addr(e.leaf &^ 1)
-		if s0 := t.a.LoadWord(th.P, leaf+offSeqno); s0 == e.seqno {
-			e.leaf |= 1
-			h.misses = 0
+	slot := t.dir.Load().slot(key)
+	if leaf := simmem.Addr(slot.Load()); leaf != simmem.NilAddr {
+		s0 := t.a.LoadWord(th.P, leaf+offSeqno)
+		if t.a.LoadWord(th.P, leaf+offLo) <= key && key <= t.a.LoadWord(th.P, leaf+offHi) {
 			segs := t.cfg.Segments
 			if t.cfg.Adaptive {
 				segs = int(t.a.LoadWord(th.P, leaf+offSegs))
 			}
 			return leaf, s0, segs
 		}
-		*e = hint{}
 	}
-	h.misses = min(h.misses+1, hintMiss)
-	leaf, s0, segs, lo, hi := t.upper(th, key)
-	h.fill(key, hint{lo, hi, uint64(leaf), s0})
+	leaf, s0, segs := t.upper(th, key)
+	slot.Store(uint64(leaf))
 	return leaf, s0, segs
 }
 
@@ -279,7 +277,8 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 	for {
 		leaf, s0, segs := t.locate(th, key)
 		// The stitch: between here and the lower region the leaf may split,
-		// compact, or fill — correctness rests on the seqno re-validation.
+		// compact, or fill — correctness rests on the re-validation of the
+		// seqno and the fences.
 		th.Fault(htm.FaultStitch)
 		th.NoteStitch(uint64(leaf))
 		th.NoteNode(uint64(leaf))
@@ -289,7 +288,8 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		if useMark && t.markCount(th.P, ccm, slot) == 0 {
 			// Mark slots say no key in this leaf hashes here. Validate the
 			// leaf is still current (a split could have moved the key);
-			// marks never under-count, so a clean seqno proves absence.
+			// marks never under-count, so a clean seqno proves absence —
+			// from the directory too, which loaded it before the fences.
 			if t.a.LoadWord(th.P, leaf+offSeqno) == s0 {
 				t.markRejects.Add(1)
 				return 0, false

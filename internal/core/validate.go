@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
@@ -14,50 +15,56 @@ import (
 //
 // Checked invariants:
 //   - internal nodes: separator keys strictly ascending and within the
-//     node's inherited (low, high] bounds; child count = key count + 1;
+//     node's inherited [low, high] bounds; child count = key count + 1;
 //   - leaves: the state word is 0 (dense) or Segments (partitioned); the
 //     run strictly sorted and no longer than its state allows (denseCap,
-//     StableCap); in a partitioned leaf every segment strictly sorted; all
-//     keys within the leaf's separator bounds; no key present twice among
+//     StableCap); in a partitioned leaf every segment strictly sorted; no
+//     key present twice among
 //     live locations (a stable entry shadowed by a segment copy is
 //     allowed, a duplicate within or across segments is not). A dense
 //     leaf's segment area is run or garbage and is not interpreted;
 //   - the leaf chain visits leaves in ascending key order and agrees with
 //     the set of leaves reachable from the root;
+//   - fences: the first leaf's lo is 0, the last leaf's hi is MaxUint64,
+//     each leaf's lo is the previous leaf's hi + 1, every key lies within
+//     its leaf's fences, and the fences are the parent separators' bounds;
 //   - with mark slots enabled, every live key's slot has a nonzero count
 //     (marks may over-count, never under-count).
 func (t *Tree) Validate(p vclock.Proc) error {
 	root := simmem.Addr(t.a.LoadWord(p, t.meta+metaRoot))
 	depth := t.a.LoadWord(p, t.meta+metaDepth)
-	chain := map[simmem.Addr]bool{}
-	var prevLeafMax *uint64
-	if err := t.validateNode(p, root, depth, 0, ^uint64(0), chain, &prevLeafMax); err != nil {
-		return err
-	}
-	// The next-pointer chain must visit exactly the reachable leaves.
+	// The next-pointer chain, whose fences must tile the keys in order.
 	leftmost := root
 	for d := depth; d > 1; d-- {
 		leftmost = simmem.Addr(t.a.LoadWord(p, t.intChild(leftmost, 0)))
 	}
-	seen := 0
+	chain := map[simmem.Addr]bool{} // leaves on it the recursion has yet to reach
+	var lo uint64                   // the lo fence the next leaf must have
 	for l := leftmost; l != simmem.NilAddr; l = simmem.Addr(t.a.LoadWord(p, l+offNext)) {
-		if !chain[l] {
-			return fmt.Errorf("leaf %d on the chain but not reachable from the root", l)
+		if got := t.a.LoadWord(p, l+offLo); got != lo {
+			return fmt.Errorf("leaf %d: lo fence %d, want %d (0 first, else the previous hi + 1)", l, got, lo)
 		}
-		seen++
+		hi := t.a.LoadWord(p, l+offHi)
+		if t.a.LoadWord(p, l+offNext) == uint64(simmem.NilAddr) && hi != math.MaxUint64 {
+			return fmt.Errorf("last leaf %d: hi fence %d, want MaxUint64", l, hi)
+		}
+		lo = hi + 1
+		chain[l] = true
 	}
-	if seen != len(chain) {
-		return fmt.Errorf("chain visits %d leaves, tree has %d", seen, len(chain))
+	if err := t.validateNode(p, root, depth, 0, ^uint64(0), chain); err != nil {
+		return err
+	}
+	if len(chain) != 0 {
+		return fmt.Errorf("%d leaves on the chain not reachable from the root", len(chain))
 	}
 	return nil
 }
 
 // validateNode recursively checks the subtree at node, whose keys must lie
-// in (low, high]. (low is exclusive via "k >= low" convention below with
-// low=0 at the root; keys are >= 1 in practice.)
-func (t *Tree) validateNode(p vclock.Proc, node simmem.Addr, depth uint64, low, high uint64, chain map[simmem.Addr]bool, prevLeafMax **uint64) error {
+// in [low, high].
+func (t *Tree) validateNode(p vclock.Proc, node simmem.Addr, depth uint64, low, high uint64, chain map[simmem.Addr]bool) error {
 	if depth == 1 {
-		return t.validateLeaf(p, node, low, high, chain, prevLeafMax)
+		return t.validateLeaf(p, node, low, high, chain)
 	}
 	count := int(t.a.LoadWord(p, node+offCount))
 	if count < 1 || count > t.cfg.StableCap {
@@ -84,7 +91,7 @@ func (t *Tree) validateNode(p vclock.Proc, node simmem.Addr, depth uint64, low, 
 		if child == simmem.NilAddr {
 			return fmt.Errorf("internal %d: nil child %d", node, i)
 		}
-		if err := t.validateNode(p, child, depth-1, childLow, childHigh, chain, prevLeafMax); err != nil {
+		if err := t.validateNode(p, child, depth-1, childLow, childHigh, chain); err != nil {
 			return err
 		}
 		if i < count {
@@ -94,11 +101,11 @@ func (t *Tree) validateNode(p vclock.Proc, node simmem.Addr, depth uint64, low, 
 	return nil
 }
 
-func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, chain map[simmem.Addr]bool, prevLeafMax **uint64) error {
-	if chain[leaf] {
-		return fmt.Errorf("leaf %d reachable twice", leaf)
+func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, chain map[simmem.Addr]bool) error {
+	if !chain[leaf] {
+		return fmt.Errorf("leaf %d reachable from the root twice or not on the chain", leaf)
 	}
-	chain[leaf] = true
+	delete(chain, leaf)
 	live := map[uint64]bool{} // live key locations (segments first)
 	inStable := map[uint64]bool{}
 
@@ -113,14 +120,15 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 	if stCount < 0 || stCount > t.denseCap || (segs != 0 && stCount > t.cfg.StableCap) {
 		return fmt.Errorf("leaf %d: run of %d records out of range with %d segments in use", leaf, stCount, segs)
 	}
+	lo, hi := t.a.LoadWord(p, leaf+offLo), t.a.LoadWord(p, leaf+offHi)
 	prev := uint64(0)
 	for i := 0; i < stCount; i++ {
 		k := t.a.LoadWord(p, t.stableK(leaf, i))
 		if i > 0 && k <= prev {
 			return fmt.Errorf("leaf %d: stable not sorted at %d (%d after %d)", leaf, i, k, prev)
 		}
-		if k < low || k > high {
-			return fmt.Errorf("leaf %d: stable key %d outside (%d, %d]", leaf, k, low, high)
+		if k < lo || k > hi {
+			return fmt.Errorf("leaf %d: stable key %d outside its fences [%d, %d]", leaf, k, lo, hi)
 		}
 		if inStable[k] {
 			return fmt.Errorf("leaf %d: duplicate stable key %d", leaf, k)
@@ -140,8 +148,8 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 			if i > 0 && k <= prev {
 				return fmt.Errorf("leaf %d: segment %d not sorted at %d", leaf, j, i)
 			}
-			if k < low || k > high {
-				return fmt.Errorf("leaf %d: segment key %d outside (%d, %d]", leaf, k, low, high)
+			if k < lo || k > hi {
+				return fmt.Errorf("leaf %d: segment key %d outside its fences [%d, %d]", leaf, k, lo, hi)
 			}
 			if live[k] {
 				return fmt.Errorf("leaf %d: key %d present in two segments", leaf, k)
@@ -173,23 +181,10 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 			}
 		}
 	}
-	// Cross-leaf ordering via the recursion's in-order visit.
-	var maxKey uint64
-	for k := range live {
-		if k > maxKey {
-			maxKey = k
-		}
-	}
-	if *prevLeafMax != nil && len(live) > 0 {
-		for k := range live {
-			if k <= **prevLeafMax {
-				return fmt.Errorf("leaf %d: key %d not greater than previous leaf max %d", leaf, k, **prevLeafMax)
-			}
-		}
-	}
-	if len(live) > 0 {
-		m := maxKey
-		*prevLeafMax = &m
+	// Keys within fences that tile the separators' bounds are in order
+	// across leaves too.
+	if lo != low || hi != high {
+		return fmt.Errorf("leaf %d: fences [%d, %d], the separators bound it to [%d, %d]", leaf, lo, hi, low, high)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"eunomia/internal/htm"
@@ -112,6 +114,50 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	corrupt("an unsorted stable region", tr.stableK(leaf, 0), tr.a.LoadWord(boot.P, tr.stableK(leaf, 1))+1)
 	corrupt("an oversized segment count", tr.segBase(leaf, 0), uint64(tr.cfg.SegCap)+5)
 	corrupt("a partitioned leaf whose run overflows its stable region", leaf+offStableCount, uint64(tr.cfg.StableCap)+1)
+}
+
+// TestValidateDetectsFenceCorruption: one corruption of the fences per rule
+// Validate checks, each reported by that rule. Even keys only, so that a
+// leaf's hi fence, one below an even separator, lies past its last key.
+func TestValidateDetectsFenceCorruption(t *testing.T) {
+	tr, boot := newEuno(t, DefaultConfig)
+	for k := uint64(2); k <= 400; k += 2 {
+		tr.Put(boot, k, k)
+	}
+	validateOrFail(t, tr, boot)
+	leaves := tr.leaves(boot)
+	first, mid, next, last := leaves[0], leaves[len(leaves)/2], leaves[len(leaves)/2+1], leaves[len(leaves)-1]
+	sep := tr.a.LoadWord(boot.P, next+offLo)
+	if sep%2 != 0 || len(leaves) < 4 {
+		t.Fatalf("%d leaves, separator %d; want several leaves and even separators", len(leaves), sep)
+	}
+	type word struct {
+		addr simmem.Addr
+		v    uint64
+	}
+	for _, c := range []struct {
+		rule, report string
+		words        []word
+	}{
+		{"the first leaf's lo is 0", "want 0", []word{{first + offLo, 1}}},
+		{"the last leaf's hi is MaxUint64", "want MaxUint64", []word{{last + offHi, math.MaxUint64 - 1}}},
+		{"a leaf's lo is the previous hi + 1", "the previous hi + 1", []word{{next + offLo, sep + 1}}},
+		{"every key lies within its leaf's fences", "outside its fences", []word{{mid + offHi, sep - 3}, {next + offLo, sep - 2}}},
+		{"the fences are the separators' bounds", "the separators bound it", []word{{mid + offHi, sep - 2}, {next + offLo, sep - 1}}},
+	} {
+		old := make([]uint64, len(c.words))
+		for i, w := range c.words {
+			old[i] = tr.a.LoadWord(boot.P, w.addr)
+			tr.a.StoreWordDirect(boot.P, w.addr, w.v)
+		}
+		if err := tr.Validate(boot.P); err == nil || !strings.Contains(err.Error(), c.report) {
+			t.Fatalf("rule %q: a corruption of it is reported as %v", c.rule, err)
+		}
+		for i, w := range c.words {
+			tr.a.StoreWordDirect(boot.P, w.addr, old[i])
+		}
+		validateOrFail(t, tr, boot)
+	}
 }
 
 func TestValidateUnderCapacityPressure(t *testing.T) {
