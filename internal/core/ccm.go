@@ -156,7 +156,7 @@ func (t *Tree) noteConflicts(th *htm.Thread, leaf simmem.Addr, s0 uint64, segs i
 	ccm := t.ccmAddr(leaf)
 	if aborts > 0 {
 		if t.a.AddWordDirect(th.P, ccm+ccmConflict, aborts) >= t.cfg.HotThreshold && segs != t.cfg.Segments {
-			t.leafMaint(th, leaf, s0, 0, tree.Tombstone)
+			t.leafMaint(th, leaf, s0, segs, 0, tree.Tombstone)
 		}
 		return
 	}

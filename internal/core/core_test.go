@@ -86,7 +86,7 @@ func TestTwoRegionGetUsesTwoTransactions(t *testing.T) {
 		tr.Put(boot, i, i)
 	}
 	// An empty directory, so the get descends: the directory's hit is
-	// TestLeafHintSkipsUpperRegion.
+	// TestLeafDirSkipsUpperRegion.
 	tr.dir.Store(tr.newDir(tr.Splits() + 1))
 	th := tr.h.NewThread(vclock.NewWallProc(1, 0), 2)
 	tr.Get(th, 50)

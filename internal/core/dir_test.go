@@ -18,11 +18,11 @@ func attempts(th *htm.Thread, op func()) uint64 {
 	return th.Stats.Attempts - before
 }
 
-// TestLeafHintSkipsUpperRegion: once the directory holds a key's leaf, a
+// TestLeafDirSkipsUpperRegion: once the directory holds a key's leaf, a
 // get, put or delete of that key is the lower region alone, and so is the
 // first page of a scan from it — on a cold dense leaf and on a hot
 // partitioned one, whose CCM the hit consults as a descent's would.
-func TestLeafHintSkipsUpperRegion(t *testing.T) {
+func TestLeafDirSkipsUpperRegion(t *testing.T) {
 	for _, hot := range []bool{false, true} {
 		tr, th := newEuno(t, DefaultConfig)
 		fill(tr, th, 12)
@@ -49,12 +49,12 @@ func TestLeafHintSkipsUpperRegion(t *testing.T) {
 	}
 }
 
-// TestLeafHintServesUniformKeys: on a tree of many leaves, any key whose
+// TestLeafDirServesUniformKeys: on a tree of many leaves, any key whose
 // bucket an operation on it filled is served from the directory — a get, a
 // put and a scan's first page of a key drawn uniformly each cost one
 // transaction after one get of it — and one pass over every key leaves most
 // uniform gets a hit: a bucket that straddles two leaves holds only one.
-func TestLeafHintServesUniformKeys(t *testing.T) {
+func TestLeafDirServesUniformKeys(t *testing.T) {
 	const n = 1 << 16
 	h, th := treetest.NewHostDevice(1 << 22)
 	tr := New(h, th, DefaultConfig)
@@ -96,13 +96,13 @@ func TestLeafHintServesUniformKeys(t *testing.T) {
 	}
 }
 
-// TestLeafHintSplitCaughtBeforeTheRegion: after another thread splits a
+// TestLeafDirSplitCaughtBeforeTheRegion: after another thread splits a
 // leaf the directory holds, the probe's fences send an operation on a key
 // that moved to the new right leaf down the upper region before any lower
 // region runs on the stale leaf, so no root retry is counted, and the
 // descent refills the bucket; a key that stayed is still served, though the
 // split bumped the seqno.
-func TestLeafHintSplitCaughtBeforeTheRegion(t *testing.T) {
+func TestLeafDirSplitCaughtBeforeTheRegion(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
 	n := 2 * uint64(tr.denseCap)
 	fill(tr, th, n) // ascending: the last leaf ends full
@@ -133,11 +133,11 @@ func TestLeafHintSplitCaughtBeforeTheRegion(t *testing.T) {
 	}
 }
 
-// TestLeafHintFencesAreExact: a bucket that holds one leaf serves exactly
+// TestLeafDirFencesAreExact: a bucket that holds one leaf serves exactly
 // that leaf's keys. At a leaf boundary inside one bucket, the last key of
 // the left leaf and the first of the right — the separator — each descend
 // when the bucket holds the other's leaf, and hit once it holds their own.
-func TestLeafHintFencesAreExact(t *testing.T) {
+func TestLeafDirFencesAreExact(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
 	// In a random order, so that the separators fall anywhere in a bucket.
 	for _, k := range rand.New(rand.NewSource(1)).Perm(2000) {
@@ -163,11 +163,11 @@ func TestLeafHintFencesAreExact(t *testing.T) {
 	}
 }
 
-// TestLeafHintTiedToItsTree: two trees on one device — whose leaves have
+// TestLeafDirTiedToItsTree: two trees on one device — whose leaves have
 // equal seqnos and cover the same keys — never share directory entries: a
 // key one tree serves from its directory still descends in the other, and
 // every get reads its own tree's value.
-func TestLeafHintTiedToItsTree(t *testing.T) {
+func TestLeafDirTiedToItsTree(t *testing.T) {
 	h, th := treetest.NewDevice(1 << 22)
 	a, b := New(h, th, DefaultConfig), New(h, th, DefaultConfig)
 	for k := uint64(1); k <= 8; k++ {
@@ -187,12 +187,12 @@ func TestLeafHintTiedToItsTree(t *testing.T) {
 	}
 }
 
-// TestHintFenceMutantCaught is the checker's self-test for the fences: a
+// TestDirFenceMutantCaught is the checker's self-test for the fences: a
 // split that leaves its separator inside the left leaf's fences lets an
 // operation on that key that finds the left leaf in the directory act on
 // it, and the sweep the healthy tree passes must reject that with a shrunk
 // case that replays.
-func TestHintFenceMutantCaught(t *testing.T) {
+func TestDirFenceMutantCaught(t *testing.T) {
 	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		tr := New(h, boot, hotTiny())
 		tr.fenceSlack = 1

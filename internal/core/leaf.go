@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"eunomia/internal/htm"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
@@ -19,10 +22,11 @@ import (
 //	    sorted by key, searched, updated and shifted in place by the lower
 //	    region: every cold leaf of the full tree. It has no conventional
 //	    header (the +Split HTM leaf's alone, see convHeaderWords).
-//	  partitioned leaf: the run is the stable region, StableCap pairs, only
-//	    written under the leaf's advisory lock during compaction or split,
-//	    so it rarely conflicts (the paper's "reserved keys will not be
-//	    updated and inserted frequently"); then Segments line-aligned
+//	  partitioned leaf: the run is the stable region, StableCap pairs,
+//	    rewritten only by leafMaint, under the leaf's advisory lock (a delete
+//	    aside, which tombstones in place), so it rarely conflicts (the
+//	    paper's "reserved keys will not be updated and inserted
+//	    frequently"); then Segments line-aligned
 //	    blocks, each [count, k0,v0, k1,v1, ...], sorted within the block;
 //	    all puts land here, scattered across blocks, so concurrent writers
 //	    touch different cache lines.
@@ -32,14 +36,15 @@ import (
 // in the stable region: a put that finds its key only in the stable region
 // inserts a *shadow* copy into a segment instead of writing the stable line
 // (keeping hot updates scattered). Lookups search segments before the
-// stable region, so the newest copy always wins; compaction merges with
-// segment priority.
+// stable region, so the newest copy always wins; scanLeaf, the one reader
+// of a leaf's records, merges with segment priority.
 //
 // A leaf is born dense; noteConflicts promotes it and writeLeaf, under the
-// leaf lock, picks the state again at every rewrite (DESIGN.md §5.2). Every
-// lower region reads the state inside its own transaction, so none acts on
-// the wrong layout; what the upper region samples only decides whether the
-// CCM line is consulted, which was always advisory. Marks are kept on dense
+// leaf lock, picks the state again at every rewrite — an overflow, a
+// promotion or a rebalance, all leafMaint (DESIGN.md §5.2). Every lower
+// region reads the state inside its own transaction, so none acts on the
+// wrong layout; what the upper region samples only decides whether the CCM
+// line is consulted, which was always advisory. Marks are kept on dense
 // leaves as on partitioned ones: they never under-count at a promotion.
 const (
 	offSeqno       = 0
@@ -295,23 +300,15 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 		if count == t.denseCap {
 			return oMaint
 		}
-		if src, n := t.stableK(leaf, stIdx), simmem.Addr(2*(count-stIdx)); t.cfg.PartLeaf {
-			// A dense leaf loads every word that moves before it stores
-			// any: a load issued after a store has the write set to probe.
-			var moved [2 * maxRun]uint64
-			for i := n; i > 0; i-- {
-				moved[i-1] = tx.Load(src + i - 1)
-			}
-			for i := n; i > 0; i-- {
-				tx.Store(src+1+i, moved[i-1])
-			}
-		} else {
-			// The +Split HTM leaf keeps the baseline's word-by-word shift:
-			// Figure 13's row is pinned to its order of ticks.
-			for i := count; i > stIdx; i-- {
-				tx.Store(t.stableK(leaf, i), tx.Load(t.stableK(leaf, i-1)))
-				tx.Store(t.stableV(leaf, i), tx.Load(t.stableV(leaf, i-1)))
-			}
+		// Every word that moves is loaded before any is stored: a load
+		// issued after a store has the write set to probe.
+		src, n := t.stableK(leaf, stIdx), simmem.Addr(2*(count-stIdx))
+		var moved [2 * maxRun]uint64
+		for i := n; i > 0; i-- {
+			moved[i-1] = tx.Load(src + i - 1)
+		}
+		for i := n; i > 0; i-- {
+			tx.Store(src+1+i, moved[i-1])
 		}
 		tx.Store(t.stableK(leaf, stIdx), key)
 		tx.Store(t.stableV(leaf, stIdx), val)
@@ -398,85 +395,22 @@ func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out out
 	return oAbsent, false
 }
 
-// compactLeaf drops a leaf's tombstones by rewriting its run under the
-// advisory lock — the deferred rebalance of Section 4.2.4. A stale seqno or
-// an over-full leaf silently skips (the overflow maintenance path handles
-// those cases).
-func (t *Tree) compactLeaf(th *htm.Thread, leaf simmem.Addr, s0 uint64) {
-	ccm := t.ccmAddr(leaf)
-	t.lockLeaf(th.P, ccm)
-	score := t.leafScore(th.P, ccm)
-	var staging simmem.Addr
-	var stagingWords int
-	sc := t.borrowScratch(th)
-	th.Execute(t.lowerPol, func(tx *htm.Tx) {
-		staging, stagingWords = simmem.NilAddr, 0
-		if tx.Load(leaf+offSeqno) != s0 {
-			return
-		}
-		segs := t.leafSegs(tx, leaf)
-		hot := t.staysPart(score, segs)
-		recs := t.collectLive(tx, leaf, segs, sc.buf[:0])
-		if len(recs) > t.rewriteCap(hot) {
-			return
-		}
-		sortPairs(recs)
-		stagingWords = 2*len(recs) + 1
-		staging = tx.AllocAligned(stagingWords, simmem.TagReserved)
-		t.writeLeaf(tx, leaf, recs, hot)
-	})
-	sc.lent = false
-	if staging != simmem.NilAddr {
-		t.a.Free(th.P, staging, stagingWords, simmem.TagReserved)
-		t.compactions.Add(1)
-	}
-	t.a.StoreWordDirect(th.P, ccm+ccmTombs, 0)
-	t.unlockLeaf(th.P, ccm)
-}
-
 // pair is a thread-local staging record.
 type pair struct{ k, v uint64 }
 
-// collectLive gathers every live record of the leaf (segment copies win
-// over stable copies; tombstones dropped) into buf, unsorted.
-func (t *Tree) collectLive(tx *htm.Tx, leaf simmem.Addr, inUse int, buf []pair) []pair {
-	base := len(buf)
-	for j := 0; j < inUse; j++ {
-		seg := t.segBase(leaf, j)
-		count := int(tx.Load(seg))
-		for i := 0; i < count; i++ {
-			k := tx.Load(seg + simmem.Addr(1+2*i))
-			v := tx.Load(seg + simmem.Addr(2+2*i))
-			buf = append(buf, pair{k, v})
-		}
-	}
-	segs := buf[base:] // at most Segments*SegCap entries: probed, not hashed
-	stCount := int(tx.Load(leaf + offStableCount))
-	for i := 0; i < stCount; i++ {
-		k := tx.Load(t.stableK(leaf, i))
-		v := tx.Load(t.stableV(leaf, i))
-		if v == tree.Tombstone {
-			continue
-		}
-		if !hasKey(segs, k) {
-			buf = append(buf, pair{k, v})
-		}
-	}
-	return buf
-}
-
-// scanLeaf is the scans' bounded merged reader: it appends to out, in key
-// order, the leaf's live records with key >= from (segment copies shadow
-// stable ones; tombstones dropped), stopping once out holds limit records.
-// The at most Segments×SegCap (validate: under 32) segment records >= from
-// are insertion-merged on the stack and then merged with the stable run
-// from its first key >= from (binary-searched; from 0 needs no search), so
-// it loads no value below from and no stable pair past the limit. A dense
+// scanLeaf is the one reader of a leaf's records, for scans and for every
+// rewrite: it appends to out, in key order, the live records with key >=
+// from of the leaf whose first inUse segments are in use (segment copies
+// shadow stable ones; tombstones dropped), stopping once out holds limit
+// records. The at most Segments×SegCap (validate: under 32) segment records
+// >= from are insertion-merged on the stack and then merged with the stable
+// run from its first key >= from (binary-searched; from 0 needs no search),
+// so it loads no value below from and no stable pair past the limit. A dense
 // leaf is the run alone.
-func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, from uint64, out []pair, limit int) []pair {
+func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, out []pair, limit int) []pair {
 	var segs [maxRun]pair
 	n := 0
-	for j, inUse := 0, t.leafSegs(tx, leaf); j < inUse; j++ {
+	for j := 0; j < inUse; j++ {
 		seg := t.segBase(leaf, j)
 		for i, count := 0, int(tx.Load(seg)); i < count; i++ {
 			k := tx.Load(seg + simmem.Addr(1+2*i))
@@ -521,16 +455,6 @@ func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, from uint64, out []pair, l
 	return out
 }
 
-// hasKey reports whether recs holds key.
-func hasKey(recs []pair, key uint64) bool {
-	for _, r := range recs {
-		if r.k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // rewriteCap is how many records a rewrite may leave in one leaf. A cold
 // leaf comes out dense. A hot one comes out partitioned, so they must fit
 // its stable region — and, on an adaptive tree, its segments: once every
@@ -570,19 +494,23 @@ func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 	}
 }
 
-// leafMaint is the locked maintenance path for a put that found no room:
-// it takes the leaf's advisory lock and in one lower region merges segments
-// and run (Figure 6b/6c — moveToReserved + shrinkSegs) or, if the records
-// no longer fit one leaf, performs the sort-split-reorganize of Figure 7
-// (Algorithm 3 lines 67-86). It returns the final outcome of the put. A
-// promotion is the same rewrite with nothing to put: val is then the
-// tombstone, which no put carries.
+// leafMaint is the one locked rewrite of a leaf: it takes the leaf's
+// advisory lock and in one lower region merges segments and run (Figure
+// 6b/6c — moveToReserved + shrinkSegs) or, if the records no longer fit one
+// leaf, performs the sort-split-reorganize of Figure 7 (Algorithm 3 lines
+// 67-86). A put that found no room calls it with its record and gets the
+// put's final outcome. A promotion and the deferred rebalance of Section
+// 4.2.4 call it with nothing to put — val is then the tombstone, which no
+// put carries — and such a rewrite stores nothing once the leaf's state
+// differs from seen, the state its caller found the leaf in: someone else
+// rewrote it meanwhile and did what was asked — a promotion partitioned it,
+// and any rewrite dropped its tombstones.
 //
 // A transient staging buffer is allocated from the arena with TagReserved
 // for the duration of the reorganization and freed afterwards — this is the
 // paper's "reserved keys" footprint measured in Section 5.7 (the merge
 // itself stages through thread-local memory).
-func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) outcome {
+func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, key, val uint64) outcome {
 	var out outcome
 	var compacted bool
 	var sep uint64
@@ -594,7 +522,7 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 	sc := t.borrowScratch(th)
 	th.Execute(t.lowerPol, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
-		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, key, val, score, &staging, &stagingWords)
+		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, seen, key, val, score, &staging, &stagingWords)
 	})
 	sc.lent = false
 	if staging != simmem.NilAddr {
@@ -612,16 +540,16 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0, key, val uint64) 
 
 // leafMaintBody is leafMaint's region; sep is the separator of the split it
 // made, 0 if it made none (a split's right half never starts at key 0).
-func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool, sep uint64) {
+func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0 uint64, seen int, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool, sep uint64) {
 	if tx.Load(leaf+offSeqno) != s0 {
 		return oMismatch, false, 0
 	}
 	put := val != tree.Tombstone
 	segs := t.leafSegs(tx, leaf)
-	hot := t.staysPart(score, segs)
-	if !put && segs == t.cfg.Segments {
-		return oAbsent, false, 0 // promoted by someone else meanwhile
+	if !put && segs != seen {
+		return oAbsent, false, 0 // rewritten by someone else meanwhile
 	}
+	hot := t.staysPart(score, segs)
 	// Re-check: a concurrent put may have inserted or updated the key (or
 	// freed segment space) before we took the leaf lock.
 	for j := 0; put && j < segs; j++ {
@@ -634,22 +562,21 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	if t.dropSegs && !hot {
 		segs = 0 // the seeded bug: a demotion that reads the leaf as dense already
 	}
-	recs := t.collectLive(tx, leaf, segs, sc.buf[:0])
+	recs := t.scanLeaf(tx, leaf, segs, 0, sc.buf[:0], max(t.leafCap(), t.denseCap))
 	out = oInserted
-	for i := range recs {
-		if put && recs[i].k == key {
+	if put {
+		// The scratch has room for the one record more.
+		i, found := slices.BinarySearchFunc(recs, key, func(r pair, k uint64) int { return cmp.Compare(r.k, k) })
+		if found {
 			recs[i].v = val
 			out = oUpdated
-			break
+		} else {
+			recs = slices.Insert(recs, i, pair{key, val})
 		}
 	}
-	if put && out == oInserted {
-		recs = append(recs, pair{key, val})
-	}
-	sortPairs(recs)
 
-	// Model the reserved-keys allocation for the reorganize (a promotion
-	// may find the leaf empty).
+	// Model the reserved-keys allocation for the reorganize (a rewrite with
+	// nothing to put may find the leaf empty).
 	if *stagingWords = 2 * len(recs); *stagingWords > 0 {
 		*staging = tx.AllocAligned(*stagingWords, simmem.TagReserved)
 	}
@@ -660,8 +587,8 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		// is unchanged, so seqno stays — concurrent two-step operations
 		// remain valid, whichever state the leaf comes out in.
 		if !put {
-			// A promotion changes the layout under them as a split does:
-			// an injected abort must discard it wholesale.
+			// A promotion or a rebalance rewrites the leaf under them as a
+			// split does: an injected abort must discard it wholesale.
 			tx.Fault(htm.FaultMidSplit)
 		}
 		t.writeLeaf(tx, leaf, recs, hot)
@@ -670,7 +597,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	// Split (Figure 7): re-traverse from the root *inside this
 	// transaction* so the parent path is consistent with the split.
 	if !put {
-		key = recs[0].k // a promotion descends by a key of the leaf's own
+		key = recs[0].k // nothing to put: descend by a key of the leaf's own
 	}
 	sc.path = sc.path[:0]
 	if t.descend(tx, key, &sc.path) != leaf {

@@ -66,6 +66,112 @@ func TestDeferredRebalanceCompactsTombstones(t *testing.T) {
 	}
 }
 
+// TestRebalanceSplitsACrowdedHotLeaf: a rebalance of a hot leaf that holds
+// more live records than its segments can shadow is the rewrite an overflow
+// would make — a split into partitioned halves — and leaves no tombstone.
+func TestRebalanceSplitsACrowdedHotLeaf(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	fill(tr, th, 12)
+	tr.heat(th) // in place: 12 stable records, empty segments
+	// Short of the threshold the lock bits are off and a put goes to its
+	// key's home segment: fill every segment to the brim.
+	tr.setScore(th, 1, tr.cfg.HotThreshold-1)
+	room := make([]int, tr.cfg.Segments)
+	present := map[uint64]bool{}
+	for k := uint64(1); k <= 12; k++ {
+		present[k] = true
+	}
+	for k := uint64(13); len(present) < 12+tr.cfg.Segments*tr.cfg.SegCap; k++ {
+		if j := tr.homeSeg(k); room[j] < tr.cfg.SegCap {
+			room[j]++
+			present[k] = true
+			tr.Put(th, k, 10*k)
+		}
+	}
+	tr.setScore(th, 1, 1<<62)
+	last := tr.cfg.RebalanceThreshold
+	for k := uint64(1); k < last; k++ {
+		tr.Delete(th, k)
+		delete(present, k)
+	}
+	if tr.Splits() != 0 || countTombstones(t, tr, th) != int(last-1) {
+		t.Fatalf("before the rebalance: %d splits and %d tombstones; want none and %d", tr.Splits(), countTombstones(t, tr, th), last-1)
+	}
+	tr.Delete(th, last)
+	delete(present, last)
+	if live := len(present); live <= tr.rewriteCap(true) {
+		t.Fatalf("%d live records fit a hot leaf's %d; the test exercises nothing", live, tr.rewriteCap(true))
+	}
+	if got := countTombstones(t, tr, th); tr.Splits() != 1 || got != 0 {
+		t.Fatalf("the rebalance made %d splits and left %d tombstones; want a split and none", tr.Splits(), got)
+	}
+	for _, l := range tr.leaves(th) {
+		if segs := tr.a.LoadWord(th.P, l+offSegs); segs != uint64(tr.cfg.Segments) {
+			t.Fatalf("a half of the split has %d segments in use; want it partitioned", segs)
+		}
+	}
+	if err := tr.Validate(th.P); err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k < 64; k++ {
+		if v, ok := tr.Get(th, k); ok != present[k] || ok && v != 10*k {
+			t.Fatalf("get(%d) = %d,%v; want present=%v", k, v, ok, present[k])
+		}
+	}
+}
+
+// TestRebalanceOfARewrittenLeafStoresNothing: a delete that takes a dense
+// leaf's tombstones to the threshold, on a leaf another thread promotes
+// between the delete's locate and its rebalance, stores its tombstone and
+// nothing else: the promotion has already dropped the tombstones the
+// rebalance was for.
+func TestRebalanceOfARewrittenLeafStoresNothing(t *testing.T) {
+	tr, boot := newEuno(t, DefaultConfig)
+	fill(tr, boot, 12)
+	last := tr.cfg.RebalanceThreshold
+	for k := uint64(1); k < last; k++ {
+		tr.Delete(boot, k)
+	}
+	leaf, segs := tr.leafState(boot, last)
+	if segs != 0 || countTombstones(t, tr, boot) != int(last-1) {
+		t.Fatalf("the set-up left %d segments in use and %d tombstones; want a dense leaf with %d", segs, countTombstones(t, tr, boot), last-1)
+	}
+	compactions := tr.Compactions()
+	// Every stitch yields for longer than the promoter waits: the promotion
+	// lands between the delete's locate and its lower region.
+	tr.h.SetFaultInjector(htm.NewFaultInjector(htm.FaultSpec{Point: htm.FaultStitch, Action: htm.ActYield}))
+	var stores uint64
+	vclock.NewSim(2, 0).Run(func(p *vclock.SimProc) {
+		th := tr.h.NewThread(p, uint64(p.ID())+1)
+		if p.ID() == 1 {
+			p.Spin(10_000)
+			tr.heatLeaf(th, leaf)
+			return
+		}
+		before := th.Stats.TxStores
+		tr.Delete(th, last)
+		stores = th.Stats.TxStores - before
+	})
+	tr.h.SetFaultInjector(nil)
+	if stores != 1 || tr.Compactions() != compactions+1 {
+		t.Fatalf("the delete stored %d words and the run made %d compactions; want its tombstone alone and the promotion's", stores, tr.Compactions()-compactions)
+	}
+	if _, segs := tr.leafState(boot, last); segs != tr.cfg.Segments || countTombstones(t, tr, boot) != 1 {
+		t.Fatalf("%d segments in use and %d tombstones; want the promoted leaf with the delete's tombstone", segs, countTombstones(t, tr, boot))
+	}
+	if got := tr.a.LoadWord(boot.P, tr.ccmAddr(leaf)+ccmTombs); got != 0 {
+		t.Fatalf("the tombstone count is %d after the rebalance; want it cleared", got)
+	}
+	for k := uint64(1); k <= 12; k++ {
+		if v, ok := tr.Get(boot, k); ok != (k > last) || ok && v != 10*k {
+			t.Fatalf("get(%d) = %d,%v", k, v, ok)
+		}
+	}
+	if err := tr.Validate(boot.P); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRebalanceUnderConcurrentTrafficSim: threshold compactions racing
 // with puts and gets must preserve correctness.
 func TestRebalanceUnderConcurrentTrafficSim(t *testing.T) {

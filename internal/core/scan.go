@@ -62,7 +62,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 			// Only the first leaf can hold keys below cur; from 0 searches
 			// nothing.
 			for l, n, at := leaf, 1, cur; ; l, n, at = next, n+1, 0 {
-				buf = t.scanLeaf(tx, l, at, buf, want)
+				buf = t.scanLeaf(tx, l, t.leafSegs(tx, l), at, buf, want)
 				next = simmem.Addr(tx.Load(l + offNext))
 				if next == simmem.NilAddr || len(buf) == want {
 					return
@@ -119,18 +119,4 @@ func (t *Tree) borrowScratch(th *htm.Thread) *threadScratch {
 		sc.buf = make([]pair, 0, n+1)
 	}
 	return sc
-}
-
-// sortPairs sorts a leaf's worth of records by key for compaction and the
-// split: an insertion sort, which on the few already-sorted runs collectLive
-// produces does little more than merge them.
-func sortPairs(recs []pair) {
-	for i := 1; i < len(recs); i++ {
-		r := recs[i]
-		j := i
-		for ; j > 0 && recs[j-1].k > r.k; j-- {
-			recs[j] = recs[j-1]
-		}
-		recs[j] = r
-	}
 }

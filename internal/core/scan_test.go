@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"eunomia/internal/htm"
@@ -258,26 +257,30 @@ func (t *Tree) leaves(th *htm.Thread) []simmem.Addr {
 	return out
 }
 
-// TestScanLeafMatchesCollectAndSort: the scans' bounded merged reader is
-// checked against the maintenance path's collectLive + sortPairs on leaves
-// that random puts and deletes leave in every state the layout has — shadow
-// copies, tombstones, a tombstone under a live segment copy, empty and full
-// segments, and dense leaves with and without tombstones — for every from
-// and every limit. Odd seeds keep every leaf hot, even ones leave them cold.
-func TestScanLeafMatchesCollectAndSort(t *testing.T) {
+// TestScanLeafMatchesModel: the one reader of a leaf's records returns, for
+// every from and every limit, what a map of the random puts and deletes
+// holds between the leaf's fences — on leaves those operations leave in
+// every state the layout has: shadow copies, tombstones, a tombstone under
+// a live segment copy, empty and full segments, and dense leaves with and
+// without tombstones. Odd seeds keep every leaf hot, even ones leave them
+// cold.
+func TestScanLeafMatchesModel(t *testing.T) {
 	const keys = 160
 	var shadows, tombs, revived, emptySegs, fullSegs, dense, denseTombs int
 	for seed := int64(1); seed <= 20; seed++ {
 		tr, th := newEuno(t, DefaultConfig)
 		rng := rand.New(rand.NewSource(seed))
+		model := map[uint64]uint64{}
 		for i := 0; i < 600; i++ {
 			if seed%2 == 1 && i%50 == 0 {
 				tr.heat(th)
 			}
 			if k := uint64(rng.Intn(keys)); rng.Intn(3) == 0 {
 				tr.Delete(th, k)
+				delete(model, k)
 			} else {
 				tr.Put(th, k, uint64(i)+1)
+				model[k] = uint64(i) + 1
 			}
 		}
 		leaves := tr.leaves(th)
@@ -312,8 +315,12 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 						shadows++
 					}
 				}
-				live := tr.collectLive(tx, leaf, segs, nil)
-				sortPairs(live)
+				var live []pair
+				for k := tx.Load(leaf + offLo); k <= min(tx.Load(leaf+offHi), keys); k++ {
+					if v, ok := model[k]; ok {
+						live = append(live, pair{k, v})
+					}
+				}
 				for from := uint64(0); from <= keys; from++ {
 					want := live
 					for len(want) > 0 && want[0].k < from {
@@ -321,7 +328,7 @@ func TestScanLeafMatchesCollectAndSort(t *testing.T) {
 					}
 					for limit := 1; limit <= len(want)+1; limit++ {
 						pre := []pair{{1 << 40, 7}} // what the region already holds stays
-						got := tr.scanLeaf(tx, leaf, from, pre, limit+1)
+						got := tr.scanLeaf(tx, leaf, segs, from, pre, limit+1)
 						w := want[:min(limit, len(want))]
 						if len(got) != len(w)+1 || got[0] != pre[0] || !slices.Equal(got[1:], w) {
 							t.Fatalf("seed %d leaf %d from %d limit %d: scanLeaf = %v, want %v", seed, leaf, from, limit, got[1:], w)
@@ -444,32 +451,5 @@ func TestScanOrderedAcrossRegionsUnderSplits(t *testing.T) {
 	}
 	if tr.Splits() == splits {
 		t.Fatal("the writer split no leaf; the test exercises nothing")
-	}
-}
-
-// TestSortPairsMatchesSort: the insertion sort agrees with sort.Slice on
-// what collectLive hands it — a few sorted runs of distinct keys.
-func TestSortPairsMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 500; round++ {
-		var recs []pair
-		for run := rng.Intn(6); run >= 0; run-- {
-			var keys []uint64
-			for i := rng.Intn(8); i > 0; i-- {
-				keys = append(keys, rng.Uint64()>>40<<8|uint64(run)) // distinct across runs
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for _, k := range keys {
-				recs = append(recs, pair{k, k ^ 1})
-			}
-		}
-		want := append([]pair(nil), recs...)
-		sort.Slice(want, func(i, j int) bool { return want[i].k < want[j].k })
-		sortPairs(recs)
-		for i := range want {
-			if recs[i] != want[i] {
-				t.Fatalf("round %d: sortPairs[%d] = %v, want %v", round, i, recs[i], want[i])
-			}
-		}
 	}
 }

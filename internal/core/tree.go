@@ -374,7 +374,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 				preMarked = true
 			}
 			t.maintRounds.Add(1)
-			out = t.leafMaint(th, leaf, s0, key, val)
+			out = t.leafMaint(th, leaf, s0, segs, key, val)
 		}
 		if preMarked && out != oInserted {
 			// Update or retry: the anticipated insert did not materialize.
@@ -429,8 +429,9 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		if tombstoned &&
 			t.a.AddWordDirect(th.P, ccm+ccmTombs, 1) >= t.cfg.RebalanceThreshold {
 			// Deferred rebalance (Section 4.2.4): enough deletions have
-			// accumulated on this leaf; compact it.
-			t.compactLeaf(th, leaf, s0)
+			// accumulated on this leaf; rewrite it without them.
+			t.leafMaint(th, leaf, s0, segs, key, tree.Tombstone)
+			t.a.StoreWordDirect(th.P, ccm+ccmTombs, 0)
 		}
 		if useLock {
 			t.unlockSlot(th.P, ccm, slot)
