@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test tier1-stress verify check golden ci benchmark bench-emulator bench-emulator-json bench bench-hostops bench-swarm bench-reshard figures trace-demo loc
+.PHONY: test tier1-stress verify check golden ci benchmark seeds bench-emulator bench-emulator-json bench bench-hostops bench-swarm bench-reshard figures trace-demo loc
 
 test:
 	go build ./... && go test ./...
@@ -103,6 +103,15 @@ figures:
 # the file under 50 MB.
 trace-demo:
 	go run ./cmd/eunobench -ops 300 -trace trace_abortmix.json abortmix
+
+# seeds: the two seed tables a change to the adaptive tree is judged on,
+# as Markdown — quick fig8's Euno cells at θ 0.9 and 0.99 on seeds 1–9,
+# and sim-contended's three timed metrics on SIM_SEEDS (default "1 2 3").
+# BASE=<commit> adds that commit's column beside the working tree's
+# (scripts/seeds.sh; ~10 min with a base).
+BASE ?=
+seeds:
+	./scripts/seeds.sh $(BASE)
 
 # loc: non-test Go lines in the places ROADMAP tracks, so "wc -l went
 # down" is one command — and, in the options row, the exported fields of

@@ -10,10 +10,11 @@ import (
 // The conflict control module (CCM) of a leaf occupies one cache line,
 // tagged TagCCM, which is *never* accessed inside an HTM region — the whole
 // point is to serialize or filter requests before they enter a transaction
-// (Figure 5). Word offsets within the CCM line:
+// (Figure 5). The lock bits serialize writers; readers wait out a writer.
+// Word offsets within the CCM line:
 const (
 	ccmSplitLock = 0 // advisory per-leaf lock serializing splits and compactions
-	ccmLockBits  = 1 // one lock bit per hash slot (fine-grained advisory locks)
+	ccmLockBits  = 1 // one lock bit per hash slot, taken by puts and deletes
 	ccmMarks0    = 2 // counting mark slots, 16 nibbles per word (2 words)
 	ccmMarks1    = 3
 	ccmConflict  = 4 // contention detector: decaying conflict score
@@ -33,7 +34,7 @@ func (t *Tree) slotOf(key uint64) uint {
 	return uint(x % uint64(t.nslots))
 }
 
-// lockSlot acquires the advisory lock bit for a slot, spinning (and
+// lockSlot acquires a writer's advisory lock bit for a slot, spinning (and
 // charging virtual time) until it wins — Algorithm 2 lines 30-31.
 func (t *Tree) lockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 	addr := ccm + ccmLockBits
@@ -43,6 +44,14 @@ func (t *Tree) lockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 		if cur&bit == 0 && t.a.CASWordDirect(p, addr, cur, cur|bit) {
 			return
 		}
+		p.Spin(t.a.Costs().SpinIter)
+	}
+}
+
+// awaitSlot is a reader's wait: loads, no CAS, until no writer holds the
+// slot's bit (why a get waits rather than skips: config.go, deviations).
+func (t *Tree) awaitSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
+	for t.a.LoadWord(p, ccm+ccmLockBits)&(1<<slot) != 0 {
 		p.Spin(t.a.Costs().SpinIter)
 	}
 }

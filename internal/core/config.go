@@ -17,7 +17,7 @@
 //
 //  3. Conflict control module (CCM). Outside the HTM regions each leaf
 //     carries per-key-slot advisory lock bits that serialize same-record
-//     requests before they can conflict inside a transaction, and counting
+//     writers before they can conflict inside a transaction, and counting
 //     mark slots (a counting Bloom filter) that turn away requests for
 //     absent keys (Figure 5).
 //
@@ -67,6 +67,12 @@
 //     directory (Tree.locate), and goes straight to the lower region when
 //     the leaf it names carries fences that cover the key; the lower region
 //     re-validates them with the seqno, the stitch it runs anyway.
+//
+//   - Gets take no lock bit (two gets of one record never conflict): a get
+//     waits until its slot's bit is clear (awaitSlot), then runs its lower
+//     region. It waits rather than skips because on RTM a read into an
+//     in-flight put's write set aborts the put, which TL2 detects only at
+//     commit: skipping would bank a gain real hardware would not give.
 package core
 
 import "fmt"
@@ -87,7 +93,8 @@ type Config struct {
 	// false a leaf is just the sorted stable region, and inserts shift it
 	// in place inside the lower region (+Split HTM configuration).
 	PartLeaf bool
-	// CCMLockBits enables the per-slot advisory lock bits (+CCM lockbits).
+	// CCMLockBits enables the per-slot advisory lock bits (+CCM lockbits),
+	// which writers take and gets wait out.
 	CCMLockBits bool
 	// CCMMarkBits enables the counting mark slots (+CCM markbits).
 	CCMMarkBits bool

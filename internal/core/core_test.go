@@ -1,9 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"eunomia/internal/htm"
+	"eunomia/internal/obs"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
 	"eunomia/internal/tree/treetest"
@@ -320,6 +323,97 @@ func TestCCMBitOps(t *testing.T) {
 		t.Fatal("saturated mark decremented")
 	}
 	_ = base
+}
+
+// parkObserver parks the first transaction thread proc begins on node until
+// release is closed, after closing parked.
+type parkObserver struct {
+	proc            int32
+	node            uint64
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (o *parkObserver) Event(e obs.Event) {
+	if e.Kind == obs.EvTxBegin && e.Proc == o.proc && e.Node == o.node {
+		o.once.Do(func() { close(o.parked); <-o.release })
+	}
+}
+
+// TestPutPassesInFlightGet: the lock bits serialize writers, not readers. A
+// get parked at the start of its lower region on a hot leaf holds no bit,
+// so a put of the same key from another goroutine goes through; the get,
+// released, then reads the put's value.
+func TestPutPassesInFlightGet(t *testing.T) {
+	h, boot := treetest.NewHostDevice(1 << 20)
+	tr := New(h, boot, DefaultConfig)
+	const key = 7
+	tr.Put(boot, key, 1)
+	tr.heat(boot)
+	leaf, segs := tr.leafState(boot, key)
+	if segs != tr.cfg.Segments || !tr.leafHot(boot.P, tr.ccmAddr(leaf)) {
+		t.Fatalf("key %d's leaf has %d segments in use; want a hot partitioned leaf", key, segs)
+	}
+	o := &parkObserver{proc: 1, node: uint64(leaf), parked: make(chan struct{}), release: make(chan struct{})}
+	h.SetObserver(o)
+	got := make(chan uint64, 1)
+	go func() {
+		v, _ := tr.Get(h.NewHostThread(1, 2), key)
+		got <- v
+	}()
+	<-o.parked
+	put := make(chan struct{})
+	go func() {
+		tr.Put(h.NewHostThread(2, 3), key, 2)
+		close(put)
+	}()
+	select {
+	case <-put:
+		close(o.release)
+	case <-time.After(2 * time.Second):
+		close(o.release)
+		<-put
+		t.Fatal("a put waited out a get parked in its lower region: the get holds its slot's lock bit")
+	}
+	if v := <-got; v != 2 {
+		t.Fatalf("get released after the put returned %d, want the put's 2", v)
+	}
+}
+
+// TestGetWaitsOutSlotWriter: a get on a hot leaf whose slot bit a writer
+// holds does not run until the bit is clear, and takes no bit itself. With
+// Adaptive off every partitioned leaf is hot and nothing on a get's path
+// stores to the CCM line but the lock bits, so the line's version is the
+// witness; the test clears the bit without a versioned store.
+func TestGetWaitsOutSlotWriter(t *testing.T) {
+	cfg := DefaultConfig
+	cfg.Adaptive = false
+	h, boot := treetest.NewHostDevice(1 << 20)
+	tr := New(h, boot, cfg)
+	const key = 7
+	tr.Put(boot, key, 1)
+	leaf, _ := tr.leafState(boot, key)
+	ccm, a := tr.ccmAddr(leaf), h.Arena()
+	tr.lockSlot(boot.P, ccm, tr.slotOf(key))
+	line := (ccm + ccmLockBits).Line()
+	state := a.LineState(line)
+	got := make(chan uint64, 1)
+	go func() {
+		v, _ := tr.Get(h.NewHostThread(1, 2), key)
+		got <- v
+	}()
+	select {
+	case v := <-got:
+		t.Fatalf("get returned %d while a writer held its slot's lock bit", v)
+	case <-time.After(100 * time.Millisecond):
+	}
+	a.SetWordRaw(ccm+ccmLockBits, 0)
+	if v := <-got; v != 1 {
+		t.Fatalf("get = %d, want 1", v)
+	}
+	if s := a.LineState(line); s != state {
+		t.Fatalf("the get wrote the CCM line: state %#x -> %#x", state, s)
+	}
 }
 
 func TestMarkAddClampAtZero(t *testing.T) {

@@ -83,6 +83,19 @@ func TestHostWaitersYield(t *testing.T) {
 			tr.unlockSlot(th.P, ccm, 3)
 		})
 	})
+	t.Run("CCMSlotReader", func(t *testing.T) {
+		// Half the workers hold slot 3 across a deschedule; the other half
+		// wait it out the way a get does.
+		contend(t, func(th *htm.Thread, w, i int) {
+			if w%2 == 0 {
+				tr.lockSlot(th.P, ccm, 3)
+				runtime.Gosched()
+				tr.unlockSlot(th.P, ccm, 3)
+				return
+			}
+			tr.awaitSlot(th.P, ccm, 3)
+		})
+	})
 	t.Run("CCMLeafLock", func(t *testing.T) {
 		contend(t, func(th *htm.Thread, w, i int) {
 			tr.lockLeaf(th.P, ccm)

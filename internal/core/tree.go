@@ -299,7 +299,7 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		}
 		if useLock {
 			th.Fault(htm.FaultCCM)
-			t.lockSlot(th.P, ccm, slot)
+			t.awaitSlot(th.P, ccm, slot)
 		}
 		var out outcome
 		var val uint64
@@ -307,9 +307,6 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		th.Execute(t.lowerPol, func(tx *htm.Tx) {
 			out, val = t.leafGet(tx, leaf, s0, key)
 		})
-		if useLock {
-			t.unlockSlot(th.P, ccm, slot)
-		}
 		t.noteConflicts(th, leaf, s0, segs, th.Stats.ConflictAborts()-before)
 		switch out {
 		case oMismatch:
