@@ -115,15 +115,15 @@ seeds:
 
 # loc: non-test Go lines in the places ROADMAP tracks, so "wc -l went
 # down" is one command — and, in the options row, the exported fields of
-# the public options structs (Options, Tuning, Durability, Observability
-# and every *Options; a struct-typed field counts as one), so "knobs went
+# the public options structs (Options, Durability, Observability and
+# every *Options; a struct-typed field counts as one), so "knobs went
 # down" is the same command.
 loc:
 	@for d in . internal/core internal/htm internal/durable internal/harness cmd/eunobench bench; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-18s %6d\n' options $$(awk ' \
-		/^type ([A-Za-z]*Options|Tuning|Durability|Observability) struct/ { s = 1; next } \
+		/^type ([A-Za-z]*Options|Durability|Observability) struct/ { s = 1; next } \
 		s && /^}/ { s = 0 } \
 		s && /^\t[A-Z][A-Za-z0-9_]* / { n++ } \
 		END { print n }' *.go)

@@ -25,7 +25,7 @@ const (
 	benchOps  = 400
 )
 
-func benchCfg(kind harness.TreeKind, threads int, theta float64) harness.Config {
+func benchCfg(kind Kind, threads int, theta float64) harness.Config {
 	return harness.Config{
 		Tree:         kind,
 		Threads:      threads,
@@ -68,7 +68,7 @@ func report(b *testing.B, cfg harness.Config) {
 func BenchmarkFig1ContentionSweep(b *testing.B) {
 	for _, theta := range []float64{0.2, 0.5, 0.7, 0.9, 0.99} {
 		b.Run(fmt.Sprintf("theta=%.2f", theta), func(b *testing.B) {
-			report(b, benchCfg(harness.HTMBTree, 16, theta))
+			report(b, benchCfg(HTMBTree, 16, theta))
 		})
 	}
 }
@@ -78,7 +78,7 @@ func BenchmarkFig1ContentionSweep(b *testing.B) {
 func BenchmarkFig2AbortBreakdown(b *testing.B) {
 	for _, theta := range []float64{0.5, 0.9, 0.99} {
 		b.Run(fmt.Sprintf("theta=%.2f", theta), func(b *testing.B) {
-			cfg := benchCfg(harness.HTMBTree, 16, theta)
+			cfg := benchCfg(HTMBTree, 16, theta)
 			var breakdown [htm.NumAbortReasons]float64
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(42 + i)
@@ -98,8 +98,8 @@ func BenchmarkFig2AbortBreakdown(b *testing.B) {
 
 // BenchmarkFig8Throughput — Figure 8: all four trees across contention.
 func BenchmarkFig8Throughput(b *testing.B) {
-	for _, kind := range []harness.TreeKind{
-		harness.EunoBTree, harness.HTMBTree, harness.Masstree, harness.HTMMasstree,
+	for _, kind := range []Kind{
+		EunoBTree, HTMBTree, Masstree, HTMMasstree,
 	} {
 		for _, theta := range []float64{0.2, 0.9, 0.99} {
 			b.Run(fmt.Sprintf("%s/theta=%.2f", kind, theta), func(b *testing.B) {
@@ -111,7 +111,7 @@ func BenchmarkFig8Throughput(b *testing.B) {
 
 // BenchmarkFig9Aborts — Figure 9: aborts per op, Euno vs baseline.
 func BenchmarkFig9Aborts(b *testing.B) {
-	for _, kind := range []harness.TreeKind{harness.HTMBTree, harness.EunoBTree} {
+	for _, kind := range []Kind{HTMBTree, EunoBTree} {
 		for _, theta := range []float64{0.9, 0.99} {
 			b.Run(fmt.Sprintf("%s/theta=%.2f", kind, theta), func(b *testing.B) {
 				report(b, benchCfg(kind, 16, theta))
@@ -125,7 +125,7 @@ func BenchmarkFig9Aborts(b *testing.B) {
 func BenchmarkFig10Scalability(b *testing.B) {
 	for _, theta := range []float64{0.2, 0.6, 0.9, 0.99} {
 		for _, threads := range []int{1, 4, 16} {
-			for _, kind := range []harness.TreeKind{harness.EunoBTree, harness.HTMBTree} {
+			for _, kind := range []Kind{EunoBTree, HTMBTree} {
 				b.Run(fmt.Sprintf("theta=%.2f/%s/threads=%d", theta, kind, threads), func(b *testing.B) {
 					report(b, benchCfg(kind, threads, theta))
 				})
@@ -137,7 +137,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 // BenchmarkFig11GetPut — Figure 11: get/put ratio sweep at theta=0.9.
 func BenchmarkFig11GetPut(b *testing.B) {
 	for _, get := range []int{0, 20, 50, 70} {
-		for _, kind := range []harness.TreeKind{harness.EunoBTree, harness.HTMBTree} {
+		for _, kind := range []Kind{EunoBTree, HTMBTree} {
 			b.Run(fmt.Sprintf("get=%d%%/%s", get, kind), func(b *testing.B) {
 				cfg := benchCfg(kind, 16, 0.9)
 				cfg.Mix = workload.Mix{GetPct: get, PutPct: 100 - get}
@@ -156,7 +156,7 @@ func BenchmarkFig12Distributions(b *testing.B) {
 		{Kind: workload.Zipfian, N: benchKeys, Theta: 0.9},
 	}
 	for _, d := range dists {
-		for _, kind := range []harness.TreeKind{harness.EunoBTree, harness.HTMBTree} {
+		for _, kind := range []Kind{EunoBTree, HTMBTree} {
 			b.Run(fmt.Sprintf("%s/%s", d.Kind, kind), func(b *testing.B) {
 				cfg := benchCfg(kind, 16, 0)
 				cfg.Dist = d
@@ -170,12 +170,12 @@ func BenchmarkFig12Distributions(b *testing.B) {
 func BenchmarkFig13Ablation(b *testing.B) {
 	for _, theta := range []float64{0.2, 0.9} {
 		b.Run(fmt.Sprintf("Baseline/theta=%.2f", theta), func(b *testing.B) {
-			report(b, benchCfg(harness.HTMBTree, 16, theta))
+			report(b, benchCfg(HTMBTree, 16, theta))
 		})
 		for _, ab := range core.AblationConfigs() {
 			ab := ab
 			b.Run(fmt.Sprintf("%s/theta=%.2f", ab.Name, theta), func(b *testing.B) {
-				cfg := benchCfg(harness.EunoBTree, 16, theta)
+				cfg := benchCfg(EunoBTree, 16, theta)
 				ec := ab.Cfg
 				cfg.EunoCfg = &ec
 				report(b, cfg)
@@ -191,7 +191,7 @@ func BenchmarkMemOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("theta=%.2f", theta), func(b *testing.B) {
 			var overhead float64
 			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(harness.EunoBTree, 8, theta)
+				cfg := benchCfg(EunoBTree, 8, theta)
 				cfg.Seed = uint64(42 + i)
 				_, _, o := harness.MemoryComparison(cfg)
 				overhead += o

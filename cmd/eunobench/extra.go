@@ -5,6 +5,7 @@ import (
 
 	"eunomia/internal/harness"
 	"eunomia/internal/metrics"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func scanCost() {
 	}
 	for _, l := range []int{4, 16, 64, 256} {
 		row := []string{fmt.Sprint(l)}
-		for _, k := range []harness.TreeKind{harness.EunoBTree, harness.HTMBTree, harness.Masstree} {
+		for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree, kind.Masstree} {
 			cfg := baseCfg(k)
 			cfg.Dist.Theta = 0.6
 			cfg.Mix = workload.Mix{GetPct: 45, PutPct: 45, ScanPct: 10, ScanLen: l}
@@ -73,7 +74,7 @@ func adjacency() {
 		Title:  "Extension: skew vs adjacency (theta=0.9, " + fmt.Sprint(*threads) + " threads, ops/s)",
 		Header: []string{"tree", "plain zipfian", "aborts/op", "scrambled zipfian", "aborts/op"},
 	}
-	for _, k := range []harness.TreeKind{harness.HTMBTree, harness.EunoBTree} {
+	for _, k := range []kind.Kind{kind.HTMBTree, kind.EunoBTree} {
 		plain := baseCfg(k)
 		plain.Dist = workload.Spec{Kind: workload.Zipfian, Theta: 0.9}
 		rp := harness.Run(plain)
@@ -93,7 +94,7 @@ func validateCmd() {
 		Title:  "Structural validation after a mixed workload (theta=0.9, deletes included)",
 		Header: []string{"tree", "ops", "result"},
 	}
-	for _, k := range []harness.TreeKind{harness.EunoBTree, harness.HTMBTree, harness.Masstree, harness.HTMMasstree} {
+	for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree, kind.Masstree, kind.HTMMasstree} {
 		cfg := baseCfg(k)
 		cfg.Mix = workload.Mix{GetPct: 30, PutPct: 50, DeletePct: 15, ScanPct: 5, ScanLen: 10}
 		res, err := harness.RunAndValidate(cfg)

@@ -20,6 +20,7 @@ import (
 	"eunomia/internal/harness"
 	"eunomia/internal/htm"
 	"eunomia/internal/metrics"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/workload"
 )
 
@@ -30,9 +31,10 @@ var (
 	seed    = flag.Uint64("seed", 42, "base RNG seed")
 	quick   = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 	csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	// resilience flips every harness run onto the hardened retry policy
-	// (htm.ResilientPolicy). Figures measured with it on are no longer the
-	// paper's fragile baseline — that is the point of the comparison.
+	// resilience runs every harness run on a hardened device (the lemming
+	// wait, htm.Config.LemmingWait). Figures measured with it on are no
+	// longer the paper's fragile baseline — that is the point of the
+	// comparison.
 	resilience = flag.Bool("resilience", false, "wait for the fallback lock instead of retrying into it, in all runs")
 )
 
@@ -135,9 +137,9 @@ func threadSweep() []int {
 	return out
 }
 
-func baseCfg(kind harness.TreeKind) harness.Config {
+func baseCfg(k kind.Kind) harness.Config {
 	return harness.Config{
-		Tree:         kind,
+		Tree:         k,
 		Threads:      *threads,
 		Keys:         *keys,
 		Dist:         workload.Spec{Kind: workload.Zipfian, Theta: 0.9},
@@ -157,7 +159,7 @@ func fig1() {
 		Header: []string{"theta", "throughput(ops/s)", "aborts/op", "wasted-cycles%"},
 	}
 	for _, th := range thetas() {
-		cfg := baseCfg(harness.HTMBTree)
+		cfg := baseCfg(kind.HTMBTree)
 		cfg.Dist.Theta = th
 		r := harness.Run(cfg)
 		tbl.AddRow(fmt.Sprintf("%.2f", th), mops(r), harness.F2(r.AbortsPerOp), harness.F1(r.WastedPct))
@@ -173,7 +175,7 @@ func fig2() {
 			"same-record(true)", "capacity", "fallback-lock"},
 	}
 	for _, th := range thetas() {
-		cfg := baseCfg(harness.HTMBTree)
+		cfg := baseCfg(kind.HTMBTree)
 		cfg.Dist.Theta = th
 		r := harness.Run(cfg)
 		tbl.AddRow(fmt.Sprintf("%.2f", th),
@@ -187,8 +189,8 @@ func fig2() {
 	emit(&tbl)
 }
 
-var allTrees = []harness.TreeKind{
-	harness.EunoBTree, harness.HTMBTree, harness.Masstree, harness.HTMMasstree,
+var allTrees = []kind.Kind{
+	kind.EunoBTree, kind.HTMBTree, kind.Masstree, kind.HTMMasstree,
 }
 
 // fig8 — Figure 8: throughput under different contention rates, all trees.
@@ -211,7 +213,7 @@ func fig8() {
 
 // fig9 — Figure 9: comparison of HTM aborts by reason, Euno vs baseline.
 func fig9() {
-	for _, k := range []harness.TreeKind{harness.HTMBTree, harness.EunoBTree} {
+	for _, k := range []kind.Kind{kind.HTMBTree, kind.EunoBTree} {
 		tbl := harness.Table{
 			Title: "Figure 9: " + k.String() + " aborts by reason (aborts per operation)",
 			Header: []string{"theta", "total", "diff-record(false)", "shared-metadata",
@@ -324,12 +326,12 @@ func fig13() {
 			Title:  "Figure 13: impact of design choices, " + p.label + ", " + fmt.Sprint(*threads) + " threads",
 			Header: []string{"configuration", "throughput(ops/s)", "relative", "aborts/op", "fallbacks"},
 		}
-		base := baseCfg(harness.HTMBTree)
+		base := baseCfg(kind.HTMBTree)
 		base.Dist.Theta = p.theta
 		rb := harness.Run(base)
 		tbl.AddRow("Baseline (HTM-B+Tree)", mops(rb), "1.00x", harness.F2(rb.AbortsPerOp), fmt.Sprint(rb.Stats.Fallbacks))
 		for _, ab := range core.AblationConfigs() {
-			cfg := baseCfg(harness.EunoBTree)
+			cfg := baseCfg(kind.EunoBTree)
 			cfg.Dist.Theta = p.theta
 			ec := ab.Cfg
 			cfg.EunoCfg = &ec
@@ -345,7 +347,7 @@ func fig13() {
 // mem — Section 5.7: memory consumption analysis.
 func mem() {
 	row := func(tbl *harness.Table, label string, mod func(*harness.Config)) {
-		cfg := baseCfg(harness.EunoBTree)
+		cfg := baseCfg(kind.EunoBTree)
 		mod(&cfg)
 		euno, base, pct := harness.MemoryComparison(cfg)
 		tbl.AddRow(label,

@@ -8,6 +8,7 @@ import (
 	"eunomia/internal/harness"
 	"eunomia/internal/htm"
 	"eunomia/internal/obs"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/vclock"
 )
 
@@ -82,7 +83,7 @@ func abortmixCmd() {
 		Header: []string{"tree", "aborts/op", "layout-false", "metadata", "true",
 			"capacity", "fallback-lock", "explicit"},
 	}
-	for _, k := range []harness.TreeKind{harness.HTMBTree, harness.EunoBTree} {
+	for _, k := range []kind.Kind{kind.HTMBTree, kind.EunoBTree} {
 		cfg := baseCfg(k)
 		cfg.Dist.Theta = 0.9
 		cfg.Observer = traceLane("abortmix " + k.String())
@@ -114,7 +115,7 @@ func abortmixCmd() {
 // raw cache lines are upper-region (index/metadata) conflicts.
 func heatmapCmd() {
 	heat := obs.NewHeatmap(obs.HeatmapConfig{SampleEvery: *heatSample})
-	cfg := baseCfg(harness.EunoBTree)
+	cfg := baseCfg(kind.EunoBTree)
 	cfg.Dist.Theta = 0.99
 	cfg.Observer = obs.Multi(heat, traceLane("heatmap euno-btree"))
 	r := harness.Run(cfg)

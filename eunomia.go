@@ -50,46 +50,29 @@ import (
 	"eunomia/internal/obs"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
-	"eunomia/internal/tree/htmtree"
-	"eunomia/internal/tree/masstree"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/vclock"
 )
 
 // Kind selects a tree implementation.
-type Kind int
+type Kind = kind.Kind
 
 // The four tree designs the paper evaluates.
 const (
 	// EunoBTree is the paper's contribution: two-region HTM transactions,
 	// partitioned leaves, a conflict control module and adaptive
 	// concurrency control.
-	EunoBTree Kind = iota
+	EunoBTree = kind.EunoBTree
 	// HTMBTree is the conventional baseline: one monolithic HTM region
 	// per operation.
-	HTMBTree
+	HTMBTree = kind.HTMBTree
 	// Masstree is the fine-grained comparator with optimistic versioned
 	// locks (no HTM).
-	Masstree
+	Masstree = kind.Masstree
 	// HTMMasstree wraps the Masstree code in one HTM region per operation
 	// with its locks elided.
-	HTMMasstree
+	HTMMasstree = kind.HTMMasstree
 )
-
-// String returns the figure label for the kind.
-func (k Kind) String() string {
-	switch k {
-	case EunoBTree:
-		return "Euno-B+Tree"
-	case HTMBTree:
-		return "HTM-B+Tree"
-	case Masstree:
-		return "Masstree"
-	case HTMMasstree:
-		return "HTM-Masstree"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
 
 // Backend selects the execution engine behind a DB. Both run the same
 // transactional protocol over the same arena metadata; they differ in what
@@ -121,26 +104,6 @@ func (b Backend) String() string {
 	}
 }
 
-// Tuning mirrors the Euno-B+Tree design knobs (the Figure 13 ablation
-// flags). The zero value of each field keeps the default.
-type Tuning struct {
-	// StableCap is the sorted-region capacity (the B+Tree fanout).
-	StableCap int
-	// Segments × SegCap shape the partitioned insert area.
-	Segments int
-	SegCap   int
-	// Disable* switch off individual Eunomia guidelines (all enabled by
-	// default). With the adaptive control on, a leaf is one dense sorted
-	// run (about 30 B/key) until its contention detector finds it hot, and
-	// only then takes the partitioned layout and the CCM; DisableAdaptive
-	// restores the paper's leaf everywhere — always partitioned, CCM always
-	// on, about 48 B/key.
-	DisablePartLeaf    bool
-	DisableCCMLockBits bool
-	DisableCCMMarkBits bool
-	DisableAdaptive    bool
-}
-
 // Options configures Open.
 type Options struct {
 	// Kind selects the tree implementation (default EunoBTree).
@@ -148,19 +111,17 @@ type Options struct {
 	// ArenaWords is the memory capacity in 8-byte words (default 1<<24,
 	// i.e. 128 MiB).
 	ArenaWords uint64
-	// Euno tunes the Euno-B+Tree (ignored for other kinds).
-	Euno Tuning
 	// Backend selects the execution engine (default Emulated). Host runs
 	// the same protocol on real goroutines at native speed — use it for
 	// actual-throughput work; use the default for paper-comparable,
 	// deterministic virtual-time numbers.
 	Backend Backend
-	// Resilience hardens the retry loop of whichever tree Kind selects
-	// with one change: an operation whose transaction aborts because the
-	// global fallback lock is held waits for the lock to clear before it
-	// retries, instead of retrying into it and then queueing for the lock
-	// itself (the convoy that collapses a contended HTM tree). It costs
-	// nothing where nothing falls back. The default false keeps the
+	// Resilience hardens the DB's HTM device, and so whichever tree Kind
+	// selects, with one change: an operation whose transaction aborts
+	// because the global fallback lock is held waits for the lock to clear
+	// before it retries, instead of retrying into it and then queueing for
+	// the lock itself (the convoy that collapses a contended HTM tree). It
+	// costs nothing where nothing falls back. The default false keeps the
 	// paper-faithful fragile retry behavior the reproduction studies.
 	Resilience bool
 	// Durability enables crash durability (write-ahead log + snapshots,
@@ -200,16 +161,17 @@ type DB struct {
 	freeIDs []int
 }
 
-// treeFanout is the node fanout of the three non-Euno trees.
-const treeFanout = 16
-
 // Open creates a DB.
 func Open(opts Options) (*DB, error) {
+	if opts.Kind < EunoBTree || opts.Kind > HTMMasstree {
+		return nil, fmt.Errorf("eunomia: unknown kind %v", opts.Kind)
+	}
 	if opts.ArenaWords == 0 {
 		opts.ArenaWords = 1 << 24
 	}
 	arena := simmem.NewArena(opts.ArenaWords)
 	hcfg := htm.DefaultConfig
+	hcfg.LemmingWait = opts.Resilience
 	switch opts.Backend {
 	case Emulated:
 	case Host:
@@ -240,45 +202,8 @@ func Open(opts Options) (*DB, error) {
 
 	db := &DB{opts: opts, arena: arena, device: device,
 		observer: hcfg.Observer, heat: heat}
-	switch opts.Kind {
-	case EunoBTree:
-		cfg := core.DefaultConfig
-		t := opts.Euno
-		if t.StableCap != 0 {
-			cfg.StableCap = t.StableCap
-		}
-		if t.Segments != 0 {
-			cfg.Segments = t.Segments
-		}
-		if t.SegCap != 0 {
-			cfg.SegCap = t.SegCap
-		}
-		cfg.PartLeaf = !t.DisablePartLeaf
-		cfg.CCMLockBits = !t.DisableCCMLockBits
-		cfg.CCMMarkBits = !t.DisableCCMMarkBits
-		cfg.Adaptive = !t.DisableAdaptive
-		cfg.Resilience = opts.Resilience
-		var err error
-		db.euno, err = newEuno(device, boot, cfg)
-		if err != nil {
-			return nil, err
-		}
-		db.kv = db.euno
-	case HTMBTree:
-		t := htmtree.New(device, boot, treeFanout)
-		if opts.Resilience {
-			t.SetPolicy(htm.ResilientPolicy())
-		}
-		db.kv = t
-	case Masstree, HTMMasstree:
-		t := masstree.New(device, boot, treeFanout, opts.Kind == HTMMasstree)
-		if opts.Resilience {
-			t.SetPolicy(htm.ResilientPolicy())
-		}
-		db.kv = t
-	default:
-		return nil, fmt.Errorf("eunomia: unknown kind %v", opts.Kind)
-	}
+	db.kv = kind.New(opts.Kind, device, boot, core.DefaultConfig)
+	db.euno, _ = db.kv.(*core.Tree)
 	if opts.Durability.Dir != "" {
 		if err := db.openDurable(boot, opts.Durability); err != nil {
 			return nil, err
@@ -502,14 +427,4 @@ func (db *DB) RunVirtual(threads int, body func(t *Thread)) VirtualResult {
 	}
 	cycles := sim.MaxClock()
 	return VirtualResult{Cycles: cycles, Seconds: float64(cycles) / vclock.CyclesPerSecond, Stats: statsOf(&merged)}
-}
-
-// newEuno adapts core.New's panic-on-bad-config to an error.
-func newEuno(h *htm.HTM, boot *htm.Thread, cfg core.Config) (t *core.Tree, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("eunomia: %v", r)
-		}
-	}()
-	return core.New(h, boot, cfg), nil
 }

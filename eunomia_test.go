@@ -3,6 +3,8 @@ package eunomia
 import (
 	"sync"
 	"testing"
+
+	"eunomia/internal/htm"
 )
 
 func TestOpenDefaultsAndQuickPath(t *testing.T) {
@@ -70,28 +72,45 @@ func TestBadOptions(t *testing.T) {
 	if _, err := Open(Options{Kind: Kind(99)}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := Open(Options{Euno: Tuning{StableCap: 3}}); err == nil {
-		t.Fatal("bad tuning accepted")
-	}
 }
 
-func TestTuningAblation(t *testing.T) {
-	db, err := Open(Options{Euno: Tuning{
-		DisablePartLeaf:    true,
-		DisableCCMLockBits: true,
-		DisableCCMMarkBits: true,
-		DisableAdaptive:    true,
-	}, ArenaWords: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
+// TestResilienceReachesEveryKind: Options.Resilience hardens the device,
+// so it must reach whichever tree Kind builds. Core 0 sits on the device's
+// fallback lock over and over while cores 1-3 put; with the lemming wait
+// every HTM tree takes strictly fewer fallback-lock aborts, and Masstree,
+// which runs no transactions, takes none either way.
+func TestResilienceReachesEveryKind(t *testing.T) {
+	lockAborts := func(k Kind, resilience bool) uint64 {
+		db, err := Open(Options{Kind: k, ArenaWords: 1 << 20, Resilience: resilience})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		res := db.RunVirtual(4, func(th *Thread) {
+			id := uint64(th.th.P.ID())
+			if id == 0 {
+				for i := 0; i < 30; i++ {
+					th.th.RunFallback(func(tx *htm.Tx) { tx.Proc().Tick(5_000) })
+				}
+				return
+			}
+			for i := uint64(0); i < 200; i++ {
+				th.Put(id<<32|i, i)
+			}
+		})
+		return res.Stats.AbortsByReason[htm.AbortFallbackLock.String()]
 	}
-	th := db.NewThread()
-	for i := uint64(1); i <= 500; i++ {
-		th.Put(i, i)
-	}
-	for i := uint64(1); i <= 500; i++ {
-		if _, ok, _ := th.Get(i); !ok {
-			t.Fatalf("lost key %d in +SplitHTM configuration", i)
+	for _, k := range []Kind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
+		fragile, hardened := lockAborts(k, false), lockAborts(k, true)
+		t.Logf("%v: fallback-lock aborts %d fragile, %d resilient", k, fragile, hardened)
+		if k == Masstree {
+			if fragile != 0 || hardened != 0 {
+				t.Errorf("%v: %d and %d fallback-lock aborts, want 0", k, fragile, hardened)
+			}
+			continue
+		}
+		if hardened >= fragile {
+			t.Errorf("%v: Resilience did not reduce fallback-lock aborts: %d vs fragile %d", k, hardened, fragile)
 		}
 	}
 }

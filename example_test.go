@@ -106,17 +106,13 @@ func ExampleDB_RunVirtual() {
 	// virtual time advanced: true
 }
 
-// ExampleOptions_ablation builds the paper's "+Split HTM" configuration by
-// disabling the later Eunomia guidelines.
+// ExampleOptions builds the baseline HTM-B+Tree with its retry loop
+// hardened: an operation that aborts on a held fallback lock waits for the
+// lock to clear instead of retrying into it.
 func ExampleOptions() {
 	db, err := eunomia.Open(eunomia.Options{
-		Kind: eunomia.EunoBTree,
-		Euno: eunomia.Tuning{
-			DisablePartLeaf:    true,
-			DisableCCMLockBits: true,
-			DisableCCMMarkBits: true,
-			DisableAdaptive:    true,
-		},
+		Kind:       eunomia.HTMBTree,
+		Resilience: true,
 		ArenaWords: 1 << 20,
 	})
 	if err != nil {
@@ -124,5 +120,5 @@ func ExampleOptions() {
 	}
 	fmt.Println(db.Kind())
 	// Output:
-	// Euno-B+Tree
+	// HTM-B+Tree
 }

@@ -112,11 +112,6 @@ type Config struct {
 	// threshold"). 0 keeps the default.
 	RebalanceThreshold uint64
 
-	// Resilience runs both regions under htm.ResilientPolicy (wait for the
-	// fallback lock instead of retrying into it). False keeps the
-	// paper-faithful htm.DefaultPolicy.
-	Resilience bool
-
 	// DisableSeqnoCheck deliberately breaks the tree by skipping the lower
 	// region's sequence-number re-validation. It exists solely as the
 	// mutation self-test for the linearizability checker (internal/check):

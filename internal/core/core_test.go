@@ -218,7 +218,7 @@ func TestShadowUpdateWinsOverStable(t *testing.T) {
 	tr.Put(boot, 5, 999) // shadow update of a stable-resident key
 	leaf, segs := tr.leafState(boot, 5)
 	var stable uint64
-	boot.Execute(tr.lowerPol, func(tx *htm.Tx) {
+	boot.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		if i, ok := tr.stableSearch(tx, leaf, 5); ok {
 			stable = tx.Load(tr.stableV(leaf, i))
 		}

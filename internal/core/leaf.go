@@ -520,7 +520,7 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, 
 	t.lockLeaf(th.P, ccm)
 	score := t.leafScore(th.P, ccm)
 	sc := t.borrowScratch(th)
-	th.Execute(t.lowerPol, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
 		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, seen, key, val, score, &staging, &stagingWords)
 	})

@@ -53,7 +53,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 		next := simmem.NilAddr
 		var nextSeq uint64
 		want := max - visited
-		th.Execute(t.lowerPol, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			ok, next, nextSeq, buf = false, simmem.NilAddr, 0, buf[:0]
 			if chained && tx.Load(leaf+offSeqno) != s0 || !chained && !t.stitched(tx, leaf, s0, cur) {
 				return

@@ -284,7 +284,7 @@ func TestScanLeafMatchesModel(t *testing.T) {
 			}
 		}
 		leaves := tr.leaves(th)
-		th.Execute(tr.lowerPol, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			for _, leaf := range leaves {
 				segs := tr.leafSegs(tx, leaf)
 				if segs == 0 {

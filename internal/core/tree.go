@@ -48,9 +48,6 @@ type Tree struct {
 	// scanRegionLines over a leaf's lines short of its CCM line.
 	scanLeaves int
 
-	upperPol htm.RetryPolicy
-	lowerPol htm.RetryPolicy
-
 	// dir is the leaf directory; sepLo and sepHi are the smallest and largest
 	// separators a split has made, which place the next one (newDir).
 	dir          atomic.Pointer[leafDir]
@@ -75,12 +72,7 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	pol := htm.DefaultPolicy
-	if cfg.Resilience {
-		pol = htm.ResilientPolicy()
-	}
-	t := &Tree{h: h, a: h.Arena(), cfg: cfg,
-		upperPol: pol, lowerPol: pol}
+	t := &Tree{h: h, a: h.Arena(), cfg: cfg}
 
 	roundLine := func(w int) int {
 		return (w + simmem.WordsPerLine - 1) &^ (simmem.WordsPerLine - 1)
@@ -191,7 +183,7 @@ func (t *Tree) upper(th *htm.Thread, key uint64) (leaf simmem.Addr, s0 uint64, s
 	// the previous operation annotated — clear the observability node
 	// annotation so they attribute to their raw conflict line.
 	th.NoteNode(0)
-	th.Execute(t.upperPol, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		leaf = t.descend(tx, key, nil)
 		s0 = tx.Load(leaf + offSeqno)
 		segs = t.leafSegs(tx, leaf)
@@ -304,7 +296,7 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		var out outcome
 		var val uint64
 		before := th.Stats.ConflictAborts()
-		th.Execute(t.lowerPol, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			out, val = t.leafGet(tx, leaf, s0, key)
 		})
 		t.noteConflicts(th, leaf, s0, segs, th.Stats.ConflictAborts()-before)
@@ -353,7 +345,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		before := th.Stats.ConflictAborts()
 		runLower := func() {
 			needMark := t.cfg.CCMMarkBits && !preMarked
-			th.Execute(t.lowerPol, func(tx *htm.Tx) {
+			th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 				out = t.leafPut(tx, leaf, s0, key, val, useLock, th.Rand, needMark)
 			})
 		}
@@ -416,7 +408,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		var out outcome
 		var tombstoned bool
 		before := th.Stats.ConflictAborts()
-		th.Execute(t.lowerPol, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			out, tombstoned = t.leafDelete(tx, leaf, s0, key)
 		})
 		if out == oFound && t.cfg.CCMMarkBits {
@@ -449,7 +441,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 // Depth returns the number of tree levels (diagnostic).
 func (t *Tree) Depth(th *htm.Thread) int {
 	var d uint64
-	th.Execute(t.upperPol, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		d = tx.Load(t.meta + metaDepth)
 	})
 	return int(d)

@@ -504,17 +504,14 @@ func (st *Store) Close() error {
 // RecoveryInfo returns what this Store's Open recovered.
 func (st *Store) RecoveryInfo() RecoveryInfo { return st.recovery }
 
-// LastLSN returns the highest log sequence number assigned so far (the
-// recovered maximum right after Open).
-func (st *Store) LastLSN() uint64 { return st.seq.Load() }
-
 // DurableLSN returns the highest LSN known to be on disk: the max of the
 // WAL shards' flushed watermarks. It is a sound witness even with writers
-// running concurrently — unlike LastLSN, it never includes an LSN whose
-// frame is still in a pending buffer — so a later recovery must always
-// report MaxSeq >= a previously observed DurableLSN. (In the deliberately
-// broken AckBeforeFlush mode, acknowledged-but-unflushed LSNs are NOT
-// covered; that loss is the linearizability checker's to catch.)
+// running concurrently — unlike the last LSN assigned, it never includes
+// an LSN whose frame is still in a pending buffer — so a later recovery
+// must always report MaxSeq >= a previously observed DurableLSN. (In the
+// deliberately broken AckBeforeFlush mode, acknowledged-but-unflushed
+// LSNs are NOT covered; that loss is the linearizability checker's to
+// catch.)
 func (st *Store) DurableLSN() uint64 {
 	var max uint64
 	for _, s := range st.wal.shards {

@@ -1,8 +1,9 @@
 // Package harness drives the paper's experiments: it builds an arena, an
-// HTM device and one of the four trees, preloads the key space, runs a
-// YCSB-style operation mix on N virtual cores in deterministic virtual
-// time, and reports throughput, the abort breakdown, wasted cycles, and
-// memory footprints — the quantities behind every figure in Section 5.
+// HTM device and one of the four trees (through kind.New, the constructor
+// eunomia.Open shares), preloads the key space, runs a YCSB-style
+// operation mix on N virtual cores in deterministic virtual time, and
+// reports throughput, the abort breakdown, wasted cycles, and memory
+// footprints — the quantities behind every figure in Section 5.
 package harness
 
 import (
@@ -14,42 +15,14 @@ import (
 	"eunomia/internal/obs"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
-	"eunomia/internal/tree/htmtree"
-	"eunomia/internal/tree/masstree"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/vclock"
 	"eunomia/internal/workload"
 )
 
-// TreeKind selects the tree under test.
-type TreeKind int
-
-// The four systems the paper compares.
-const (
-	EunoBTree TreeKind = iota
-	HTMBTree
-	Masstree
-	HTMMasstree
-)
-
-// String names the tree as in the paper's figures.
-func (k TreeKind) String() string {
-	switch k {
-	case EunoBTree:
-		return "Euno-B+Tree"
-	case HTMBTree:
-		return "HTM-B+Tree"
-	case Masstree:
-		return "Masstree"
-	case HTMMasstree:
-		return "HTM-Masstree"
-	default:
-		return fmt.Sprintf("tree(%d)", int(k))
-	}
-}
-
 // Config describes one experiment run.
 type Config struct {
-	Tree TreeKind
+	Tree kind.Kind
 	// EunoCfg overrides the Euno-B+Tree configuration (ablations); the
 	// zero value means core.DefaultConfig.
 	EunoCfg *core.Config
@@ -60,19 +33,12 @@ type Config struct {
 	Dist         workload.Spec
 	Mix          workload.Mix
 	OpsPerThread int
-	// DurationCycles, when nonzero, switches to the paper's fixed-duration
-	// methodology: each thread issues operations until its virtual clock
-	// passes this value, and OpsPerThread is ignored.
-	DurationCycles uint64
-	Seed           uint64
+	Seed         uint64
+	ArenaWords   uint64 // arena capacity
 
-	Fanout     int    // node fanout for the non-Euno trees
-	ArenaWords uint64 // arena capacity
-	Slack      uint64 // virtual-time scheduler slack (0 = exact)
-
-	// Resilience runs the tree under htm.ResilientPolicy (wait for the
-	// fallback lock instead of retrying into it). Default false keeps the
-	// paper-faithful fragile behavior every figure measures.
+	// Resilience sets htm.Config.LemmingWait on the run's device (wait for
+	// the fallback lock instead of retrying into it). Default false keeps
+	// the paper-faithful fragile behavior every figure measures.
 	Resilience bool
 
 	// Observer, when non-nil, is installed on the HTM device and receives
@@ -104,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Fanout == 0 {
-		c.Fanout = 16
 	}
 	if c.ArenaWords == 0 {
 		// Size to the data: ~16 words per record headroom, min 4M words.
@@ -140,33 +103,6 @@ type Result struct {
 	PreloadedKeys uint64
 }
 
-// buildTree constructs the tree under test.
-func buildTree(cfg Config, h *htm.HTM, boot *htm.Thread) tree.KV {
-	switch cfg.Tree {
-	case EunoBTree:
-		ec := core.DefaultConfig
-		if cfg.EunoCfg != nil {
-			ec = *cfg.EunoCfg
-		}
-		ec.Resilience = ec.Resilience || cfg.Resilience
-		return core.New(h, boot, ec)
-	case HTMBTree:
-		t := htmtree.New(h, boot, cfg.Fanout)
-		if cfg.Resilience {
-			t.SetPolicy(htm.ResilientPolicy())
-		}
-		return t
-	case Masstree, HTMMasstree:
-		t := masstree.New(h, boot, cfg.Fanout, cfg.Tree == HTMMasstree)
-		if cfg.Resilience {
-			t.SetPolicy(htm.ResilientPolicy())
-		}
-		return t
-	default:
-		panic(fmt.Sprintf("harness: unknown tree kind %d", cfg.Tree))
-	}
-}
-
 // Run executes one experiment and returns its result. Runs are
 // deterministic for a fixed Config.
 func Run(cfg Config) Result {
@@ -184,9 +120,14 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	arena := simmem.NewArena(cfg.ArenaWords)
 	hcfg := htm.DefaultConfig
 	hcfg.Observer = cfg.Observer
+	hcfg.LemmingWait = cfg.Resilience
 	device := htm.New(arena, hcfg)
 	boot := device.NewThread(vclock.NewWallProc(0, 0), cfg.Seed)
-	kv := buildTree(cfg, device, boot)
+	euno := core.DefaultConfig
+	if cfg.EunoCfg != nil {
+		euno = *cfg.EunoCfg
+	}
+	kv := kind.New(cfg.Tree, device, boot, euno)
 
 	// Load phase (not measured): insert the preload subset.
 	var preloaded uint64
@@ -196,7 +137,7 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	})
 
 	// Measured phase: virtual-time lockstep across cfg.Threads cores.
-	sim := vclock.NewSim(cfg.Threads, cfg.Slack)
+	sim := vclock.NewSim(cfg.Threads, 0)
 	stats := make([]htm.Stats, cfg.Threads)
 	hists := make([]metrics.Histogram, cfg.Threads)
 	opsDone := make([]uint64, cfg.Threads)
@@ -204,7 +145,7 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	sim.Run(func(p *vclock.SimProc) {
 		th := device.NewThread(p, cfg.Seed+uint64(p.ID())*7919+1)
 		stream := workload.NewStream(cfg.Dist, cfg.Mix)
-		for i := 0; more(cfg, i, p); i++ {
+		for i := 0; i < cfg.OpsPerThread; i++ {
 			opsDone[p.ID()]++
 			op := stream.Next(th.Rand)
 			start := p.Now()
@@ -257,22 +198,13 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	return res, kv, boot
 }
 
-// more is the measured-phase loop condition: op-count mode or the paper's
-// fixed-duration mode.
-func more(cfg Config, i int, p *vclock.SimProc) bool {
-	if cfg.DurationCycles > 0 {
-		return p.Now() < cfg.DurationCycles
-	}
-	return i < cfg.OpsPerThread
-}
-
 // MemoryComparison runs the same load on a tree kind and on the baseline
 // HTM-B+Tree and reports the Section 5.7 overhead percentage
 // (tree bytes vs. baseline bytes for identical contents).
 func MemoryComparison(cfg Config) (treeBytes, baseBytes int64, overheadPct float64) {
 	r1 := Run(cfg)
 	base := cfg
-	base.Tree = HTMBTree
+	base.Tree = kind.HTMBTree
 	r2 := Run(base)
 	treeBytes, baseBytes = r1.LiveBytes, r2.LiveBytes
 	if baseBytes > 0 {

@@ -7,10 +7,11 @@ import (
 	"eunomia/internal/core"
 	"eunomia/internal/htm"
 	"eunomia/internal/obs"
+	"eunomia/internal/tree/kind"
 	"eunomia/internal/workload"
 )
 
-func smallCfg(k TreeKind) Config {
+func smallCfg(k kind.Kind) Config {
 	return Config{
 		Tree:         k,
 		Threads:      4,
@@ -25,7 +26,7 @@ func smallCfg(k TreeKind) Config {
 // delete — the most contended input the harness can be given, and one no
 // figure runs.
 func hammerCfg() Config {
-	c := smallCfg(EunoBTree)
+	c := smallCfg(kind.EunoBTree)
 	c.Threads = 8
 	c.PreloadPct = 100
 	c.Dist = workload.Spec{Kind: workload.Uniform, N: 1}
@@ -34,7 +35,7 @@ func hammerCfg() Config {
 }
 
 func TestRunAllTreeKinds(t *testing.T) {
-	for _, k := range []TreeKind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
+	for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree, kind.Masstree, kind.HTMMasstree} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			res := Run(smallCfg(k))
@@ -50,7 +51,7 @@ func TestRunAllTreeKinds(t *testing.T) {
 			if res.Latency.Count() != res.Ops {
 				t.Fatalf("latency count %d != ops %d", res.Latency.Count(), res.Ops)
 			}
-			if k == Masstree && res.Stats.Attempts != 0 {
+			if k == kind.Masstree && res.Stats.Attempts != 0 {
 				t.Fatal("masstree used transactions")
 			}
 		})
@@ -58,9 +59,9 @@ func TestRunAllTreeKinds(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	hardened := smallCfg(HTMBTree)
+	hardened := smallCfg(kind.HTMBTree)
 	hardened.Resilience = true
-	for name, cfg := range map[string]Config{"zipf": smallCfg(EunoBTree), "hammer": hammerCfg(), "hardened": hardened} {
+	for name, cfg := range map[string]Config{"zipf": smallCfg(kind.EunoBTree), "hammer": hammerCfg(), "hardened": hardened} {
 		a := Run(cfg)
 		b := Run(cfg)
 		if a.Cycles != b.Cycles || a.Stats != b.Stats {
@@ -70,10 +71,10 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestContentionIncreasesAborts(t *testing.T) {
-	low := smallCfg(HTMBTree)
+	low := smallCfg(kind.HTMBTree)
 	low.Dist.Theta = 0.1
 	low.OpsPerThread = 800
-	high := smallCfg(HTMBTree)
+	high := smallCfg(kind.HTMBTree)
 	high.Dist.Theta = 0.99
 	high.OpsPerThread = 800
 	rl, rh := Run(low), Run(high)
@@ -87,7 +88,7 @@ func TestEunoBeatsBaselineUnderHighContention(t *testing.T) {
 	// The paper's headline: under heavy skew Euno-B+Tree outperforms the
 	// monolithic HTM-B+Tree. Modest sizes keep this test quick; the full
 	// sweep lives in cmd/eunobench.
-	mk := func(k TreeKind) Config {
+	mk := func(k kind.Kind) Config {
 		// The collapse regime needs paper-scale parameters: enough threads
 		// and enough keys that the hot leaves convoy the fallback lock.
 		c := smallCfg(k)
@@ -97,8 +98,8 @@ func TestEunoBeatsBaselineUnderHighContention(t *testing.T) {
 		c.OpsPerThread = 1000
 		return c
 	}
-	re := Run(mk(EunoBTree))
-	rb := Run(mk(HTMBTree))
+	re := Run(mk(kind.EunoBTree))
+	rb := Run(mk(kind.HTMBTree))
 	if re.Throughput <= rb.Throughput {
 		t.Fatalf("Euno %.0f ops/s <= baseline %.0f ops/s under high contention",
 			re.Throughput, rb.Throughput)
@@ -112,7 +113,7 @@ func TestEunoBeatsBaselineUnderHighContention(t *testing.T) {
 // lock instead of retrying into it takes the monolithic HTM trees out of
 // their collapse, and costs nothing where nothing falls back.
 func TestLemmingWaitRemovesConvoy(t *testing.T) {
-	pair := func(k TreeKind, theta float64) (fragile, hardened Result) {
+	pair := func(k kind.Kind, theta float64) (fragile, hardened Result) {
 		c := smallCfg(k)
 		c.Threads = 20
 		c.Keys = 100_000
@@ -123,7 +124,7 @@ func TestLemmingWaitRemovesConvoy(t *testing.T) {
 		return fragile, Run(c)
 	}
 
-	f, h := pair(HTMBTree, 0.9)
+	f, h := pair(kind.HTMBTree, 0.9)
 	if h.Throughput < 3*f.Throughput {
 		t.Errorf("HTM-B+Tree theta=0.9: hardened %.2fM ops/s is not 3x the default %.2fM",
 			h.Throughput/1e6, f.Throughput/1e6)
@@ -133,13 +134,13 @@ func TestLemmingWaitRemovesConvoy(t *testing.T) {
 	}
 
 	// The cell the five-defence bundle lost to the default it hardened.
-	f, h = pair(HTMMasstree, 0.99)
+	f, h = pair(kind.HTMMasstree, 0.99)
 	if h.Throughput <= f.Throughput {
-		t.Errorf("HTM-Masstree theta=0.99: hardened %.2fM ops/s <= default %.2fM",
+		t.Errorf("HTM-kind.Masstree theta=0.99: hardened %.2fM ops/s <= default %.2fM",
 			h.Throughput/1e6, f.Throughput/1e6)
 	}
 
-	f, h = pair(HTMBTree, 0.2)
+	f, h = pair(kind.HTMBTree, 0.2)
 	if f.Stats.Aborts[htm.AbortFallbackLock] != 0 {
 		t.Fatalf("theta=0.2 run saw %d fallback-lock aborts; it no longer shows that an idle wait is free",
 			f.Stats.Aborts[htm.AbortFallbackLock])
@@ -151,7 +152,7 @@ func TestLemmingWaitRemovesConvoy(t *testing.T) {
 
 func TestEunoAblationConfigsRun(t *testing.T) {
 	for _, ab := range core.AblationConfigs() {
-		cfg := smallCfg(EunoBTree)
+		cfg := smallCfg(kind.EunoBTree)
 		ec := ab.Cfg
 		cfg.EunoCfg = &ec
 		res := Run(cfg)
@@ -162,7 +163,7 @@ func TestEunoAblationConfigsRun(t *testing.T) {
 }
 
 func TestMixWithScansAndDeletes(t *testing.T) {
-	cfg := smallCfg(EunoBTree)
+	cfg := smallCfg(kind.EunoBTree)
 	cfg.Mix = workload.Mix{GetPct: 40, PutPct: 40, DeletePct: 10, ScanPct: 10, ScanLen: 10}
 	res := Run(cfg)
 	if res.Throughput <= 0 {
@@ -171,7 +172,7 @@ func TestMixWithScansAndDeletes(t *testing.T) {
 }
 
 func TestMemoryComparison(t *testing.T) {
-	cfg := smallCfg(EunoBTree)
+	cfg := smallCfg(kind.EunoBTree)
 	cfg.Mix = workload.Mix{GetPct: 50, PutPct: 50}
 	treeB, baseB, pct := MemoryComparison(cfg)
 	if treeB <= 0 || baseB <= 0 {
@@ -209,42 +210,16 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestTreeKindStrings(t *testing.T) {
-	for _, k := range []TreeKind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
+	for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree, kind.Masstree, kind.HTMMasstree} {
 		if k.String() == "" {
 			t.Fatal("empty kind name")
 		}
 	}
 }
 
-func TestFixedDurationMode(t *testing.T) {
-	cfg := smallCfg(EunoBTree)
-	cfg.OpsPerThread = 0
-	cfg.DurationCycles = 400_000
-	r := Run(cfg)
-	if r.Ops == 0 {
-		t.Fatal("no ops in duration mode")
-	}
-	// Every thread ran until its clock passed the deadline, so the
-	// makespan is at least the deadline and not wildly beyond it.
-	if r.Cycles < cfg.DurationCycles {
-		t.Fatalf("makespan %d below duration %d", r.Cycles, cfg.DurationCycles)
-	}
-	if r.Cycles > cfg.DurationCycles*2 {
-		t.Fatalf("makespan %d far beyond duration %d", r.Cycles, cfg.DurationCycles)
-	}
-	if r.Latency.Count() != r.Ops {
-		t.Fatalf("latency count %d != ops %d", r.Latency.Count(), r.Ops)
-	}
-	// Deterministic like everything else.
-	r2 := Run(cfg)
-	if r2.Ops != r.Ops || r2.Cycles != r.Cycles {
-		t.Fatal("duration mode not deterministic")
-	}
-}
-
 func TestRunAndValidate(t *testing.T) {
 	cfgs := []Config{hammerCfg()}
-	for _, k := range []TreeKind{EunoBTree, HTMBTree, Masstree} {
+	for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree, kind.Masstree} {
 		cfg := smallCfg(k)
 		cfg.Mix = workload.Mix{GetPct: 40, PutPct: 40, DeletePct: 20}
 		cfgs = append(cfgs, cfg)
@@ -265,7 +240,7 @@ func TestRunAndValidate(t *testing.T) {
 // virtual clock. This is the enabled-path half of the zero-cost
 // guarantee; the disabled path is pinned by the golden fig1/fig8 CSVs.
 func TestObserverDoesNotPerturbRun(t *testing.T) {
-	for _, k := range []TreeKind{EunoBTree, HTMBTree} {
+	for _, k := range []kind.Kind{kind.EunoBTree, kind.HTMBTree} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			plain := Run(smallCfg(k))
@@ -300,7 +275,7 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 // Its false *share* is no test: what else it removes, such as the upper
 // region's metadata conflicts, raises the share while the rate holds.
 func TestAbortDecompositionShape(t *testing.T) {
-	decompose := func(k TreeKind, seed uint64) (falsePerOp, falseShare, metaShare, trueShare float64) {
+	decompose := func(k kind.Kind, seed uint64) (falsePerOp, falseShare, metaShare, trueShare float64) {
 		cfg := smallCfg(k)
 		cfg.Threads = 8
 		cfg.OpsPerThread = 1200
@@ -317,14 +292,14 @@ func TestAbortDecompositionShape(t *testing.T) {
 			float64(a[htm.AbortConflictTrue]) / conflicts
 	}
 	for _, seed := range []uint64{1, 2, 3, 42} {
-		bf, f, m, tr := decompose(HTMBTree, seed)
+		bf, f, m, tr := decompose(kind.HTMBTree, seed)
 		if f < 0.5 {
 			t.Fatalf("seed %d: baseline layout-false share = %.2f, want dominant (paper: 0.87-0.90)", seed, f)
 		}
 		if m > f || tr > f {
 			t.Fatalf("seed %d: baseline minority classes out of shape: false=%.2f meta=%.2f true=%.2f", seed, f, m, tr)
 		}
-		ef, _, _, _ := decompose(EunoBTree, seed)
+		ef, _, _, _ := decompose(kind.EunoBTree, seed)
 		if ef > bf/2 {
 			t.Fatalf("seed %d: Euno takes %.3f false conflicts per op, the baseline %.3f; want at most half", seed, ef, bf)
 		}

@@ -50,9 +50,9 @@ func TestHostDisablesCostModel(t *testing.T) {
 // hostCounterRun drives workers goroutines through incs transactional
 // increments of one shared word each and checks the total — lost updates
 // mean broken write-write conflict detection.
-func hostCounterRun(t *testing.T, pol RetryPolicy) {
+func hostCounterRun(t *testing.T, lemmingWait bool) {
 	t.Helper()
-	h, a := newHostDevice(1<<16, Config{})
+	h, a := newHostDevice(1<<16, Config{LemmingWait: lemmingWait})
 	boot := h.NewHostThread(0, 1)
 	ctr := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
 
@@ -69,7 +69,7 @@ func hostCounterRun(t *testing.T, pol RetryPolicy) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < incs; i++ {
-				th.Execute(pol, func(tx *Tx) {
+				th.Execute(DefaultPolicy, func(tx *Tx) {
 					tx.Store(ctr, tx.Load(ctr)+1)
 				})
 			}
@@ -90,11 +90,11 @@ func hostCounterRun(t *testing.T, pol RetryPolicy) {
 }
 
 func TestHostCounterDefaultPolicy(t *testing.T) {
-	hostCounterRun(t, DefaultPolicy)
+	hostCounterRun(t, false)
 }
 
 func TestHostCounterResilient(t *testing.T) {
-	hostCounterRun(t, ResilientPolicy())
+	hostCounterRun(t, true)
 }
 
 // TestHostOpacity keeps an invariant (a + b == 1000) across transfer
@@ -164,11 +164,11 @@ func TestHostOpacity(t *testing.T) {
 // abort in-flight transactions, and the lock must serialize fallback bodies.
 func TestHostFallbackMutualExclusion(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		pol  RetryPolicy
-	}{{"spin", DefaultPolicy}, {"lemming", ResilientPolicy()}} {
+		name        string
+		lemmingWait bool
+	}{{"spin", false}, {"lemming", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			h, a := newHostDevice(1<<16, Config{})
+			h, a := newHostDevice(1<<16, Config{LemmingWait: c.lemmingWait})
 			boot := h.NewHostThread(0, 1)
 			ctr := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
 
@@ -189,7 +189,7 @@ func TestHostFallbackMutualExclusion(t *testing.T) {
 								tx.Store(ctr, tx.Load(ctr)+1)
 							})
 						} else {
-							th.Execute(c.pol, func(tx *Tx) {
+							th.Execute(DefaultPolicy, func(tx *Tx) {
 								tx.Store(ctr, tx.Load(ctr)+1)
 							})
 						}

@@ -101,6 +101,16 @@ type Config struct {
 	// the same protocol at native speed on real goroutines.
 	Backend Backend
 
+	// LemmingWait is the one hardening switch (false is the paper-faithful
+	// behavior every figure measures): after an AbortFallbackLock, Execute
+	// waits for the fallback lock to clear before re-attempting instead of
+	// burning further aborts against it — the fix Brown's HTM template
+	// paper identifies as the difference between a usable and a collapsing
+	// fallback path. It is the whole hardening layer on purpose: it removes
+	// the fallback-lock convoy by itself, and no other defence measured as
+	// a gain on top of it (DESIGN.md §7).
+	LemmingWait bool
+
 	// Observer receives observability events (see internal/obs and
 	// SetObserver). nil — the default — disables emission entirely; each
 	// site then costs one nil check, and virtual-time metrics are

@@ -78,11 +78,14 @@ func TestDefaultPathDrawsNoRandomness(t *testing.T) {
 
 // TestLemmingWaitReducesLockAborts: with a hog on the fallback lock, the
 // default policy burns an AbortFallbackLock per retry (the lemming storm);
-// LemmingWait must complete the same schedule with strictly fewer of them.
+// Config.LemmingWait must complete the same schedule with strictly fewer of
+// them.
 func TestLemmingWaitReducesLockAborts(t *testing.T) {
-	run := func(pol RetryPolicy) uint64 {
+	run := func(lemmingWait bool) uint64 {
 		a := simmem.NewArena(1 << 16)
-		h := New(a, DefaultConfig)
+		cfg := DefaultConfig
+		cfg.LemmingWait = lemmingWait
+		h := New(a, cfg)
 		boot := vclock.NewWallProc(0, 0)
 		x := a.AllocAligned(boot, 8, simmem.TagKeys)
 		y := a.AllocAligned(boot, 8, simmem.TagKeys)
@@ -99,7 +102,7 @@ func TestLemmingWaitReducesLockAborts(t *testing.T) {
 				}
 			} else {
 				for i := 0; i < 100; i++ {
-					th.Execute(pol, func(tx *Tx) { tx.Store(x, tx.Load(x)+1) })
+					th.Execute(DefaultPolicy, func(tx *Tx) { tx.Store(x, tx.Load(x)+1) })
 				}
 			}
 			stats[p.ID()] = th.Stats
@@ -113,8 +116,8 @@ func TestLemmingWaitReducesLockAborts(t *testing.T) {
 		}
 		return m.Aborts[AbortFallbackLock]
 	}
-	fragileAborts := run(DefaultPolicy)
-	lemmingAborts := run(ResilientPolicy())
+	fragileAborts := run(false)
+	lemmingAborts := run(true)
 	if fragileAborts == 0 {
 		t.Fatal("hog produced no fallback-lock aborts under the fragile policy")
 	}

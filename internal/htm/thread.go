@@ -90,14 +90,6 @@ type RetryPolicy struct {
 	// an abort storm across all threads under contention, a major
 	// component of the paper's collapsed baseline.
 	LockBusy int
-
-	// LemmingWait is the one hardening switch (ResilientPolicy sets it;
-	// false is the paper-faithful behavior every figure measures): after
-	// an AbortFallbackLock the thread waits for the fallback lock to
-	// clear before re-attempting instead of burning further aborts
-	// against it — the fix Brown's HTM template paper identifies as the
-	// difference between a usable and a collapsing fallback path.
-	LemmingWait bool
 }
 
 // NoRetry is the explicit "zero retries for this reason" threshold. A
@@ -130,17 +122,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // budget before taking the lock (aggressive fallback is what produces the
 // serialization collapse the paper analyses).
 var DefaultPolicy = RetryPolicy{Conflict: 3, Capacity: 2, Explicit: 16, LockBusy: 16}
-
-// ResilientPolicy is DefaultPolicy with the lemming wait — the policy
-// eunomia.Options.Resilience and hardened harness runs give every tree. The
-// wait is the whole hardening layer on purpose: it removes the fallback-lock
-// convoy by itself, and no other defence measured as a gain on top of it
-// (DESIGN.md §7).
-func ResilientPolicy() RetryPolicy {
-	pol := DefaultPolicy
-	pol.LemmingWait = true
-	return pol
-}
 
 // Thread is a per-worker handle on the HTM device. It owns a reusable Tx,
 // the worker's statistics, and a deterministic RNG. A Thread must not be
@@ -338,7 +319,7 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 				t.RunFallback(body)
 				return
 			}
-			if pol.LemmingWait {
+			if t.H.cfg.LemmingWait {
 				// Lemming mitigation: wait for the lock holder to finish
 				// instead of burning more aborts against the held lock.
 				t.awaitFallbackClear()

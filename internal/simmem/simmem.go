@@ -164,9 +164,6 @@ func NewArena(words uint64) *Arena {
 	return a
 }
 
-// Cap returns the arena capacity in words.
-func (a *Arena) Cap() uint64 { return uint64(len(a.words)) }
-
 // DisableCostModel switches off cycle-cost accounting and the per-proc
 // cache model: ChargeAccess, ChargeAccessVersioned, Prefetch and
 // NoteLineWritten become no-ops, and proc IDs are no longer bounded by the

@@ -50,7 +50,6 @@ type Tree struct {
 	a      *simmem.Arena
 	fanout int
 	meta   simmem.Addr
-	policy htm.RetryPolicy
 }
 
 // New creates an empty tree with the given leaf/internal fanout (maximum
@@ -59,17 +58,13 @@ func New(h *htm.HTM, boot *htm.Thread, fanout int) *Tree {
 	if fanout < 4 {
 		panic("htmtree: fanout must be at least 4")
 	}
-	t := &Tree{h: h, a: h.Arena(), fanout: fanout, policy: htm.DefaultPolicy}
+	t := &Tree{h: h, a: h.Arena(), fanout: fanout}
 	t.meta = t.a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagTreeMeta)
 	root := t.newNode(boot.P, true)
 	t.a.StoreWordDirect(boot.P, t.meta+metaRoot, uint64(root))
 	t.a.StoreWordDirect(boot.P, t.meta+metaDepth, 1)
 	return t
 }
-
-// SetPolicy overrides the retry policy used by every operation (e.g. with
-// htm.ResilientPolicy()). Call before sharing the tree between threads.
-func (t *Tree) SetPolicy(pol htm.RetryPolicy) { t.policy = pol }
 
 // Name implements tree.KV.
 func (t *Tree) Name() string { return "htm-btree" }
@@ -161,7 +156,7 @@ func (t *Tree) leafSearch(tx *htm.Tx, leaf simmem.Addr, key uint64) (int, bool) 
 func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 	var val uint64
 	var ok bool
-	th.Execute(t.policy, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		val, ok = 0, false
 		leaf := t.findLeaf(tx, key, nil)
 		if idx, found := t.leafSearch(tx, leaf, key); found {
@@ -176,7 +171,7 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 // (splitting as needed) otherwise — all in one HTM region.
 func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 	path := make([]simmem.Addr, 0, 12)
-	th.Execute(t.policy, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		path = path[:0]
 		leaf := t.findLeaf(tx, key, &path)
 		idx, found := t.leafSearch(tx, leaf, key)
@@ -306,7 +301,7 @@ func (t *Tree) insertInternal(tx *htm.Tx, node simmem.Addr, count int, sep uint6
 // as in Section 4.2.4's deferred scheme).
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 	var removed bool
-	th.Execute(t.policy, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		removed = false
 		leaf := t.findLeaf(tx, key, nil)
 		idx, found := t.leafSearch(tx, leaf, key)
@@ -331,7 +326,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint64) bool) int {
 	type pair struct{ k, v uint64 }
 	buf := make([]pair, 0, max)
-	th.Execute(t.policy, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		buf = buf[:0]
 		leaf := t.findLeaf(tx, from, nil)
 		idx, _ := t.leafSearch(tx, leaf, from)
@@ -357,7 +352,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 // Depth returns the current number of tree levels (diagnostic).
 func (t *Tree) Depth(th *htm.Thread) int {
 	var d uint64
-	th.Execute(t.policy, func(tx *htm.Tx) {
+	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		d = tx.Load(t.meta + metaDepth)
 	})
 	return int(d)

@@ -64,7 +64,6 @@ type Tree struct {
 	fanout int
 	meta   simmem.Addr
 	useHTM bool
-	policy htm.RetryPolicy
 }
 
 // New creates an empty tree. useHTM selects HTM-Masstree.
@@ -72,19 +71,12 @@ func New(h *htm.HTM, boot *htm.Thread, fanout int, useHTM bool) *Tree {
 	if fanout < 4 {
 		panic("masstree: fanout must be at least 4")
 	}
-	t := &Tree{h: h, a: h.Arena(), fanout: fanout, useHTM: useHTM, policy: htm.DefaultPolicy}
+	t := &Tree{h: h, a: h.Arena(), fanout: fanout, useHTM: useHTM}
 	t.meta = t.a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagTreeMeta)
 	root := t.newNode(boot.P, true)
 	t.a.StoreWordDirect(boot.P, root+offHigh, maxHigh)
 	t.a.StoreWordDirect(boot.P, t.meta+metaRootDepth, packRootDepth(root, 1))
 	return t
-}
-
-// SetPolicy overrides the retry policy used by the HTM-Masstree variant's
-// transactions (e.g. with htm.ResilientPolicy()). Call before sharing the
-// tree between threads; the non-HTM variant ignores it.
-func (t *Tree) SetPolicy(pol htm.RetryPolicy) {
-	t.policy = pol
 }
 
 func packRootDepth(root simmem.Addr, depth uint64) uint64 {
@@ -327,7 +319,7 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 	if t.useHTM {
 		var val uint64
 		var ok bool
-		th.Execute(t.policy, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			val, ok = t.getWith(mem{t: t, p: th.P, tx: tx})(key)
 		})
 		return val, ok
@@ -361,7 +353,7 @@ func (t *Tree) getWith(m mem) func(uint64) (uint64, bool) {
 // Put implements tree.KV.
 func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 	if t.useHTM {
-		th.Execute(t.policy, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			t.putWith(mem{t: t, p: th.P, tx: tx}, key, val)
 		})
 		return
@@ -577,7 +569,7 @@ func (t *Tree) insertInternal(m mem, node simmem.Addr, count int, sep uint64, ch
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 	if t.useHTM {
 		var removed bool
-		th.Execute(t.policy, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			removed = t.deleteWith(mem{t: t, p: th.P, tx: tx}, key)
 		})
 		return removed
@@ -630,7 +622,7 @@ func (t *Tree) Scan(th *htm.Thread, from uint64, max int, fn func(key, val uint6
 		// Collect inside the transaction, emit outside, so an aborted
 		// attempt never re-delivers records to fn.
 		res := make([][2]uint64, 0, max)
-		th.Execute(t.policy, func(tx *htm.Tx) {
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 			res = res[:0]
 			t.scanWith(mem{t: t, p: th.P, tx: tx}, from, max, func(k, v uint64) bool {
 				res = append(res, [2]uint64{k, v})

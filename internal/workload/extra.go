@@ -28,42 +28,3 @@ func (g scrambledGen) Next(r *vclock.Rand) uint64 {
 }
 
 func (g scrambledGen) N() uint64 { return g.n }
-
-// Latest models YCSB workload D: most accesses go to recently inserted
-// keys. The caller advances the insertion frontier with Extend; draws are
-// Zipfian-distributed distances behind the frontier.
-type LatestGen struct {
-	zipf  Generator
-	front uint64
-	n     uint64
-}
-
-// NewLatest creates a latest-distribution generator over an initially
-// `loaded`-key store within an n-key space.
-func NewLatest(n, loaded uint64, theta float64) *LatestGen {
-	if loaded == 0 {
-		loaded = 1
-	}
-	if loaded > n {
-		loaded = n
-	}
-	return &LatestGen{zipf: Spec{Kind: Zipfian, N: n, Theta: theta}.New(), front: loaded, n: n}
-}
-
-// Extend moves the insertion frontier forward (call after inserting a new
-// key) and returns the new frontier rank.
-func (g *LatestGen) Extend() uint64 {
-	if g.front < g.n {
-		g.front++
-	}
-	return g.front - 1
-}
-
-// Next draws a rank biased toward the frontier.
-func (g *LatestGen) Next(r *vclock.Rand) uint64 {
-	d := g.zipf.Next(r) % g.front
-	return g.front - 1 - d
-}
-
-// N returns the key-space size.
-func (g *LatestGen) N() uint64 { return g.n }

@@ -54,56 +54,6 @@ func TestScrambledInRange(t *testing.T) {
 	}
 }
 
-func TestLatestFavorsFrontier(t *testing.T) {
-	g := NewLatest(100000, 1000, 0.99)
-	r := vclock.NewRand(7)
-	nearFront := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		k := g.Next(r)
-		if k >= 900 { // within the most recent 10%
-			nearFront++
-		}
-		if k >= 1000 {
-			t.Fatalf("rank %d beyond frontier 1000", k)
-		}
-	}
-	if frac := float64(nearFront) / draws; frac < 0.35 {
-		t.Fatalf("only %.2f of draws near the frontier", frac)
-	}
-	// Extending the frontier shifts the mass.
-	for i := 0; i < 5000; i++ {
-		g.Extend()
-	}
-	hits := 0
-	for i := 0; i < draws; i++ {
-		if g.Next(r) >= 5000 {
-			hits++
-		}
-	}
-	if frac := float64(hits) / draws; frac < 0.4 {
-		t.Fatalf("frontier did not move: %.2f", frac)
-	}
-}
-
-func TestLatestBounds(t *testing.T) {
-	g := NewLatest(10, 0, 0.9) // loaded clamps to 1
-	r := vclock.NewRand(1)
-	for i := 0; i < 100; i++ {
-		if k := g.Next(r); k != 0 {
-			t.Fatalf("single-key frontier drew %d", k)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		g.Extend() // clamps at n
-	}
-	for i := 0; i < 1000; i++ {
-		if k := g.Next(r); k >= 10 {
-			t.Fatalf("rank %d out of space", k)
-		}
-	}
-}
-
 func TestScrambledSpecKind(t *testing.T) {
 	g := Spec{Kind: ScrambledZipfian, N: 1000, Theta: 0.9}.New()
 	r := vclock.NewRand(2)

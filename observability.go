@@ -45,10 +45,6 @@ type TraceOptions = obs.TraceOptions
 // NewTraceWriter creates a Chrome-trace recorder.
 func NewTraceWriter(opt TraceOptions) *TraceWriter { return obs.NewTraceWriter(opt) }
 
-// MultiObserver combines observers into one (nil entries are skipped; nil
-// is returned when none remain).
-func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
-
 // HotLeaf is one hot-leaf heatmap entry; see ContentionMetrics.HotLeaves.
 type HotLeaf = obs.LeafHeat
 

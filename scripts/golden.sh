@@ -13,11 +13,18 @@
 # tree and must not move when only Euno-B+Tree's leaves change. The scan
 # table is the one figure that sees the scan path.
 #
+# Figures 8 and 13 run a second time with -resilience, against their own
+# goldens: that pins the hardened path, the device's lemming wait
+# (htm.Config.LemmingWait) reaching every tree the figures build.
+#
 # To re-baseline after an *intentional* metrics change — EXPERIMENTS.md
 # keeps every re-baseline's parent and change columns, so label it there:
 #   go build ./cmd/eunobench
 #   for f in fig1 fig8 fig13 scan; do
 #     ./eunobench -quick -csv $f > cmd/eunobench/testdata/golden-$f-quick.csv
+#   done
+#   for f in fig8 fig13; do
+#     ./eunobench -quick -csv -resilience $f > cmd/eunobench/testdata/golden-$f-resilient-quick.csv
 #   done
 set -eux
 
@@ -29,6 +36,10 @@ go build -o "$tmp/eunobench" ./cmd/eunobench
 for f in fig1 fig8 fig13 scan; do
 	"$tmp/eunobench" -quick -csv "$f" > "$tmp/$f.csv"
 	diff -u "cmd/eunobench/testdata/golden-$f-quick.csv" "$tmp/$f.csv"
+done
+for f in fig8 fig13; do
+	"$tmp/eunobench" -quick -csv -resilience "$f" > "$tmp/$f-resilient.csv"
+	diff -u "cmd/eunobench/testdata/golden-$f-resilient-quick.csv" "$tmp/$f-resilient.csv"
 done
 
 echo "golden figures: bit-identical"
