@@ -65,8 +65,8 @@
 //   - The paper re-runs the upper region for every operation. Here a get,
 //     put, delete or a scan's first leaf first asks the tree's lossy leaf
 //     directory (Tree.locate), and goes straight to the lower region when
-//     the leaf it names carries fences that cover the key; the lower region
-//     re-validates them with the seqno, the stitch it runs anyway.
+//     the leaf it names, or one up to dirHops links on, has fences covering
+//     the key; the lower region re-validates them with the seqno.
 //
 //   - Gets take no lock bit (two gets of one record never conflict): a get
 //     waits until its slot's bit is clear (awaitSlot), then runs its lower

@@ -6,6 +6,7 @@ import (
 
 	"eunomia/internal/check"
 	"eunomia/internal/htm"
+	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
 	"eunomia/internal/tree/treetest"
 	"eunomia/internal/vclock"
@@ -52,8 +53,9 @@ func TestLeafDirSkipsUpperRegion(t *testing.T) {
 // TestLeafDirServesUniformKeys: on a tree of many leaves, any key whose
 // bucket an operation on it filled is served from the directory — a get, a
 // put and a scan's first page of a key drawn uniformly each cost one
-// transaction after one get of it — and one pass over every key leaves most
-// uniform gets a hit: a bucket that straddles two leaves holds only one.
+// transaction after one get of it — and one pass over every key leaves
+// nearly every uniform get a hit: a bucket that straddles two leaves settles
+// on the left one and reaches the right one along next.
 func TestLeafDirServesUniformKeys(t *testing.T) {
 	const n = 1 << 16
 	h, th := treetest.NewHostDevice(1 << 22)
@@ -91,17 +93,16 @@ func TestLeafDirServesUniformKeys(t *testing.T) {
 	}
 	hits := 2*gets - used
 	t.Logf("%d leaves, %d buckets: %d of %d uniform gets served from the directory", tr.Splits()+1, len(tr.dir.Load().slots), hits, gets)
-	if hits < gets/2 {
-		t.Fatalf("%d of %d uniform gets hit the directory, want at least half", hits, gets)
+	if hits < gets-gets/1000 {
+		t.Fatalf("%d of %d uniform gets hit the directory, want at least %d", hits, gets, gets-gets/1000)
 	}
 }
 
-// TestLeafDirSplitCaughtBeforeTheRegion: after another thread splits a
-// leaf the directory holds, the probe's fences send an operation on a key
-// that moved to the new right leaf down the upper region before any lower
-// region runs on the stale leaf, so no root retry is counted, and the
-// descent refills the bucket; a key that stayed is still served, though the
-// split bumped the seqno.
+// TestLeafDirSplitCaughtBeforeTheRegion: after another thread splits a leaf
+// the directory holds, an operation on a key that moved to the new right
+// leaf finds the stale leaf's fences below it and moves right along next
+// before any lower region runs, so it is one transaction and no root retry;
+// a key that stayed is still served, though the split bumped the seqno.
 func TestLeafDirSplitCaughtBeforeTheRegion(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
 	n := 2 * uint64(tr.denseCap)
@@ -122,21 +123,27 @@ func TestLeafDirSplitCaughtBeforeTheRegion(t *testing.T) {
 	if tr.Splits() != splits+1 || tr.a.LoadWord(th.P, last+offHi) >= n {
 		t.Fatalf("the put made %d splits and left the leaf's hi at %d; want one split moving %d right", tr.Splits()-splits, tr.a.LoadWord(th.P, last+offHi), n)
 	}
-	for i, c := range []struct{ key, want uint64 }{{n, 2}, {n, 1}, {stays, 1}} {
+	for i, key := range []uint64{n, n, stays} {
 		var v uint64
-		if got := attempts(th, func() { v, _ = tr.Get(th, c.key) }); got != c.want || v != 10*c.key {
-			t.Fatalf("get %d of %d after the split: %d transactions, value %d; want %d and %d", i, c.key, got, v, c.want, 10*c.key)
+		if got := attempts(th, func() { v, _ = tr.Get(th, key) }); got != 1 || v != 10*key {
+			t.Fatalf("get %d of %d after the split: %d transactions, value %d; want 1 and %d", i, key, got, v, 10*key)
 		}
 	}
 	if got := tr.RootRetries() - retries; got != 0 {
 		t.Fatalf("%d root retries; the probe's fences should have caught the split", got)
 	}
+	if got := simmem.Addr(tr.dir.Load().slot(n).Load()); got != last {
+		t.Fatalf("key %d's bucket holds leaf %d after the move right, want the left leaf %d", n, got, last)
+	}
 }
 
-// TestLeafDirFencesAreExact: a bucket that holds one leaf serves exactly
-// that leaf's keys. At a leaf boundary inside one bucket, the last key of
-// the left leaf and the first of the right — the separator — each descend
-// when the bucket holds the other's leaf, and hit once it holds their own.
+// TestLeafDirFencesAreExact: a bucket serves exactly the keys its leaf's
+// fences cover, and those of the dirHops leaves right of it, and it settles
+// on the leftmost leaf its keys need. At a leaf boundary inside one bucket,
+// while the bucket holds the right leaf the last key of the left leaf —
+// below the right leaf's lo — descends once and leaves the left leaf in the
+// bucket; from then on both that key and the separator are one
+// transaction, the separator one hop along next.
 func TestLeafDirFencesAreExact(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
 	// In a random order, so that the separators fall anywhere in a bucket.
@@ -145,20 +152,58 @@ func TestLeafDirFencesAreExact(t *testing.T) {
 	}
 	d := tr.dir.Load()
 	var sep uint64
-	for _, l := range tr.leaves(th)[1:] {
+	var left, right simmem.Addr
+	leaves := tr.leaves(th)
+	for i, l := range leaves[1:] {
 		if lo := tr.a.LoadWord(th.P, l+offLo); d.slot(lo-1) == d.slot(lo) {
-			sep = lo
+			sep, left, right = lo, leaves[i], l
 			break
 		}
 	}
 	if sep == 0 {
 		t.Fatalf("no leaf boundary of %d leaves falls inside one of %d buckets", tr.Splits()+1, len(d.slots))
 	}
-	tr.Get(th, sep-1)
-	for _, c := range []struct{ key, want uint64 }{{sep - 1, 1}, {sep, 2}, {sep, 1}, {sep - 1, 2}, {sep - 1, 1}} {
+	if hi := tr.a.LoadWord(th.P, left+offHi); hi != sep-1 {
+		t.Fatalf("the left leaf's hi is %d, want %d: the separator's predecessor", hi, sep-1)
+	}
+	slot := d.slot(sep)
+	slot.Store(uint64(right))
+	for _, c := range []struct {
+		key, want uint64
+		holds     simmem.Addr
+	}{{sep, 1, right}, {sep - 1, 2, left}, {sep - 1, 1, left}, {sep, 1, left}} {
 		var v uint64
 		if n := attempts(th, func() { v, _ = tr.Get(th, c.key) }); n != c.want || v != 10*c.key {
 			t.Fatalf("get(%d) with separator %d: %d transactions, value %d; want %d and %d", c.key, sep, n, v, c.want, 10*c.key)
+		}
+		if got := simmem.Addr(slot.Load()); got != c.holds {
+			t.Fatalf("after get(%d) the bucket holds leaf %d, want %d (left %d, right %d)", c.key, got, c.holds, left, right)
+		}
+	}
+}
+
+// TestLeafDirHopsAreBounded: a bucket whose leaf lies more than dirHops
+// leaves left of the key's does not walk the chain to it: the get descends
+// once, fills the bucket with the key's leaf, and the next get is served
+// from it.
+func TestLeafDirHopsAreBounded(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	fill(tr, th, 8*uint64(tr.denseCap))
+	leaves := tr.leaves(th)
+	if len(leaves) < dirHops+2 {
+		t.Fatalf("%d leaves, want at least %d", len(leaves), dirHops+2)
+	}
+	far := leaves[dirHops+1]
+	key := tr.a.LoadWord(th.P, far+offLo)
+	slot := tr.dir.Load().slot(key)
+	slot.Store(uint64(leaves[0]))
+	for i, want := range []uint64{2, 1} {
+		var v uint64
+		if n := attempts(th, func() { v, _ = tr.Get(th, key) }); n != want || v != 10*key {
+			t.Fatalf("get %d of %d, %d leaves right of its bucket's: %d transactions, value %d; want %d and %d", i, key, dirHops+1, n, v, want, 10*key)
+		}
+		if got := simmem.Addr(slot.Load()); got != far {
+			t.Fatalf("after get %d the bucket holds leaf %d, want the key's leaf %d", i, got, far)
 		}
 	}
 }
@@ -204,6 +249,39 @@ func TestDirFenceMutantCaught(t *testing.T) {
 	}
 	t.Logf("caught after %d histories: %s", histories, fail.Workload)
 	if base := check.DefaultWorkload(); fail.Workload.Ops >= base.Ops && fail.Workload.Procs >= base.Procs && fail.Workload.Keys >= base.Keys {
+		t.Errorf("shrinking reduced nothing: %s (base %s)", fail.Workload, base)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
+			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
+		}
+	}
+	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
+	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
+		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
+	}
+}
+
+// TestGuessMutantCaught is the checker's self-test for the run search: a
+// search that looks for a key only on the line the fences predict misses
+// the keys of a leaf whose records bunch, and the sweep the healthy tree
+// passes must reject it with a shrunk case that replays. The sweep's
+// universe is four times the default's, so that split leaves are dense
+// runs of more than one line.
+func TestGuessMutantCaught(t *testing.T) {
+	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
+		tr := New(h, boot, hotTiny())
+		tr.trustGuess = true
+		return tr
+	}
+	sc := check.DefaultSweep(48)
+	sc.Base.Keys *= 4
+	histories, fail := check.Sweep("euno-guess-broken", mk, sc)
+	if fail == nil {
+		t.Fatalf("the search that trusts its guess survived %d histories; the checker cannot see a run search go wrong", histories)
+	}
+	t.Logf("caught after %d histories: %s", histories, fail.Workload)
+	if base := sc.Base; fail.Workload.Ops >= base.Ops && fail.Workload.Procs >= base.Procs && fail.Workload.Keys >= base.Keys {
 		t.Errorf("shrinking reduced nothing: %s (base %s)", fail.Workload, base)
 	}
 	for i := 0; i < 2; i++ {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"eunomia/internal/htm"
@@ -135,24 +137,61 @@ func (t *Tree) prefetchLeaf(tx *htm.Tx, leaf simmem.Addr, segs int) {
 	tx.Prefetch(addrs[:n]...)
 }
 
-// stableSearch binary-searches the stable region; returns the insertion
-// index and whether the key is present (tombstones count as present — the
-// caller inspects the value).
+// stableSearch searches the leaf's sorted run — a dense run, a stable
+// region, the +Split HTM run — for the first pair with a key >= key, and
+// reports whether that key is key (tombstones count as present — the caller
+// inspects the value). It loads the first and last key of the line
+// guessLine predicts and bisects only the part of the run on key's side of
+// them: on evenly spread keys, that line alone.
 func (t *Tree) stableSearch(tx *htm.Tx, leaf simmem.Addr, key uint64) (int, bool) {
 	count := int(tx.Load(leaf + offStableCount))
 	lo, hi := 0, count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tx.Load(t.stableK(leaf, mid)) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if first, last, ok := t.guessLine(tx, leaf, key, count); ok {
+		for _, i := range [2]int{first, last} {
+			if k := tx.Load(t.stableK(leaf, i)); k == key {
+				return i, true
+			} else if k > key {
+				hi = i
+				break
+			}
+			lo = i + 1
+		}
+		if t.trustGuess { // the seeded bug: a key off the predicted line is not looked for
+			lo, hi = max(lo, first), min(hi, last+1)
 		}
 	}
-	if lo < count && tx.Load(t.stableK(leaf, lo)) == key {
-		return lo, true
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch k := tx.Load(t.stableK(leaf, mid)); {
+		case k < key:
+			lo = mid + 1
+		case k > key:
+			hi = mid
+		default:
+			return mid, true
+		}
 	}
 	return lo, false
+}
+
+// guessLine returns the first and last pair of the line of the leaf's run
+// of count pairs that its fences predict holds key: the line of pair
+// (key-lo)·count/(hi-lo+1). It predicts nothing (ok false) for a run on one
+// line or the rightmost leaf (hi = MaxUint64). No pair straddles a line:
+// the run starts at an even word.
+func (t *Tree) guessLine(tx *htm.Tx, leaf simmem.Addr, key uint64, count int) (first, last int, ok bool) {
+	const line = simmem.WordsPerLine
+	if count == 0 || t.stableOff/line == (t.stableOff+2*count-1)/line {
+		return 0, 0, false
+	}
+	lo, hi := tx.Load(leaf+offLo), tx.Load(leaf+offHi)
+	if hi == math.MaxUint64 {
+		return 0, 0, false
+	}
+	h, l := bits.Mul64(min(max(key, lo), hi)-lo, uint64(count))
+	g, _ := bits.Div64(h, l, hi-lo+1)
+	w := (t.stableOff + 2*int(g)) &^ (line - 1)
+	return max(0, (w-t.stableOff)/2), min(count-1, (w+line-1-t.stableOff)/2), true
 }
 
 // segSearch looks for key in segment j. It prunes with the first/last
@@ -272,29 +311,22 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 		}
 	}
 	stIdx, inStable := t.stableSearch(tx, leaf, key)
-	wasLive := false
-	if inStable {
-		wasLive = tx.Load(t.stableV(leaf, stIdx)) != tree.Tombstone
+	done := oInserted // what storing the record makes of this put
+	if inStable && tx.Load(t.stableV(leaf, stIdx)) != tree.Tombstone {
+		done = oUpdated
+	}
+	if done == oInserted && needMark {
+		// A genuine insertion requires the mark pre-increment; a shadow
+		// copy of a live key is an update as far as the filter goes.
+		return oNeedMark
 	}
 	if segs == 0 {
 		// A dense leaf, or the +Split HTM configuration's conventional
 		// sorted leaf: the run is updated and shifted in place.
 		if inStable {
-			prev := tx.Load(t.stableV(leaf, stIdx))
-			if prev == tree.Tombstone {
-				if needMark {
-					return oNeedMark
-				}
-				tx.Store(t.stableV(leaf, stIdx), val)
-				t.bumpConvHeader(tx, leaf)
-				return oInserted
-			}
 			tx.Store(t.stableV(leaf, stIdx), val)
 			t.bumpConvHeader(tx, leaf)
-			return oUpdated
-		}
-		if needMark {
-			return oNeedMark
+			return done
 		}
 		count := int(tx.Load(leaf + offStableCount))
 		if count == t.denseCap {
@@ -318,11 +350,6 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 	}
 	// Partitioned leaf: the record goes to a segment (a shadow copy if a
 	// live stable copy exists; lookups prefer segments, so it wins).
-	if !wasLive && needMark {
-		// A genuine insertion requires the mark pre-increment; shadow
-		// copies of live keys are updates as far as the filter goes.
-		return oNeedMark
-	}
 	insert := func(j int) bool {
 		seg := t.segBase(leaf, j)
 		idx, count, _ := t.segSearch(tx, seg, key)
@@ -343,19 +370,13 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 			}
 			last = j
 			if insert(j) {
-				if wasLive {
-					return oUpdated
-				}
-				return oInserted
+				return done
 			}
 		}
 		return oMaint
 	}
 	if insert(t.homeSeg(key)) {
-		if wasLive {
-			return oUpdated
-		}
-		return oInserted
+		return done
 	}
 	return oMaint
 }
@@ -404,7 +425,7 @@ type pair struct{ k, v uint64 }
 // shadow stable ones; tombstones dropped), stopping once out holds limit
 // records. The at most Segments×SegCap (validate: under 32) segment records
 // >= from are insertion-merged on the stack and then merged with the stable
-// run from its first key >= from (binary-searched; from 0 needs no search),
+// run from its first key >= from (stableSearch; from 0 needs no search),
 // so it loads no value below from and no stable pair past the limit. A dense
 // leaf is the run alone.
 func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, out []pair, limit int) []pair {
@@ -425,14 +446,9 @@ func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, ou
 			n++
 		}
 	}
-	count := int(tx.Load(leaf + offStableCount))
-	i := 0
-	for hi := count; from > 0 && i < hi; {
-		if mid := (i + hi) / 2; tx.Load(t.stableK(leaf, mid)) < from {
-			i = mid + 1
-		} else {
-			hi = mid
-		}
+	count, i := int(tx.Load(leaf+offStableCount)), 0
+	if from > 0 {
+		i, _ = t.stableSearch(tx, leaf, from)
 	}
 	for s := 0; len(out) < limit; i++ {
 		if i == count {
@@ -611,17 +627,19 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	right := t.newLeafTx(tx)
 	t.writeLeaf(tx, leaf, recs[:half], hot)
 	t.writeLeaf(tx, right, recs[half:], hot)
+	if t.cfg.CCMMarkBits {
+		t.initMarks(tx, right, recs[half:])
+	}
+	// The commit writes back in store order, and the directory's direct
+	// probe loads a leaf's seqno, then its fences, then next (locate): so
+	// the right leaf's marks go before the link to it, and the fences
+	// before the seqno.
 	tx.Store(right+offNext, tx.Load(leaf+offNext))
 	tx.Store(leaf+offNext, uint64(right))
-	// The fences go before the seqno: the commit writes back in store order
-	// and the directory's direct probe loads the seqno first (locate).
 	tx.Store(right+offLo, sep)
 	tx.Store(right+offHi, tx.Load(leaf+offHi))
 	tx.Store(leaf+offHi, sep-1+t.fenceSlack)
 	tx.Store(leaf+offSeqno, s0+1)
-	if t.cfg.CCMMarkBits {
-		t.initMarks(tx, right, recs[half:])
-	}
 	t.insertUp(tx, sc.path, sep, right)
 	return out, false, sep
 }

@@ -24,6 +24,8 @@ const (
 	// maxRun bounds a leaf's sorted run in either state, so the in-leaf
 	// shift and the scans' segment merge stage on the stack.
 	maxRun = 32
+	// dirHops is how many right-links locate follows before it descends.
+	dirHops = 2
 )
 
 // Tree is Euno-B+Tree. Create with New; all methods are safe for concurrent
@@ -60,11 +62,13 @@ type Tree struct {
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
 
-	// dropSegs and fenceSlack seed bugs for the checker's self-tests: a
-	// lossy demotion (adapt_test.go) and, at 1, a split whose left leaf
-	// keeps the separator inside its fences (dir_test.go).
+	// dropSegs, fenceSlack and trustGuess seed bugs for the checker's
+	// self-tests: a lossy demotion (adapt_test.go), at 1 a split whose left
+	// leaf keeps the separator inside its fences, and a run search that
+	// looks only on the line the fences predict (dir_test.go).
 	dropSegs   bool
 	fenceSlack uint64
+	trustGuess bool
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -234,19 +238,26 @@ func (t *Tree) noteSplit(sep uint64) {
 
 // locate finds key's leaf, seqno and state for a point operation or a
 // scan's first leaf: from key's directory bucket when its leaf's fences,
-// loaded directly after the seqno, cover key; otherwise by the upper
-// region, whose leaf then fills the bucket.
+// loaded directly after the seqno, cover key, or when a leaf at most
+// dirHops right-links on does (B-link's move right); otherwise by the upper
+// region, whose leaf then fills the bucket. A bucket thus settles on the
+// leftmost leaf its keys need, and a split's right half is one hop away.
 func (t *Tree) locate(th *htm.Thread, key uint64) (simmem.Addr, uint64, int) {
 	slot := t.dir.Load().slot(key)
-	if leaf := simmem.Addr(slot.Load()); leaf != simmem.NilAddr {
+	leaf := simmem.Addr(slot.Load())
+	for hop := 0; leaf != simmem.NilAddr && hop <= dirHops; hop++ {
 		s0 := t.a.LoadWord(th.P, leaf+offSeqno)
-		if t.a.LoadWord(th.P, leaf+offLo) <= key && key <= t.a.LoadWord(th.P, leaf+offHi) {
+		if key < t.a.LoadWord(th.P, leaf+offLo) {
+			break
+		}
+		if key <= t.a.LoadWord(th.P, leaf+offHi) {
 			segs := t.cfg.Segments
 			if t.cfg.Adaptive {
 				segs = int(t.a.LoadWord(th.P, leaf+offSegs))
 			}
 			return leaf, s0, segs
 		}
+		leaf = simmem.Addr(t.a.LoadWord(th.P, leaf+offNext))
 	}
 	leaf, s0, segs := t.upper(th, key)
 	slot.Store(uint64(leaf))

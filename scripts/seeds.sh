@@ -2,7 +2,7 @@
 # Prints, as Markdown tables ready for EXPERIMENTS.md, the two seed tables
 # a change to the adaptive tree is judged on:
 #
-#   1. the quick Figure 8 Euno-B+Tree cells at θ = 0.9 and θ = 0.99 on
+#   1. the quick Figure 8 Euno-B+Tree cells at θ = 0.2, 0.9 and 0.99 on
 #      seeds 1–9 (`eunobench -quick -csv -seed N fig8`, virtual M ops/s);
 #   2. sim-contended throughput_ops_s, op_p50_us and put_p50_us on the
 #      seeds in SIM_SEEDS (default "1 2 3"), each one run of bench/run.sh.
@@ -27,15 +27,15 @@ sim_seeds="${SIM_SEEDS:-1 2 3}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# measure SIDE DIR writes fig8-SIDE ("seed θ0.9 θ0.99" per line) and
+# measure SIDE DIR writes fig8-SIDE ("seed θ0.2 θ0.9 θ0.99" per line) and
 # sim-SIDE ("seed throughput op_p50 put_p50" per line) for the checkout at DIR.
 measure() {
 	local side=$1 dir=$2 s line
 	go build -C "$dir" -o "$tmp/eunobench-$side" ./cmd/eunobench
 	for s in $fig8_seeds; do
 		"$tmp/eunobench-$side" -quick -csv -seed "$s" fig8 |
-			awk -F, -v s="$s" '$1 == "0.90" { a = $2 } $1 == "0.99" { b = $2 }
-				END { sub(/M$/, "", a); sub(/M$/, "", b); print s, a, b }'
+			awk -F, -v s="$s" '$1 == "0.20" { c = $2 } $1 == "0.90" { a = $2 } $1 == "0.99" { b = $2 }
+				END { sub(/M$/, "", c); sub(/M$/, "", a); sub(/M$/, "", b); print s, c, a, b }'
 	done > "$tmp/fig8-$side"
 	for s in $sim_seeds; do
 		line="$(bash "$dir/bench/run.sh" --workload sim-contended --seed "$s" --trace 0 | tail -n 1)"
@@ -66,18 +66,18 @@ pct='function pct(new, old) { return sprintf("%+.1f %%", 100 * (new - old) / old
 echo "Quick Figure 8, Euno-B+Tree (eunobench -quick -seed N fig8, virtual M ops/s):"
 echo
 if [ -n "$base" ]; then
-	echo "| seed | θ=0.9 $base | θ=0.9 working tree | θ=0.99 $base | θ=0.99 working tree |"
-	echo "|---|---|---|---|---|"
+	echo "| seed | θ=0.2 $base | θ=0.2 working tree | θ=0.9 $base | θ=0.9 working tree | θ=0.99 $base | θ=0.99 working tree |"
+	echo "|---|---|---|---|---|---|---|"
 else
-	echo "| seed | θ=0.9 | θ=0.99 |"
-	echo "|---|---|---|"
+	echo "| seed | θ=0.2 | θ=0.9 | θ=0.99 |"
+	echo "|---|---|---|---|"
 fi
 paste -d' ' "$tmp/fig8-base" "$tmp/fig8-tree" | awk -v based="$base" "$pct"'
-	{ n++; ba += $2; bb += $3; ta += $5; tb += $6
-	  if (based != "") printf "| %s | %.2f | %.2f (%s) | %.2f | %.2f (%s) |\n", $1, $2, $5, pct($5, $2), $3, $6, pct($6, $3)
-	  else printf "| %s | %.2f | %.2f |\n", $1, $5, $6 }
-	END { if (based != "") printf "| **mean** | **%.2f** | **%.2f (%s)** | **%.2f** | **%.2f (%s)** |\n", ba / n, ta / n, pct(ta, ba), bb / n, tb / n, pct(tb, bb)
-	      else printf "| **mean** | **%.2f** | **%.2f** |\n", ta / n, tb / n }'
+	{ n++; bc += $2; ba += $3; bb += $4; tc += $6; ta += $7; tb += $8
+	  if (based != "") printf "| %s | %.2f | %.2f (%s) | %.2f | %.2f (%s) | %.2f | %.2f (%s) |\n", $1, $2, $6, pct($6, $2), $3, $7, pct($7, $3), $4, $8, pct($8, $4)
+	  else printf "| %s | %.2f | %.2f | %.2f |\n", $1, $6, $7, $8 }
+	END { if (based != "") printf "| **mean** | **%.2f** | **%.2f (%s)** | **%.2f** | **%.2f (%s)** | **%.2f** | **%.2f (%s)** |\n", bc / n, tc / n, pct(tc, bc), ba / n, ta / n, pct(ta, ba), bb / n, tb / n, pct(tb, bb)
+	      else printf "| **mean** | **%.2f** | **%.2f** | **%.2f** |\n", tc / n, ta / n, tb / n }'
 
 echo
 echo "sim-contended (bash bench/run.sh --workload sim-contended --seed N --trace 0${base:+; $base → working tree}):"
