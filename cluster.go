@@ -185,9 +185,8 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	c.healthOn = !opts.Health.Disable
 	c.healthCfg = shard.HealthConfig{
-		Window:           opts.Health.Window,
-		TripFailures:     opts.Health.TripFailures,
-		RecoverSuccesses: opts.Health.RecoverSuccesses,
+		Window:       opts.Health.Window,
+		TripFailures: opts.Health.TripFailures,
 	}
 	c.repair = opts.Repair.withDefaults()
 	if opts.Shard.Durability.Dir != "" {

@@ -102,11 +102,9 @@ type HealthOptions struct {
 	// (max 64; default 32).
 	Window int
 	// TripFailures is the failure count within Window that trips a shard
-	// Degraded → Failed (default 5).
+	// Degraded → Failed (default 5). Eight consecutive successes clear
+	// Degraded → Healthy.
 	TripFailures int
-	// RecoverSuccesses is the consecutive-success count that clears
-	// Degraded → Healthy (default 8).
-	RecoverSuccesses int
 }
 
 // retryBudget caps the retry tokens a Session banks per shard: a transient

@@ -28,10 +28,6 @@ type Durability struct {
 	// FS overrides the filesystem. nil means the operating system; the
 	// crash-recovery checker injects a fault-modeling in-memory FS.
 	FS durable.FS
-	// AckBeforeFlush deliberately breaks the acknowledged-only-after-flush
-	// rule so the crash checker can prove it detects the resulting data
-	// loss. Never enable it for real data.
-	AckBeforeFlush bool
 }
 
 // ErrClosed is returned by every operation on a closed DB.
@@ -41,12 +37,11 @@ var ErrClosed = errors.New("eunomia: db is closed")
 // replaying any existing snapshot and WAL through the boot thread.
 func (db *DB) openDurable(boot *htm.Thread, d Durability) error {
 	st, err := durable.Open(durable.Config{
-		FS:             d.FS,
-		Dir:            d.Dir,
-		Shards:         d.Shards,
-		SnapshotBytes:  d.SnapshotBytes,
-		AckBeforeFlush: d.AckBeforeFlush,
-		Observer:       db.observer,
+		FS:            d.FS,
+		Dir:           d.Dir,
+		Shards:        d.Shards,
+		SnapshotBytes: d.SnapshotBytes,
+		Observer:      db.observer,
 	}, func(op durable.Op) {
 		if op.Delete {
 			db.kv.Delete(boot, op.Key)

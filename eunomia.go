@@ -11,7 +11,8 @@
 // substitution argument. The API below is therefore shaped a little
 // differently from an ordinary map: a DB owns the arena and the emulated
 // device; each worker goroutine obtains a Thread handle carrying its
-// virtual core, statistics and RNG.
+// clock (wall time for a goroutine, a virtual core under RunVirtual),
+// statistics and RNG.
 //
 // Quickstart:
 //
@@ -28,8 +29,9 @@
 // set, writes are group-committed to a write-ahead log and acknowledged
 // only after they are on disk; DB.Sync forces buffered bytes down,
 // DB.Snapshot captures the tree and truncates the log, and Open replays
-// both on restart. Options.Resilience makes operations wait out a held
-// fallback lock instead of retrying into it, and Options.Observability
+// both on restart. Every DB's operations wait out a held fallback lock
+// instead of retrying into it (the paper's lemming collapse is what the
+// figures study, not what the library ships), and Options.Observability
 // enables abort attribution, contention heatmaps and structured tracing;
 // DB.Metrics returns the unified snapshot of every counter the DB keeps.
 //
@@ -83,8 +85,9 @@ type Backend int
 const (
 	// Emulated (the default) charges every access through the virtual-time
 	// cost model, so contention behaves like the paper's hardware and
-	// RunVirtual is deterministic. Wall-clock Threads work too, but their
-	// speed measures the emulator, not the protocol.
+	// RunVirtual is deterministic. Threads from NewThread work too: they
+	// run on real goroutines, yield in their wait loops like Host threads,
+	// and their speed measures the emulator, not the protocol.
 	Emulated Backend = iota
 	// Host disables the cost model and runs the protocol at native speed:
 	// Threads are meant to be one-per-goroutine, throughput scales with
@@ -116,14 +119,6 @@ type Options struct {
 	// actual-throughput work; use the default for paper-comparable,
 	// deterministic virtual-time numbers.
 	Backend Backend
-	// Resilience hardens the DB's HTM device, and so whichever tree Kind
-	// selects, with one change: an operation whose transaction aborts
-	// because the global fallback lock is held waits for the lock to clear
-	// before it retries, instead of retrying into it and then queueing for
-	// the lock itself (the convoy that collapses a contended HTM tree). It
-	// costs nothing where nothing falls back. The default false keeps the
-	// paper-faithful fragile retry behavior the reproduction studies.
-	Resilience bool
 	// Durability enables crash durability (write-ahead log + snapshots,
 	// recovered on Open) when Durability.Dir is non-empty. Durable DBs are
 	// wall-clock only: RunVirtual panics, because blocking on real fsyncs
@@ -170,8 +165,13 @@ func Open(opts Options) (*DB, error) {
 		opts.ArenaWords = 1 << 24
 	}
 	arena := simmem.NewArena(opts.ArenaWords)
+	// Every DB is hardened, whichever tree Kind selects: an operation whose
+	// transaction aborts because the global fallback lock is held waits for
+	// the lock to clear before it retries, instead of retrying into it and
+	// then queueing for the lock itself (the convoy that collapses a
+	// contended HTM tree). It costs nothing where nothing falls back.
 	hcfg := htm.DefaultConfig
-	hcfg.LemmingWait = opts.Resilience
+	hcfg.LemmingWait = true
 	switch opts.Backend {
 	case Emulated:
 	case Host:
@@ -193,12 +193,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	hcfg.Observer = obs.Multi(chain...)
 	device := htm.New(arena, hcfg)
-	var boot *htm.Thread
-	if opts.Backend == Host {
-		boot = device.NewHostThread(0, 1)
-	} else {
-		boot = device.NewThread(vclock.NewWallProc(0, 0), 1)
-	}
+	boot := device.NewHostThread(0, 1)
 
 	db := &DB{opts: opts, arena: arena, device: device,
 		observer: hcfg.Observer, heat: heat}
@@ -225,13 +220,12 @@ type Thread struct {
 	id int // proc id Close hands back to the DB; 0 once closed, and for RunVirtual's threads
 }
 
-// NewThread creates a wall-clock worker handle. On the Host backend the
-// handle runs at native speed; create one per worker goroutine. Close the
-// handle when its worker ends: the emulated backend models one private
-// cache per handle and has room for at most 254 live handles — NewThread
-// panics when asked for a 255th — while any number may be created and
-// closed over the DB's life (a closed handle's id is reused). The Host
-// backend has no such limit.
+// NewThread creates a worker handle for one goroutine, on either backend;
+// on Host it runs at native speed. Close the handle when its worker ends:
+// the emulated backend models one private cache per handle and has room
+// for at most 254 live handles — NewThread panics when asked for a 255th —
+// while any number may be created and closed over the DB's life (a closed
+// handle's id is reused). The Host backend has no such limit.
 func (db *DB) NewThread() *Thread {
 	db.idMu.Lock()
 	var id int
@@ -242,15 +236,10 @@ func (db *DB) NewThread() *Thread {
 		db.nextID++
 	}
 	db.idMu.Unlock()
-	seed := uint64(id)*0x9e3779b9 + 1
-	if db.opts.Backend == Host {
-		return &Thread{db: db, id: id, th: db.device.NewHostThread(id, seed)}
-	}
-	if id >= simmem.MaxProcs {
+	if db.opts.Backend == Emulated && id >= simmem.MaxProcs {
 		panic(fmt.Sprintf("eunomia: more than %d live handles on the emulated backend; Close the ones that are done", simmem.MaxProcs-2))
 	}
-	p := vclock.NewWallProc(id, 0)
-	return &Thread{db: db, id: id, th: db.device.NewThread(p, seed)}
+	return &Thread{db: db, id: id, th: db.device.NewHostThread(id, uint64(id)*0x9e3779b9+1)}
 }
 
 // Get returns the value stored under key.

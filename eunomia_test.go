@@ -1,10 +1,17 @@
 package eunomia
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"eunomia/internal/core"
 	"eunomia/internal/htm"
+	"eunomia/internal/simmem"
+	"eunomia/internal/tree"
+	"eunomia/internal/tree/kind"
+	"eunomia/internal/vclock"
 )
 
 func TestOpenDefaultsAndQuickPath(t *testing.T) {
@@ -74,35 +81,46 @@ func TestBadOptions(t *testing.T) {
 	}
 }
 
-// TestResilienceReachesEveryKind: Options.Resilience hardens the device,
-// so it must reach whichever tree Kind builds. Core 0 sits on the device's
-// fallback lock over and over while cores 1-3 put; with the lemming wait
-// every HTM tree takes strictly fewer fallback-lock aborts, and Masstree,
+// TestOpenHardensEveryKind: Open always sets the device's lemming wait, so
+// it must reach whichever tree Kind builds. Core 0 sits on the device's
+// fallback lock over and over while cores 1-3 put; against the same tree
+// built by kind.New on a fragile htm.DefaultConfig device, every HTM tree
+// Open builds takes strictly fewer fallback-lock aborts, and Masstree,
 // which runs no transactions, takes none either way.
-func TestResilienceReachesEveryKind(t *testing.T) {
-	lockAborts := func(k Kind, resilience bool) uint64 {
-		db, err := Open(Options{Kind: k, ArenaWords: 1 << 20, Resilience: resilience})
+func TestOpenHardensEveryKind(t *testing.T) {
+	// lockAborts runs the workload on kv in virtual time over device.
+	lockAborts := func(device *htm.HTM, kv tree.KV) uint64 {
+		var stats [4]htm.Stats
+		vclock.NewSim(4, 0).Run(func(p *vclock.SimProc) {
+			th := device.NewThread(p, uint64(p.ID())*7919+13)
+			id := uint64(p.ID())
+			if id == 0 {
+				for i := 0; i < 30; i++ {
+					th.RunFallback(func(tx *htm.Tx) { tx.Proc().Tick(5_000) })
+				}
+			} else {
+				for i := uint64(0); i < 200; i++ {
+					kv.Put(th, id<<32|i, i)
+				}
+			}
+			stats[id] = th.Stats
+		})
+		var n uint64
+		for i := range stats {
+			n += stats[i].Aborts[htm.AbortFallbackLock]
+		}
+		return n
+	}
+	for _, k := range []Kind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
+		device := htm.New(simmem.NewArena(1<<20), htm.DefaultConfig)
+		fragile := lockAborts(device, kind.New(k, device, device.NewHostThread(0, 1), core.DefaultConfig))
+		db, err := Open(Options{Kind: k, ArenaWords: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer db.Close()
-		res := db.RunVirtual(4, func(th *Thread) {
-			id := uint64(th.th.P.ID())
-			if id == 0 {
-				for i := 0; i < 30; i++ {
-					th.th.RunFallback(func(tx *htm.Tx) { tx.Proc().Tick(5_000) })
-				}
-				return
-			}
-			for i := uint64(0); i < 200; i++ {
-				th.Put(id<<32|i, i)
-			}
-		})
-		return res.Stats.AbortsByReason[htm.AbortFallbackLock.String()]
-	}
-	for _, k := range []Kind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
-		fragile, hardened := lockAborts(k, false), lockAborts(k, true)
-		t.Logf("%v: fallback-lock aborts %d fragile, %d resilient", k, fragile, hardened)
+		hardened := lockAborts(db.device, db.kv)
+		db.Close()
+		t.Logf("%v: fallback-lock aborts %d fragile, %d from Open", k, fragile, hardened)
 		if k == Masstree {
 			if fragile != 0 || hardened != 0 {
 				t.Errorf("%v: %d and %d fallback-lock aborts, want 0", k, fragile, hardened)
@@ -110,9 +128,88 @@ func TestResilienceReachesEveryKind(t *testing.T) {
 			continue
 		}
 		if hardened >= fragile {
-			t.Errorf("%v: Resilience did not reduce fallback-lock aborts: %d vs fragile %d", k, hardened, fragile)
+			t.Errorf("%v: Open did not reduce fallback-lock aborts: %d vs fragile %d", k, hardened, fragile)
 		}
 	}
+}
+
+// TestEmulatedWaitersYield is internal/core's TestHostWaitersYield on the
+// emulated backend, with the handles NewThread gives out: one core, more
+// goroutines than cores, and a lock holder descheduled inside its critical
+// section. A waiter whose failed iterations never reached the scheduler
+// would burn its whole time slice each time that happens; NewThread's
+// handles yield in Proc.Spin like any goroutine's, so each hand-off costs
+// microseconds.
+func TestEmulatedWaitersYield(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		workers  = 6
+		rounds   = 400
+		deadline = 20 * time.Second
+	)
+	db, err := Open(Options{ArenaWords: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	a := db.arena
+	word := a.AllocAligned(vclock.NewHostProc(0), simmem.WordsPerLine, simmem.TagNone)
+
+	contend := func(t *testing.T, body func(th *htm.Thread, w, i int)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			th := db.NewThread()
+			go func(w int) {
+				defer wg.Done()
+				defer th.Close()
+				for i := 0; i < rounds; i++ {
+					body(th.th, w, i)
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(deadline):
+			t.Fatalf("%d goroutines on one core did not finish %d rounds in %v: waiters starve the lock holder", workers, rounds, deadline)
+		}
+	}
+
+	t.Run("ArenaLine", func(t *testing.T) {
+		line := word.Line()
+		contend(t, func(th *htm.Thread, w, i int) {
+			if w != 0 {
+				a.StoreWordDirect(th.P, word, uint64(i))
+				return
+			}
+			for {
+				if prev, ok := a.TryLockLine(line); ok {
+					runtime.Gosched()
+					a.RestoreLine(line, prev)
+					return
+				}
+				th.P.Spin(a.Costs().SpinIter)
+			}
+		})
+	})
+	t.Run("FallbackLock", func(t *testing.T) {
+		// Half the workers hold the fallback lock across a deschedule; the
+		// other half run transactions that wait it out (the lemming wait)
+		// and retry.
+		contend(t, func(th *htm.Thread, w, i int) {
+			if w%2 == 0 {
+				th.RunFallback(func(tx *htm.Tx) {
+					runtime.Gosched()
+					tx.Store(word, tx.Load(word)+1)
+				})
+				return
+			}
+			th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) { tx.Load(word) })
+		})
+	})
 }
 
 func TestConcurrentWallThreads(t *testing.T) {

@@ -66,7 +66,7 @@ func ExampleThread_Range() {
 }
 
 // ExampleDB_Metrics reads the unified metrics snapshot: transactional
-// counters with the abort-reason decomposition, resilience, memory, tree
+// counters with the abort-reason decomposition, memory, tree
 // maintenance, durability, and (when enabled) the contention heatmap —
 // one coherent view replacing the per-subsystem accessors.
 func ExampleDB_Metrics() {
@@ -106,13 +106,12 @@ func ExampleDB_RunVirtual() {
 	// virtual time advanced: true
 }
 
-// ExampleOptions builds the baseline HTM-B+Tree with its retry loop
-// hardened: an operation that aborts on a held fallback lock waits for the
-// lock to clear instead of retrying into it.
+// ExampleOptions builds the baseline HTM-B+Tree. Its retry loop is
+// hardened, as every DB's is: an operation that aborts on a held fallback
+// lock waits for the lock to clear instead of retrying into it.
 func ExampleOptions() {
 	db, err := eunomia.Open(eunomia.Options{
 		Kind:       eunomia.HTMBTree,
-		Resilience: true,
 		ArenaWords: 1 << 20,
 	})
 	if err != nil {

@@ -83,7 +83,6 @@ import (
 var (
 	listen     = flag.String("listen", "", "address to serve on (empty = run the built-in demo)")
 	shards     = flag.Int("shards", 4, "number of independent tree shards the key space is partitioned across; when the flag is not set, a durable cluster adopts whatever topology its store recorded (RESHARD survives restarts)")
-	resilience = flag.Bool("resilience", false, "wait for the fallback lock instead of retrying into it")
 	durableDir = flag.String("durable", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
 	snapBytes  = flag.Int64("snapshot-bytes", 16<<20, "WAL bytes between automatic snapshots (durable mode)")
 	drainFor   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain deadline for in-flight connections")
@@ -463,7 +462,7 @@ func (s *server) shutdown(ln net.Listener, drain time.Duration) {
 
 func main() {
 	flag.Parse()
-	opts := eunomia.Options{ArenaWords: 1 << 22, Resilience: *resilience,
+	opts := eunomia.Options{ArenaWords: 1 << 22,
 		Observability: eunomia.Observability{Heatmap: *heatmap}}
 	if *durableDir != "" {
 		opts.Durability = eunomia.Durability{

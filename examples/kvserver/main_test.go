@@ -313,10 +313,10 @@ func TestTruncatedRequestAndAbruptDisconnect(t *testing.T) {
 	assertAlive(t, addr)
 }
 
-// TestStatsResilienceFields: a resilience-enabled server must serve the
-// same protocol and the same STATS transaction counters.
+// TestStatsResilienceFields: a default-options server — hardened, as every
+// DB is — serves the protocol and the STATS transaction counters.
 func TestStatsResilienceFields(t *testing.T) {
-	addr := startTestServerOpts(t, eunomia.Options{ArenaWords: 1 << 20, Resilience: true})
+	addr := startTestServerOpts(t, eunomia.Options{ArenaWords: 1 << 20})
 	conn, in := dialServer(t, addr)
 	if got := roundTrip(t, conn, in, "PUT 9 90"); got != "OK" {
 		t.Fatalf("put: %q", got)

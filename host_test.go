@@ -66,7 +66,7 @@ func TestHostBackendAllKinds(t *testing.T) {
 }
 
 func TestHostBackendSharedContention(t *testing.T) {
-	db, err := Open(Options{Backend: Host, Resilience: true})
+	db, err := Open(Options{Backend: Host})
 	if err != nil {
 		t.Fatal(err)
 	}

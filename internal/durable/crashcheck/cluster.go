@@ -22,7 +22,7 @@ import (
 // re-checks the snapshot-barrier vector and resumes a journaled migration.
 func (r *run) cluster() Result {
 	s := r.s
-	plan := durable.FaultPlan{CrashAtIO: s.CrashAtIO, TornSeed: s.TornSeed}
+	plan := s.faultPlan()
 	// A Reshard run serves from max(Cluster, Reshard) disks: destination
 	// slots opened by the split get their own killable disks, so crash
 	// points land on the copy's write side too. The last disk is the root's.

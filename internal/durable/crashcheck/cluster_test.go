@@ -72,17 +72,13 @@ func TestClusterCrashRestartCycles(t *testing.T) {
 	t.Logf("cluster restart-cycle sweep: %d crash points fired, zero violations", fired)
 }
 
-// TestClusterAckBeforeFlushMutantCaught: the cluster harness must retain
-// the single-DB harness's teeth — shards that acknowledge before fsync
+// TestClusterLyingDiskMutantCaught: the cluster harness must retain the
+// single-DB harness's teeth — shard disks whose fsync persists nothing
 // lose acknowledged writes on a shard-subset crash, and the checker (or
 // the barrier verification) must reject the recovered cluster.
-func TestClusterAckBeforeFlushMutantCaught(t *testing.T) {
-	// The broken mode still flushes once a shard's pending batch passes a
-	// fixed size, so it has IO points mid-run to crash at (otherwise nothing
-	// is ever written and the crash lands inside Open, before anything is
-	// acknowledged).
+func TestClusterLyingDiskMutantCaught(t *testing.T) {
 	base := Scenario{Cluster: 3, Kind: eunomia.EunoBTree,
-		Procs: 2, Ops: 60, Keys: 8, Seed: 5, AckBeforeFlush: true}
+		Procs: 2, Ops: 60, Keys: 8, Seed: 5, LyingSync: true}
 	var failing *Scenario
 	for p := uint64(1); p <= 24; p++ {
 		s := base
@@ -99,7 +95,7 @@ func TestClusterAckBeforeFlushMutantCaught(t *testing.T) {
 		}
 	}
 	if failing == nil {
-		t.Fatal("cluster ack-before-flush mutant survived every crash point: the checker is blind")
+		t.Fatal("cluster lying-disk mutant survived every crash point: the checker is blind")
 	}
 	parsed, err := Parse(failing.String())
 	if err != nil {

@@ -62,9 +62,12 @@ type Scenario struct {
 	TornSeed  uint64 // how much unsynced tail survives the crash
 	Restarts  int    // post-crash recover→write→restart cycles before checking
 
-	Shards         int // WAL shards per DB
-	SnapshotBytes  int64
-	AckBeforeFlush bool // the deliberately broken mode the harness must catch
+	Shards        int // WAL shards per DB
+	SnapshotBytes int64
+	// LyingSync gives every disk the crash kills a Sync that reports
+	// success and persists nothing (durable.FaultPlan.LyingSync): the
+	// acknowledged writes it loses are what the harness must catch.
+	LyingSync bool
 
 	// Cluster, when non-zero, runs the scenario against a Cluster of that
 	// many shards instead of a single DB; the fields below apply only then.
@@ -117,7 +120,7 @@ func (s *Scenario) fields() []field {
 	return []field{
 		{"kind", &s.Kind}, {"procs", &s.Procs}, {"ops", &s.Ops}, {"keys", &s.Keys}, {"seed", &s.Seed},
 		{"crash", &s.CrashAtIO}, {"torn", &s.TornSeed}, {"restarts", &s.Restarts},
-		{"shards", &s.Shards}, {"snapbytes", &s.SnapshotBytes}, {"ack", &s.AckBeforeFlush},
+		{"shards", &s.Shards}, {"snapbytes", &s.SnapshotBytes}, {"lyingsync", &s.LyingSync},
 		{"cluster", &s.Cluster}, {"kill", &s.Kill}, {"barrier", &s.Barrier}, {"heal", &s.Heal},
 		{"mutant", &s.AdmitBeforeReplay}, {"reshard", &s.Reshard}, {"cutmut", &s.CutBeforeCatchup},
 	}
@@ -398,7 +401,7 @@ func Run(s Scenario) Result {
 		return r.cluster()
 	}
 	s = r.s
-	fs := durable.NewMemFS(durable.FaultPlan{CrashAtIO: s.CrashAtIO, TornSeed: s.TornSeed})
+	fs := durable.NewMemFS(s.faultPlan())
 	open := func() (eunomia.Store, error) {
 		db, err := eunomia.Open(eunomia.Options{
 			Kind:       s.Kind,
@@ -426,14 +429,18 @@ func Run(s Scenario) Result {
 	return r.recover(res, open)
 }
 
+// faultPlan is the fault plan of a disk the scenario kills.
+func (s Scenario) faultPlan() durable.FaultPlan {
+	return durable.FaultPlan{CrashAtIO: s.CrashAtIO, TornSeed: s.TornSeed, LyingSync: s.LyingSync}
+}
+
 // durability is the scenario's Durability over one root disk.
 func (s Scenario) durability(dir string, fs durable.FS) eunomia.Durability {
 	return eunomia.Durability{
-		Dir:            dir,
-		FS:             fs,
-		Shards:         s.Shards,
-		SnapshotBytes:  s.SnapshotBytes,
-		AckBeforeFlush: s.AckBeforeFlush,
+		Dir:           dir,
+		FS:            fs,
+		Shards:        s.Shards,
+		SnapshotBytes: s.SnapshotBytes,
 	}
 }
 

@@ -83,13 +83,14 @@ func TestCrashRecoverWriteRestart(t *testing.T) {
 	t.Logf("restart-cycle sweep: %d crash points fired, zero violations", fired)
 }
 
-// TestAckBeforeFlushMutantCaught proves the harness has teeth: a build
-// that acknowledges before fsync (the classic durability bug) must
-// produce a linearizability violation under the same sweep, with a
-// working one-command repro.
-func TestAckBeforeFlushMutantCaught(t *testing.T) {
+// TestLyingDiskMutantCaught proves the harness has teeth: a disk whose
+// fsync reports success and persists nothing (the classic durability bug,
+// acknowledged writes that were never on disk) must produce a
+// linearizability violation under the same sweep, with a working
+// one-command repro.
+func TestLyingDiskMutantCaught(t *testing.T) {
 	base := Scenario{Kind: eunomia.EunoBTree, Procs: 1, Ops: 60, Keys: 8,
-		Seed: 5, Shards: 2, AckBeforeFlush: true}
+		Seed: 5, Shards: 2, LyingSync: true}
 	var failing *Scenario
 	for p := uint64(1); p <= 16; p++ {
 		s := base
@@ -105,7 +106,7 @@ func TestAckBeforeFlushMutantCaught(t *testing.T) {
 		}
 	}
 	if failing == nil {
-		t.Fatal("ack-before-flush mutant survived every crash point: the checker is blind")
+		t.Fatal("lying-disk mutant survived every crash point: the checker is blind")
 	}
 	// The repro token must round-trip and reproduce the violation.
 	parsed, err := Parse(failing.String())
@@ -127,7 +128,7 @@ func TestAckBeforeFlushMutantCaught(t *testing.T) {
 func TestScenarioRoundtrip(t *testing.T) {
 	single := Scenario{Kind: eunomia.Masstree, Procs: 3, Ops: 99, Keys: 31, Seed: 8,
 		CrashAtIO: 42, TornSeed: 77, Restarts: 2,
-		Shards: 4, SnapshotBytes: 4096, AckBeforeFlush: true}
+		Shards: 4, SnapshotBytes: 4096, LyingSync: true}
 	cluster := single
 	cluster.Cluster, cluster.Kill, cluster.Barrier, cluster.Heal = 5, 11, true, true
 	cluster.AdmitBeforeReplay, cluster.Reshard, cluster.CutBeforeCatchup = true, 7, true

@@ -40,6 +40,12 @@ type FaultPlan struct {
 	// FailSyncAtIO makes the Sync at that IO point return
 	// ErrInjectedSyncFailure without syncing. 0 disables.
 	FailSyncAtIO uint64
+	// LyingSync makes every Sync report success and persist nothing: the
+	// disk that acknowledges a write-back it never did. A crash then keeps
+	// none of a file's unsynced bytes, torn tail included — the cache the
+	// disk lied about is lost whole — so it loses every write the WAL
+	// acknowledged on it, which the crash checker must catch.
+	LyingSync bool
 }
 
 // memFile is one file's durable state: data is everything written, synced
@@ -111,8 +117,10 @@ func (m *MemFS) Reboot() {
 	if m.crashed {
 		m.files = map[string]*memFile{}
 		for name, f := range m.dir {
-			unsynced := len(f.data) - f.synced
-			keep := tornKeep(m.plan.TornSeed, name, unsynced)
+			keep := 0
+			if !m.plan.LyingSync {
+				keep = tornKeep(m.plan.TornSeed, name, len(f.data)-f.synced)
+			}
 			f.data = f.data[:f.synced+keep]
 			f.synced = len(f.data)
 			m.files[name] = f
@@ -360,7 +368,9 @@ func (h *memHandle) Sync() error {
 	if m.plan.FailSyncAtIO != 0 && m.ioCount == m.plan.FailSyncAtIO {
 		return ErrInjectedSyncFailure
 	}
-	f.synced = len(f.data)
+	if !m.plan.LyingSync {
+		f.synced = len(f.data)
+	}
 	return nil
 }
 

@@ -30,11 +30,6 @@ type Config struct {
 	// scan) once that many WAL bytes have been appended since the last
 	// one. 0 disables automatic snapshots; Snapshot can still be called.
 	SnapshotBytes int64
-	// AckBeforeFlush is a deliberately broken mode for the crash-recovery
-	// checker: operations acknowledge after append, before the flush. A
-	// crash then loses acknowledged writes, which the checker must catch.
-	// Never enable outside tests.
-	AckBeforeFlush bool
 	// Observer receives an obs.EvWALFlush event per group-commit fsync
 	// (timestamps in wall nanoseconds). nil disables emission.
 	Observer obs.Observer
@@ -323,10 +318,7 @@ func (st *Store) LogDelete(key uint64, apply func() bool) (bool, error) {
 	before := len(s.pending)
 	ok := apply()
 	if !ok {
-		var err error
-		if !st.cfg.AckBeforeFlush {
-			err = st.wal.flushLocked(s, s.lastSeq)
-		}
+		err := st.wal.flushLocked(s, s.lastSeq)
 		s.unlock()
 		return false, err
 	}
@@ -353,26 +345,10 @@ func (st *Store) log(f frame, apply func()) error {
 	return st.ack(s, f.seq, n)
 }
 
-// mutantFlushAt is the pending-batch size at which the broken
-// AckBeforeFlush mode does flush, so that a run in it performs IO for the
-// crash checker to crash at.
-const mutantFlushAt = 256
-
-// ack waits for durability (or, in the broken AckBeforeFlush mode,
-// doesn't — the mode the crash checker exists to catch) and accounts the
-// appended bytes toward the auto-snapshot threshold.
+// ack waits for durability and accounts the appended bytes toward the
+// auto-snapshot threshold.
 func (st *Store) ack(s *shard, seq uint64, frameBytes int) error {
 	st.bytesSinceSnap.Add(int64(frameBytes))
-	if st.cfg.AckBeforeFlush {
-		// BROKEN: acknowledge before the data is durable. A later flush
-		// will sync it — unless the crash comes first.
-		s.lock()
-		defer s.unlock()
-		if len(s.pending) < mutantFlushAt {
-			return nil
-		}
-		return st.wal.flushLocked(s, seq)
-	}
 	return st.wal.waitFlushed(s, seq)
 }
 
@@ -508,10 +484,7 @@ func (st *Store) RecoveryInfo() RecoveryInfo { return st.recovery }
 // WAL shards' flushed watermarks. It is a sound witness even with writers
 // running concurrently — unlike the last LSN assigned, it never includes
 // an LSN whose frame is still in a pending buffer — so a later recovery
-// must always report MaxSeq >= a previously observed DurableLSN. (In the
-// deliberately broken AckBeforeFlush mode, acknowledged-but-unflushed
-// LSNs are NOT covered; that loss is the linearizability checker's to
-// catch.)
+// must always report MaxSeq >= a previously observed DurableLSN.
 func (st *Store) DurableLSN() uint64 {
 	var max uint64
 	for _, s := range st.wal.shards {

@@ -122,7 +122,7 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	hcfg.Observer = cfg.Observer
 	hcfg.LemmingWait = cfg.Resilience
 	device := htm.New(arena, hcfg)
-	boot := device.NewThread(vclock.NewWallProc(0, 0), cfg.Seed)
+	boot := device.NewHostThread(0, cfg.Seed)
 	euno := core.DefaultConfig
 	if cfg.EunoCfg != nil {
 		euno = *cfg.EunoCfg

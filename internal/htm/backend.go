@@ -46,9 +46,10 @@ func (b Backend) String() string {
 // Host reports whether the device runs on the host backend.
 func (h *HTM) Host() bool { return h.host }
 
-// NewHostThread creates a worker handle on a fresh native-speed proc. It is
-// the host-backend counterpart of NewThread(vclock.NewWallProc(...), seed);
-// id only labels the thread (host proc IDs are unbounded).
+// NewHostThread creates a worker handle for a real goroutine, on a fresh
+// vclock.HostProc, on either backend. On the host backend id only labels
+// the thread (host proc IDs are unbounded); on the emulated one it also
+// names the thread's private cache, so it must be below simmem.MaxProcs.
 func (h *HTM) NewHostThread(id int, seed uint64) *Thread {
 	return h.NewThread(vclock.NewHostProc(id), seed)
 }

@@ -244,11 +244,38 @@ func TestSerializabilityRandomRegisterFileSim(t *testing.T) {
 
 // TestFallbackLoadWaitsForWriteBack: a commit that validated just before
 // the fallback lock was taken still holds its write lines locked while it
-// applies its stores. On real goroutines a fallback-path load of such a
-// line must wait for the unlock and see the commit whole, not read around
-// the line lock. The commit in flight is played by hand: lock the line,
-// start the fallback body, finish the write-back.
+// applies its stores. A fallback-path load of such a line must wait for
+// the unlock and see the commit whole, not read around the line lock — on
+// real goroutines and in the virtual-time simulator alike. The commit in
+// flight is played by hand: lock the line, start the fallback body, finish
+// the write-back.
 func TestFallbackLoadWaitsForWriteBack(t *testing.T) {
+	t.Run("sim", func(t *testing.T) {
+		// Core 0 holds the line across ticks while it writes back; core 1
+		// takes the fallback lock and loads the line in between.
+		a := simmem.NewArena(1 << 12)
+		h := New(a, DefaultConfig)
+		x := a.AllocAligned(vclock.NewHostProc(0), 8, simmem.TagKeys)
+		a.SetWordRaw(x, 1)
+		var got uint64
+		vclock.NewSim(2, 0).Run(func(p *vclock.SimProc) {
+			if p.ID() == 0 {
+				if _, ok := a.TryLockLine(x.Line()); !ok {
+					t.Error("fresh line already locked")
+				}
+				p.Tick(10_000)
+				a.SetWordRaw(x, 2)
+				p.Tick(10_000)
+				a.UnlockLine(x.Line(), a.AdvanceClock())
+				return
+			}
+			p.Tick(1_000)
+			h.NewThread(p, 1).RunFallback(func(tx *Tx) { got = tx.Load(x) })
+		})
+		if got != 2 {
+			t.Fatalf("fallback load saw %d while a commit was writing the line back, want the committed 2", got)
+		}
+	})
 	for name, mk := range map[string]func(a *simmem.Arena) *Thread{
 		"wall": func(a *simmem.Arena) *Thread {
 			return New(a, DefaultConfig).NewThread(vclock.NewWallProc(1, 0), 1)

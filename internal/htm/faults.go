@@ -63,7 +63,7 @@ func (p FaultPoint) String() string {
 type FaultAction uint8
 
 const (
-	// ActYield charges a large virtual-time tick, handing the lockstep
+	// ActYield charges a large virtual-time tick, handing the simulator's
 	// schedule to every other virtual core before this one proceeds — it
 	// stretches the window at the point so concurrent structural changes
 	// land inside it.
@@ -167,7 +167,7 @@ const yieldCost = 200_000
 
 // FaultInjector arms a device with one FaultSpec and counts, per point, how
 // often the point was visited and how often the action fired. Counters are
-// mutex-guarded: under the lockstep simulator only one goroutine runs at a
+// mutex-guarded: under the virtual-time simulator only one goroutine runs at a
 // time, so counts (and therefore firing decisions) are fully deterministic;
 // under wall-clock runs they are merely atomic.
 type FaultInjector struct {

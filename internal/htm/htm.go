@@ -141,7 +141,7 @@ func New(a *simmem.Arena, cfg Config) *HTM {
 	if cfg.MaxWriteLines <= 0 {
 		cfg.MaxWriteLines = DefaultConfig.MaxWriteLines
 	}
-	boot := vclock.NewWallProc(0, 0)
+	boot := vclock.NewHostProc(0)
 	h := &HTM{
 		arena:    a,
 		cfg:      cfg,
@@ -215,9 +215,6 @@ type Tx struct {
 	st     *Stats
 	rv     uint64
 	direct bool
-	// lockstep is set for a thread of the lockstep simulator (a
-	// vclock.SimProc), which runs one goroutine at a time.
-	lockstep bool
 
 	rs     []readEntry // read log; one entry per line once rsFolded
 	ws     []writeEntry
@@ -368,9 +365,7 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	tx.st.TxLoads++
 	a := tx.h.arena
 	if tx.direct {
-		if !tx.lockstep {
-			tx.awaitWriteBack(addr.Line())
-		}
+		tx.awaitWriteBack(addr.Line())
 		return a.LoadWord(tx.p, addr)
 	}
 	// Read-your-writes: a buffered store to this address wins (a
@@ -431,12 +426,11 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 // direct load that ignored the line lock would read that commit half
 // applied, and the fallback body would then place its own stores by what it
 // read — a lost insert or a value under the wrong key. Direct stores
-// already wait, through the line lock they take.
-//
-// Only threads on real goroutines wait. The lockstep simulator keeps the
-// unsynchronised load: its figures are pinned bit for bit with that
-// behaviour in them (scripts/golden.sh), and waiting there is a change to
-// those numbers that has to be made, and re-baselined, on its own.
+// already wait, through the line lock they take. Every proc waits, the
+// virtual-time simulator's (vclock.SimProc) too: a commit there charges
+// its locking and write-back line by line, so another core runs between
+// its lock and its unlock, where on hardware an RTM commit is atomic to
+// every reader.
 func (tx *Tx) awaitWriteBack(line uint64) {
 	a := tx.h.arena
 	for simmem.StateLocked(a.LineState(line)) {

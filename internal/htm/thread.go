@@ -159,7 +159,6 @@ func (h *HTM) NewThread(p vclock.Proc, seed uint64) *Thread {
 	t := &Thread{H: h, P: p, Rand: vclock.NewRand(seed)}
 	t.tx.h = h
 	t.tx.p = p
-	_, t.tx.lockstep = p.(*vclock.SimProc)
 	t.tx.st = &t.Stats
 	t.tx.maxRead = h.cfg.MaxReadLines
 	t.tx.maxWrite = h.cfg.MaxWriteLines

@@ -2,7 +2,7 @@
 // reproduction runs on: virtual threads ("procs") that charge cycle costs
 // for every memory and synchronization operation they perform.
 //
-// Two implementations of the Proc interface exist:
+// Two implementations of the Proc interface run the library:
 //
 //   - Sim: a deterministic, discrete-event multicore simulator. N virtual
 //     cores run as goroutines in strict lockstep; a scheduler always resumes
@@ -11,9 +11,14 @@
 //     "throughput versus thread count" is meaningful even on a single-core
 //     host. This stands in for the paper's 20-core Xeon E5-2650.
 //
-//   - Wall: plain goroutines with an optional cooperative yield every few
-//     charged cycles, used by the testing.B benchmarks where host wall-clock
-//     time is the metric.
+//   - Host: a plain goroutine, the proc of every thread that is not a Sim
+//     core, on either HTM backend. Tick is free, Now is wall nanoseconds,
+//     and Spin yields the OS thread now and then, so a waiter never starves
+//     the goroutine it waits for.
+//
+// A third, WallProc, is a test clock: a goroutine that counts the cycles it
+// is charged and can yield cooperatively every few of them, for tests that
+// want a deterministic per-proc count or a fine-grained interleaving.
 //
 // All memory traffic in internal/simmem and all transaction bookkeeping in
 // internal/htm is charged through Proc.Tick using the CostModel below, so

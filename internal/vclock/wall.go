@@ -2,11 +2,11 @@ package vclock
 
 import "runtime"
 
-// WallProc is a Proc for real goroutine execution measured in wall-clock
-// time. Tick still accumulates a local cycle count (used for wasted-work
-// accounting) and optionally yields the OS thread every yieldEvery charged
-// cycles, which produces fine-grained interleaving on hosts with fewer
-// physical cores than worker goroutines.
+// WallProc is a test clock for real goroutine execution: Tick accumulates a
+// local cycle count and optionally yields the OS thread every yieldEvery
+// charged cycles, which produces fine-grained interleaving on hosts with
+// fewer physical cores than worker goroutines. The library itself runs
+// goroutines on HostProc.
 type WallProc struct {
 	id         int
 	clock      uint64

@@ -70,7 +70,9 @@ type TxMetrics struct {
 	Commits   uint64
 	Aborts    uint64
 	Fallbacks uint64
-	// WastedCycles is virtual time burned inside aborted attempts.
+	// WastedCycles is the time burned inside aborted attempts: virtual
+	// cycles for RunVirtual's threads, wall nanoseconds for threads on
+	// goroutines (NewThread, on either backend).
 	WastedCycles uint64
 	TxLoads      uint64
 	TxStores     uint64

@@ -160,7 +160,7 @@ func TestObserverConcurrentWall(t *testing.T) {
 // TestMetricsUnifiedSnapshot: DB.Metrics covers every subsystem in one
 // call, and the deprecated per-subsystem accessors delegate to it.
 func TestMetricsUnifiedSnapshot(t *testing.T) {
-	db, err := Open(Options{ArenaWords: 1 << 21, Resilience: true,
+	db, err := Open(Options{ArenaWords: 1 << 21,
 		Durability:    Durability{Dir: t.TempDir()},
 		Observability: Observability{Heatmap: true}})
 	if err != nil {

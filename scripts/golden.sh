@@ -1,13 +1,15 @@
 #!/bin/sh
 # Bit-identical-figures guard: virtual time is deterministic, so a change
-# that does not mean to alter the paper-faithful default path (the fragile
-# retry policy, the trees, the emulator's cost model) must not move the
-# default figures by a single virtual cycle. Regenerates the quick-scale
-# Figure 1, 8 and 13 CSVs and the scan table and diffs them against the
-# checked-in goldens. Any drift — an extra arena allocation, an extra
-# tick, a stray RNG draw on the default path — shows up here as a CSV
-# difference. Options.Resilience, observers and the host backend are all
-# off in these runs: the guard proves they cost nothing when off.
+# that does not mean to alter the paper-faithful figure path (the
+# harness's fragile retry policy, the trees, the emulator's cost model)
+# must not move the default figures by a single virtual cycle. Regenerates
+# the quick-scale Figure 1, 8 and 13 CSVs and the scan table and diffs
+# them against the checked-in goldens. Any drift — an extra arena
+# allocation, an extra tick, a stray RNG draw on the default path — shows
+# up here as a CSV difference. These runs build their device through the
+# experiment harness on its fragile default (no lemming wait), with no
+# observer and on the emulated backend: the guard proves the observers and
+# the host backend cost nothing when off.
 #
 # Figure 13 pins the ablation chain: its Baseline rows are the monolithic
 # tree and must not move when only Euno-B+Tree's leaves change. The scan
@@ -15,7 +17,8 @@
 #
 # Figures 8 and 13 run a second time with -resilience, against their own
 # goldens: that pins the hardened path, the device's lemming wait
-# (htm.Config.LemmingWait) reaching every tree the figures build.
+# (htm.Config.LemmingWait) reaching every tree the figures build — the
+# device every eunomia.Open builds.
 #
 # To re-baseline after an *intentional* metrics change — EXPERIMENTS.md
 # keeps every re-baseline's parent and change columns, so label it there:

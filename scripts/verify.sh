@@ -10,8 +10,9 @@
 #
 # The internal/htm race pass covers the one fallback lock and both ways of
 # waiting on it (retry into it, or the device's lemming wait,
-# htm.Config.LemmingWait); the kvserver pass races a Resilience server
-# against real concurrent sockets.
+# htm.Config.LemmingWait); the kvserver pass races a server — hardened
+# with that wait, as every DB Open builds is — against real concurrent
+# sockets.
 #
 # The host execution backend rides these same passes: its htm-level tests
 # (TestHost*) run in the internal/htm line, the per-tree
