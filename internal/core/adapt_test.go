@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"eunomia/internal/check"
@@ -27,6 +28,37 @@ func fill(tr *Tree, th *htm.Thread, n uint64) {
 	for k := uint64(1); k <= n; k++ {
 		tr.Put(th, k, 10*k)
 	}
+}
+
+// fillEven puts the even keys 2..2n, so a run of them has a gap for an odd
+// key below each of its keys.
+func fillEven(tr *Tree, th *htm.Thread, n uint64) {
+	for k := uint64(2); k <= 2*n; k += 2 {
+		tr.Put(th, k, 10*k)
+	}
+}
+
+// crowd fills every segment of the partitioned leaf that covers key 1 to
+// the brim with new keys below its last, picked by their insertion index
+// into the leaf's run — the index names the key's home segment — and
+// returns them; each is put with the value 10×key.
+func (t *Tree) crowd(th *htm.Thread) []uint64 {
+	leaf, _ := t.leafState(th, 1)
+	run := make([]uint64, t.a.LoadWord(th.P, leaf+offStableCount))
+	for i := range run {
+		run[i] = t.a.LoadWord(th.P, t.stableK(leaf, i))
+	}
+	room := make([]int, t.cfg.Segments)
+	var keys []uint64
+	for k := uint64(1); len(keys) < t.cfg.Segments*t.cfg.SegCap && k < run[len(run)-1]; k++ {
+		i, in := slices.BinarySearch(run, k)
+		if j := i % t.cfg.Segments; !in && room[j] < t.cfg.SegCap {
+			room[j]++
+			keys = append(keys, k)
+			t.Put(th, k, 10*k)
+		}
+	}
+	return keys
 }
 
 func wantAll(t *testing.T, tr *Tree, th *htm.Thread, n uint64) {
@@ -90,21 +122,11 @@ func TestLeafBornDensePromotesInPlaceOrBySplit(t *testing.T) {
 func TestLeafDemotesOnlyWhenScoreIsGone(t *testing.T) {
 	for _, score := range []uint64{DefaultConfig.HotThreshold - 1, 0} {
 		tr, th := newEuno(t, DefaultConfig)
-		fill(tr, th, 12)
+		fillEven(tr, th, 12)
 		tr.heat(th) // in place: 12 stable records, empty segments
-		// Short of the threshold the lock bits are off and a put goes to its
-		// key's home segment: fill every segment to the brim.
-		tr.setScore(th, 1, tr.cfg.HotThreshold-1)
-		keys := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-		room := make([]int, tr.cfg.Segments)
-		k := uint64(13)
-		for ; len(keys) < 12+tr.cfg.Segments*tr.cfg.SegCap; k++ {
-			if j := tr.homeSeg(k); room[j] < tr.cfg.SegCap {
-				room[j]++
-				keys = append(keys, k)
-				tr.Put(th, k, 10*k)
-			}
-		}
+		keys := []uint64{2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24}
+		keys = append(keys, tr.crowd(th)...)
+		k := uint64(25) // above the run: its home, segment 12 % Segments, is full
 		if leaf, segs := tr.leafState(th, 1); segs != tr.cfg.Segments || tr.a.LoadWord(th.P, leaf+offStableCount) != 12 || tr.Splits() != 0 {
 			t.Fatalf("score %d: the set-up left %d segments in use and %d splits; want one partitioned leaf, segments full", score, segs, tr.Splits())
 		}
@@ -257,28 +279,7 @@ func TestFuzzerPromotesAndDemotesMidHistory(t *testing.T) {
 
 // TestDemotionMutantCaught is the checker's self-test for the state
 // change: a demotion that leaves the segments' records behind — it reads
-// the leaf as if it were dense already — must be rejected by the same sweep
-// the healthy tree passes. (The mutant is seeded here and not in
-// checktrees' registry: its switch is a field no other package can reach,
-// which is the point.)
+// the leaf as if it were dense already.
 func TestDemotionMutantCaught(t *testing.T) {
-	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		tr := New(h, boot, hotTiny())
-		tr.dropSegs = true
-		return tr
-	}
-	histories, fail := check.Sweep("euno-adapt-broken", mk, check.DefaultSweep(48))
-	if fail == nil {
-		t.Fatalf("the lossy demotion survived %d histories; the checker cannot see a state change go wrong", histories)
-	}
-	t.Logf("caught after %d histories: %s", histories, fail.Workload)
-	for i := 0; i < 2; i++ {
-		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
-			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
-		}
-	}
-	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
-	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
-		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
-	}
+	mutantCaught(t, "euno-adapt-broken", func(tr *Tree) { tr.dropSegs = true }, check.DefaultSweep(48))
 }

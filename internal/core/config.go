@@ -13,7 +13,9 @@
 //     *segments* (sorted within a segment, unsorted across) plus a sorted
 //     *stable region* that absorbs segment overflow; puts are scattered
 //     across segments so adjacent records no longer share cache lines
-//     (Section 4.1, Algorithm 3).
+//     (Section 4.1, Algorithm 3). A key's copy lives in the segment its
+//     stable position names, so every lower region but a rewrite reads
+//     one segment, not all S (see the deviations).
 //
 //  3. Conflict control module (CCM). Outside the HTM regions each leaf
 //     carries per-key-slot advisory lock bits that serialize same-record
@@ -27,14 +29,21 @@
 //
 // Documented deviations from the paper's prose, with reasons:
 //
-//   - The paper's purely random write scheduler can insert the same new key
-//     into two different segments when two threads race past a bypassed
-//     CCM (the paper's proof sketch quietly relies on the lock bits for
-//     this case). We therefore use the random scheduler only while the
-//     lock bits serialize same-slot requests, and a deterministic
-//     home-segment scheduler (hash of the key) otherwise — adjacent keys
-//     still scatter, but same-key inserts always collide inside one
-//     segment and serialize transactionally.
+//   - The paper's write scheduler picks a segment at random, so a reader
+//     must search every segment, and any put to the leaf aborts every
+//     reader in flight on it; it can also insert one new key into two
+//     segments when two threads race past a bypassed CCM (the paper's
+//     proof sketch quietly relies on the lock bits for this case). Here a
+//     key's copy lives in its *home*: segment i % S, where i is the key's
+//     slot in the sorted stable run or its insertion point there (segOf).
+//     A get, put or delete runs the stable search first and then reads,
+//     writes or removes in that one segment only. This is sound because
+//     the stable run of a partitioned leaf changes only in writeLeaf,
+//     which empties every segment in the same region, and a delete's
+//     tombstone moves no index: every copy always sits in the home its
+//     key's current stable position names. Two puts of one key meet in
+//     one segment line, so the placement needs no lock bit to keep a key
+//     single; neighbouring keys still scatter across segments.
 //
 //   - Mark "bits" are 4-bit saturating counters so deletion cannot create
 //     false negatives under hash collisions (clearing a plain bit, as the

@@ -232,65 +232,61 @@ func TestLeafDirTiedToItsTree(t *testing.T) {
 	}
 }
 
-// TestDirFenceMutantCaught is the checker's self-test for the fences: a
-// split that leaves its separator inside the left leaf's fences lets an
-// operation on that key that finds the left leaf in the directory act on
-// it, and the sweep the healthy tree passes must reject that with a shrunk
-// case that replays.
-func TestDirFenceMutantCaught(t *testing.T) {
+// mutantCaught is the checker's self-test for a bug seeded in hotTiny's
+// tree by seed: the sweep sc, which the healthy tree passes, must reject the
+// mutant with a shrunk case whose EUNO_CHECK_REPRO token parses and replays
+// the failure twice, and the healthy tree must pass that schedule. (The
+// mutants are seeded here and not in checktrees' registry: their switches
+// are fields no other package can reach, which is the point.)
+func mutantCaught(t *testing.T, name string, seed func(*Tree), sc check.SweepConfig) {
+	t.Helper()
 	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
 		tr := New(h, boot, hotTiny())
-		tr.fenceSlack = 1
+		seed(tr)
 		return tr
 	}
-	histories, fail := check.Sweep("euno-fence-broken", mk, check.DefaultSweep(48))
+	histories, fail := check.Sweep(name, mk, sc)
 	if fail == nil {
-		t.Fatalf("the overlapping fence survived %d histories; the checker cannot see a directory guess go wrong", histories)
-	}
-	t.Logf("caught after %d histories: %s", histories, fail.Workload)
-	if base := check.DefaultWorkload(); fail.Workload.Ops >= base.Ops && fail.Workload.Procs >= base.Procs && fail.Workload.Keys >= base.Keys {
-		t.Errorf("shrinking reduced nothing: %s (base %s)", fail.Workload, base)
-	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
-			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
-		}
-	}
-	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
-	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
-		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
-	}
-}
-
-// TestGuessMutantCaught is the checker's self-test for the run search: a
-// search that looks for a key only on the line the fences predict misses
-// the keys of a leaf whose records bunch, and the sweep the healthy tree
-// passes must reject it with a shrunk case that replays. The sweep's
-// universe is four times the default's, so that split leaves are dense
-// runs of more than one line.
-func TestGuessMutantCaught(t *testing.T) {
-	mk := func(h *htm.HTM, boot *htm.Thread) tree.KV {
-		tr := New(h, boot, hotTiny())
-		tr.trustGuess = true
-		return tr
-	}
-	sc := check.DefaultSweep(48)
-	sc.Base.Keys *= 4
-	histories, fail := check.Sweep("euno-guess-broken", mk, sc)
-	if fail == nil {
-		t.Fatalf("the search that trusts its guess survived %d histories; the checker cannot see a run search go wrong", histories)
+		t.Fatalf("%s survived %d histories; the checker cannot see it", name, histories)
 	}
 	t.Logf("caught after %d histories: %s", histories, fail.Workload)
 	if base := sc.Base; fail.Workload.Ops >= base.Ops && fail.Workload.Procs >= base.Procs && fail.Workload.Keys >= base.Keys {
 		t.Errorf("shrinking reduced nothing: %s (base %s)", fail.Workload, base)
 	}
+	r, err := check.ParseRepro(check.Repro{Tree: fail.Tree, Workload: fail.Workload, Fault: fail.Fault}.String())
+	if err != nil {
+		t.Fatalf("the repro token does not parse: %v", err)
+	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := check.RunWorkload(mk, fail.Workload, fail.Fault); err == nil {
+		if _, _, err := check.RunWorkload(mk, r.Workload, r.Fault); err == nil {
 			t.Fatalf("replay %d of the shrunk case passed; the failure is not deterministic", i)
 		}
 	}
 	healthy := func(h *htm.HTM, boot *htm.Thread) tree.KV { return New(h, boot, hotTiny()) }
-	if _, _, err := check.RunWorkload(healthy, fail.Workload, fail.Fault); err != nil {
+	if _, _, err := check.RunWorkload(healthy, r.Workload, r.Fault); err != nil {
 		t.Fatalf("the healthy tree fails the mutant's schedule:\n%v", err)
 	}
+}
+
+// TestDirFenceMutantCaught: a split that leaves its separator inside the
+// left leaf's fences lets an operation on that key that finds the left leaf
+// in the directory act on it.
+func TestDirFenceMutantCaught(t *testing.T) {
+	mutantCaught(t, "euno-fence-broken", func(tr *Tree) { tr.fenceSlack = 1 }, check.DefaultSweep(48))
+}
+
+// TestGuessMutantCaught: a search that looks for a key only on the line the
+// fences predict misses the keys of a leaf whose records bunch. The sweep's
+// universe is four times the default's, so that split leaves are dense
+// runs of more than one line.
+func TestGuessMutantCaught(t *testing.T) {
+	sc := check.DefaultSweep(48)
+	sc.Base.Keys *= 4
+	mutantCaught(t, "euno-guess-broken", func(tr *Tree) { tr.trustGuess = true }, sc)
+}
+
+// TestWrongHomeMutantCaught: a put that files its copy one segment past its
+// key's home leaves it where no get, delete or later put looks.
+func TestWrongHomeMutantCaught(t *testing.T) {
+	mutantCaught(t, "euno-home-broken", func(tr *Tree) { tr.wrongHome = 1 }, check.DefaultSweep(48))
 }

@@ -150,39 +150,45 @@ func TestArenaExhaustionSurfacesClearly(t *testing.T) {
 	}
 }
 
-// TestRandomSchedulerUnderLockBits: with adaptive off (CCM always hot) the
-// random write scheduler is active; concurrent same-key puts must still
-// never duplicate a key.
-func TestRandomSchedulerUnderLockBitsSim(t *testing.T) {
-	cfg := DefaultConfig
-	cfg.Adaptive = false
-	a := simmem.NewArena(1 << 22)
-	h := htm.New(a, htm.DefaultConfig)
-	boot := h.NewThread(vclock.NewWallProc(0, 0), 1)
-	tr := New(h, boot, cfg)
-	sim := vclock.NewSim(8, 0)
-	sim.Run(func(p *vclock.SimProc) {
-		th := h.NewThread(p, uint64(p.ID())+7)
-		for i := 0; i < 300; i++ {
-			// Everyone hammers the same small key set: inserts, deletes,
-			// re-inserts of identical keys through the random scheduler.
-			k := uint64(i%10) + 1
-			if i%13 == 5 {
-				tr.Delete(th, k)
-			} else {
-				tr.Put(th, k, uint64(p.ID())<<32|uint64(i))
+// TestSameKeyPutsNeverDuplicateSim: concurrent puts of the same keys, on
+// leaves the CCM lock bits guard (adaptive off: every leaf hot) and on
+// leaves they do not (adaptive on), never leave a key twice in a leaf: two
+// puts of one key meet in its home segment.
+func TestSameKeyPutsNeverDuplicateSim(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		cfg := DefaultConfig
+		cfg.Adaptive = adaptive
+		a := simmem.NewArena(1 << 22)
+		h := htm.New(a, htm.DefaultConfig)
+		boot := h.NewThread(vclock.NewWallProc(0, 0), 1)
+		tr := New(h, boot, cfg)
+		sim := vclock.NewSim(8, 0)
+		sim.Run(func(p *vclock.SimProc) {
+			th := h.NewThread(p, uint64(p.ID())+7)
+			for i := 0; i < 300; i++ {
+				// Everyone hammers the same small key set: inserts, deletes,
+				// re-inserts of identical keys.
+				k := uint64(i%10) + 1
+				if i%13 == 5 {
+					tr.Delete(th, k)
+				} else {
+					tr.Put(th, k, uint64(p.ID())<<32|uint64(i))
+				}
 			}
+		})
+		// Verify no duplicates via a scan (strictly ascending implies unique).
+		last := uint64(0)
+		tr.Scan(boot, 0, 100, func(k, v uint64) bool {
+			if k <= last && last != 0 {
+				t.Fatalf("adaptive %v: duplicate or disorder: %d after %d", adaptive, k, last)
+			}
+			last = k
+			return true
+		})
+		if err := tr.Validate(boot.P); err != nil {
+			t.Fatalf("adaptive %v: %v", adaptive, err)
 		}
-	})
-	// Verify no duplicates via a scan (strictly ascending implies unique).
-	last := uint64(0)
-	tr.Scan(boot, 0, 100, func(k, v uint64) bool {
-		if k <= last && last != 0 {
-			t.Fatalf("duplicate or disorder: %d after %d", k, last)
-		}
-		last = k
-		return true
-	})
+	}
 }
 
 // TestUpperRegionRetriesOnRootSplit: growing the tree concurrently with

@@ -9,7 +9,6 @@ import (
 	"eunomia/internal/htm"
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
-	"eunomia/internal/vclock"
 )
 
 // Leaf memory layout (word offsets from the leaf base address):
@@ -30,16 +29,21 @@ import (
 //	    paper's "reserved keys will not be updated and inserted
 //	    frequently"); then Segments line-aligned
 //	    blocks, each [count, k0,v0, k1,v1, ...], sorted within the block;
-//	    all puts land here, scattered across blocks, so concurrent writers
-//	    touch different cache lines.
+//	    all puts land here, in the block that the key's stable slot or
+//	    insertion point i names (i % Segments), so writers of neighbouring
+//	    keys touch different cache lines.
 //	CCM line (TagCCM): see ccm.go. Never accessed inside a transaction.
 //
 // In a partitioned leaf a key may transiently exist both in a segment and
 // in the stable region: a put that finds its key only in the stable region
 // inserts a *shadow* copy into a segment instead of writing the stable line
-// (keeping hot updates scattered). Lookups search segments before the
-// stable region, so the newest copy always wins; scanLeaf, the one reader
-// of a leaf's records, merges with segment priority.
+// (keeping hot updates scattered). A segment copy wins over the stable one;
+// scanLeaf, the one reader of a leaf's records, merges with segment
+// priority. Every other lower region reads one segment only, the key's
+// home: the stable run of a partitioned leaf changes only in writeLeaf,
+// which empties every segment in the same region, and a tombstone moves no
+// index, so a key's stable position — and with it its home — is fixed for
+// as long as any segment holds a copy of it.
 //
 // A leaf is born dense; noteConflicts promotes it and writeLeaf, under the
 // leaf lock, picks the state again at every rewrite — an overflow, a
@@ -111,30 +115,6 @@ func (t *Tree) leafSegs(tx *htm.Tx, leaf simmem.Addr) int {
 		return t.cfg.Segments
 	}
 	return int(tx.Load(leaf + offSegs))
-}
-
-// prefetchLeaf issues the independent loads of a partitioned-leaf probe as
-// one burst: all segment header lines plus the first stable lines. These
-// are independent addresses (unlike a binary search's dependent probes),
-// so they overlap in the memory pipeline — the reason the paper's
-// partitioned layout costs only a few percent at low contention.
-func (t *Tree) prefetchLeaf(tx *htm.Tx, leaf simmem.Addr, segs int) {
-	if segs == 0 {
-		return
-	}
-	var addrs [10]simmem.Addr
-	n := 0
-	for j := 0; j < segs && n < 8; j++ {
-		addrs[n] = t.segBase(leaf, j)
-		n++
-	}
-	addrs[n] = t.stableK(leaf, 0)
-	n++
-	if t.cfg.StableCap > 4 {
-		addrs[n] = t.stableK(leaf, 4) // second stable line (4 pairs/line)
-		n++
-	}
-	tx.Prefetch(addrs[:n]...)
 }
 
 // stableSearch searches the leaf's sorted run — a dense run, a stable
@@ -243,13 +223,10 @@ func (t *Tree) segRemoveAt(tx *htm.Tx, seg simmem.Addr, idx, count int) {
 	tx.Store(seg, uint64(count-1))
 }
 
-// homeSeg is the deterministic segment for a key, used whenever same-slot
-// requests are not serialized by the CCM lock bits (see the package comment
-// on the duplicate-insert hazard).
-func (t *Tree) homeSeg(key uint64) int {
-	x := key*0x9e3779b97f4a7c15 + 0x7f4a7c159e3779b9
-	x ^= x >> 33
-	return int(x % uint64(t.cfg.Segments))
+// segOf is the home of a key whose stable search returned i on a leaf with
+// segs segments in use: the one segment that may hold its copy.
+func (t *Tree) segOf(leaf simmem.Addr, i, segs int) simmem.Addr {
+	return t.segBase(leaf, i%segs)
 }
 
 // stitched is the lower region's re-validation of what the descent or the
@@ -269,14 +246,14 @@ func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, u
 		return oMismatch, 0
 	}
 	segs := t.leafSegs(tx, leaf)
-	t.prefetchLeaf(tx, leaf, segs)
-	for j := 0; j < segs; j++ {
-		seg := t.segBase(leaf, j)
-		if idx, _, found := t.segSearch(tx, seg, key); found {
-			return oFound, tx.Load(seg + simmem.Addr(2+2*idx))
+	idx, found := t.stableSearch(tx, leaf, key)
+	if segs != 0 {
+		seg := t.segOf(leaf, idx, segs)
+		if i, _, ok := t.segSearch(tx, seg, key); ok {
+			return oFound, tx.Load(seg + simmem.Addr(2+2*i))
 		}
 	}
-	if idx, found := t.stableSearch(tx, leaf, key); found {
+	if found {
 		v := tx.Load(t.stableV(leaf, idx))
 		if v == tree.Tombstone {
 			return oAbsent, 0
@@ -287,30 +264,32 @@ func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, u
 }
 
 // leafPut performs the lower region of a put (Algorithm 2 lines 41-51 plus
-// Algorithm 3's scheduler). randomSched selects the paper's random write
-// scheduler (safe only while the CCM lock bits serialize the slot);
-// otherwise the deterministic home segment is used.
+// Algorithm 3's scheduler, which here places the record in its key's home
+// segment, segOf: two puts of one key meet in one segment line, so neither
+// can add a second copy).
 //
 // needMark is set when mark slots are enabled but the caller has not
 // pre-incremented this key's slot: in that case an insertion must not be
 // committed (return oNeedMark instead), because a mark increment published
 // only after the commit would open a window in which the absent-key fast
 // path misses a committed record. Updates never need the mark.
-func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, randomSched bool, rnd *vclock.Rand, needMark bool) outcome {
+func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, needMark bool) outcome {
 	if !t.stitched(tx, leaf, s0, key) {
 		return oMismatch
 	}
 	segs := t.leafSegs(tx, leaf)
-	t.prefetchLeaf(tx, leaf, segs)
-	// Update in place if a segment already holds the key (newest copy).
-	for j := 0; j < segs; j++ {
-		seg := t.segBase(leaf, j)
-		if idx, _, found := t.segSearch(tx, seg, key); found {
+	stIdx, inStable := t.stableSearch(tx, leaf, key)
+	var seg simmem.Addr
+	var idx, used int
+	if segs != 0 {
+		// Update in place if the home segment holds the key (newest copy).
+		seg = t.segOf(leaf, stIdx+t.wrongHome, segs) // the seeded bug: one segment past the home
+		var found bool
+		if idx, used, found = t.segSearch(tx, seg, key); found {
 			tx.Store(seg+simmem.Addr(2+2*idx), val)
 			return oUpdated
 		}
 	}
-	stIdx, inStable := t.stableSearch(tx, leaf, key)
 	done := oInserted // what storing the record makes of this put
 	if inStable && tx.Load(t.stableV(leaf, stIdx)) != tree.Tombstone {
 		done = oUpdated
@@ -348,37 +327,13 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, random
 		t.bumpConvHeader(tx, leaf)
 		return oInserted
 	}
-	// Partitioned leaf: the record goes to a segment (a shadow copy if a
-	// live stable copy exists; lookups prefer segments, so it wins).
-	insert := func(j int) bool {
-		seg := t.segBase(leaf, j)
-		idx, count, _ := t.segSearch(tx, seg, key)
-		if count >= t.cfg.SegCap {
-			return false
-		}
-		t.segInsertAt(tx, seg, idx, count, key, val)
-		return true
-	}
-	if randomSched {
-		// Algorithm 3 lines 60-63: random target, retried with a different
-		// index while attempts remain.
-		last := -1
-		for tries := 0; tries < t.cfg.Segments; tries++ {
-			j := rnd.Intn(t.cfg.Segments)
-			if j == last {
-				j = (j + 1) % t.cfg.Segments
-			}
-			last = j
-			if insert(j) {
-				return done
-			}
-		}
+	// Partitioned leaf: the record goes to its home segment (a shadow copy
+	// if a live stable copy exists; it wins over that one).
+	if used >= t.cfg.SegCap {
 		return oMaint
 	}
-	if insert(t.homeSeg(key)) {
-		return done
-	}
-	return oMaint
+	t.segInsertAt(tx, seg, idx, used, key, val)
+	return done
 }
 
 // leafDelete performs the lower region of a delete: it removes a segment
@@ -392,17 +347,16 @@ func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out out
 		return oMismatch, false
 	}
 	segs := t.leafSegs(tx, leaf)
-	t.prefetchLeaf(tx, leaf, segs)
 	removed := false
-	for j := 0; j < segs; j++ {
-		seg := t.segBase(leaf, j)
-		if idx, count, found := t.segSearch(tx, seg, key); found {
-			t.segRemoveAt(tx, seg, idx, count)
+	idx, found := t.stableSearch(tx, leaf, key)
+	if segs != 0 {
+		seg := t.segOf(leaf, idx, segs)
+		if i, count, ok := t.segSearch(tx, seg, key); ok {
+			t.segRemoveAt(tx, seg, i, count)
 			removed = true
-			break
 		}
 	}
-	if idx, found := t.stableSearch(tx, leaf, key); found {
+	if found {
 		if tx.Load(t.stableV(leaf, idx)) != tree.Tombstone {
 			tx.Store(t.stableV(leaf, idx), tree.Tombstone)
 			t.bumpConvHeader(tx, leaf)
@@ -566,15 +520,6 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		return oAbsent, false, 0 // rewritten by someone else meanwhile
 	}
 	hot := t.staysPart(score, segs)
-	// Re-check: a concurrent put may have inserted or updated the key (or
-	// freed segment space) before we took the leaf lock.
-	for j := 0; put && j < segs; j++ {
-		seg := t.segBase(leaf, j)
-		if idx, _, found := t.segSearch(tx, seg, key); found {
-			tx.Store(seg+simmem.Addr(2+2*idx), val)
-			return oUpdated, false, 0
-		}
-	}
 	if t.dropSegs && !hot {
 		segs = 0 // the seeded bug: a demotion that reads the leaf as dense already
 	}

@@ -71,34 +71,26 @@ func TestDeferredRebalanceCompactsTombstones(t *testing.T) {
 // would make — a split into partitioned halves — and leaves no tombstone.
 func TestRebalanceSplitsACrowdedHotLeaf(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
-	fill(tr, th, 12)
+	fillEven(tr, th, 12)
 	tr.heat(th) // in place: 12 stable records, empty segments
-	// Short of the threshold the lock bits are off and a put goes to its
-	// key's home segment: fill every segment to the brim.
-	tr.setScore(th, 1, tr.cfg.HotThreshold-1)
-	room := make([]int, tr.cfg.Segments)
 	present := map[uint64]bool{}
-	for k := uint64(1); k <= 12; k++ {
+	for k := uint64(2); k <= 24; k += 2 {
 		present[k] = true
 	}
-	for k := uint64(13); len(present) < 12+tr.cfg.Segments*tr.cfg.SegCap; k++ {
-		if j := tr.homeSeg(k); room[j] < tr.cfg.SegCap {
-			room[j]++
-			present[k] = true
-			tr.Put(th, k, 10*k)
-		}
+	for _, k := range tr.crowd(th) {
+		present[k] = true
 	}
-	tr.setScore(th, 1, 1<<62)
+	// Each delete of a stable key tombstones it.
 	last := tr.cfg.RebalanceThreshold
 	for k := uint64(1); k < last; k++ {
-		tr.Delete(th, k)
-		delete(present, k)
+		tr.Delete(th, 2*k)
+		delete(present, 2*k)
 	}
 	if tr.Splits() != 0 || countTombstones(t, tr, th) != int(last-1) {
 		t.Fatalf("before the rebalance: %d splits and %d tombstones; want none and %d", tr.Splits(), countTombstones(t, tr, th), last-1)
 	}
-	tr.Delete(th, last)
-	delete(present, last)
+	tr.Delete(th, 2*last)
+	delete(present, 2*last)
 	if live := len(present); live <= tr.rewriteCap(true) {
 		t.Fatalf("%d live records fit a hot leaf's %d; the test exercises nothing", live, tr.rewriteCap(true))
 	}

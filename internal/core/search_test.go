@@ -97,6 +97,59 @@ func TestRunSearchMatchesBisection(t *testing.T) {
 	}
 }
 
+// TestPartitionedLeafReadsOneSegment: on a partitioned leaf whose four
+// segments all hold records, a get, an update and a delete each read one
+// segment line, their key's home: on a device whose read set holds 4 lines
+// — the fallback word's, the leaf's metadata line, the stable line the
+// fences predict and one more — none served from the directory runs out of
+// capacity, and each sees the segment copy.
+func TestPartitionedLeafReadsOneSegment(t *testing.T) {
+	h := htm.New(simmem.NewArena(1<<20), htm.Config{MaxReadLines: 4, MaxWriteLines: 512})
+	th := h.NewThread(vclock.NewWallProc(0, 0), 1)
+	tr := New(h, th, DefaultConfig)
+	// 33 even keys overflow the dense leaf into 2..32 and 34..66; promoting
+	// the left one splits it again, into partitioned leaves of 2..16 (hi
+	// 17, so its fences predict the line) and 18..32.
+	for k := uint64(2); k <= 66; k += 2 {
+		tr.Put(th, k, 10*k)
+	}
+	tr.heatLeaf(th, tr.leaves(th)[0])
+	leaf := tr.leaves(th)[0]
+	n := int(tr.a.LoadWord(th.P, leaf+offStableCount))
+	if segs := tr.a.LoadWord(th.P, leaf+offSegs); segs != uint64(tr.cfg.Segments) || n != 8 || tr.a.LoadWord(th.P, leaf+offHi) != 17 {
+		t.Fatalf("the left leaf has %d segments in use, a run of %d and hi %d; want a partitioned leaf of 2..16 with hi 17",
+			segs, n, tr.a.LoadWord(th.P, leaf+offHi))
+	}
+	for k := uint64(2); k <= 16; k += 2 {
+		tr.Put(th, k, 10*k+1) // the shadow copy, in segment (k/2-1) % 4
+	}
+	for j := 0; j < tr.cfg.Segments; j++ {
+		if c := tr.a.LoadWord(th.P, tr.segBase(leaf, j)); c == 0 {
+			t.Fatalf("segment %d is empty; the test needs every segment to hold records", j)
+		}
+	}
+	for k := uint64(2); k <= 16; k += 2 {
+		tr.Get(th, k) // the directory, on a device too small for the descent
+	}
+	op := func(what string, k uint64, f func() bool) {
+		t.Helper()
+		caps := th.Stats.Aborts[htm.AbortCapacity]
+		if !f() {
+			t.Fatalf("%s(%d) missed its segment copy", what, k)
+		}
+		if got := th.Stats.Aborts[htm.AbortCapacity] - caps; got != 0 {
+			t.Fatalf("%s(%d) ran out of a 4-line read set %d times: it read more than one segment line", what, k, got)
+		}
+	}
+	for k := uint64(2); k <= 16; k += 2 {
+		op("get", k, func() bool { v, ok := tr.Get(th, k); return ok && v == 10*k+1 })
+		op("update", k, func() bool { tr.Put(th, k, 10*k+2); v, _ := tr.Get(th, k); return v == 10*k+2 })
+	}
+	for k := uint64(2); k <= 8; k += 2 { // one key per segment, short of a rebalance
+		op("delete", k, func() bool { ok := tr.Delete(th, k); _, in := tr.Get(th, k); return ok && !in })
+	}
+}
+
 // TestRunSearchLoadsOneLine: a get of any key of a full dense leaf of
 // consecutive keys loads at most 2 of the leaf's 8 data lines, where a
 // bisection loads 3 or 4: on a device whose read set holds 4 lines — the

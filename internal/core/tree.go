@@ -62,13 +62,15 @@ type Tree struct {
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
 
-	// dropSegs, fenceSlack and trustGuess seed bugs for the checker's
-	// self-tests: a lossy demotion (adapt_test.go), at 1 a split whose left
-	// leaf keeps the separator inside its fences, and a run search that
-	// looks only on the line the fences predict (dir_test.go).
+	// dropSegs, fenceSlack, trustGuess and wrongHome seed bugs for the
+	// checker's self-tests: a lossy demotion (adapt_test.go), at 1 a split
+	// whose left leaf keeps the separator inside its fences, a run search
+	// that looks only on the line the fences predict, and at 1 a put that
+	// files its copy one segment past its home (dir_test.go).
 	dropSegs   bool
 	fenceSlack uint64
 	trustGuess bool
+	wrongHome  int
 }
 
 // New creates an empty Euno-B+Tree with the given configuration.
@@ -357,7 +359,7 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		runLower := func() {
 			needMark := t.cfg.CCMMarkBits && !preMarked
 			th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
-				out = t.leafPut(tx, leaf, s0, key, val, useLock, th.Rand, needMark)
+				out = t.leafPut(tx, leaf, s0, key, val, needMark)
 			})
 		}
 		runLower()

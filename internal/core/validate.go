@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
@@ -18,8 +19,9 @@ import (
 //     node's inherited [low, high] bounds; child count = key count + 1;
 //   - leaves: the state word is 0 (dense) or Segments (partitioned); the
 //     run strictly sorted and no longer than its state allows (denseCap,
-//     StableCap); in a partitioned leaf every segment strictly sorted; no
-//     key present twice among
+//     StableCap); in a partitioned leaf every segment strictly sorted and
+//     every segment key in its home (segOf of its stable slot or insertion
+//     point); no key present twice among
 //     live locations (a stable entry shadowed by a segment copy is
 //     allowed, a duplicate within or across segments is not). A dense
 //     leaf's segment area is run or garbage and is not interpreted;
@@ -107,7 +109,7 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 	}
 	delete(chain, leaf)
 	live := map[uint64]bool{} // live key locations (segments first)
-	inStable := map[uint64]bool{}
+	var run []uint64
 
 	segs := t.cfg.Segments
 	if t.cfg.Adaptive {
@@ -130,10 +132,7 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 		if k < lo || k > hi {
 			return fmt.Errorf("leaf %d: stable key %d outside its fences [%d, %d]", leaf, k, lo, hi)
 		}
-		if inStable[k] {
-			return fmt.Errorf("leaf %d: duplicate stable key %d", leaf, k)
-		}
-		inStable[k] = true
+		run = append(run, k)
 		prev = k
 	}
 	for j := 0; j < segs; j++ {
@@ -153,6 +152,9 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 			}
 			if live[k] {
 				return fmt.Errorf("leaf %d: key %d present in two segments", leaf, k)
+			}
+			if i, _ := slices.BinarySearch(run, k); i%segs != j {
+				return fmt.Errorf("leaf %d: key %d in segment %d, its home is segment %d", leaf, k, j, i%segs)
 			}
 			live[k] = true
 			prev = k

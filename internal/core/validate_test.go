@@ -112,6 +112,10 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatalf("a heated leaf has %d segments in use, want %d", segs, tr.cfg.Segments)
 	}
 	corrupt("an unsorted stable region", tr.stableK(leaf, 0), tr.a.LoadWord(boot.P, tr.stableK(leaf, 1))+1)
+	k0 := tr.a.LoadWord(boot.P, tr.stableK(leaf, 0))
+	tr.Put(boot, k0, 1) // its shadow copy: segment 0's first record
+	validateOrFail(t, tr, boot)
+	corrupt("a segment copy outside its home", tr.segBase(leaf, 0)+1, tr.a.LoadWord(boot.P, tr.stableK(leaf, 1)))
 	corrupt("an oversized segment count", tr.segBase(leaf, 0), uint64(tr.cfg.SegCap)+5)
 	corrupt("a partitioned leaf whose run overflows its stable region", leaf+offStableCount, uint64(tr.cfg.StableCap)+1)
 }

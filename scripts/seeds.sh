@@ -4,8 +4,10 @@
 #
 #   1. the quick Figure 8 Euno-B+Tree cells at θ = 0.2, 0.9 and 0.99 on
 #      seeds 1–9 (`eunobench -quick -csv -seed N fig8`, virtual M ops/s);
-#   2. sim-contended throughput_ops_s, op_p50_us and put_p50_us on the
-#      seeds in SIM_SEEDS (default "1 2 3"), each one run of bench/run.sh.
+#   2. sim-contended throughput_ops_s, op_p50_us, put_p50_us,
+#      htm.aborts_per_op and htm.fallbacks_per_kop on the seeds in SIM_SEEDS
+#      (default "1 2 3"), all five from the one JSON line of one
+#      `bench/run.sh --trace -1` run per seed.
 #
 # Each table has a column for the working tree and, when a base commit is
 # given, one for that commit, exported with `git archive` into a temporary
@@ -28,7 +30,8 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # measure SIDE DIR writes fig8-SIDE ("seed θ0.2 θ0.9 θ0.99" per line) and
-# sim-SIDE ("seed throughput op_p50 put_p50" per line) for the checkout at DIR.
+# sim-SIDE ("seed throughput op_p50 put_p50 aborts/op fallbacks/kop" per
+# line) for the checkout at DIR.
 measure() {
 	local side=$1 dir=$2 s line
 	go build -C "$dir" -o "$tmp/eunobench-$side" ./cmd/eunobench
@@ -38,13 +41,13 @@ measure() {
 				END { sub(/M$/, "", c); sub(/M$/, "", a); sub(/M$/, "", b); print s, c, a, b }'
 	done > "$tmp/fig8-$side"
 	for s in $sim_seeds; do
-		line="$(bash "$dir/bench/run.sh" --workload sim-contended --seed "$s" --trace 0 | tail -n 1)"
+		line="$(bash "$dir/bench/run.sh" --workload sim-contended --seed "$s" --trace -1 | tail -n 1)"
 		case "$line" in
 		*'"correct":true,'*'"failed":0,'*) ;;
 		*) echo "seeds: sim-contended seed $s in $dir did not run clean: $line" >&2; exit 1 ;;
 		esac
 		# encoding/json writes the metrics map with its keys sorted.
-		echo "$s $(echo "$line" | sed -E 's/.*"op_p50_us":\{"value":([^,]*),.*"put_p50_us":\{"value":([^,]*),.*"throughput_ops_s":\{"value":([^,]*),.*/\3 \1 \2/')"
+		echo "$s $(echo "$line" | sed -E 's/.*"htm\.aborts_per_op":\{"value":([^,]*),.*"htm\.fallbacks_per_kop":\{"value":([^,]*),.*"op_p50_us":\{"value":([^,]*),.*"put_p50_us":\{"value":([^,]*),.*"throughput_ops_s":\{"value":([^,]*),.*/\5 \3 \4 \1 \2/')"
 	done > "$tmp/sim-$side"
 }
 
@@ -80,10 +83,10 @@ paste -d' ' "$tmp/fig8-base" "$tmp/fig8-tree" | awk -v based="$base" "$pct"'
 	      else printf "| **mean** | **%.2f** | **%.2f** | **%.2f** |\n", tc / n, ta / n, tb / n }'
 
 echo
-echo "sim-contended (bash bench/run.sh --workload sim-contended --seed N --trace 0${base:+; $base → working tree}):"
+echo "sim-contended (bash bench/run.sh --workload sim-contended --seed N --trace -1${base:+; $base → working tree}):"
 echo
-echo "| seed | throughput_ops_s | op_p50_us | put_p50_us |"
-echo "|---|---|---|---|"
+echo "| seed | throughput_ops_s | op_p50_us | put_p50_us | htm.aborts_per_op | htm.fallbacks_per_kop |"
+echo "|---|---|---|---|---|---|"
 paste -d' ' "$tmp/sim-base" "$tmp/sim-tree" | awk -v based="$base" "$pct"'
-	{ if (based != "") printf "| %s | %.0f → %.0f (%s) | %.5f → %.5f | %.5f → %.5f |\n", $1, $2, $6, pct($6, $2), $3, $7, $4, $8
-	  else printf "| %s | %.0f | %.5f | %.5f |\n", $1, $6, $7, $8 }'
+	{ if (based != "") printf "| %s | %.0f → %.0f (%s) | %.5f → %.5f | %.5f → %.5f | %.4f → %.4f | %.2f → %.2f |\n", $1, $2, $8, pct($8, $2), $3, $9, $4, $10, $5, $11, $6, $12
+	  else printf "| %s | %.0f | %.5f | %.5f | %.4f | %.2f |\n", $1, $8, $9, $10, $11, $12 }'
