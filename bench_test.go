@@ -201,45 +201,13 @@ func BenchmarkMemOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkWallOps measures host-speed single-thread throughput of the
-// public API (real ns/op, not virtual time).
-func BenchmarkWallOps(b *testing.B) {
-	for _, kind := range []Kind{EunoBTree, HTMBTree, Masstree} {
-		b.Run(kind.String()+"/put", func(b *testing.B) {
-			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := db.NewThread()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Put(uint64(i%100000)+1, uint64(i))
-			}
-		})
-		b.Run(kind.String()+"/get", func(b *testing.B) {
-			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25})
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := db.NewThread()
-			for i := uint64(1); i <= 100000; i++ {
-				th.Put(i, i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Get(uint64(i%100000) + 1)
-			}
-		})
-	}
-}
-
-// BenchmarkHostOps is BenchmarkWallOps on the host backend: the cost model
-// is off, so ns/op is the protocol itself (TL2 bookkeeping + tree logic),
-// not the emulator. The WallOps/HostOps ratio is the emulator's overhead.
+// BenchmarkHostOps measures single-thread throughput of the public API in
+// real ns/op: a handle runs outside the cost model, so ns/op is the
+// protocol itself (TL2 bookkeeping + tree logic), not the emulator.
 func BenchmarkHostOps(b *testing.B) {
 	for _, kind := range []Kind{EunoBTree, HTMBTree, Masstree} {
 		b.Run(kind.String()+"/put", func(b *testing.B) {
-			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25, Backend: Host})
+			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -250,7 +218,7 @@ func BenchmarkHostOps(b *testing.B) {
 			}
 		})
 		b.Run(kind.String()+"/get", func(b *testing.B) {
-			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25, Backend: Host})
+			db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -266,8 +234,8 @@ func BenchmarkHostOps(b *testing.B) {
 	}
 }
 
-// BenchmarkHostParallel drives the host backend from every benchmark
-// goroutine at once (one Thread each) — the scaling half of the host
+// BenchmarkHostParallel drives one DB from every benchmark goroutine at
+// once (one Thread each) — the scaling half of the host
 // story. Run with -cpu 1,2,4,8 on a multi-core machine to see it.
 func BenchmarkHostParallel(b *testing.B) {
 	for _, kind := range []Kind{EunoBTree, HTMBTree, Masstree} {
@@ -276,7 +244,7 @@ func BenchmarkHostParallel(b *testing.B) {
 			getPct int
 		}{{"readonly", 100}, {"mixed", 50}} {
 			b.Run(fmt.Sprintf("%s/%s", kind, mix.name), func(b *testing.B) {
-				db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25, Backend: Host})
+				db, err := Open(Options{Kind: kind, ArenaWords: 1 << 25})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -309,7 +277,7 @@ func BenchmarkHostParallel(b *testing.B) {
 // store's are.
 const scanBenchKeys = 100_000
 
-// BenchmarkTreeScan16 is core.Tree.Scan(from, 16) on the host backend with
+// BenchmarkTreeScan16 is core.Tree.Scan(from, 16) on a handle's thread with
 // nothing above it: one lower region that walks the leaf chain through the
 // bounded merged reader, after the upper region when the leaf directory
 // does not hold from's leaf. attempts/scan and loads/key name the
@@ -323,7 +291,7 @@ func BenchmarkTreeScan16(b *testing.B) { benchTreeScan(b, 16) }
 func BenchmarkTreeScan256(b *testing.B) { benchTreeScan(b, 256) }
 
 func benchTreeScan(b *testing.B, max int) {
-	db, err := Open(Options{ArenaWords: 1 << 24, Backend: Host})
+	db, err := Open(Options{ArenaWords: 1 << 24})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +318,7 @@ func reportScanWork(b *testing.B, attempts, loads uint64, keys int) {
 }
 
 // BenchmarkSessionScan16 is Session.Scan(from, 16) on a 4-shard hash
-// cluster, host backend, health on: the merge-scan the scan-mix workload
+// cluster, health on: the merge-scan the scan-mix workload
 // spends its time in. refills/scan is the cursor pages read beyond each
 // shard's first, the price of asking a shard for only its share.
 func BenchmarkSessionScan16(b *testing.B) { benchSessionScan(b, 16) }
@@ -359,7 +327,7 @@ func BenchmarkSessionScan16(b *testing.B) { benchSessionScan(b, 16) }
 func BenchmarkSessionScan256(b *testing.B) { benchSessionScan(b, 256) }
 
 func benchSessionScan(b *testing.B, max int) {
-	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 22, Backend: Host}})
+	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 22}})
 	if err != nil {
 		b.Fatal(err)
 	}

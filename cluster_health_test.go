@@ -620,7 +620,7 @@ func TestLibraryGoroutinePanicsContained(t *testing.T) {
 	})
 	t.Run("engine", func(t *testing.T) {
 		root := durable.NewMemFS(durable.FaultPlan{})
-		c, _, err := splitOverHookedRoot(t, Emulated, root, func() { panic("injected panic creating the cutover journal") })
+		c, _, err := splitOverHookedRoot(t, root, func() { panic("injected panic creating the cutover journal") })
 		if err == nil || !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("Reshard whose engine panicked = %v", err)
 		}

@@ -802,14 +802,13 @@ func (f *createHookFS) Create(name string) (durable.File, error) {
 // healthy disks of their own and whose root (manifest) disk runs hook from
 // the engine's first cutover journal on, preloads it, and runs Reshard(4)
 // under a watchdog.
-func splitOverHookedRoot(t *testing.T, backend Backend, root *durable.MemFS, hook func()) (*Cluster, ClusterOptions, error) {
+func splitOverHookedRoot(t *testing.T, root *durable.MemFS, hook func()) (*Cluster, ClusterOptions, error) {
 	t.Helper()
 	disks := make([]*durable.MemFS, 4)
 	for i := range disks {
 		disks[i] = durable.NewMemFS(durable.FaultPlan{})
 	}
 	o := durableReshardOpts(root, 2, RangePartition)
-	o.Shard.Backend = backend
 	o.PerShard = func(i int, so *Options) { so.Durability.FS = disks[i] }
 	o.Repair = RepairOptions{Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 	hooked := o
@@ -837,66 +836,61 @@ func splitOverHookedRoot(t *testing.T, backend Backend, root *durable.MemFS, hoo
 
 // TestReshardManifestDiskDies: the root disk dies at the engine's first
 // cutover journal while every shard stays healthy. Reshard must come back
-// with the stall error instead of retrying forever (and, on the emulated
-// backend, instead of running the DB out of proc ids and panicking); the
-// cluster keeps serving and closes; a reopen on the rebooted disk resumes
-// the migration and finishes it.
+// with the stall error instead of retrying forever; the cluster keeps
+// serving and closes; a reopen on the rebooted disk resumes the migration
+// and finishes it.
 func TestReshardManifestDiskDies(t *testing.T) {
-	for _, backend := range []Backend{Emulated, Host} {
-		t.Run(backend.String(), func(t *testing.T) {
-			root := durable.NewMemFS(durable.FaultPlan{})
-			c, o, err := splitOverHookedRoot(t, backend, root, root.Kill)
-			if !errors.Is(err, ErrShardUnavailable) && !errors.Is(err, durable.ErrCrashed) {
-				t.Fatalf("Reshard over a dead manifest disk = %v", err)
+	root := durable.NewMemFS(durable.FaultPlan{})
+	c, o, err := splitOverHookedRoot(t, root, root.Kill)
+	if !errors.Is(err, ErrShardUnavailable) && !errors.Is(err, durable.ErrCrashed) {
+		t.Fatalf("Reshard over a dead manifest disk = %v", err)
+	}
+	if !c.Migrating() {
+		t.Fatal("the stalled migration was abandoned, not left retrying")
+	}
+	if err := c.Reshard(3); !errors.Is(err, ErrReshardInProgress) {
+		t.Fatalf("second Reshard during the stalled one = %v", err)
+	}
+	sess := c.NewSession()
+	v := c.table.View()
+	for k := uint64(0); k < 128; k++ {
+		key := k << 57
+		if got, ok, err := sess.Get(key); err != nil || !ok || got != k {
+			t.Fatalf("Get(%d) mid-stall = %d, %v, %v", key, got, ok, err)
+		}
+		if _, moving := v.MoveOf(key); !moving {
+			if err := sess.Put(key, k); err != nil {
+				t.Fatalf("Put(%d) on a stable key mid-stall: %v", key, err)
 			}
-			if !c.Migrating() {
-				t.Fatal("the stalled migration was abandoned, not left retrying")
-			}
-			if err := c.Reshard(3); !errors.Is(err, ErrReshardInProgress) {
-				t.Fatalf("second Reshard during the stalled one = %v", err)
-			}
-			sess := c.NewSession()
-			v := c.table.View()
-			for k := uint64(0); k < 128; k++ {
-				key := k << 57
-				if got, ok, err := sess.Get(key); err != nil || !ok || got != k {
-					t.Fatalf("Get(%d) mid-stall = %d, %v, %v", key, got, ok, err)
-				}
-				if _, moving := v.MoveOf(key); !moving {
-					if err := sess.Put(key, k); err != nil {
-						t.Fatalf("Put(%d) on a stable key mid-stall: %v", key, err)
-					}
-				}
-			}
-			closed := make(chan error, 1)
-			go func() { closed <- c.Close() }()
-			select {
-			case <-closed:
-			case <-time.After(10 * time.Second):
-				t.Fatal("Close blocked behind the stalled migration")
-			}
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked behind the stalled migration")
+	}
 
-			root.Reboot()
-			o.Shards = 0
-			c2, err := OpenCluster(o)
-			if err != nil {
-				t.Fatalf("reopen on the rebooted disk: %v", err)
-			}
-			defer c2.Close()
-			for wait := time.Now().Add(20 * time.Second); c2.Migrating(); time.Sleep(time.Millisecond) {
-				if time.Now().After(wait) {
-					t.Fatal("resumed migration never finished")
-				}
-			}
-			if c2.Shards() != 4 || c2.Epoch() != 1 {
-				t.Fatalf("after resume: shards=%d epoch=%d", c2.Shards(), c2.Epoch())
-			}
-			s2 := c2.NewSession()
-			for k := uint64(0); k < 128; k++ {
-				if got, ok, err := s2.Get(k << 57); err != nil || !ok || got != k {
-					t.Fatalf("Get(%d) after resume = %d, %v, %v", k<<57, got, ok, err)
-				}
-			}
-		})
+	root.Reboot()
+	o.Shards = 0
+	c2, err := OpenCluster(o)
+	if err != nil {
+		t.Fatalf("reopen on the rebooted disk: %v", err)
+	}
+	defer c2.Close()
+	for wait := time.Now().Add(20 * time.Second); c2.Migrating(); time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("resumed migration never finished")
+		}
+	}
+	if c2.Shards() != 4 || c2.Epoch() != 1 {
+		t.Fatalf("after resume: shards=%d epoch=%d", c2.Shards(), c2.Epoch())
+	}
+	s2 := c2.NewSession()
+	for k := uint64(0); k < 128; k++ {
+		if got, ok, err := s2.Get(k << 57); err != nil || !ok || got != k {
+			t.Fatalf("Get(%d) after resume = %d, %v, %v", k<<57, got, ok, err)
+		}
 	}
 }

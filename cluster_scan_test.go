@@ -232,12 +232,12 @@ func TestClusterScanCompleteBeforeFailure(t *testing.T) {
 	}
 }
 
-// hostScanCluster is a preloaded 4-shard hash cluster on the host backend
-// with a Session whose cursors and per-shard threads are warm; o, if not
-// nil, observes every shard.
+// hostScanCluster is a preloaded 4-shard hash cluster with a Session whose
+// cursors and per-shard threads are warm; o, if not nil, observes every
+// shard.
 func hostScanCluster(t *testing.T, o Observer) (*Cluster, *Session) {
 	t.Helper()
-	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 20, Backend: Host,
+	c, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{ArenaWords: 1 << 20,
 		Observability: Observability{Observer: o}}})
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +281,8 @@ func (w scanWork) plus(o scanWork) scanWork {
 // and two (the upper region, then the lower) when it does not, and that is
 // what the test pins, counting the upper regions with an observer; the
 // bound above is on lower regions and on loads. Each scan runs twice, cold
-// and then warm, measured against the shard scans. One goroutine on the
-// host backend, so every attempt commits and the counts are exact.
+// and then warm, measured against the shard scans. One goroutine on a
+// Session, so every attempt commits and the counts are exact.
 func TestClusterScanWorkBound(t *testing.T) {
 	var descents descentCounter
 	c, sess := hostScanCluster(t, &descents)

@@ -100,6 +100,7 @@ func TestClusterMetricsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sess.Close()
 	cm := c.ClusterMetrics()
 	if cm.Shards != 3 || len(cm.PerShard) != 3 {
 		t.Fatalf("Shards=%d len(PerShard)=%d", cm.Shards, len(cm.PerShard))

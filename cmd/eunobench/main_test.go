@@ -119,7 +119,7 @@ func tinyCluster(t *testing.T, n uint64) *eunomia.Cluster {
 	t.Helper()
 	c, err := eunomia.OpenCluster(eunomia.ClusterOptions{
 		Shards: 2,
-		Shard:  eunomia.Options{ArenaWords: 1 << 18, Backend: eunomia.Host},
+		Shard:  eunomia.Options{ArenaWords: 1 << 18},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,11 @@ func loopScale(full, short time.Duration) (uint64, time.Duration) {
 	return n, dur
 }
 
-// openLoopCluster opens the system under test: a durable host-backend
-// cluster with the breaker on and one in-memory disk per shard slot (so
-// chaos can kill and revive one; disks beyond co.Shards are for a reshard
-// to grow into), preloaded with keyOf(1..keys) so gets hit and the WALs
-// hold acknowledged state for chaos to endanger.
+// openLoopCluster opens the system under test: a durable cluster with the
+// breaker on and one in-memory disk per shard slot (so chaos can kill and
+// revive one; disks beyond co.Shards are for a reshard to grow into),
+// preloaded with keyOf(1..keys) so gets hit and the WALs hold acknowledged
+// state for chaos to endanger.
 func openLoopCluster(co eunomia.ClusterOptions, disks int, keys uint64, keyOf func(uint64) uint64) (*eunomia.Cluster, []*durable.MemFS, error) {
 	fses := make([]*durable.MemFS, disks)
 	for i := range fses {
@@ -90,7 +90,6 @@ func openLoopCluster(co eunomia.ClusterOptions, disks int, keys uint64, keyOf fu
 	}
 	co.Shard = eunomia.Options{
 		ArenaWords: 1 << 21,
-		Backend:    eunomia.Host,
 		Durability: eunomia.Durability{Dir: "openloop", FS: fses[0]},
 	}
 	co.PerShard = func(i int, o *eunomia.Options) { o.Durability.FS = fses[i] }

@@ -11,8 +11,11 @@
 // substitution argument. The API below is therefore shaped a little
 // differently from an ordinary map: a DB owns the arena and the emulated
 // device; each worker goroutine obtains a Thread handle carrying its
-// clock (wall time for a goroutine, a virtual core under RunVirtual),
-// statistics and RNG.
+// clock, statistics and RNG. The clock decides what a thread costs: a
+// goroutine's handle keeps wall time and runs the protocol at native
+// speed, outside the cost model, while a virtual core under RunVirtual is
+// charged for every access in deterministic virtual time. Every DB serves
+// both.
 //
 // Quickstart:
 //
@@ -43,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
 	"sync/atomic"
 
 	"eunomia/internal/core"
@@ -76,36 +78,18 @@ const (
 	HTMMasstree = kind.HTMMasstree
 )
 
-// Backend selects the execution engine behind a DB. Both run the same
-// transactional protocol over the same arena metadata; they differ in what
-// the clock means (see internal/htm.Backend and DESIGN.md §10).
+// Backend once selected a DB-wide execution engine.
+//
+// Deprecated: no effect. Every DB runs one engine: a Thread from NewThread
+// runs at native speed outside the cost model, and RunVirtual's threads run
+// in deterministic virtual time, on every DB (see DESIGN.md §10).
 type Backend int
 
-// The two execution engines.
+// Deprecated: no effect; see Backend.
 const (
-	// Emulated (the default) charges every access through the virtual-time
-	// cost model, so contention behaves like the paper's hardware and
-	// RunVirtual is deterministic. Threads from NewThread work too: they
-	// run on real goroutines, yield in their wait loops like Host threads,
-	// and their speed measures the emulator, not the protocol.
 	Emulated Backend = iota
-	// Host disables the cost model and runs the protocol at native speed:
-	// Threads are meant to be one-per-goroutine, throughput scales with
-	// real cores, and time is wall-clock. RunVirtual is unavailable.
 	Host
 )
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case Emulated:
-		return "emulated"
-	case Host:
-		return "host"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
 
 // Options configures Open.
 type Options struct {
@@ -114,10 +98,7 @@ type Options struct {
 	// ArenaWords is the memory capacity in 8-byte words (default 1<<24,
 	// i.e. 128 MiB).
 	ArenaWords uint64
-	// Backend selects the execution engine (default Emulated). Host runs
-	// the same protocol on real goroutines at native speed — use it for
-	// actual-throughput work; use the default for paper-comparable,
-	// deterministic virtual-time numbers.
+	// Deprecated: no effect; see Backend.
 	Backend Backend
 	// Durability enables crash durability (write-ahead log + snapshots,
 	// recovered on Open) when Durability.Dir is non-empty. Durable DBs are
@@ -148,12 +129,9 @@ type DB struct {
 	observer obs.Observer   // the observer chain as one (nil when disabled)
 	heat     *obs.Heatmap   // non-nil when Observability.Heatmap
 	closed   atomic.Bool
-
-	// Proc ids for NewThread: nextID is the next never-used id, freeIDs
-	// the ids closed Threads handed back (taken first).
-	idMu    sync.Mutex
-	nextID  int
-	freeIDs []int
+	// handles counts the Threads NewThread has made; the n-th is labelled
+	// proc n+1 (the boot thread is proc 0, and 1 is left unused).
+	handles atomic.Int64
 }
 
 // Open creates a DB.
@@ -172,13 +150,6 @@ func Open(opts Options) (*DB, error) {
 	// contended HTM tree). It costs nothing where nothing falls back.
 	hcfg := htm.DefaultConfig
 	hcfg.LemmingWait = true
-	switch opts.Backend {
-	case Emulated:
-	case Host:
-		hcfg.Backend = htm.BackendHost
-	default:
-		return nil, fmt.Errorf("eunomia: unknown backend %v", opts.Backend)
-	}
 	var heat *obs.Heatmap
 	oo := opts.Observability
 	if oo.Heatmap {
@@ -204,7 +175,6 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 	}
-	db.nextID = 2 // proc 0 was the boot thread; 1 is left unused, as it always was
 	return db, nil
 }
 
@@ -217,29 +187,16 @@ func (db *DB) Kind() Kind { return db.opts.Kind }
 type Thread struct {
 	db *DB
 	th *htm.Thread
-	id int // proc id Close hands back to the DB; 0 once closed, and for RunVirtual's threads
 }
 
-// NewThread creates a worker handle for one goroutine, on either backend;
-// on Host it runs at native speed. Close the handle when its worker ends:
-// the emulated backend models one private cache per handle and has room
-// for at most 254 live handles — NewThread panics when asked for a 255th —
-// while any number may be created and closed over the DB's life (a closed
-// handle's id is reused). The Host backend has no such limit.
+// NewThread creates a worker handle for one goroutine. It runs the
+// protocol at native speed, outside the cost model, and any number of
+// handles may be live at once. Close the handle when its worker ends: a
+// handle reports its statistics to Metrics every 64 operations, and Close
+// reports the rest.
 func (db *DB) NewThread() *Thread {
-	db.idMu.Lock()
-	var id int
-	if n := len(db.freeIDs); n > 0 {
-		id, db.freeIDs = db.freeIDs[n-1], db.freeIDs[:n-1]
-	} else {
-		id = db.nextID
-		db.nextID++
-	}
-	db.idMu.Unlock()
-	if db.opts.Backend == Emulated && id >= simmem.MaxProcs {
-		panic(fmt.Sprintf("eunomia: more than %d live handles on the emulated backend; Close the ones that are done", simmem.MaxProcs-2))
-	}
-	return &Thread{db: db, id: id, th: db.device.NewHostThread(id, uint64(id)*0x9e3779b9+1)}
+	id := int(db.handles.Add(1)) + 1
+	return &Thread{db: db, th: db.device.NewHostThread(id, uint64(id)*0x9e3779b9+1)}
 }
 
 // Get returns the value stored under key.
@@ -336,36 +293,28 @@ func (t *Thread) Range(from, to uint64) iter.Seq2[uint64, uint64] {
 	}
 }
 
-// Stats is a snapshot of a thread's transactional behavior.
-type Stats struct {
-	Commits      uint64
-	Aborts       uint64
-	Fallbacks    uint64
-	WastedCycles uint64
-	// AbortsByReason maps reason names ("conflict-true", "conflict-false",
-	// "conflict-meta", "capacity", "explicit", "fallback-lock") to counts.
-	AbortsByReason map[string]uint64
-}
-
 // Stats returns this thread's accumulated statistics (the per-worker
 // view; the DB-wide aggregate across all threads is DB.Metrics().Tx).
-func (t *Thread) Stats() Stats { return statsOf(&t.th.Stats) }
+func (t *Thread) Stats() TxMetrics { return txMetricsOf(&t.th.Stats) }
 
-// statsOf is the public view of one htm.Stats.
-func statsOf(h *htm.Stats) Stats {
-	s := Stats{
+// txMetricsOf is the public view of one htm.Stats.
+func txMetricsOf(h *htm.Stats) TxMetrics {
+	m := TxMetrics{
+		Attempts:       h.Attempts,
 		Commits:        h.Commits,
 		Aborts:         h.TotalAborts(),
 		Fallbacks:      h.Fallbacks,
 		WastedCycles:   h.WastedCycles,
+		TxLoads:        h.TxLoads,
+		TxStores:       h.TxStores,
 		AbortsByReason: map[string]uint64{},
 	}
 	for r := htm.AbortReason(1); r < htm.NumAbortReasons; r++ {
 		if n := h.Aborts[r]; n > 0 {
-			s.AbortsByReason[r.String()] = n
+			m.AbortsByReason[r.String()] = n
 		}
 	}
-	return s
+	return m
 }
 
 // MemoryStats reports the DB's arena footprint.
@@ -383,25 +332,22 @@ type VirtualResult struct {
 	// Seconds converts Cycles at the modeled 2.3 GHz clock.
 	Seconds float64
 	// Stats aggregates all worker threads.
-	Stats Stats
+	Stats TxMetrics
 }
 
 // RunVirtual executes body once per virtual core under the deterministic
 // discrete-event scheduler: concurrency and contention play out in
 // simulated time even on a single host core, and repeated runs are
 // bit-for-bit identical. This is the execution mode of every figure in the
-// paper reproduction.
+// paper reproduction. It works on every DB without durability; its threads
+// are virtual cores, charged through the cost model, while the DB's
+// NewThread handles keep running at native speed.
 func (db *DB) RunVirtual(threads int, body func(t *Thread)) VirtualResult {
 	if db.dur != nil {
 		// Durable operations block on real fsyncs while the lockstep
 		// simulator waits for every proc to reach its next virtual event —
 		// a guaranteed deadlock. Durability is wall-clock only.
 		panic("eunomia: RunVirtual is incompatible with Options.Durability")
-	}
-	if db.opts.Backend == Host {
-		// The host backend has no cost model, so "virtual cycles" would be
-		// meaningless; determinism is the emulated backend's whole point.
-		panic("eunomia: RunVirtual requires Options.Backend == Emulated")
 	}
 	sim := vclock.NewSim(threads, 0)
 	workers := make([]*Thread, threads)
@@ -415,5 +361,5 @@ func (db *DB) RunVirtual(threads int, body func(t *Thread)) VirtualResult {
 		merged.Merge(&w.th.Stats)
 	}
 	cycles := sim.MaxClock()
-	return VirtualResult{Cycles: cycles, Seconds: float64(cycles) / vclock.CyclesPerSecond, Stats: statsOf(&merged)}
+	return VirtualResult{Cycles: cycles, Seconds: float64(cycles) / vclock.CyclesPerSecond, Stats: txMetricsOf(&merged)}
 }

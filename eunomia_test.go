@@ -133,13 +133,12 @@ func TestOpenHardensEveryKind(t *testing.T) {
 	}
 }
 
-// TestEmulatedWaitersYield is internal/core's TestHostWaitersYield on the
-// emulated backend, with the handles NewThread gives out: one core, more
-// goroutines than cores, and a lock holder descheduled inside its critical
-// section. A waiter whose failed iterations never reached the scheduler
-// would burn its whole time slice each time that happens; NewThread's
-// handles yield in Proc.Spin like any goroutine's, so each hand-off costs
-// microseconds.
+// TestEmulatedWaitersYield is internal/core's TestHostWaitersYield with
+// the handles NewThread gives out: one core, more goroutines than cores,
+// and a lock holder descheduled inside its critical section. A waiter
+// whose failed iterations never reached the scheduler would burn its whole
+// time slice each time that happens; NewThread's handles yield in Proc.Spin
+// like any goroutine's, so each hand-off costs microseconds.
 func TestEmulatedWaitersYield(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const (

@@ -170,7 +170,7 @@ func (s *server) serveConn(conn net.Conn) {
 		}
 	}()
 	th := s.store.NewHandle()
-	defer th.Close()
+	defer func() { th.Close() }() // STATS swaps th for a fresh handle
 	rd := bufio.NewReaderSize(conn, maxLineBytes)
 	out := bufio.NewWriter(conn)
 	defer out.Flush()
@@ -321,7 +321,13 @@ func (s *server) serveConn(conn net.Conn) {
 			// every connection's threads — not just this connection. The
 			// base sections come from the unified Store metrics; the
 			// per-shard health and topology sections exist only when the
-			// store is a Cluster.
+			// store is a Cluster. A handle reports its counts every 64
+			// ops and the rest when it closes, so this connection closes
+			// its own handle first and carries on with a fresh one: its
+			// writes are in the line it asked for. Another connection's
+			// show once it has done 64 more ops or closed.
+			th.Close()
+			th = s.store.NewHandle()
 			m := s.store.Metrics()
 			cluster, _ := s.store.(*eunomia.Cluster)
 			nshards := 1

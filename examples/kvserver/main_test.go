@@ -524,12 +524,21 @@ func TestStatsHeatmap(t *testing.T) {
 	if !strings.Contains(stats, "heat_aborts=") {
 		t.Fatalf("heatmap STATS missing heat counter: %q", stats)
 	}
-	// STATS is server-wide: a second connection's writes show up too.
+	// STATS is server-wide: a second connection's writes show up too, once
+	// its handle has reported them — which its QUIT makes it do.
 	conn2, in2 := dialServer(t, addr)
 	if got := roundTrip(t, conn2, in2, "PUT 6 60"); got != "OK" {
 		t.Fatalf("put: %q", got)
 	}
-	s1 := statValue(t, roundTrip(t, conn, in, "STATS"), "commits=")
+	if _, err := fmt.Fprintln(conn2, "QUIT"); err != nil {
+		t.Fatal(err)
+	}
+	var s1 uint64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s1 = statValue(t, roundTrip(t, conn, in, "STATS"), "commits="); s1 >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if s1 < 2 {
 		t.Fatalf("server-wide commits = %d, want >= 2", s1)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestHostBackendBasicOps(t *testing.T) {
-	db, err := Open(Options{Backend: Host})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestHostBackendBasicOps(t *testing.T) {
 func TestHostBackendAllKinds(t *testing.T) {
 	for _, kind := range []Kind{EunoBTree, HTMBTree, Masstree, HTMMasstree} {
 		t.Run(kind.String(), func(t *testing.T) {
-			db, err := Open(Options{Kind: kind, Backend: Host})
+			db, err := Open(Options{Kind: kind})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestHostBackendAllKinds(t *testing.T) {
 }
 
 func TestHostBackendSharedContention(t *testing.T) {
-	db, err := Open(Options{Backend: Host})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,51 +106,64 @@ func TestHostBackendSharedContention(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Per-thread stats still work on the host backend.
+	// Per-thread stats still work on a handle.
 	s := th0.Stats()
 	if s.Commits == 0 {
 		t.Fatal("boot-era thread recorded no commits")
 	}
 }
 
-func TestHostBackendRunVirtualPanics(t *testing.T) {
-	db, err := Open(Options{Backend: Host})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunVirtual on the host backend did not panic")
+// TestHostBackendRunVirtualMatchesDefault: Backend is a deprecated field
+// with no effect, so RunVirtual on a DB opened with Backend: Host runs the
+// same virtual cores, to the cycle and the commit, as on the default DB.
+func TestHostBackendRunVirtualMatchesDefault(t *testing.T) {
+	run := func(o Options) VirtualResult {
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	db.RunVirtual(2, func(t *Thread) {})
-}
-
-func TestUnknownBackendRejected(t *testing.T) {
-	if _, err := Open(Options{Backend: Backend(99)}); err == nil {
-		t.Fatal("Open accepted an unknown backend")
+		defer db.Close()
+		th := db.NewThread()
+		for k := uint64(0); k < 256; k++ {
+			if err := th.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		th.Close()
+		return db.RunVirtual(4, func(th *Thread) {
+			for i := uint64(0); i < 200; i++ {
+				k := (i*7 + uint64(th.th.P.ID())) % 64
+				if i%2 == 0 {
+					th.Put(k, i)
+				} else {
+					th.Get(k)
+				}
+			}
+		})
+	}
+	def := run(Options{ArenaWords: 1 << 20})
+	host := run(Options{ArenaWords: 1 << 20, Backend: Host})
+	if def.Cycles == 0 || def.Stats.Commits == 0 {
+		t.Fatalf("RunVirtual did no work: %+v", def)
+	}
+	if host.Cycles != def.Cycles || host.Stats.Commits != def.Stats.Commits {
+		t.Fatalf("Backend: Host ran %d cycles and %d commits, the default %d and %d",
+			host.Cycles, host.Stats.Commits, def.Cycles, def.Stats.Commits)
 	}
 }
 
-func TestBackendStrings(t *testing.T) {
-	if Emulated.String() != "emulated" || Host.String() != "host" {
-		t.Fatalf("backend strings: %q %q", Emulated, Host)
-	}
-}
-
-// TestHostClosedHandlesReportStats: a host thread folds its statistics
-// into the device only every 64 completions, so a handle that does a few
+// TestHostClosedHandlesReportStats: a handle folds its statistics into
+// the device only every 64 completions, so a handle that does a few
 // ops and closes must fold the remainder on Close — or Metrics never sees
 // short-lived handles at all.
 func TestHostClosedHandlesReportStats(t *testing.T) {
 	const handles, puts = 20, 10
-	db, err := Open(Options{Backend: Host})
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	cl, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{Backend: Host}})
+	cl, err := OpenCluster(ClusterOptions{Shards: 4, Shard: Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

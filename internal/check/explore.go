@@ -123,7 +123,7 @@ func RunWorkload(mk Factory, wl Workload, fault htm.FaultSpec) (History, *htm.Fa
 	h := htm.New(a, htm.DefaultConfig)
 	fi := htm.NewFaultInjector(fault)
 	h.SetFaultInjector(fi)
-	boot := h.NewHostThread(0, 1)
+	boot := h.NewThread(vclock.NewWallProc(0, 0), 1)
 	kv := mk(h, boot)
 
 	rec := NewRecorder(kv, Virtual)

@@ -69,7 +69,7 @@ type clusterKV struct {
 
 // procThreads is one proc's per-shard thread set plus its registration
 // index (used to derive distinct deterministic seeds; proc IDs alone would
-// collide between the boot HostProc and SimProc 0).
+// collide between the boot WallProc and SimProc 0).
 type procThreads struct {
 	idx int
 	ths []*htm.Thread
@@ -119,7 +119,7 @@ func (c *clusterKV) grow(h *htm.HTM, n int, mkShard func(h *htm.HTM, boot *htm.T
 		if fi := h.Injector(); fi != nil {
 			dev.SetFaultInjector(fi)
 		}
-		boot := dev.NewHostThread(0, shard.Mix(uint64(i)+0xb007)|1)
+		boot := dev.NewThread(vclock.NewWallProc(0, 0), shard.Mix(uint64(i)+0xb007)|1)
 		c.devices = append(c.devices, dev)
 		c.shards = append(c.shards, mkShard(dev, boot))
 	}

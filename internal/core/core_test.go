@@ -345,7 +345,8 @@ func (o *parkObserver) Event(e obs.Event) {
 // so a put of the same key from another goroutine goes through; the get,
 // released, then reads the put's value.
 func TestPutPassesInFlightGet(t *testing.T) {
-	h, boot := treetest.NewHostDevice(1 << 20)
+	h, _ := treetest.NewDevice(1 << 20)
+	boot := h.NewHostThread(0, 1)
 	tr := New(h, boot, DefaultConfig)
 	const key = 7
 	tr.Put(boot, key, 1)
@@ -388,7 +389,8 @@ func TestPutPassesInFlightGet(t *testing.T) {
 func TestGetWaitsOutSlotWriter(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.Adaptive = false
-	h, boot := treetest.NewHostDevice(1 << 20)
+	h, _ := treetest.NewDevice(1 << 20)
+	boot := h.NewHostThread(0, 1)
 	tr := New(h, boot, cfg)
 	const key = 7
 	tr.Put(boot, key, 1)

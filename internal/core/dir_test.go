@@ -58,7 +58,8 @@ func TestLeafDirSkipsUpperRegion(t *testing.T) {
 // on the left one and reaches the right one along next.
 func TestLeafDirServesUniformKeys(t *testing.T) {
 	const n = 1 << 16
-	h, th := treetest.NewHostDevice(1 << 22)
+	h, _ := treetest.NewDevice(1 << 22)
+	th := h.NewHostThread(0, 1)
 	tr := New(h, th, DefaultConfig)
 	for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
 		tr.Put(th, uint64(k), uint64(k)+1)

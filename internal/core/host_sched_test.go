@@ -11,7 +11,7 @@ import (
 	"eunomia/internal/tree/treetest"
 )
 
-// TestHostWaitersYield is the case the host backend's scheduling points
+// TestHostWaitersYield is the case a host thread's scheduling points
 // exist for: one core, more goroutines than cores, and a lock holder that
 // is descheduled inside its critical section. A waiter whose failed
 // iterations never reached the scheduler would burn its whole time slice
@@ -25,7 +25,8 @@ func TestHostWaitersYield(t *testing.T) {
 		rounds   = 400
 		deadline = 20 * time.Second
 	)
-	h, boot := treetest.NewHostDevice(1 << 20)
+	h, _ := treetest.NewDevice(1 << 20)
+	boot := h.NewHostThread(0, 1)
 	tr := New(h, boot, DefaultConfig)
 	tr.Put(boot, 1, 1)
 	leaf, _ := tr.leafState(boot, 1)

@@ -26,11 +26,10 @@ func scanTree(t *testing.T, host bool, n uint64) (*Tree, *htm.Thread) {
 // is nothing to heat and every leaf is partitioned.
 func scanTreeCfg(t *testing.T, host bool, n uint64, cfg Config) (*Tree, *htm.Thread) {
 	t.Helper()
-	mk := treetest.NewDevice
+	h, boot := treetest.NewDevice(1 << 22)
 	if host {
-		mk = treetest.NewHostDevice
+		boot = h.NewHostThread(0, 1)
 	}
-	h, boot := mk(1 << 22)
 	tr := New(h, boot, cfg)
 	for i, k := range rand.New(rand.NewSource(1)).Perm(int(n)) {
 		if i == int(n)/2 && cfg.Adaptive {
@@ -58,7 +57,7 @@ func scanTreeCfg(t *testing.T, host bool, n uint64, cfg Config) (*Tree, *htm.Thr
 
 // TestScanAllocationFree: once a thread has its scratch, a scan allocates
 // nothing — no per-leaf map, no reflection sort, no per-call buffer — on
-// either backend.
+// a host thread and on a timed one.
 func TestScanAllocationFree(t *testing.T) {
 	for _, host := range []bool{true, false} {
 		tr, th := scanTree(t, host, 4000)
@@ -344,7 +343,7 @@ func TestScanLeafMatchesModel(t *testing.T) {
 	}
 }
 
-// TestScanWorkBound pins what an uncontended scan costs on both backends:
+// TestScanWorkBound pins what an uncontended scan costs on either proc:
 // Scan(from, 16) is one lower region that walks the leaf chain, after the
 // upper region only when neither from's directory bucket's leaf nor one at
 // most dirHops right-links on covers from — one attempt on a hit, two on a

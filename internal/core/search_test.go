@@ -28,7 +28,8 @@ func TestRunSearchMatchesBisection(t *testing.T) {
 		cfg  Config
 		part bool
 	}{{"dense", DefaultConfig, false}, {"partitioned", DefaultConfig, true}, {"+Split HTM", splitHTM, false}} {
-		h, th := treetest.NewHostDevice(1 << 20)
+		h, _ := treetest.NewDevice(1 << 20)
+		th := h.NewHostThread(0, 1)
 		tr := New(h, th, c.cfg)
 		max := tr.denseCap
 		if c.part {

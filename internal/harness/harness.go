@@ -122,7 +122,9 @@ func run(cfg Config) (Result, tree.KV, *htm.Thread) {
 	hcfg.Observer = cfg.Observer
 	hcfg.LemmingWait = cfg.Resilience
 	device := htm.New(arena, hcfg)
-	boot := device.NewHostThread(0, cfg.Seed)
+	// The preload runs on a clock that keeps virtual time, so it warms the
+	// private cache of core 0, the core whose id it shares.
+	boot := device.NewThread(vclock.NewWallProc(0, 0), cfg.Seed)
 	euno := core.DefaultConfig
 	if cfg.EunoCfg != nil {
 		euno = *cfg.EunoCfg

@@ -117,39 +117,6 @@ func TestLockBusyStorm(t *testing.T) {
 	}
 }
 
-// TestPrefetchIsSemanticallyInert: prefetching must not affect values,
-// conflict detection, or abort behavior — only timing.
-func TestPrefetchIsSemanticallyInert(t *testing.T) {
-	a := simmem.NewArena(1 << 14)
-	h := New(a, DefaultConfig)
-	p := vclock.NewWallProc(1, 0)
-	th := h.NewThread(p, 1)
-	x := a.AllocAligned(p, 32, simmem.TagKeys)
-
-	ok, _ := th.Run(func(tx *Tx) {
-		tx.Prefetch(x, x+8, x+16, x+24)
-		tx.Store(x, 1)
-	})
-	if !ok {
-		t.Fatal("commit failed")
-	}
-	// Prefetched-but-unread lines are not in the read set: a conflicting
-	// write to one of them must not abort us.
-	first := true
-	ok, _ = th.Run(func(tx *Tx) {
-		tx.Prefetch(x + 8)
-		v := tx.Load(x)
-		if first {
-			first = false
-			a.StoreWordDirect(p, x+8, 99) // prefetched line, never loaded
-		}
-		tx.Store(x+16, v)
-	})
-	if !ok {
-		t.Fatal("write to a prefetched-but-unread line aborted the tx")
-	}
-}
-
 // TestTxLoadStoreCounters verifies the instruction-proxy counters.
 func TestTxLoadStoreCounters(t *testing.T) {
 	a := simmem.NewArena(1 << 14)
@@ -281,9 +248,7 @@ func TestFallbackLoadWaitsForWriteBack(t *testing.T) {
 			return New(a, DefaultConfig).NewThread(vclock.NewWallProc(1, 0), 1)
 		},
 		"host": func(a *simmem.Arena) *Thread {
-			cfg := DefaultConfig
-			cfg.Backend = BackendHost
-			return New(a, cfg).NewHostThread(1, 1)
+			return New(a, DefaultConfig).NewHostThread(1, 1)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -7,44 +7,14 @@ import (
 	"eunomia/internal/simmem"
 )
 
-// The host backend runs the same TL2 protocol as the emulator but on real
-// goroutines at wall-clock speed, so these tests hammer it with genuine
-// parallelism and assert the transactional invariants directly. They are
-// the package-level half of satellite (b); the tree-level linearizability
-// sweep lives in internal/tree/treetest.
+// Host threads run the same TL2 protocol as the virtual-time procs but on
+// real goroutines at wall-clock speed, so these tests hammer it with genuine
+// parallelism and assert the transactional invariants directly. The
+// tree-level linearizability sweep lives in internal/tree/treetest.
 
-func newHostDevice(words uint64, cfg Config) (*HTM, *simmem.Arena) {
+func newDeviceWith(words uint64, cfg Config) (*HTM, *simmem.Arena) {
 	a := simmem.NewArena(words)
-	cfg.Backend = BackendHost
 	return New(a, cfg), a
-}
-
-func TestBackendString(t *testing.T) {
-	if BackendEmulated.String() != "emulated" || BackendHost.String() != "host" {
-		t.Fatalf("Backend strings: %q %q", BackendEmulated, BackendHost)
-	}
-	if got := Backend(7).String(); got != "backend(7)" {
-		t.Fatalf("unknown backend string: %q", got)
-	}
-}
-
-func TestHostDisablesCostModel(t *testing.T) {
-	h, a := newHostDevice(1<<14, Config{})
-	if !h.Host() {
-		t.Fatal("Host() = false on host backend")
-	}
-	if !a.CostModelDisabled() {
-		t.Fatal("host backend left the arena cost model enabled")
-	}
-	// Host thread IDs are unbounded (no per-proc cache table).
-	th := h.NewHostThread(4096, 1)
-	x := a.AllocAligned(th.P, 8, simmem.TagKeys)
-	if ok, reason := th.Run(func(tx *Tx) { tx.Store(x, 42) }); !ok {
-		t.Fatalf("host commit failed: %v", reason)
-	}
-	if got := a.WordRaw(x); got != 42 {
-		t.Fatalf("word = %d, want 42", got)
-	}
 }
 
 // hostCounterRun drives workers goroutines through incs transactional
@@ -52,7 +22,7 @@ func TestHostDisablesCostModel(t *testing.T) {
 // mean broken write-write conflict detection.
 func hostCounterRun(t *testing.T, lemmingWait bool) {
 	t.Helper()
-	h, a := newHostDevice(1<<16, Config{LemmingWait: lemmingWait})
+	h, a := newDeviceWith(1<<16, Config{LemmingWait: lemmingWait})
 	boot := h.NewHostThread(0, 1)
 	ctr := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
 
@@ -99,10 +69,10 @@ func TestHostCounterResilient(t *testing.T) {
 
 // TestHostOpacity keeps an invariant (a + b == 1000) across transfer
 // transactions while readers assert it transactionally from other
-// goroutines. A reader observing a torn sum means the host backend lost
-// TL2 opacity under real concurrency.
+// goroutines. A reader observing a torn sum means host threads lost TL2
+// opacity under real concurrency.
 func TestHostOpacity(t *testing.T) {
-	h, a := newHostDevice(1<<16, Config{})
+	h, a := newDeviceWith(1<<16, Config{})
 	boot := h.NewHostThread(0, 1)
 	// Two words on distinct lines so a transfer really spans two lines.
 	wa := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
@@ -168,7 +138,7 @@ func TestHostFallbackMutualExclusion(t *testing.T) {
 		lemmingWait bool
 	}{{"spin", false}, {"lemming", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			h, a := newHostDevice(1<<16, Config{LemmingWait: c.lemmingWait})
+			h, a := newDeviceWith(1<<16, Config{LemmingWait: c.lemmingWait})
 			boot := h.NewHostThread(0, 1)
 			ctr := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
 

@@ -13,11 +13,13 @@
 //     writes a machine-readable summary (BENCH_emulator.json) so before/after
 //     speedups are tracked across PRs.
 //
-// All cases run single-threaded on a HostProc: there are no conflicts and no
-// aborts, so ns/op measures exactly the emulator's bookkeeping — the host
-// overhead that, if superlinear, distorts every figure benchmark's wall
-// time. Virtual-time metrics are deliberately not reported here; hostbench
-// exists to measure the simulator, not the simulation.
+// All cases run single-threaded on a WallProc, the clock the figures'
+// preloads run on, so every access goes through the cost model as it does
+// in a figure: there are no conflicts and no aborts, so ns/op measures
+// exactly the emulator's bookkeeping — the host overhead that, if
+// superlinear, distorts every figure benchmark's wall time. Virtual-time
+// metrics are deliberately not reported here; hostbench exists to measure
+// the simulator, not the simulation.
 package hostbench
 
 import (
@@ -68,7 +70,7 @@ func setup(nLines int) (*htm.Thread, []simmem.Addr) {
 		MaxReadLines:  2 * htm.DefaultConfig.MaxReadLines,
 		MaxWriteLines: 2 * htm.DefaultConfig.MaxWriteLines,
 	})
-	p := vclock.NewHostProc(0)
+	p := vclock.NewWallProc(0, 0)
 	th := h.NewThread(p, 1)
 	addrs := make([]simmem.Addr, nLines)
 	for i := range addrs {

@@ -95,10 +95,8 @@ type Config struct {
 	MaxReadLines  int
 	MaxWriteLines int
 
-	// Backend selects the execution engine (see Backend). The default,
-	// BackendEmulated, is the deterministic virtual-time emulator every
-	// figure uses; BackendHost disables the arena's cost model and runs
-	// the same protocol at native speed on real goroutines.
+	// Deprecated: no effect. A thread's proc decides whether the cost
+	// model runs (see Backend).
 	Backend Backend
 
 	// LemmingWait is the one hardening switch (false is the paper-faithful
@@ -127,7 +125,6 @@ type HTM struct {
 	arena    *simmem.Arena
 	cfg      Config
 	fallback simmem.Addr // global elision lock word, on its own line
-	host     bool        // cfg.Backend == BackendHost, cached for hot paths
 	fi       *FaultInjector
 	obs      obs.Observer
 	dev      deviceStats
@@ -141,18 +138,12 @@ func New(a *simmem.Arena, cfg Config) *HTM {
 	if cfg.MaxWriteLines <= 0 {
 		cfg.MaxWriteLines = DefaultConfig.MaxWriteLines
 	}
-	boot := vclock.NewHostProc(0)
-	h := &HTM{
+	return &HTM{
 		arena:    a,
 		cfg:      cfg,
-		fallback: a.AllocAligned(boot, simmem.WordsPerLine, simmem.TagFallback),
-		host:     cfg.Backend == BackendHost,
+		fallback: a.AllocAligned(vclock.NewHostProc(0), simmem.WordsPerLine, simmem.TagFallback),
 		obs:      cfg.Observer,
 	}
-	if h.host {
-		a.DisableCostModel()
-	}
-	return h
 }
 
 // Arena returns the memory the device is bound to.
@@ -215,6 +206,10 @@ type Tx struct {
 	st     *Stats
 	rv     uint64
 	direct bool
+	// host is vclock.IsHost(p), asked once: a host proc's accesses never
+	// enter the cost model, so the hot paths skip the call that would find
+	// that out per access.
+	host bool
 
 	rs     []readEntry // read log; one entry per line once rsFolded
 	ws     []writeEntry
@@ -392,7 +387,9 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 			tx.abort(tx.classifyConflict(line, tx.accessMask(line, bit)), line, 0)
 		}
 		tx.rs[tx.lastRs].mask |= bit
-		a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(tx.lastState), false)
+		if !tx.host {
+			a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(tx.lastState), false)
+		}
 		return v
 	}
 	s1 := a.LineState(line)
@@ -415,7 +412,9 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	// The recheck above pinned the line's state to s1, so its version is
 	// StateVersion(s1); passing it down saves ChargeAccess an atomic
 	// re-load of the state word.
-	a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(s1), false)
+	if !tx.host {
+		a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(s1), false)
+	}
 	return v
 }
 
@@ -478,13 +477,6 @@ func (tx *Tx) Store(addr simmem.Addr, v uint64) {
 		tx.wls = append(tx.wls, writeLine{line: line, mask: bit})
 	}
 	tx.p.Tick(a.Costs().Store)
-}
-
-// Prefetch models a burst of independent line fetches (memory-level
-// parallelism): it only touches the cost model's cache state, never the
-// read set, so it is safe in any mode.
-func (tx *Tx) Prefetch(addrs ...simmem.Addr) {
-	tx.h.arena.Prefetch(tx.p, addrs...)
 }
 
 // AllocAligned allocates arena memory from inside the transaction. If the
@@ -565,10 +557,14 @@ func (tx *Tx) commit() {
 		a.SetWordRaw(w.addr, w.val)
 	}
 	for _, wl := range tx.wls {
-		a.ChargeAccess(tx.p, simmem.Addr(wl.line*simmem.WordsPerLine), true)
+		if !tx.host {
+			a.ChargeAccess(tx.p, simmem.Addr(wl.line*simmem.WordsPerLine), true)
+		}
 		a.SetWriteMask(wl.line, wl.mask)
 		a.UnlockLine(wl.line, wv)
-		a.NoteLineWritten(tx.p, wl.line, wv)
+		if !tx.host {
+			a.NoteLineWritten(tx.p, wl.line, wv)
+		}
 	}
 	tx.p.Tick(costs.TxCommit + costs.TxCommitPer*uint64(len(tx.wls)))
 }

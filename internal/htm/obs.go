@@ -56,10 +56,10 @@ func (t *Thread) NoteStitch(node uint64) {
 // deviceStats aggregates Stats across every thread of the device.
 // Per-thread Stats stay plain uint64s owned by their goroutine (the hot
 // path); each thread folds its delta into these atomics once per Execute/
-// RunFallback (batched on the host backend, see maybeFlushDeviceStats), so
+// RunFallback (batched on a host thread, see maybeFlushDeviceStats), so
 // DB-wide snapshots are race-free and cheap. The per-transaction counters
-// are padded to their own cache lines: on the host backend every worker
-// flushes into them concurrently, and packing them would make the flush a
+// are padded to their own cache lines: goroutines on host threads flush
+// into them concurrently, and packing them would make the flush a
 // coherence hotspot of exactly the kind pad.go's benchmark measures.
 type deviceStats struct {
 	attempts     simmem.PaddedUint64
@@ -112,16 +112,16 @@ func (t *Thread) flushDeviceStats() {
 	t.devFlushed = *cur
 }
 
-// hostFlushEvery is how many Execute/RunFallback completions a host-backend
-// thread batches before folding its stats into the device aggregates.
-// Emulated mode flushes every time (the flush is free in virtual time and
-// keeping it per-op preserves bit-identical figure runs); on the host a
-// per-op flush of half a dozen shared atomics would itself become the
-// scaling bottleneck it is meant to observe.
+// hostFlushEvery is how many Execute/RunFallback completions a host thread
+// batches before folding its stats into the device aggregates. A proc that
+// keeps virtual time flushes every time (the flush is free in virtual time
+// and keeping it per-op preserves bit-identical figure runs); at native
+// speed a per-op flush of half a dozen shared atomics would itself become
+// the scaling bottleneck it is meant to observe.
 const hostFlushEvery = 64
 
 func (t *Thread) maybeFlushDeviceStats() {
-	if !t.H.host {
+	if !t.tx.host {
 		t.flushDeviceStats()
 		return
 	}
@@ -133,7 +133,7 @@ func (t *Thread) maybeFlushDeviceStats() {
 }
 
 // FlushStats folds any batched per-thread statistics into the device
-// aggregates immediately. Host-backend harnesses call it per thread at the
-// end of a run so DeviceStats reflects every completed operation; it is a
+// aggregates immediately. Harnesses call it per host thread at the end of
+// a run so DeviceStats reflects every completed operation; it is a
 // harmless no-op when nothing is pending.
 func (t *Thread) FlushStats() { t.flushDeviceStats() }

@@ -1,7 +1,7 @@
 package htm
 
 // Tests of the read log (Tx.Load appends instead of probing an index), the
-// same-line revalidation shortcut, and the host backend's clock sampling.
+// same-line revalidation shortcut, and a host thread's clock sampling.
 
 import (
 	"fmt"
@@ -260,29 +260,39 @@ func TestSameLineRevalidation(t *testing.T) {
 	}
 }
 
-// countingProc counts the clock reads made through it.
+// countingProc is a host proc that counts the clock reads made through it.
 type countingProc struct {
-	vclock.Proc
+	*vclock.HostProc
 	nows int
 }
 
 func (p *countingProc) Now() uint64 {
 	p.nows++
-	return p.Proc.Now()
+	return p.HostProc.Now()
 }
+
+// tickingHostProc is a host proc whose clock is the cycles it is charged,
+// as a WallProc's is, so timings on it are deterministic.
+type tickingHostProc struct {
+	*vclock.HostProc
+	clock uint64
+}
+
+func (p *tickingHostProc) Tick(cycles uint64) { p.clock += cycles }
+func (p *tickingHostProc) Now() uint64        { return p.clock }
 
 type nopObserver struct{}
 
 func (nopObserver) Event(obs.Event) {}
 
-// TestHostClockSampling: a committed Execute on the host backend reads the
+// TestHostClockSampling: a committed Execute on a host thread reads the
 // clock only when its first attempt is the sampled one in hostClockSample;
 // with an observer attached every attempt is timed, as its events need.
 func TestHostClockSampling(t *testing.T) {
 	const execs = 1600
 	run := func(o obs.Observer) (nows int, attempts uint64) {
-		h, a := newHostDevice(1<<14, Config{Observer: o})
-		p := &countingProc{Proc: vclock.NewWallProc(0, 0)}
+		h, a := newDeviceWith(1<<14, Config{Observer: o})
+		p := &countingProc{HostProc: vclock.NewHostProc(0)}
 		th := h.NewThread(p, 1)
 		x := a.AllocAligned(p, simmem.WordsPerLine, simmem.TagKeys)
 		for i := 0; i < execs; i++ {
@@ -303,21 +313,20 @@ func TestHostClockSampling(t *testing.T) {
 
 // TestHostWastedCyclesEstimate: sampling the first attempt 1 time in
 // hostClockSample at hostClockSample times the weight keeps
-// Stats.WastedCycles an estimate of the exactly-timed sum. The clock here is
-// a WallProc's tick count, so the comparison is deterministic. On the
-// emulated backend nothing is sampled and the sum is exact.
+// Stats.WastedCycles an estimate of the exactly-timed sum. The host clock
+// here is a tick count, so the comparison is deterministic. On a proc that
+// keeps virtual time nothing is sampled and the sum is exact.
 func TestHostWastedCyclesEstimate(t *testing.T) {
 	const execs = 10000
 	// injected: the fault injector kills every 3rd Execute's first attempt
 	// at begin. explicit: every 3rd body aborts itself once, after a
 	// varying amount of work, so aborted attempts differ in length.
-	wasted := func(t *testing.T, cfg Config, injected bool) (uint64, uint64) {
+	wasted := func(t *testing.T, p vclock.Proc, o obs.Observer, injected bool) (uint64, uint64) {
 		a := simmem.NewArena(1 << 14)
-		h := New(a, cfg)
+		h := New(a, Config{Observer: o})
 		if injected {
 			h.SetFaultInjector(NewFaultInjector(FaultSpec{Point: FaultFallback, Action: ActAbort, Nth: 3}))
 		}
-		p := vclock.NewWallProc(0, 0)
 		th := h.NewThread(p, 1)
 		x := a.AllocAligned(p, 8*simmem.WordsPerLine, simmem.TagKeys)
 		for i := 0; i < execs; i++ {
@@ -339,19 +348,20 @@ func TestHostWastedCyclesEstimate(t *testing.T) {
 	}
 	for _, injected := range []bool{true, false} {
 		t.Run(fmt.Sprintf("injected=%v", injected), func(t *testing.T) {
-			exact, _ := wasted(t, Config{Backend: BackendHost, Observer: nopObserver{}}, injected)
-			sampled, _ := wasted(t, Config{Backend: BackendHost}, injected)
+			host := func() vclock.Proc { return &tickingHostProc{HostProc: vclock.NewHostProc(0)} }
+			exact, _ := wasted(t, host(), nopObserver{}, injected)
+			sampled, _ := wasted(t, host(), nil, injected)
 			if sampled == 0 || exact == 0 || 2*sampled < exact || sampled > 2*exact {
 				t.Errorf("host WastedCycles: sampled %d, exactly timed %d; want non-zero and within x[0.5, 2]", sampled, exact)
 			}
-			emulated, atBegin := wasted(t, Config{}, injected)
-			if withObs, _ := wasted(t, Config{Observer: nopObserver{}}, injected); emulated != withObs {
-				t.Errorf("emulated WastedCycles %d without an observer, %d with one", emulated, withObs)
+			timed, atBegin := wasted(t, vclock.NewWallProc(0, 0), nil, injected)
+			if withObs, _ := wasted(t, vclock.NewWallProc(0, 0), nopObserver{}, injected); timed != withObs {
+				t.Errorf("timed WastedCycles %d without an observer, %d with one", timed, withObs)
 			}
 			if injected {
 				// Killed at begin: each aborted attempt wasted its TxBegin.
-				if emulated != atBegin {
-					t.Errorf("emulated WastedCycles = %d, want %d (every abort timed exactly)", emulated, atBegin)
+				if timed != atBegin {
+					t.Errorf("timed WastedCycles = %d, want %d (every abort timed exactly)", timed, atBegin)
 				}
 			}
 		})

@@ -17,12 +17,12 @@ type Stats struct {
 	Aborts    [NumAbortReasons]uint64
 	// WastedCycles is virtual time spent inside attempts that aborted —
 	// the paper's ">94% of CPU cycles wasted at theta=0.9" metric. It is
-	// exact on the emulated backend, under Thread.Run, and whenever an
-	// observer is attached. On the host backend without one, Execute reads
-	// the wall clock for the first attempt of only 1 in hostClockSample
-	// executions and counts that attempt hostClockSample times over, so the
-	// sum is an unbiased estimate of the same quantity (in nanoseconds);
-	// retries are always timed exactly.
+	// exact on a proc that keeps virtual time, under Thread.Run, and
+	// whenever an observer is attached. On a host proc without one, Execute
+	// reads the wall clock for the first attempt of only 1 in
+	// hostClockSample executions and counts that attempt hostClockSample
+	// times over, so the sum is an unbiased estimate of the same quantity
+	// (in nanoseconds); retries are always timed exactly.
 	WastedCycles uint64
 	// TxLoads and TxStores count transactional memory accesses, the proxy
 	// for the paper's executed-instruction comparisons.
@@ -141,11 +141,10 @@ type Thread struct {
 	obsNode uint64
 	// devFlushed is the portion of Stats already folded into the device
 	// aggregates (see flushDeviceStats); sinceFlush counts the executions
-	// skipped by the host backend's batched flushing.
+	// a host thread (tx.host) has not flushed yet.
 	devFlushed Stats
 	sinceFlush int
-	// execs counts Executes for the host backend's clock sampling (see
-	// hostClockSample).
+	// execs counts a host thread's Executes for its clock sampling.
 	execs uint32
 
 	// Scratch belongs to the tree running on this thread: storage it keeps
@@ -159,19 +158,21 @@ func (h *HTM) NewThread(p vclock.Proc, seed uint64) *Thread {
 	t := &Thread{H: h, P: p, Rand: vclock.NewRand(seed)}
 	t.tx.h = h
 	t.tx.p = p
+	t.tx.host = vclock.IsHost(p)
 	t.tx.st = &t.Stats
 	t.tx.maxRead = h.cfg.MaxReadLines
 	t.tx.maxWrite = h.cfg.MaxWriteLines
 	return t
 }
 
-// hostClockSample is the host backend's clock-sampling period. An attempt's
+// hostClockSample is a host thread's clock-sampling period. An attempt's
 // start time has two readers, the abort accounting (Stats.WastedCycles) and
 // observer events; a committed attempt with no observer needs neither, and
 // on a HostProc the read is a real time.Since. So with no observer attached
-// a host Execute times its first attempt 1 time in hostClockSample, at
-// hostClockSample times the weight. Emulated mode reads its (free, virtual)
-// clock every time, which keeps WastedCycles exact there.
+// a host thread's Execute times its first attempt 1 time in
+// hostClockSample, at hostClockSample times the weight. A proc that keeps
+// virtual time reads its (free) clock every time, which keeps
+// WastedCycles exact there.
 const hostClockSample = 16
 
 // Run executes body as a single transaction attempt and reports whether it
@@ -295,7 +296,7 @@ func (t *Thread) Execute(pol RetryPolicy, body func(*Tx)) {
 		}
 	}
 	weight := uint64(1)
-	if t.H.host && t.H.obs == nil {
+	if t.tx.host && t.H.obs == nil {
 		weight = 0
 		if t.execs++; t.execs%hostClockSample == 0 {
 			weight = hostClockSample

@@ -20,6 +20,10 @@ import (
 // in-node computation, and contended lines get *more* expensive as
 // contention rises (longer transactions, wider conflict windows).
 //
+// Only procs that keep virtual time have a cache. A vclock.HostProc's
+// accesses never enter the model (see vclock.IsHost): its Tick is free, so
+// a charge would buy nothing, and its ID is only a label.
+//
 // Concurrency contract: a proc ID must be used by at most one goroutine at
 // a time (the same rule Proc itself has); each ID owns one cache.
 
@@ -27,8 +31,8 @@ const (
 	// cacheSlots is the per-proc capacity in lines (direct-mapped). At 64
 	// bytes per line this models ~64 KB of private cache.
 	cacheSlots = 1024
-	// MaxProcs bounds the number of distinct proc IDs per arena.
-	MaxProcs = 256
+	// maxProcs bounds the IDs of the procs that keep virtual time.
+	maxProcs = 256
 )
 
 type procCache struct {
@@ -41,8 +45,8 @@ type procCache struct {
 // (only that proc's goroutine ever touches its slot).
 func (a *Arena) cacheFor(p vclock.Proc) *procCache {
 	id := p.ID()
-	if id < 0 || id >= MaxProcs {
-		panic(fmt.Sprintf("simmem: proc id %d out of [0,%d)", id, MaxProcs))
+	if id < 0 || id >= maxProcs {
+		panic(fmt.Sprintf("simmem: proc id %d out of [0,%d)", id, maxProcs))
 	}
 	c := a.caches[id]
 	if c == nil {
@@ -61,7 +65,7 @@ func cacheSlot(line uint64) uint64 {
 // cost if the proc's cache holds the line at its current version, the miss
 // penalty otherwise (installing it). write selects the store hit cost.
 func (a *Arena) ChargeAccess(p vclock.Proc, addr Addr, write bool) {
-	if a.nocost {
+	if vclock.IsHost(p) {
 		return
 	}
 	line := addr.Line()
@@ -74,7 +78,7 @@ func (a *Arena) ChargeAccess(p vclock.Proc, addr Addr, write bool) {
 // the state, removing a redundant atomic load from the hottest path in the
 // emulator.
 func (a *Arena) ChargeAccessVersioned(p vclock.Proc, addr Addr, ver uint64, write bool) {
-	if a.nocost {
+	if vclock.IsHost(p) {
 		return
 	}
 	a.chargeAccessLine(p, addr.Line(), ver, write)
@@ -98,39 +102,10 @@ func (a *Arena) chargeAccessLine(p vclock.Proc, line, ver uint64, write bool) {
 	p.Tick(costs.Miss)
 }
 
-// Prefetch models a burst of independent loads issued together: every
-// distinct uncached line is installed in the proc's cache, and the burst
-// costs one full Miss plus MissPipelined per additional miss (memory-level
-// parallelism). It only affects the cost model — no values are read and no
-// transactional bookkeeping happens — so it is always safe to call.
-func (a *Arena) Prefetch(p vclock.Proc, addrs ...Addr) {
-	if a.nocost {
-		return
-	}
-	c := a.cacheFor(p)
-	costs := &a.costs
-	misses := 0
-	for _, addr := range addrs {
-		line := addr.Line()
-		ver := StateVersion(a.state[line].Load())
-		slot := cacheSlot(line)
-		if c.valid[slot] && c.lines[slot] == line && c.vers[slot] == ver {
-			continue
-		}
-		c.valid[slot] = true
-		c.lines[slot] = line
-		c.vers[slot] = ver
-		misses++
-	}
-	if misses > 0 {
-		p.Tick(costs.Miss + costs.MissPipelined*uint64(misses-1))
-	}
-}
-
 // NoteLineWritten refreshes the writer's own cached copy after it advanced
 // a line's version, so a core re-reading its own recent write still hits.
 func (a *Arena) NoteLineWritten(p vclock.Proc, line uint64, newVer uint64) {
-	if a.nocost {
+	if vclock.IsHost(p) {
 		return
 	}
 	c := a.cacheFor(p)

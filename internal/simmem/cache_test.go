@@ -44,32 +44,27 @@ func TestCacheHitMissCosts(t *testing.T) {
 	}
 }
 
-// TestPrefetchBatchCost: a burst of independent misses pays one full miss
-// plus the pipelined marginal cost, and installs all lines.
-func TestPrefetchBatchCost(t *testing.T) {
+// TestHostProcSkipsCacheModel: a HostProc's accesses never enter the cost
+// model. They install nothing in the cache of the core that shares their
+// id, so a WallProc with that id still pays Miss afterwards, and an id past
+// maxProcs is only a label.
+func TestHostProcSkipsCacheModel(t *testing.T) {
 	a := NewArena(1 << 14)
-	p := vclock.NewWallProc(1, 0)
-	x := a.AllocAligned(p, 4*WordsPerLine, TagKeys)
+	host := vclock.NewHostProc(1)
+	x := a.AllocAligned(host, WordsPerLine, TagKeys)
+	a.LoadWord(host, x)
+	a.StoreWordDirect(host, x, 7)
+	a.ChargeAccess(host, x, false)
+	a.ChargeAccessVersioned(host, x, StateVersion(a.LineState(x.Line())), false)
+	a.NoteLineWritten(host, x.Line(), StateVersion(a.LineState(x.Line())))
+	if got := a.LoadWord(vclock.NewHostProc(10_000), x); got != 7 {
+		t.Fatalf("LoadWord by an unbounded host id = %d, want 7", got)
+	}
 
-	before := p.Now()
-	a.Prefetch(p, x, x+8, x+16, x+24)
-	want := costs().Miss + 3*costs().MissPipelined
-	if got := p.Now() - before; got != want {
-		t.Fatalf("burst cost %d, want %d", got, want)
-	}
-	// All four lines now hit.
-	before = p.Now()
-	for i := 0; i < 4; i++ {
-		a.LoadWord(p, x+Addr(i*WordsPerLine))
-	}
-	if got := p.Now() - before; got != 4*costs().Load {
-		t.Fatalf("post-prefetch loads cost %d, want %d", got, 4*costs().Load)
-	}
-	// Prefetching already-cached lines costs nothing.
-	before = p.Now()
-	a.Prefetch(p, x, x+8)
-	if got := p.Now() - before; got != 0 {
-		t.Fatalf("warm prefetch cost %d, want 0", got)
+	p := vclock.NewWallProc(1, 0)
+	a.LoadWord(p, x)
+	if got := p.Now(); got != costs().Miss {
+		t.Fatalf("first timed access after host accesses cost %d, want miss %d", got, costs().Miss)
 	}
 }
 
@@ -81,7 +76,7 @@ func TestCacheProcIDBounds(t *testing.T) {
 			t.Fatal("no panic for out-of-range proc id")
 		}
 	}()
-	a.LoadWord(vclock.NewWallProc(MaxProcs, 0), 8)
+	a.LoadWord(vclock.NewWallProc(maxProcs, 0), 8)
 }
 
 // TestRetagMovesAccounting verifies the byte accounting transfer.

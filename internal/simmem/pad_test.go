@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
-
-	"eunomia/internal/vclock"
 )
 
 func TestPaddedUint64Layout(t *testing.T) {
@@ -19,38 +17,12 @@ func TestPaddedUint64Layout(t *testing.T) {
 	}
 }
 
-func TestDisableCostModel(t *testing.T) {
-	a := NewArena(1 << 12)
-	a.DisableCostModel()
-	if !a.CostModelDisabled() {
-		t.Fatal("CostModelDisabled() = false after DisableCostModel")
-	}
-	p := vclock.NewWallProc(1, 0)
-	addr := a.AllocAligned(p, 8, TagKeys)
-	before := p.Now()
-	a.ChargeAccess(p, addr, false)
-	a.ChargeAccess(p, addr, true)
-	a.ChargeAccessVersioned(p, addr, 0, false)
-	a.Prefetch(p, addr, addr+8)
-	a.NoteLineWritten(p, addr.Line(), 1)
-	if p.Now() != before {
-		t.Fatalf("cost charging ticked %d cycles with the model disabled", p.Now()-before)
-	}
-	// Proc IDs beyond the cache model's bound must be usable: the host
-	// backend hands out unbounded thread IDs.
-	big := vclock.NewWallProc(10_000, 0)
-	a.ChargeAccess(big, addr, false) // would panic if the cache table were consulted
-	if got := a.LoadWord(big, addr); got != 0 {
-		t.Fatalf("LoadWord = %d, want 0", got)
-	}
-}
-
 // BenchmarkFalseSharing demonstrates why the arena's hot control words are
 // padded to their own cache lines: goroutines each hammering a *different*
 // counter still serialize on coherence traffic when the counters share a
 // line. Run with GOMAXPROCS > 1 to see the packed/padded delta; the padded
 // layout is what Arena.clock / Arena.next and the device-stats aggregates
-// use on the host backend.
+// use.
 func BenchmarkFalseSharing(b *testing.B) {
 	const slots = 16
 	b.Run("packed", func(b *testing.B) {

@@ -122,17 +122,12 @@ type Arena struct {
 
 	// clock and next are the two hottest cross-thread words in the arena
 	// (every committing writer bumps clock; every allocation bumps next).
-	// Each sits alone on its cache line so host-backend cores do not
+	// Each sits alone on its cache line so goroutines on real cores do not
 	// false-share them with each other or with neighboring fields.
 	clock PaddedUint64 // global TL2 version clock
 	next  PaddedUint64 // bump pointer, in words
 
 	costs vclock.CostModel
-
-	// nocost disables the cycle-cost cache model (see DisableCostModel):
-	// every Charge*/Prefetch/NoteLineWritten becomes a no-op. Set once
-	// before the arena is shared; the host backend runs this way.
-	nocost bool
 
 	mu    sync.Mutex
 	free  map[int][]Addr // line-aligned free lists by size class (words)
@@ -140,7 +135,7 @@ type Arena struct {
 	peak  atomic.Int64
 	byTag [NumTags]atomic.Int64
 
-	caches [MaxProcs]*procCache // per-proc cache model (see cache.go)
+	caches [maxProcs]*procCache // per-proc cache model (see cache.go)
 }
 
 // NewArena creates an arena holding the given number of words (rounded up
@@ -163,17 +158,6 @@ func NewArena(words uint64) *Arena {
 	a.next.Store(WordsPerLine) // reserve line 0
 	return a
 }
-
-// DisableCostModel switches off cycle-cost accounting and the per-proc
-// cache model: ChargeAccess, ChargeAccessVersioned, Prefetch and
-// NoteLineWritten become no-ops, and proc IDs are no longer bounded by the
-// cache model's table. The line version/lock metadata — the part of the
-// arena that carries correctness — is unaffected. The host backend calls
-// this once at device construction, before the arena is shared.
-func (a *Arena) DisableCostModel() { a.nocost = true }
-
-// CostModelDisabled reports whether DisableCostModel was called.
-func (a *Arena) CostModelDisabled() bool { return a.nocost }
 
 // Clock returns the current value of the global version clock.
 func (a *Arena) Clock() uint64 { return a.clock.Load() }

@@ -47,12 +47,12 @@ func runLinearizabilityWall(t *testing.T, mk Factory) {
 	})
 }
 
-// runLinearizabilityHost is the same recorded history on the host backend:
+// runLinearizabilityHost is the same recorded history on host threads:
 // real goroutines racing the TL2 protocol at native speed. The Wall
 // recorder's shared-counter timestamps are proc-independent, so the checker
 // applies unchanged.
 func runLinearizabilityHost(t *testing.T, mk Factory) {
-	h, boot := NewHostDevice(1 << 22)
+	h, boot := NewDevice(1 << 22)
 	runLinearizabilityOn(t, mk, h, boot, func(w int) *htm.Thread {
 		return h.NewHostThread(w+1, uint64(w)+13)
 	})
@@ -62,15 +62,14 @@ func runLinearizabilityHost(t *testing.T, mk Factory) {
 // device, race workers (one thread each from mkThread) over a small hot
 // universe, and check the recorded history with the complete checker.
 //
-// On the host backend each worker yields between recorded operations.
-// Without that, a single-core scheduler runs each goroutine for a long
-// quantum of native-speed ops while another sits descheduled *mid-op*;
-// that open window chains the whole per-key history into one overlap
-// chunk and overflows the checker's bitset budget. Yielding at op
-// boundaries keeps windows short (emulated wall threads already yield
-// inside ops, every few charged cycles).
+// A worker on a host proc yields between recorded operations. Without
+// that, a single-core scheduler runs each goroutine for a long quantum of
+// native-speed ops while another sits descheduled *mid-op*; that open
+// window chains the whole per-key history into one overlap chunk and
+// overflows the checker's bitset budget. Yielding at op boundaries keeps
+// windows short (wall threads already yield inside ops, every few charged
+// cycles).
 func runLinearizabilityOn(t *testing.T, mk Factory, h *htm.HTM, boot *htm.Thread, mkThread func(w int) *htm.Thread) {
-	hosted := h.Host()
 	kv := mk(h, boot)
 	rec := check.NewRecorder(kv, check.Wall)
 	universe := make([]uint64, 10)
@@ -94,6 +93,7 @@ func runLinearizabilityOn(t *testing.T, mk Factory, h *htm.HTM, boot *htm.Thread
 		go func(w int) {
 			defer wg.Done()
 			th := mkThread(w)
+			hosted := vclock.IsHost(th.P)
 			r := vclock.NewRand(uint64(w) + 101)
 			for i := 0; i < iters; i++ {
 				k := universe[r.Intn(len(universe))]

@@ -26,16 +26,6 @@ func NewDevice(words uint64) (*htm.HTM, *htm.Thread) {
 	return h, h.NewThread(vclock.NewWallProc(0, 0), 1)
 }
 
-// NewHostDevice is NewDevice on the host backend: the cost model is off and
-// threads are expected to be real goroutines on host procs.
-func NewHostDevice(words uint64) (*htm.HTM, *htm.Thread) {
-	a := simmem.NewArena(words)
-	cfg := htm.DefaultConfig
-	cfg.Backend = htm.BackendHost
-	h := htm.New(a, cfg)
-	return h, h.NewHostThread(0, 1)
-}
-
 // RunAll executes the full kit against a factory.
 func RunAll(t *testing.T, mk Factory) {
 	t.Run("EmptyTree", func(t *testing.T) { runEmpty(t, mk) })
@@ -339,11 +329,11 @@ func runConcurrentShared(t *testing.T, mk Factory) {
 }
 
 func runConcurrentSharedHost(t *testing.T, mk Factory) {
-	// The shared-hot-set stress on the host backend: same invariant as
-	// runConcurrentShared, but with the cost model off the goroutines run
+	// The shared-hot-set stress on host threads: same invariant as
+	// runConcurrentShared, but outside the cost model the goroutines run
 	// the protocol at native speed, so far more real interleavings per
 	// second reach the conflict paths.
-	h, boot := NewHostDevice(1 << 24)
+	h, boot := NewDevice(1 << 24)
 	kv := mk(h, boot)
 	const workers, hot = 6, 16
 	ops := 1500

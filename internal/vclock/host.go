@@ -21,20 +21,41 @@ var hostEpoch = time.Now()
 // host-specific branch at any site.
 const hostYieldCycles = 1 << 14
 
-// HostProc is a Proc for native-speed execution on the host backend: Tick
-// charges nothing (wall time is the only clock), and Now returns real
-// nanoseconds. With a HostProc, "cycles" in Stats (WastedCycles, latency
-// histograms) are nanoseconds.
+// HostProc is a Proc for native-speed execution: Tick charges nothing
+// (wall time is the only clock), and Now returns real nanoseconds. With a
+// HostProc, "cycles" in Stats (WastedCycles, latency histograms) are
+// nanoseconds.
 type HostProc struct {
 	id     int
 	acc    uint64 // cycles spun since the last yield
 	yields uint64 // scheduler entries, for the package's tests
 }
 
-// NewHostProc creates a native-speed proc. IDs only label threads (they are
-// not bounded by the emulator's cache-model proc limit, which the host
-// backend bypasses).
+// NewHostProc creates a native-speed proc. IDs only label threads: a
+// HostProc has no private cache in the cost model, so they are unbounded.
 func NewHostProc(id int) *HostProc { return &HostProc{id: id} }
+
+// hostProc is implemented by HostProc alone; a proc that embeds a
+// *HostProc (a test wrapper that counts clock reads, say) inherits it.
+type hostProc interface{ isHost() }
+
+func (*HostProc) isHost() {}
+
+// IsHost reports whether p is a HostProc or embeds one. It is the one
+// switch between the two ways a thread runs: a host proc's accesses skip
+// the cost model and its statistics are batched and sampled, while every
+// proc that keeps virtual time (SimProc, WallProc) is charged for each
+// access and counted exactly.
+func IsHost(p Proc) bool {
+	switch p.(type) { // the three library procs cost a pointer compare
+	case *HostProc:
+		return true
+	case *SimProc, *WallProc:
+		return false
+	}
+	_, ok := p.(hostProc)
+	return ok
+}
 
 // ID implements Proc.
 func (p *HostProc) ID() int { return p.id }

@@ -12,13 +12,17 @@
 //     host. This stands in for the paper's 20-core Xeon E5-2650.
 //
 //   - Host: a plain goroutine, the proc of every thread that is not a Sim
-//     core, on either HTM backend. Tick is free, Now is wall nanoseconds,
-//     and Spin yields the OS thread now and then, so a waiter never starves
-//     the goroutine it waits for.
+//     core. Tick is free, Now is wall nanoseconds, and Spin yields the OS
+//     thread now and then, so a waiter never starves the goroutine it waits
+//     for. A HostProc keeps no virtual time, so nothing it does enters the
+//     cost model (see IsHost): it runs the protocol at native speed.
 //
-// A third, WallProc, is a test clock: a goroutine that counts the cycles it
-// is charged and can yield cooperatively every few of them, for tests that
-// want a deterministic per-proc count or a fine-grained interleaving.
+// A third, WallProc, counts the cycles it is charged and can yield
+// cooperatively every few of them. Tests use it for a deterministic
+// per-proc count or a fine-grained interleaving, and the virtual-time
+// runners preload their trees on one, so the preload warms the private
+// cache of the core that shares its id, as a warm-up pass on that core
+// would.
 //
 // All memory traffic in internal/simmem and all transaction bookkeeping in
 // internal/htm is charged through Proc.Tick using the CostModel below, so
@@ -58,21 +62,16 @@ type CostModel struct {
 	// cached line, contended lines miss on nearly every access — exactly
 	// the coherence behavior that stretches transactions (and therefore
 	// widens conflict windows) on real multi-socket hardware.
-	Load  uint64
-	Store uint64
-	Miss  uint64
-	// MissPipelined is the marginal cost of the 2nd..Nth miss in a burst
-	// of *independent* loads (memory-level parallelism): probing several
-	// leaf segments overlaps in the memory pipeline, while the dependent
-	// probes of a binary search or a pointer chase each pay full Miss.
-	MissPipelined uint64
-	CAS           uint64 // atomic compare-and-swap (locked instruction)
-	TxBegin       uint64 // xbegin: checkpoint registers, enter speculation
-	TxCommitPer   uint64 // commit cost per write-set line
-	TxCommit      uint64 // fixed xend cost
-	TxAbort       uint64 // abort: discard speculative state, restore checkpoint
-	SpinIter      uint64 // one failed iteration of a spin loop
-	Fence         uint64 // ordering/bookkeeping around an optimistic version check
+	Load        uint64
+	Store       uint64
+	Miss        uint64
+	CAS         uint64 // atomic compare-and-swap (locked instruction)
+	TxBegin     uint64 // xbegin: checkpoint registers, enter speculation
+	TxCommitPer uint64 // commit cost per write-set line
+	TxCommit    uint64 // fixed xend cost
+	TxAbort     uint64 // abort: discard speculative state, restore checkpoint
+	SpinIter    uint64 // one failed iteration of a spin loop
+	Fence       uint64 // ordering/bookkeeping around an optimistic version check
 	// NodeWork is the per-node structural instruction budget of the
 	// fine-grained Masstree comparator (permutation decode, border-key
 	// checks, key-slice dispatch) that our uint64-key simplification would
@@ -87,19 +86,18 @@ type CostModel struct {
 // Miss approximates a blend of L3 hits and cross-socket/DRAM accesses on
 // the paper's two-socket Xeon.
 var DefaultCosts = CostModel{
-	Load:          4,
-	Store:         4,
-	Miss:          150,
-	MissPipelined: 25,
-	CAS:           40,
-	TxBegin:       40,
-	TxCommitPer:   10,
-	TxCommit:      30,
-	TxAbort:       150,
-	SpinIter:      15,
-	Fence:         12,
-	NodeWork:      60,
-	Compute:       1,
+	Load:        4,
+	Store:       4,
+	Miss:        150,
+	CAS:         40,
+	TxBegin:     40,
+	TxCommitPer: 10,
+	TxCommit:    30,
+	TxAbort:     150,
+	SpinIter:    15,
+	Fence:       12,
+	NodeWork:    60,
+	Compute:     1,
 }
 
 // CyclesPerSecond converts virtual cycles to seconds at the paper's clock

@@ -63,16 +63,16 @@ type Observability struct {
 	Heatmap bool
 }
 
-// TxMetrics aggregates transactional behavior across every thread of the
-// DB, as of each thread's last completed operation.
+// TxMetrics counts transactional behavior: across every thread of the DB
+// in Metrics (as of each thread's last report), for one thread in
+// Thread.Stats, and across RunVirtual's cores in VirtualResult.
 type TxMetrics struct {
 	Attempts  uint64
 	Commits   uint64
 	Aborts    uint64
 	Fallbacks uint64
 	// WastedCycles is the time burned inside aborted attempts: virtual
-	// cycles for RunVirtual's threads, wall nanoseconds for threads on
-	// goroutines (NewThread, on either backend).
+	// cycles for RunVirtual's threads, wall nanoseconds for NewThread's.
 	WastedCycles uint64
 	TxLoads      uint64
 	TxStores     uint64
@@ -124,16 +124,7 @@ type Metrics struct {
 func (db *DB) Metrics() Metrics {
 	s := db.device.DeviceStats()
 	m := Metrics{
-		Tx: TxMetrics{
-			Attempts:       s.Attempts,
-			Commits:        s.Commits,
-			Aborts:         s.TotalAborts(),
-			Fallbacks:      s.Fallbacks,
-			WastedCycles:   s.WastedCycles,
-			TxLoads:        s.TxLoads,
-			TxStores:       s.TxStores,
-			AbortsByReason: statsOf(&s).AbortsByReason,
-		},
+		Tx: txMetricsOf(&s),
 		Memory: MemoryStats{
 			LiveBytes:     db.arena.LiveBytes(),
 			PeakBytes:     db.arena.PeakBytes(),

@@ -134,6 +134,7 @@ func TestObserverConcurrentWall(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			th := db.NewThread()
+			defer th.Close()
 			for i := uint64(0); i < ops; i++ {
 				switch i % 3 {
 				case 0:
@@ -212,6 +213,7 @@ func TestMetricsDisabledSections(t *testing.T) {
 	defer db.Close()
 	th := db.NewThread()
 	th.Put(1, 2)
+	th.Close()
 	m := db.Metrics()
 	if m.Contention.Enabled || m.Durability.Enabled {
 		t.Fatalf("optional sections enabled without opt-in: %+v", m)

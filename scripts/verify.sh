@@ -14,11 +14,11 @@
 # with that wait, as every DB Open builds is — against real concurrent
 # sockets.
 #
-# The host execution backend rides these same passes: its htm-level tests
-# (TestHost*) run in the internal/htm line, the per-tree
-# LinearizabilityHost/ConcurrentSharedHost subtests run in the -short tree
-# line, and the root host API tests run in the final line. CI additionally
-# runs them in a dedicated host-backend-race job.
+# Host threads (goroutines on vclock.HostProc) ride these same passes:
+# their htm-level tests (TestHost*) run in the internal/htm line, the
+# per-tree LinearizabilityHost/ConcurrentSharedHost subtests run in the
+# -short tree line, and the root host API tests run in the final line. CI
+# additionally runs them in a dedicated host-backend-race job.
 set -eux
 
 # A -run filter that no longer matches anything passes silently; catch that

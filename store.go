@@ -50,11 +50,10 @@ type Handle interface {
 	Range(from, to uint64) iter.Seq2[uint64, uint64]
 	// Close releases the handle, which must not be used afterwards. A DB
 	// Thread's Close folds the statistics the thread has batched into the
-	// DB's Metrics (a host thread reports only every 64 operations
-	// otherwise) and frees its slot among the emulated backend's 254 live
-	// handles; a Cluster Session's Close does that for its per-shard
-	// Threads and unregisters the Session from the resharding engine's
-	// quiesce barrier. Mandatory for workloads that churn handles.
+	// DB's Metrics (a handle reports only every 64 operations otherwise);
+	// a Cluster Session's Close does that for its per-shard Threads and
+	// unregisters the Session from the resharding engine's quiesce
+	// barrier. Call it when the worker ends.
 	Close() error
 }
 
@@ -71,18 +70,10 @@ func (db *DB) NewHandle() Handle { return db.NewThread() }
 
 // Close releases the Thread: it folds the statistics the thread has
 // batched since its last report into the DB's Metrics, so a short-lived
-// handle is counted, and hands the thread's proc id back to the DB for
-// the next NewThread. The Thread must not be used afterwards (on the
-// emulated backend its private cache model now belongs to whoever gets
-// the id). Closing twice is harmless.
+// handle is counted. The Thread must not be used afterwards. Closing twice
+// is harmless.
 func (t *Thread) Close() error {
 	t.th.FlushStats()
-	if t.id != 0 {
-		t.db.idMu.Lock()
-		t.db.freeIDs = append(t.db.freeIDs, t.id)
-		t.db.idMu.Unlock()
-		t.id = 0
-	}
 	return nil
 }
 
