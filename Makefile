@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test tier1-stress verify check golden ci benchmark seeds bench-emulator bench-emulator-json bench bench-hostops bench-swarm bench-reshard figures trace-demo loc
+.PHONY: test tier1-stress verify check golden ci benchmark seeds bench-emulator bench-emulator-json bench bench-hostops bench-durable bench-swarm bench-reshard figures trace-demo loc
 
 test:
 	go build ./... && go test ./...
@@ -73,6 +73,13 @@ bench:
 # tree logic, the number EXPERIMENTS.md quotes for the read path.
 bench-hostops:
 	go test -run=NONE -bench 'HostOps/Euno' -count=5 .
+
+# bench-durable: the durable acknowledgement path alone — a no-op apply
+# on the in-memory disk with 16 MiB snapshots, durable-write's 70/30
+# put/delete mix, one and two writers — 5 repetitions. It times the WAL's
+# own bookkeeping and MemFS, not a device.
+bench-durable:
+	go test -run=NONE -bench=LogAck -benchmem -count=5 ./internal/durable/
 
 # bench-swarm: the open-loop serving benchmark (Poisson arrivals at a
 # calibrated offered rate against the durable 4-shard cluster) plus its

@@ -171,9 +171,11 @@ type DurabilityStats struct {
 	FlushedBytes  uint64
 	MaxBatch      uint64  // largest frames-per-fsync batch
 	AvgBatch      float64 // mean frames per fsync
-	FlushP50Ns    uint64
-	FlushP99Ns    uint64
-	FlushMaxNs    uint64
+	// Flush latency over the sampled flushes: one in 16 per WAL shard, or
+	// every one while an Observer is attached. The counts above are exact.
+	FlushP50Ns uint64
+	FlushP99Ns uint64
+	FlushMaxNs uint64
 	// Snapshots taken (and failed) since Open.
 	Snapshots      uint64
 	SnapshotErrors uint64

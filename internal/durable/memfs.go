@@ -55,6 +55,14 @@ type memFile struct {
 	synced int
 }
 
+// write appends p, doubling the buffer when it fills.
+func (f *memFile) write(p []byte) {
+	if len(f.data)+len(p) > cap(f.data) {
+		f.data = append(make([]byte, 0, 2*(len(f.data)+len(p))), f.data...)
+	}
+	f.data = append(f.data, p...)
+}
+
 // MemFS is an in-memory FS with fsync-accurate crash semantics: bytes are
 // durable only once Sync succeeds, and an injected crash discards (most
 // of) the unsynced suffix. Directory entries are modeled too: a file
@@ -67,6 +75,7 @@ type MemFS struct {
 	mu      sync.Mutex
 	files   map[string]*memFile // live view (what List/Open see)
 	dir     map[string]*memFile // durable directory entries (what a crash keeps)
+	gen     uint64              // bumped whenever files changes; from 1, see memHandle
 	plan    FaultPlan
 	ioCount uint64
 	crashed bool
@@ -74,7 +83,7 @@ type MemFS struct {
 
 // NewMemFS creates a MemFS with the given fault plan (zero plan = none).
 func NewMemFS(plan FaultPlan) *MemFS {
-	return &MemFS{files: map[string]*memFile{}, dir: map[string]*memFile{}, plan: plan}
+	return &MemFS{files: map[string]*memFile{}, dir: map[string]*memFile{}, plan: plan, gen: 1}
 }
 
 // Crashed reports whether the injected crash has fired.
@@ -133,6 +142,7 @@ func (m *MemFS) Reboot() {
 	m.crashed = false
 	m.plan = FaultPlan{}
 	m.ioCount = 0
+	m.gen++
 }
 
 // tornKeep decides how many of n unsynced bytes survive the crash —
@@ -169,6 +179,7 @@ func (m *MemFS) SetRawData(name string, data []byte) {
 	f := &memFile{data: append([]byte(nil), data...), synced: len(data)}
 	m.files[name] = f
 	m.dir[name] = f
+	m.gen++
 }
 
 // ioPoint advances the fault counters. It returns crash=true if the crash
@@ -178,11 +189,26 @@ func (m *MemFS) ioPoint() (crash bool) {
 	return m.plan.CrashAtIO != 0 && m.ioCount == m.plan.CrashAtIO
 }
 
+// memHandle is an open file, guarded by the MemFS mutex. It caches the file
+// its name resolves to and looks the name up again whenever MemFS.gen moved
+// (a new handle's 0 never matches), so every call reaches the file a lookup
+// by name would.
 type memHandle struct {
 	fs   *MemFS
 	name string
+	f    *memFile // nil: the name is gone
+	gen  uint64   // the fs.gen f was resolved at
 	rpos int
 	rdon bool // opened read-only
+}
+
+// file returns the file the handle's name resolves to now, or nil. Caller
+// holds the MemFS mutex.
+func (h *memHandle) file() *memFile {
+	if h.gen != h.fs.gen {
+		h.f, h.gen = h.fs.files[h.name], h.fs.gen
+	}
+	return h.f
 }
 
 // Create implements FS.
@@ -193,6 +219,7 @@ func (m *MemFS) Create(name string) (File, error) {
 		return nil, ErrCrashed
 	}
 	m.files[name] = &memFile{}
+	m.gen++
 	return &memHandle{fs: m, name: name}, nil
 }
 
@@ -205,6 +232,7 @@ func (m *MemFS) OpenAppend(name string) (File, error) {
 	}
 	if m.files[name] == nil {
 		m.files[name] = &memFile{}
+		m.gen++
 	}
 	return &memHandle{fs: m, name: name}, nil
 }
@@ -239,6 +267,7 @@ func (m *MemFS) Rename(oldname, newname string) error {
 	}
 	delete(m.files, oldname)
 	m.files[newname] = f
+	m.gen++
 	return nil
 }
 
@@ -250,6 +279,7 @@ func (m *MemFS) Remove(name string) error {
 		return ErrCrashed
 	}
 	delete(m.files, name)
+	m.gen++
 	return nil
 }
 
@@ -328,7 +358,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	if h.rdon {
 		return 0, fmt.Errorf("durable: write %s: read-only handle", h.name)
 	}
-	f := m.files[h.name]
+	f := h.file()
 	if f == nil {
 		return 0, fmt.Errorf("durable: write %s: file removed", h.name)
 	}
@@ -336,15 +366,15 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		// Torn write: a seeded prefix lands, then the world ends.
 		m.crashed = true
 		n := tornKeep(m.plan.TornSeed, h.name, len(p))
-		f.data = append(f.data, p[:n]...)
+		f.write(p[:n])
 		return n, ErrCrashed
 	}
 	if n := m.plan.ShortWriteEveryN; n != 0 && m.ioCount%n == 0 && len(p) > 1 {
 		half := len(p) / 2
-		f.data = append(f.data, p[:half]...)
+		f.write(p[:half])
 		return half, io.ErrShortWrite
 	}
-	f.data = append(f.data, p...)
+	f.write(p)
 	return len(p), nil
 }
 
@@ -357,7 +387,7 @@ func (h *memHandle) Sync() error {
 	if m.crashed {
 		return ErrCrashed
 	}
-	f := m.files[h.name]
+	f := h.file()
 	if f == nil {
 		return fmt.Errorf("durable: sync %s: file removed", h.name)
 	}
@@ -382,7 +412,7 @@ func (h *memHandle) Read(p []byte) (int, error) {
 	if m.crashed {
 		return 0, ErrCrashed
 	}
-	f := m.files[h.name]
+	f := h.file()
 	if f == nil {
 		return 0, fmt.Errorf("durable: read %s: file removed", h.name)
 	}

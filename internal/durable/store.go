@@ -30,8 +30,9 @@ type Config struct {
 	// scan) once that many WAL bytes have been appended since the last
 	// one. 0 disables automatic snapshots; Snapshot can still be called.
 	SnapshotBytes int64
-	// Observer receives an obs.EvWALFlush event per group-commit fsync
-	// (timestamps in wall nanoseconds). nil disables emission.
+	// Observer receives an obs.EvWALFlush event, timed, per flush (group
+	// commit or snapshot seal; timestamps in wall nanoseconds). nil
+	// disables emission.
 	Observer obs.Observer
 }
 
@@ -73,9 +74,11 @@ type Stats struct {
 	FlushedBytes  uint64
 	MaxBatch      uint64  // largest frames-per-fsync batch
 	AvgBatch      float64 // FlushedFrames / Flushes
-	FlushP50Ns    uint64
-	FlushP99Ns    uint64
-	FlushMaxNs    uint64
+	// Flush latency over the sampled flushes: one in 16 per shard, or
+	// every one while an Observer is attached. The counts above are exact.
+	FlushP50Ns uint64
+	FlushP99Ns uint64
+	FlushMaxNs uint64
 	// Snapshots.
 	Snapshots      uint64
 	SnapshotErrors uint64
@@ -297,8 +300,21 @@ var ErrStoreClosed = errors.New("durable: store closed")
 // acknowledged-only-after-flush. apply runs even on a poisoned log (the
 // in-memory tree stays usable); the error reports that durability was
 // not achieved, and the caller must not acknowledge.
+//
+// Apply, append and flush take one hold of the shard lock (flushLocked
+// releases it around the IO or the wait for a leader).
 func (st *Store) LogPut(key, val uint64, apply func()) error {
-	return st.log(frame{op: opPut, key: key, val: val}, apply)
+	if st.closed.Load() {
+		return ErrStoreClosed
+	}
+	s := st.wal.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	apply()
+	seq := st.seq.Add(1)
+	s.appendLocked(frame{op: opPut, seq: seq, key: key, val: val})
+	st.bytesSinceSnap.Add(frameHeaderSize + payloadPut)
+	return st.wal.flushLocked(s, seq)
 }
 
 // LogDelete is LogPut for deletions. apply reports whether the key was
@@ -314,42 +330,15 @@ func (st *Store) LogDelete(key uint64, apply func() bool) (bool, error) {
 		return false, ErrStoreClosed
 	}
 	s := st.wal.shardFor(key)
-	s.lock()
-	before := len(s.pending)
-	ok := apply()
-	if !ok {
-		err := st.wal.flushLocked(s, s.lastSeq)
-		s.unlock()
-		return false, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !apply() {
+		return false, st.wal.flushLocked(s, s.lastSeq)
 	}
 	seq := st.seq.Add(1)
 	s.appendLocked(frame{op: opDel, seq: seq, key: key})
-	n := len(s.pending) - before
-	s.unlock()
-	return true, st.ack(s, seq, n)
-}
-
-// log is the shared put/delete append path.
-func (st *Store) log(f frame, apply func()) error {
-	if st.closed.Load() {
-		return ErrStoreClosed
-	}
-	s := st.wal.shardFor(f.key)
-	s.lock()
-	before := len(s.pending)
-	apply()
-	f.seq = st.seq.Add(1)
-	s.appendLocked(f)
-	n := len(s.pending) - before
-	s.unlock()
-	return st.ack(s, f.seq, n)
-}
-
-// ack waits for durability and accounts the appended bytes toward the
-// auto-snapshot threshold.
-func (st *Store) ack(s *shard, seq uint64, frameBytes int) error {
-	st.bytesSinceSnap.Add(int64(frameBytes))
-	return st.wal.waitFlushed(s, seq)
+	st.bytesSinceSnap.Add(frameHeaderSize + payloadDel)
+	return true, st.wal.flushLocked(s, seq)
 }
 
 // NeedSnapshot reports whether the auto-snapshot threshold has been
@@ -497,26 +486,29 @@ func (st *Store) DurableLSN() uint64 {
 	return max
 }
 
-// Stats snapshots the durability counters.
+// Stats snapshots the durability counters, merging the shards'.
 func (st *Store) Stats() Stats {
-	ws := &st.wal.stats
-	ws.mu.Lock()
+	var ws walStats
+	for _, s := range st.wal.shards {
+		s.mu.Lock()
+		ws.merge(&s.stats)
+		s.mu.Unlock()
+	}
 	out := Stats{
-		Flushes:       ws.flushes,
-		FlushedFrames: ws.frames,
-		FlushedBytes:  ws.bytes,
-		MaxBatch:      ws.maxBatch,
-		FlushP50Ns:    ws.lat.Quantile(0.50),
-		FlushP99Ns:    ws.lat.Quantile(0.99),
-		FlushMaxNs:    ws.lat.Max(),
+		Flushes:        ws.flushes,
+		FlushedFrames:  ws.frames,
+		FlushedBytes:   ws.bytes,
+		MaxBatch:       ws.maxBatch,
+		FlushP50Ns:     ws.lat.Quantile(0.50),
+		FlushP99Ns:     ws.lat.Quantile(0.99),
+		FlushMaxNs:     ws.lat.Max(),
+		Snapshots:      st.snapshots.Load(),
+		SnapshotErrors: st.snapshotErrors.Load(),
+		Recovery:       st.recovery,
 	}
 	if ws.flushes > 0 {
 		out.AvgBatch = float64(ws.frames) / float64(ws.flushes)
 	}
-	ws.mu.Unlock()
-	out.Snapshots = st.snapshots.Load()
-	out.SnapshotErrors = st.snapshotErrors.Load()
-	out.Recovery = st.recovery
 	return out
 }
 

@@ -33,17 +33,13 @@ type shard struct {
 	flushing bool   // a leader is mid-flush
 	err      error  // first fatal error; poisons the shard
 	closed   bool
+	stats    walStats
 }
 
 // segmentName is the on-disk name of a WAL segment.
 func segmentName(shard, gen int) string {
 	return fmt.Sprintf("wal-%03d-%06d.log", shard, gen)
 }
-
-// lock/unlock expose the shard mutex to Store's apply+append critical
-// section.
-func (s *shard) lock()   { s.mu.Lock() }
-func (s *shard) unlock() { s.mu.Unlock() }
 
 // appendLocked encodes a frame into the pending buffer. Caller holds mu.
 func (s *shard) appendLocked(f frame) {
@@ -92,28 +88,15 @@ func (w *wal) leaderFlush(s *shard) {
 	buf := s.pending
 	frames := s.nFrames
 	target := s.lastSeq
+	timed := w.timed(s)
 	s.pending, s.spare = s.spare, nil
 	s.nFrames = 0
 	f := s.f
 	s.mu.Unlock()
 
-	start := time.Now()
-	err := writeAll(f, buf)
-	if err == nil {
-		err = f.Sync()
-	}
-	lat := time.Since(start)
+	ev, err := w.writeSync(s, f, buf, frames, timed)
 	if o := w.cfg.Observer; o != nil && err == nil {
-		// Emitted with no shard/stats lock held; WAL-flush timestamps are
-		// wall nanoseconds (virtual cycles do not advance during fsync).
-		o.Event(obs.Event{
-			Kind: obs.EvWALFlush,
-			Proc: int32(s.id),
-			TS:   uint64(start.UnixNano()) + uint64(lat.Nanoseconds()),
-			Dur:  uint64(lat.Nanoseconds()),
-			Line: uint64(len(buf)),
-			Node: uint64(frames),
-		})
+		o.Event(ev)
 	}
 
 	s.mu.Lock()
@@ -125,17 +108,42 @@ func (w *wal) leaderFlush(s *shard) {
 		s.err = err
 	} else {
 		s.flushed = target
-		w.stats.mu.Lock()
-		w.stats.flushes++
-		w.stats.frames += uint64(frames)
-		w.stats.bytes += uint64(len(buf))
-		if uint64(frames) > w.stats.maxBatch {
-			w.stats.maxBatch = uint64(frames)
-		}
-		w.stats.lat.Observe(uint64(lat.Nanoseconds()))
-		w.stats.mu.Unlock()
+		s.stats.add(ev)
 	}
 	s.cond.Broadcast()
+}
+
+// flushSampleEvery is the flush-latency sampling rate, the one host
+// threads sample their clock at: two clock reads cost about as much as
+// the rest of an in-memory flush.
+const flushSampleEvery = 16
+
+// timed reports whether the shard's next flush reads the clock: one in
+// flushSampleEvery, or every one while an observer is attached (each
+// event carries its own duration). Caller holds mu.
+func (w *wal) timed(s *shard) bool {
+	return w.cfg.Observer != nil || s.stats.flushes%flushSampleEvery == 0
+}
+
+// writeSync writes buf, frames frames long, to f and syncs it. A timed
+// flush reads the monotonic clock around the IO, and the EvWALFlush event
+// it returns carries the latency in Dur; an untimed one's TS is 0.
+func (w *wal) writeSync(s *shard, f File, buf []byte, frames int, timed bool) (obs.Event, error) {
+	var start time.Duration
+	if timed {
+		start = time.Since(w.epoch)
+	}
+	err := writeAll(f, buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	ev := obs.Event{Kind: obs.EvWALFlush, Proc: int32(s.id), Line: uint64(len(buf)), Node: uint64(frames)}
+	if timed { // TS in wall nanoseconds: virtual cycles stop during fsync
+		end := time.Since(w.epoch)
+		ev.TS = uint64(w.epoch.UnixNano() + int64(end))
+		ev.Dur = uint64(end - start)
+	}
+	return ev, err
 }
 
 // writeAll retries short writes (io.ErrShortWrite with partial progress),
@@ -154,9 +162,9 @@ func writeAll(f File, buf []byte) error {
 	return nil
 }
 
-// walStats accumulates group-commit behavior.
+// walStats is one shard's group-commit record, under its mu; lat holds
+// the timed flushes only.
 type walStats struct {
-	mu       sync.Mutex
 	flushes  uint64
 	frames   uint64
 	bytes    uint64
@@ -164,17 +172,37 @@ type walStats struct {
 	lat      latHist
 }
 
+// add counts one successful flush, described by its event.
+func (ws *walStats) add(ev obs.Event) {
+	ws.flushes++
+	ws.frames += ev.Node
+	ws.bytes += ev.Line
+	ws.maxBatch = max(ws.maxBatch, ev.Node)
+	if ev.TS != 0 {
+		ws.lat.Observe(ev.Dur)
+	}
+}
+
+// merge adds o into ws.
+func (ws *walStats) merge(o *walStats) {
+	ws.flushes += o.flushes
+	ws.frames += o.frames
+	ws.bytes += o.bytes
+	ws.maxBatch = max(ws.maxBatch, o.maxBatch)
+	ws.lat.Merge(&o.lat)
+}
+
 // wal is the sharded write-ahead log.
 type wal struct {
 	cfg    Config
 	shards []*shard
-	stats  walStats
+	epoch  time.Time // flush latencies are monotonic time since it
 }
 
 // newWAL opens (or resumes, after recovery) the shard segment files.
 // startGen is the generation to begin appending at.
 func newWAL(cfg Config, startGen int) (*wal, error) {
-	w := &wal{cfg: cfg}
+	w := &wal{cfg: cfg, epoch: time.Now()}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{id: i, gen: startGen}
 		s.cond = sync.NewCond(&s.mu)
@@ -200,15 +228,6 @@ func (w *wal) shardFor(key uint64) *shard {
 	return w.shards[(key*0x9E3779B97F4A7C15>>32)%uint64(len(w.shards))]
 }
 
-// waitFlushed blocks until seq is durable on s: the caller becomes the
-// group-commit leader itself, and concurrent appenders that arrived during
-// an in-progress flush are absorbed into one batch.
-func (w *wal) waitFlushed(s *shard, seq uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return w.flushLocked(s, seq)
-}
-
 // rotate seals every shard's current segment (flushing its pending tail)
 // and starts a new generation. It returns the sealed generation's names
 // for later truncation. Called by the snapshotter.
@@ -224,26 +243,20 @@ func (w *wal) rotate() (sealed []string, err error) {
 			return nil, fmt.Errorf("%w: %v", ErrWALFailed, e)
 		}
 		// Seal: write+sync the pending tail while holding mu (brief — the
-		// snapshot path is rare), then swap files.
+		// snapshot path is rare), count that flush, then swap files.
+		var ev obs.Event
 		if s.nFrames > 0 {
-			if err := writeAll(s.f, s.pending); err == nil {
-				err = s.f.Sync()
-				if err == nil {
-					s.flushed = s.lastSeq
-					s.pending = s.pending[:0]
-					s.nFrames = 0
-				} else {
-					s.err = err
-				}
-			} else {
+			var err error
+			if ev, err = w.writeSync(s, s.f, s.pending, s.nFrames, w.timed(s)); err != nil {
 				s.err = err
-			}
-			if s.err != nil {
-				e := s.err
 				s.cond.Broadcast()
 				s.mu.Unlock()
-				return nil, fmt.Errorf("%w: %v", ErrWALFailed, e)
+				return nil, fmt.Errorf("%w: %v", ErrWALFailed, err)
 			}
+			s.stats.add(ev)
+			s.flushed = s.lastSeq
+			s.pending = s.pending[:0]
+			s.nFrames = 0
 		}
 		s.f.Close()
 		sealed = append(sealed, segmentName(s.id, s.gen))
@@ -267,6 +280,9 @@ func (w *wal) rotate() (sealed []string, err error) {
 		s.f = f
 		s.cond.Broadcast()
 		s.mu.Unlock()
+		if o := w.cfg.Observer; o != nil && ev.Node > 0 {
+			o.Event(ev) // with no shard lock held, as the leader's
+		}
 	}
 	return sealed, nil
 }
