@@ -9,6 +9,7 @@ import (
 	"eunomia/internal/simmem"
 	"eunomia/internal/tree"
 	"eunomia/internal/tree/treetest"
+	"eunomia/internal/vclock"
 )
 
 // hotTiny is checktrees' euno-adapt-tiny: the split-heavy geometry with the
@@ -192,6 +193,100 @@ func TestDenseUpdateIsOneStore(t *testing.T) {
 	}
 }
 
+// TestDenseWritesLeaveCCMLine: a dense leaf's update, insert and delete —
+// and a get, and a delete of an absent key — leave its CCM line's version
+// where it was: a dense leaf's writes read and move no mark, its delete
+// shifts the run and counts no tombstone, and with no aborts and a zero
+// score the contention detector only loads the line.
+func TestDenseWritesLeaveCCMLine(t *testing.T) {
+	tr, th := newEuno(t, DefaultConfig)
+	fillEven(tr, th, 12)
+	leaf, segs := tr.leafState(th, 2)
+	if segs != 0 {
+		t.Fatalf("the set-up left %d segments in use; want a dense leaf", segs)
+	}
+	line := tr.ccmAddr(leaf).Line()
+	before := tr.a.LineState(line)
+	for i := 0; i < 64; i++ { // past the detector's 1-in-32 sampled decay
+		tr.Put(th, 4, 41) // an update
+		tr.Put(th, 7, 70) // an insert into the run's gap
+		tr.Delete(th, 7)  // a delete that shifts it back
+		tr.Delete(th, 9)  // a delete of an absent key
+		tr.Get(th, 4)
+	}
+	if got := tr.a.LineState(line); got != before {
+		t.Fatalf("the dense leaf's CCM line moved %#x -> %#x", before, got)
+	}
+	if _, segs := tr.leafState(th, 2); segs != 0 || tr.a.LoadWord(th.P, leaf+offStableCount) != 12 || countTombstones(t, tr, th) != 0 {
+		t.Fatalf("%d segments in use, a run of %d and %d tombstones; want the dense leaf of 12 records and none",
+			segs, tr.a.LoadWord(th.P, leaf+offStableCount), countTombstones(t, tr, th))
+	}
+	for k := uint64(2); k <= 24; k += 2 {
+		want := 10 * k
+		if k == 4 {
+			want = 41
+		}
+		if v, ok := tr.Get(th, k); !ok || v != want {
+			t.Fatalf("get(%d) = %d,%v want %d", k, v, ok, want)
+		}
+	}
+	if _, ok := tr.Get(th, 7); ok {
+		t.Fatal("get(7) found the deleted key")
+	}
+	if err := tr.Validate(th.P); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDemotionTurnsAwayAStaleMarkRead: a get that sampled a hot leaf
+// partitioned and reads its key's zero mark after the leaf was demoted and
+// the key inserted densely — which counts no mark — finds the seqno the
+// demotion moved, and so the key, instead of turning it away.
+func TestDemotionTurnsAwayAStaleMarkRead(t *testing.T) {
+	tr, boot := newEuno(t, DefaultConfig)
+	fillEven(tr, boot, 12)
+	tr.heat(boot)
+	leaf, segs := tr.leafState(boot, 2)
+	ccm := tr.ccmAddr(leaf)
+	k := uint64(1) // an odd key, absent, whose slot no mark counts
+	for ; tr.markCount(boot.P, ccm, tr.slotOf(k)) != 0; k += 2 {
+	}
+	if segs != tr.cfg.Segments || k > 24 {
+		t.Fatalf("the set-up left %d segments in use and no unmarked gap below 24 (k=%d)", segs, k)
+	}
+	tr.Get(boot, k) // the directory holds the leaf
+	// The get's stitch yields for longer than the other thread waits.
+	tr.h.SetFaultInjector(htm.NewFaultInjector(htm.FaultSpec{Point: htm.FaultStitch, Action: htm.ActYield}))
+	var got uint64
+	var ok bool
+	vclock.NewSim(2, 0).Run(func(p *vclock.SimProc) {
+		th := tr.h.NewThread(p, uint64(p.ID())+1)
+		if p.ID() == 0 {
+			got, ok = tr.Get(th, k)
+			return
+		}
+		p.Spin(10_000)
+		// A demotion, a dense insert of k by its lower region alone, and
+		// the score back up, so the get consults the marks.
+		tr.a.StoreWordDirect(th.P, ccm+ccmConflict, 0)
+		tr.leafMaint(th, leaf, tr.a.LoadWord(th.P, leaf+offSeqno), tr.cfg.Segments, 0, tree.Tombstone, false)
+		s0 := tr.a.LoadWord(th.P, leaf+offSeqno)
+		var out outcome
+		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) { out = tr.leafPut(tx, leaf, s0, k, 10*k, false) })
+		tr.a.StoreWordDirect(th.P, ccm+ccmConflict, 1<<62)
+		if out != oInserted {
+			t.Errorf("the dense insert of %d: outcome %d", k, out)
+		}
+	})
+	tr.h.SetFaultInjector(nil)
+	if !ok || got != 10*k {
+		t.Fatalf("get(%d) = %d,%v after the demotion and the dense insert; want %d", k, got, ok, 10*k)
+	}
+	if err := tr.Validate(boot.P); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPromotionFaultPoint: the promotion that does not split still passes
 // FaultMidSplit, and an abort injected there discards it wholesale — the
 // retry promotes, and the leaf is never seen half rewritten.
@@ -282,4 +377,12 @@ func TestFuzzerPromotesAndDemotesMidHistory(t *testing.T) {
 // the leaf as if it were dense already.
 func TestDemotionMutantCaught(t *testing.T) {
 	mutantCaught(t, "euno-adapt-broken", func(tr *Tree) { tr.dropSegs = true }, check.DefaultSweep(48))
+}
+
+// TestPromotionMarksMutantCaught is the checker's self-test for the marks
+// a promotion counts: a dense leaf keeps none, so a promotion that does
+// not add its records to them lets a get or a delete on the hot leaf turn
+// a present key away.
+func TestPromotionMarksMutantCaught(t *testing.T) {
+	mutantCaught(t, "euno-marks-broken", func(tr *Tree) { tr.markless = true }, check.DefaultSweep(48))
 }

@@ -8,17 +8,21 @@ import (
 )
 
 // The conflict control module (CCM) of a leaf occupies one cache line,
-// tagged TagCCM, which is *never* accessed inside an HTM region — the whole
-// point is to serialize or filter requests before they enter a transaction
-// (Figure 5). The lock bits serialize writers; readers wait out a writer.
-// Word offsets within the CCM line:
+// tagged TagCCM, which operations access outside their HTM regions — the
+// whole point is to serialize or filter requests before they enter a
+// transaction (Figure 5). The lock bits serialize writers; readers wait out
+// a writer. Only a partitioned leaf's lock bits, marks and tombstone count
+// are used: a dense leaf's operations touch its contention score and, to
+// rewrite it, its advisory lock. The one region that touches the line is a
+// rewrite that partitions a leaf and counts its marks (addMarks,
+// initMarks). Word offsets within the CCM line:
 const (
 	ccmSplitLock = 0 // advisory per-leaf lock serializing splits and compactions
 	ccmLockBits  = 1 // one lock bit per hash slot, taken by puts and deletes
 	ccmMarks0    = 2 // counting mark slots, 16 nibbles per word (2 words)
 	ccmMarks1    = 3
 	ccmConflict  = 4 // contention detector: decaying conflict score
-	ccmTombs     = 5 // tombstones accumulated since the last compaction
+	ccmTombs     = 5 // a partitioned leaf's tombstones since its last rebalance
 )
 
 // markSaturation is the nibble ceiling; a saturated slot never decrements
@@ -165,7 +169,7 @@ func (t *Tree) noteConflicts(th *htm.Thread, leaf simmem.Addr, s0 uint64, segs i
 	ccm := t.ccmAddr(leaf)
 	if aborts > 0 {
 		if t.a.AddWordDirect(th.P, ccm+ccmConflict, aborts) >= t.cfg.HotThreshold && segs != t.cfg.Segments {
-			t.leafMaint(th, leaf, s0, segs, 0, tree.Tombstone)
+			t.leafMaint(th, leaf, s0, segs, 0, tree.Tombstone, false)
 		}
 		return
 	}

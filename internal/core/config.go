@@ -53,7 +53,7 @@
 //     (stale marks for moved keys) rather than rebuilt, because a rebuild
 //     outside the transaction races with concurrent insertions; supersets
 //     only cost false positives. The new leaf's marks are computed inside
-//     the split transaction.
+//     the split transaction, if it comes out partitioned.
 //
 //   - Scans do not lock the leaf (Section 4.2.4 locks every scanned leaf
 //     while it merge-sorts the segments into that leaf's reserved keys).
@@ -70,6 +70,13 @@
 //     score has decayed to nothing (leaf.go). The score counts conflict
 //     aborts only, and a hot leaf keeps no more records than its segments
 //     can shadow. Adaptive off restores the paper's leaf exactly.
+//
+//   - A dense leaf keeps no marks and no tombstones: its puts read and
+//     bump no mark, and its delete shifts the run left instead of
+//     tombstoning, so it counts nothing towards a rebalance. The rewrite
+//     that partitions a leaf adds its records to the marks, which are
+//     never overwritten, and a demotion moves the seqno, so a mark read on
+//     a leaf that stopped being partitioned is retried (DESIGN.md §5.2).
 //
 //   - The paper re-runs the upper region for every operation. Here a get,
 //     put, delete or a scan's first leaf first asks the tree's lossy leaf

@@ -90,7 +90,7 @@ func TestTwoRegionGetUsesTwoTransactions(t *testing.T) {
 	}
 	// An empty directory, so the get descends: the directory's hit is
 	// TestLeafDirSkipsUpperRegion.
-	tr.dir.Store(tr.newDir(tr.Splits() + 1))
+	tr.dir.Store(tr.newDir(tr.Splits()+1, false))
 	th := tr.h.NewThread(vclock.NewWallProc(1, 0), 2)
 	tr.Get(th, 50)
 	if got := th.Stats.Attempts; got != 2 {

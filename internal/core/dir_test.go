@@ -99,6 +99,36 @@ func TestLeafDirServesUniformKeys(t *testing.T) {
 	}
 }
 
+// TestLeafDirServesAnAscendingFill: an ascending fill pushes its separators
+// past the directory's cover, where buckets wrap onto the lowest keys' and
+// evict them; the directory it leaves behind still serves uniform gets —
+// after one pass over every key, at least 99 % of them are one transaction.
+func TestLeafDirServesAnAscendingFill(t *testing.T) {
+	const n = 1 << 16
+	h, _ := treetest.NewDevice(1 << 22)
+	th := h.NewHostThread(0, 1)
+	tr := New(h, th, DefaultConfig)
+	for k := uint64(0); k < n; k++ {
+		tr.Put(th, k, k+1)
+	}
+	for k := uint64(0); k < n; k++ {
+		tr.Get(th, k)
+	}
+	const gets = 10_000
+	r := vclock.NewRand(7)
+	var one int
+	for i := 0; i < gets; i++ {
+		k := r.Uint64() % n
+		if attempts(th, func() { tr.Get(th, k) }) == 1 {
+			one++
+		}
+	}
+	t.Logf("%d leaves, %d buckets: %d of %d uniform gets were one transaction", tr.Splits()+1, len(tr.dir.Load().slots), one, gets)
+	if one < gets-gets/100 {
+		t.Fatalf("%d of %d uniform gets after an ascending fill were one transaction, want at least %d", one, gets, gets-gets/100)
+	}
+}
+
 // TestLeafDirSplitCaughtBeforeTheRegion: after another thread splits a leaf
 // the directory holds, an operation on a key that moved to the new right
 // leaf finds the stale leaf's fences below it and moves right along next
@@ -108,11 +138,14 @@ func TestLeafDirSplitCaughtBeforeTheRegion(t *testing.T) {
 	tr, th := newEuno(t, DefaultConfig)
 	n := 2 * uint64(tr.denseCap)
 	fill(tr, th, n) // ascending: the last leaf ends full
+	// A roomy directory, as an ascending fill's next split past the cover
+	// would build: the split below lands inside this one's cover.
+	tr.dir.Store(tr.newDir(tr.Splits()+1, true))
 	leaves := tr.leaves(th)
 	last := leaves[len(leaves)-1]
 	stays := tr.a.LoadWord(th.P, last+offLo)
 	if d := tr.dir.Load(); tr.a.LoadWord(th.P, last+offStableCount) != uint64(tr.denseCap) ||
-		tr.Splits()+2 > uint64(len(d.slots)/2) || d.slot(n) == d.slot(stays) {
+		tr.Splits()+2 > uint64(len(d.slots)/2) || d.above(n) || d.slot(n) == d.slot(stays) {
 		t.Fatalf("%d leaves and %d buckets: the next split must find no room, rebuild no directory, and part keys %d and %d of different buckets",
 			len(leaves), len(d.slots), n, stays)
 	}
@@ -220,7 +253,7 @@ func TestLeafDirTiedToItsTree(t *testing.T) {
 		a.Put(th, k, k)
 		b.Put(th, k, 100+k)
 	}
-	b.dir.Store(b.newDir(b.Splits() + 1))
+	b.dir.Store(b.newDir(b.Splits()+1, false))
 	for i, c := range []struct {
 		tr         *Tree
 		base, want uint64

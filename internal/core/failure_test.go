@@ -98,7 +98,9 @@ func TestConcurrentCapacityPressureSim(t *testing.T) {
 }
 
 // TestMaintenanceChurn: a tiny leaf geometry forces constant compactions
-// and splits; heavy mixed traffic must preserve the model.
+// and splits; heavy mixed traffic must preserve the model. Every leaf is
+// heated every 100 operations, so that deletes tombstone and segments
+// overflow: a cold leaf does neither.
 func TestMaintenanceChurn(t *testing.T) {
 	cfg := Config{StableCap: 4, Segments: 2, SegCap: 1, PartLeaf: true,
 		CCMLockBits: true, CCMMarkBits: true, Adaptive: true}
@@ -109,6 +111,9 @@ func TestMaintenanceChurn(t *testing.T) {
 	model := map[uint64]uint64{}
 	r := vclock.NewRand(31)
 	for i := 0; i < 5000; i++ {
+		if i%100 == 0 {
+			tr.heat(boot)
+		}
 		k := uint64(r.Intn(400)) + 1
 		switch r.Intn(5) {
 		case 0, 1, 2:

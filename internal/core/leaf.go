@@ -25,14 +25,16 @@ import (
 //	    header (the +Split HTM leaf's alone, see convHeaderWords).
 //	  partitioned leaf: the run is the stable region, StableCap pairs,
 //	    rewritten only by leafMaint, under the leaf's advisory lock (a delete
-//	    aside, which tombstones in place), so it rarely conflicts (the
+//	    aside, which tombstones in place — a dense leaf's shifts its run and
+//	    leaves none), so it rarely conflicts (the
 //	    paper's "reserved keys will not be updated and inserted
 //	    frequently"); then Segments line-aligned
 //	    blocks, each [count, k0,v0, k1,v1, ...], sorted within the block;
 //	    all puts land here, in the block that the key's stable slot or
 //	    insertion point i names (i % Segments), so writers of neighbouring
 //	    keys touch different cache lines.
-//	CCM line (TagCCM): see ccm.go. Never accessed inside a transaction.
+//	CCM line (TagCCM): see ccm.go. Accessed inside a transaction only by
+//	    the rewrites that count marks (addMarks, initMarks).
 //
 // In a partitioned leaf a key may transiently exist both in a segment and
 // in the stable region: a put that finds its key only in the stable region
@@ -50,8 +52,9 @@ import (
 // promotion or a rebalance, all leafMaint (DESIGN.md §5.2). Every lower
 // region reads the state inside its own transaction, so none acts on the
 // wrong layout; what the upper region samples only decides whether the CCM
-// line is consulted, which was always advisory. Marks are kept on dense
-// leaves as on partitioned ones: they never under-count at a promotion.
+// line is consulted, which was always advisory. Marks are kept on
+// partitioned leaves only: the rewrite that partitions a dense leaf adds
+// its records to them, and a demotion moves the seqno (leafMaintBody).
 const (
 	offSeqno       = 0
 	offNext        = 1
@@ -269,10 +272,12 @@ func (t *Tree) leafGet(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (outcome, u
 // can add a second copy).
 //
 // needMark is set when mark slots are enabled but the caller has not
-// pre-incremented this key's slot: in that case an insertion must not be
-// committed (return oNeedMark instead), because a mark increment published
-// only after the commit would open a window in which the absent-key fast
-// path misses a committed record. Updates never need the mark.
+// pre-incremented this key's slot: in that case an insertion into a
+// partitioned leaf must not be committed (return oNeedMark instead),
+// because a mark increment published only after the commit would open a
+// window in which the absent-key fast path misses a committed record.
+// Updates never need the mark, and neither does a dense leaf, whose marks
+// nothing consults until the rewrite that partitions it counts them.
 func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, needMark bool) outcome {
 	if !t.stitched(tx, leaf, s0, key) {
 		return oMismatch
@@ -294,9 +299,10 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, needMa
 	if inStable && tx.Load(t.stableV(leaf, stIdx)) != tree.Tombstone {
 		done = oUpdated
 	}
-	if done == oInserted && needMark {
-		// A genuine insertion requires the mark pre-increment; a shadow
-		// copy of a live key is an update as far as the filter goes.
+	if done == oInserted && needMark && segs == t.cfg.Segments {
+		// A genuine insertion into a partitioned leaf requires the mark
+		// pre-increment; a shadow copy of a live key is an update as far
+		// as the filter goes, and a dense leaf keeps no marks.
 		return oNeedMark
 	}
 	if segs == 0 {
@@ -311,16 +317,7 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, needMa
 		if count == t.denseCap {
 			return oMaint
 		}
-		// Every word that moves is loaded before any is stored: a load
-		// issued after a store has the write set to probe.
-		src, n := t.stableK(leaf, stIdx), simmem.Addr(2*(count-stIdx))
-		var moved [2 * maxRun]uint64
-		for i := n; i > 0; i-- {
-			moved[i-1] = tx.Load(src + i - 1)
-		}
-		for i := n; i > 0; i-- {
-			tx.Store(src+1+i, moved[i-1])
-		}
+		moveRun(tx, t.stableK(leaf, stIdx), t.stableK(leaf, stIdx+1), 2*(count-stIdx))
 		tx.Store(t.stableK(leaf, stIdx), key)
 		tx.Store(t.stableV(leaf, stIdx), val)
 		tx.Store(leaf+offStableCount, uint64(count+1))
@@ -336,19 +333,32 @@ func (t *Tree) leafPut(tx *htm.Tx, leaf simmem.Addr, s0, key, val uint64, needMa
 	return done
 }
 
-// leafDelete performs the lower region of a delete: it removes a segment
-// copy and tombstones any live stable copy (both must go, or a stale stable
-// value would resurrect). Rebalancing is deferred (Section 4.2.4):
-// tombstones are physically dropped at the next compaction or split, and a
-// delete that pushes the leaf past the rebalance threshold triggers one
-// (see Tree.Delete). tombstoned reports whether a stable entry was marked.
-func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out outcome, tombstoned bool) {
+// leafDelete performs the lower region of a delete. On a dense leaf it
+// removes the pair by shifting the run left over it, as a dense insert
+// shifts right, so a dense leaf holds no tombstone. Otherwise it removes a
+// segment copy and tombstones any live stable copy (both must go, or a
+// stale stable value would resurrect). Rebalancing is deferred (Section
+// 4.2.4): tombstones are physically dropped at the next compaction or
+// split, and a delete that pushes the leaf past the rebalance threshold
+// triggers one (see Tree.Delete). tombstoned reports whether a stable entry
+// was marked; segs is the state the region read.
+func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out outcome, tombstoned bool, segs int) {
 	if !t.stitched(tx, leaf, s0, key) {
-		return oMismatch, false
+		return oMismatch, false, 0
 	}
-	segs := t.leafSegs(tx, leaf)
-	removed := false
+	segs = t.leafSegs(tx, leaf)
 	idx, found := t.stableSearch(tx, leaf, key)
+	if segs != t.cfg.Segments {
+		if !found {
+			return oAbsent, false, segs
+		}
+		count := int(tx.Load(leaf + offStableCount))
+		moveRun(tx, t.stableK(leaf, idx+1), t.stableK(leaf, idx), 2*(count-idx-1))
+		tx.Store(leaf+offStableCount, uint64(count-1))
+		t.bumpConvHeader(tx, leaf)
+		return oFound, false, segs
+	}
+	removed := false
 	if segs != 0 {
 		seg := t.segOf(leaf, idx, segs)
 		if i, count, ok := t.segSearch(tx, seg, key); ok {
@@ -365,9 +375,22 @@ func (t *Tree) leafDelete(tx *htm.Tx, leaf simmem.Addr, s0, key uint64) (out out
 		}
 	}
 	if removed {
-		return oFound, tombstoned
+		return oFound, tombstoned, segs
 	}
-	return oAbsent, false
+	return oAbsent, false, segs
+}
+
+// moveRun moves the n words of a run at src to dst, one pair along: every
+// word that moves is loaded before any is stored, since a load issued after
+// a store has the write set to probe.
+func moveRun(tx *htm.Tx, src, dst simmem.Addr, n int) {
+	var moved [2 * maxRun]uint64
+	for i := n; i > 0; i-- {
+		moved[i-1] = tx.Load(src + simmem.Addr(i-1))
+	}
+	for i := n; i > 0; i-- {
+		tx.Store(dst+simmem.Addr(i-1), moved[i-1])
+	}
 }
 
 // pair is a thread-local staging record.
@@ -440,11 +463,17 @@ func (t *Tree) rewriteCap(hot bool) int {
 	return t.cfg.StableCap
 }
 
-// writeLeaf rewrites the leaf as the given sorted records and picks its
-// state: partitioned, with every segment cleared, when the leaf is hot and
-// the records fit the stable region (always, without Adaptive); dense
-// otherwise — which is how a leaf that cooled is demoted, and why half of a
-// split may stay dense on a hot leaf until the next abort promotes it.
+// partitions is the state writeLeaf picks for n records: partitioned when
+// the leaf is hot and they fit the stable region (always, without
+// Adaptive); dense otherwise — which is how a leaf that cooled is demoted,
+// and why half of a split may stay dense on a hot leaf until the next abort
+// promotes it.
+func (t *Tree) partitions(hot bool, n int) bool {
+	return hot && n <= t.cfg.StableCap
+}
+
+// writeLeaf rewrites the leaf as the given sorted records in the state
+// partitions picks, with every segment cleared if partitioned.
 func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 	t.bumpConvHeader(tx, leaf)
 	for i, r := range recs {
@@ -453,7 +482,7 @@ func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 	}
 	tx.Store(leaf+offStableCount, uint64(len(recs)))
 	segs := 0
-	if hot && len(recs) <= t.cfg.StableCap {
+	if t.partitions(hot, len(recs)) {
 		segs = t.cfg.Segments
 		for j := 0; j < segs; j++ {
 			tx.Store(t.segBase(leaf, j), 0)
@@ -469,7 +498,9 @@ func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 // 6b/6c — moveToReserved + shrinkSegs) or, if the records no longer fit one
 // leaf, performs the sort-split-reorganize of Figure 7 (Algorithm 3 lines
 // 67-86). A put that found no room calls it with its record and gets the
-// put's final outcome. A promotion and the deferred rebalance of Section
+// put's final outcome — oNeedMark, with nothing stored, when needMark is
+// set and the put would insert into a leaf the region reads partitioned
+// (leafPut's rule). A promotion and the deferred rebalance of Section
 // 4.2.4 call it with nothing to put — val is then the tombstone, which no
 // put carries — and such a rewrite stores nothing once the leaf's state
 // differs from seen, the state its caller found the leaf in: someone else
@@ -480,7 +511,7 @@ func (t *Tree) writeLeaf(tx *htm.Tx, leaf simmem.Addr, recs []pair, hot bool) {
 // for the duration of the reorganization and freed afterwards — this is the
 // paper's "reserved keys" footprint measured in Section 5.7 (the merge
 // itself stages through thread-local memory).
-func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, key, val uint64) outcome {
+func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, key, val uint64, needMark bool) outcome {
 	var out outcome
 	var compacted bool
 	var sep uint64
@@ -492,7 +523,7 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, 
 	sc := t.borrowScratch(th)
 	th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
 		staging, stagingWords = simmem.NilAddr, 0
-		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, seen, key, val, score, &staging, &stagingWords)
+		out, compacted, sep = t.leafMaintBody(tx, sc, leaf, s0, seen, key, val, needMark, score, &staging, &stagingWords)
 	})
 	sc.lent = false
 	if staging != simmem.NilAddr {
@@ -510,7 +541,16 @@ func (t *Tree) leafMaint(th *htm.Thread, leaf simmem.Addr, s0 uint64, seen int, 
 
 // leafMaintBody is leafMaint's region; sep is the separator of the split it
 // made, 0 if it made none (a split's right half never starts at key 0).
-func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0 uint64, seen int, key, val, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool, sep uint64) {
+//
+// The marks follow the state (DESIGN.md §5.2). A leaf the region reads
+// dense and writes partitioned has its records added to its marks
+// (addMarks), before the state word that makes gets consult them; a
+// split's right half that comes out partitioned is counted afresh
+// (initMarks). A leaf the region reads partitioned and compacts dense gets
+// a new seqno after its state word: a get or delete that read its mark
+// while the leaf was partitioned finds the seqno changed if the leaf
+// stopped being so, and dense inserts add no mark.
+func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0 uint64, seen int, key, val uint64, needMark bool, score uint64, staging *simmem.Addr, stagingWords *int) (out outcome, compacted bool, sep uint64) {
 	if tx.Load(leaf+offSeqno) != s0 {
 		return oMismatch, false, 0
 	}
@@ -519,6 +559,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	if !put && segs != seen {
 		return oAbsent, false, 0 // rewritten by someone else meanwhile
 	}
+	part := segs == t.cfg.Segments // the state read, which the marks follow
 	hot := t.staysPart(score, segs)
 	if t.dropSegs && !hot {
 		segs = 0 // the seeded bug: a demotion that reads the leaf as dense already
@@ -531,8 +572,17 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		if found {
 			recs[i].v = val
 			out = oUpdated
+		} else if needMark && part {
+			return oNeedMark, false, 0
 		} else {
 			recs = slices.Insert(recs, i, pair{key, val})
+		}
+	}
+	// promote adds the records a half of the rewrite keeps to its marks
+	// when it turns the leaf partitioned.
+	promote := func(recs []pair) {
+		if t.cfg.CCMMarkBits && !part && t.partitions(hot, len(recs)) {
+			t.addMarks(tx, leaf, recs)
 		}
 	}
 
@@ -546,13 +596,17 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 		// Compaction suffices (Figure 6c): everything fits the run;
 		// segments empty out for new concurrent insertions. Leaf membership
 		// is unchanged, so seqno stays — concurrent two-step operations
-		// remain valid, whichever state the leaf comes out in.
+		// remain valid — unless the leaf comes out demoted.
 		if !put {
 			// A promotion or a rebalance rewrites the leaf under them as a
 			// split does: an injected abort must discard it wholesale.
 			tx.Fault(htm.FaultMidSplit)
 		}
+		promote(recs)
 		t.writeLeaf(tx, leaf, recs, hot)
+		if part && !t.partitions(hot, len(recs)) {
+			tx.Store(leaf+offSeqno, s0+1) // a demotion
+		}
 		return out, true, 0
 	}
 	// Split (Figure 7): re-traverse from the root *inside this
@@ -570,9 +624,10 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	half := len(recs) / 2
 	sep = recs[half].k
 	right := t.newLeafTx(tx)
+	promote(recs[:half])
 	t.writeLeaf(tx, leaf, recs[:half], hot)
 	t.writeLeaf(tx, right, recs[half:], hot)
-	if t.cfg.CCMMarkBits {
+	if t.cfg.CCMMarkBits && t.partitions(hot, len(recs)-half) {
 		t.initMarks(tx, right, recs[half:])
 	}
 	// The commit writes back in store order, and the directory's direct
@@ -592,7 +647,24 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 // initMarks computes the new (unpublished) right leaf's counting marks
 // inside the split transaction.
 func (t *Tree) initMarks(tx *htm.Tx, leaf simmem.Addr, recs []pair) {
-	var words [2]uint64
+	t.storeMarks(tx, leaf, [2]uint64{}, recs)
+}
+
+// addMarks adds recs to the counting marks of a leaf that a rewrite turns
+// partitioned, inside that rewrite's region. The marks are added to, never
+// overwritten: a put's +1 or a delete's −1 still in flight from an earlier
+// partitioned period then finds its pair where it left it.
+func (t *Tree) addMarks(tx *htm.Tx, leaf simmem.Addr, recs []pair) {
+	if t.markless { // the seeded bug: a promotion that counts nothing
+		return
+	}
+	ccm := t.ccmAddr(leaf)
+	t.storeMarks(tx, leaf, [2]uint64{tx.Load(ccm + ccmMarks0), tx.Load(ccm + ccmMarks1)}, recs)
+}
+
+// storeMarks stores words, the leaf's mark words, with recs counted in
+// (saturating).
+func (t *Tree) storeMarks(tx *htm.Tx, leaf simmem.Addr, words [2]uint64, recs []pair) {
 	for _, r := range recs {
 		slot := t.slotOf(r.k)
 		w, shift := slot/16, (slot%16)*4

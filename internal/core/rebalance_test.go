@@ -38,10 +38,12 @@ func TestDeferredRebalanceCompactsTombstones(t *testing.T) {
 	cfg := DefaultConfig
 	cfg.RebalanceThreshold = 4
 	tr, boot := newEuno(t, cfg)
-	// Build a few leaves whose records sit in the stable region.
+	// Build a few leaves whose records sit in the stable region, and heat
+	// them: a dense leaf's delete shifts its run and leaves no tombstone.
 	for i := uint64(1); i <= 64; i++ {
 		tr.Put(boot, i, i)
 	}
+	tr.heat(boot)
 	before := tr.Compactions()
 	// Delete most records from the same neighborhood: crossing the
 	// threshold repeatedly must fire compactions.
@@ -112,32 +114,38 @@ func TestRebalanceSplitsACrowdedHotLeaf(t *testing.T) {
 	}
 }
 
-// TestRebalanceOfARewrittenLeafStoresNothing: a delete that takes a dense
-// leaf's tombstones to the threshold, on a leaf another thread promotes
-// between the delete's locate and its rebalance, stores its tombstone and
-// nothing else: the promotion has already dropped the tombstones the
-// rebalance was for.
+// TestRebalanceOfARewrittenLeafStoresNothing: a delete that takes a
+// partitioned leaf's tombstones to the threshold, on a leaf another thread
+// demotes between the delete's lower region and its rebalance, stores its
+// tombstone and nothing else: the demotion has already dropped the
+// tombstones the rebalance was for, and the new seqno it gave the leaf
+// turns the rebalance away.
 func TestRebalanceOfARewrittenLeafStoresNothing(t *testing.T) {
 	tr, boot := newEuno(t, DefaultConfig)
 	fill(tr, boot, 12)
+	tr.heat(boot)
 	last := tr.cfg.RebalanceThreshold
 	for k := uint64(1); k < last; k++ {
 		tr.Delete(boot, k)
 	}
 	leaf, segs := tr.leafState(boot, last)
-	if segs != 0 || countTombstones(t, tr, boot) != int(last-1) {
-		t.Fatalf("the set-up left %d segments in use and %d tombstones; want a dense leaf with %d", segs, countTombstones(t, tr, boot), last-1)
+	if segs != tr.cfg.Segments || countTombstones(t, tr, boot) != int(last-1) {
+		t.Fatalf("the set-up left %d segments in use and %d tombstones; want a partitioned leaf with %d", segs, countTombstones(t, tr, boot), last-1)
 	}
 	compactions := tr.Compactions()
-	// Every stitch yields for longer than the promoter waits: the promotion
-	// lands between the delete's locate and its lower region.
-	tr.h.SetFaultInjector(htm.NewFaultInjector(htm.FaultSpec{Point: htm.FaultStitch, Action: htm.ActYield}))
+	// The delete passes the CCM fault point twice on the hot leaf: before
+	// it takes its lock bit and after its lower region. The second yields
+	// for longer than the demoter waits: the demotion lands between the
+	// delete's lower region and its rebalance.
+	tr.h.SetFaultInjector(htm.NewFaultInjector(htm.FaultSpec{Point: htm.FaultCCM, Action: htm.ActYield, Nth: 2}))
 	var stores uint64
 	vclock.NewSim(2, 0).Run(func(p *vclock.SimProc) {
 		th := tr.h.NewThread(p, uint64(p.ID())+1)
 		if p.ID() == 1 {
 			p.Spin(10_000)
-			tr.heatLeaf(th, leaf)
+			// A compaction once the score is gone: the leaf comes out dense.
+			tr.a.StoreWordDirect(th.P, tr.ccmAddr(leaf)+ccmConflict, 0)
+			tr.leafMaint(th, leaf, tr.a.LoadWord(th.P, leaf+offSeqno), tr.cfg.Segments, 0, tree.Tombstone, false)
 			return
 		}
 		before := th.Stats.TxStores
@@ -146,10 +154,10 @@ func TestRebalanceOfARewrittenLeafStoresNothing(t *testing.T) {
 	})
 	tr.h.SetFaultInjector(nil)
 	if stores != 1 || tr.Compactions() != compactions+1 {
-		t.Fatalf("the delete stored %d words and the run made %d compactions; want its tombstone alone and the promotion's", stores, tr.Compactions()-compactions)
+		t.Fatalf("the delete stored %d words and the run made %d compactions; want its tombstone alone and the demotion's", stores, tr.Compactions()-compactions)
 	}
-	if _, segs := tr.leafState(boot, last); segs != tr.cfg.Segments || countTombstones(t, tr, boot) != 1 {
-		t.Fatalf("%d segments in use and %d tombstones; want the promoted leaf with the delete's tombstone", segs, countTombstones(t, tr, boot))
+	if _, segs := tr.leafState(boot, last); segs != 0 || countTombstones(t, tr, boot) != 0 {
+		t.Fatalf("%d segments in use and %d tombstones; want the demoted leaf with none", segs, countTombstones(t, tr, boot))
 	}
 	if got := tr.a.LoadWord(boot.P, tr.ccmAddr(leaf)+ccmTombs); got != 0 {
 		t.Fatalf("the tombstone count is %d after the rebalance; want it cleared", got)

@@ -141,8 +141,10 @@ func TestScanCallbackPutBuildsOwnScratch(t *testing.T) {
 // records and the split's path in the thread's scratch, not in buffers made
 // inside a transaction body that retries, so a warmed-up thread's puts and
 // deletes allocate nothing but the leaf directory's O(log n) rebuilds — on
-// the cold tree's dense leaves, with their in-leaf shift, and on leaves that
-// are always hot (Adaptive off).
+// the adaptive tree, whose churn heats the leaf at its growing edge every
+// 64 puts, so that its leaves are dense, with their in-leaf shifts, and
+// partitioned, with their tombstones and compactions, in turn; and on
+// leaves that are always hot (Adaptive off).
 func TestPutMaintenanceAllocationFree(t *testing.T) {
 	for _, adaptive := range []bool{true, false} {
 		cfg := DefaultConfig
@@ -152,6 +154,10 @@ func TestPutMaintenanceAllocationFree(t *testing.T) {
 		churn := func() {
 			for i := 0; i < 20000; i++ {
 				k := 8000 + next
+				if adaptive && i%64 == 0 {
+					leaf, _ := tr.leafState(th, k)
+					tr.heatLeaf(th, leaf)
+				}
 				tr.Put(th, k, k)
 				if next%2 == 1 {
 					tr.Delete(th, k-1)
@@ -196,8 +202,18 @@ func TestPutMaintenanceAllocationFree(t *testing.T) {
 			t.Fatalf("adaptive=%v: churn caused %d splits and %d compactions; the test needs both",
 				adaptive, tr.Splits()-splits, tr.Compactions()-compactions)
 		}
-		if _, segs := tr.leafState(th, 8000+next-1); (segs == 0) != adaptive {
-			t.Fatalf("adaptive=%v: the leaf the churn ends on has %d segments in use", adaptive, segs)
+		if adaptive {
+			var dense, part int
+			for _, l := range tr.leaves(th) {
+				if tr.a.LoadWord(th.P, l+offSegs) == 0 {
+					dense++
+				} else {
+					part++
+				}
+			}
+			if dense == 0 || part == 0 {
+				t.Fatalf("the churn left %d dense and %d partitioned leaves; want both", dense, part)
+			}
 		}
 		if allocs > float64(2*rebuilds) {
 			t.Errorf("adaptive=%v: 30000 puts and 10000 deletes allocate %.0f times, want no more than the directory's %d rebuilds' 2 each",
@@ -260,9 +276,9 @@ func (t *Tree) leaves(th *htm.Thread) []simmem.Addr {
 // every from and every limit, what a map of the random puts and deletes
 // holds between the leaf's fences — on leaves those operations leave in
 // every state the layout has: shadow copies, tombstones, a tombstone under
-// a live segment copy, empty and full segments, and dense leaves with and
-// without tombstones. Odd seeds keep every leaf hot, even ones leave them
-// cold.
+// a live segment copy, empty and full segments, and dense leaves, which
+// after deletes hold none. Odd seeds keep every leaf hot, even ones leave
+// them cold.
 func TestScanLeafMatchesModel(t *testing.T) {
 	const keys = 160
 	var shadows, tombs, revived, emptySegs, fullSegs, dense, denseTombs int
@@ -337,8 +353,8 @@ func TestScanLeafMatchesModel(t *testing.T) {
 			}
 		})
 	}
-	if shadows == 0 || tombs == 0 || revived == 0 || emptySegs == 0 || fullSegs == 0 || dense == 0 || denseTombs == 0 {
-		t.Fatalf("coverage: %d shadow copies, %d tombstones, %d tombstones under a segment copy, %d empty and %d full segments, %d dense leaves with %d tombstones; want all > 0",
+	if shadows == 0 || tombs == 0 || revived == 0 || emptySegs == 0 || fullSegs == 0 || dense == 0 || denseTombs != 0 {
+		t.Fatalf("coverage: %d shadow copies, %d tombstones, %d tombstones under a segment copy, %d empty and %d full segments, %d dense leaves with %d tombstones; want all > 0 but dense leaves' tombstones, 0",
 			shadows, tombs, revived, emptySegs, fullSegs, dense, denseTombs)
 	}
 }

@@ -62,12 +62,14 @@ type Tree struct {
 	rootRetries atomic.Uint64 // seqno mismatches forcing retry from root
 	maintRounds atomic.Uint64
 
-	// dropSegs, fenceSlack, trustGuess and wrongHome seed bugs for the
-	// checker's self-tests: a lossy demotion (adapt_test.go), at 1 a split
-	// whose left leaf keeps the separator inside its fences, a run search
-	// that looks only on the line the fences predict, and at 1 a put that
-	// files its copy one segment past its home (dir_test.go).
+	// dropSegs, markless, fenceSlack, trustGuess and wrongHome seed bugs
+	// for the checker's self-tests: a lossy demotion and a promotion that
+	// counts no marks (adapt_test.go), at 1 a split whose left leaf keeps
+	// the separator inside its fences, a run search that looks only on the
+	// line the fences predict, and at 1 a put that files its copy one
+	// segment past its home (dir_test.go).
 	dropSegs   bool
+	markless   bool
 	fenceSlack uint64
 	trustGuess bool
 	wrongHome  int
@@ -109,7 +111,7 @@ func New(h *htm.HTM, boot *htm.Thread, cfg Config) *Tree {
 	t.a.StoreWordDirect(boot.P, t.meta+metaRoot, uint64(root))
 	t.a.StoreWordDirect(boot.P, t.meta+metaDepth, 1)
 	t.sepLo.Store(math.MaxUint64)
-	t.dir.Store(t.newDir(1))
+	t.dir.Store(t.newDir(1, false))
 	return t
 }
 
@@ -208,33 +210,49 @@ type leafDir struct {
 
 // newDir makes an empty directory for a tree of the given leaves: the power
 // of two at least twice as many buckets, spread over the keys between the
-// smallest and the largest separator made so far.
-func (t *Tree) newDir(leaves uint64) *leafDir {
+// smallest and the largest separator made so far — and, roomy, twice as
+// many buckets of that width again, whose cover reaches past the largest
+// separator by at least the spread.
+func (t *Tree) newDir(leaves uint64, roomy bool) *leafDir {
 	size := uint64(2)
 	for size < 2*leaves {
 		size *= 2
 	}
 	lo, hi := t.sepLo.Load(), t.sepHi.Load()
 	lo = min(lo, hi) // no split yet: no spread
-	return &leafDir{base: lo, shift: max(0, bits.Len64(hi-lo)-bits.Len64(size-1)),
-		slots: make([]atomic.Uint64, size)}
+	shift := max(0, bits.Len64(hi-lo)-bits.Len64(size-1))
+	if roomy {
+		size *= 2
+	}
+	return &leafDir{base: lo, shift: shift, slots: make([]atomic.Uint64, size)}
 }
 
 func (d *leafDir) slot(key uint64) *atomic.Uint64 {
 	return &d.slots[(key-d.base)>>d.shift&uint64(len(d.slots)-1)]
 }
 
-// noteSplit counts a committed split at separator sep and, once the leaves
-// outnumber half the directory's buckets, swaps in an empty one twice the
-// size.
+// above reports whether key lies past the directory's cover, where its
+// bucket wraps onto those of the lowest keys.
+func (d *leafDir) above(key uint64) bool {
+	return key >= d.base && (key-d.base)>>d.shift >= uint64(len(d.slots))
+}
+
+// noteSplit counts a committed split at separator sep and swaps in an empty
+// directory once the leaves outnumber half the directory's buckets, twice
+// the size, or once sep lies past its cover, roomy: an ascending fill
+// pushes its separators there, and each roomy directory at least doubles
+// the cover, so a fill rebuilds O(log leaves) times either way.
 func (t *Tree) noteSplit(sep uint64) {
 	for lo := t.sepLo.Load(); sep < lo && !t.sepLo.CompareAndSwap(lo, sep); lo = t.sepLo.Load() {
 	}
 	for hi := t.sepHi.Load(); sep > hi && !t.sepHi.CompareAndSwap(hi, sep); hi = t.sepHi.Load() {
 	}
 	leaves := t.splits.Add(1) + 1
-	if d := t.dir.Load(); leaves > uint64(len(d.slots)/2) {
-		t.dir.CompareAndSwap(d, t.newDir(leaves))
+	switch d := t.dir.Load(); {
+	case leaves > uint64(len(d.slots)/2):
+		t.dir.CompareAndSwap(d, t.newDir(leaves, false))
+	case d.above(sep):
+		t.dir.CompareAndSwap(d, t.newDir(leaves, true))
 	}
 }
 
@@ -338,17 +356,24 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		ccm := t.ccmAddr(leaf)
 		slot := t.slotOf(key)
 		useLock, _ := t.ccmGate(th, ccm, segs)
-		// Anticipate an insertion: marks are bumped *before* the lower
-		// region so a concurrent get can never miss a committed insert
-		// (Algorithm 2 line 38). A zero mark count proves the key absent,
-		// so the common update path costs only this one load; the rare
-		// insert-into-occupied-slot case is detected inside the lower
-		// region (oNeedMark) and re-run after pre-incrementing.
+		// Anticipate an insertion into a partitioned leaf: marks are bumped
+		// *before* the lower region so a concurrent get can never miss a
+		// committed insert (Algorithm 2 line 38). A zero mark count proves
+		// the key absent, so the common update path costs only this one
+		// load; the rare insert-into-occupied-slot case is detected inside
+		// the lower region (oNeedMark) and re-run after pre-incrementing. A
+		// leaf sampled dense is not asked: its marks are counted when a
+		// rewrite partitions it, and a region that finds it partitioned
+		// already says oNeedMark.
+		part := segs == t.cfg.Segments
 		preMarked := false
-		if t.cfg.CCMMarkBits && t.markCount(th.P, ccm, slot) == 0 {
-			th.Fault(htm.FaultCCM)
+		mark := func() {
 			t.markAdd(th.P, ccm, slot, +1)
 			preMarked = true
+		}
+		if t.cfg.CCMMarkBits && part && t.markCount(th.P, ccm, slot) == 0 {
+			th.Fault(htm.FaultCCM)
+			mark()
 		}
 		if useLock {
 			th.Fault(htm.FaultCCM)
@@ -364,19 +389,20 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 		}
 		runLower()
 		if out == oNeedMark {
-			t.markAdd(th.P, ccm, slot, +1)
-			preMarked = true
+			mark()
 			runLower()
 		}
 		if out == oMaint {
 			// Locked maintenance: compaction or sort-split-reorganize. The
 			// maintenance path may insert, so it needs the mark too.
-			if t.cfg.CCMMarkBits && !preMarked {
-				t.markAdd(th.P, ccm, slot, +1)
-				preMarked = true
+			if t.cfg.CCMMarkBits && !preMarked && part {
+				mark()
 			}
 			t.maintRounds.Add(1)
-			out = t.leafMaint(th, leaf, s0, segs, key, val)
+			if out = t.leafMaint(th, leaf, s0, segs, key, val, t.cfg.CCMMarkBits && !preMarked); out == oNeedMark {
+				mark()
+				out = t.leafMaint(th, leaf, s0, segs, key, val, false)
+			}
 		}
 		if preMarked && out != oInserted {
 			// Update or retry: the anticipated insert did not materialize.
@@ -394,8 +420,9 @@ func (t *Tree) Put(th *htm.Thread, key, val uint64) {
 	}
 }
 
-// Delete implements tree.KV: the record is removed from its segment and/or
-// tombstoned in the stable region; physical cleanup happens at the next
+// Delete implements tree.KV: on a dense leaf the record is shifted out of
+// the run; on a partitioned one it is removed from its segment and/or
+// tombstoned in the stable region, and physical cleanup happens at the next
 // compaction or split (deletion without rebalancing).
 func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 	for {
@@ -420,11 +447,12 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		}
 		var out outcome
 		var tombstoned bool
+		var in int // the state the region read: only a partitioned leaf's marks count
 		before := th.Stats.ConflictAborts()
 		th.Execute(htm.DefaultPolicy, func(tx *htm.Tx) {
-			out, tombstoned = t.leafDelete(tx, leaf, s0, key)
+			out, tombstoned, in = t.leafDelete(tx, leaf, s0, key)
 		})
-		if out == oFound && t.cfg.CCMMarkBits {
+		if out == oFound && t.cfg.CCMMarkBits && in == t.cfg.Segments {
 			th.Fault(htm.FaultCCM)
 			t.markAdd(th.P, ccm, slot, -1)
 		}
@@ -432,7 +460,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 			t.a.AddWordDirect(th.P, ccm+ccmTombs, 1) >= t.cfg.RebalanceThreshold {
 			// Deferred rebalance (Section 4.2.4): enough deletions have
 			// accumulated on this leaf; rewrite it without them.
-			t.leafMaint(th, leaf, s0, segs, key, tree.Tombstone)
+			t.leafMaint(th, leaf, s0, in, key, tree.Tombstone, false)
 			t.a.StoreWordDirect(th.P, ccm+ccmTombs, 0)
 		}
 		if useLock {

@@ -24,14 +24,16 @@ import (
 //     point); no key present twice among
 //     live locations (a stable entry shadowed by a segment copy is
 //     allowed, a duplicate within or across segments is not). A dense
-//     leaf's segment area is run or garbage and is not interpreted;
+//     leaf holds no tombstone, and its segment area is run or garbage and
+//     is not interpreted;
 //   - the leaf chain visits leaves in ascending key order and agrees with
 //     the set of leaves reachable from the root;
 //   - fences: the first leaf's lo is 0, the last leaf's hi is MaxUint64,
 //     each leaf's lo is the previous leaf's hi + 1, every key lies within
 //     its leaf's fences, and the fences are the parent separators' bounds;
-//   - with mark slots enabled, every live key's slot has a nonzero count
-//     (marks may over-count, never under-count).
+//   - with mark slots enabled, every live key's slot of a partitioned leaf
+//     has a nonzero count (marks may over-count, never under-count; a
+//     dense leaf's are not kept).
 func (t *Tree) Validate(p vclock.Proc) error {
 	root := simmem.Addr(t.a.LoadWord(p, t.meta+metaRoot))
 	depth := t.a.LoadWord(p, t.meta+metaDepth)
@@ -164,13 +166,16 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 	for i := 0; i < stCount; i++ {
 		k := t.a.LoadWord(p, t.stableK(leaf, i))
 		v := t.a.LoadWord(p, t.stableV(leaf, i))
+		if v == tree.Tombstone && segs != t.cfg.Segments {
+			return fmt.Errorf("leaf %d: dense leaf holds a tombstone for key %d", leaf, k)
+		}
 		if v == tree.Tombstone || live[k] {
 			continue
 		}
 		live[k] = true
 	}
-	// Marks must never under-count live keys.
-	if t.cfg.CCMMarkBits {
+	// Marks must never under-count a partitioned leaf's live keys.
+	if t.cfg.CCMMarkBits && segs == t.cfg.Segments {
 		ccm := t.ccmAddr(leaf)
 		perSlot := map[uint]uint64{}
 		for k := range live {
