@@ -112,10 +112,11 @@ trace-demo:
 	go run ./cmd/eunobench -ops 300 -trace trace_abortmix.json abortmix
 
 # seeds: the two seed tables a change to the adaptive tree is judged on,
-# as Markdown — quick fig8's Euno cells at θ 0.9 and 0.99 on seeds 1–9,
+# as Markdown — quick fig8's Euno cells at θ 0.2, 0.9 and 0.99 on seeds
+# 1–9 with the Euno fallback-lock aborts per op (storms) at θ 0.9 and 0.99,
 # and sim-contended's three timed metrics on SIM_SEEDS (default "1 2 3").
 # BASE=<commit> adds that commit's column beside the working tree's
-# (scripts/seeds.sh; ~10 min with a base).
+# (scripts/seeds.sh; ~25 min with a base).
 BASE ?=
 seeds:
 	./scripts/seeds.sh $(BASE)

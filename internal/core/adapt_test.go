@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"eunomia/internal/check"
 	"eunomia/internal/htm"
@@ -281,6 +282,53 @@ func TestDemotionTurnsAwayAStaleMarkRead(t *testing.T) {
 	tr.h.SetFaultInjector(nil)
 	if !ok || got != 10*k {
 		t.Fatalf("get(%d) = %d,%v after the demotion and the dense insert; want %d", k, got, ok, 10*k)
+	}
+	if err := tr.Validate(boot.P); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMarkRejectWaitsOutAWriteBack: a get's mark reject re-reads the seqno
+// only once no commit is writing the leaf's header line back. A commit
+// stores its words one by one under its line locks, so a get on a real
+// goroutine can read a split's new state word and marks — a promoted left
+// half's, which count no key the split moved right — while the seqno
+// still reads old. The test holds the header line locked with the key's
+// mark cleared, as such a write-back would, and lets go with the seqno
+// bumped: the get must wait and find the key, not prove it absent.
+func TestMarkRejectWaitsOutAWriteBack(t *testing.T) {
+	tr, boot := newEuno(t, DefaultConfig)
+	fillEven(tr, boot, 12)
+	tr.heat(boot)
+	const k = 2
+	leaf, segs := tr.leafState(boot, k)
+	if segs != tr.cfg.Segments {
+		t.Fatalf("the set-up left %d segments in use; want a partitioned leaf", segs)
+	}
+	tr.Get(boot, k) // the directory holds the leaf
+	a := tr.a
+	line := (leaf + offSeqno).Line()
+	if _, ok := a.TryLockLine(line); !ok {
+		t.Fatal("the leaf's header line is locked at rest")
+	}
+	marks, shift := markAddr(tr.ccmAddr(leaf), tr.slotOf(k))
+	was := a.WordRaw(marks)
+	a.SetWordRaw(marks, was&^(0xf<<shift))
+	done := make(chan bool)
+	go func() {
+		_, ok := tr.Get(tr.h.NewHostThread(1, 7), k)
+		done <- ok
+	}()
+	select {
+	case ok := <-done:
+		t.Fatalf("get(%d) returned found=%v while a write-back held its leaf's header line", k, ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	a.SetWordRaw(marks, was)
+	a.SetWordRaw(leaf+offSeqno, a.WordRaw(leaf+offSeqno)+1)
+	a.UnlockLine(line, a.AdvanceClock())
+	if !<-done {
+		t.Fatalf("get(%d) proved a present key absent", k)
 	}
 	if err := tr.Validate(boot.P); err != nil {
 		t.Fatal(err)

@@ -38,21 +38,19 @@ func (t *Tree) slotOf(key uint64) uint {
 	return uint(x % uint64(t.nslots))
 }
 
-// lockSlot acquires a writer's advisory lock bit for a slot, spinning (and
-// charging virtual time) until it wins — Algorithm 2 lines 30-31.
+// lockSlot acquires a writer's advisory lock bit for a slot — Algorithm 2
+// lines 30-31 — by test-and-test-and-set: a fetch-or once the bit reads
+// clear, taken when the old word had it clear. Only the slot's own bit
+// makes it wait (spinning, charging virtual time): a neighbour's bit
+// changing in between costs no retry, as it would a CAS of the whole word.
 func (t *Tree) lockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
-	addr := ccm + ccmLockBits
-	bit := uint64(1) << slot
-	for {
-		cur := t.a.LoadWord(p, addr)
-		if cur&bit == 0 && t.a.CASWordDirect(p, addr, cur, cur|bit) {
-			return
-		}
+	addr, bit := ccm+ccmLockBits, uint64(1)<<slot
+	for t.a.LoadWord(p, addr)&bit != 0 || t.a.OrWordDirect(p, addr, bit)&bit != 0 {
 		p.Spin(t.a.Costs().SpinIter)
 	}
 }
 
-// awaitSlot is a reader's wait: loads, no CAS, until no writer holds the
+// awaitSlot is a reader's wait: loads only, until no writer holds the
 // slot's bit (why a get waits rather than skips: config.go, deviations).
 func (t *Tree) awaitSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 	for t.a.LoadWord(p, ccm+ccmLockBits)&(1<<slot) != 0 {
@@ -60,17 +58,11 @@ func (t *Tree) awaitSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
 	}
 }
 
-// unlockSlot releases the advisory lock bit.
+// unlockSlot releases the lock bit its caller holds with one atomic
+// subtract, which clears exactly that bit and, the bit being set, cannot
+// borrow into the slots above it.
 func (t *Tree) unlockSlot(p vclock.Proc, ccm simmem.Addr, slot uint) {
-	addr := ccm + ccmLockBits
-	bit := uint64(1) << slot
-	for {
-		cur := t.a.LoadWord(p, addr)
-		if t.a.CASWordDirect(p, addr, cur, cur&^bit) {
-			return
-		}
-		p.Spin(t.a.Costs().SpinIter)
-	}
+	t.a.AddWordDirect(p, ccm+ccmLockBits, -(uint64(1) << slot))
 }
 
 // markAddr returns the word and nibble shift for a slot's counter.
@@ -86,7 +78,8 @@ func (t *Tree) markCount(p vclock.Proc, ccm simmem.Addr, slot uint) uint64 {
 
 // markAdd adjusts a slot's counting mark by +1 or -1 with saturating
 // semantics and returns the new count. A saturated slot sticks at the
-// ceiling forever (conservative). Decrements below zero are clamped.
+// ceiling forever (conservative); decrements below zero are clamped. The
+// saturation needs the compare, so this one stays a CAS loop.
 func (t *Tree) markAdd(p vclock.Proc, ccm simmem.Addr, slot uint, delta int) uint64 {
 	addr, shift := markAddr(ccm, slot)
 	for {

@@ -309,11 +309,11 @@ func (t *Tree) Get(th *htm.Thread, key uint64) (uint64, bool) {
 		slot := t.slotOf(key)
 		useLock, useMark := t.ccmGate(th, ccm, segs)
 		if useMark && t.markCount(th.P, ccm, slot) == 0 {
-			// Mark slots say no key in this leaf hashes here. Validate the
-			// leaf is still current (a split could have moved the key);
-			// marks never under-count, so a clean seqno proves absence —
-			// from the directory too, which loaded it before the fences.
-			if t.a.LoadWord(th.P, leaf+offSeqno) == s0 {
+			// Mark slots say no key in this leaf hashes here. Marks never
+			// under-count, so the seqno (loaded before the fences, by the
+			// directory too) proves absence if still s0 once no split is
+			// writing it back: one mid-write-back shows new marks by an old seqno.
+			if t.a.LoadWordSettled(th.P, leaf+offSeqno) == s0 {
 				t.markRejects.Add(1)
 				return 0, false
 			}
@@ -434,7 +434,7 @@ func (t *Tree) Delete(th *htm.Thread, key uint64) bool {
 		slot := t.slotOf(key)
 		useLock, useMark := t.ccmGate(th, ccm, segs)
 		if useMark && t.markCount(th.P, ccm, slot) == 0 {
-			if t.a.LoadWord(th.P, leaf+offSeqno) == s0 {
+			if t.a.LoadWordSettled(th.P, leaf+offSeqno) == s0 {
 				t.markRejects.Add(1)
 				return false
 			}

@@ -33,7 +33,10 @@ import (
 //     its leaf's fences, and the fences are the parent separators' bounds;
 //   - with mark slots enabled, every live key's slot of a partitioned leaf
 //     has a nonzero count (marks may over-count, never under-count; a
-//     dense leaf's are not kept).
+//     dense leaf's are not kept);
+//   - every leaf's CCM lock-bit and split-lock words are 0: at rest no
+//     writer holds a lock (a release that cleared a bit it did not hold
+//     would leave bits above it set that no one holds).
 func (t *Tree) Validate(p vclock.Proc) error {
 	root := simmem.Addr(t.a.LoadWord(p, t.meta+metaRoot))
 	depth := t.a.LoadWord(p, t.meta+metaDepth)
@@ -174,9 +177,12 @@ func (t *Tree) validateLeaf(p vclock.Proc, leaf simmem.Addr, low, high uint64, c
 		}
 		live[k] = true
 	}
+	ccm := t.ccmAddr(leaf)
+	if bits, split := t.a.LoadWord(p, ccm+ccmLockBits), t.a.LoadWord(p, ccm+ccmSplitLock); bits != 0 || split != 0 {
+		return fmt.Errorf("leaf %d: CCM locks held at rest (lock bits %b, split lock %d)", leaf, bits, split)
+	}
 	// Marks must never under-count a partitioned leaf's live keys.
 	if t.cfg.CCMMarkBits && segs == t.cfg.Segments {
-		ccm := t.ccmAddr(leaf)
 		perSlot := map[uint]uint64{}
 		for k := range live {
 			perSlot[t.slotOf(k)]++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -174,4 +175,33 @@ func TestValidateUnderCapacityPressure(t *testing.T) {
 		tr.Put(boot, uint64(r.Intn(800))+1, uint64(i))
 	}
 	validateOrFail(t, tr, boot)
+}
+
+// TestValidateDetectsLocksHeldAtRest: a slot bit or split lock left held
+// after every operation has returned is reported against its leaf — a
+// release that cleared a bit it did not hold would borrow into the bits
+// above it and leave them so.
+func TestValidateDetectsLocksHeldAtRest(t *testing.T) {
+	tr, boot := newEuno(t, DefaultConfig)
+	for i := uint64(1); i <= 200; i++ {
+		tr.Put(boot, i, i)
+	}
+	validateOrFail(t, tr, boot)
+	leaf, _ := tr.leafState(boot, 100)
+	ccm := tr.ccmAddr(leaf)
+	for _, c := range []struct {
+		what         string
+		lock, unlock func()
+	}{
+		{"slot 5's lock bit", func() { tr.lockSlot(boot.P, ccm, 5) }, func() { tr.unlockSlot(boot.P, ccm, 5) }},
+		{"the split lock", func() { tr.lockLeaf(boot.P, ccm) }, func() { tr.unlockLeaf(boot.P, ccm) }},
+	} {
+		c.lock()
+		err := tr.Validate(boot.P)
+		if want := fmt.Sprintf("leaf %d: CCM locks held at rest", leaf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s held at rest: Validate says %v, want %q", c.what, err, want)
+		}
+		c.unlock()
+		validateOrFail(t, tr, boot)
+	}
 }

@@ -360,8 +360,19 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 	tx.st.TxLoads++
 	a := tx.h.arena
 	if tx.direct {
-		tx.awaitWriteBack(addr.Line())
-		return a.LoadWord(tx.p, addr)
+		// A fallback-path load waits until no commit is writing the line
+		// back. Taking the fallback lock stops transactions that have yet
+		// to validate (they subscribe to the lock word), but one that
+		// validated just before still holds its write lines locked while it
+		// applies its stores; a load that ignored the line lock would read
+		// that commit half applied, and the fallback body would then place
+		// its own stores by what it read — a lost insert or a value under
+		// the wrong key. Direct stores already wait, through the line lock
+		// they take. Every proc waits, the virtual-time simulator's too: a
+		// commit there charges its locking and write-back line by line, so
+		// another core runs between its lock and its unlock, where on
+		// hardware an RTM commit is atomic to every reader.
+		return a.LoadWordSettled(tx.p, addr)
 	}
 	// Read-your-writes: a buffered store to this address wins (a
 	// store-buffer hit, charged at hit cost). Coalescing in Store keeps at
@@ -416,25 +427,6 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 		a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(s1), false)
 	}
 	return v
-}
-
-// awaitWriteBack holds a fallback-path load until no commit is writing the
-// line back. Taking the fallback lock stops transactions that have yet to
-// validate (they subscribe to the lock word), but one that validated just
-// before still holds its write lines locked while it applies its stores; a
-// direct load that ignored the line lock would read that commit half
-// applied, and the fallback body would then place its own stores by what it
-// read — a lost insert or a value under the wrong key. Direct stores
-// already wait, through the line lock they take. Every proc waits, the
-// virtual-time simulator's (vclock.SimProc) too: a commit there charges
-// its locking and write-back line by line, so another core runs between
-// its lock and its unlock, where on hardware an RTM commit is atomic to
-// every reader.
-func (tx *Tx) awaitWriteBack(line uint64) {
-	a := tx.h.arena
-	for simmem.StateLocked(a.LineState(line)) {
-		tx.p.Spin(a.Costs().SpinIter)
-	}
 }
 
 // Store performs a transactional (buffered) write of one word.

@@ -371,17 +371,25 @@ func (a *Arena) LoadWord(p vclock.Proc, addr Addr) uint64 {
 	return atomic.LoadUint64(&a.words[addr])
 }
 
+// LoadWordSettled is LoadWord once no commit holds the word's line: a
+// commit locks every line it writes before it stores its first word and
+// unlocks them after its last, so a caller that already saw any word of a
+// commit that also writes this line reads that commit's word here, or a
+// newer one. A plain direct load can read a line a commit is halfway
+// through writing back.
+func (a *Arena) LoadWordSettled(p vclock.Proc, addr Addr) uint64 {
+	for StateLocked(a.state[addr.Line()].Load()) {
+		p.Spin(a.costs.SpinIter)
+	}
+	return a.LoadWord(p, addr)
+}
+
 // StoreWordDirect performs a direct single-word store, bumping the line
 // version so concurrent transactions that read the line abort.
 func (a *Arena) StoreWordDirect(p vclock.Proc, addr Addr, v uint64) {
 	a.ChargeAccess(p, addr, true)
-	line := addr.Line()
-	a.lockLineSpin(p, line)
-	atomic.StoreUint64(&a.words[addr], v)
-	a.wmask[line].Store(1 << addr.WordInLine())
-	ver := a.AdvanceClock()
-	a.state[line].Store(ver << 1)
-	a.NoteLineWritten(p, line, ver)
+	a.lockLineSpin(p, addr.Line())
+	a.publish(p, addr, v)
 }
 
 // StoreWordOwned performs an atomic store to a line whose exclusion the
@@ -391,12 +399,7 @@ func (a *Arena) StoreWordDirect(p vclock.Proc, addr Addr, v uint64) {
 // overlapping transactions abort.
 func (a *Arena) StoreWordOwned(p vclock.Proc, addr Addr, v uint64) {
 	a.ChargeAccess(p, addr, true)
-	line := addr.Line()
-	atomic.StoreUint64(&a.words[addr], v)
-	a.wmask[line].Store(1 << addr.WordInLine())
-	ver := a.AdvanceClock()
-	a.state[line].Store(ver << 1)
-	a.NoteLineWritten(p, line, ver)
+	a.publish(p, addr, v)
 }
 
 // CASWordDirect performs a direct compare-and-swap on one word. A failed
@@ -410,11 +413,7 @@ func (a *Arena) CASWordDirect(p vclock.Proc, addr Addr, old, new uint64) bool {
 		a.RestoreLine(line, prev)
 		return false
 	}
-	atomic.StoreUint64(&a.words[addr], new)
-	a.wmask[line].Store(1 << addr.WordInLine())
-	ver := a.AdvanceClock()
-	a.state[line].Store(ver << 1)
-	a.NoteLineWritten(p, line, ver)
+	a.publish(p, addr, new)
 	return true
 }
 
@@ -422,15 +421,41 @@ func (a *Arena) CASWordDirect(p vclock.Proc, addr Addr, old, new uint64) bool {
 // with the same version-bumping semantics as StoreWordDirect.
 func (a *Arena) AddWordDirect(p vclock.Proc, addr Addr, delta uint64) uint64 {
 	a.ChargeAccess(p, addr, true)
-	line := addr.Line()
-	a.lockLineSpin(p, line)
+	a.lockLineSpin(p, addr.Line())
 	v := atomic.LoadUint64(&a.words[addr]) + delta
+	a.publish(p, addr, v)
+	return v
+}
+
+// OrWordDirect atomically sets bits in a word and returns its previous
+// value: a fetch-or, the `lock bts` of an advisory bit lock. When every bit
+// is already set it changes nothing and, like a failed CAS, leaves the line
+// version and write mask alone; otherwise it has AddWordDirect's
+// version-bumping semantics.
+func (a *Arena) OrWordDirect(p vclock.Proc, addr Addr, bits uint64) (old uint64) {
+	a.ChargeAccess(p, addr, true)
+	line := addr.Line()
+	prev := a.lockLineSpin(p, line)
+	old = atomic.LoadUint64(&a.words[addr])
+	if old&bits == bits {
+		a.RestoreLine(line, prev)
+		return old
+	}
+	a.publish(p, addr, old|bits)
+	return old
+}
+
+// publish ends every direct write: it stores v, marks the word as the
+// line's last write, advances the line to a fresh version (which also
+// releases a line lock the caller holds) and notes the write with the
+// cache model, so a transaction that read the line aborts.
+func (a *Arena) publish(p vclock.Proc, addr Addr, v uint64) {
+	line := addr.Line()
 	atomic.StoreUint64(&a.words[addr], v)
 	a.wmask[line].Store(1 << addr.WordInLine())
 	ver := a.AdvanceClock()
 	a.state[line].Store(ver << 1)
 	a.NoteLineWritten(p, line, ver)
-	return v
 }
 
 // Costs returns the arena's cost model (shared with the HTM engine).
