@@ -29,15 +29,24 @@ type artifact struct {
 	Runs  []json.RawMessage `json:"runs"`
 }
 
-// runStamp opens every recorded run.
+// runStamp opens every recorded run: when, with which Go, and on how many
+// cores, so a number is never read apart from the machine that made it.
 type runStamp struct {
-	Label     string `json:"label"`
-	Date      string `json:"date"`
-	GoVersion string `json:"go_version"`
+	Label      string `json:"label"`
+	Date       string `json:"date"`
+	GoVersion  string `json:"go_version"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
 }
 
 func newStamp(label string) runStamp {
-	return runStamp{Label: label, Date: time.Now().UTC().Format("2006-01-02"), GoVersion: runtime.Version()}
+	return runStamp{
+		Label:      label,
+		Date:       time.Now().UTC().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+	}
 }
 
 // loadArtifact parses the artifact at path; a missing file is a fresh

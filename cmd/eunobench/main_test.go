@@ -36,6 +36,12 @@ func TestArtifactMissingFileIsFreshSuite(t *testing.T) {
 	if b.Suite != "Suite" || b.Note != "note" || len(b.Runs) != 1 {
 		t.Fatalf("an existing file must keep its own header and runs, got %+v", b)
 	}
+	// Every run names the cores it ran on.
+	for _, field := range []string{`"gomaxprocs":`, `"num_cpu":`} {
+		if !bytes.Contains(b.Runs[0], []byte(field)) {
+			t.Fatalf("recorded run %s lacks %s", b.Runs[0], field)
+		}
+	}
 }
 
 // A corrupt artifact is an error at load time — which every subcommand

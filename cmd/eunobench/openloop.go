@@ -305,8 +305,6 @@ func (r *loopResult) window(lo, hi int) (float64, uint64) {
 // reshardchaos artifact); Results holds the scenario's own record.
 type loopRun struct {
 	runStamp
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
 	Shards     int    `json:"shards"`
 	Keys       uint64 `json:"keys"`
 	DurationMS int64  `json:"duration_ms"`
@@ -316,8 +314,6 @@ type loopRun struct {
 func newLoopRun(scenario string, shards int, keys uint64, dur time.Duration, result any) loopRun {
 	return loopRun{
 		runStamp:   newStamp(*benchlabel + "-" + scenario),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
 		Shards:     shards,
 		Keys:       keys,
 		DurationMS: dur.Milliseconds(),

@@ -630,7 +630,7 @@ func (t *Tree) leafMaintBody(tx *htm.Tx, sc *threadScratch, leaf simmem.Addr, s0
 	if t.cfg.CCMMarkBits && t.partitions(hot, len(recs)-half) {
 		t.initMarks(tx, right, recs[half:])
 	}
-	// The commit writes back in store order, and the directory's direct
+	// The commit writes back in first-store order, and the directory's direct
 	// probe loads a leaf's seqno, then its fences, then next (locate): so
 	// the right leaf's marks go before the link to it, and the fences
 	// before the seqno.

@@ -1,7 +1,9 @@
 package htm
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eunomia/internal/simmem"
@@ -124,6 +126,59 @@ func TestHostOpacity(t *testing.T) {
 	wg.Wait()
 	if got := a.WordRaw(wa) + a.WordRaw(wb); got != total {
 		t.Fatalf("final sum = %d, want %d", got, total)
+	}
+}
+
+// TestCommitWritesBackInStoreOrder: a commit writes its words back in the
+// order they were first stored, across lines and within one, whatever the
+// word indexes — the order the trees' absence proofs rely on (a split
+// stores a leaf's fences before its seqno). A writer commits the number n
+// to seven words in a scrambled store order, one of them stored twice,
+// while a reader reads the words with plain loads in the reverse of that
+// order. A word written back no later than one read before it can never
+// hold less, so a drop between two consecutive reads is a write-back out
+// of store order. It catches something only on two or more cores.
+func TestCommitWritesBackInStoreOrder(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the reader must run beside the write-back")
+	}
+	h, a := newDeviceWith(1<<16, Config{})
+	boot := h.NewHostThread(0, 1)
+	la := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
+	lb := a.AllocAligned(boot.P, simmem.WordsPerLine, simmem.TagKeys)
+	stores := []simmem.Addr{la + 5, lb, la, lb + 7, la + 3, la + 5, lb + 4, la + 7}
+	reads := []simmem.Addr{la + 7, lb + 4, la + 3, lb + 7, la, lb, la + 5}
+
+	commits := uint64(100_000)
+	if testing.Short() {
+		commits = 20_000
+	}
+	var done atomic.Bool
+	go func() {
+		defer done.Store(true)
+		th := h.NewHostThread(1, 7)
+		for n := uint64(1); n <= commits && !t.Failed(); n++ {
+			th.Execute(DefaultPolicy, func(tx *Tx) {
+				for _, addr := range stores {
+					tx.Store(addr, n)
+				}
+			})
+		}
+	}()
+	for !done.Load() {
+		prev := a.WordRaw(reads[0])
+		for _, addr := range reads[1:] {
+			v := a.WordRaw(addr)
+			if v < prev {
+				t.Errorf("read %d at word %d after %d at the word stored after it: written back out of store order",
+					v, addr, prev)
+				for !done.Load() {
+					runtime.Gosched()
+				}
+				return
+			}
+			prev = v
+		}
 	}
 }
 

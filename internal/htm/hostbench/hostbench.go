@@ -13,13 +13,16 @@
 //     writes a machine-readable summary (BENCH_emulator.json) so before/after
 //     speedups are tracked across PRs.
 //
-// All cases run single-threaded on a WallProc, the clock the figures'
-// preloads run on, so every access goes through the cost model as it does
-// in a figure: there are no conflicts and no aborts, so ns/op measures
-// exactly the emulator's bookkeeping — the host overhead that, if
-// superlinear, distorts every figure benchmark's wall time. Virtual-time
-// metrics are deliberately not reported here; hostbench exists to measure
-// the simulator, not the simulation.
+// Every case runs single-threaded twice, with the same body. Under its
+// plain name it runs on a WallProc, the clock the figures' preloads run on,
+// so every access goes through the cost model as it does in a figure. Under
+// a "host/" prefix it runs on a vclock.HostProc, the proc every NewThread
+// handle gets, whose accesses skip the cost model: that row is the
+// emulator's price on the library's own path. There are no conflicts and
+// no aborts, so ns/op measures exactly the emulator's bookkeeping — the
+// host overhead that, if superlinear, distorts every figure benchmark's
+// wall time. Virtual-time metrics are deliberately not reported here;
+// hostbench exists to measure the simulator, not the simulation.
 package hostbench
 
 import (
@@ -41,27 +44,32 @@ type Case struct {
 	Bench func(b *testing.B)
 }
 
-// Cases returns the full HostEmulator suite.
+// Cases returns the full HostEmulator suite: every case on a WallProc, then
+// every case again on a HostProc under a "host/" prefix.
 func Cases() []Case {
 	var cs []Case
-	for _, n := range Sizes {
-		n := n
-		cs = append(cs,
-			Case{fmt.Sprintf("Load/rs=%d", n), func(b *testing.B) { benchLoad(b, n) }},
-			Case{fmt.Sprintf("Load/sameLine/rs=%d", n), func(b *testing.B) { benchLoadSameLine(b, n) }},
-			Case{fmt.Sprintf("LoadMerge/rs=%d", n), func(b *testing.B) { benchLoadMerge(b, n) }},
-			Case{fmt.Sprintf("StoreCommit/ws=%d", n), func(b *testing.B) { benchStoreCommit(b, n) }},
-			Case{fmt.Sprintf("ReadYourWrites/ws=%d", n), func(b *testing.B) { benchReadYourWrites(b, n) }},
-			Case{fmt.Sprintf("WriteCommit/rs=%d", n), func(b *testing.B) { benchWriteCommit(b, n) }},
-		)
+	for _, host := range []bool{false, true} {
+		prefix := ""
+		if host {
+			prefix = "host/"
+		}
+		for _, n := range Sizes {
+			cs = append(cs,
+				Case{fmt.Sprintf("%sLoad/rs=%d", prefix, n), func(b *testing.B) { benchLoad(b, n, host) }},
+				Case{fmt.Sprintf("%sLoad/sameLine/rs=%d", prefix, n), func(b *testing.B) { benchLoadSameLine(b, n, host) }},
+				Case{fmt.Sprintf("%sLoadMerge/rs=%d", prefix, n), func(b *testing.B) { benchLoadMerge(b, n, host) }},
+				Case{fmt.Sprintf("%sStoreCommit/ws=%d", prefix, n), func(b *testing.B) { benchStoreCommit(b, n, host) }},
+				Case{fmt.Sprintf("%sReadYourWrites/ws=%d", prefix, n), func(b *testing.B) { benchReadYourWrites(b, n, host) }},
+				Case{fmt.Sprintf("%sWriteCommit/rs=%d", prefix, n), func(b *testing.B) { benchWriteCommit(b, n, host) }},
+			)
+		}
 	}
 	return cs
 }
 
-// setup builds a single-threaded device with nLines line-aligned, line-sized
-// allocations, so every address in the returned slice is a distinct cache
-// line.
-func setup(nLines int) (*htm.Thread, []simmem.Addr) {
+// setup builds a single-threaded device, on a HostProc if host and a
+// WallProc otherwise, with nLines line-aligned, line-sized allocations.
+func setup(nLines int, host bool) (*htm.Thread, []simmem.Addr) {
 	arena := simmem.NewArena(uint64((nLines + 16) * simmem.WordsPerLine * 2))
 	// Double the default capacity caps: the fallback-lock subscription
 	// occupies one read-set line, and capacity aborts are not what these
@@ -70,7 +78,10 @@ func setup(nLines int) (*htm.Thread, []simmem.Addr) {
 		MaxReadLines:  2 * htm.DefaultConfig.MaxReadLines,
 		MaxWriteLines: 2 * htm.DefaultConfig.MaxWriteLines,
 	})
-	p := vclock.NewWallProc(0, 0)
+	var p vclock.Proc = vclock.NewWallProc(0, 0)
+	if host {
+		p = vclock.NewHostProc(0)
+	}
 	th := h.NewThread(p, 1)
 	addrs := make([]simmem.Addr, nLines)
 	for i := range addrs {
@@ -89,8 +100,8 @@ func mustCommit(b *testing.B, th *htm.Thread, body func(*htm.Tx)) {
 // benchLoad: one read-only transaction reading n distinct lines. Each Load
 // must consult the store buffer (empty) and append to the read log; the
 // read-only commit is O(1).
-func benchLoad(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchLoad(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,8 +117,8 @@ func benchLoad(b *testing.B, n int) {
 // benchLoadSameLine: all eight words of each of n lines, line by line — the
 // way a tree reads a node. Seven loads in eight hit the line just read and
 // take the same-line revalidation; the read log gets one entry per line.
-func benchLoadSameLine(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchLoadSameLine(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,8 +137,8 @@ func benchLoadSameLine(b *testing.B, n int) {
 // other lines in between, so the second pass revisits lines that are not the
 // one just read: it doubles the read log and, at rs=512, reaches the
 // fold-at-capacity point on its last load.
-func benchLoadMerge(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchLoadMerge(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -145,8 +156,8 @@ func benchLoadMerge(b *testing.B, n int) {
 
 // benchStoreCommit: one transaction buffering stores to n distinct lines,
 // then a writing commit that locks, applies, and releases all n.
-func benchStoreCommit(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchStoreCommit(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -161,8 +172,8 @@ func benchStoreCommit(b *testing.B, n int) {
 
 // benchReadYourWrites: n buffered stores followed by n Loads of the same
 // addresses, all of which must be served from the store buffer.
-func benchReadYourWrites(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchReadYourWrites(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -181,8 +192,8 @@ func benchReadYourWrites(b *testing.B, n int) {
 // benchWriteCommit: reads and writes the same n lines, so commit locks n
 // write lines and validates an n-line read set against them — the case
 // where a nested validation loop goes quadratic.
-func benchWriteCommit(b *testing.B, n int) {
-	th, addrs := setup(n)
+func benchWriteCommit(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

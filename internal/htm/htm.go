@@ -158,11 +158,8 @@ type readEntry struct {
 	mask uint8 // words of the line read by this transaction
 }
 
-type writeEntry struct {
-	addr simmem.Addr
-	val  uint64
-}
-
+// writeLine is one buffered line: the words stored so far in mask, their
+// values in the Tx's wvals slots for this entry.
 type writeLine struct {
 	line uint64
 	mask uint8
@@ -186,11 +183,21 @@ type held struct {
 // (after the retry policy is exhausted) the same body runs with a Tx whose
 // operations go directly to memory under the global lock.
 //
-// All per-attempt state below (slices, hash indexes, the commit scratch
+// All per-attempt state below (slices, the line index, the commit scratch
 // buffer) is retained across attempts and reset in O(1), so a warmed-up
 // thread executes and commits transactions without heap allocation, and
 // every Load/Store is O(1) regardless of read/write-set size (see
 // txindex.go).
+//
+// The store buffer is the write-line list, one entry per line as RTM's L1
+// tracks it: wls[i] holds the line and the mask of words stored, and
+// wvals[i*WordsPerLine+w] holds word w's value, meaningful only where its
+// mask bit is set. A store to a buffered word overwrites its slot, so
+// commit applies each word once. order lists the slots in the order their
+// words were first stored, and commit writes back in that order: the
+// trees' absence proofs rely on it (a split stores a leaf's fences before
+// its seqno, and a directory probe that reads the new seqno must find the
+// new fences; DESIGN.md §5.2).
 //
 // The read set is a log: Load appends {line, word} and probes no table,
 // because nothing that reads tx.rs needs it de-duplicated. A read-only
@@ -212,14 +219,14 @@ type Tx struct {
 	host bool
 
 	rs     []readEntry // read log; one entry per line once rsFolded
-	ws     []writeEntry
 	wls    []writeLine
+	wvals  []uint64 // WordsPerLine value slots per wls entry
+	order  []int32  // wvals slots in first-store order
 	allocs []allocRec
 
 	// lines maps a line to its wls index (+ owned flag during commit) and,
 	// once rsFolded, to its rs index.
 	lines    lineTab
-	wsIdx    addrTab // buffered-store address → ws index
 	rsFolded bool
 
 	// last{Line,State,Rs} are the most recently read line, the state word
@@ -230,12 +237,11 @@ type Tx struct {
 	lastState uint64
 	lastRs    int32
 
-	// lastStore{Addr,Idx} short-circuit the common store→load/store-again
-	// pattern on the most recently written address without a table probe.
-	// lastStoreAddr is NilAddr when no store is buffered (NilAddr is never
-	// an allocated address).
-	lastStoreAddr simmem.Addr
-	lastStoreIdx  int32
+	// lastWLine and lastWls are the most recently stored line and its wls
+	// index, so stores and loads on that line skip the table probe.
+	// lastWLine is noLine when no store is buffered.
+	lastWLine uint64
+	lastWls   int32
 
 	locked []held // commit scratch: lines locked so far this attempt
 
@@ -374,21 +380,17 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 		// hardware an RTM commit is atomic to every reader.
 		return a.LoadWordSettled(tx.p, addr)
 	}
-	// Read-your-writes: a buffered store to this address wins (a
-	// store-buffer hit, charged at hit cost). Coalescing in Store keeps at
-	// most one entry per address, so the index lookup is exact.
-	if addr == tx.lastStoreAddr {
-		tx.p.Tick(a.Costs().Load)
-		return tx.ws[tx.lastStoreIdx].val
-	}
-	if len(tx.ws) > 0 {
-		if i := tx.wsIdx.get(addr); i != noIdx {
-			tx.p.Tick(a.Costs().Load)
-			return tx.ws[i].val
-		}
-	}
 	line := addr.Line()
 	bit := uint8(1) << addr.WordInLine()
+	// Read-your-writes: a buffered store to this word wins (a store-buffer
+	// hit, charged at hit cost). A word of a buffered line that was not
+	// stored is read from memory like any other.
+	if len(tx.wls) > 0 {
+		if i := tx.wlsOf(line); i != noIdx && tx.wls[i].mask&bit != 0 {
+			tx.p.Tick(a.Costs().Load)
+			return tx.wvals[int(i)*simmem.WordsPerLine+int(addr.WordInLine())]
+		}
+	}
 	if line == tx.lastLine {
 		// Same line as the previous read: its state was unlocked and no
 		// newer than rv then, so "still that value" after reading the word
@@ -437,38 +439,38 @@ func (tx *Tx) Store(addr simmem.Addr, v uint64) {
 		a.StoreWordDirect(tx.p, addr, v)
 		return
 	}
-	// Coalesce with an existing buffered store to the same address
-	// (last-write-wins, and commit's apply loop sees each address once).
-	if addr == tx.lastStoreAddr {
-		tx.ws[tx.lastStoreIdx].val = v
-		tx.p.Tick(a.Costs().Store)
-		return
-	}
-	if len(tx.ws) > 0 {
-		if i := tx.wsIdx.get(addr); i != noIdx {
-			tx.ws[i].val = v
-			tx.lastStoreAddr, tx.lastStoreIdx = addr, i
-			tx.p.Tick(a.Costs().Store)
-			return
-		}
-	}
-	idx := int32(len(tx.ws))
-	tx.ws = append(tx.ws, writeEntry{addr: addr, val: v})
-	tx.wsIdx.set(addr, idx)
-	tx.lastStoreAddr, tx.lastStoreIdx = addr, idx
 	line := addr.Line()
-	bit := uint8(1) << addr.WordInLine()
-	ls := tx.lines.put(line)
-	if ls.wls != noIdx {
-		tx.wls[ls.wls].mask |= bit
-	} else {
+	i := tx.wlsOf(line)
+	if i == noIdx {
 		if len(tx.wls) >= tx.maxWrite {
 			tx.abort(AbortCapacity, line, 0)
 		}
-		ls.wls = int32(len(tx.wls))
-		tx.wls = append(tx.wls, writeLine{line: line, mask: bit})
+		i = int32(len(tx.wls))
+		tx.lines.put(line).wls = i
+		tx.wls = append(tx.wls, writeLine{line: line})
+		tx.wvals = append(tx.wvals, make([]uint64, simmem.WordsPerLine)...)
 	}
+	tx.lastWLine, tx.lastWls = line, i
+	w := addr.WordInLine()
+	slot := i*simmem.WordsPerLine + int32(w)
+	if bit := uint8(1) << w; tx.wls[i].mask&bit == 0 {
+		tx.wls[i].mask |= bit
+		tx.order = append(tx.order, slot)
+	}
+	tx.wvals[slot] = v
 	tx.p.Tick(a.Costs().Store)
+}
+
+// wlsOf returns the wls index of line, or noIdx if no store to it is
+// buffered.
+func (tx *Tx) wlsOf(line uint64) int32 {
+	if line == tx.lastWLine {
+		return tx.lastWls
+	}
+	if ls := tx.lines.get(line); ls != nil {
+		return ls.wls
+	}
+	return noIdx
 }
 
 // AllocAligned allocates arena memory from inside the transaction. If the
@@ -503,7 +505,7 @@ func (tx *Tx) releaseLocked() {
 func (tx *Tx) commit() {
 	a := tx.h.arena
 	costs := a.Costs()
-	if len(tx.ws) == 0 {
+	if len(tx.wls) == 0 {
 		// Read-only transactions were fully validated at read time.
 		tx.p.Tick(costs.TxCommit)
 		return
@@ -543,10 +545,12 @@ func (tx *Tx) commit() {
 			tx.abort(tx.classifyConflict(re.line, tx.accessMask(re.line, 0)), re.line, 0)
 		}
 	}
-	// Apply and release. Write-back charges per-line coherence costs and
-	// refreshes the committer's own cached copies at the new version.
-	for _, w := range tx.ws {
-		a.SetWordRaw(w.addr, w.val)
+	// Apply, in first-store order, and release. Write-back charges per-line
+	// coherence costs and refreshes the committer's own cached copies at
+	// the new version.
+	for _, s := range tx.order {
+		line := tx.wls[s/simmem.WordsPerLine].line
+		a.SetWordRaw(simmem.Addr(line*simmem.WordsPerLine)+simmem.Addr(s%simmem.WordsPerLine), tx.wvals[s])
 	}
 	for _, wl := range tx.wls {
 		if !tx.host {
@@ -562,18 +566,18 @@ func (tx *Tx) commit() {
 }
 
 // reset prepares the Tx for a fresh attempt, retaining buffer and index
-// capacity; every step is O(1) (the hash indexes reset by generation).
+// capacity; every step is O(1) (the line index resets by generation).
 func (tx *Tx) reset(direct bool) {
 	tx.rs = tx.rs[:0]
-	tx.ws = tx.ws[:0]
 	tx.wls = tx.wls[:0]
+	tx.wvals = tx.wvals[:0]
+	tx.order = tx.order[:0]
 	tx.allocs = tx.allocs[:0]
 	tx.locked = tx.locked[:0]
 	tx.lines.reset()
-	tx.wsIdx.reset()
 	tx.rsFolded = false
 	tx.lastLine = noLine
-	tx.lastStoreAddr = simmem.NilAddr
-	tx.lastStoreIdx = noIdx
+	tx.lastWLine = noLine
+	tx.lastWls = noIdx
 	tx.direct = direct
 }

@@ -1,26 +1,24 @@
 package htm
 
-import "eunomia/internal/simmem"
-
-// Per-transaction hash indexes over the read set, write-line list, and
-// store buffer.
+// The per-transaction line index over the read set and the write-line list
+// (the store buffer, one entry per line).
 //
-// The rs/ws/wls slices remain the ordered source of truth (commit's apply
-// loop and the capacity checks iterate them); the tables here only map a
-// cache line or word address to its slice index so that every Tx.Load /
-// Tx.Store / accessMask query is O(1) instead of a linear scan. Both tables
-// are open-addressed with linear probing and are owned by exactly one Tx,
-// which reuses them across attempts the same way it reuses rs/ws/wls:
-// resetting is O(1) via a generation stamp (a slot is live only when its
-// gen matches the table's), so an aborted 512-line attempt does not pay to
-// clear 512 slots before retrying.
+// The rs/wls slices remain the ordered source of truth (commit's apply
+// loop and the capacity checks iterate them); the table here only maps a
+// cache line to its slice indexes so that every Tx.Load / Tx.Store /
+// accessMask query is O(1) instead of a linear scan. It is open-addressed
+// with linear probing and is owned by exactly one Tx, which reuses it
+// across attempts the same way it reuses rs/wls: resetting is O(1) via a
+// generation stamp (a slot is live only when its gen matches the table's),
+// so an aborted 512-line attempt does not pay to clear 512 slots before
+// retrying.
 //
 // Growth doubles the slot array and reinserts live entries; after the first
-// few transactions warm a thread's tables to its working-set size, the
+// few transactions warm a thread's table to its working-set size, the
 // steady state allocates nothing.
 
 const (
-	// noIdx marks "no entry" in a slot's rs/wls/store index fields.
+	// noIdx marks "no entry" in a slot's rs/wls index fields.
 	noIdx int32 = -1
 	// minTabBits sizes a fresh table at 64 slots.
 	minTabBits = 6
@@ -47,8 +45,13 @@ type lineTab struct {
 	used  int
 }
 
-// reset invalidates every entry in O(1) by advancing the generation.
+// reset invalidates every entry in O(1) by advancing the generation, and
+// makes the first slots.
 func (t *lineTab) reset() {
+	if len(t.slots) == 0 {
+		t.slots = make([]lineSlot, 1<<minTabBits)
+		t.shift = 64 - minTabBits
+	}
 	t.gen++
 	t.used = 0
 	if t.gen == 0 { // generation counter wrapped: flush stale stamps once
@@ -59,11 +62,10 @@ func (t *lineTab) reset() {
 	}
 }
 
-// get returns the live slot for line, or nil.
+// get returns the live slot for line, or nil. The table must have slots:
+// reset or put makes them. (Without the empty-table check, Tx.wlsOf stays
+// small enough to inline.)
 func (t *lineTab) get(line uint64) *lineSlot {
-	if len(t.slots) == 0 {
-		return nil
-	}
 	mask := uint64(len(t.slots) - 1)
 	for i := (line * hashMult) >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
@@ -115,95 +117,6 @@ func (t *lineTab) grow() {
 			continue
 		}
 		for j := (s.line * hashMult) >> t.shift; ; j = (j + 1) & mask {
-			if t.slots[j].gen != t.gen {
-				t.slots[j] = s
-				break
-			}
-		}
-	}
-}
-
-// addrSlot maps one word address to its index in tx.ws.
-type addrSlot struct {
-	addr simmem.Addr
-	gen  uint32
-	idx  int32
-}
-
-// addrTab indexes the store buffer (tx.ws) by address, giving O(1)
-// read-your-writes and store coalescing.
-type addrTab struct {
-	slots []addrSlot
-	shift uint
-	gen   uint32
-	used  int
-}
-
-// reset invalidates every entry in O(1) by advancing the generation.
-func (t *addrTab) reset() {
-	t.gen++
-	t.used = 0
-	if t.gen == 0 {
-		for i := range t.slots {
-			t.slots[i].gen = 0
-		}
-		t.gen = 1
-	}
-}
-
-// get returns the ws index for addr, or noIdx.
-func (t *addrTab) get(addr simmem.Addr) int32 {
-	if len(t.slots) == 0 {
-		return noIdx
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := (uint64(addr) * hashMult) >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.gen != t.gen {
-			return noIdx
-		}
-		if s.addr == addr {
-			return s.idx
-		}
-	}
-}
-
-// set records addr → idx; addr must not already be present (stores to a
-// buffered address coalesce in place and never re-insert).
-func (t *addrTab) set(addr simmem.Addr, idx int32) {
-	if len(t.slots) == 0 {
-		t.slots = make([]addrSlot, 1<<minTabBits)
-		t.shift = 64 - minTabBits
-		if t.gen == 0 {
-			t.gen = 1
-		}
-	} else if t.used*2 >= len(t.slots) {
-		t.grow()
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := (uint64(addr) * hashMult) >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.gen != t.gen {
-			*s = addrSlot{addr: addr, gen: t.gen, idx: idx}
-			t.used++
-			return
-		}
-	}
-}
-
-// grow doubles the table, reinserting live entries.
-func (t *addrTab) grow() {
-	old := t.slots
-	bits := 64 - t.shift + 1
-	t.slots = make([]addrSlot, 1<<bits)
-	t.shift = 64 - bits
-	mask := uint64(len(t.slots) - 1)
-	for i := range old {
-		s := old[i]
-		if s.gen != t.gen {
-			continue
-		}
-		for j := (uint64(s.addr) * hashMult) >> t.shift; ; j = (j + 1) & mask {
 			if t.slots[j].gen != t.gen {
 				t.slots[j] = s
 				break

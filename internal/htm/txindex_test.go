@@ -1,11 +1,12 @@
 package htm
 
-// Adversarial tests for the O(1) per-Tx indexes (txindex.go): they drive
-// the hash tables through growth, coalescing, capacity edges, and
-// cross-attempt reuse, checking against brute-force references computed
-// independently of the indexed paths.
+// Adversarial tests for the O(1) per-Tx line index (txindex.go) and the
+// store buffer it indexes: they drive the table through growth,
+// coalescing, capacity edges, and cross-attempt reuse, checking against
+// brute-force references computed independently of the indexed paths.
 
 import (
+	"math/bits"
 	"testing"
 
 	"eunomia/internal/simmem"
@@ -13,19 +14,42 @@ import (
 )
 
 // TestReadYourWritesManyStores buffers stores to far more than 64 distinct
-// addresses (forcing both index tables through several growth doublings),
+// lines (forcing the line index through several growth doublings),
 // interleaved with repeated stores to the same addresses, and checks that
 // every read-your-writes Load returns the latest buffered value and that
-// commit applies last-write-wins.
+// commit applies last-write-wins. One more line, pre-filled with nonzero
+// words, has only its even words stored: a Load of an odd word must read
+// memory, not the line's buffer, and commit must leave the odd words as
+// they were.
 func TestReadYourWritesManyStores(t *testing.T) {
 	const nLines = 100 // 800 words: > 64 distinct addresses per pass
+	const stored = 0b01010101
 	h, a := newDevice(1 << 16)
 	p := vclock.NewWallProc(0, 0)
 	th := h.NewThread(p, 1)
 	base := a.AllocAligned(p, nLines*simmem.WordsPerLine, simmem.TagKeys)
+	part := a.AllocAligned(p, simmem.WordsPerLine, simmem.TagKeys)
 
 	want := make(map[simmem.Addr]uint64)
+	for w := simmem.Addr(0); w < simmem.WordsPerLine; w++ {
+		a.SetWordRaw(part+w, 500+uint64(w))
+		want[part+w] = 500 + uint64(w)
+	}
 	ok, reason := th.Run(func(tx *Tx) {
+		// The partial line's odd words, read right after a store to the
+		// line and again once other lines were stored.
+		checkPart := func(when string) {
+			for w := simmem.Addr(1); w < simmem.WordsPerLine; w += 2 {
+				if got := tx.Load(part + w); got != want[part+w] {
+					t.Fatalf("%s: Load of unstored word %d = %d, want memory's %d", when, w, got, want[part+w])
+				}
+			}
+		}
+		for w := simmem.Addr(0); w < simmem.WordsPerLine; w += 2 {
+			tx.Store(part+w, 900+uint64(w))
+			want[part+w] = 900 + uint64(w)
+		}
+		checkPart("after its stores")
 		// Three passes over every word of every line, each overwriting the
 		// previous value; between passes, spot-check reads.
 		for pass := uint64(1); pass <= 3; pass++ {
@@ -42,10 +66,23 @@ func TestReadYourWritesManyStores(t *testing.T) {
 				}
 			}
 		}
-		// The store buffer must have coalesced: one entry per address.
-		if len(tx.ws) != nLines*simmem.WordsPerLine {
-			t.Fatalf("store buffer has %d entries, want %d (coalescing broken)",
-				len(tx.ws), nLines*simmem.WordsPerLine)
+		checkPart("after other lines' stores")
+		// The store buffer must have coalesced: one write line per line,
+		// with a full mask for the lines stored whole.
+		if len(tx.wls) != nLines+1 {
+			t.Fatalf("store buffer has %d write lines, want %d (coalescing broken)", len(tx.wls), nLines+1)
+		}
+		for _, wl := range tx.wls {
+			full := uint8(0xff)
+			if wl.line == part.Line() {
+				full = stored
+			}
+			if wl.mask != full {
+				t.Fatalf("write line %d has mask %08b, want %08b", wl.line, wl.mask, full)
+			}
+		}
+		if want := nLines*simmem.WordsPerLine + bits.OnesCount8(stored); len(tx.order) != want {
+			t.Fatalf("write-back order lists %d words, want %d, each stored word once", len(tx.order), want)
 		}
 	})
 	if !ok {
