@@ -1,6 +1,6 @@
 # Convenience targets; `go build ./... && go test ./...` is the tier-1 gate.
 
-.PHONY: test tier1-stress verify check golden ci benchmark seeds bench-emulator bench-emulator-json bench bench-hostops bench-durable bench-swarm bench-reshard figures trace-demo loc
+.PHONY: test tier1-stress verify check golden ci benchmark seeds bench-emulator bench-emulator-json bench-hostops bench-durable bench-swarm bench-reshard figures trace-demo loc
 
 test:
 	go build ./... && go test ./...
@@ -10,8 +10,8 @@ test:
 # the root package's reshard, merge-scan, live-handle and
 # panic-containment tests), 20 uncached runs of each
 # (-count=1, a fresh process per run), stopping at the first red. Green
-# here at GOMAXPROCS 1, 2 and 4 is what ROADMAP item 1 asks of tier-1; CI
-# runs the same three under that matrix.
+# here at GOMAXPROCS 1, 2 and 4 is what ROADMAP's aim 3 asks of tier-1;
+# CI runs the same three under that matrix.
 STRESS_RUNS ?= 20
 tier1-stress:
 	@for i in $$(seq 1 $(STRESS_RUNS)); do \
@@ -35,8 +35,8 @@ check:
 	go test -short ./internal/check/... ./internal/durable/...
 
 # golden: the bit-identical-figures guard — a change that does not mean
-# to alter the default (fragile-policy, observer-less, emulated) path must
-# not move the paper-faithful default figures (fig1, fig8, fig13's
+# to alter the default (fragile-policy, observer-less, virtual-time) path
+# must not move the paper-faithful default figures (fig1, fig8, fig13's
 # ablation chain; and the range-query table, for the scan path) by a
 # single cycle.
 golden:
@@ -64,13 +64,9 @@ LABEL ?= current
 bench-emulator-json:
 	go run ./cmd/eunobench -benchjson BENCH_emulator.json -benchlabel $(LABEL) hostbench
 
-# bench: the scaled-down figure benchmarks (virtual-time metrics).
-bench:
-	go test -run=NONE -bench=Fig -benchtime=1x .
-
 # bench-hostops: one get and one put on a 100k-key Euno-B+Tree at host
 # speed, 5 repetitions — the price of an operation's TL2 bookkeeping plus
-# tree logic, the number EXPERIMENTS.md quotes for the read path.
+# tree logic.
 bench-hostops:
 	go test -run=NONE -bench 'HostOps/Euno' -count=5 .
 
@@ -125,7 +121,8 @@ seeds:
 # down" is one command — and, in the options row, the exported fields of
 # the public options structs (Options, Durability, Observability and
 # every *Options; a struct-typed field counts as one), so "knobs went
-# down" is the same command.
+# down" is the same command. The last two rows are the line counts of
+# EXPERIMENTS.md and DESIGN.md.
 loc:
 	@for d in . internal/core internal/htm internal/durable internal/harness cmd/eunobench bench; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
@@ -135,3 +132,6 @@ loc:
 		s && /^}/ { s = 0 } \
 		s && /^\t[A-Z][A-Za-z0-9_]* / { n++ } \
 		END { print n }' *.go)
+	@for f in EXPERIMENTS.md DESIGN.md; do \
+		printf '%-18s %6d\n' $$f $$(wc -l < $$f); \
+	done

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -221,5 +223,117 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 	}
 	if inAll == 0 || inAll == len(subcommands) {
 		t.Errorf("`all` runs %d of %d subcommands; it is the paper's figures only", inAll, len(subcommands))
+	}
+}
+
+// goldenCell is one cell of testdata/golden-<name>-quick.csv: in the
+// table whose title line contains title, the row whose first cell is row,
+// the column headed col.
+func goldenCell(t *testing.T, name, title, row, col string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "golden-"+name+"-quick.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range strings.Split(strings.TrimSpace(string(b)), "\n\n") {
+		lines := strings.Split(table, "\n")
+		if len(lines) < 2 || !strings.Contains(lines[0], title) {
+			continue
+		}
+		c := slices.Index(strings.Split(lines[1], ","), col)
+		for _, line := range lines[2:] {
+			if cells := strings.Split(line, ","); cells[0] == row && c > 0 && c < len(cells) {
+				return cells[c]
+			}
+		}
+	}
+	t.Fatalf("golden-%s-quick.csv has no cell %q/%q in a table titled %q", name, row, col, title)
+	return ""
+}
+
+// cellMops is a throughput cell ("67.79M") in millions of operations per second.
+func cellMops(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "M"), 64)
+	if err != nil || !strings.HasSuffix(cell, "M") {
+		t.Fatalf("throughput cell %q: %v", cell, err)
+	}
+	return v
+}
+
+// docText is file (relative to the repository root) with every run of
+// white space one space, so a sentence reads the same however its lines
+// are wrapped.
+func docText(t *testing.T, file string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(strings.Fields(string(b)), " ")
+}
+
+// The headline of EXPERIMENTS.md, and every README sentence that quotes a
+// golden cell, state what the checked-in goldens say: each figure below is
+// recomputed from a golden, and a re-baseline that moves it fails here
+// until the prose moves with it.
+func TestHeadlineMatchesGoldens(t *testing.T) {
+	fig1 := func(theta, col string) string { return goldenCell(t, "fig1", "Figure 1", theta, col) }
+	fig8 := func(name, theta, tree string) string { return goldenCell(t, name, "Figure 8", theta, tree) }
+	adaptive := func(title string) string { return goldenCell(t, "fig13", title, "+Adaptive", "relative") }
+	over := func(theta, tree string) float64 {
+		return cellMops(t, fig8("fig8", theta, "Euno-B+Tree")) / cellMops(t, fig8("fig8", theta, tree))
+	}
+	times := func(r float64) string { return fmt.Sprintf("%.1f×", r) }
+	ahead := func(r float64) string { return fmt.Sprintf("%+.0f %%", 100*(r-1)) }
+	spaced := func(cell string) string { return strings.TrimSuffix(cell, "M") + " M" }
+	// against states a fig8 ratio with the two cells it comes from.
+	against := func(theta, tree string, ratio func(float64) string) string {
+		return fmt.Sprintf("%s against %s at θ = %s (%s)", spaced(fig8("fig8", theta, "Euno-B+Tree")),
+			spaced(fig8("fig8", theta, tree)), strings.TrimSuffix(theta, "0"), ratio(over(theta, tree)))
+	}
+	fig1Drop := cellMops(t, fig1("0.20", "throughput(ops/s)")) / cellMops(t, fig1("0.90", "throughput(ops/s)"))
+	headline := []string{
+		// Figure 1: the baseline's collapse.
+		fmt.Sprintf("%s → %s at θ = 0.9 (%s)", spaced(fig1("0.20", "throughput(ops/s)")),
+			spaced(fig1("0.90", "throughput(ops/s)")), times(fig1Drop)),
+		fmt.Sprintf("%s aborts/op", fig1("0.90", "aborts/op")),
+		// Figure 8: Euno-B+Tree against HTM-B+Tree and Masstree.
+		against("0.90", "HTM-B+Tree", times), against("0.99", "HTM-B+Tree", times),
+		against("0.20", "HTM-B+Tree", ahead),
+		against("0.90", "Masstree", ahead), against("0.99", "Masstree", ahead),
+		fmt.Sprintf("HTM-Masstree %s at θ = 0.9", spaced(fig8("fig8", "0.90", "HTM-Masstree"))),
+		// Figure 9's baseline side is Figure 1's tree.
+		fmt.Sprintf("%s → ", fig1("0.99", "aborts/op")),
+		fmt.Sprintf("%s → ", fig1("0.90", "aborts/op")),
+		// Figure 13: the full tree against the baseline.
+		fmt.Sprintf("`+Adaptive` %s at θ = 0.9, %s at θ = 0.2",
+			strings.Replace(adaptive("theta=0.9"), "x", "×", 1), strings.Replace(adaptive("theta=0.2"), "x", "×", 1)),
+	}
+	_, section, found := strings.Cut(docText(t, "EXPERIMENTS.md"), "## Headline results ")
+	if !found {
+		t.Fatal("EXPERIMENTS.md has no headline section")
+	}
+	section, _, _ = strings.Cut(section, " ## ")
+	for _, want := range headline {
+		if !strings.Contains(section, want) {
+			t.Errorf("EXPERIMENTS.md's headline does not state %q, which the goldens give", want)
+		}
+	}
+
+	readme := []string{
+		fmt.Sprintf("%s HTM-B+Tree at θ = 0.9 and %s at θ = 0.99", times(over("0.90", "HTM-B+Tree")), times(over("0.99", "HTM-B+Tree"))),
+	}
+	// The lemming wait, quick fig8 on the fragile device → on the hardened one.
+	for _, tree := range []string{"HTM-B+Tree", "HTM-Masstree", "Euno-B+Tree"} {
+		readme = append(readme, fmt.Sprintf("%s %s → %s at θ = 0.9 and %s → %s at θ = 0.99", tree,
+			spaced(fig8("fig8", "0.90", tree)), spaced(fig8("fig8-resilient", "0.90", tree)),
+			spaced(fig8("fig8", "0.99", tree)), spaced(fig8("fig8-resilient", "0.99", tree))))
+	}
+	text := docText(t, "README.md")
+	for _, want := range readme {
+		if !strings.Contains(text, want) {
+			t.Errorf("README.md does not state %q, which the goldens give", want)
+		}
 	}
 }

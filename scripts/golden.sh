@@ -8,8 +8,8 @@
 # allocation, an extra tick, a stray RNG draw on the default path — shows
 # up here as a CSV difference. These runs build their device through the
 # experiment harness on its fragile default (no lemming wait), with no
-# observer and on the emulated backend: the guard proves the observers and
-# the host backend cost nothing when off.
+# observer, on virtual-time procs whose accesses the cost model charges:
+# the guard proves the observers cost nothing when off.
 #
 # Figure 13 pins the ablation chain: its Baseline rows are the monolithic
 # tree and must not move when only Euno-B+Tree's leaves change. The scan
@@ -20,8 +20,9 @@
 # (htm.Config.LemmingWait) reaching every tree the figures build — the
 # device every eunomia.Open builds.
 #
-# To re-baseline after an *intentional* metrics change — EXPERIMENTS.md
-# keeps every re-baseline's parent and change columns, so label it there:
+# To re-baseline after an *intentional* metrics change — the parent's
+# column goes in the change's CHANGES.md entry, and EXPERIMENTS.md's
+# tables are replaced and gain one index line naming the commit:
 #   go build ./cmd/eunobench
 #   for f in fig1 fig8 fig13 scan; do
 #     ./eunobench -quick -csv $f > cmd/eunobench/testdata/golden-$f-quick.csv
