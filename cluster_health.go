@@ -47,22 +47,20 @@ var ErrShardUnavailable = errors.New("eunomia: shard unavailable")
 var errShardStopped = errors.New("eunomia: shard store closed for repair")
 
 // ShardState is a shard's serving state as reported by the health
-// breaker (see internal/shard.Health for the full machine).
-type ShardState int
+// breaker (see internal/shard.Health for the full machine); its String
+// names it.
+type ShardState = shard.State
 
 const (
 	// ShardHealthy shards serve normally.
-	ShardHealthy ShardState = ShardState(shard.Healthy)
+	ShardHealthy = shard.Healthy
 	// ShardDegraded shards have seen recent failures but still serve.
-	ShardDegraded ShardState = ShardState(shard.Degraded)
+	ShardDegraded = shard.Degraded
 	// ShardFailed shards have an open breaker: routed ops fail fast.
-	ShardFailed ShardState = ShardState(shard.Failed)
+	ShardFailed = shard.Failed
 	// ShardRecovering shards are reopened but on probation, not serving.
-	ShardRecovering ShardState = ShardState(shard.Recovering)
+	ShardRecovering = shard.Recovering
 )
-
-// String names the state.
-func (s ShardState) String() string { return shard.State(s).String() }
 
 // ShardError reports an operation the owning shard could not serve. It
 // matches ErrShardUnavailable under errors.Is, and Unwraps to the root
@@ -160,15 +158,10 @@ func (r RepairOptions) withDefaults() RepairOptions {
 	return r
 }
 
-// ShardHealthMetrics is one shard's breaker snapshot in ClusterMetrics.
-type ShardHealthMetrics struct {
-	State     ShardState
-	Permanent bool   // Failed with no legal path back (data loss)
-	Failures  uint64 // outcomes scored as failures, lifetime
-	Trips     uint64 // times the breaker opened
-	Repairs   uint64 // times the repair loop re-admitted the shard
-	Cause     string // last failure cause, "" when none
-}
+// ShardHealthMetrics is one shard's breaker snapshot in ClusterMetrics:
+// its State, whether it is Permanent (Failed with no legal path back),
+// lifetime Failures, Trips and Repairs, and the last failure Cause.
+type ShardHealthMetrics = shard.HealthStats
 
 // FaultMetrics aggregates the fault-domain layer in ClusterMetrics.
 type FaultMetrics struct {
@@ -187,13 +180,13 @@ type FaultMetrics struct {
 // ShardState returns shard i's current health state — Healthy shards
 // serve; Failed shards fail fast until the repair loop re-admits them.
 func (c *Cluster) ShardState(i int) ShardState {
-	return ShardState(c.shard(i).health.State())
+	return c.shard(i).health.State()
 }
 
 // unavailable builds the fail-fast error for a breaker-open shard.
 func (c *Cluster) unavailable(i int) *ShardError {
 	h := c.shard(i).health
-	return &ShardError{Shard: i, State: ShardState(h.State()), Cause: h.Cause()}
+	return &ShardError{Shard: i, State: h.State(), Cause: h.Cause()}
 }
 
 // shardFailed scores err against sh's breaker — a trip captures the
@@ -212,7 +205,7 @@ func (c *Cluster) shardFailed(sh *clusterShard, err error) error {
 	if sh.health.RecordFailure(err, false) {
 		c.tripped(sh)
 	}
-	return &ShardError{Shard: sh.idx, State: ShardState(sh.health.State()), Cause: err}
+	return &ShardError{Shard: sh.idx, State: sh.health.State(), Cause: err}
 }
 
 // earnRetry banks success toward a retry token, up to the cap.

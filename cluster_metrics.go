@@ -1,14 +1,14 @@
 package eunomia
 
-import "sort"
-
 // ClusterMetrics is the cluster-wide unified snapshot: the per-shard
 // Metrics plus their aggregate, and the fault-domain layer's view.
 type ClusterMetrics struct {
 	// Shards is the shard count.
 	Shards int
-	// Agg sums (or, where summing is meaningless, conservatively merges)
-	// every shard's Metrics.
+	// Agg is the shards' merged snapshot: their counters summed and their
+	// histograms merged, from the same reads PerShard reports, so every
+	// counter equals the sum of PerShard's and the flush quantiles are the
+	// cluster's.
 	Agg Metrics
 	// PerShard holds each shard's own snapshot, index-aligned with
 	// Cluster.DB.
@@ -68,81 +68,16 @@ func (c *Cluster) ClusterMetrics() ClusterMetrics {
 		MovesDone:  c.movesDone.Load(),
 		Redirects:  c.redirects.Load(),
 	}
+	var agg layerStats
 	for _, sh := range shards {
-		m := sh.db.Load().Metrics()
-		cm.PerShard = append(cm.PerShard, m)
-		mergeMetrics(&cm.Agg, &m)
+		s := sh.db.Load().layerStats()
+		cm.PerShard = append(cm.PerShard, s.metrics())
+		agg.merge(&s)
 		hs := sh.health.Stats()
-		cm.Health = append(cm.Health, ShardHealthMetrics{
-			State:     ShardState(hs.State),
-			Permanent: hs.Permanent,
-			Failures:  hs.Failures,
-			Trips:     hs.Trips,
-			Repairs:   hs.Repairs,
-			Cause:     hs.Cause,
-		})
+		cm.Health = append(cm.Health, hs)
 		cm.Fault.Trips += hs.Trips
 		cm.Fault.Repairs += hs.Repairs
 	}
-	sort.Slice(cm.Agg.Contention.HotLeaves, func(i, j int) bool {
-		return cm.Agg.Contention.HotLeaves[i].Total > cm.Agg.Contention.HotLeaves[j].Total
-	})
+	cm.Agg = agg.metrics()
 	return cm
-}
-
-// mergeMetrics folds src into dst. Counters add; percentiles and booleans
-// merge conservatively (max / or).
-func mergeMetrics(dst *Metrics, src *Metrics) {
-	dst.Tx.Attempts += src.Tx.Attempts
-	dst.Tx.Commits += src.Tx.Commits
-	dst.Tx.Aborts += src.Tx.Aborts
-	dst.Tx.Fallbacks += src.Tx.Fallbacks
-	dst.Tx.WastedCycles += src.Tx.WastedCycles
-	dst.Tx.TxLoads += src.Tx.TxLoads
-	dst.Tx.TxStores += src.Tx.TxStores
-	if len(src.Tx.AbortsByReason) > 0 && dst.Tx.AbortsByReason == nil {
-		dst.Tx.AbortsByReason = map[string]uint64{}
-	}
-	for r, n := range src.Tx.AbortsByReason {
-		dst.Tx.AbortsByReason[r] += n
-	}
-	dst.Memory.LiveBytes += src.Memory.LiveBytes
-	dst.Memory.PeakBytes += src.Memory.PeakBytes
-	dst.Memory.ReservedBytes += src.Memory.ReservedBytes
-	dst.Memory.CCMBytes += src.Memory.CCMBytes
-	dst.Tree.Splits += src.Tree.Splits
-	dst.Tree.Compactions += src.Tree.Compactions
-	dst.Tree.MarkRejects += src.Tree.MarkRejects
-	dst.Tree.RootRetries += src.Tree.RootRetries
-	dst.Tree.MaintRounds += src.Tree.MaintRounds
-	d, s := &dst.Durability, &src.Durability
-	d.Enabled = d.Enabled || s.Enabled
-	d.Flushes += s.Flushes
-	d.FlushedFrames += s.FlushedFrames
-	d.FlushedBytes += s.FlushedBytes
-	if s.MaxBatch > d.MaxBatch {
-		d.MaxBatch = s.MaxBatch
-	}
-	if d.Flushes > 0 {
-		d.AvgBatch = float64(d.FlushedFrames) / float64(d.Flushes)
-	}
-	if s.FlushP50Ns > d.FlushP50Ns {
-		d.FlushP50Ns = s.FlushP50Ns
-	}
-	if s.FlushP99Ns > d.FlushP99Ns {
-		d.FlushP99Ns = s.FlushP99Ns
-	}
-	if s.FlushMaxNs > d.FlushMaxNs {
-		d.FlushMaxNs = s.FlushMaxNs
-	}
-	d.Snapshots += s.Snapshots
-	d.SnapshotErrors += s.SnapshotErrors
-	d.RecoveryNs += s.RecoveryNs
-	d.SnapshotPairs += s.SnapshotPairs
-	d.ReplayedFrames += s.ReplayedFrames
-	d.TornTails += s.TornTails
-	dst.Contention.Enabled = dst.Contention.Enabled || src.Contention.Enabled
-	dst.Contention.AbortsSeen += src.Contention.AbortsSeen
-	dst.Contention.AbortsSampled += src.Contention.AbortsSampled
-	dst.Contention.HotLeaves = append(dst.Contention.HotLeaves, src.Contention.HotLeaves...)
 }

@@ -3,10 +3,13 @@ package eunomia
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
 	"eunomia/internal/durable"
+	"eunomia/internal/metrics"
 )
 
 // testCluster opens an in-memory (non-durable) cluster for routing and
@@ -90,10 +93,29 @@ func TestClusterRangePartitionContiguous(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsAggregation: Agg sums the per-shard counters, and
-// PerShard is index-aligned with Cluster.DB.
+// TestClusterMetricsAggregation: Agg is the merge of PerShard from the same
+// read — every counter the sum of the shards', the largest batch and flush
+// the largest of theirs — PerShard is index-aligned with Cluster.DB, and
+// the flush quantiles are the merged histogram's, not the worst shard's.
 func TestClusterMetricsAggregation(t *testing.T) {
-	c := testCluster(t, 3, HashPartition)
+	fses := make([]*durable.MemFS, 3)
+	for i := range fses {
+		fses[i] = durable.NewMemFS(durable.FaultPlan{})
+	}
+	c, err := OpenCluster(ClusterOptions{
+		Shards:    len(fses),
+		Partition: HashPartition,
+		Shard: Options{
+			ArenaWords:    1 << 19,
+			Durability:    Durability{Dir: "aggdb", FS: durable.NewMemFS(durable.FaultPlan{})},
+			Observability: Observability{Heatmap: true},
+		},
+		PerShard: func(i int, o *Options) { o.Durability.FS = fses[i] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	sess := c.NewSession()
 	for k := uint64(0); k < 200; k++ {
 		if err := sess.Put(k, k); err != nil {
@@ -101,14 +123,15 @@ func TestClusterMetricsAggregation(t *testing.T) {
 		}
 	}
 	sess.Close()
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	cm := c.ClusterMetrics()
 	if cm.Shards != 3 || len(cm.PerShard) != 3 {
 		t.Fatalf("Shards=%d len(PerShard)=%d", cm.Shards, len(cm.PerShard))
 	}
-	var sum uint64
 	var touched int
 	for i, m := range cm.PerShard {
-		sum += m.Tx.Commits
 		if m.Tx.Commits > 0 {
 			touched++
 		}
@@ -116,14 +139,126 @@ func TestClusterMetricsAggregation(t *testing.T) {
 			t.Fatalf("PerShard[%d] not aligned with DB(%d)", i, i)
 		}
 	}
-	if cm.Agg.Tx.Commits != sum {
-		t.Fatalf("Agg commits %d != per-shard sum %d", cm.Agg.Tx.Commits, sum)
+	shards := make([]reflect.Value, len(cm.PerShard))
+	for i := range cm.PerShard {
+		shards[i] = reflect.ValueOf(cm.PerShard[i])
+	}
+	checkMerged(t, "Agg", reflect.ValueOf(cm.Agg), shards)
+	d := cm.Agg.Durability
+	if !d.Enabled || d.Flushes == 0 || d.Snapshots != 3 || d.AvgBatch != float64(d.FlushedFrames)/float64(d.Flushes) {
+		t.Fatalf("aggregate durability = %+v", d)
 	}
 	if cm.Agg.Tx.Commits < 200 {
 		t.Fatalf("aggregate commits %d < 200 puts", cm.Agg.Tx.Commits)
 	}
 	if touched < 2 {
 		t.Fatalf("200 hashed keys touched only %d shards", touched)
+	}
+
+	// Shard a flushes fast a thousand times, shard b once slowly: the
+	// cluster's p50 and p99 are a's bucket and its max is b's flush. The
+	// largest of the shards' own quantiles would report b's for both.
+	var a, b, agg layerStats
+	a.durOn, b.durOn = true, true
+	a.dur.Flushes, a.dur.FlushedFrames, a.dur.MaxBatch = 1000, 1000, 1
+	for i := 0; i < 1000; i++ {
+		a.dur.Lat.Observe(1_000)
+	}
+	b.dur.Flushes, b.dur.FlushedFrames, b.dur.MaxBatch = 1, 8, 8
+	b.dur.Lat.Observe(1_000_000)
+	agg.merge(&a)
+	agg.merge(&b)
+	var lat metrics.Histogram
+	lat.Merge(&a.dur.Lat)
+	lat.Merge(&b.dur.Lat)
+	worst := b.metrics().Durability
+	got := agg.metrics().Durability
+	if got.FlushP50Ns != lat.Quantile(0.50) || got.FlushP99Ns != lat.Quantile(0.99) || got.FlushMaxNs != 1_000_000 {
+		t.Fatalf("merged flush p50/p99/max = %d/%d/%d, want %d/%d/1000000",
+			got.FlushP50Ns, got.FlushP99Ns, got.FlushMaxNs, lat.Quantile(0.50), lat.Quantile(0.99))
+	}
+	if got.FlushP99Ns >= worst.FlushP99Ns {
+		t.Fatalf("merged flush p99 %d is the slow shard's (%d)", got.FlushP99Ns, worst.FlushP99Ns)
+	}
+	if got.AvgBatch != 1008.0/1001 || got.MaxBatch != 8 {
+		t.Fatalf("merged batch avg/max = %v/%d", got.AvgBatch, got.MaxBatch)
+	}
+}
+
+// checkMerged requires agg, a Metrics value or one of its sections, to be
+// the merge of the shards' values at the same path: counters and maps
+// summed, flags or-ed, hot leaves pooled, MaxBatch and FlushMaxNs the
+// largest. The flush quantiles and mean batch are derived from the merged
+// record, which the caller checks.
+func checkMerged(t *testing.T, path string, agg reflect.Value, shards []reflect.Value) {
+	t.Helper()
+	switch agg.Kind() {
+	case reflect.Struct:
+		for f := 0; f < agg.NumField(); f++ {
+			name := agg.Type().Field(f).Name
+			fields := make([]reflect.Value, len(shards))
+			for i, s := range shards {
+				fields[i] = s.Field(f)
+			}
+			switch name {
+			case "FlushP50Ns", "FlushP99Ns", "AvgBatch":
+				continue
+			case "MaxBatch", "FlushMaxNs":
+				var want uint64
+				for _, s := range fields {
+					want = max(want, s.Uint())
+				}
+				if agg.Field(f).Uint() != want {
+					t.Errorf("%s.%s = %d, want the shards' largest %d", path, name, agg.Field(f).Uint(), want)
+				}
+				continue
+			}
+			checkMerged(t, path+"."+name, agg.Field(f), fields)
+		}
+	case reflect.Map:
+		want := map[string]uint64{}
+		for _, s := range shards {
+			for it := s.MapRange(); it.Next(); {
+				want[it.Key().String()] += it.Value().Uint()
+			}
+		}
+		if got := agg.Interface().(map[string]uint64); !maps.Equal(got, want) {
+			t.Errorf("%s = %v, want the shards' sum %v", path, got, want)
+		}
+	case reflect.Slice:
+		var want int
+		for _, s := range shards {
+			want += s.Len()
+		}
+		if agg.Len() != want {
+			t.Errorf("len(%s) = %d, want the shards' %d", path, agg.Len(), want)
+		}
+	case reflect.Bool:
+		var want bool
+		for _, s := range shards {
+			want = want || s.Bool()
+		}
+		if agg.Bool() != want {
+			t.Errorf("%s = %v, want %v", path, agg.Bool(), want)
+		}
+	case reflect.Uint64:
+		var want uint64
+		for _, s := range shards {
+			want += s.Uint()
+		}
+		if agg.Uint() != want {
+			t.Errorf("%s = %d, want the shards' sum %d", path, agg.Uint(), want)
+		}
+	case reflect.Int, reflect.Int64:
+		var want int64
+		for _, s := range shards {
+			want += s.Int()
+		}
+		if agg.Int() != want {
+			t.Errorf("%s = %d, want the shards' sum %d", path, agg.Int(), want)
+		}
+	default:
+		t.Fatalf("%s: no merge rule for a %v", path, agg.Kind())
 	}
 }
 

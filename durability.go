@@ -185,28 +185,3 @@ type DurabilityStats struct {
 	ReplayedFrames uint64 // WAL frames replayed
 	TornTails      int    // log files truncated at a torn/corrupt frame
 }
-
-// durabilityMetrics builds the Metrics.Durability section.
-func (db *DB) durabilityMetrics() DurabilityStats {
-	if db.dur == nil {
-		return DurabilityStats{}
-	}
-	s := db.dur.Stats()
-	return DurabilityStats{
-		Enabled:        true,
-		Flushes:        s.Flushes,
-		FlushedFrames:  s.FlushedFrames,
-		FlushedBytes:   s.FlushedBytes,
-		MaxBatch:       s.MaxBatch,
-		AvgBatch:       s.AvgBatch,
-		FlushP50Ns:     s.FlushP50Ns,
-		FlushP99Ns:     s.FlushP99Ns,
-		FlushMaxNs:     s.FlushMaxNs,
-		Snapshots:      s.Snapshots,
-		SnapshotErrors: s.SnapshotErrors,
-		RecoveryNs:     s.Recovery.DurationNs,
-		SnapshotPairs:  s.Recovery.SnapshotPairs,
-		ReplayedFrames: s.Recovery.ReplayedFrames,
-		TornTails:      s.Recovery.TornTails,
-	}
-}

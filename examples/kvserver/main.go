@@ -141,8 +141,6 @@ type server struct {
 	wg      sync.WaitGroup
 }
 
-func newServer(st eunomia.Store) *server { return newServerLimits(st, defaultLimits()) }
-
 // cluster returns the concrete Cluster behind the store, or nil when the
 // server fronts a single DB.
 func (s *server) cluster() *eunomia.Cluster {
@@ -318,24 +316,27 @@ func (s *server) serveConn(conn net.Conn) {
 			}
 		case "STATS":
 			// One coherent snapshot for the whole server: every shard,
-			// every connection's threads — not just this connection. The
-			// base sections come from the unified Store metrics; the
-			// per-shard health and topology sections exist only when the
-			// store is a Cluster. A handle reports its counts every 64
-			// ops and the rest when it closes, so this connection closes
-			// its own handle first and carries on with a fresh one: its
-			// writes are in the line it asked for. Another connection's
-			// show once it has done 64 more ops or closed.
+			// every connection's threads — not just this connection. A
+			// Cluster is read once, through ClusterMetrics: the base
+			// sections are its aggregate, and the per-shard health and
+			// topology sections come from the same read. A handle
+			// reports its counts every 64 ops and the rest when it
+			// closes, so this connection closes its own handle first and
+			// carries on with a fresh one: its writes are in the line it
+			// asked for. Another connection's show once it has done 64
+			// more ops or closed.
 			th.Close()
 			th = s.store.NewHandle()
-			m := s.store.Metrics()
+			cm := eunomia.ClusterMetrics{Shards: 1}
 			cluster, _ := s.store.(*eunomia.Cluster)
-			nshards := 1
 			if cluster != nil {
-				nshards = cluster.Shards()
+				cm = cluster.ClusterMetrics()
+			} else {
+				cm.Agg = s.store.Metrics()
 			}
+			m := cm.Agg
 			fmt.Fprintf(out, "STATS shards=%d commits=%d aborts=%d fallbacks=%d",
-				nshards, m.Tx.Commits, m.Tx.Aborts, m.Tx.Fallbacks)
+				cm.Shards, m.Tx.Commits, m.Tx.Aborts, m.Tx.Fallbacks)
 			for _, reason := range slices.Sorted(maps.Keys(m.Tx.AbortsByReason)) {
 				fmt.Fprintf(out, " abort[%s]=%d", reason, m.Tx.AbortsByReason[reason])
 			}
@@ -344,7 +345,6 @@ func (s *server) serveConn(conn net.Conn) {
 					ds.Flushes, ds.AvgBatch, ds.FlushP99Ns/1000, ds.Snapshots, ds.ReplayedFrames)
 			}
 			if cluster != nil {
-				cm := cluster.ClusterMetrics()
 				// Fault domains (one letter per shard: H/D/F/R) + serving edge.
 				states := make([]byte, cm.Shards)
 				for i, h := range cm.Health {

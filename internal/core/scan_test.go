@@ -75,6 +75,39 @@ func TestScanAllocationFree(t *testing.T) {
 	}
 }
 
+// TestPointOpsAllocationFree: on a warmed tree a get, a put that updates a
+// key and a delete of an absent key allocate nothing, on a host thread and
+// on a timed one.
+func TestPointOpsAllocationFree(t *testing.T) {
+	const n = 4096
+	for _, host := range []bool{true, false} {
+		tr, th := scanTree(t, host, n)
+		k := uint64(0)
+		ops := map[string]func(){
+			"Get": func() {
+				if _, ok := tr.Get(th, 2*(k%n)); !ok {
+					t.Fatalf("get(%d) missed a preloaded key", 2*(k%n))
+				}
+			},
+			"Put": func() { tr.Put(th, 2*(k%n), k) },
+			"Delete": func() {
+				if tr.Delete(th, 2*(k%n)+1) {
+					t.Fatalf("delete(%d) removed a key never put", 2*(k%n)+1)
+				}
+			},
+		}
+		for name, op := range ops {
+			allocs := testing.AllocsPerRun(500, func() {
+				op()
+				k += 613
+			})
+			if allocs != 0 {
+				t.Errorf("host=%v: %s allocates %.1f times per call, want 0", host, name, allocs)
+			}
+		}
+	}
+}
+
 // TestScanReentrant: the scratch is borrowed for the length of a call, so a
 // Scan started from inside fn on the same thread gets a buffer of its own
 // and the outer scan's records survive it.

@@ -10,12 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eunomia/internal/metrics"
 	"eunomia/internal/obs"
 )
-
-// latHist is the flush-latency histogram (wall nanoseconds).
-type latHist = metrics.Histogram
 
 // Config configures a Store.
 type Config struct {
@@ -66,24 +62,33 @@ type RecoveryInfo struct {
 	MaxSeq         uint64 // highest sequence number seen
 }
 
-// Stats is a point-in-time snapshot of the durability layer's behavior.
+// Stats is a point-in-time snapshot of the durability layer's behavior:
+// the raw group-commit record (flush latencies in wall nanoseconds), so
+// snapshots of several stores merge before anything is derived from them.
 type Stats struct {
-	// Group commit.
-	Flushes       uint64
-	FlushedFrames uint64
-	FlushedBytes  uint64
-	MaxBatch      uint64  // largest frames-per-fsync batch
-	AvgBatch      float64 // FlushedFrames / Flushes
-	// Flush latency over the sampled flushes: one in 16 per shard, or
-	// every one while an Observer is attached. The counts above are exact.
-	FlushP50Ns uint64
-	FlushP99Ns uint64
-	FlushMaxNs uint64
+	FlushStats
 	// Snapshots.
 	Snapshots      uint64
 	SnapshotErrors uint64
 	// Recovery (from this Store's Open).
 	Recovery RecoveryInfo
+}
+
+// Merge adds o into s. Recovery durations and counts add; the snapshot
+// base and the highest sequence number take the larger.
+func (s *Stats) Merge(o *Stats) {
+	s.FlushStats.Merge(&o.FlushStats)
+	s.Snapshots += o.Snapshots
+	s.SnapshotErrors += o.SnapshotErrors
+	r, q := &s.Recovery, &o.Recovery
+	r.DurationNs += q.DurationNs
+	r.SnapshotBase = max(r.SnapshotBase, q.SnapshotBase)
+	r.SnapshotPairs += q.SnapshotPairs
+	r.ReplayedFrames += q.ReplayedFrames
+	r.SkippedFrames += q.SkippedFrames
+	r.TornTails += q.TornTails
+	r.Segments += q.Segments
+	r.MaxSeq = max(r.MaxSeq, q.MaxSeq)
 }
 
 // Store is the durability engine: a sharded group-committed WAL plus
@@ -488,34 +493,15 @@ func (st *Store) DurableLSN() uint64 {
 
 // Stats snapshots the durability counters, merging the shards'.
 func (st *Store) Stats() Stats {
-	var ws walStats
-	for _, s := range st.wal.shards {
-		s.mu.Lock()
-		ws.merge(&s.stats)
-		s.mu.Unlock()
-	}
 	out := Stats{
-		Flushes:        ws.flushes,
-		FlushedFrames:  ws.frames,
-		FlushedBytes:   ws.bytes,
-		MaxBatch:       ws.maxBatch,
-		FlushP50Ns:     ws.lat.Quantile(0.50),
-		FlushP99Ns:     ws.lat.Quantile(0.99),
-		FlushMaxNs:     ws.lat.Max(),
 		Snapshots:      st.snapshots.Load(),
 		SnapshotErrors: st.snapshotErrors.Load(),
 		Recovery:       st.recovery,
 	}
-	if ws.flushes > 0 {
-		out.AvgBatch = float64(ws.frames) / float64(ws.flushes)
+	for _, s := range st.wal.shards {
+		s.mu.Lock()
+		out.FlushStats.Merge(&s.stats)
+		s.mu.Unlock()
 	}
 	return out
-}
-
-// String renders a Stats one-liner for logs and STATS protocol replies.
-func (s Stats) String() string {
-	return fmt.Sprintf("flushes=%d frames=%d batch_max=%d batch_avg=%.1f p99_us=%d snaps=%d recovered_frames=%d recovery_ms=%.2f",
-		s.Flushes, s.FlushedFrames, s.MaxBatch, s.AvgBatch,
-		s.FlushP99Ns/1000, s.Snapshots, s.Recovery.ReplayedFrames,
-		float64(s.Recovery.DurationNs)/1e6)
 }

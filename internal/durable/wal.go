@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"eunomia/internal/metrics"
 	"eunomia/internal/obs"
 )
 
@@ -33,7 +34,7 @@ type shard struct {
 	flushing bool   // a leader is mid-flush
 	err      error  // first fatal error; poisons the shard
 	closed   bool
-	stats    walStats
+	stats    FlushStats
 }
 
 // segmentName is the on-disk name of a WAL segment.
@@ -122,7 +123,7 @@ const flushSampleEvery = 16
 // flushSampleEvery, or every one while an observer is attached (each
 // event carries its own duration). Caller holds mu.
 func (w *wal) timed(s *shard) bool {
-	return w.cfg.Observer != nil || s.stats.flushes%flushSampleEvery == 0
+	return w.cfg.Observer != nil || s.stats.Flushes%flushSampleEvery == 0
 }
 
 // writeSync writes buf, frames frames long, to f and syncs it. A timed
@@ -162,34 +163,36 @@ func writeAll(f File, buf []byte) error {
 	return nil
 }
 
-// walStats is one shard's group-commit record, under its mu; lat holds
-// the timed flushes only.
-type walStats struct {
-	flushes  uint64
-	frames   uint64
-	bytes    uint64
-	maxBatch uint64
-	lat      latHist
+// FlushStats is a group-commit record: one WAL shard's under its mu, or
+// any number of them merged. The counts are exact; Lat holds the timed
+// flushes only: one in 16 per shard, or every one while an Observer is
+// attached.
+type FlushStats struct {
+	Flushes       uint64
+	FlushedFrames uint64
+	FlushedBytes  uint64
+	MaxBatch      uint64 // largest frames-per-flush batch
+	Lat           metrics.Histogram
 }
 
 // add counts one successful flush, described by its event.
-func (ws *walStats) add(ev obs.Event) {
-	ws.flushes++
-	ws.frames += ev.Node
-	ws.bytes += ev.Line
-	ws.maxBatch = max(ws.maxBatch, ev.Node)
+func (fs *FlushStats) add(ev obs.Event) {
+	fs.Flushes++
+	fs.FlushedFrames += ev.Node
+	fs.FlushedBytes += ev.Line
+	fs.MaxBatch = max(fs.MaxBatch, ev.Node)
 	if ev.TS != 0 {
-		ws.lat.Observe(ev.Dur)
+		fs.Lat.Observe(ev.Dur)
 	}
 }
 
-// merge adds o into ws.
-func (ws *walStats) merge(o *walStats) {
-	ws.flushes += o.flushes
-	ws.frames += o.frames
-	ws.bytes += o.bytes
-	ws.maxBatch = max(ws.maxBatch, o.maxBatch)
-	ws.lat.Merge(&o.lat)
+// Merge adds o into fs.
+func (fs *FlushStats) Merge(o *FlushStats) {
+	fs.Flushes += o.Flushes
+	fs.FlushedFrames += o.FlushedFrames
+	fs.FlushedBytes += o.FlushedBytes
+	fs.MaxBatch = max(fs.MaxBatch, o.MaxBatch)
+	fs.Lat.Merge(&o.Lat)
 }
 
 // wal is the sharded write-ahead log.

@@ -199,8 +199,8 @@ func TestImmediateModeFlushPerOp(t *testing.T) {
 	if s.Flushes != n || s.FlushedFrames != n {
 		t.Fatalf("flushes=%d frames=%d, want %d/%d", s.Flushes, s.FlushedFrames, n, n)
 	}
-	if s.FlushP50Ns == 0 {
-		t.Fatalf("FlushP50Ns = 0 after %d flushes", n)
+	if s.Lat.Quantile(0.50) == 0 {
+		t.Fatalf("flush p50 = 0 after %d flushes", n)
 	}
 }
 

@@ -1,6 +1,10 @@
 package eunomia
 
 import (
+	"sort"
+
+	"eunomia/internal/durable"
+	"eunomia/internal/htm"
 	"eunomia/internal/obs"
 	"eunomia/internal/simmem"
 )
@@ -122,19 +126,39 @@ type Metrics struct {
 // with operations; transactional counters reflect each worker's last
 // completed operation.
 func (db *DB) Metrics() Metrics {
-	s := db.device.DeviceStats()
-	m := Metrics{
-		Tx: txMetricsOf(&s),
-		Memory: MemoryStats{
+	s := db.layerStats()
+	return s.metrics()
+}
+
+// layerStats is one read of a DB's layers, each in its own type. Metrics
+// translates one; ClusterMetrics merges its shards' with the layers' own
+// merges and translates the sum, so an aggregate's flush quantiles are
+// those of the merged histogram.
+type layerStats struct {
+	tx    htm.Stats
+	mem   MemoryStats
+	tree  TreeMetrics
+	durOn bool
+	dur   durable.Stats
+	heat  ContentionMetrics
+}
+
+// layerStats reads every layer of db once.
+func (db *DB) layerStats() layerStats {
+	s := layerStats{
+		tx: db.device.DeviceStats(),
+		mem: MemoryStats{
 			LiveBytes:     db.arena.LiveBytes(),
 			PeakBytes:     db.arena.PeakBytes(),
 			ReservedBytes: db.arena.BytesByTag(simmem.TagReserved),
 			CCMBytes:      db.arena.BytesByTag(simmem.TagCCM),
 		},
-		Durability: db.durabilityMetrics(),
+	}
+	if db.dur != nil {
+		s.durOn, s.dur = true, db.dur.Stats()
 	}
 	if db.euno != nil {
-		m.Tree = TreeMetrics{
+		s.tree = TreeMetrics{
 			Splits:      db.euno.Splits(),
 			Compactions: db.euno.Compactions(),
 			MarkRejects: db.euno.MarkRejects(),
@@ -144,11 +168,57 @@ func (db *DB) Metrics() Metrics {
 	}
 	if db.heat != nil {
 		seen, sampled := db.heat.Seen()
-		m.Contention = ContentionMetrics{
-			Enabled:       true,
-			AbortsSeen:    seen,
-			AbortsSampled: sampled,
-			HotLeaves:     db.heat.Hot(),
+		s.heat = ContentionMetrics{Enabled: true, AbortsSeen: seen, AbortsSampled: sampled, HotLeaves: db.heat.Hot()}
+	}
+	return s
+}
+
+// merge adds o into s: counters add, histograms merge, hot leaves pool.
+func (s *layerStats) merge(o *layerStats) {
+	s.tx.Merge(&o.tx)
+	s.mem.LiveBytes += o.mem.LiveBytes
+	s.mem.PeakBytes += o.mem.PeakBytes
+	s.mem.ReservedBytes += o.mem.ReservedBytes
+	s.mem.CCMBytes += o.mem.CCMBytes
+	s.tree.Splits += o.tree.Splits
+	s.tree.Compactions += o.tree.Compactions
+	s.tree.MarkRejects += o.tree.MarkRejects
+	s.tree.RootRetries += o.tree.RootRetries
+	s.tree.MaintRounds += o.tree.MaintRounds
+	s.durOn = s.durOn || o.durOn
+	s.dur.Merge(&o.dur)
+	s.heat.Enabled = s.heat.Enabled || o.heat.Enabled
+	s.heat.AbortsSeen += o.heat.AbortsSeen
+	s.heat.AbortsSampled += o.heat.AbortsSampled
+	s.heat.HotLeaves = append(s.heat.HotLeaves, o.heat.HotLeaves...)
+}
+
+// metrics translates s to the public snapshot: hot leaves hottest first,
+// the flush quantiles and mean batch derived from the flush record.
+func (s *layerStats) metrics() Metrics {
+	m := Metrics{Tx: txMetricsOf(&s.tx), Memory: s.mem, Tree: s.tree, Contention: s.heat}
+	sort.SliceStable(m.Contention.HotLeaves, func(i, j int) bool {
+		return m.Contention.HotLeaves[i].Total > m.Contention.HotLeaves[j].Total
+	})
+	if d := &s.dur; s.durOn {
+		m.Durability = DurabilityStats{
+			Enabled:        true,
+			Flushes:        d.Flushes,
+			FlushedFrames:  d.FlushedFrames,
+			FlushedBytes:   d.FlushedBytes,
+			MaxBatch:       d.MaxBatch,
+			FlushP50Ns:     d.Lat.Quantile(0.50),
+			FlushP99Ns:     d.Lat.Quantile(0.99),
+			FlushMaxNs:     d.Lat.Max(),
+			Snapshots:      d.Snapshots,
+			SnapshotErrors: d.SnapshotErrors,
+			RecoveryNs:     d.Recovery.DurationNs,
+			SnapshotPairs:  d.Recovery.SnapshotPairs,
+			ReplayedFrames: d.Recovery.ReplayedFrames,
+			TornTails:      d.Recovery.TornTails,
+		}
+		if d.Flushes > 0 {
+			m.Durability.AvgBatch = float64(d.FlushedFrames) / float64(d.Flushes)
 		}
 	}
 	return m

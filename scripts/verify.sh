@@ -17,8 +17,11 @@
 # Host threads (goroutines on vclock.HostProc) ride these same passes:
 # their htm-level tests (TestHost*) run in the internal/htm line, the
 # per-tree LinearizabilityHost/ConcurrentSharedHost subtests run in the
-# -short tree line, and the root host API tests run in the final line. CI
-# additionally runs them in a dedicated host-backend-race job.
+# -short tree line, and the root host API tests run in the final line. The
+# cluster's fault domains ride them too: the root package's breaker and
+# repair tests in the final line, the crashcheck heal sweep in the
+# durability line, the kvserver shedding and kill-and-repair tests in the
+# kvserver line.
 set -eux
 
 # A -run filter that no longer matches anything passes silently; catch that
