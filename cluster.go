@@ -49,6 +49,10 @@ func (p Partition) internal() shard.Partition {
 	return shard.Hash
 }
 
+// maxClusterShards bounds a cluster's shard count: the barrier manifest's
+// exclusion set is a 64-bit mask.
+const maxClusterShards = 64
+
 // ClusterOptions configures OpenCluster.
 type ClusterOptions struct {
 	// Shards is the number of independent DB shards (default 4).
@@ -121,13 +125,11 @@ type Cluster struct {
 	bg       sync.WaitGroup // the repair and migration goroutines
 
 	// Online resharding state (cluster_reshard.go): the in-flight
-	// migration, the live-scan registry that gates purges and slot
-	// retirement, and the session registry the engine's quiesce barrier
-	// walks before the first copy.
+	// migration, and the session registry that the engine's quiesce
+	// barrier walks before the first copy and its purges and slot
+	// retirement walk for live scans.
 	reshardMu sync.Mutex
 	mig       atomic.Pointer[migration]
-	scanMu    sync.Mutex
-	scans     map[uint64]int // routing Gen a live merged scan froze -> count
 	sessMu    sync.Mutex
 	sessions  map[*Session]struct{}
 	movesDone atomic.Uint64
@@ -173,14 +175,12 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("eunomia: cluster needs >= 1 shard, got %d", opts.Shards)
 	}
-	if opts.Shards > 64 {
-		// The barrier manifest's exclusion set is a 64-bit mask.
-		return nil, fmt.Errorf("eunomia: cluster supports <= 64 shards, got %d", opts.Shards)
+	if opts.Shards > maxClusterShards {
+		return nil, fmt.Errorf("eunomia: cluster supports <= %d shards, got %d", maxClusterShards, opts.Shards)
 	}
 	c := &Cluster{
 		opts:     opts,
 		stop:     make(chan struct{}),
-		scans:    map[uint64]int{},
 		sessions: map[*Session]struct{}{},
 	}
 	c.healthOn = !opts.Health.Disable
@@ -306,7 +306,8 @@ func (c *Cluster) ShardFor(key uint64) int { return c.table.Route(key) }
 // metrics, or direct inspection. The repair loop may swap a Failed
 // shard's DB for a recovered one; the returned handle is the one live at
 // the call. Mutating a shard outside the router's key map breaks the
-// cluster's partitioning invariant.
+// cluster's partitioning invariant: a key written there shows in a merged
+// scan on a stable view.
 func (c *Cluster) DB(i int) *DB { return c.shard(i).db.Load() }
 
 // Session is a Cluster's per-worker handle: one tree Thread per shard
@@ -335,6 +336,9 @@ type Session struct {
 	// the pages they have read; the tests take the refill rate from it.
 	cursors []*shardCursor
 	pages   uint64
+
+	// scanGen is the view generation its outermost live scan froze, or 0.
+	scanGen atomic.Uint64
 }
 
 // NewSession creates a worker handle spanning every shard. Threads are

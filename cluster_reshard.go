@@ -180,8 +180,8 @@ func (c *Cluster) Reshard(n int) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if n < 1 || n > 64 {
-		return fmt.Errorf("eunomia: reshard to %d shards (want 1..64)", n)
+	if n < 1 || n > maxClusterShards {
+		return fmt.Errorf("eunomia: reshard to %d shards (want 1..%d)", n, maxClusterShards)
 	}
 	if !c.reshardMu.TryLock() {
 		return ErrReshardInProgress
@@ -413,19 +413,17 @@ func (c *Cluster) deleteMove(th *Thread, v *shard.View, mi int) error {
 // applying fn after each page is read (fn may mutate th's shard — pages
 // re-anchor by key, not position).
 func (c *Cluster) scanInterval(th *Thread, lo, hi uint64, fn func(k, v uint64) error) error {
-	var page []kvPair
 	var pg scanPager
-	pg.init(func(k, v uint64) { page = append(page, kvPair{k, v}) })
+	pg.init()
 	pg.reset(lo, hi, clusterRangeBatch)
 	for !pg.done {
 		if c.closed.Load() {
 			return ErrClosed
 		}
-		page = page[:0]
 		if err := pg.next(th); err != nil {
 			return err
 		}
-		for _, p := range page {
+		for _, p := range pg.page {
 			if err := fn(p.k, p.v); err != nil {
 				return err
 			}
@@ -571,51 +569,35 @@ func (c *Cluster) quiesceSessions() {
 	}
 }
 
-// scanFreeze freezes a routing view for a merged scan and registers it
-// with the live-scan registry, closing the load-then-register race: a
-// cutover plus purge landing between the View load and scanEnter would
-// pass its scan wait without seeing this scan, then delete source copies
-// the frozen view still routes reads to. Registering first and then
-// re-checking the generation makes that impossible — if the table still
-// reports the registered generation, any later purge wait is ordered
-// after the registration (both sides serialize through scanMu and the
-// table's atomic view pointer); if not, unregister and re-freeze on the
-// newer view.
-func (c *Cluster) scanFreeze() *shard.View {
+// scanFreeze freezes a routing view for a merged scan and registers its
+// generation in s.scanGen before it trusts the view: a cutover plus purge
+// landing between a View load and the registration would miss this scan.
+// If the table still reports the registered generation, any later purge
+// wait sees the registration (atomics are sequentially consistent, and the
+// engine installs a view before it waits); if not, it re-freezes. A scan
+// nested in another on the same Session is covered by the outer one's
+// older registration (outer false), and leaves scanGen be.
+func (s *Session) scanFreeze() (v *shard.View, outer bool) {
+	if s.scanGen.Load() != 0 {
+		return s.c.table.View(), false
+	}
 	for {
-		v := c.table.View()
-		c.scanEnter(v.Gen)
-		if c.table.Gen() == v.Gen {
-			return v
+		v := s.c.table.View()
+		s.scanGen.Store(v.Gen)
+		if s.c.table.Gen() == v.Gen {
+			return v, true
 		}
-		c.scanExit(v.Gen)
 	}
 }
 
-// scanEnter registers a merged scan frozen at routing generation gen.
-func (c *Cluster) scanEnter(gen uint64) {
-	c.scanMu.Lock()
-	c.scans[gen]++
-	c.scanMu.Unlock()
-}
-
-// scanExit unregisters it.
-func (c *Cluster) scanExit(gen uint64) {
-	c.scanMu.Lock()
-	if c.scans[gen]--; c.scans[gen] <= 0 {
-		delete(c.scans, gen)
-	}
-	c.scanMu.Unlock()
-}
-
-// waitScansBefore blocks until no live scan froze a view older than gen
-// (ErrClosed on close).
+// waitScansBefore blocks until no Session's scan froze a view older than
+// gen (ErrClosed on close).
 func (c *Cluster) waitScansBefore(m *migration, gen uint64) error {
 	return c.retry(m, "wait for scans on a pre-cutover view", time.Millisecond, func() error {
-		c.scanMu.Lock()
-		defer c.scanMu.Unlock()
-		for g, n := range c.scans {
-			if g < gen && n > 0 {
+		c.sessMu.Lock()
+		defer c.sessMu.Unlock()
+		for s := range c.sessions {
+			if g := s.scanGen.Load(); g != 0 && g < gen {
 				return errScansLive
 			}
 		}

@@ -541,6 +541,71 @@ func TestReshardQuiescesInFlightOps(t *testing.T) {
 	}
 }
 
+// TestReshardPurgeWaitsForLiveScan: a merged range paused inside yield
+// across a split's cutover still routes the moved interval to its source,
+// so the engine cuts the interval over but leaves the source copies in
+// place until the range returns — and purges them then.
+func TestReshardPurgeWaitsForLiveScan(t *testing.T) {
+	c := testCluster(t, 1, RangePartition)
+	sess := c.NewSession()
+	const n = 64
+	for k := uint64(0); k < n; k++ {
+		if err := sess.Put(k<<58, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const movedKey = uint64(3) << 62 // upper half: moves shard 0 -> 1
+	src := c.DB(0).NewThread()
+	defer src.Close()
+	onSource := func() bool {
+		_, ok, err := src.Get(movedKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	done := make(chan error, 1)
+	seen := uint64(0)
+	for k, v := range sess.Range(0, ^uint64(0)) {
+		if k != seen<<58 || v != seen {
+			t.Fatalf("range yields %d=%d, want %d=%d", k, v, seen<<58, seen)
+		}
+		seen++
+		if k != 0 {
+			continue
+		}
+		gen := c.table.Gen()
+		go func() { done <- c.Reshard(2) }()
+		// BeginReshard installs the migration view; the cutover the next.
+		for deadline := time.Now().Add(10 * time.Second); c.table.Gen() < gen+2; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the split never cut over")
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case err := <-done:
+			t.Fatalf("Reshard returned (%v) under a range frozen on the pre-cutover view", err)
+		default:
+		}
+		if c.ShardFor(movedKey) != 1 {
+			t.Fatalf("movedKey owned by shard %d after the cutover, want 1", c.ShardFor(movedKey))
+		}
+		if !onSource() {
+			t.Fatal("the moved interval's source copies were purged under a live range")
+		}
+	}
+	if seen != n {
+		t.Fatalf("range yielded %d keys, want %d", seen, n)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if onSource() {
+		t.Fatal("the moved interval's source copies outlived the range")
+	}
+}
+
 // denyFS wraps a durable.FS and fails Create for paths containing deny —
 // the hook for failing exactly the reshard manifest's tmp file.
 type denyFS struct {

@@ -94,13 +94,16 @@ func firstPage(v *shard.View, first int) int {
 // the next page is (double the last, up to clusterRangeBatch) and when the
 // interval is exhausted (the shard returned fewer raw keys than the page
 // asked for, a key past to, or to itself). Raw means every key the shard
-// holds, whatever the caller's visit makes of it: a reader that filters —
-// a merge cursor dropping stale copies it does not own — must not mistake
-// a page it discarded for the end of the shard.
+// holds, whatever the page keeps of it: a page that own emptied is not the
+// end of the shard.
 type scanPager struct {
 	from, to uint64
 	size     int  // raw keys the next page asks for
 	done     bool // the interval is exhausted
+
+	own   *shard.View // if set, page keeps only the keys it routes to shard
+	shard int
+	page  []kvPair // the kept keys of the page last read
 
 	// One page's bookkeeping, and the Thread.Scan callback that fills it —
 	// bound once at construction, so reading a page allocates nothing.
@@ -110,9 +113,8 @@ type scanPager struct {
 	onKey func(k, v uint64) bool
 }
 
-// init binds the pager to the function that receives every raw key of a
-// page; reset starts an interval.
-func (p *scanPager) init(visit func(k, v uint64)) {
+// init binds the pager's Thread.Scan callback; reset starts an interval.
+func (p *scanPager) init() {
 	p.onKey = func(k, v uint64) bool {
 		if k > p.to {
 			p.past = true
@@ -120,7 +122,9 @@ func (p *scanPager) init(visit func(k, v uint64)) {
 		}
 		p.raw++
 		p.last = k
-		visit(k, v)
+		if p.own == nil || p.own.Route(k) == p.shard {
+			p.page = append(p.page, kvPair{k, v})
+		}
 		return true
 	}
 }
@@ -128,14 +132,14 @@ func (p *scanPager) init(visit func(k, v uint64)) {
 // reset points the pager at [from, to] with a first page of first raw
 // keys (clamped to [1, clusterRangeBatch]).
 func (p *scanPager) reset(from, to uint64, first int) {
-	p.from, p.to, p.done = from, to, false
+	p.from, p.to, p.done, p.page = from, to, false, p.page[:0]
 	p.size = min(max(first, 1), clusterRangeBatch)
 }
 
-// next reads one page from th, handing every raw key in the interval to
-// visit. A Thread.Scan error is returned as is, with the pager unmoved.
+// next reads one page from th into page; a Thread.Scan error is returned
+// as is, with the pager unmoved.
 func (p *scanPager) next(th *Thread) error {
-	p.raw, p.past = 0, false
+	p.page, p.raw, p.past = p.page[:0], 0, false
 	if _, err := th.Scan(p.from, p.size, p.onKey); err != nil {
 		return err
 	}
@@ -148,49 +152,42 @@ func (p *scanPager) next(th *Thread) error {
 	return nil
 }
 
-// shardCursor is one shard's input to the k-way merge: a scanPager plus
-// the page it last read, holding the error when the shard dies mid-scan.
-// Every cursor filters its shard's keys through the scan's frozen routing
-// view: mid-migration a key can physically exist on both the source and
-// the destination (copied but not yet purged), and accepting it only from
-// the shard the frozen view names keeps the merged stream exactly-once no
-// matter how many cutovers land while the scan runs.
+// shardCursor is one shard's input to the k-way merge: a scanPager, the
+// page's next pair to hand out, and the error when the shard dies mid-scan.
+// While the scan's frozen view is migrating, a key can exist on both its
+// source and its destination (copied, not yet purged); the pager keeps it
+// only from the shard the frozen view names, so the stream stays
+// exactly-once however many cutovers land mid-scan. A stable view has no
+// such copies — every move is purged before the view that ends a migration
+// is installed — so the pager keeps every key.
 type shardCursor struct {
 	s     *Session
-	shard int
-	view  *shard.View
 	pager scanPager
-	buf   []kvPair // owned keys of the current page; buf[pos] is the head
 	pos   int
 	err   error
 }
 
 func newShardCursor(s *Session, i int) *shardCursor {
-	cur := &shardCursor{s: s, shard: i}
-	cur.pager.init(func(k, v uint64) {
-		if cur.view.Route(k) == cur.shard {
-			cur.buf = append(cur.buf, kvPair{k, v})
-		}
-	})
+	cur := &shardCursor{s: s, pager: scanPager{shard: i}}
+	cur.pager.init()
 	return cur
 }
 
-// head makes the cursor's next pair available as buf[pos], reading pages
-// until one holds a key this shard owns, and reports whether there is one.
-// On false, cur.err distinguishes shard failure from normal exhaustion.
-// Health is re-checked per page, so a shard tripped by concurrent writers
-// is caught at the next page boundary.
+// head reads pages until one holds a pair at pos, and reports whether there
+// is one; on false, cur.err tells shard failure from exhaustion. Health is
+// re-checked per page, so a shard tripped by concurrent writers is caught
+// at the next page boundary.
 func (cur *shardCursor) head() bool {
-	for cur.pos == len(cur.buf) {
+	for cur.pos == len(cur.pager.page) {
 		if cur.pager.done || cur.err != nil {
 			return false
 		}
-		cur.buf, cur.pos = cur.buf[:0], 0
-		th, err := cur.s.shardThread(cur.shard)
+		cur.pos, cur.pager.page = 0, cur.pager.page[:0]
+		th, err := cur.s.shardThread(cur.pager.shard)
 		if err != nil {
 			cur.err = err
 		} else if err := cur.pager.next(th); err != nil {
-			cur.err = cur.s.scanFailed(cur.shard, err)
+			cur.err = cur.s.scanFailed(cur.pager.shard, err)
 		}
 		cur.s.pages++
 	}
@@ -216,19 +213,21 @@ func (s *Session) mergedRange(from, to uint64, stat *RangeStat, strict bool) ite
 // merge is the k-way merge behind Range (strict), RangePartial and Scan;
 // first is the caller's hint of how many keys it means to take, from which
 // firstPage sizes each cursor's first page. The whole merge routes against
-// one frozen routing view, registered with the cluster's live-scan registry
-// (scanFreeze registers before the view is trusted, so a concurrent
-// cutover+purge can never slip through the registration gap): the migration
-// engine will not purge a cut-over interval's source copies — nor retire a
-// merged-away slot — while a scan that still routes reads there is running.
+// one frozen routing view, registered on the Session (scanFreeze registers
+// before the view is trusted, so a concurrent cutover+purge can never slip
+// through the registration gap): the migration engine will not purge a
+// cut-over interval's source copies — nor retire a merged-away slot —
+// while a scan that still routes reads there is running.
 //
-// Shards are read only as far as the consumer asks: a cursor is moved past
-// the pair it delivered after yield has said it wants another, so a
-// consumer that stops causes no further shard read, and cannot be handed
-// a failure for keys it never asked for.
+// The next key is the least in an array of the live cursors' heads. A
+// cursor reads on only after yield has said it wants another pair, so a
+// consumer that stops causes no further shard read, and cannot be handed a
+// failure for keys it never asked for.
 func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool, yield func(uint64, uint64) bool) {
-	v := s.c.scanFreeze()
-	defer s.c.scanExit(v.Gen)
+	v, outer := s.scanFreeze()
+	if outer {
+		defer s.scanGen.Store(0)
+	}
 	var errs []error
 	record := func(i int, err error, midScan bool) {
 		if stat != nil {
@@ -246,21 +245,30 @@ func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool
 			stat.Err = errors.Join(errs...)
 		}
 	}()
-	// The cursors and their page buffers are the Session's, borrowed for
-	// the merge: a scan started from inside yield finds none and builds
-	// its own.
+	// The cursors are the Session's, borrowed for the merge: a scan started
+	// from inside yield finds none and builds its own.
 	all := s.cursors
 	s.cursors = nil
 	defer func() { s.cursors = all }()
 	for len(all) < v.Shards() {
 		all = append(all, newShardCursor(s, len(all)))
 	}
-	curs := all[:v.Shards()]
+	var own *shard.View
+	if v.Migrating() {
+		own = v
+	}
+	// heads[i] is live[i]'s next pair; a cursor that runs dry is swapped out.
+	var heads [maxClusterShards]kvPair
+	var live [maxClusterShards]*shardCursor
+	n := 0
 	page := firstPage(v, first)
-	for i, cur := range curs {
-		cur.view, cur.buf, cur.pos, cur.err = v, cur.buf[:0], 0, nil
+	for i, cur := range all[:v.Shards()] {
+		cur.pos, cur.err, cur.pager.own = 0, nil, own
 		cur.pager.reset(from, to, page)
-		if !cur.head() && cur.err != nil {
+		if cur.head() {
+			heads[n], live[n] = cur.pager.page[0], cur
+			cur.pos, n = 1, n+1
+		} else if cur.err != nil {
 			record(i, cur.err, false)
 			if strict {
 				return
@@ -268,35 +276,41 @@ func (s *Session) merge(from, to uint64, first int, stat *RangeStat, strict bool
 		}
 	}
 	last, have := uint64(0), false
-	for {
-		var cur *shardCursor
-		for _, o := range curs {
-			if o.pos < len(o.buf) && (cur == nil || o.buf[o.pos].k < cur.buf[cur.pos].k) {
-				cur = o
+	for n > 0 {
+		// Which head is least is a coin toss, so the pick is branch-free.
+		j, k, hs := 0, heads[0].k, heads[:n]
+		for i := 1; i < len(hs); i++ {
+			hk := hs[i].k
+			lt := 0
+			if hk < k {
+				lt = 1
 			}
+			j += (i - j) * lt
+			k = min(k, hk)
 		}
-		if cur == nil {
-			return
-		}
-		p := cur.buf[cur.pos]
-		cur.pos++
-		// Shards own disjoint keys, so a duplicate can only mean a
-		// mis-routed write; the merge still guarantees strictly increasing
-		// output and keeps the lowest-shard copy.
-		if !have || p.k != last {
-			last, have = p.k, true
-			if !yield(p.k, p.v) {
+		// Shards own disjoint keys, so a duplicate can only be a write that
+		// went around the router, or a copy made by a migration begun after
+		// the view was frozen; the merge still delivers each key once,
+		// strictly increasing.
+		if !have || k != last {
+			last, have = k, true
+			if !yield(k, heads[j].v) {
 				return
 			}
 		}
-		if !cur.head() && cur.err != nil {
-			record(cur.shard, cur.err, true)
+		if cur := live[j]; cur.pos < len(cur.pager.page) || cur.head() {
+			heads[j] = cur.pager.page[cur.pos]
+			cur.pos++
+			continue
+		} else if cur.err != nil {
+			record(cur.pager.shard, cur.err, true)
 			if strict {
-				// Everything after the failure point would have a hole,
-				// so stop here.
+				// Everything past the failure point would have a hole.
 				return
 			}
 		}
+		n--
+		heads[j], live[j] = heads[n], live[n]
 	}
 }
 

@@ -406,7 +406,10 @@ type pair struct{ k, v uint64 }
 // so it loads no value below from and no stable pair past the limit. A dense
 // leaf is the run alone.
 func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, out []pair, limit int) []pair {
-	var segs [maxRun]pair
+	var segs []pair // zeroed only for a leaf that has segments in use
+	if inUse > 0 {
+		segs = new([maxRun]pair)[:]
+	}
 	n := 0
 	for j := 0; j < inUse; j++ {
 		seg := t.segBase(leaf, j)
@@ -427,11 +430,12 @@ func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, ou
 	if from > 0 {
 		i, _ = t.stableSearch(tx, leaf, from)
 	}
+	run := tx.Run(t.stableK(leaf, i), t.stableK(leaf, count))
 	for s := 0; len(out) < limit; i++ {
 		if i == count {
 			return append(out, segs[s:min(n, s+limit-len(out))]...)
 		}
-		k := tx.Load(t.stableK(leaf, i))
+		k := run.Load(t.stableK(leaf, i))
 		for ; s < n && segs[s].k < k && len(out) < limit; s++ {
 			out = append(out, segs[s])
 		}
@@ -441,7 +445,7 @@ func (t *Tree) scanLeaf(tx *htm.Tx, leaf simmem.Addr, inUse int, from uint64, ou
 		if s < n && segs[s].k == k {
 			out = append(out, segs[s]) // shadows the stable copy
 			s++
-		} else if v := tx.Load(t.stableV(leaf, i)); v != tree.Tombstone {
+		} else if v := run.Load(t.stableV(leaf, i)); v != tree.Tombstone {
 			out = append(out, pair{k, v})
 		}
 	}

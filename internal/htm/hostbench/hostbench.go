@@ -1,8 +1,8 @@
 // Package hostbench holds the host-speed micro-benchmark bodies for the HTM
-// emulator's hot paths: Tx.Load, Tx.Store, read-your-writes, and commit, at
-// read/write-set sizes spanning the L1-capacity range the trees actually
-// produce (a root-to-leaf probe is ~8 lines; a range scan or leaf split can
-// touch hundreds).
+// emulator's hot paths: Tx.Load, Tx.Run, Tx.Store, read-your-writes, and
+// commit, at read/write-set sizes spanning the L1-capacity range the trees
+// actually produce (a root-to-leaf probe is ~8 lines; a range scan or leaf
+// split can touch hundreds).
 //
 // The bodies live in a normal (non-test) package so they can be driven two
 // ways with identical code:
@@ -57,6 +57,7 @@ func Cases() []Case {
 			cs = append(cs,
 				Case{fmt.Sprintf("%sLoad/rs=%d", prefix, n), func(b *testing.B) { benchLoad(b, n, host) }},
 				Case{fmt.Sprintf("%sLoad/sameLine/rs=%d", prefix, n), func(b *testing.B) { benchLoadSameLine(b, n, host) }},
+				Case{fmt.Sprintf("%sLoad/run/rs=%d", prefix, n), func(b *testing.B) { benchLoadRun(b, n, host) }},
 				Case{fmt.Sprintf("%sLoadMerge/rs=%d", prefix, n), func(b *testing.B) { benchLoadMerge(b, n, host) }},
 				Case{fmt.Sprintf("%sStoreCommit/ws=%d", prefix, n), func(b *testing.B) { benchStoreCommit(b, n, host) }},
 				Case{fmt.Sprintf("%sReadYourWrites/ws=%d", prefix, n), func(b *testing.B) { benchReadYourWrites(b, n, host) }},
@@ -126,6 +127,27 @@ func benchLoadSameLine(b *testing.B, n int, host bool) {
 			for _, a := range addrs {
 				for w := simmem.Addr(0); w < simmem.WordsPerLine; w++ {
 					tx.Load(a + w)
+				}
+			}
+		})
+	}
+	reportPerAccess(b, n*simmem.WordsPerLine)
+}
+
+// benchLoadRun: the reads of benchLoadSameLine through one Tx.Run per line,
+// the way a scan reads a leaf's sorted run. On a HostProc each line is
+// copied under one state check and one re-check; on a WallProc every word
+// is still one Load.
+func benchLoadRun(b *testing.B, n int, host bool) {
+	th, addrs := setup(n, host)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustCommit(b, th, func(tx *htm.Tx) {
+			for _, a := range addrs {
+				run := tx.Run(a, a+simmem.WordsPerLine)
+				for w := simmem.Addr(0); w < simmem.WordsPerLine; w++ {
+					run.Load(a + w)
 				}
 			}
 		})

@@ -213,9 +213,8 @@ type Tx struct {
 	st     *Stats
 	rv     uint64
 	direct bool
-	// host is vclock.IsHost(p), asked once: a host proc's accesses never
-	// enter the cost model, so the hot paths skip the call that would find
-	// that out per access.
+	// host is vclock.IsHost(p), asked once: a host proc's accesses skip the
+	// cost model, and the hot paths the call that would find that out.
 	host bool
 
 	rs     []readEntry // read log; one entry per line once rsFolded
@@ -429,6 +428,47 @@ func (tx *Tx) Load(addr simmem.Addr) uint64 {
 		a.ChargeAccessVersioned(tx.p, addr, simmem.StateVersion(s1), false)
 	}
 	return v
+}
+
+// Run reads the words of [lo, hi) as Load would, one load per word. A host
+// proc copies each line whole, logged with every run word on it, between two
+// reads of its state that must agree; in virtual time, in fallback mode and
+// on a line with a buffered store, Run.Load is Load at the point of use.
+type Run struct {
+	tx     *Tx
+	lo, hi simmem.Addr
+	line   uint64 // the line copied into words, noLine if none
+	nw     int    // len(tx.wls) at the copy: a store since voids it
+	words  [simmem.WordsPerLine]uint64
+}
+
+// Run starts a run read of [lo, hi).
+func (tx *Tx) Run(lo, hi simmem.Addr) Run { return Run{tx: tx, lo: lo, hi: hi, line: noLine} }
+
+// Load returns the word at addr, which must lie in the run.
+func (r *Run) Load(addr simmem.Addr) uint64 {
+	tx, line := r.tx, addr.Line()
+	if line == r.line && len(tx.wls) == r.nw {
+		tx.st.TxLoads++
+		return r.words[addr.WordInLine()]
+	}
+	r.line, r.nw = noLine, len(tx.wls)
+	if !tx.host || tx.direct || r.nw > 0 && tx.wlsOf(line) != noIdx {
+		return tx.Load(addr)
+	}
+	lo, hi := max(r.lo, simmem.Addr(line*simmem.WordsPerLine)), min(r.hi, simmem.Addr((line+1)*simmem.WordsPerLine))
+	a := tx.h.arena
+	s := a.LineState(line)
+	for w := lo; w < hi; w++ {
+		r.words[w.WordInLine()] = a.WordRaw(w)
+	}
+	tx.Load(addr) // validates, logs and counts; the copy stands if s held
+	tx.rs[tx.lastRs].mask |= uint8((1<<(hi-lo) - 1) << lo.WordInLine())
+	if tx.lastState != s {
+		tx.abort(tx.classifyConflict(line, tx.accessMask(line, 0)), line, 0)
+	}
+	r.line = line
+	return r.words[addr.WordInLine()]
 }
 
 // Store performs a transactional (buffered) write of one word.
